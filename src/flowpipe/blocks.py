@@ -117,8 +117,12 @@ class Block:
         """Seed for every per-block pseudo-random generator."""
         if self.source_of_randomness is None:
             return GENESIS_RANDOMNESS
-        sig = crypto.GroupSignature(value=self.source_of_randomness)
-        return crypto.hash("block-seed", crypto.signature_bytes(sig))
+        return block_seed(self.source_of_randomness)
+
+
+def block_seed(sigma: int) -> bytes:
+    """Per-block seed derived from the block's threshold-signature value."""
+    return crypto.hash("block-seed", crypto.signature_bytes(crypto.GroupSignature(value=sigma)))
 
 
 def genesis_block(initial_state: ProtocolState) -> Block:

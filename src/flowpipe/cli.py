@@ -18,6 +18,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import crypto
+from .blocks import block_seed
 from .clustering import cluster_compromise_probability
 from .encoding import hexify
 from .scenario import (
@@ -74,18 +75,8 @@ def cmd_run(args) -> int:
         with open(os.path.join(out, "metrics.csv"), "w") as fh:
             fh.write(metrics.to_csv())
     else:
-        lat = metrics.finalization_latencies
-        row = {
-            "blocks_finalized": metrics.blocks_finalized,
-            "blocks_sealed": metrics.blocks_sealed,
-            "collections_guaranteed": metrics.collections_guaranteed,
-            "challenges": metrics.challenges,
-            "slashes": metrics.slashes,
-            "mean_finalization_latency": sum(lat) / len(lat) if lat else 0,
-            "max_finalization_latency": max(lat) if lat else 0,
-        }
         with open(os.path.join(out, "metrics.jsonl"), "w") as fh:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(json.dumps(dict(metrics.rows()), sort_keys=True) + "\n")
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(result.report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -157,7 +148,7 @@ def cmd_dkg_demo(args) -> int:
         params, sigma, dkg.verification_vector.group_public_key, message
     )
     print(f"group signature: {sigma.value} valid={valid}")
-    print(f"derived seed   : {hexify(crypto.hash('block-seed', crypto.signature_bytes(sigma)))}")
+    print(f"derived seed   : {hexify(block_seed(sigma.value))}")
     return 0 if valid else 1
 
 

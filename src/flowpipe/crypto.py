@@ -165,18 +165,6 @@ class ThresholdParams:
 # the order-1439 subgroup. Small enough for exhaustive subset sweeps.
 TEST_FIELD = (2879, 1439, 4)
 
-# RFC 3526 1536-bit MODP safe prime; q = (p-1)/2, g = 4.
-_P1536 = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF",
-    16,
-)
-LARGE_FIELD = (_P1536, (_P1536 - 1) // 2, 4)
-
 
 def make_params(n_s: int, field: tuple[int, int, int] = TEST_FIELD) -> ThresholdParams:
     p, q, g = field

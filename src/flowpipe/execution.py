@@ -118,7 +118,6 @@ class BlockExecutionOutput:
     chunk_start_states: list[ExecutionState]
     chunk_tx_ranges: list[tuple[int, int]]  # [start, end) indices per chunk
     oversized_chunks: list[int] = field(default_factory=list)
-    tx_outcomes: list[ExecOutcome] = field(default_factory=list)
 
 
 def block_execution(
@@ -142,7 +141,6 @@ def block_execution(
     chunks: list[Chunk] = []
     chunk_start_states: list[ExecutionState] = []
     chunk_starts: list[int] = []
-    outcomes: list[ExecOutcome] = []
 
     state_start = state
     start_index = 0
@@ -153,7 +151,6 @@ def block_execution(
     for i, tx in enumerate(transactions):
         state_before = state
         outcome = execute_fn(state, tx)
-        outcomes.append(outcome)
         state, tau, zeta = outcome.state, outcome.cost, outcome.trace
         if i == 0:
             tau_0 = tau
@@ -207,7 +204,6 @@ def block_execution(
         chunk_start_states=chunk_start_states,
         chunk_tx_ranges=ranges,
         oversized_chunks=oversized,
-        tx_outcomes=outcomes,
     )
 
 

@@ -16,6 +16,7 @@ from .blocks import (
     approval_payload,
     evaluate_proposal,
     form_seal,
+    block_seed,
     propose_proto_block,
     validate_seal,
 )
@@ -38,9 +39,9 @@ from .execution import (
     block_execution,
     canonical,
 )
-from .hotstuff import GENESIS_DIGEST, ConsensusEngine, NewRound, Proposal, Vote
+from .hotstuff import ConsensusEngine, NewRound, Proposal, Vote
 from .merkle import ExecutionState, value_proof_gen
-from .sim import Metrics, Simulator
+from .sim import Handler, Metrics, Simulator
 from .state import (
     ChallengeKind,
     NodeIdentity,
@@ -96,15 +97,15 @@ class Directory:
     drb_vv: crypto.VerificationVector
     drb_committee: dict[bytes, crypto.SecretShare]  # member key -> share
     registered_accounts: list[bytes]
-    # protocol parameters
-    gamma_chunk: int = 10
-    coverage_p: float = 1.0
-    tx_window: int = 10_000
-    collection_size_threshold: int = 3
-    collection_timespan_rounds: int = 8
-    base_timeout: int = 400
-    mcc_deadline: int = 600
-    retrieval_timeout: int = 300
+    # protocol parameters; their defaults live in scenario.DEFAULTS
+    gamma_chunk: int
+    coverage_p: float
+    tx_window: int
+    collection_size_threshold: int
+    collection_timespan_rounds: int
+    base_timeout: int
+    mcc_deadline: int
+    retrieval_timeout: int
 
 
 @dataclass
@@ -272,11 +273,25 @@ class AttestationMsg:
 
 
 # ---------------------------------------------------------------------------
-# Collector
+# Shared node runtime
 # ---------------------------------------------------------------------------
 
+def _ignore(sender: str, msg: Any) -> None:
+    pass
 
-class CollectorNode:
+
+class Node:
+    """Runtime every role shares: identity, world view, scripted behavior,
+    and one table from exact message type to handler. Behavior-specific
+    handling is expressed by what a node puts in its table, not by
+    behavior checks inside the handlers.
+
+    Each role class repeats the one-line `handle` below in its own body, so
+    that per-role profiles (cProfile, `perfbench/tracer.py`) see one code
+    object per role."""
+
+    engine: Optional[ConsensusEngine] = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -292,10 +307,68 @@ class CollectorNode:
         self.d = directory
         self.metrics = metrics
         self.behavior = behavior
+        self.handlers: dict[type, Handler] = {}
+        # a non-responsive node never starts and handles no message
+        self.silent = self.acts("non_responsive")
+
+    def acts(self, kind: str) -> bool:
+        return self.behavior is not None and self.behavior.kind == kind
+
+    def listen(self, table: dict[type, Handler]) -> None:
+        if not self.silent:
+            self.handlers.update(table)
+
+    def start(self):
+        if self.engine is not None and not self.silent:
+            self.engine.start()
+
+    def handle(self, sender: str, msg: Any):
+        self.handlers.get(type(msg), _ignore)(sender, msg)
+
+    def send_all(self, names, msg) -> None:
+        for name in names:
+            self.sim.send(self.name, name, msg)
+
+    # -- consensus engine wiring ---------------------------------------------
+
+    def attach_engine(self, engine_cls, peers: list[str], **wiring) -> None:
+        """Run a consensus engine over the simulator: broadcasts go to
+        `peers` in order, and the engine's messages enter the table."""
+        engine = self.engine = engine_cls(
+            keypair=self.keypair,
+            base_timeout=self.d.base_timeout,
+            broadcast=lambda msg: self.send_all(peers, msg),
+            send=lambda key, msg: self.sim.send(self.name, self.d.name_of[key], msg),
+            set_timer=self._engine_timer,
+            **wiring,
+        )
+        self.listen(
+            {
+                Proposal: lambda sender, msg: engine.on_proposal(msg),
+                Vote: lambda sender, msg: engine.on_vote(msg),
+                NewRound: lambda sender, msg: engine.on_new_round(msg),
+            }
+        )
+
+    def _engine_timer(self, duration, round_number):
+        self.sim.set_timer(
+            self.name, duration, lambda: self.engine.on_local_timeout(round_number)
+        )
+
+
+# ---------------------------------------------------------------------------
+# Collector
+# ---------------------------------------------------------------------------
+
+
+class CollectorNode(Node):
+    def __init__(self, sim, name, keypair, directory, metrics, behavior=None):
+        super().__init__(sim, name, keypair, directory, metrics, behavior)
         self.cluster_index = directory.cluster_of[keypair.public]
+        members = directory.clusters[self.cluster_index]
         self.peers = [
             directory.name_of[m.staking_public_key]
-            for m in directory.clusters[self.cluster_index]
+            for m in members
             if m.staking_public_key != keypair.public
         ]
         self.pool: dict[bytes, SignedTransaction] = {}
@@ -309,42 +382,33 @@ class CollectorNode:
         self.heights: dict[bytes, int] = {directory.genesis_digest: 0}
         self.next_height = 1
 
-        members = directory.clusters[self.cluster_index]
-        cluster_seed = crypto.derive_seed(
-            ["cluster-consensus", str(self.cluster_index)], directory.epoch_seed
-        )
-        self.engine = ConsensusEngine(
-            keypair=keypair,
+        self.attach_engine(
+            ConsensusEngine,
+            self.peers,
             members=members,
-            seed=cluster_seed,
-            base_timeout=directory.base_timeout,
+            seed=crypto.derive_seed(
+                ["cluster-consensus", str(self.cluster_index)], directory.epoch_seed
+            ),
             digest_payload=lambda p: crypto.hash("cluster-payload", canonical_json(p)),
             validate_payload=self._validate_payload,
             make_payload=self._make_payload,
-            broadcast=self._engine_broadcast,
-            send=self._engine_send,
-            set_timer=self._engine_timer,
             on_finalize=self._on_cluster_finalize,
         )
-
-    # -- engine plumbing ---------------------------------------------------
-
-    def _engine_broadcast(self, msg):
-        for peer in self.peers:
-            self.sim.send(self.name, peer, msg)
-
-    def _engine_send(self, key, msg):
-        self.sim.send(self.name, self.d.name_of[key], msg)
-
-    def _engine_timer(self, duration, round_number):
-        self.sim.set_timer(
-            self.name, duration, lambda: self.engine.on_local_timeout(round_number)
+        self.listen(
+            {
+                SubmitTx: lambda sender, msg: self._ingest(msg.tx, gossip=True),
+                GossipTx: lambda sender, msg: self._ingest(msg.tx, gossip=False),
+                GuaranteeShare: self._on_guarantee_share,
+                Finalized: self._on_finalized,
+            }
         )
+        if not self.acts("withhold_collection"):
+            self.listen(
+                {CollectionRequest: self._on_collection_request, MccQuery: self._on_mcc_query}
+            )
 
-    def start(self):
-        if self.behavior and self.behavior.kind == "non_responsive":
-            return
-        self.engine.start()
+    def handle(self, sender: str, msg: Any):
+        self.handlers.get(type(msg), _ignore)(sender, msg)
 
     # -- cluster consensus payloads -----------------------------------------
 
@@ -404,50 +468,29 @@ class CollectorNode:
             sig = self.keypair.sign(stub.signed_payload())
             self.sim.event(self.name, "collection_closed", {"hash": hexify(ch), "size": len(coll.tx_hashes)})
             share = GuaranteeShare(ch, self.cluster_index, self.keypair.public, sig)
-            self._on_guarantee_share(share)
-            for peer in self.peers:
-                self.sim.send(self.name, peer, share)
+            self._on_guarantee_share(self.name, share)
+            self.send_all(self.peers, share)
 
     # -- message handling ----------------------------------------------------
 
-    def handle(self, sender: str, msg: Any):
-        if self.behavior and self.behavior.kind == "non_responsive":
-            return
-        if isinstance(msg, (Proposal, Vote, NewRound)):
-            if isinstance(msg, Proposal):
-                self.engine.on_proposal(msg)
-            elif isinstance(msg, Vote):
-                self.engine.on_vote(msg)
-            else:
-                self.engine.on_new_round(msg)
-        elif isinstance(msg, SubmitTx):
-            self._ingest(msg.tx, gossip=True)
-        elif isinstance(msg, GossipTx):
-            self._ingest(msg.tx, gossip=False)
-        elif isinstance(msg, GuaranteeShare):
-            self._on_guarantee_share(msg)
-        elif isinstance(msg, Finalized):
-            self.heights[msg.pb.hash()] = msg.pb.height
-            self.next_height = max(self.next_height, msg.pb.height + 1)
-        elif isinstance(msg, CollectionRequest):
-            if not (self.behavior and self.behavior.kind == "withhold_collection"):
-                texts = self.store.get(msg.collection_hash)
-                if texts is not None:
-                    self.sim.send(
-                        self.name, sender, CollectionResponse(msg.collection_hash, tuple(texts))
-                    )
-        elif isinstance(msg, MccQuery):
-            if not (self.behavior and self.behavior.kind == "withhold_collection"):
-                texts = self.store.get(msg.collection_hash)
-                self.sim.send(
-                    self.name,
-                    sender,
-                    MccResponse(
-                        msg.challenge_id,
-                        msg.collection_hash,
-                        tuple(texts) if texts is not None else None,
-                    ),
-                )
+    def _on_finalized(self, sender: str, msg: Finalized):
+        self.heights[msg.pb.hash()] = msg.pb.height
+        self.next_height = max(self.next_height, msg.pb.height + 1)
+
+    def _on_collection_request(self, sender: str, msg: CollectionRequest):
+        texts = self.store.get(msg.collection_hash)
+        if texts is not None:
+            self.sim.send(self.name, sender, CollectionResponse(msg.collection_hash, tuple(texts)))
+
+    def _on_mcc_query(self, sender: str, msg: MccQuery):
+        texts = self.store.get(msg.collection_hash)
+        self.sim.send(
+            self.name,
+            sender,
+            MccResponse(
+                msg.challenge_id, msg.collection_hash, tuple(texts) if texts is not None else None
+            ),
+        )
 
     def _ingest(self, tx: SignedTransaction, gossip: bool):
         h = tx.tx_hash()
@@ -467,10 +510,9 @@ class CollectorNode:
             return
         self.pool[h] = tx
         if gossip:
-            for peer in self.peers:
-                self.sim.send(self.name, peer, GossipTx(tx))
+            self.send_all(self.peers, GossipTx(tx))
 
-    def _on_guarantee_share(self, share: GuaranteeShare):
+    def _on_guarantee_share(self, sender: str, share: GuaranteeShare):
         if share.collection_hash not in self.store:
             # only guarantors that hold the texts aggregate
             return
@@ -493,8 +535,7 @@ class CollectorNode:
             self.sim.event(
                 self.name, "collection_guaranteed", {"hash": hexify(share.collection_hash)}
             )
-            for cname in self.d.consensus_names:
-                self.sim.send(self.name, cname, GuaranteeAnnounce(gc))
+            self.send_all(self.d.consensus_names, GuaranteeAnnounce(gc))
 
 
 # ---------------------------------------------------------------------------
@@ -571,23 +612,9 @@ class ChainCtx:
     fcc_marks: ChainSet = field(default_factory=ChainSet)
 
 
-class ConsensusNode:
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        keypair: crypto.StakingKeyPair,
-        directory: Directory,
-        metrics: Metrics,
-        behavior: Optional[Behavior] = None,
-    ):
-        self.sim = sim
-        self.name = name
-        self.keypair = keypair
-        self.d = directory
-        self.metrics = metrics
-        self.behavior = behavior
-
+class ConsensusNode(Node):
+    def __init__(self, sim, name, keypair, directory, metrics, behavior=None):
+        super().__init__(sim, name, keypair, directory, metrics, behavior)
         self.ctxs: dict[bytes, ChainCtx] = {
             directory.genesis_digest: ChainCtx(
                 digest=directory.genesis_digest,
@@ -601,7 +628,6 @@ class ConsensusNode:
         self.pending_collections: list[bytes] = []
         self.pending_challenges: dict[bytes, dict] = {}  # dedupe key -> challenge doc
         self._challenge_seen: set[bytes] = set()  # dedupe keys ever accepted
-        self.challenge_objects: dict[bytes, SlashingChallenge] = {}  # challenge id -> object
         self.pending_updates: dict[bytes, StateUpdate] = {}  # challenge id -> update
         self.results: dict[bytes, ExecutionResult] = {}
         self.results_by_prev: dict[bytes, list[bytes]] = {}  # prev result -> successors
@@ -621,44 +647,34 @@ class ConsensusNode:
         self.is_observer = name == directory.consensus_names[0]
 
         engine_cls = ConsensusEngine
-        if behavior and behavior.kind == "equivocate_proposal":
+        if self.acts("equivocate_proposal"):
             engine_cls = EquivocatingEngine
-        elif behavior and behavior.kind == "stale_vote":
+        elif self.acts("stale_vote"):
             engine_cls = StaleVoteEngine
-        self.engine = engine_cls(
-            keypair=keypair,
+        self.attach_engine(
+            engine_cls,
+            [peer for peer in directory.consensus_names if peer != name],
             members=directory.consensus_members,
             seed=directory.epoch_seed,
-            base_timeout=directory.base_timeout,
             digest_payload=self._digest_payload,
             validate_payload=self._validate_payload,
             make_payload=self._make_payload,
-            broadcast=self._engine_broadcast,
-            send=self._engine_send,
-            set_timer=self._engine_timer,
             on_finalize=self._on_finalize,
             on_evidence=self._on_evidence,
         )
-
-    # -- engine plumbing ---------------------------------------------------
-
-    def _engine_broadcast(self, msg):
-        for peer in self.d.consensus_names:
-            if peer != self.name:
-                self.sim.send(self.name, peer, msg)
-
-    def _engine_send(self, key, msg):
-        self.sim.send(self.name, self.d.name_of[key], msg)
-
-    def _engine_timer(self, duration, round_number):
-        self.sim.set_timer(
-            self.name, duration, lambda: self.engine.on_local_timeout(round_number)
+        self.listen(
+            {
+                GuaranteeAnnounce: self._on_guarantee_announce,
+                ReceiptMsg: self._on_receipt,
+                ApprovalMsg: self._on_approval,
+                ChallengeMsg: self._on_challenge,
+                DrbShare: self._on_drb_share,
+                MccResponse: self._on_mcc_response,
+            }
         )
 
-    def start(self):
-        if self.behavior and self.behavior.kind == "non_responsive":
-            return
-        self.engine.start()
+    def handle(self, sender: str, msg: Any):
+        self.handlers.get(type(msg), _ignore)(sender, msg)
 
     @staticmethod
     def _digest_payload(payload) -> bytes:
@@ -869,8 +885,6 @@ class ConsensusNode:
         digest = pb.hash()
         if digest in self.ctxs:
             return self.ctxs[digest]
-        from .state import apply_updates
-
         new_state = apply_updates(parent.state, pb.protocol_state_updates).state
         new_ids: list[bytes] = []
         new_mcc: list[bytes] = []
@@ -969,18 +983,16 @@ class ConsensusNode:
             if cid in ctx.adjudicated:
                 del self.pending_updates[cid]
         # notify the other roles
-        notice = Finalized(pb)
-        for name in (
-            self.d.executor_names + self.d.verifier_names + self.d.collector_names
-        ):
-            self.sim.send(self.name, name, notice)
+        self.send_all(
+            self.d.executor_names + self.d.verifier_names + self.d.collector_names, Finalized(pb)
+        )
         # beacon committee members contribute their share
         share = self.d.drb_committee.get(self.keypair.public)
         if share is not None:
             drb = DrbShare(digest, crypto.threshold_sign(self.d.params, share, digest))
             for peer in self.d.consensus_names:
                 if peer == self.name:
-                    self._on_drb_share(drb)
+                    self._on_drb_share(self.name, drb)
                 else:
                     self.sim.send(self.name, peer, drb)
         # adjudicate challenges recorded in this block
@@ -1005,7 +1017,6 @@ class ConsensusNode:
         )
         ch = dataclasses.replace(ch, challenge_id=challenge_id(ch))
         self.pending_challenges[key] = ch.to_dict()
-        self.challenge_objects[ch.challenge_id] = ch
         if self.is_observer:
             self.metrics.challenges += 1
         self.sim.event(
@@ -1068,10 +1079,7 @@ class ConsensusNode:
         elif kind == ChallengeKind.MISSING_COLLECTION.value:
             self.mcc_responses[cid] = {}
             coll_hash = ch.evidence[0]
-            for accused in ch.accused:
-                self.sim.send(
-                    self.name, self.d.name_of[accused], MccQuery(coll_hash, cid)
-                )
+            self.send_all([self.d.name_of[a] for a in ch.accused], MccQuery(coll_hash, cid))
             self.sim.set_timer(
                 self.name, self.d.mcc_deadline, lambda: self._mcc_deadline(ch)
             )
@@ -1104,17 +1112,16 @@ class ConsensusNode:
                 "attestation",
                 {"collection": hexify(outcome.attestation.collection_hash)},
             )
-            for name in self.d.executor_names:
-                self.sim.send(self.name, name, att)
+            self.send_all(self.d.executor_names, att)
         if outcome.recovered is not None:
             # forward the recovered texts to executors still waiting on them
-            resp = CollectionResponse(ch.evidence[0], tuple(outcome.recovered))
-            for name in self.d.executor_names:
-                self.sim.send(self.name, name, resp)
+            self.send_all(
+                self.d.executor_names, CollectionResponse(ch.evidence[0], tuple(outcome.recovered))
+            )
 
     # -- beacon ---------------------------------------------------
 
-    def _on_drb_share(self, msg: DrbShare):
+    def _on_drb_share(self, sender: str, msg: DrbShare):
         if msg.pb_hash in self.randomness:
             return
         if not crypto.signature_share_verify(self.d.params, self.d.drb_vv, msg.share, msg.pb_hash):
@@ -1128,45 +1135,26 @@ class ConsensusNode:
         )
         self.randomness[msg.pb_hash] = sigma.value
         self.sim.event(self.name, "randomness", {"block": hexify(msg.pb_hash)})
-        out = BlockRandomness(msg.pb_hash, sigma.value)
-        for name in self.d.verifier_names:
-            self.sim.send(self.name, name, out)
+        self.send_all(self.d.verifier_names, BlockRandomness(msg.pb_hash, sigma.value))
 
     # -- message handling ---------------------------------------------------
 
-    def handle(self, sender: str, msg: Any):
-        if self.behavior and self.behavior.kind == "non_responsive":
-            return
-        if isinstance(msg, Proposal):
-            self.engine.on_proposal(msg)
-        elif isinstance(msg, Vote):
-            self.engine.on_vote(msg)
-        elif isinstance(msg, NewRound):
-            self.engine.on_new_round(msg)
-        elif isinstance(msg, GuaranteeAnnounce):
-            h = msg.gc.collection_hash
-            if h not in self.known_collections:
-                self.known_collections[h] = msg.gc
-                self.pending_collections.append(h)
-        elif isinstance(msg, ReceiptMsg):
-            self._on_receipt(msg)
-        elif isinstance(msg, ApprovalMsg):
-            if crypto.staking_verify(
-                msg.verifier, approval_payload(msg.result_hash), msg.signature
-            ):
-                self.approvals.setdefault(msg.result_hash, {}).setdefault(
-                    msg.verifier, msg.signature
-                )
-        elif isinstance(msg, ChallengeMsg):
-            self._on_challenge(msg)
-        elif isinstance(msg, DrbShare):
-            self._on_drb_share(msg)
-        elif isinstance(msg, MccResponse):
-            bucket = self.mcc_responses.get(msg.challenge_id)
-            if bucket is not None:
-                bucket.setdefault(self.d.key_of[sender], msg.texts)
+    def _on_guarantee_announce(self, sender: str, msg: GuaranteeAnnounce):
+        h = msg.gc.collection_hash
+        if h not in self.known_collections:
+            self.known_collections[h] = msg.gc
+            self.pending_collections.append(h)
 
-    def _on_receipt(self, msg: ReceiptMsg):
+    def _on_approval(self, sender: str, msg: ApprovalMsg):
+        if crypto.staking_verify(msg.verifier, approval_payload(msg.result_hash), msg.signature):
+            self.approvals.setdefault(msg.result_hash, {}).setdefault(msg.verifier, msg.signature)
+
+    def _on_mcc_response(self, sender: str, msg: MccResponse):
+        bucket = self.mcc_responses.get(msg.challenge_id)
+        if bucket is not None:
+            bucket.setdefault(self.d.key_of[sender], msg.texts)
+
+    def _on_receipt(self, sender: str, msg: ReceiptMsg):
         receipt = msg.receipt
         rh = receipt.execution_result.result_hash()
         if rh in self.results:
@@ -1188,7 +1176,7 @@ class ConsensusNode:
             if cid not in self.adjudicated_ids:
                 self._start_adjudication(doc)
 
-    def _on_challenge(self, msg: ChallengeMsg):
+    def _on_challenge(self, sender: str, msg: ChallengeMsg):
         ch = msg.challenge
         if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
             dedupe = crypto.hash(
@@ -1204,7 +1192,6 @@ class ConsensusNode:
             return
         self._challenge_seen.add(dedupe)
         self.pending_challenges[dedupe] = ch.to_dict()
-        self.challenge_objects[ch.challenge_id] = ch
         if self.is_observer:
             self.metrics.challenges += 1
         self.sim.event(
@@ -1221,22 +1208,9 @@ class ConsensusNode:
 # ---------------------------------------------------------------------------
 
 
-class ExecutionNode:
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        keypair: crypto.StakingKeyPair,
-        directory: Directory,
-        metrics: Metrics,
-        behavior: Optional[Behavior] = None,
-    ):
-        self.sim = sim
-        self.name = name
-        self.keypair = keypair
-        self.d = directory
-        self.metrics = metrics
-        self.behavior = behavior
+class ExecutionNode(Node):
+    def __init__(self, sim, name, keypair, directory, metrics, behavior=None):
+        super().__init__(sim, name, keypair, directory, metrics, behavior)
         self.blocks: dict[int, ProtoBlock] = {}
         self.next_height = 1
         self.exec_state = ExecutionState()
@@ -1245,25 +1219,28 @@ class ExecutionNode:
         self.skipped: set[bytes] = set()
         self.retrieving: dict[bytes, dict] = {}  # collection hash -> query state
         self.challenged: set[bytes] = set()
-
-    def start(self):
-        pass
+        self.listen(
+            {
+                Finalized: self._on_finalized,
+                CollectionResponse: self._on_collection_response,
+                AttestationMsg: self._on_attestation,
+            }
+        )
 
     def handle(self, sender: str, msg: Any):
-        if self.behavior and self.behavior.kind == "non_responsive":
-            return
-        if isinstance(msg, Finalized):
-            pb = msg.pb
-            if pb.height >= self.next_height and pb.height not in self.blocks:
-                self.blocks[pb.height] = pb
-                self._advance()
-        elif isinstance(msg, CollectionResponse):
-            self._on_collection_response(msg)
-        elif isinstance(msg, AttestationMsg):
-            if msg.collection_hash not in self.texts:
-                self.skipped.add(msg.collection_hash)
-                self.retrieving.pop(msg.collection_hash, None)
-                self._advance()
+        self.handlers.get(type(msg), _ignore)(sender, msg)
+
+    def _on_finalized(self, sender: str, msg: Finalized):
+        pb = msg.pb
+        if pb.height >= self.next_height and pb.height not in self.blocks:
+            self.blocks[pb.height] = pb
+            self._advance()
+
+    def _on_attestation(self, sender: str, msg: AttestationMsg):
+        if msg.collection_hash not in self.texts:
+            self.skipped.add(msg.collection_hash)
+            self.retrieving.pop(msg.collection_hash, None)
+            self._advance()
 
     def _advance(self):
         while self.next_height in self.blocks:
@@ -1302,8 +1279,7 @@ class ExecutionNode:
             self.challenged.add(h)
             mcc = make_mcc(self.keypair.public, order, h, deadline=self.sim.now + self.d.mcc_deadline)
             self.sim.event(self.name, "mcc_raised", {"collection": hexify(h)})
-            for cname in self.d.consensus_names:
-                self.sim.send(self.name, cname, ChallengeMsg(mcc))
+            self.send_all(self.d.consensus_names, ChallengeMsg(mcc))
             return
         guarantor = order[state["next"]]
         state["next"] += 1
@@ -1318,7 +1294,7 @@ class ExecutionNode:
             return  # resolved or already advanced
         self._query_next(h)
 
-    def _on_collection_response(self, msg: CollectionResponse):
+    def _on_collection_response(self, sender: str, msg: CollectionResponse):
         h = msg.collection_hash
         if h in self.texts:
             return
@@ -1339,7 +1315,7 @@ class ExecutionNode:
             pb.hash(), txs, self.prev_result_hash, self.exec_state, self.d.gamma_chunk
         )
         result = out.result
-        if self.behavior and self.behavior.kind == "faulty_execution":
+        if self.acts("faulty_execution"):
             result = self._tamper(result)
         self.exec_state = out.end_state
         self.prev_result_hash = result.result_hash()
@@ -1355,32 +1331,16 @@ class ExecutionNode:
             "executed",
             {"height": pb.height, "result": hexify(result.result_hash()), "txs": len(txs)},
         )
-        msg = ReceiptMsg(receipt, packages)
-        for name in self.d.consensus_names + self.d.verifier_names:
-            self.sim.send(self.name, name, msg)
+        self.send_all(self.d.consensus_names + self.d.verifier_names, ReceiptMsg(receipt, packages))
 
     def _tamper(self, result: ExecutionResult) -> ExecutionResult:
         target = self.behavior.target_chunk
         if target is not None and target < len(result.chunks):
-            from .execution import Chunk
-
             c = result.chunks[target]
-            fake = Chunk(
-                c.start_state_commitment,
-                c.starting_transaction_cc,
-                c.starting_transaction_index,
-                c.computation_consumption + 1,
-            )
+            fake = dataclasses.replace(c, computation_consumption=c.computation_consumption + 1)
             chunks = result.chunks[:target] + (fake,) + result.chunks[target + 1 :]
-            return ExecutionResult(
-                result.block_hash, result.previous_execution_result_hash, chunks, result.final_state
-            )
-        return ExecutionResult(
-            result.block_hash,
-            result.previous_execution_result_hash,
-            result.chunks,
-            crypto.hash("tampered", result.final_state),
-        )
+            return dataclasses.replace(result, chunks=chunks)
+        return dataclasses.replace(result, final_state=crypto.hash("tampered", result.final_state))
 
     @staticmethod
     def _packages(out: BlockExecutionOutput, txs) -> tuple:
@@ -1400,50 +1360,33 @@ class ExecutionNode:
 # ---------------------------------------------------------------------------
 
 
-class VerificationNode:
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        keypair: crypto.StakingKeyPair,
-        directory: Directory,
-        metrics: Metrics,
-        behavior: Optional[Behavior] = None,
-    ):
-        self.sim = sim
-        self.name = name
-        self.keypair = keypair
-        self.d = directory
-        self.metrics = metrics
-        self.behavior = behavior
+class VerificationNode(Node):
+    def __init__(self, sim, name, keypair, directory, metrics, behavior=None):
+        super().__init__(sim, name, keypair, directory, metrics, behavior)
         self.seeds: dict[bytes, bytes] = {}  # block hash -> randomness seed
         self.pending: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt awaiting seed
         self.checked: set[bytes] = set()
-
-    def start(self):
-        pass
+        # verifiers key off randomness and receipts, not finalization notices
+        self.listen({BlockRandomness: self._on_randomness, ReceiptMsg: self._on_receipt})
 
     def handle(self, sender: str, msg: Any):
-        if self.behavior and self.behavior.kind == "non_responsive":
+        self.handlers.get(type(msg), _ignore)(sender, msg)
+
+    def _on_randomness(self, sender: str, msg: BlockRandomness):
+        sig = crypto.GroupSignature(value=msg.sigma)
+        if not crypto.threshold_verify(
+            self.d.params, sig, self.d.drb_vv.group_public_key, msg.pb_hash
+        ):
             return
-        if isinstance(msg, BlockRandomness):
-            sig = crypto.GroupSignature(value=msg.sigma)
-            if not crypto.threshold_verify(
-                self.d.params, sig, self.d.drb_vv.group_public_key, msg.pb_hash
-            ):
-                return
-            self.seeds.setdefault(
-                msg.pb_hash, crypto.hash("block-seed", crypto.signature_bytes(sig))
-            )
-            for rh in sorted(self.pending):
-                self._try_verify(self.pending[rh])
-        elif isinstance(msg, ReceiptMsg):
-            rh = msg.receipt.execution_result.result_hash()
-            if rh not in self.checked:
-                self.pending.setdefault(rh, msg)
-                self._try_verify(msg)
-        elif isinstance(msg, Finalized):
-            pass  # verifiers key off randomness + receipts
+        self.seeds.setdefault(msg.pb_hash, block_seed(msg.sigma))
+        for rh in sorted(self.pending):
+            self._try_verify(self.pending[rh])
+
+    def _on_receipt(self, sender: str, msg: ReceiptMsg):
+        rh = msg.receipt.execution_result.result_hash()
+        if rh not in self.checked:
+            self.pending.setdefault(rh, msg)
+            self._try_verify(msg)
 
     def _try_verify(self, msg: ReceiptMsg):
         result = msg.receipt.execution_result
@@ -1475,16 +1418,13 @@ class VerificationNode:
                     "fcc_raised",
                     {"result": hexify(rh), "chunk": k, "reason": verdict.reason},
                 )
-                for cname in self.d.consensus_names:
-                    self.sim.send(
-                        self.name, cname, ChallengeMsg(fcc, result_hash=rh, chunk_index=k)
-                    )
+                self.send_all(
+                    self.d.consensus_names, ChallengeMsg(fcc, result_hash=rh, chunk_index=k)
+                )
                 return
         self.sim.event(self.name, "approved", {"result": hexify(rh)})
         sig = self.keypair.sign(approval_payload(rh))
-        approval = ApprovalMsg(rh, self.keypair.public, sig)
-        for cname in self.d.consensus_names:
-            self.sim.send(self.name, cname, approval)
+        self.send_all(self.d.consensus_names, ApprovalMsg(rh, self.keypair.public, sig))
 
 
 # ---------------------------------------------------------------------------
@@ -1492,26 +1432,15 @@ class VerificationNode:
 # ---------------------------------------------------------------------------
 
 
-class UserAgent:
-    """Scripted submitter: periodically signs a fresh transaction and sends
-    it to a collector of the responsible cluster."""
+class UserAgent(Node):
+    """Scripted submitter: periodically signs a fresh transaction that
+    references the genesis block and sends it to a collector of the
+    responsible cluster. It handles no message."""
 
     def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        keypair: crypto.StakingKeyPair,
-        directory: Directory,
-        reference_block_hash: bytes,
-        interval: int,
-        tx_cost: int = 3,
-        count: Optional[int] = None,
+        self, sim, name, keypair, directory, metrics, interval: int, tx_cost: int, count: Optional[int]
     ):
-        self.sim = sim
-        self.name = name
-        self.keypair = keypair
-        self.d = directory
-        self.reference = reference_block_hash
+        super().__init__(sim, name, keypair, directory, metrics)
         self.interval = interval
         self.tx_cost = tx_cost
         self.count = count
@@ -1519,9 +1448,6 @@ class UserAgent:
 
     def start(self):
         self.sim.set_timer(self.name, self.interval, self._tick)
-
-    def handle(self, sender: str, msg: Any):
-        pass
 
     def _tick(self):
         if self.count is not None and self.sent >= self.count:
@@ -1540,7 +1466,7 @@ class UserAgent:
             script=script,
             payer_signature=self.keypair.public + self.keypair.sign(script),
             script_signatures=(),
-            reference_block_hash=self.reference,
+            reference_block_hash=self.d.genesis_digest,
         )
         self.sent += 1
         cluster = route_transaction(tx.tx_hash(), len(self.d.clusters))

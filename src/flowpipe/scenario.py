@@ -294,15 +294,10 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
                 raise ScenarioError([f"override {path}: no such section {part!r}"])
             target = nxt
         target[parts[-1]] = value
-    errors = validate_scenario(_strip_defaults_shape(out))
+    errors = validate_scenario(out)
     if errors:
         raise ScenarioError(errors)
     return out
-
-
-def _strip_defaults_shape(doc: dict) -> dict:
-    # merged docs carry every section; validation applies to the same shape
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +323,15 @@ class World:
         return self.consensus[0]
 
 
+# role, name prefix, doc["roles"] key, node class, World list
+_ROLES = [
+    (Role.COLLECTOR, "c", "collectors", CollectorNode, "collectors"),
+    (Role.CONSENSUS, "n", "consensus", ConsensusNode, "consensus"),
+    (Role.EXECUTION, "e", "execution", ExecutionNode, "executors"),
+    (Role.VERIFICATION, "v", "verification", VerificationNode, "verifiers"),
+]
+
+
 def _behavior_for(doc: dict, role: str, index: int, cluster_index: Optional[int]) -> Optional[Behavior]:
     for spec in doc.get("adversary", []):
         if spec["role"] != role:
@@ -346,9 +350,6 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
     run_seed = doc["run"]["seed"] if seed is None else seed
     seed_bytes = crypto.hash("scenario-seed", run_seed.to_bytes(8, "big"))
 
-    roles = doc["roles"]
-    stakes = doc["stakes"]
-
     def make_keys(prefix: str, count: int) -> list[crypto.StakingKeyPair]:
         return [
             crypto.StakingKeyPair.from_seed(
@@ -357,46 +358,35 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
             for i in range(count)
         ]
 
-    collector_keys = make_keys("c", roles["collectors"])
-    consensus_keys = make_keys("n", roles["consensus"])
-    executor_keys = make_keys("e", roles["execution"])
-    verifier_keys = make_keys("v", roles["verification"])
-    agent_keys = make_keys("u", 1)
-
     records: dict[bytes, NodeIdentity] = {}
-    name_of: dict[bytes, str] = {}
-
-    def register(keys, prefix, role, stake):
-        identities = []
-        for i, kp in enumerate(keys):
-            name = f"{prefix}{i}"
-            ident = NodeIdentity(kp.public, role, stake, name)
-            records[kp.public] = ident
-            name_of[kp.public] = name
-            identities.append(ident)
-        return identities
-
-    collector_ids = register(collector_keys, "c", Role.COLLECTOR, stakes["collector"])
-    consensus_ids = register(consensus_keys, "n", Role.CONSENSUS, stakes["consensus"])
-    register(executor_keys, "e", Role.EXECUTION, stakes["execution"])
-    register(verifier_keys, "v", Role.VERIFICATION, stakes["verification"])
+    keys: dict[Role, list[crypto.StakingKeyPair]] = {}
+    ids: dict[Role, list[NodeIdentity]] = {}
+    for role, prefix, count_key, _, _ in _ROLES:
+        keys[role] = make_keys(prefix, doc["roles"][count_key])
+        ids[role] = [
+            NodeIdentity(kp.public, role, doc["stakes"][role.value], f"{prefix}{i}")
+            for i, kp in enumerate(keys[role])
+        ]
+        records.update((i.staking_public_key, i) for i in ids[role])
+    # a node's network address is its simulator name
+    name_of = {k: i.network_address for k, i in records.items()}
+    agent_keys = make_keys("u", 1)
 
     initial_state = ProtocolState(records=records)
     epoch_seed = crypto.derive_seed(["epoch"], GENESIS_RANDOMNESS + seed_bytes)
 
     # collector clusters from the epoch randomness
     assignment = cluster_assignment(
-        [k.public for k in collector_keys], doc["clusters"]["count"], epoch_seed
+        [k.public for k in keys[Role.COLLECTOR]], doc["clusters"]["count"], epoch_seed
     )
-    by_key = {i.staking_public_key: i for i in collector_ids}
     clusters = {
-        idx: [by_key[k] for k in assignment.cluster_members(idx)]
+        idx: [records[k] for k in assignment.cluster_members(idx)]
         for idx in range(assignment.c)
     }
 
     # beacon committee: the consensus members with the lowest staking keys
     committee_size = doc["drb"]["committee_size"]
-    committee_keys = sorted(i.staking_public_key for i in consensus_ids)[:committee_size]
+    committee_keys = sorted(k.public for k in keys[Role.CONSENSUS])[:committee_size]
     params = crypto.make_params(committee_size, crypto.TEST_FIELD)
     entropy = [
         crypto.derive_seed(["dkg", str(i)], seed_bytes) for i in range(1, committee_size + 1)
@@ -406,15 +396,18 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
         key: dkg.shares[i] for i, key in enumerate(committee_keys)
     }
 
+    def names(role: Role) -> list[str]:
+        return [i.network_address for i in ids[role]]
+
     directory = Directory(
         name_of=name_of,
         key_of={v: k for k, v in name_of.items()},
-        consensus_members=consensus_ids,
-        verifier_members=[records[k.public] for k in verifier_keys],
-        executor_names=[f"e{i}" for i in range(roles["execution"])],
-        verifier_names=[f"v{i}" for i in range(roles["verification"])],
-        consensus_names=[f"n{i}" for i in range(roles["consensus"])],
-        collector_names=[f"c{i}" for i in range(roles["collectors"])],
+        consensus_members=ids[Role.CONSENSUS],
+        verifier_members=ids[Role.VERIFICATION],
+        executor_names=names(Role.EXECUTION),
+        verifier_names=names(Role.VERIFICATION),
+        consensus_names=names(Role.CONSENSUS),
+        collector_names=names(Role.COLLECTOR),
         clusters=clusters,
         cluster_of=dict(assignment.mapping),
         initial_state=initial_state,
@@ -434,41 +427,18 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
         retrieval_timeout=doc["timeouts"]["retrieval_timeout"],
     )
 
-    net = doc["network"]
     sim = Simulator(
-        SimConfig(
-            delta_t=net["delta_t"],
-            phi_t=float(net["phi_t"]),
-            gst=net["gst"],
-            pre_gst_drop_probability=float(net["pre_gst_drop_probability"]),
-            pre_gst_delay_multiplier=net["pre_gst_delay_multiplier"],
-            seed=seed_bytes,
-            max_sim_time=doc["run"]["max_sim_time"],
-        )
+        SimConfig(**doc["network"], seed=seed_bytes, max_sim_time=doc["run"]["max_sim_time"])
     )
     metrics = Metrics()
     world = World(doc=doc, seed=run_seed, sim=sim, directory=directory, metrics=metrics)
 
-    for i, kp in enumerate(collector_keys):
-        behavior = _behavior_for(doc, "collector", i, assignment.mapping[kp.public])
-        node = CollectorNode(sim, f"c{i}", kp, directory, metrics, behavior)
-        sim.register_node(node.name, node.handle)
-        world.collectors.append(node)
-    for i, kp in enumerate(consensus_keys):
-        behavior = _behavior_for(doc, "consensus", i, None)
-        node = ConsensusNode(sim, f"n{i}", kp, directory, metrics, behavior)
-        sim.register_node(node.name, node.handle)
-        world.consensus.append(node)
-    for i, kp in enumerate(executor_keys):
-        behavior = _behavior_for(doc, "execution", i, None)
-        node = ExecutionNode(sim, f"e{i}", kp, directory, metrics, behavior)
-        sim.register_node(node.name, node.handle)
-        world.executors.append(node)
-    for i, kp in enumerate(verifier_keys):
-        behavior = _behavior_for(doc, "verification", i, None)
-        node = VerificationNode(sim, f"v{i}", kp, directory, metrics, behavior)
-        sim.register_node(node.name, node.handle)
-        world.verifiers.append(node)
+    for role, prefix, _, node_cls, world_list in _ROLES:
+        for i, kp in enumerate(keys[role]):
+            behavior = _behavior_for(doc, role.value, i, directory.cluster_of.get(kp.public))
+            node = node_cls(sim, f"{prefix}{i}", kp, directory, metrics, behavior)
+            sim.register_node(node.name, node.handle)
+            getattr(world, world_list).append(node)
     tx_conf = doc["transactions"]
     for i, kp in enumerate(agent_keys):
         agent = UserAgent(
@@ -476,7 +446,7 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
             f"u{i}",
             kp,
             directory,
-            reference_block_hash=GENESIS_DIGEST,
+            metrics,
             interval=tx_conf["interval"],
             tx_cost=tx_conf["cost"],
             count=tx_conf["count"],

@@ -15,13 +15,16 @@ from .encoding import canonical_json
 
 @dataclass(frozen=True)
 class SimConfig:
-    delta_t: int = 100  # max post-GST delivery delay, ticks
-    phi_t: float = 1.0  # max relative clock-rate factor, >= 1
-    gst: int = 0
-    pre_gst_drop_probability: float = 0.0
-    pre_gst_delay_multiplier: int = 4
-    seed: bytes = b"\x00" * 32
-    max_sim_time: int = 100_000
+    """Network model and run horizon; scenario.DEFAULTS holds the defaults
+    of its `network` fields and of `run.max_sim_time`."""
+
+    delta_t: int  # max post-GST delivery delay, ticks
+    phi_t: float  # max relative clock-rate factor, >= 1
+    gst: int
+    pre_gst_drop_probability: float
+    pre_gst_delay_multiplier: int
+    seed: bytes
+    max_sim_time: int
 
     def __post_init__(self):
         if self.delta_t <= 0:
@@ -88,9 +91,6 @@ class Simulator:
         span = self.config.phi_t - 1.0
         self._skew[name] = 1.0 + span * self._skew_stream.next_unit()
 
-    def nodes(self) -> list[str]:
-        return list(self._handlers)
-
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, delay: int, fn: Callable[[], None]) -> None:
@@ -152,9 +152,10 @@ class Metrics:
     slashes: int = 0
     finalization_latencies: list[int] = field(default_factory=list)
 
-    def to_csv(self) -> str:
+    def rows(self) -> list[tuple[str, float]]:
+        """The reported metrics as (name, value) pairs, in report order."""
         lat = self.finalization_latencies
-        rows = [
+        return [
             ("blocks_finalized", self.blocks_finalized),
             ("blocks_sealed", self.blocks_sealed),
             ("collections_guaranteed", self.collections_guaranteed),
@@ -163,4 +164,6 @@ class Metrics:
             ("mean_finalization_latency", sum(lat) / len(lat) if lat else 0),
             ("max_finalization_latency", max(lat) if lat else 0),
         ]
-        return "metric,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+
+    def to_csv(self) -> str:
+        return "metric,value\n" + "\n".join(f"{k},{v}" for k, v in self.rows()) + "\n"

@@ -4,6 +4,7 @@ challenges, and consensus-side resolution of both challenge kinds."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -91,9 +92,6 @@ class ChunkVerdict:
     ok: bool
     reason: Optional[str] = None
     approval: Optional[ResultApproval] = None
-    recomputed_consumption: Optional[int] = None
-    recomputed_end_commitment: Optional[bytes] = None
-    recomputed_spock: Optional[bytes] = None
 
 
 def _reexecute(
@@ -142,20 +140,8 @@ def verify_chunk(
         reason = "trace-mismatch"
     else:
         approval = make_approval(keypair, result.result_hash(), chunk_index, trace)
-        return ChunkVerdict(
-            ok=True,
-            approval=approval,
-            recomputed_consumption=consumed,
-            recomputed_end_commitment=end_root,
-            recomputed_spock=trace,
-        )
-    return ChunkVerdict(
-        ok=False,
-        reason=reason,
-        recomputed_consumption=consumed,
-        recomputed_end_commitment=end_root,
-        recomputed_spock=trace,
-    )
+        return ChunkVerdict(ok=True, approval=approval)
+    return ChunkVerdict(ok=False, reason=reason)
 
 
 def make_fcc(
@@ -172,14 +158,7 @@ def make_fcc(
         evidence=(result_hash, crypto.hash("chunk-index", chunk_index.to_bytes(8, "big"))),
         deadline=deadline,
     )
-    return SlashingChallenge(
-        kind=ch.kind,
-        challenger=ch.challenger,
-        accused=ch.accused,
-        evidence=ch.evidence,
-        deadline=ch.deadline,
-        challenge_id=challenge_id(ch),
-    )
+    return dataclasses.replace(ch, challenge_id=challenge_id(ch))
 
 
 def make_mcc(
@@ -192,14 +171,7 @@ def make_mcc(
         evidence=(coll_hash,),
         deadline=deadline,
     )
-    return SlashingChallenge(
-        kind=ch.kind,
-        challenger=ch.challenger,
-        accused=ch.accused,
-        evidence=ch.evidence,
-        deadline=ch.deadline,
-        challenge_id=challenge_id(ch),
-    )
+    return dataclasses.replace(ch, challenge_id=challenge_id(ch))
 
 
 @dataclass
@@ -238,15 +210,7 @@ def adjudicate_fcc(
             accused = (trace_fault_origin(receipt_chain, correct_results),)
         except ValueError:
             pass  # no chain divergence; fall back to the named executor
-    resolved = SlashingChallenge(
-        kind=challenge.kind,
-        challenger=challenge.challenger,
-        accused=accused,
-        evidence=challenge.evidence,
-        deadline=challenge.deadline,
-        full_proof=challenge.full_proof,
-        challenge_id=challenge.challenge_id,
-    )
+    resolved = dataclasses.replace(challenge, accused=accused)
     return adjudicate_challenge(
         state, resolved, response_exonerates=False, timed_out=False,
         slash_fraction=slash_fraction,

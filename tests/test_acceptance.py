@@ -19,7 +19,14 @@ from flowpipe.encoding import canonical_json, hexify
 from flowpipe.execution import GENESIS_RESULT_HASH, block_execution
 from flowpipe.hotstuff import ConsensusEngine, NewRound, Proposal, Vote
 from flowpipe.merkle import ExecutionState, state_proof_gen
-from flowpipe.scenario import apply_overrides, load_scenario, run_scenario, build_world, run_world
+from flowpipe.scenario import (
+    DEFAULTS,
+    apply_overrides,
+    build_world,
+    load_scenario,
+    run_scenario,
+    run_world,
+)
 from flowpipe.sim import SimConfig, Simulator
 from flowpipe.state import NodeIdentity, Role
 from flowpipe.verification import assign_chunks
@@ -255,7 +262,9 @@ class EngineHarness:
 
     def __init__(self, n: int, seed_byte: int, equivocators=(), silent=()):
         seed = bytes([seed_byte]) * 32
-        self.sim = Simulator(SimConfig(delta_t=5, seed=seed, max_sim_time=10**6))
+        self.sim = Simulator(
+            SimConfig(**dict(DEFAULTS["network"], delta_t=5), seed=seed, max_sim_time=10**6)
+        )
         self.kps = [
             crypto.StakingKeyPair.from_seed(bytes([seed_byte, i]) * 16) for i in range(n)
         ]

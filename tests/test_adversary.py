@@ -1,0 +1,68 @@
+"""Short pinned runs for the adversary behaviours no bundled scenario
+exercises: silent nodes in every role, stale voters, and an executor that
+tampers with one chunk. Each run's event-log digest is pinned, so a change
+to how nodes dispatch messages cannot silently change what they do."""
+
+import hashlib
+
+import pytest
+
+from flowpipe.scenario import build_world, evaluate_properties, merge_defaults, run_world
+
+SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": [1]}
+
+CASES = {
+    "non_responsive": (
+        [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
+        "73f24a0b126cf61d94f3033a00adcecf6b1c24b0dcb5f89c208f6e2e276bc58d",
+    ),
+    "stale_vote": (
+        [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
+        "0ab71e3343dcd5a01d8cf68eef70eac3ce35d9d5e956cc0875f2746485d67ff7",
+    ),
+    "faulty_execution_target_chunk": (
+        [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
+        "2dc6425e156d54f3f9133ab3e4f2f83ec8127f80674d4fcac760473f54fffc48",
+    ),
+}
+
+
+def short_run(adversary):
+    doc = merge_defaults(
+        {
+            "transactions": {"count": 30, "interval": 100},
+            "adversary": adversary,
+            "run": {"seed": 1, "max_sim_time": 6000},
+            "checks": {"safety": True, "no_faulty_seals": True},
+        }
+    )
+    world = build_world(doc)
+    senders = []
+    real_send = world.sim.send
+
+    def send(sender, receiver, message):
+        senders.append(sender)
+        real_send(sender, receiver, message)
+
+    world.sim.send = send
+    run_world(world)
+    return world, senders
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_adversary_run_pinned(case):
+    adversary, want = CASES[case]
+    world, senders = short_run(adversary)
+    report = evaluate_properties(world)
+    assert report["passed"], report["properties"]
+    assert hashlib.sha256(world.sim.log.to_jsonl().encode()).hexdigest() == want
+    if case == "non_responsive":
+        silent = {
+            "collector": world.collectors,
+            "consensus": world.consensus,
+            "execution": world.executors,
+            "verification": world.verifiers,
+        }
+        names = {silent[role][i].name for role, idx in SILENT.items() for i in idx}
+        assert not names & set(senders)
+        assert not names & {r["node"] for r in world.sim.log.records}

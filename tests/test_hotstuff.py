@@ -19,6 +19,7 @@ from flowpipe.hotstuff import (
     qc_valid,
     vote_payload,
 )
+from flowpipe.scenario import DEFAULTS
 from flowpipe.sim import SimConfig, Simulator
 from flowpipe.state import NodeIdentity, Role
 
@@ -147,7 +148,9 @@ class Harness:
     """Engines wired through the simulator; payloads are opaque dicts."""
 
     def __init__(self, stakes, cfg=None, silent=(), seed=SEED):
-        self.cfg = cfg or SimConfig(delta_t=5, seed=seed, max_sim_time=50_000)
+        self.cfg = cfg or SimConfig(
+            **dict(DEFAULTS["network"], delta_t=5), seed=seed, max_sim_time=50_000
+        )
         self.sim = Simulator(self.cfg)
         self.kps, self.members = make_members(stakes)
         self.names = {kp.public: f"n{i}" for i, kp in enumerate(self.kps)}
@@ -174,7 +177,7 @@ class Harness:
             elif isinstance(msg, NewRound):
                 eng.on_new_round(msg)
 
-        if name not in self.sim.nodes():
+        if name not in self.engines:  # a re-wired node keeps its handler
             self.sim.register_node(name, handler)
         engine = engine_cls(
             keypair=kp,

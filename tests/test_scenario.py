@@ -1,5 +1,7 @@
 import copy
 import json
+import pathlib
+import re
 from importlib import resources
 
 import pytest
@@ -228,3 +230,27 @@ class TestShortRuns:
         res = run_scenario(doc, seed=1)
         assert res.world.metrics.collections_guaranteed > 0
         assert res.world.metrics.blocks_sealed > 0
+
+
+class TestSchemaDoc:
+    def test_default_rows_match_defaults_table(self):
+        """Every `| key | default |` row of the schema doc equals the value
+        in scenario.DEFAULTS, the single source of defaults."""
+        doc = pathlib.Path(__file__).parent.parent / "docs" / "scenario-schema.md"
+        section, in_defaults_table, checked = None, False, 0
+        for line in doc.read_text().splitlines():
+            heading = re.match(r"### `(\w+)`", line)
+            if heading:
+                section, in_defaults_table = heading.group(1), False
+            elif line.startswith("| key | default |"):
+                in_defaults_table = True
+            elif not line.startswith("|"):
+                in_defaults_table = False
+            elif in_defaults_table and not line.startswith("|---"):
+                key, default = re.match(r"\| `(\w+)` \| ([^|]+) \|", line).groups()
+                assert json.loads(default.strip()) == DEFAULTS[section][key], (section, key)
+                checked += 1
+        documented = sum(
+            len(v) for k, v in DEFAULTS.items() if isinstance(v, dict) and k not in ("stakes", "checks")
+        )
+        assert checked == documented

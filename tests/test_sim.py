@@ -2,9 +2,16 @@ import math
 
 import pytest
 
+from flowpipe.scenario import DEFAULTS
 from flowpipe.sim import EventLog, Metrics, SimConfig, Simulator
 
 SEED = b"\x11" * 32
+
+
+def sim_config(**over) -> SimConfig:
+    """The scenario-default network and horizon, with `over` applied."""
+    fields = dict(DEFAULTS["network"], seed=SEED, max_sim_time=DEFAULTS["run"]["max_sim_time"])
+    return SimConfig(**dict(fields, **over))
 
 
 def echo_net(config, n_messages, receiver="b"):
@@ -22,25 +29,25 @@ def echo_net(config, n_messages, receiver="b"):
 class TestConfigValidation:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
-            SimConfig(delta_t=0)
+            sim_config(delta_t=0)
 
     def test_bad_phi_rejected(self):
         with pytest.raises(ValueError):
-            SimConfig(phi_t=0.5)
+            sim_config(phi_t=0.5)
 
     def test_bad_drop_rejected(self):
         with pytest.raises(ValueError):
-            SimConfig(pre_gst_drop_probability=1.5)
+            sim_config(pre_gst_drop_probability=1.5)
 
     def test_negative_gst_rejected(self):
         with pytest.raises(ValueError):
-            SimConfig(gst=-1)
+            sim_config(gst=-1)
 
 
 class TestDelivery:
     def test_post_gst_delay_bounded(self):
         # oracle: every post-GST delay must land in [1, delta_t]
-        cfg = SimConfig(delta_t=20, seed=SEED, max_sim_time=200_000)
+        cfg = sim_config(delta_t=20, max_sim_time=200_000)
         _, deliveries = echo_net(cfg, 1000)
         assert len(deliveries) == 1000
         for i, (t, m) in enumerate(deliveries):
@@ -48,7 +55,7 @@ class TestDelivery:
             assert 1 <= delay <= 20
 
     def test_delays_cover_full_range(self):
-        cfg = SimConfig(delta_t=10, seed=SEED, max_sim_time=500_000)
+        cfg = sim_config(delta_t=10, max_sim_time=500_000)
         _, deliveries = echo_net(cfg, 2000)
         delays = {t - m * 100 for t, m in deliveries}
         assert delays == set(range(1, 11))
@@ -56,11 +63,10 @@ class TestDelivery:
     def test_pre_gst_drop_rate(self):
         # oracle: binomial 3-sigma band on dropped messages before GST
         p, n = 0.3, 5000
-        cfg = SimConfig(
+        cfg = sim_config(
             delta_t=10,
             gst=10**9,
             pre_gst_drop_probability=p,
-            seed=SEED,
             max_sim_time=n * 100 + 1000,
         )
         sim, deliveries = echo_net(cfg, n)
@@ -70,11 +76,10 @@ class TestDelivery:
         assert sim.dropped == dropped
 
     def test_pre_gst_delay_multiplier(self):
-        cfg = SimConfig(
+        cfg = sim_config(
             delta_t=10,
             gst=10**9,
             pre_gst_delay_multiplier=4,
-            seed=SEED,
             max_sim_time=500_000,
         )
         _, deliveries = echo_net(cfg, 2000)
@@ -83,18 +88,17 @@ class TestDelivery:
         assert all(1 <= d <= 40 for d in delays)
 
     def test_no_drops_after_gst(self):
-        cfg = SimConfig(
+        cfg = sim_config(
             delta_t=10,
             gst=0,
             pre_gst_drop_probability=1.0,  # irrelevant once past GST
-            seed=SEED,
             max_sim_time=500_000,
         )
         _, deliveries = echo_net(cfg, 500)
         assert len(deliveries) == 500
 
     def test_unknown_receiver_rejected(self):
-        sim = Simulator(SimConfig(seed=SEED))
+        sim = Simulator(sim_config())
         sim.register_node("a", lambda s, m: None)
         with pytest.raises(ValueError):
             sim.send("a", "ghost", 1)
@@ -104,21 +108,21 @@ class TestDeterminism:
     def test_identical_seed_identical_schedule(self):
         runs = []
         for _ in range(2):
-            cfg = SimConfig(delta_t=15, seed=SEED, max_sim_time=200_000)
+            cfg = sim_config(delta_t=15, max_sim_time=200_000)
             _, deliveries = echo_net(cfg, 500)
             runs.append(deliveries)
         assert runs[0] == runs[1]
 
     def test_different_seed_different_schedule(self):
-        a = echo_net(SimConfig(delta_t=15, seed=SEED, max_sim_time=200_000), 500)[1]
+        a = echo_net(sim_config(delta_t=15, max_sim_time=200_000), 500)[1]
         b = echo_net(
-            SimConfig(delta_t=15, seed=b"\x22" * 32, max_sim_time=200_000), 500
+            sim_config(delta_t=15, seed=b"\x22" * 32, max_sim_time=200_000), 500
         )[1]
         assert a != b
 
     def test_fifo_tiebreak_at_same_tick(self):
         # two callbacks at the same tick run in scheduling order
-        sim = Simulator(SimConfig(seed=SEED))
+        sim = Simulator(sim_config())
         order = []
         sim.schedule(5, lambda: order.append("first"))
         sim.schedule(5, lambda: order.append("second"))
@@ -128,7 +132,7 @@ class TestDeterminism:
 
 class TestClockSkew:
     def test_no_skew_when_phi_is_one(self):
-        sim = Simulator(SimConfig(phi_t=1.0, seed=SEED))
+        sim = Simulator(sim_config(phi_t=1.0))
         fired = []
         sim.register_node("a", lambda s, m: None)
         sim.set_timer("a", 100, lambda: fired.append(sim.now))
@@ -136,7 +140,7 @@ class TestClockSkew:
         assert fired == [100]
 
     def test_skew_dilates_within_phi(self):
-        cfg = SimConfig(phi_t=2.0, seed=SEED)
+        cfg = sim_config(phi_t=2.0)
         sim = Simulator(cfg)
         fired = {}
         for i in range(50):
@@ -148,7 +152,7 @@ class TestClockSkew:
         assert len(set(fired.values())) > 1  # skews actually differ
 
     def test_duplicate_node_rejected(self):
-        sim = Simulator(SimConfig(seed=SEED))
+        sim = Simulator(sim_config())
         sim.register_node("a", lambda s, m: None)
         with pytest.raises(ValueError):
             sim.register_node("a", lambda s, m: None)
@@ -156,12 +160,12 @@ class TestClockSkew:
 
 class TestScheduling:
     def test_negative_delay_rejected(self):
-        sim = Simulator(SimConfig(seed=SEED))
+        sim = Simulator(sim_config())
         with pytest.raises(ValueError):
             sim.schedule(-1, lambda: None)
 
     def test_horizon_respected(self):
-        sim = Simulator(SimConfig(seed=SEED, max_sim_time=100))
+        sim = Simulator(sim_config(max_sim_time=100))
         fired = []
         sim.schedule(50, lambda: fired.append(50))
         sim.schedule(150, lambda: fired.append(150))
