@@ -1,6 +1,10 @@
-"""Main-chain block formation: block and seal structures, the ten-condition
-proposal check, randomness attachment from beacon signature shares, and seal
-formation over verifier approvals."""
+"""Main-chain block formation: proto-block and seal structures, the
+ten-condition proposal check, and seal formation over verifier approvals.
+
+Conditions 1-3 (the round's primary proposed, the block extends a known
+chain, the locking rule allows the vote) are enforced by
+`hotstuff.ConsensusEngine.on_proposal`; `evaluate_proposal` keeps only the
+height part of condition 2 and checks conditions 4-10."""
 
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ from .state import (
     meets_supermajority,
 )
 
-GENESIS_PARENT = b"\x00" * 32
 GENESIS_RANDOMNESS = crypto.hash("genesis", b"")
 
 
@@ -41,16 +44,6 @@ class BlockSeal:
             "approvers": [hexify(a) for a in self.approvers],
             "approval_signatures": [hexify(s) for s in self.approval_signatures],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BlockSeal":
-        return cls(
-            sealed_block_hash=bytes.fromhex(d["sealed_block_hash"]),
-            execution_result_hash=bytes.fromhex(d["execution_result_hash"]),
-            final_state_commitment=bytes.fromhex(d["final_state_commitment"]),
-            approvers=tuple(bytes.fromhex(a) for a in d["approvers"]),
-            approval_signatures=tuple(bytes.fromhex(s) for s in d["approval_signatures"]),
-        )
 
     def digest(self) -> bytes:
         try:
@@ -97,45 +90,9 @@ class ProtoBlock:
         return h
 
 
-@dataclass(frozen=True)
-class Block:
-    proto: ProtoBlock
-    source_of_randomness: Optional[int]  # threshold signature value; None at genesis
-
-    def hash(self) -> bytes:
-        return crypto.hash(
-            "block",
-            canonical_json(
-                {
-                    "proto": hexify(self.proto.hash()),
-                    "randomness": self.source_of_randomness,
-                }
-            ),
-        )
-
-    def random_seed(self) -> bytes:
-        """Seed for every per-block pseudo-random generator."""
-        if self.source_of_randomness is None:
-            return GENESIS_RANDOMNESS
-        return block_seed(self.source_of_randomness)
-
-
 def block_seed(sigma: int) -> bytes:
     """Per-block seed derived from the block's threshold-signature value."""
     return crypto.hash("block-seed", crypto.signature_bytes(crypto.GroupSignature(value=sigma)))
-
-
-def genesis_block(initial_state: ProtocolState) -> Block:
-    proto = ProtoBlock(
-        previous_block_hash=GENESIS_PARENT,
-        height=0,
-        guaranteed_collections=(),
-        block_seals=(),
-        slashing_challenges=(),
-        protocol_state_updates=(),
-        state_commitment=commit_state(initial_state),
-    )
-    return Block(proto=proto, source_of_randomness=None)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +135,9 @@ def propose_proto_block(
 
 @dataclass
 class EvaluationContext:
-    """Everything a voting node consults when judging a proposal; the
-    consensus layer supplies the proposer/extension/safety verdicts."""
+    """Everything a voting node consults when judging a proposal."""
 
-    proposer_is_primary: bool
-    extends_known_chain: bool
     parent_height: int
-    consensus_safe: bool
     ancestor_collection_hashes: set[bytes]
     received_collections: set[bytes]
     collector_clusters: dict[int, list[NodeIdentity]]
@@ -196,13 +149,9 @@ class EvaluationContext:
 
 def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Optional[str]]:
     """Vote decision: every condition must hold; the reason names the first
-    failed one."""
-    if not ctx.proposer_is_primary:
-        return False, "condition-1:proposer"
-    if not ctx.extends_known_chain or pb.height != ctx.parent_height + 1:
+    failed one. The consensus engine has already checked conditions 1-3."""
+    if pb.height != ctx.parent_height + 1:
         return False, "condition-2:chain-extension"
-    if not ctx.consensus_safe:
-        return False, "condition-3:consensus-safety"
     seen: set[bytes] = set()
     for gc in pb.guaranteed_collections:
         if gc.collection_hash in ctx.ancestor_collection_hashes or gc.collection_hash in seen:
@@ -234,39 +183,26 @@ def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Opt
 
 
 # ---------------------------------------------------------------------------
-# Randomness attachment (beacon committee)
-# ---------------------------------------------------------------------------
-
-
-def attach_randomness(
-    params: crypto.ThresholdParams,
-    pb: ProtoBlock,
-    shares: Sequence[crypto.SignatureShare],
-    vv: crypto.VerificationVector,
-) -> Block:
-    """Recover the unique group signature over the proposal hash from t+1
-    shares and attach it; raises InsufficientShares below the threshold."""
-    message = pb.hash()
-    sigma = crypto.threshold_recover(params, vv, shares, message)
-    if not crypto.threshold_verify(params, sigma, vv.group_public_key, message):
-        raise ValueError("recovered randomness does not verify")
-    return Block(proto=pb, source_of_randomness=sigma.value)
-
-
-def verify_block_randomness(
-    params: crypto.ThresholdParams, block: Block, group_public_key: int
-) -> bool:
-    if block.proto.height == 0:
-        return block.source_of_randomness is None
-    if block.source_of_randomness is None:
-        return False
-    sig = crypto.GroupSignature(value=block.source_of_randomness)
-    return crypto.threshold_verify(params, sig, group_public_key, block.proto.hash())
-
-
-# ---------------------------------------------------------------------------
 # Sealing
 # ---------------------------------------------------------------------------
+
+
+def _approval_quorum(
+    result_hash: bytes, approvals: dict[bytes, bytes], verifiers: Sequence[NodeIdentity]
+) -> Optional[dict[bytes, bytes]]:
+    """The approvals that count toward sealing `result_hash`: the signer is a
+    registered verifier and its signature over `approval_payload` verifies.
+    None unless they carry a verifier supermajority."""
+    payload = approval_payload(result_hash)
+    member_keys = {m.staking_public_key for m in verifiers}
+    valid = {
+        k: sig
+        for k, sig in approvals.items()
+        if k in member_keys and crypto.staking_verify(k, payload, sig)
+    }
+    if not valid or not meets_supermajority(effective_votes(valid, verifiers)):
+        return None
+    return valid
 
 
 def form_seal(
@@ -275,21 +211,12 @@ def form_seal(
     final_state_commitment: bytes,
     approvals: dict[bytes, bytes],  # verifier key -> signature over approval_payload
     verifiers: Sequence[NodeIdentity],
-    parent_result_sealed: bool,
-    pending_challenge: bool,
 ) -> Optional[BlockSeal]:
-    """Seal once approvals pass the verifier supermajority, the parent result
-    is sealed (sealing is sequential along the receipt chain), and no
-    challenge is pending. Returns None while any condition is unmet."""
-    if pending_challenge or not parent_result_sealed:
-        return None
-    payload = approval_payload(execution_result_hash)
-    valid = {
-        k: sig for k, sig in approvals.items() if crypto.staking_verify(k, payload, sig)
-    }
-    member_keys = {m.staking_public_key for m in verifiers}
-    valid = {k: sig for k, sig in valid.items() if k in member_keys}
-    if not valid or not meets_supermajority(effective_votes(valid.keys(), verifiers)):
+    """Seal once the valid approvals pass the verifier supermajority; None
+    until then. The caller seals sequentially along the receipt chain and
+    skips challenged results."""
+    valid = _approval_quorum(execution_result_hash, approvals, verifiers)
+    if valid is None:
         return None
     approvers = tuple(sorted(valid))
     return BlockSeal(
@@ -309,9 +236,9 @@ def validate_seal(
     challenge_pending: Callable[[bytes], bool],
 ) -> bool:
     """Structural seal check used by proposal condition 8: the referenced
-    result exists and matches the seal's block/state fields, the approval
-    quorum is genuine, the parent result is sealed, and no challenge on the
-    result is pending."""
+    result exists and matches the seal's block/state fields, no challenge on
+    the result is pending, the parent result is sealed, and every listed
+    approval counts toward a genuine quorum."""
     looked_up = result_lookup(seal.execution_result_hash)
     if looked_up is None:
         return False
@@ -322,15 +249,12 @@ def validate_seal(
         return False
     if not parent_result_sealed(seal.execution_result_hash):
         return False
-    if len(set(seal.approvers)) != len(seal.approvers) or len(seal.approvers) != len(
-        seal.approval_signatures
-    ):
+    if len(seal.approvers) != len(seal.approval_signatures):
         return False
-    member_keys = {m.staking_public_key for m in verifiers}
-    if not set(seal.approvers) <= member_keys:
-        return False
-    payload = approval_payload(seal.execution_result_hash)
-    for key, sig in zip(seal.approvers, seal.approval_signatures):
-        if not crypto.staking_verify(key, payload, sig):
-            return False
-    return meets_supermajority(effective_votes(seal.approvers, verifiers))
+    valid = _approval_quorum(
+        seal.execution_result_hash,
+        dict(zip(seal.approvers, seal.approval_signatures)),
+        verifiers,
+    )
+    # a duplicate, an outsider or a bad signature leaves fewer valid approvals
+    return valid is not None and len(valid) == len(seal.approvers)

@@ -46,15 +46,6 @@ class GuaranteedCollection:
             "signatures": [hexify(s) for s in self.signatures],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GuaranteedCollection":
-        return cls(
-            collection_hash=bytes.fromhex(d["collection_hash"]),
-            cluster_index=d["cluster_index"],
-            signers=tuple(bytes.fromhex(s) for s in d["signers"]),
-            signatures=tuple(bytes.fromhex(s) for s in d["signatures"]),
-        )
-
     def signed_payload(self) -> bytes:
         return canonical_json(
             {"collection_hash": hexify(self.collection_hash), "cluster": self.cluster_index}

@@ -18,6 +18,3 @@ def canonical_json(obj: Any) -> bytes:
 def hexify(b: bytes) -> str:
     return b.hex()
 
-
-def unhex(s: str) -> bytes:
-    return bytes.fromhex(s)

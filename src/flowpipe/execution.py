@@ -1,6 +1,5 @@
 """Block execution: canonical transaction ordering, chunked execution with
-per-chunk trace commitments, execution receipts, and fault-origin tracing
-along the receipt chain."""
+per-chunk trace commitments, and execution receipts."""
 
 from __future__ import annotations
 
@@ -40,15 +39,6 @@ class Chunk:
             "computation_consumption": self.computation_consumption,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Chunk":
-        return cls(
-            start_state_commitment=bytes.fromhex(d["start_state_commitment"]),
-            starting_transaction_cc=d["starting_transaction_cc"],
-            starting_transaction_index=d["starting_transaction_index"],
-            computation_consumption=d["computation_consumption"],
-        )
-
 
 @dataclass(frozen=True)
 class ExecutionResult:
@@ -64,15 +54,6 @@ class ExecutionResult:
             "chunks": [c.to_dict() for c in self.chunks],
             "final_state": hexify(self.final_state),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExecutionResult":
-        return cls(
-            block_hash=bytes.fromhex(d["block_hash"]),
-            previous_execution_result_hash=bytes.fromhex(d["previous_execution_result_hash"]),
-            chunks=tuple(Chunk.from_dict(c) for c in d["chunks"]),
-            final_state=bytes.fromhex(d["final_state"]),
-        )
 
     def result_hash(self) -> bytes:
         return fhash("execresult", canonical_json(self.to_dict()))
@@ -206,17 +187,3 @@ def block_execution(
         oversized_chunks=oversized,
     )
 
-
-def trace_fault_origin(
-    receipts: Sequence[ExecutionReceipt],
-    correct_results: Sequence[ExecutionResult],
-) -> bytes:
-    """Walk a receipt chain (oldest first) against independently recomputed
-    correct results and return the executor of the earliest divergent
-    receipt. Downstream receipts merely propagating the fault are spared."""
-    if len(receipts) != len(correct_results):
-        raise ValueError("need one reference result per receipt")
-    for receipt, correct in zip(receipts, correct_results):
-        if receipt.execution_result.result_hash() != correct.result_hash():
-            return receipt.executor
-    raise ValueError("no divergence found; challenge unfounded")

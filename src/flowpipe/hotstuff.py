@@ -132,7 +132,6 @@ class BlockNode:
 class BlockTree:
     nodes: dict[bytes, BlockNode] = field(default_factory=dict)
     certified: dict[bytes, QuorumCertificate] = field(default_factory=dict)
-    _children: dict[bytes, list[bytes]] = field(default_factory=dict)
 
     def __post_init__(self):
         if GENESIS_DIGEST not in self.nodes:
@@ -147,7 +146,6 @@ class BlockTree:
         self.nodes[digest] = BlockNode(
             digest=digest, round=round_number, parent=parent, payload=payload
         )
-        self._children.setdefault(parent, []).append(digest)
 
     def certify(self, qc: QuorumCertificate) -> bool:
         """Record the QC; True when this newly certifies a known block."""
@@ -155,48 +153,6 @@ class BlockTree:
             self.certified[qc.payload_digest] = qc
             return True
         return False
-
-    def children(self, digest: bytes) -> list[BlockNode]:
-        return [self.nodes[d] for d in self._children.get(digest, []) if d != digest]
-
-
-def finality_check(tree: BlockTree) -> list[bytes]:
-    """Digests finalized under the 3-chain rule, in chain order from genesis.
-
-    A node is finalized when certified descendants b1 <- b2 <- b3 with
-    consecutive rounds sit directly above it; finality extends to every
-    ancestor."""
-    finalized_heads = []
-    for node in tree.nodes.values():
-        for b1 in tree.children(node.digest):
-            if b1.digest not in tree.certified:
-                continue
-            for b2 in tree.children(b1.digest):
-                if b2.digest not in tree.certified or b2.round != b1.round + 1:
-                    continue
-                for b3 in tree.children(b2.digest):
-                    if b3.digest in tree.certified and b3.round == b2.round + 1:
-                        finalized_heads.append(node.digest)
-    # expand to ancestor closure, emit in chain order
-    finalized: set[bytes] = set()
-    for head in finalized_heads:
-        cur = head
-        while cur and cur not in finalized and cur in tree.nodes:
-            finalized.add(cur)
-            cur = tree.nodes[cur].parent
-    ordered = []
-
-    def depth(d: bytes) -> int:
-        n = 0
-        cur = d
-        while cur and cur in tree.nodes and tree.nodes[cur].parent:
-            cur = tree.nodes[cur].parent
-            n += 1
-        return n
-
-    for d in sorted(finalized, key=depth):
-        ordered.append(d)
-    return ordered
 
 
 DigestFn = Callable[[Any], bytes]

@@ -544,12 +544,20 @@ class CollectorNode(Node):
 
 
 def _challenge_mark(doc: dict):
-    """Chain-dedupe key: the challenged target, independent of challenger."""
+    """Chain-dedupe key: the challenged target, independent of challenger. A
+    missing collection's mark is its hash (bytes), a faulty chunk's is a
+    (result hash, chunk index digest) tuple, so the two never collide."""
     if doc["kind"] == ChallengeKind.MISSING_COLLECTION.value:
         return bytes.fromhex(doc["evidence"][0])
     if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
         return (bytes.fromhex(doc["evidence"][0]), bytes.fromhex(doc["evidence"][1]))
     return None
+
+
+def _already_challenged(mark, ctx: ChainCtx, pending=()) -> bool:
+    """The challenge target `mark` is already challenged on `ctx`'s chain or
+    among `pending` marks; marks of unrecorded kinds never are."""
+    return mark is not None and (mark in pending or mark in ctx.challenged)
 
 
 class ChainSet:
@@ -607,9 +615,8 @@ class ChainCtx:
     condemned: ChainSet = field(default_factory=ChainSet)  # results with upheld FCC
     # sealing is sequential, so the sealed set is a chain; this is its head
     sealed_tip: bytes = GENESIS_RESULT_HASH
-    # chain-level duplicate suppression by challenge target
-    mcc_collections: ChainSet = field(default_factory=ChainSet)
-    fcc_marks: ChainSet = field(default_factory=ChainSet)
+    # chain-level duplicate suppression by challenge target (_challenge_mark)
+    challenged: ChainSet = field(default_factory=ChainSet)
 
 
 class ConsensusNode(Node):
@@ -723,14 +730,9 @@ class ConsensusNode(Node):
             if cid in ctx.challenge_ids:
                 continue
             mark = _challenge_mark(doc)
-            if mark is not None and (
-                mark in block_marks
-                or mark in ctx.mcc_collections
-                or mark in ctx.fcc_marks
-            ):
-                continue  # same target already challenged on this chain
-            if mark is not None:
-                block_marks.add(mark)
+            if _already_challenged(mark, ctx, block_marks):
+                continue
+            block_marks.add(mark)
             challenges.append(doc)
         for cid in sorted(self.pending_updates):
             if cid not in ctx.adjudicated:
@@ -785,8 +787,6 @@ class ConsensusNode(Node):
                     final_state_commitment=result.final_state,
                     approvals=self.approvals.get(rh, {}),
                     verifiers=self.d.verifier_members,
-                    parent_result_sealed=True,
-                    pending_challenge=False,
                 )
                 if seal is not None:
                     seals.append(seal)
@@ -839,21 +839,13 @@ class ConsensusNode(Node):
             if challenge_id(ch) != ch.challenge_id:
                 return False
             mark = _challenge_mark(doc)
-            if mark is not None:
-                if (
-                    mark in seen_marks
-                    or mark in ctx.mcc_collections
-                    or mark in ctx.fcc_marks
-                ):
-                    return False  # duplicate challenge for an already-challenged target
-                seen_marks.add(mark)
+            if _already_challenged(mark, ctx, seen_marks):
+                return False
+            seen_marks.add(mark)
             return True
 
         ectx = EvaluationContext(
-            proposer_is_primary=True,  # engine enforces the round primary
-            extends_known_chain=True,  # engine enforces chain extension
             parent_height=ctx.height,
-            consensus_safe=True,  # engine enforces the locking rule
             ancestor_collection_hashes=ctx.collections,
             received_collections=set(self.known_collections),
             collector_clusters=self.d.clusters,
@@ -887,18 +879,16 @@ class ConsensusNode(Node):
             return self.ctxs[digest]
         new_state = apply_updates(parent.state, pb.protocol_state_updates).state
         new_ids: list[bytes] = []
-        new_mcc: list[bytes] = []
-        new_fcc_marks: list = []
+        new_marks: list = []
         open_fcc = dict(parent.open_fcc)
         for doc in pb.slashing_challenges:
             cid = bytes.fromhex(doc["id"])
             new_ids.append(cid)
             mark = _challenge_mark(doc)
-            if doc["kind"] == ChallengeKind.MISSING_COLLECTION.value:
-                new_mcc.append(mark)
-            elif doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
+            if mark is not None:
+                new_marks.append(mark)
+            if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
                 open_fcc[cid] = bytes.fromhex(doc["evidence"][0])
-                new_fcc_marks.append(mark)
         new_adjudicated: list[bytes] = []
         new_condemned: list[bytes] = []
         for upd in pb.protocol_state_updates:
@@ -922,8 +912,7 @@ class ConsensusNode(Node):
             adjudicated=parent.adjudicated.extend(new_adjudicated),
             open_fcc=open_fcc,
             condemned=parent.condemned.extend(new_condemned),
-            mcc_collections=parent.mcc_collections.extend(new_mcc),
-            fcc_marks=parent.fcc_marks.extend(new_fcc_marks),
+            challenged=parent.challenged.extend(new_marks),
             sealed_tip=(
                 pb.block_seals[-1].execution_result_hash
                 if pb.block_seals
@@ -972,12 +961,7 @@ class ConsensusNode(Node):
         for key in list(self.pending_challenges):
             doc = self.pending_challenges[key]
             cid = bytes.fromhex(doc["id"])
-            mark = _challenge_mark(doc)
-            if (
-                cid in ctx.challenge_ids
-                or mark in ctx.mcc_collections
-                or (mark is not None and mark in ctx.fcc_marks)
-            ):
+            if cid in ctx.challenge_ids or _already_challenged(_challenge_mark(doc), ctx):
                 del self.pending_challenges[key]
         for cid in list(self.pending_updates):
             if cid in ctx.adjudicated:
@@ -1015,8 +999,8 @@ class ConsensusNode(Node):
             deadline=0,
             full_proof=True,
         )
-        ch = dataclasses.replace(ch, challenge_id=challenge_id(ch))
-        self.pending_challenges[key] = ch.to_dict()
+        doc = dataclasses.replace(ch, challenge_id=challenge_id(ch)).to_dict()
+        self.pending_challenges[key] = doc
         if self.is_observer:
             self.metrics.challenges += 1
         self.sim.event(
@@ -1024,10 +1008,13 @@ class ConsensusNode(Node):
             "equivocation_challenge",
             {"accused": hexify(ev.proposer), "round": ev.round},
         )
-        # full-proof: adjudicate immediately against the proposer
-        state = self.ctxs[self.d.genesis_digest].state
-        adj, upd = adjudicate_challenge(state, ch, response_exonerates=None, timed_out=False)
-        self._record_adjudication(adj, upd)
+        # full proof: adjudicate now, before the chain records the challenge
+        self._start_adjudication(doc)
+
+    def _slash_basis(self) -> ProtocolState:
+        """Protocol state that slash amounts are priced from: the genesis
+        state, not the chain state at the recording block."""
+        return self.ctxs[self.d.genesis_digest].state
 
     def _record_adjudication(self, adj, upd):
         if adj.challenge_id in self.adjudicated_ids:
@@ -1053,10 +1040,8 @@ class ConsensusNode(Node):
         kind = doc["kind"]
         ch = self._challenge_from_doc(doc)
         if kind == ChallengeKind.PROTOCOL_VIOLATION.value:
-            if cid not in self.pending_updates:
-                state = self.ctxs[self.d.genesis_digest].state
-                adj, upd = adjudicate_challenge(state, ch, None, timed_out=False)
-                self._record_adjudication(adj, upd)
+            adj, upd = adjudicate_challenge(self._slash_basis(), ch, None, timed_out=False)
+            self._record_adjudication(adj, upd)
         elif kind == ChallengeKind.FAULTY_COMPUTATION.value:
             info = self.fcc_context.get(cid)
             if info is None:
@@ -1065,7 +1050,6 @@ class ConsensusNode(Node):
             result = self.results.get(result_hash)
             packages = self.packages.get(result_hash)
             receipt = self.receipts.get(result_hash)
-            state = self.ctxs[self.d.genesis_digest].state
             if result is None or packages is None or receipt is None:
                 return  # disputed receipt not yet received; retried on arrival
             disputed = DisputedChunk(
@@ -1074,7 +1058,7 @@ class ConsensusNode(Node):
                 package=packages[chunk_index],
                 executor_spock=receipt.spocks[chunk_index],
             )
-            adj, upd = adjudicate_fcc(state, ch, disputed)
+            adj, upd = adjudicate_fcc(self._slash_basis(), ch, disputed)
             self._record_adjudication(adj, upd)
         elif kind == ChallengeKind.MISSING_COLLECTION.value:
             self.mcc_responses[cid] = {}
@@ -1094,8 +1078,7 @@ class ConsensusNode(Node):
         }
         for g in ch.accused:
             responses.setdefault(g, None)
-        state = self.ctxs[self.d.genesis_digest].state
-        outcome = adjudicate_mcc(state, ch, responses)
+        outcome = adjudicate_mcc(self._slash_basis(), ch, responses)
         if outcome.update is not None:
             self._record_adjudication(outcome.adjudication, outcome.update)
         else:

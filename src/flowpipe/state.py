@@ -1,5 +1,5 @@
-"""Protocol state: node identities, stake accounting, epochs, commitments,
-effective-vote arithmetic, and slashing-challenge adjudication."""
+"""Protocol state: node identities, epochs, commitments, effective-vote
+arithmetic, state-update application, and slashing-challenge adjudication."""
 
 from __future__ import annotations
 
@@ -87,10 +87,6 @@ class ProtocolState:
             out.append(rec)
         return sorted(out, key=lambda r: r.staking_public_key)
 
-    def stake_of(self, key: bytes) -> int:
-        rec = self.records.get(key)
-        return rec.stake if rec else 0
-
 
 def effective_votes(voters: Iterable[bytes], group: Sequence[NodeIdentity]) -> Fraction:
     """Staked fraction of `group` voting in favor; exact rational arithmetic."""
@@ -124,10 +120,6 @@ class StateUpdate:
 
     def to_dict(self) -> dict:
         return {"entries": list(self.entries), "cause": self.cause, "meta": self.meta}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StateUpdate":
-        return cls(entries=tuple(d["entries"]), cause=d["cause"], meta=d.get("meta", {}))
 
 
 class UpdateRejected(ValueError):
@@ -252,94 +244,6 @@ def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> Apply
 
 
 # ---------------------------------------------------------------------------
-# Staking / unstaking
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StakeRequest:
-    staking_public_key: bytes
-    role: Role
-    amount: int
-    network_address: str
-    signature: bytes
-
-
-@dataclass(frozen=True)
-class Rejection:
-    reason: str
-    detail: dict = field(default_factory=dict)
-
-
-def process_stake_request(
-    state: ProtocolState,
-    request: StakeRequest,
-    current_height: int,
-    role_minimums: Optional[dict[Role, int]] = None,
-) -> StateUpdate | Rejection:
-    """Admit a staking request for the next epoch.
-
-    The staking deadline is inclusive: a request landing exactly at the
-    deadline height is still accepted.
-    """
-    deadline = state.epoch.staking_deadline_height
-    if current_height > deadline:
-        return Rejection("past_deadline", {"deadline": deadline, "height": current_height})
-    minimum = (role_minimums or {}).get(request.role, 1)
-    if request.amount < minimum:
-        return Rejection("below_minimum", {"minimum": minimum, "amount": request.amount})
-    if not crypto.staking_verify(
-        request.staking_public_key,
-        canonical_json({"role": request.role.value, "amount": request.amount}),
-        request.signature,
-    ):
-        return Rejection("bad_signature")
-    if request.staking_public_key in state.records:
-        return Rejection("already_staked")
-    record = {
-        "key": hexify(request.staking_public_key),
-        "role": request.role.value,
-        "stake": request.amount,
-        "addr": request.network_address,
-        "active_from": state.epoch.index + 1,
-    }
-    return StateUpdate(entries=({"op": "create", "record": record},), cause="stake")
-
-
-def process_unstake_request(
-    state: ProtocolState, staking_public_key: bytes, current_epoch: int, hold_epochs: int = 1
-) -> StateUpdate | Rejection:
-    """Discharge a node as of the next epoch; its stake stays slashable on
-    hold for `hold_epochs` full epochs before release."""
-    rec = state.records.get(staking_public_key)
-    if rec is None:
-        return Rejection("unknown_node")
-    if rec.discharged_from_epoch is not None:
-        return Rejection("already_unstaked")
-    discharge_epoch = current_epoch + 1
-    release_epoch = discharge_epoch + hold_epochs
-    key = hexify(staking_public_key)
-    return StateUpdate(
-        entries=(
-            {"op": "discharge", "key": key, "epoch": discharge_epoch},
-            {"op": "hold", "key": key, "release_epoch": release_epoch},
-        ),
-        cause="unstake",
-    )
-
-
-def epoch_transition_updates(state: ProtocolState, new_epoch: Epoch) -> list[StateUpdate]:
-    """Release held stakes whose release epoch has arrived."""
-    out = []
-    for key in sorted(state.held_stakes):
-        if state.held_stakes[key].release_epoch <= new_epoch.index:
-            out.append(
-                StateUpdate(entries=({"op": "release", "key": hexify(key)},), cause="epoch")
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Slashing challenges
 # ---------------------------------------------------------------------------
 
@@ -386,11 +290,11 @@ class Adjudication:
         }
 
 
-def _slash_amount(state: ProtocolState, key: bytes, fraction: Fraction) -> int:
+def _slash_amount(state: ProtocolState, key: bytes) -> int:
+    """A slash takes the node's whole stake, active and held."""
     rec = state.records.get(key)
     held = state.held_stakes.get(key)
-    total = (rec.stake if rec else 0) + (held.amount if held else 0)
-    return int(total * fraction)
+    return (rec.stake if rec else 0) + (held.amount if held else 0)
 
 
 def adjudicate_challenge(
@@ -398,7 +302,6 @@ def adjudicate_challenge(
     challenge: SlashingChallenge,
     response_exonerates: Optional[bool],
     timed_out: bool,
-    slash_fraction: Fraction = Fraction(1),
 ) -> tuple[Adjudication, StateUpdate]:
     """Resolve a recorded slashing challenge.
 
@@ -416,7 +319,7 @@ def adjudicate_challenge(
         raise ValueError("challenge has neither proof, timeout, nor response verdict")
     cid = challenge.challenge_id or challenge_id(challenge)
     entries = tuple(
-        {"op": "slash", "key": hexify(k), "amount": _slash_amount(state, k, slash_fraction)}
+        {"op": "slash", "key": hexify(k), "amount": _slash_amount(state, k)}
         for k in slashed
     )
     adj = Adjudication(challenge_id=cid, outcome=outcome, slashed=tuple(slashed))

@@ -6,20 +6,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import crypto
 from .collection import collection_hash as compute_collection_hash
 from .encoding import canonical_json, hexify
-from .execution import (
-    EMPTY_TRACE,
-    Chunk,
-    ExecutionReceipt,
-    ExecutionResult,
-    trace_fault_origin,
-    trace_update,
-)
+from .execution import EMPTY_TRACE, Chunk, ExecutionResult, trace_update
 from .merkle import ExecutionState, value_proof_vrfy
 from .state import (
     Adjudication,
@@ -188,33 +180,15 @@ def adjudicate_fcc(
     state: ProtocolState,
     challenge: SlashingChallenge,
     disputed: DisputedChunk,
-    receipt_chain: Optional[Sequence[ExecutionReceipt]] = None,
-    correct_results: Optional[Sequence[ExecutionResult]] = None,
-    slash_fraction: Fraction = Fraction(1),
 ) -> tuple[Adjudication, StateUpdate]:
-    """Re-execute the disputed chunk; a genuine divergence slashes the fault
-    origin (traced through the receipt chain when given), a clean replay
-    slashes the challenger."""
+    """Re-execute the disputed chunk; a genuine divergence slashes the named
+    executor, who is the fault origin because each executor chains only its
+    own results; a clean replay slashes the challenger."""
     keypair = crypto.StakingKeyPair.from_seed(b"adjudicator" + challenge.challenge_id)
     verdict = verify_chunk(
         keypair, disputed.result, disputed.chunk_index, disputed.package, disputed.executor_spock
     )
-    if verdict.ok:
-        return adjudicate_challenge(
-            state, challenge, response_exonerates=True, timed_out=False,
-            slash_fraction=slash_fraction,
-        )
-    accused = challenge.accused
-    if receipt_chain is not None and correct_results is not None:
-        try:
-            accused = (trace_fault_origin(receipt_chain, correct_results),)
-        except ValueError:
-            pass  # no chain divergence; fall back to the named executor
-    resolved = dataclasses.replace(challenge, accused=accused)
-    return adjudicate_challenge(
-        state, resolved, response_exonerates=False, timed_out=False,
-        slash_fraction=slash_fraction,
-    )
+    return adjudicate_challenge(state, challenge, response_exonerates=verdict.ok, timed_out=False)
 
 
 @dataclass(frozen=True)
@@ -244,7 +218,6 @@ def adjudicate_mcc(
     state: ProtocolState,
     challenge: SlashingChallenge,
     responses: dict[bytes, Optional[list[SignedTransaction]]],
-    slash_fraction: Fraction = Fraction(1),
 ) -> MccOutcome:
     """Any guarantor response reconstructing the collection hash closes the
     challenge without a slash; total silence slashes every guarantor and
@@ -259,10 +232,7 @@ def adjudicate_mcc(
         if compute_collection_hash([t.tx_hash() for t in texts]) == coll_hash:
             adj = Adjudication(challenge_id=cid, outcome="dismissed", slashed=())
             return MccOutcome(adjudication=adj, recovered=list(texts))
-    adj, upd = adjudicate_challenge(
-        state, challenge, response_exonerates=None, timed_out=True,
-        slash_fraction=slash_fraction,
-    )
+    adj, upd = adjudicate_challenge(state, challenge, response_exonerates=None, timed_out=True)
     attestation = MissingCollectionAttestation(
         collection_hash=coll_hash, adjudication_id=adj.challenge_id
     )

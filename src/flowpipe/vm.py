@@ -83,15 +83,6 @@ class SignedTransaction:
             "reference_block_hash": hexify(self.reference_block_hash),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SignedTransaction":
-        return cls(
-            script=bytes.fromhex(d["script"]),
-            payer_signature=bytes.fromhex(d["payer_signature"]),
-            script_signatures=tuple(bytes.fromhex(s) for s in d["script_signatures"]),
-            reference_block_hash=bytes.fromhex(d["reference_block_hash"]),
-        )
-
     def tx_hash(self) -> bytes:
         return fhash("tx", canonical_json(self.to_dict()))
 

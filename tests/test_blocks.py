@@ -4,20 +4,16 @@ import pytest
 
 from flowpipe import crypto
 from flowpipe.blocks import (
-    GENESIS_PARENT,
     GENESIS_RANDOMNESS,
-    Block,
     BlockSeal,
     EvaluationContext,
     ProtoBlock,
     approval_payload,
-    attach_randomness,
+    block_seed,
     evaluate_proposal,
     form_seal,
-    genesis_block,
     propose_proto_block,
     validate_seal,
-    verify_block_randomness,
 )
 from flowpipe.collection import GuaranteedCollection
 from flowpipe.state import (
@@ -62,10 +58,7 @@ def make_guarantee(collector_kps, members, coll_hash, signer_idx, cluster=0):
 
 def plain_context(state: ProtocolState, **overrides) -> EvaluationContext:
     defaults = dict(
-        proposer_is_primary=True,
-        extends_known_chain=True,
         parent_height=0,
-        consensus_safe=True,
         ancestor_collection_hashes=set(),
         received_collections=set(),
         collector_clusters={0: state.members(Role.COLLECTOR)},
@@ -88,23 +81,6 @@ def empty_proto(state: ProtocolState, parent=b"\x10" * 32, height=1) -> ProtoBlo
         protocol_state_updates=(),
         state_commitment=commit_state(state),
     )
-
-
-class TestGenesis:
-    def test_shape(self):
-        state, _, _ = base_protocol_state()
-        g = genesis_block(state)
-        assert g.proto.height == 0
-        assert g.proto.previous_block_hash == GENESIS_PARENT
-        assert g.source_of_randomness is None
-        assert g.random_seed() == GENESIS_RANDOMNESS
-
-    def test_hash_binds_state(self):
-        state, _, _ = base_protocol_state()
-        other = state.copy()
-        key = next(iter(other.records))
-        del other.records[key]
-        assert genesis_block(state).hash() != genesis_block(other).hash()
 
 
 class TestProposalAssembly:
@@ -139,22 +115,12 @@ class TestEvaluateProposal:
         ctx = plain_context(state, received_collections={coll})
         assert evaluate_proposal(pb, ctx) == (True, None)
 
-    def test_condition_1_proposer(self):
-        state, _, _ = base_protocol_state()
-        ok, reason = evaluate_proposal(empty_proto(state), plain_context(state, proposer_is_primary=False))
-        assert not ok and reason.startswith("condition-1")
-
     def test_condition_2_height_gap(self):
         state, _, _ = base_protocol_state()
         ok, reason = evaluate_proposal(
             empty_proto(state, height=3), plain_context(state, parent_height=0)
         )
         assert not ok and reason.startswith("condition-2")
-
-    def test_condition_3_unsafe(self):
-        state, _, _ = base_protocol_state()
-        ok, reason = evaluate_proposal(empty_proto(state), plain_context(state, consensus_safe=False))
-        assert not ok and reason.startswith("condition-3")
 
     def test_condition_4_stale_collection(self):
         state, kps, _ = base_protocol_state()
@@ -221,58 +187,46 @@ class TestEvaluateProposal:
 
 
 class TestRandomnessAttachment:
+    """The beacon as consensus nodes run it (`ConsensusNode._on_drb_share`):
+    recover the group signature over the block hash from t+1 shares, check
+    it against the group key, derive the block seed with `block_seed`."""
+
     def setup_method(self):
         self.params = crypto.make_params(7)
         entropy = [crypto.hash("drb", bytes([i])) for i in range(7)]
         self.dkg = crypto.dkg_setup(self.params, entropy)
+        self.state, _, _ = base_protocol_state()
 
-    def proto(self):
-        state, _, _ = base_protocol_state()
-        return empty_proto(state)
+    def recover(self, parties, height=1):
+        message = empty_proto(self.state, height=height).hash()
+        shares = [crypto.threshold_sign(self.params, s, message) for s in parties]
+        return crypto.threshold_recover(self.params, self.dkg.verification_vector, shares, message)
 
     def test_t_plus_one_shares_suffice(self):
-        pb = self.proto()
-        shares = [
-            crypto.threshold_sign(self.params, s, pb.hash()) for s in self.dkg.shares[:4]
-        ]
-        block = attach_randomness(self.params, pb, shares, self.dkg.verification_vector)
-        assert verify_block_randomness(self.params, block, self.dkg.verification_vector.group_public_key)
+        sigma = self.recover(self.dkg.shares[:4])
+        group_key = self.dkg.verification_vector.group_public_key
+        assert crypto.threshold_verify(self.params, sigma, group_key, empty_proto(self.state).hash())
 
     def test_t_shares_fail(self):
-        pb = self.proto()
-        shares = [
-            crypto.threshold_sign(self.params, s, pb.hash()) for s in self.dkg.shares[:3]
-        ]
         with pytest.raises(crypto.InsufficientShares):
-            attach_randomness(self.params, pb, shares, self.dkg.verification_vector)
+            self.recover(self.dkg.shares[:3])
 
     def test_any_subset_recovers_identical_randomness(self):
-        pb = self.proto()
-        all_shares = [
-            crypto.threshold_sign(self.params, s, pb.hash()) for s in self.dkg.shares
-        ]
-        values = set()
-        for subset in itertools.combinations(all_shares, 4):
-            block = attach_randomness(self.params, pb, list(subset), self.dkg.verification_vector)
-            values.add(block.source_of_randomness)
+        values = {
+            self.recover(list(subset)).value
+            for subset in itertools.combinations(self.dkg.shares, 4)
+        }
         assert len(values) == 1
 
     def test_seed_differs_per_block(self):
-        pb = self.proto()
-        shares = [
-            crypto.threshold_sign(self.params, s, pb.hash()) for s in self.dkg.shares[:4]
-        ]
-        block = attach_randomness(self.params, pb, shares, self.dkg.verification_vector)
-        assert block.random_seed() != GENESIS_RANDOMNESS
+        seed = block_seed(self.recover(self.dkg.shares[:4]).value)
+        assert seed != GENESIS_RANDOMNESS
+        assert seed != block_seed(self.recover(self.dkg.shares[:4], height=2).value)
 
     def test_wrong_group_key_rejected(self):
-        pb = self.proto()
-        shares = [
-            crypto.threshold_sign(self.params, s, pb.hash()) for s in self.dkg.shares[:4]
-        ]
-        block = attach_randomness(self.params, pb, shares, self.dkg.verification_vector)
+        sigma = self.recover(self.dkg.shares[:4])
         wrong = (self.dkg.verification_vector.group_public_key * self.params.g) % self.params.p
-        assert not verify_block_randomness(self.params, block, wrong)
+        assert not crypto.threshold_verify(self.params, sigma, wrong, empty_proto(self.state).hash())
 
 
 def seal_inputs(state, vkps, result_hash=b"\x22" * 32):
@@ -286,98 +240,111 @@ class TestFormSeal:
     def test_seal_formed(self):
         state, _, vkps = base_protocol_state()
         approvals, verifiers = seal_inputs(state, vkps)
-        seal = form_seal(
-            b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers,
-            parent_result_sealed=True, pending_challenge=False,
-        )
+        seal = form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers)
         assert seal is not None
         assert len(seal.approvers) == 4
 
     def test_exactly_two_thirds_pending(self):
         state, _, vkps = base_protocol_state(n_verifiers=3)
         approvals, verifiers = seal_inputs(state, vkps[:2])
-        seal = form_seal(
-            b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers,
-            parent_result_sealed=True, pending_challenge=False,
-        )
+        seal = form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers)
         assert seal is None
 
     def test_pending_challenge_blocks(self):
+        # A full approval quorum forms the seal, but no node accepts it while
+        # a challenge against the sealed result is still open.
         state, _, vkps = base_protocol_state()
         approvals, verifiers = seal_inputs(state, vkps)
-        assert form_seal(
-            b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers,
-            parent_result_sealed=True, pending_challenge=True,
-        ) is None
-
-    def test_unsealed_parent_blocks(self):
-        state, _, vkps = base_protocol_state()
-        approvals, verifiers = seal_inputs(state, vkps)
-        assert form_seal(
-            b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers,
-            parent_result_sealed=False, pending_challenge=False,
-        ) is None
+        seal = form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers)
+        assert seal is not None
+        assert not validate_seal(
+            seal,
+            verifiers,
+            result_lookup=lambda rh: (b"\x11" * 32, b"\x33" * 32),
+            parent_result_sealed=lambda rh: True,
+            challenge_pending=lambda rh: rh == b"\x22" * 32,
+        )
 
     def test_bad_signature_not_counted(self):
         state, _, vkps = base_protocol_state(n_verifiers=3)
         approvals, verifiers = seal_inputs(state, vkps)
         approvals[vkps[0].public] = b"\x00" * 32  # 2 of 3 valid = exactly 2/3
-        assert form_seal(
-            b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers,
-            parent_result_sealed=True, pending_challenge=False,
-        ) is None
+        assert form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers) is None
 
 
 class TestValidateSeal:
     def make(self, state, vkps, result_hash=b"\x22" * 32):
         approvals, verifiers = seal_inputs(state, vkps, result_hash)
-        return form_seal(
-            b"\x11" * 32, result_hash, b"\x33" * 32, approvals, verifiers,
-            parent_result_sealed=True, pending_challenge=False,
+        return form_seal(b"\x11" * 32, result_hash, b"\x33" * 32, approvals, verifiers)
+
+    def check(self, seal, verifiers, result=(b"\x11" * 32, b"\x33" * 32), parent_sealed=True,
+              pending=False):
+        return validate_seal(
+            seal,
+            verifiers,
+            result_lookup=lambda rh: result,
+            parent_result_sealed=lambda rh: parent_sealed,
+            challenge_pending=lambda rh: pending,
         )
 
     def test_roundtrip_valid(self):
         state, _, vkps = base_protocol_state()
-        seal = self.make(state, vkps)
-        assert validate_seal(
-            seal,
-            state.members(Role.VERIFICATION),
-            result_lookup=lambda rh: (b"\x11" * 32, b"\x33" * 32),
-            parent_result_sealed=lambda rh: True,
-            challenge_pending=lambda rh: False,
-        )
+        assert self.check(self.make(state, vkps), state.members(Role.VERIFICATION))
 
     def test_unknown_result_rejected(self):
         state, _, vkps = base_protocol_state()
-        seal = self.make(state, vkps)
-        assert not validate_seal(
-            seal, state.members(Role.VERIFICATION),
-            result_lookup=lambda rh: None,
-            parent_result_sealed=lambda rh: True,
-            challenge_pending=lambda rh: False,
-        )
+        assert not self.check(self.make(state, vkps), state.members(Role.VERIFICATION), result=None)
 
     def test_field_mismatch_rejected(self):
         state, _, vkps = base_protocol_state()
         seal = self.make(state, vkps)
-        assert not validate_seal(
-            seal, state.members(Role.VERIFICATION),
-            result_lookup=lambda rh: (b"\x99" * 32, b"\x33" * 32),
-            parent_result_sealed=lambda rh: True,
-            challenge_pending=lambda rh: False,
-        )
+        verifiers = state.members(Role.VERIFICATION)
+        assert not self.check(seal, verifiers, result=(b"\x99" * 32, b"\x33" * 32))
 
     def test_pending_challenge_rejected(self):
         state, _, vkps = base_protocol_state()
-        seal = self.make(state, vkps)
-        assert not validate_seal(
-            seal, state.members(Role.VERIFICATION),
-            result_lookup=lambda rh: (b"\x11" * 32, b"\x33" * 32),
-            parent_result_sealed=lambda rh: True,
-            challenge_pending=lambda rh: True,
-        )
+        assert not self.check(self.make(state, vkps), state.members(Role.VERIFICATION), pending=True)
 
-    def test_serialization_roundtrip(self):
+    def test_unsealed_parent_rejected(self):
         state, _, vkps = base_protocol_state()
+        verifiers = state.members(Role.VERIFICATION)
+        assert not self.check(self.make(state, vkps), verifiers, parent_sealed=False)
+
+    def test_every_listed_approval_must_count(self):
+        state, _, vkps = base_protocol_state()
+        verifiers = state.members(Role.VERIFICATION)
         seal = self.make(state, vkps)
-        assert BlockSeal.from_dict(seal.to_dict()) == seal
+        duplicate = BlockSeal(
+            seal.sealed_block_hash,
+            seal.execution_result_hash,
+            seal.final_state_commitment,
+            seal.approvers + seal.approvers[:1],
+            seal.approval_signatures + seal.approval_signatures[:1],
+        )
+        assert not self.check(duplicate, verifiers)
+        forged = BlockSeal(
+            seal.sealed_block_hash,
+            seal.execution_result_hash,
+            seal.final_state_commitment,
+            seal.approvers,
+            seal.approval_signatures[:-1] + (b"\x00" * 32,),
+        )
+        assert not self.check(forged, verifiers)
+        outsider = crypto.StakingKeyPair.from_seed(b"\x77" * 32)
+        extra = BlockSeal(
+            seal.sealed_block_hash,
+            seal.execution_result_hash,
+            seal.final_state_commitment,
+            seal.approvers + (outsider.public,),
+            seal.approval_signatures + (outsider.sign(approval_payload(seal.execution_result_hash)),),
+        )
+        assert not self.check(extra, verifiers)
+        for approvers, signatures in [((), ()), (seal.approvers, seal.approval_signatures[:-1])]:
+            short = BlockSeal(
+                seal.sealed_block_hash,
+                seal.execution_result_hash,
+                seal.final_state_commitment,
+                approvers,
+                signatures,
+            )
+            assert not self.check(short, verifiers)

@@ -138,11 +138,6 @@ class TestGuarantee:
         )
         assert not guarantee_authentic(forged, members)
 
-    def test_roundtrip(self):
-        kps, _ = cluster_of(4)
-        gc = guarantee(fhash("collection", b"y"), kps, [1, 2, 3])
-        assert GuaranteedCollection.from_dict(gc.to_dict()) == gc
-
 
 class TestCollectionHash:
     def test_order_sensitivity(self):

@@ -1,17 +1,11 @@
 import random
 
-import pytest
-
-from flowpipe.crypto import StakingKeyPair
 from flowpipe.execution import (
     EMPTY_TRACE,
     GENESIS_RESULT_HASH,
     BlockExecutionOutput,
-    ExecutionReceipt,
-    ExecutionResult,
     block_execution,
     canonical,
-    trace_fault_origin,
     trace_update,
 )
 from flowpipe.merkle import ExecutionState
@@ -188,48 +182,3 @@ class TestChunking:
         assert a.result.result_hash() == b.result.result_hash()
         assert a.spocks == b.spocks
 
-
-class TestFaultOrigin:
-    def make_receipt(self, result: ExecutionResult, executor_seed: bytes) -> ExecutionReceipt:
-        kp = StakingKeyPair.from_seed(executor_seed)
-        return ExecutionReceipt(
-            execution_result=result,
-            spocks=(EMPTY_TRACE,) * len(result.chunks),
-            executor=kp.public,
-            executor_signature=kp.sign(result.result_hash()),
-        )
-
-    def chain(self, n, tamper_at=None):
-        state = ExecutionState()
-        correct = []
-        receipts = []
-        prev = GENESIS_RESULT_HASH
-        for h in range(n):
-            txs = [cost_tx(h * 10 + i, 2) for i in range(3)]
-            out = block_execution(bytes([h]) * 32, txs, prev, state, 10)
-            state = out.end_state
-            correct.append(out.result)
-            result = out.result
-            if tamper_at is not None and h >= tamper_at:
-                result = ExecutionResult(
-                    block_hash=result.block_hash,
-                    previous_execution_result_hash=result.previous_execution_result_hash,
-                    chunks=result.chunks,
-                    final_state=b"\xee" * 32,
-                )
-            receipts.append(self.make_receipt(result, bytes([h + 1]) * 32))
-            prev = result.result_hash()
-        return receipts, correct
-
-    def test_origin_is_earliest_divergence(self):
-        receipts, correct = self.chain(4, tamper_at=1)
-        assert trace_fault_origin(receipts, correct) == receipts[1].executor
-
-    def test_head_fault(self):
-        receipts, correct = self.chain(3, tamper_at=2)
-        assert trace_fault_origin(receipts, correct) == receipts[2].executor
-
-    def test_unfounded(self):
-        receipts, correct = self.chain(3)
-        with pytest.raises(ValueError):
-            trace_fault_origin(receipts, correct)

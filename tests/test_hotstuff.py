@@ -14,7 +14,6 @@ from flowpipe.hotstuff import (
     Proposal,
     QuorumCertificate,
     Vote,
-    finality_check,
     leader_for_round,
     qc_valid,
     vote_payload,
@@ -98,6 +97,42 @@ class TestQcValidity:
     def test_genesis_qc(self):
         _, members = make_members([1] * 4)
         assert qc_valid(GENESIS_QC, members)
+
+
+def finality_check(tree: BlockTree) -> list[bytes]:
+    """Oracle for the 3-chain rule: a full scan of the tree. Digests
+    finalized in chain order from genesis.
+
+    A node is finalized when certified descendants b1 <- b2 <- b3 with
+    consecutive rounds sit directly above it; finality extends to every
+    ancestor. The engine applies the same rule incrementally
+    (`ConsensusEngine._finalize_from`)."""
+    children: dict[bytes, list] = {}
+    for n in tree.nodes.values():
+        if n.parent:
+            children.setdefault(n.parent, []).append(n)
+    finalized_heads = []
+    for node in tree.nodes.values():
+        for b1 in children.get(node.digest, []):
+            if b1.digest not in tree.certified:
+                continue
+            for b2 in children.get(b1.digest, []):
+                if b2.digest not in tree.certified or b2.round != b1.round + 1:
+                    continue
+                for b3 in children.get(b2.digest, []):
+                    if b3.digest in tree.certified and b3.round == b2.round + 1:
+                        finalized_heads.append(node.digest)
+    # expand to ancestor closure, emit in chain order
+    finalized: set[bytes] = set()
+    for head in finalized_heads:
+        cur = head
+        while cur and cur not in finalized and cur in tree.nodes:
+            finalized.add(cur)
+            cur = tree.nodes[cur].parent
+    depth: dict[bytes, int] = {}
+    for n in tree.nodes.values():  # a node is added only after its parent
+        depth[n.digest] = depth.get(n.parent, -1) + 1
+    return sorted(finalized, key=depth.__getitem__)
 
 
 def chain_tree(rounds):
@@ -243,6 +278,25 @@ class TestEngineIntegration:
         assert all(len(s) >= 5 for s in h.finalized.values())
         h.assert_prefix_consistent()
 
+    @pytest.mark.parametrize("silent", [set(), {"n3"}], ids=["all-honest", "silent-minority"])
+    def test_engine_finality_matches_oracle(self, silent):
+        h = Harness([1] * 4, silent=silent)
+        live = {n: e for n, e in h.engines.items() if n not in h.silent}
+        for eng in live.values():
+
+            def checked(node, eng=eng, record=eng.on_finalize):
+                assert node.digest in finality_check(eng.tree)  # never ahead of the rule
+                record(node)
+
+            eng.on_finalize = checked
+        h.run(until=5_000)
+        for name, eng in live.items():
+            rounds = {n.round for n in eng.tree.nodes.values()}
+            if silent:  # a silent leader's rounds pass by timeout and leave no block
+                assert set(range(1, max(rounds))) - rounds
+            assert eng.finalized, name
+            assert eng.finalized == finality_check(eng.tree)[1:]  # never behind it
+
 
 class EquivocatingEngine(ConsensusEngine):
     """Leader that signs two conflicting proposals per round it leads."""
@@ -300,3 +354,75 @@ class TestPacemaker:
         advanced = eng.current_round
         eng.on_local_timeout(old_round)  # fires late, must not advance again
         assert eng.current_round == advanced
+
+
+class TestVotingRules:
+    """Proposal conditions 1 and 3 as the engine enforces them: only the
+    round's leader may propose, and a vote needs a justify at or above the
+    lock."""
+
+    def setup_method(self):
+        self.kps, self.members = make_members([1] * 4)
+        self.by_key = {kp.public: kp for kp in self.kps}
+        self.sent = []
+        self.eng = ConsensusEngine(
+            keypair=self.kps[0],
+            members=self.members,
+            seed=SEED,
+            base_timeout=100,
+            digest_payload=lambda p: crypto.hash("payload", canonical_json(p)),
+            validate_payload=lambda p, parent: True,
+            make_payload=lambda parent: {"by": "n0"},
+            broadcast=self.sent.append,
+            send=lambda key, msg: self.sent.append(msg),
+            set_timer=lambda duration, rnd: None,
+            on_finalize=lambda node: None,
+        )
+
+    def proposal(self, round_number, justify, proposer=None, tag="p"):
+        proposer = proposer or self.by_key[self.eng.leader(round_number)]
+        payload = {"round": round_number, "tag": tag}
+        digest = crypto.hash("payload", canonical_json(payload))
+        stub = Proposal(round_number, None, digest, justify, proposer.public, b"")
+        return Proposal(
+            round_number, payload, digest, justify, proposer.public,
+            proposer.sign(stub.signed_bytes()),
+        )
+
+    def qc(self, proposal):
+        msg = vote_payload(proposal.round, proposal.payload_digest)
+        signers = tuple(sorted(kp.public for kp in self.kps))
+        sigs = tuple(self.by_key[k].sign(msg) for k in signers)
+        return QuorumCertificate(proposal.payload_digest, proposal.round, signers, sigs)
+
+    def votes(self):
+        return [m for m in self.sent if isinstance(m, Vote)]
+
+    def test_non_leader_proposal_ignored(self):
+        leader = self.eng.leader(1)
+        other = next(kp for kp in self.kps if kp.public != leader)
+        forged = self.proposal(1, GENESIS_QC, proposer=other)
+        self.eng.on_proposal(forged)
+        assert forged.payload_digest not in self.eng.tree.nodes
+        assert self.eng.last_voted_round == 0 and not self.votes()
+        genuine = self.proposal(1, GENESIS_QC)
+        self.eng.on_proposal(genuine)
+        assert genuine.payload_digest in self.eng.tree.nodes
+        assert self.eng.last_voted_round == 1
+
+    def test_justify_below_lock_gets_no_vote(self):
+        p1 = self.proposal(1, GENESIS_QC)
+        p2 = self.proposal(2, self.qc(p1))
+        p3 = self.proposal(3, self.qc(p2))
+        for p in (p1, p2, p3):
+            self.eng.on_proposal(p)
+        assert self.eng.locked_round == 1 and self.eng.last_voted_round == 3
+        # round 4 forks off genesis: its justify (round 0) is below the lock
+        fork = self.proposal(4, GENESIS_QC, tag="fork")
+        self.eng.on_proposal(fork)
+        assert fork.payload_digest in self.eng.tree.nodes
+        assert self.eng.last_voted_round == 3
+        assert all(v.payload_digest != fork.payload_digest for v in self.votes())
+        # a later round extending the locked chain is voted for
+        self.eng.on_proposal(self.proposal(5, self.qc(p3)))
+        assert self.eng.last_voted_round == 5

@@ -6,25 +6,19 @@ import pytest
 from flowpipe import crypto
 from flowpipe.encoding import canonical_json, hexify
 from flowpipe.state import (
-    Adjudication,
     ChallengeKind,
     Epoch,
     NodeIdentity,
     ProtocolState,
-    Rejection,
     Role,
     SlashingChallenge,
-    StakeRequest,
     StateUpdate,
     UpdateRejected,
     adjudicate_challenge,
     apply_updates,
     commit_state,
     effective_votes,
-    epoch_transition_updates,
     meets_supermajority,
-    process_stake_request,
-    process_unstake_request,
 )
 
 
@@ -34,6 +28,18 @@ def node(i: int, role=Role.CONSENSUS, stake=10) -> NodeIdentity:
         role=role,
         stake=stake,
         network_address=f"node-{i}",
+    )
+
+
+def unstake(key: bytes, discharge_epoch: int, release_epoch: int) -> StateUpdate:
+    """Discharge `key` from `discharge_epoch`; its stake stays slashable on
+    hold until `release_epoch`."""
+    return StateUpdate(
+        entries=(
+            {"op": "discharge", "key": hexify(key), "epoch": discharge_epoch},
+            {"op": "hold", "key": hexify(key), "release_epoch": release_epoch},
+        ),
+        cause="unstake",
     )
 
 
@@ -175,9 +181,9 @@ class TestApplyUpdates:
                 )
                 st = apply_updates(st, [upd]).state
             elif kind == "unstake":
-                out = process_unstake_request(st, key, st.epoch.index)
-                if isinstance(out, StateUpdate):
-                    st = apply_updates(st, [out]).state
+                if st.records[key].discharged_from_epoch is None:
+                    upd = unstake(key, st.epoch.index + 1, st.epoch.index + 2)
+                    st = apply_updates(st, [upd]).state
             else:
                 new_epoch = Epoch(
                     index=st.epoch.index + 1,
@@ -187,7 +193,11 @@ class TestApplyUpdates:
                     + st.epoch.length_blocks
                     + 80_000,
                 )
-                updates = epoch_transition_updates(st, new_epoch)
+                updates = [
+                    StateUpdate(entries=({"op": "release", "key": hexify(k)},), cause="epoch")
+                    for k in sorted(st.held_stakes)
+                    if st.held_stakes[k].release_epoch <= new_epoch.index
+                ]
                 st = apply_updates(st, updates).state
                 st.epoch = new_epoch
             total = (
@@ -199,46 +209,11 @@ class TestApplyUpdates:
             assert total == initial
 
 
-class TestStaking:
-    def make_request(self, amount=100, role=Role.VERIFICATION):
-        kp = crypto.StakingKeyPair.from_seed(b"\x99" * 32)
-        sig = kp.sign(canonical_json({"role": role.value, "amount": amount}))
-        return StakeRequest(
-            staking_public_key=kp.public,
-            role=role,
-            amount=amount,
-            network_address="new-node",
-            signature=sig,
-        )
-
-    def test_at_deadline_accepted(self):
-        st = make_state()
-        out = process_stake_request(st, self.make_request(), current_height=80_000)
-        assert isinstance(out, StateUpdate)
-        res = apply_updates(st, [out])
-        rec = next(r for r in res.state.records.values() if r.network_address == "new-node")
-        assert rec.active_from_epoch == 1
-
-    def test_past_deadline_rejected(self):
-        st = make_state()
-        out = process_stake_request(st, self.make_request(), current_height=80_001)
-        assert isinstance(out, Rejection) and out.reason == "past_deadline"
-
-    def test_below_minimum_rejected(self):
-        st = make_state()
-        out = process_stake_request(
-            st, self.make_request(amount=3), 0, role_minimums={Role.VERIFICATION: 10}
-        )
-        assert isinstance(out, Rejection) and out.reason == "below_minimum"
-
-
 class TestUnstaking:
     def test_discharge_and_release_epochs(self):
         st = make_state((50,))
         key = node(1).staking_public_key
-        out = process_unstake_request(st, key, current_epoch=3)
-        assert isinstance(out, StateUpdate)
-        st = apply_updates(st, [out]).state
+        st = apply_updates(st, [unstake(key, 4, 5)]).state
         rec = st.records[key]
         assert rec.discharged_from_epoch == 4
         assert rec.stake == 0
@@ -252,17 +227,10 @@ class TestUnstaking:
     def test_held_stake_slashable(self):
         st = make_state((50,))
         key = node(1).staking_public_key
-        st = apply_updates(st, [process_unstake_request(st, key, 0)]).state
+        st = apply_updates(st, [unstake(key, 1, 2)]).state
         upd = StateUpdate(entries=({"op": "slash", "key": hexify(key), "amount": 20},), cause="slash")
         st = apply_updates(st, [upd]).state
         assert st.held_stakes[key].amount == 30
-
-    def test_double_unstake_rejected(self):
-        st = make_state((50,))
-        key = node(1).staking_public_key
-        st = apply_updates(st, [process_unstake_request(st, key, 0)]).state
-        out = process_unstake_request(st, key, 0)
-        assert isinstance(out, Rejection) and out.reason == "already_unstaked"
 
 
 class TestAdjudication:
@@ -296,11 +264,3 @@ class TestAdjudication:
             st, self.make_challenge(full_proof=True), None, timed_out=False
         )
         assert adj.outcome == "accused_slashed"
-
-    def test_fractional_slash(self):
-        st = make_state((40, 40))
-        adj, upd = adjudicate_challenge(
-            st, self.make_challenge(), None, timed_out=True, slash_fraction=Fraction(1, 20)
-        )
-        res = apply_updates(st, [upd])
-        assert res.state.records[node(1).staking_public_key].stake == 38

@@ -6,7 +6,6 @@ import pytest
 from flowpipe import crypto
 from flowpipe.execution import (
     GENESIS_RESULT_HASH,
-    ExecutionReceipt,
     ExecutionResult,
     block_execution,
 )
@@ -176,23 +175,6 @@ class TestAdjudicateFcc:
         adj, upd = adjudicate_fcc(self.state, fcc, disputed)
         assert adj.outcome == "challenger_slashed"
         assert adj.slashed == (self.challenger,)
-
-    def test_chain_attribution_spares_propagator(self):
-        # executor 2 honestly extends executor 1's faulty result; origin pays
-        origin, propagator = self.keys[0], self.keys[1]
-        r = self.out.result
-        faulty = ExecutionResult(r.block_hash, r.previous_execution_result_hash, r.chunks, b"\xee" * 32)
-        kp_origin = crypto.StakingKeyPair.from_seed(bytes([120]) * 32)
-        kp_prop = crypto.StakingKeyPair.from_seed(bytes([121]) * 32)
-        receipts = [
-            ExecutionReceipt(faulty, self.out.spocks, origin, kp_origin.sign(faulty.result_hash())),
-        ]
-        correct = [r]
-        last = len(r.chunks) - 1
-        fcc = make_fcc(self.challenger, propagator, faulty.result_hash(), last, deadline=10)
-        disputed = DisputedChunk(faulty, last, package_for(self.out, self.txs, last), self.out.spocks[last])
-        adj, _ = adjudicate_fcc(self.state, fcc, disputed, receipt_chain=receipts, correct_results=correct)
-        assert adj.slashed == (origin,)
 
 
 class TestAdjudicateMcc:
