@@ -4,7 +4,10 @@ ten-condition proposal check, and seal formation over verifier approvals.
 Conditions 1-3 (the round's primary proposed, the block extends a known
 chain, the locking rule allows the vote) are enforced by
 `hotstuff.ConsensusEngine.on_proposal`; `evaluate_proposal` keeps only the
-height part of condition 2 and checks conditions 4-10."""
+height part of condition 2 and checks conditions 4-6 and 8-10. Condition 7
+(each included seal was received) holds by construction, because a seal
+reaches a voter inside the proposal that includes it; condition 8 validates
+it."""
 
 from __future__ import annotations
 
@@ -141,7 +144,6 @@ class EvaluationContext:
     ancestor_collection_hashes: set[bytes]
     received_collections: set[bytes]
     collector_clusters: dict[int, list[NodeIdentity]]
-    received_seals: set[bytes]  # seal digests the node holds
     seal_valid: Callable[[BlockSeal], bool]
     challenge_verified: Callable[[dict], bool]
     parent_protocol_state: ProtocolState
@@ -164,9 +166,6 @@ def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Opt
         cluster = ctx.collector_clusters.get(gc.cluster_index)
         if not cluster or not guarantee_authentic(gc, cluster):
             return False, "condition-6:collection-authenticity"
-    for seal in pb.block_seals:
-        if seal.digest() not in ctx.received_seals:
-            return False, "condition-7:seal-not-received"
     for seal in pb.block_seals:
         if not ctx.seal_valid(seal):
             return False, "condition-8:seal-invalid"

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import crypto

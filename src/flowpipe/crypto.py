@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Digest = bytes  # 32 bytes
@@ -31,10 +30,20 @@ def _frame(b: bytes) -> bytes:
     return _u64be(len(b)) + b
 
 
+# domain tag -> SHA-256 object already fed len(tag) || tag; every tag is a
+# literal, so the cache stays small
+_PREFIXED: dict = {}
+
+
 def hash(domain_tag: str | bytes, payload: bytes) -> Digest:  # noqa: A001
     """Domain-separated SHA-256: digest of len(tag) || tag || payload."""
-    tag = domain_tag.encode() if isinstance(domain_tag, str) else domain_tag
-    return hashlib.sha256(_frame(tag) + payload).digest()
+    prefix = _PREFIXED.get(domain_tag)
+    if prefix is None:
+        tag = domain_tag.encode() if isinstance(domain_tag, str) else domain_tag
+        prefix = _PREFIXED[domain_tag] = hashlib.sha256(_frame(tag))
+    h = prefix.copy()
+    h.update(payload)
+    return h.digest()
 
 
 def derive_seed(tags: Sequence[str], randomness: bytes) -> Seed:

@@ -4,7 +4,7 @@ per-chunk trace commitments, and execution receipts."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .crypto import hash as fhash
 from .encoding import canonical_json, hexify

@@ -1,11 +1,12 @@
 """Authenticated key-value execution state: a sorted-key binary Merkle tree
 with inclusion proofs. Values are immutable snapshots; mutation returns a
-new state."""
+new state. A snapshot hashes its tree once, on first use, and serves its
+root and every proof from those cached levels."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .crypto import hash as fhash
 
@@ -33,7 +34,8 @@ class ExecutionState:
 
     def __init__(self, registers: Optional[dict[bytes, bytes]] = None):
         self._registers = dict(registers or {})
-        self._root: Optional[bytes] = None
+        self._levels: Optional[list[list[bytes]]] = None  # leaves first, root last
+        self._index: dict[bytes, int] = {}  # key -> leaf position
 
     @property
     def registers(self) -> dict[bytes, bytes]:
@@ -50,47 +52,36 @@ class ExecutionState:
     def keys(self) -> list[bytes]:
         return sorted(self._registers)
 
+    def _tree(self) -> list[list[bytes]]:
+        if self._levels is None:
+            keys = self.keys()
+            self._index = {k: i for i, k in enumerate(keys)}
+            level = [_leaf_hash(k, self._registers[k]) for k in keys]
+            levels = [level]
+            while len(level) > 1:
+                nxt = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+                if len(level) % 2:
+                    nxt.append(level[-1])  # odd node promoted unchanged
+                levels.append(nxt)
+                level = nxt
+            self._levels = levels
+        return self._levels
+
     def root(self) -> bytes:
-        if self._root is None:
-            self._root = self._compute_root()
-        return self._root
-
-    def _sorted_leaves(self) -> list[tuple[bytes, bytes]]:
-        return [(k, self._registers[k]) for k in sorted(self._registers)]
-
-    def _compute_root(self) -> bytes:
-        leaves = [_leaf_hash(k, v) for k, v in self._sorted_leaves()]
-        if not leaves:
-            return EMPTY_ROOT
-        level = leaves
-        while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level) - 1, 2):
-                nxt.append(_node_hash(level[i], level[i + 1]))
-            if len(level) % 2:
-                nxt.append(level[-1])  # odd node promoted unchanged
-            level = nxt
-        return level[0]
+        levels = self._tree()
+        return levels[-1][0] if levels[0] else EMPTY_ROOT
 
     def prove(self, key: bytes) -> ValueProof:
-        items = self._sorted_leaves()
-        try:
-            idx = [k for k, _ in items].index(key)
-        except ValueError:
-            raise KeyError(f"key not in state: {key!r}") from None
-        level = [_leaf_hash(k, v) for k, v in items]
+        levels = self._tree()
+        idx = self._index.get(key)
+        if idx is None:
+            raise KeyError(f"key not in state: {key!r}")
         path: list[tuple[bool, bytes]] = []
-        while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level) - 1, 2):
-                nxt.append(_node_hash(level[i], level[i + 1]))
-            if len(level) % 2:
-                nxt.append(level[-1])  # odd node promoted without a sibling
+        for level in levels[:-1]:
             pair = idx ^ 1
-            if pair < len(level):
+            if pair < len(level):  # else the odd node was promoted without a sibling
                 path.append((pair > idx, level[pair]))
             idx //= 2
-            level = nxt
         return ValueProof(path=tuple(path))
 
 
@@ -103,12 +94,25 @@ def value_proof_gen(state: ExecutionState, key: bytes) -> ValueProof:
     return state.prove(key)
 
 
-def value_proof_vrfy(key: bytes, value: bytes, proof: ValueProof, commitment: bytes) -> bool:
-    """Recompute the path from the (key, value) leaf; never raises."""
+def value_proof_vrfy(
+    key: bytes,
+    value: bytes,
+    proof: ValueProof,
+    commitment: bytes,
+    memo: Optional[dict[tuple[bytes, bytes], bytes]] = None,
+) -> bool:
+    """Recompute the path from the (key, value) leaf; never raises. Calls may
+    share a memo ((left, right) -> node digest), so a node common to several
+    paths is hashed once; the memo caches a pure function, so sharing it
+    cannot change a verdict."""
+    memo = {} if memo is None else memo
     try:
         acc = _leaf_hash(key, value)
         for right, sibling in proof.path:
-            acc = _node_hash(acc, sibling) if right else _node_hash(sibling, acc)
+            pair = (acc, sibling) if right else (sibling, acc)
+            acc = memo.get(pair)
+            if acc is None:
+                acc = memo[pair] = _node_hash(*pair)
         return acc == commitment
     except Exception:
         return False

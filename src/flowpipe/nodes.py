@@ -849,7 +849,6 @@ class ConsensusNode(Node):
             ancestor_collection_hashes=ctx.collections,
             received_collections=set(self.known_collections),
             collector_clusters=self.d.clusters,
-            received_seals={s.digest() for s in payload.block_seals},  # self-authenticating
             seal_valid=seal_ok,
             challenge_verified=challenge_ok,
             parent_protocol_state=ctx.state,

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 from . import crypto
 from .collection import collection_hash as compute_collection_hash
 from .encoding import canonical_json, hexify
-from .execution import EMPTY_TRACE, Chunk, ExecutionResult, trace_update
+from .execution import EMPTY_TRACE, ExecutionResult, trace_update
 from .merkle import ExecutionState, value_proof_vrfy
 from .state import (
     Adjudication,
@@ -87,12 +87,11 @@ class ChunkVerdict:
 
 
 def _reexecute(
-    chunk: Chunk, package: ChunkDataPackage
+    state: ExecutionState, transactions: Sequence[SignedTransaction]
 ) -> tuple[int, bytes, bytes]:
-    state = ExecutionState(dict(package.registers))
     consumed = 0
     trace = EMPTY_TRACE
-    for tx in package.transactions:
+    for tx in transactions:
         out = execute(state, tx)
         state = out.state
         consumed += out.cost
@@ -110,15 +109,17 @@ def verify_chunk(
     """Re-execute an assigned chunk from the executor's data package and
     approve only a full match of consumption, end commitment, and trace."""
     chunk = result.chunks[chunk_index]
+    memo: dict[tuple[bytes, bytes], bytes] = {}  # the package's proofs share upper nodes
     for key, value in package.registers.items():
         proof = package.proofs.get(key)
         if proof is None or not value_proof_vrfy(
-            key, value, proof, chunk.start_state_commitment
+            key, value, proof, chunk.start_state_commitment, memo
         ):
             return ChunkVerdict(ok=False, reason="state-proof-failure")
-    if ExecutionState(dict(package.registers)).root() != chunk.start_state_commitment:
+    start = ExecutionState(package.registers)
+    if start.root() != chunk.start_state_commitment:
         return ChunkVerdict(ok=False, reason="state-proof-failure")
-    consumed, end_root, trace = _reexecute(chunk, package)
+    consumed, end_root, trace = _reexecute(start, package.transactions)
     expected_end = (
         result.chunks[chunk_index + 1].start_state_commitment
         if chunk_index + 1 < len(result.chunks)

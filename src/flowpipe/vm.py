@@ -5,7 +5,7 @@ contract is determinism and cost accounting."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .crypto import hash as fhash
@@ -130,8 +130,6 @@ def execute(state, tx: SignedTransaction) -> ExecOutcome:
     """Apply a transaction; failed or malformed scripts consume their cost
     but leave the registers unchanged. The trace commitment binds the start
     root, the transaction hash, and the end root."""
-    from .merkle import ExecutionState  # local import to avoid a cycle at import time
-
     start_root = state.root()
     try:
         parsed = ToyTransaction.parse(tx.script)

@@ -62,7 +62,6 @@ def plain_context(state: ProtocolState, **overrides) -> EvaluationContext:
         ancestor_collection_hashes=set(),
         received_collections=set(),
         collector_clusters={0: state.members(Role.COLLECTOR)},
-        received_seals=set(),
         seal_valid=lambda s: True,
         challenge_verified=lambda c: True,
         parent_protocol_state=state,
@@ -149,18 +148,11 @@ class TestEvaluateProposal:
         ok, reason = evaluate_proposal(pb, plain_context(state, received_collections={coll}))
         assert not ok and reason.startswith("condition-6")
 
-    def test_condition_7_seal_not_received(self):
-        state, _, vkps = base_protocol_state()
-        seal = BlockSeal(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, (), ())
-        pb = ProtoBlock(b"\x10" * 32, 1, (), (seal,), (), (), commit_state(state))
-        ok, reason = evaluate_proposal(pb, plain_context(state))
-        assert not ok and reason.startswith("condition-7")
-
     def test_condition_8_seal_invalid(self):
         state, _, _ = base_protocol_state()
         seal = BlockSeal(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, (), ())
         pb = ProtoBlock(b"\x10" * 32, 1, (), (seal,), (), (), commit_state(state))
-        ctx = plain_context(state, received_seals={seal.digest()}, seal_valid=lambda s: False)
+        ctx = plain_context(state, seal_valid=lambda s: False)
         ok, reason = evaluate_proposal(pb, ctx)
         assert not ok and reason.startswith("condition-8")
 

@@ -54,6 +54,28 @@ class TestHash:
     def test_empty_tag_empty_payload(self):
         assert fhash("", b"") == hashlib.sha256(b"\x00" * 8).digest()
 
+    @pytest.mark.parametrize("tag", ["leaf", "node", "", "tag-\u00e9", b"leaf", b"\xff\x00raw"])
+    def test_matches_framing(self, tag):
+        raw = tag.encode() if isinstance(tag, str) else tag
+        for payload in (b"", b"\x00", b"p" * 200, bytes(range(64))):
+            assert fhash(tag, payload) == ref_hash(raw, payload)
+
+    def test_str_and_bytes_tag_agree(self):
+        for tag in ("leaf", "node", "tag-\u00e9"):
+            assert fhash(tag, b"payload") == fhash(tag.encode(), b"payload")
+
+    def test_cached_prefix_never_mutated(self):
+        # the same tag, repeated and interleaved with other tags and payloads,
+        # must keep hashing len(tag) || tag || payload and nothing more
+        rng = random.Random(5)
+        tags = ["leaf", b"leaf", "node", "x", b"\x01"]
+        for _ in range(300):
+            tag = rng.choice(tags)
+            payload = rng.randbytes(rng.randrange(0, 80))
+            raw = tag.encode() if isinstance(tag, str) else tag
+            assert fhash(tag, payload) == ref_hash(raw, payload)
+        assert fhash("x", b"once") == fhash("x", b"once") == ref_hash(b"x", b"once")
+
 
 class TestDeriveSeed:
     def test_deterministic(self):

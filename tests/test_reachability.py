@@ -1,7 +1,8 @@
-"""Static reachability guard: every class and function defined under
+"""Static reachability guards: every class and function defined under
 src/flowpipe is referenced by name somewhere else in the package, so no
 protocol rule survives only as a test-only twin of the one the simulator
-runs. The check parses the sources and searches names; it runs nothing."""
+runs, and every name a module imports is used in that module. The checks
+parse the sources and search names; they run nothing."""
 
 import ast
 import pathlib
@@ -13,6 +14,9 @@ SRC = pathlib.Path(flowpipe.__file__).resolve().parent
 
 # Names defined in src/flowpipe that may stay unreferenced there.
 ALLOWLIST: set[str] = set()
+
+# module.name imports in src/flowpipe that may stay unused there.
+IMPORT_ALLOWLIST: set[str] = set()
 
 
 def _definitions(tree: ast.AST):
@@ -45,3 +49,30 @@ def unreferenced_names() -> list[str]:
 def test_every_definition_is_referenced():
     missing = unreferenced_names()
     assert not missing, f"defined in src/flowpipe but referenced nowhere else: {missing}"
+
+
+def _imported_names(tree: ast.AST):
+    """Every name an import statement in the module binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def unused_imports() -> list[str]:
+    """module.name for every imported name its module never reads. A name
+    that appears only inside a string, such as a quoted annotation, is
+    unused."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update(f"{path.stem}.{name}" for name in _imported_names(tree) if name not in read)
+    return sorted(unused - IMPORT_ALLOWLIST)
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, f"imported in src/flowpipe but never used: {unused}"
