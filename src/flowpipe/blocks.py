@@ -48,15 +48,6 @@ class BlockSeal:
             "approval_signatures": [hexify(s) for s in self.approval_signatures],
         }
 
-    def digest(self) -> bytes:
-        try:
-            return object.__getattribute__(self, "_digest_memo")
-        except AttributeError:
-            pass
-        d = crypto.hash("seal", canonical_json(self.to_dict()))
-        object.__setattr__(self, "_digest_memo", d)
-        return d
-
 
 def approval_payload(result_hash: bytes) -> bytes:
     return canonical_json({"approve_result": hexify(result_hash)})

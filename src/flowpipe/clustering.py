@@ -20,9 +20,6 @@ class ClusterAssignment:
     def cluster_members(self, index: int) -> list[bytes]:
         return sorted(k for k, v in self.mapping.items() if v == index)
 
-    def clusters(self) -> list[list[bytes]]:
-        return [self.cluster_members(i) for i in range(self.c)]
-
 
 def cluster_assignment(
     collectors: Sequence[bytes], c: int, r: bytes, epoch: int = 0

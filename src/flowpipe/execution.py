@@ -70,14 +70,6 @@ class ExecutionReceipt:
         if len(self.spocks) != len(self.execution_result.chunks):
             raise ValueError("one trace commitment per chunk required")
 
-    def to_dict(self) -> dict:
-        return {
-            "execution_result": self.execution_result.to_dict(),
-            "spocks": [hexify(z) for z in self.spocks],
-            "executor": hexify(self.executor),
-            "executor_signature": hexify(self.executor_signature),
-        }
-
 
 def canonical(collections: Sequence[Sequence[SignedTransaction]]) -> list[SignedTransaction]:
     """Canonical transaction order: collections in block order, transactions

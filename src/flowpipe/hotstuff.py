@@ -43,14 +43,6 @@ class QuorumCertificate:
     signers: tuple[bytes, ...]
     signatures: tuple[bytes, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "payload_digest": hexify(self.payload_digest),
-            "round": self.round,
-            "signers": [hexify(s) for s in self.signers],
-            "signatures": [hexify(s) for s in self.signatures],
-        }
-
 
 GENESIS_QC = QuorumCertificate(payload_digest=GENESIS_DIGEST, round=0, signers=(), signatures=())
 
@@ -204,7 +196,6 @@ class ConsensusEngine:
 
         self.tree = BlockTree()
         self.current_round = 1
-        self._entered = 1
         self.last_voted_round = 0
         self.locked_round = 0
         self.high_qc = GENESIS_QC
@@ -275,9 +266,8 @@ class ConsensusEngine:
             self.on_finalize(self.tree.nodes[digest])
 
     def _enter_round(self, round_number: int) -> None:
-        if round_number <= self._entered:
+        if round_number <= self.current_round:
             return
-        self._entered = round_number
         self.current_round = round_number
         self.set_timer(self.timeout, round_number)
         if self.is_leader(round_number):
@@ -412,7 +402,6 @@ class ConsensusEngine:
         self.timeout *= 2
         nxt = self.current_round + 1
         self.current_round = nxt
-        self._entered = nxt
         self.set_timer(self.timeout, nxt)
         msg = NewRound(round=nxt, high_qc=self.high_qc, sender=self.keypair.public)
         leader = self.leader(nxt)

@@ -41,7 +41,7 @@ from .execution import (
 )
 from .hotstuff import ConsensusEngine, NewRound, Proposal, Vote
 from .merkle import ExecutionState, value_proof_gen
-from .sim import Handler, Metrics, Simulator
+from .sim import Handler, Simulator
 from .state import (
     ChallengeKind,
     NodeIdentity,
@@ -125,17 +125,10 @@ class EquivocatingEngine(ConsensusEngine):
         self._proposed_rounds.add(r)
         parent = self.high_qc.payload_digest
         base = self.make_payload(parent)
-        variants = [base]
-        if isinstance(base, ProtoBlock):
-            variants.append(
-                dataclasses.replace(
-                    base,
-                    slashing_challenges=base.slashing_challenges + ({"equivocation": 1},),
-                )
-            )
-        elif isinstance(base, dict):
-            variants.append(dict(base, equivocation=1))
-        for payload in variants:
+        twin = dataclasses.replace(
+            base, slashing_challenges=base.slashing_challenges + ({"equivocation": 1},)
+        )
+        for payload in (base, twin):
             digest = self.digest_payload(payload)
             proposal = Proposal(
                 round=r,
@@ -298,14 +291,12 @@ class Node:
         name: str,
         keypair: crypto.StakingKeyPair,
         directory: Directory,
-        metrics: Metrics,
         behavior: Optional[Behavior] = None,
     ):
         self.sim = sim
         self.name = name
         self.keypair = keypair
         self.d = directory
-        self.metrics = metrics
         self.behavior = behavior
         self.handlers: dict[type, Handler] = {}
         # a non-responsive node never starts and handles no message
@@ -362,8 +353,8 @@ class Node:
 
 
 class CollectorNode(Node):
-    def __init__(self, sim, name, keypair, directory, metrics, behavior=None):
-        super().__init__(sim, name, keypair, directory, metrics, behavior)
+    def __init__(self, sim, name, keypair, directory, behavior=None):
+        super().__init__(sim, name, keypair, directory, behavior)
         self.cluster_index = directory.cluster_of[keypair.public]
         members = directory.clusters[self.cluster_index]
         self.peers = [
@@ -620,8 +611,8 @@ class ChainCtx:
 
 
 class ConsensusNode(Node):
-    def __init__(self, sim, name, keypair, directory, metrics, behavior=None):
-        super().__init__(sim, name, keypair, directory, metrics, behavior)
+    def __init__(self, sim, name, keypair, directory, behavior=None):
+        super().__init__(sim, name, keypair, directory, behavior)
         self.ctxs: dict[bytes, ChainCtx] = {
             directory.genesis_digest: ChainCtx(
                 digest=directory.genesis_digest,
@@ -647,11 +638,8 @@ class ConsensusNode(Node):
         self.mcc_responses: dict[bytes, dict[bytes, Optional[tuple]]] = {}
         self.adjudicated_ids: set[bytes] = set()
         self.finalized_heights: dict[int, bytes] = {}
-        self.finalize_times: dict[bytes, int] = {}
-        self.first_seen: dict[bytes, int] = {}
+        self.first_seen: dict[bytes, int] = {}  # block hash -> tick first validated
         self.recorded_challenges: dict[bytes, dict] = {}  # challenge id -> doc
-        # one designated observer feeds the aggregate run metrics
-        self.is_observer = name == directory.consensus_names[0]
 
         engine_cls = ConsensusEngine
         if self.acts("equivocate_proposal"):
@@ -663,7 +651,7 @@ class ConsensusNode(Node):
             [peer for peer in directory.consensus_names if peer != name],
             members=directory.consensus_members,
             seed=directory.epoch_seed,
-            digest_payload=self._digest_payload,
+            digest_payload=ProtoBlock.hash,
             validate_payload=self._validate_payload,
             make_payload=self._make_payload,
             on_finalize=self._on_finalize,
@@ -682,12 +670,6 @@ class ConsensusNode(Node):
 
     def handle(self, sender: str, msg: Any):
         self.handlers.get(type(msg), _ignore)(sender, msg)
-
-    @staticmethod
-    def _digest_payload(payload) -> bytes:
-        if isinstance(payload, ProtoBlock):
-            return payload.hash()
-        return crypto.hash("payload", canonical_json(payload))
 
     # -- proposal assembly ---------------------------------------------------
 
@@ -930,13 +912,6 @@ class ConsensusNode(Node):
         if ctx is None:
             return
         self.finalized_heights[pb.height] = digest
-        self.finalize_times[digest] = self.sim.now
-        if self.is_observer:
-            self.metrics.blocks_finalized = len(self.finalized_heights)
-            self.metrics.blocks_sealed += len(pb.block_seals)
-            seen = self.first_seen.get(digest)
-            if seen is not None:
-                self.metrics.finalization_latencies.append(self.sim.now - seen)
         self.sim.event(
             self.name,
             "finalized",
@@ -1000,8 +975,6 @@ class ConsensusNode(Node):
         )
         doc = dataclasses.replace(ch, challenge_id=challenge_id(ch)).to_dict()
         self.pending_challenges[key] = doc
-        if self.is_observer:
-            self.metrics.challenges += 1
         self.sim.event(
             self.name,
             "equivocation_challenge",
@@ -1020,8 +993,6 @@ class ConsensusNode(Node):
             return
         self.adjudicated_ids.add(adj.challenge_id)
         self.pending_updates[adj.challenge_id] = upd
-        if adj.outcome != "dismissed" and self.is_observer:
-            self.metrics.slashes += len(adj.slashed)
         self.sim.event(
             self.name,
             "adjudication",
@@ -1174,8 +1145,6 @@ class ConsensusNode(Node):
             return
         self._challenge_seen.add(dedupe)
         self.pending_challenges[dedupe] = ch.to_dict()
-        if self.is_observer:
-            self.metrics.challenges += 1
         self.sim.event(
             self.name,
             "challenge",
@@ -1191,8 +1160,8 @@ class ConsensusNode(Node):
 
 
 class ExecutionNode(Node):
-    def __init__(self, sim, name, keypair, directory, metrics, behavior=None):
-        super().__init__(sim, name, keypair, directory, metrics, behavior)
+    def __init__(self, sim, name, keypair, directory, behavior=None):
+        super().__init__(sim, name, keypair, directory, behavior)
         self.blocks: dict[int, ProtoBlock] = {}
         self.next_height = 1
         self.exec_state = ExecutionState()
@@ -1343,8 +1312,8 @@ class ExecutionNode(Node):
 
 
 class VerificationNode(Node):
-    def __init__(self, sim, name, keypair, directory, metrics, behavior=None):
-        super().__init__(sim, name, keypair, directory, metrics, behavior)
+    def __init__(self, sim, name, keypair, directory, behavior=None):
+        super().__init__(sim, name, keypair, directory, behavior)
         self.seeds: dict[bytes, bytes] = {}  # block hash -> randomness seed
         self.pending: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt awaiting seed
         self.checked: set[bytes] = set()
@@ -1420,9 +1389,9 @@ class UserAgent(Node):
     responsible cluster. It handles no message."""
 
     def __init__(
-        self, sim, name, keypair, directory, metrics, interval: int, tx_cost: int, count: Optional[int]
+        self, sim, name, keypair, directory, interval: int, tx_cost: int, count: Optional[int]
     ):
-        super().__init__(sim, name, keypair, directory, metrics)
+        super().__init__(sim, name, keypair, directory)
         self.interval = interval
         self.tx_cost = tx_cost
         self.count = count

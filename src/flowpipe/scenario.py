@@ -48,74 +48,6 @@ _BEHAVIORS = {
     "stale_vote",
 }
 
-_NUM = (int, float)
-
-# section -> key -> (type tuple, allows None)
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "name": {},
-    "description": {},
-    "roles": {
-        "collectors": ((int,), False),
-        "consensus": ((int,), False),
-        "execution": ((int,), False),
-        "verification": ((int,), False),
-    },
-    "stakes": {
-        "collector": ((int,), False),
-        "consensus": ((int,), False),
-        "execution": ((int,), False),
-        "verification": ((int,), False),
-    },
-    "clusters": {
-        "count": ((int,), False),
-        "size_threshold": ((int,), False),
-        "timespan_rounds": ((int,), False),
-    },
-    "consensus": {"base_timeout": ((int,), False)},
-    "drb": {"committee_size": ((int,), False)},
-    "execution_params": {"gamma_chunk": ((int,), False)},
-    "verification_params": {"coverage_p": (_NUM, False)},
-    "transactions": {
-        "interval": ((int,), False),
-        "count": ((int,), True),
-        "cost": ((int,), False),
-        "window": ((int,), False),
-    },
-    "network": {
-        "delta_t": ((int,), False),
-        "phi_t": (_NUM, False),
-        "gst": ((int,), False),
-        "pre_gst_drop_probability": (_NUM, False),
-        "pre_gst_delay_multiplier": ((int,), False),
-    },
-    "timeouts": {
-        "mcc_deadline": ((int,), False),
-        "retrieval_timeout": ((int,), False),
-    },
-    "adversary": {},  # list; validated separately
-    "run": {"seed": ((int,), False), "max_sim_time": ((int,), False)},
-    "checks": {
-        "safety": ((bool,), False),
-        "min_finalized": ((int,), False),
-        "max_finalized": ((int,), False),
-        "min_sealed": ((int,), False),
-        "no_faulty_seals": ((bool,), False),
-        "mcc_per_withheld_cluster": ((int,), False),
-        "equivocator_slashed": ((bool,), False),
-        "no_challenges": ((bool,), False),
-        "min_slashes": ((int,), False),
-        "min_attestations": ((int,), False),
-    },
-}
-
-_ADVERSARY_KEYS = {
-    "behavior": ((str,), False),
-    "role": ((str,), False),
-    "indices": ((list,), True),
-    "cluster": ((int,), True),
-    "target_chunk": ((int,), True),
-}
-
 DEFAULTS: dict = {
     "name": "unnamed",
     "description": "",
@@ -140,112 +72,148 @@ DEFAULTS: dict = {
     "checks": {"safety": True},
 }
 
+_NUM = (int, float)
+
+# The keys whose DEFAULTS value cannot give their type: nullable ones, and
+# the checks that are off by default.
+_EXCEPTIONS: dict[str, dict[str, tuple]] = {
+    "transactions": {"count": ((int,), True)},
+    "checks": {
+        **dict.fromkeys(
+            ("no_faulty_seals", "equivocator_slashed", "no_challenges"), ((bool,), False)
+        ),
+        **dict.fromkeys(
+            (
+                "min_finalized",
+                "max_finalized",
+                "min_sealed",
+                "min_slashes",
+                "min_attestations",
+                "mcc_per_withheld_cluster",
+            ),
+            ((int,), False),
+        ),
+    },
+}
+
+# section -> key -> (accepted types, allows None). A key accepts the type of
+# its DEFAULTS value; a float key also accepts an int.
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    section: {
+        key: (_NUM if isinstance(value, float) else (type(value),), False)
+        for key, value in keys.items()
+    }
+    | _EXCEPTIONS.get(section, {})
+    for section, keys in DEFAULTS.items()
+    if isinstance(keys, dict)
+}
+
+_ADVERSARY_KEYS = {
+    "behavior": ((str,), False),
+    "role": ((str,), False),
+    "indices": ((list,), True),
+    "cluster": ((int,), True),
+    "target_chunk": ((int,), True),
+}
+
+# section -> key -> least allowed value
+_MINIMUMS: dict[str, dict[str, int]] = {
+    "roles": dict.fromkeys(DEFAULTS["roles"], 1),
+    "stakes": dict.fromkeys(DEFAULTS["stakes"], 1),
+    "clusters": {"count": 1},
+    "drb": {"committee_size": 1},
+    "execution_params": {"gamma_chunk": 1},
+    "transactions": {"interval": 1},
+    "network": {"delta_t": 1, "phi_t": 1, "gst": 0, "pre_gst_delay_multiplier": 1},
+    "run": {"max_sim_time": 1},
+}
+
+# top-level value type -> how an error names it
+_KINDS = {str: "string", list: "a list", dict: "an object"}
+
 
 def validate_scenario(doc: Any) -> list[str]:
-    errors: list[str] = []
     if not isinstance(doc, dict):
         return ["$: scenario must be an object"]
+    errors: list[str] = []
     for key, value in doc.items():
-        if key not in _SCHEMA:
+        if key not in DEFAULTS:
             errors.append(f"{key}: unknown key")
-            continue
-        if key in ("name", "description"):
-            if not isinstance(value, str):
-                errors.append(f"{key}: expected string")
-            continue
-        if key == "adversary":
-            if not isinstance(value, list):
-                errors.append("adversary: expected a list")
-                continue
+        elif not isinstance(value, type(DEFAULTS[key])):
+            errors.append(f"{key}: expected {_KINDS[type(DEFAULTS[key])]}")
+        elif key == "adversary":
             for i, spec in enumerate(value):
-                errors.extend(_validate_adversary(f"adversary[{i}]", spec))
-            continue
-        if not isinstance(value, dict):
-            errors.append(f"{key}: expected an object")
-            continue
-        allowed = _SCHEMA[key]
-        for sub, sub_value in value.items():
-            if sub not in allowed:
-                errors.append(f"{key}.{sub}: unknown key")
-                continue
-            types, nullable = allowed[sub]
-            if sub_value is None:
-                if not nullable:
-                    errors.append(f"{key}.{sub}: must not be null")
-            elif not isinstance(sub_value, types) or isinstance(sub_value, bool) != (
-                bool in types
-            ):
-                expected = "/".join(t.__name__ for t in types)
-                errors.append(f"{key}.{sub}: expected {expected}")
+                errors.extend(_validate_adversary(f"adversary[{i}]", spec, doc))
+        elif isinstance(value, dict):
+            errors.extend(_check_fields(key, value, _SCHEMA[key]))
     errors.extend(_validate_semantics(doc))
     return errors
 
 
-def _validate_adversary(path: str, spec: Any) -> list[str]:
+def _check_fields(path: str, value: dict, fields: dict[str, tuple]) -> list[str]:
     errors = []
-    if not isinstance(spec, dict):
-        return [f"{path}: expected an object"]
-    for sub, sub_value in spec.items():
-        if sub not in _ADVERSARY_KEYS:
-            errors.append(f"{path}.{sub}: unknown key")
+    for key, sub_value in value.items():
+        if key not in fields:
+            errors.append(f"{path}.{key}: unknown key")
             continue
-        types, nullable = _ADVERSARY_KEYS[sub]
+        types, nullable = fields[key]
         if sub_value is None:
             if not nullable:
-                errors.append(f"{path}.{sub}: must not be null")
-        elif not isinstance(sub_value, types):
-            errors.append(f"{path}.{sub}: expected {'/'.join(t.__name__ for t in types)}")
+                errors.append(f"{path}.{key}: must not be null")
+        elif not isinstance(sub_value, types) or isinstance(sub_value, bool) != (bool in types):
+            errors.append(f"{path}.{key}: expected {'/'.join(t.__name__ for t in types)}")
+    return errors
+
+
+def _value(doc: dict, section: str, key: str):
+    """Configured value, falling back to the default when absent or of the
+    wrong type (the type error is already reported)."""
+    value = doc[section].get(key) if isinstance(doc.get(section), dict) else None
+    if isinstance(value, _NUM) and not isinstance(value, bool):
+        return value
+    return DEFAULTS[section][key]
+
+
+def _validate_adversary(path: str, spec: Any, doc: dict) -> list[str]:
+    if not isinstance(spec, dict):
+        return [f"{path}: expected an object"]
+    errors = _check_fields(path, spec, _ADVERSARY_KEYS)
+    behavior, role = spec.get("behavior"), spec.get("role")
     if "behavior" not in spec:
         errors.append(f"{path}.behavior: required")
-    elif spec["behavior"] not in _BEHAVIORS:
-        errors.append(f"{path}.behavior: unknown behavior {spec['behavior']!r}")
+    elif not (isinstance(behavior, str) and behavior in _BEHAVIORS):
+        errors.append(f"{path}.behavior: unknown behavior {behavior!r}")
+    counts = {r.value: key for r, _, key, _, _ in _ROLES}  # role -> roles key
     if "role" not in spec:
         errors.append(f"{path}.role: required")
-    elif spec["role"] not in ("collector", "consensus", "execution", "verification"):
-        errors.append(f"{path}.role: unknown role {spec['role']!r}")
-    if spec.get("indices") is not None:
-        for j, idx in enumerate(spec["indices"]):
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                errors.append(f"{path}.indices[{j}]: expected int")
+    elif not (isinstance(role, str) and role in counts):
+        errors.append(f"{path}.role: unknown role {role!r}")
+        role = None
+    indices = spec.get("indices")
+    for j, idx in enumerate(indices if isinstance(indices, list) else []):
+        if type(idx) is not int:
+            errors.append(f"{path}.indices[{j}]: expected int")
+        elif role is not None and not 0 <= idx < (n := _value(doc, "roles", counts[role])):
+            errors.append(f"{path}.indices[{j}]: must lie in [0, {n})")
+    cluster, n = spec.get("cluster"), _value(doc, "clusters", "count")
+    if type(cluster) is int and not 0 <= cluster < n:
+        errors.append(f"{path}.cluster: must lie in [0, {n})")
     return errors
 
 
 def _validate_semantics(doc: dict) -> list[str]:
     errors = []
-
-    def get(section: str, key: str):
-        """Configured value, falling back to the default when absent or of
-        the wrong type (the type error is already reported)."""
-        value = doc.get(section, {}).get(key, None) if isinstance(doc.get(section), dict) else None
-        default = DEFAULTS[section][key]
-        if isinstance(value, _NUM) and not isinstance(value, bool):
-            return value
-        return default
-
-    if get("roles", "collectors") < get("clusters", "count"):
+    if _value(doc, "roles", "collectors") < _value(doc, "clusters", "count"):
         errors.append("clusters.count: more clusters than collectors")
-    for section, key, low in [
-        ("roles", "collectors", 1),
-        ("roles", "consensus", 1),
-        ("roles", "execution", 1),
-        ("roles", "verification", 1),
-        ("clusters", "count", 1),
-        ("drb", "committee_size", 1),
-        ("execution_params", "gamma_chunk", 1),
-        ("transactions", "interval", 1),
-        ("network", "delta_t", 1),
-        ("run", "max_sim_time", 1),
-    ]:
-        value = get(section, key)
-        if isinstance(value, int) and value < low:
-            errors.append(f"{section}.{key}: must be >= {low}")
-    if get("drb", "committee_size") > get("roles", "consensus"):
+    for section, minimums in _MINIMUMS.items():
+        for key, low in minimums.items():
+            if _value(doc, section, key) < low:
+                errors.append(f"{section}.{key}: must be >= {low}")
+    if _value(doc, "drb", "committee_size") > _value(doc, "roles", "consensus"):
         errors.append("drb.committee_size: larger than the consensus role")
-    p = get("verification_params", "coverage_p")
-    if isinstance(p, _NUM) and not 0 < p <= 1:
+    if not 0 < _value(doc, "verification_params", "coverage_p") <= 1:
         errors.append("verification_params.coverage_p: must lie in (0, 1]")
-    drop = get("network", "pre_gst_drop_probability")
-    if isinstance(drop, _NUM) and not 0 <= drop <= 1:
+    if not 0 <= _value(doc, "network", "pre_gst_drop_probability") <= 1:
         errors.append("network.pre_gst_drop_probability: must lie in [0, 1]")
     return errors
 
@@ -311,7 +279,7 @@ class World:
     seed: int
     sim: Simulator
     directory: Directory
-    metrics: Metrics
+    metrics: Metrics = field(default_factory=Metrics)  # set by run_world
     collectors: list[CollectorNode] = field(default_factory=list)
     consensus: list[ConsensusNode] = field(default_factory=list)
     executors: list[ExecutionNode] = field(default_factory=list)
@@ -430,13 +398,12 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
     sim = Simulator(
         SimConfig(**doc["network"], seed=seed_bytes, max_sim_time=doc["run"]["max_sim_time"])
     )
-    metrics = Metrics()
-    world = World(doc=doc, seed=run_seed, sim=sim, directory=directory, metrics=metrics)
+    world = World(doc=doc, seed=run_seed, sim=sim, directory=directory)
 
     for role, prefix, _, node_cls, world_list in _ROLES:
         for i, kp in enumerate(keys[role]):
             behavior = _behavior_for(doc, role.value, i, directory.cluster_of.get(kp.public))
-            node = node_cls(sim, f"{prefix}{i}", kp, directory, metrics, behavior)
+            node = node_cls(sim, f"{prefix}{i}", kp, directory, behavior)
             sim.register_node(node.name, node.handle)
             getattr(world, world_list).append(node)
     tx_conf = doc["transactions"]
@@ -446,7 +413,6 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
             f"u{i}",
             kp,
             directory,
-            metrics,
             interval=tx_conf["interval"],
             tx_cost=tx_conf["cost"],
             count=tx_conf["count"],
@@ -462,9 +428,24 @@ def run_world(world: World) -> None:
     ):
         node.start()
     world.sim.run()
-    # guaranteed-collection count: distinct hashes announced by any guarantor
-    seen = {r["payload"]["hash"] for r in world.sim.log.select("collection_guaranteed")}
-    world.metrics.collections_guaranteed = len(seen)
+    obs = world.observer
+    world.metrics = Metrics(
+        blocks_finalized=len(obs.finalized_heights),
+        blocks_sealed=len(_observer_events(world, "sealed")),
+        # distinct collection hashes announced by any guarantor
+        collections_guaranteed=len(
+            {r["payload"]["hash"] for r in world.sim.log.select("collection_guaranteed")}
+        ),
+        challenges=len(_observer_events(world, "challenge"))
+        + len(_observer_events(world, "equivocation_challenge")),
+        slashes=sum(len(r["payload"]["slashed"]) for r in _observer_events(world, "adjudication")),
+        # ticks from the observer first validating a block to finalizing it
+        finalization_latencies=[
+            r["t"] - obs.first_seen[digest]
+            for r in _observer_events(world, "finalized")
+            if (digest := bytes.fromhex(r["payload"]["hash"])) in obs.first_seen
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

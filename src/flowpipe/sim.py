@@ -122,12 +122,6 @@ class Simulator:
 
         self.schedule(delay, deliver)
 
-    def broadcast(self, sender: str, message: Any, include_self: bool = False) -> None:
-        for name in self._handlers:
-            if name == sender and not include_self:
-                continue
-            self.send(sender, name, message)
-
     # -- run loop ----------------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> None:
@@ -145,6 +139,8 @@ class Simulator:
 
 @dataclass
 class Metrics:
+    """Run outputs; `scenario.run_world` derives them from the event log."""
+
     blocks_finalized: int = 0
     blocks_sealed: int = 0
     collections_guaranteed: int = 0

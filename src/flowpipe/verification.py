@@ -200,12 +200,6 @@ class MissingCollectionAttestation:
     collection_hash: bytes
     adjudication_id: bytes
 
-    def to_dict(self) -> dict:
-        return {
-            "collection_hash": hexify(self.collection_hash),
-            "adjudication_id": hexify(self.adjudication_id),
-        }
-
 
 @dataclass
 class MccOutcome:

@@ -304,7 +304,7 @@ class EngineHarness:
             digest_payload=lambda p: crypto.hash("payload", canonical_json(p)),
             validate_payload=lambda p, parent: True,
             make_payload=lambda parent, name=name, c=counter: {"by": name, "seq": next(c)},
-            broadcast=lambda m, name=name: self.sim.broadcast(name, m),
+            broadcast=lambda m, name=name: self._broadcast(name, m),
             send=lambda k, m, name=name: self.sim.send(name, self.names[k], m),
             set_timer=lambda dur, rnd, name=name: self.sim.set_timer(
                 name, dur, lambda: self.engines[name].on_local_timeout(rnd)
@@ -312,6 +312,12 @@ class EngineHarness:
             on_finalize=lambda node, name=name: self.finalized[name].append(node.digest),
             on_evidence=lambda ev: None,
         )
+
+    def _broadcast(self, sender, msg):
+        """Send to every other engine, in registration order."""
+        for name in self.names.values():
+            if name != sender:
+                self.sim.send(sender, name, msg)
 
     def run(self, until):
         for name, eng in self.engines.items():

@@ -1,9 +1,13 @@
 """Short pinned runs for the adversary behaviours no bundled scenario
 exercises: silent nodes in every role, stale voters, and an executor that
 tampers with one chunk. Each run's event-log digest is pinned, so a change
-to how nodes dispatch messages cannot silently change what they do."""
+to how nodes dispatch messages cannot silently change what they do; its
+metric rows and the sha256 of its JSON-encoded finalization-latency list
+are pinned too, so a change to how metrics are derived cannot silently
+change what a run reports."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -23,6 +27,46 @@ CASES = {
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
         "2dc6425e156d54f3f9133ab3e4f2f83ec8127f80674d4fcac760473f54fffc48",
+    ),
+}
+
+# case -> (metric rows, sha256 of json.dumps(finalization_latencies))
+METRICS = {
+    "non_responsive": (
+        [
+            ("blocks_finalized", 21),
+            ("blocks_sealed", 14),
+            ("collections_guaranteed", 7),
+            ("challenges", 0),
+            ("slashes", 0),
+            ("mean_finalization_latency", 609.2857142857143),
+            ("max_finalization_latency", 2119),
+        ],
+        "b07be4c24bdb522cef98379d3b43f5b6a35f772485bcda8bc983a71ad111841a",
+    ),
+    "stale_vote": (
+        [
+            ("blocks_finalized", 81),
+            ("blocks_sealed", 75),
+            ("collections_guaranteed", 11),
+            ("challenges", 0),
+            ("slashes", 0),
+            ("mean_finalization_latency", 283.8888888888889),
+            ("max_finalization_latency", 680),
+        ],
+        "017652956e247f2f18d1a766aabc4ba84b278e617c9f35faba13143ad49bddc0",
+    ),
+    "faulty_execution_target_chunk": (
+        [
+            ("blocks_finalized", 110),
+            ("blocks_sealed", 104),
+            ("collections_guaranteed", 12),
+            ("challenges", 110),
+            ("slashes", 105),
+            ("mean_finalization_latency", 209.9181818181818),
+            ("max_finalization_latency", 288),
+        ],
+        "a43b82fb533776833dce7ebb3372e0420cbf69c4a43310260c012921ca855ce7",
     ),
 }
 
@@ -56,6 +100,10 @@ def test_adversary_run_pinned(case):
     report = evaluate_properties(world)
     assert report["passed"], report["properties"]
     assert hashlib.sha256(world.sim.log.to_jsonl().encode()).hexdigest() == want
+    rows, latencies = METRICS[case]
+    assert world.metrics.rows() == rows
+    lat = json.dumps(world.metrics.finalization_latencies)
+    assert hashlib.sha256(lat.encode()).hexdigest() == latencies
     if case == "non_responsive":
         silent = {
             "collector": world.collectors,

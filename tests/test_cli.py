@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from flowpipe.cli import main
 from flowpipe.clustering import cluster_compromise_probability
 
@@ -54,21 +56,28 @@ class TestRunCommand:
         assert code == 2
         assert not out.exists()
 
-    def test_bad_override_exits_two(self, tmp_path):
+    @pytest.mark.parametrize(
+        "override, error",
+        [
+            ("network.delta_t=-1", "network.delta_t: must be >= 1"),
+            ("network.phi_t=0.5", "network.phi_t: must be >= 1"),
+            ("network.gst=-1", "network.gst: must be >= 0"),
+            ("stakes.consensus=0", "stakes.consensus: must be >= 1"),
+            (
+                'adversary=[{"behavior":"equivocate_proposal","role":"consensus","indices":[9]}]',
+                "adversary[0].indices[0]: must lie in [0, 7)",
+            ),
+        ],
+        ids=["delta_t", "phi_t", "gst", "stake", "adversary-index"],
+    )
+    def test_bad_override_exits_two(self, tmp_path, capsys, override, error):
         out = tmp_path / "artifacts"
         code = run_cli(
-            [
-                "run",
-                "--scenario",
-                "network-partition",
-                "--override",
-                "network.delta_t=-1",
-                "--out",
-                str(out),
-            ]
+            ["run", "--scenario", "network-partition", "--override", override, "--out", str(out)]
         )
         assert code == 2
         assert not out.exists()
+        assert f"config error: {error}" in capsys.readouterr().err.splitlines()
 
     def test_jsonl_metrics_format(self, tmp_path):
         out = tmp_path / "artifacts"

@@ -222,7 +222,7 @@ class Harness:
             digest_payload=lambda p: crypto.hash("payload", canonical_json(p)),
             validate_payload=lambda p, parent: True,
             make_payload=lambda parent, name=name, c=counter: {"by": name, "seq": next(c)},
-            broadcast=lambda m, name=name: self.sim.broadcast(name, m),
+            broadcast=lambda m, name=name: self._broadcast(name, m),
             send=lambda k, m, name=name: self.sim.send(name, self.names[k], m),
             set_timer=lambda dur, rnd, name=name: self.sim.set_timer(
                 name, dur, lambda: self.engines[name].on_local_timeout(rnd)
@@ -231,6 +231,12 @@ class Harness:
             on_evidence=self.evidence.append,
         )
         self.engines[name] = engine
+
+    def _broadcast(self, sender, msg):
+        """Send to every other engine, in registration order."""
+        for name in self.names.values():
+            if name != sender:
+                self.sim.send(sender, name, msg)
 
     def run(self, until=None):
         for name, eng in self.engines.items():

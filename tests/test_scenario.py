@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from flowpipe.scenario import (
+    _MINIMUMS,
     DEFAULTS,
     ScenarioError,
     apply_overrides,
@@ -113,6 +114,81 @@ class TestValidation:
             }
         )
         assert errors == ["adversary[0].indices[0]: expected int"]
+
+    @pytest.mark.parametrize(
+        "path, value, low",
+        [
+            ("network.phi_t", 0.5, 1),
+            ("network.gst", -1, 0),
+            ("network.pre_gst_delay_multiplier", 0, 1),
+            ("stakes.collector", 0, 1),
+            ("stakes.consensus", 0, 1),
+            ("stakes.execution", -5, 1),
+            ("stakes.verification", 0, 1),
+        ],
+    )
+    def test_minimum(self, path, value, low):
+        section, key = path.split(".")
+        assert validate_scenario({section: {key: value}}) == [f"{path}: must be >= {low}"]
+
+    @pytest.mark.parametrize(
+        "entry, errors",
+        [
+            (
+                {"behavior": "withhold_collection", "role": "collector", "cluster": True},
+                ["adversary[0].cluster: expected int"],
+            ),
+            (
+                {"behavior": "faulty_execution", "role": "execution", "target_chunk": False},
+                ["adversary[0].target_chunk: expected int"],
+            ),
+            (
+                {"behavior": "equivocate_proposal", "role": "consensus", "indices": [9]},
+                ["adversary[0].indices[0]: must lie in [0, 7)"],
+            ),
+            (
+                {"behavior": "non_responsive", "role": "execution", "indices": [1, -1]},
+                ["adversary[0].indices[1]: must lie in [0, 2)"],
+            ),
+            (
+                {"behavior": "withhold_collection", "role": "collector", "cluster": 2},
+                ["adversary[0].cluster: must lie in [0, 2)"],
+            ),
+            (
+                {"behavior": "non_responsive", "role": "execution", "indices": 1},
+                ["adversary[0].indices: expected list"],
+            ),
+            (
+                {"behavior": ["stale_vote"], "role": "consensus"},
+                [
+                    "adversary[0].behavior: expected str",
+                    "adversary[0].behavior: unknown behavior ['stale_vote']",
+                ],
+            ),
+        ],
+        ids=[
+            "cluster-bool",
+            "target-chunk-bool",
+            "index-above-role",
+            "index-negative",
+            "cluster-above-count",
+            "indices-not-list",
+            "behavior-not-str",
+        ],
+    )
+    def test_adversary_entry_rejected(self, entry, errors):
+        assert validate_scenario({"adversary": [entry]}) == errors
+
+    def test_adversary_ranges_follow_configured_counts(self):
+        doc = {
+            "roles": {"execution": 3},
+            "clusters": {"count": 3},
+            "adversary": [
+                {"behavior": "faulty_execution", "role": "execution", "indices": [2]},
+                {"behavior": "withhold_collection", "role": "collector", "cluster": 2},
+            ],
+        }
+        assert validate_scenario(doc) == []
 
 
 class TestLoadingAndOverrides:
@@ -234,8 +310,9 @@ class TestShortRuns:
 
 class TestSchemaDoc:
     def test_default_rows_match_defaults_table(self):
-        """Every `| key | default |` row of the schema doc equals the value
-        in scenario.DEFAULTS, the single source of defaults."""
+        """Every `| key | default | minimum |` row of the schema doc equals
+        the value in scenario.DEFAULTS, the single source of defaults, and
+        the bound validation enforces (`—`: none)."""
         doc = pathlib.Path(__file__).parent.parent / "docs" / "scenario-schema.md"
         section, in_defaults_table, checked = None, False, 0
         for line in doc.read_text().splitlines():
@@ -247,8 +324,10 @@ class TestSchemaDoc:
             elif not line.startswith("|"):
                 in_defaults_table = False
             elif in_defaults_table and not line.startswith("|---"):
-                key, default = re.match(r"\| `(\w+)` \| ([^|]+) \|", line).groups()
+                key, default, low = re.match(r"\| `(\w+)` \| ([^|]+) \| ([^|]+) \|", line).groups()
                 assert json.loads(default.strip()) == DEFAULTS[section][key], (section, key)
+                low = None if low.strip() == "—" else json.loads(low.strip())
+                assert low == _MINIMUMS.get(section, {}).get(key), (section, key)
                 checked += 1
         documented = sum(
             len(v) for k, v in DEFAULTS.items() if isinstance(v, dict) and k not in ("stakes", "checks")
