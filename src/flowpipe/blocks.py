@@ -11,19 +11,19 @@ it."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import crypto
 from .collection import GuaranteedCollection, guarantee_authentic
-from .encoding import canonical_json, hexify
+from .encoding import canonical_json, hexify, once
 from .state import (
     NodeIdentity,
     ProtocolState,
     StateUpdate,
     UpdateRejected,
     apply_updates,
-    commit_state,
     effective_votes,
     meets_supermajority,
 )
@@ -49,6 +49,7 @@ class BlockSeal:
         }
 
 
+@functools.lru_cache(maxsize=4096)
 def approval_payload(result_hash: bytes) -> bytes:
     return canonical_json({"approve_result": hexify(result_hash)})
 
@@ -74,14 +75,9 @@ class ProtoBlock:
             "state_commitment": hexify(self.state_commitment),
         }
 
+    @once
     def hash(self) -> bytes:
-        try:
-            return object.__getattribute__(self, "_hash_memo")
-        except AttributeError:
-            pass
-        h = crypto.hash("protoblock", canonical_json(self.to_dict()))
-        object.__setattr__(self, "_hash_memo", h)
-        return h
+        return crypto.hash("protoblock", canonical_json(self.to_dict()))
 
 
 def block_seed(sigma: int) -> bytes:
@@ -107,15 +103,13 @@ def propose_proto_block(
     updates are dropped rather than poisoning the block; an empty collection
     list never blocks production."""
     accepted: list[StateUpdate] = []
-    working = parent_protocol_state
+    working = apply_updates(parent_protocol_state, [])
     for upd in pending_updates:
         try:
-            result = apply_updates(working, [upd])
+            working = apply_updates(working.state, [upd])
         except UpdateRejected:
             continue
-        working = result.state
         accepted.append(upd)
-    commitment = commit_state(working)
     return ProtoBlock(
         previous_block_hash=parent_hash,
         height=parent_height + 1,
@@ -123,7 +117,7 @@ def propose_proto_block(
         block_seals=tuple(ready_seals),
         slashing_challenges=tuple(pending_challenges),
         protocol_state_updates=tuple(accepted),
-        state_commitment=commitment,
+        state_commitment=working.commitment,
     )
 
 

@@ -16,6 +16,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .encoding import once
+
 Digest = bytes  # 32 bytes
 Seed = bytes  # 32 bytes
 
@@ -67,9 +69,13 @@ class SeededStream:
     def __init__(self, seed: Seed):
         self.seed = bytes(seed)
         self._next = 0
+        # SHA-256 already fed len("stream") || "stream" || seed
+        self._prefix = hashlib.sha256(_frame(b"stream") + self.seed)
 
     def word(self, j: int) -> int:
-        return int.from_bytes(hash("stream", self.seed + _u64be(j))[:8], "big")
+        h = self._prefix.copy()
+        h.update(_u64be(j))
+        return int.from_bytes(h.digest()[:8], "big")
 
     def next_word(self) -> int:
         w = self.word(self._next)
@@ -117,7 +123,17 @@ def fisher_yates_shuffle(seed: Seed, items: Sequence) -> list:
 # Simulator-fidelity signatures: deterministic keyed commitments with a
 # process-local registry for verification. Only attribution is exercised in
 # the simulator; adversaries are scripted behaviors, never key thieves.
-_KEY_REGISTRY: dict[bytes, bytes] = {}
+# A signature is hash("stakesig", len(secret) || secret || message). Each
+# key pair keeps a SHA-256 object already fed everything before the message,
+# and the registry maps its public key to that object, so signing and
+# verifying hash only the message.
+_KEY_REGISTRY: dict[bytes, "hashlib._Hash"] = {}
+
+
+def _keyed(signer: "hashlib._Hash", message: bytes) -> bytes:
+    h = signer.copy()
+    h.update(message)
+    return h.digest()
 
 
 @dataclass(frozen=True)
@@ -128,19 +144,21 @@ class StakingKeyPair:
     @classmethod
     def from_seed(cls, seed: bytes) -> "StakingKeyPair":
         secret = hash("stakesk", seed)
-        public = hash("stakepk", secret)
-        _KEY_REGISTRY[public] = secret
-        return cls(secret=secret, public=public)
+        kp = cls(secret=secret, public=hash("stakepk", secret))
+        _KEY_REGISTRY[kp.public] = kp._signer()
+        return kp
+
+    @once
+    def _signer(self) -> "hashlib._Hash":
+        return hashlib.sha256(_frame(b"stakesig") + _frame(self.secret))
 
     def sign(self, message: bytes) -> bytes:
-        return hash("stakesig", _frame(self.secret) + message)
+        return _keyed(self._signer(), message)
 
 
 def staking_verify(public: bytes, message: bytes, signature: bytes) -> bool:
-    secret = _KEY_REGISTRY.get(public)
-    if secret is None:
-        return False
-    return hash("stakesig", _frame(secret) + message) == signature
+    signer = _KEY_REGISTRY.get(public)
+    return signer is not None and _keyed(signer, message) == signature
 
 
 # ---------------------------------------------------------------------------

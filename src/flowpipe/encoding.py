@@ -7,6 +7,7 @@ no whitespace, digests as lowercase hex.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any
 
@@ -18,3 +19,21 @@ def canonical_json(obj: Any) -> bytes:
 def hexify(b: bytes) -> str:
     return b.hex()
 
+
+def once(method):
+    """Compute a no-argument method of a frozen dataclass once per instance.
+
+    The value is kept in the instance's `__dict__`, outside the dataclass
+    fields, so equality is unaffected; `dataclasses.replace` builds a new
+    instance, which computes its own value."""
+    memo = f"_{method.__name__}_memo"
+
+    @functools.wraps(method)
+    def memoized(self):
+        try:
+            return self.__dict__[memo]
+        except KeyError:
+            value = self.__dict__[memo] = method(self)
+            return value
+
+    return memoized

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .crypto import hash as fhash
-from .encoding import canonical_json, hexify
+from .encoding import canonical_json, hexify, once
 from .merkle import ExecutionState, state_proof_gen
 from .vm import ExecOutcome, SignedTransaction, execute
 
@@ -55,6 +55,7 @@ class ExecutionResult:
             "final_state": hexify(self.final_state),
         }
 
+    @once
     def result_hash(self) -> bytes:
         return fhash("execresult", canonical_json(self.to_dict()))
 

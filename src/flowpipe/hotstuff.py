@@ -8,11 +8,12 @@ formation via pluggable payload hooks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from . import crypto
-from .encoding import canonical_json, hexify
+from .encoding import canonical_json, hexify, once
 from .state import NodeIdentity, effective_votes, meets_supermajority
 
 GENESIS_DIGEST = crypto.hash("consensus-genesis", b"")
@@ -47,6 +48,7 @@ class QuorumCertificate:
 GENESIS_QC = QuorumCertificate(payload_digest=GENESIS_DIGEST, round=0, signers=(), signatures=())
 
 
+@functools.lru_cache(maxsize=4096)
 def vote_payload(round_number: int, digest: bytes) -> bytes:
     return canonical_json({"vote_round": round_number, "digest": hexify(digest)})
 
@@ -76,6 +78,7 @@ class Proposal:
     proposer: bytes
     signature: bytes
 
+    @once
     def signed_bytes(self) -> bytes:
         return canonical_json(
             {
@@ -193,6 +196,10 @@ class ConsensusEngine:
         self.set_timer = set_timer
         self.on_finalize = on_finalize
         self.on_evidence = on_evidence or (lambda ev: None)
+        # members and seed are fixed for the engine's life, so leaders are
+        # memoised; the LRU bound keeps a long run from growing the table by
+        # one entry per round, and an evicted round is recomputed
+        self.leader = functools.lru_cache(maxsize=256)(self._leader)
 
         self.tree = BlockTree()
         self.current_round = 1
@@ -210,7 +217,7 @@ class ConsensusEngine:
 
     # -- helpers ----------------------------------------------------------
 
-    def leader(self, round_number: int) -> bytes:
+    def _leader(self, round_number: int) -> bytes:
         return leader_for_round(round_number, self.members, self.seed)
 
     def is_leader(self, round_number: int) -> bool:

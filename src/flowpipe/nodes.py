@@ -39,7 +39,7 @@ from .execution import (
     block_execution,
     canonical,
 )
-from .hotstuff import ConsensusEngine, NewRound, Proposal, Vote
+from .hotstuff import ConsensusEngine, NewRound, Proposal, Vote, vote_payload
 from .merkle import ExecutionState, value_proof_gen
 from .sim import Handler, Simulator
 from .state import (
@@ -154,11 +154,7 @@ class StaleVoteEngine(ConsensusEngine):
                     round=msg.round - 1,
                     payload_digest=msg.payload_digest,
                     voter=msg.voter,
-                    signature=self.keypair.sign(
-                        canonical_json(
-                            {"vote_round": msg.round - 1, "digest": hexify(msg.payload_digest)}
-                        )
-                    ),
+                    signature=self.keypair.sign(vote_payload(msg.round - 1, msg.payload_digest)),
                 )
             real_send(key, msg)
 
@@ -1324,12 +1320,16 @@ class VerificationNode(Node):
         self.handlers.get(type(msg), _ignore)(sender, msg)
 
     def _on_randomness(self, sender: str, msg: BlockRandomness):
+        # every consensus node sends the seed; a pending receipt always lacks
+        # its seed, so a repeat could verify nothing new
+        if msg.pb_hash in self.seeds:
+            return
         sig = crypto.GroupSignature(value=msg.sigma)
         if not crypto.threshold_verify(
             self.d.params, sig, self.d.drb_vv.group_public_key, msg.pb_hash
         ):
             return
-        self.seeds.setdefault(msg.pb_hash, block_seed(msg.sigma))
+        self.seeds[msg.pb_hash] = block_seed(msg.sigma)
         for rh in sorted(self.pending):
             self._try_verify(self.pending[rh])
 

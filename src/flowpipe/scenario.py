@@ -40,12 +40,13 @@ class ScenarioError(ValueError):
         self.errors = errors
 
 
-_BEHAVIORS = {
-    "withhold_collection",
-    "equivocate_proposal",
-    "faulty_execution",
-    "non_responsive",
-    "stale_vote",
+# adversary behavior -> the roles whose nodes implement it
+_BEHAVIORS: dict[str, tuple[str, ...]] = {
+    "non_responsive": tuple(r.value for r in Role),
+    "withhold_collection": (Role.COLLECTOR.value,),
+    "equivocate_proposal": (Role.CONSENSUS.value,),
+    "stale_vote": (Role.CONSENSUS.value,),
+    "faulty_execution": (Role.EXECUTION.value,),
 }
 
 DEFAULTS: dict = {
@@ -189,6 +190,10 @@ def _validate_adversary(path: str, spec: Any, doc: dict) -> list[str]:
     elif not (isinstance(role, str) and role in counts):
         errors.append(f"{path}.role: unknown role {role!r}")
         role = None
+    # an unknown behavior is reported above, so it accepts every role here
+    elif isinstance(behavior, str) and role not in _BEHAVIORS.get(behavior, counts):
+        allowed = ", ".join(_BEHAVIORS[behavior])
+        errors.append(f"{path}.role: {role!r} cannot perform {behavior!r} (only {allowed})")
     indices = spec.get("indices")
     for j, idx in enumerate(indices if isinstance(indices, list) else []):
         if type(idx) is not int:

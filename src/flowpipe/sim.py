@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import crypto
-from .encoding import canonical_json
 
 
 @dataclass(frozen=True)
@@ -133,8 +132,9 @@ class Simulator:
         self.now = max(self.now, min(horizon, self._heap[0][0]) if self._heap else horizon)
 
     def event(self, node: str, kind: str, payload: dict) -> None:
-        # canonical_json round-trip keeps the log JSON-safe and ordered
-        self.log.append(self.now, node, kind, json.loads(canonical_json(payload).decode()))
+        """Log `payload` as given: a fresh dict of JSON values (str keys;
+        lists, not tuples) that the caller does not touch again."""
+        self.log.append(self.now, node, kind, payload)
 
 
 @dataclass

@@ -65,6 +65,9 @@ class ProtocolState:
     epoch: Epoch = Epoch(index=0, start_height=0, length_blocks=100_000, staking_deadline_height=80_000)
     total_slashed: int = 0
     total_released: int = 0
+    # set only on the snapshots `apply_updates` returns, which nothing
+    # mutates afterwards; a state built or changed by hand has None
+    commitment: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ProtocolState":
         return ProtocolState(
@@ -191,7 +194,13 @@ def _apply_slash(state: ProtocolState, key: bytes, amount: int, events: list[dic
 
 
 def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> ApplyResult:
-    """Apply updates to a copy of `state`; reject the whole batch on error."""
+    """Apply updates to a copy of `state`; reject the whole batch on error.
+
+    The returned state is a snapshot carrying its commitment and must not be
+    mutated. Updates with no entries change nothing, so a snapshot comes back
+    as itself with its stored commitment."""
+    if state.commitment is not None and not any(upd.entries for upd in updates):
+        return ApplyResult(state=state, commitment=state.commitment)
     new = state.copy()
     events: list[dict] = []
     for upd in updates:
@@ -240,7 +249,8 @@ def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> Apply
                 new.records[key] = replace(rec, drb_public_key=entry["drb_pk"])
             else:
                 raise UpdateRejected(f"unknown update op {op!r}")
-    return ApplyResult(state=new, commitment=commit_state(new), events=events)
+    new.commitment = commit_state(new)
+    return ApplyResult(state=new, commitment=new.commitment, events=events)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from flowpipe.blocks import (
     validate_seal,
 )
 from flowpipe.collection import GuaranteedCollection
+from flowpipe.encoding import canonical_json
 from flowpipe.state import (
     Epoch,
     NodeIdentity,
@@ -226,6 +227,14 @@ def seal_inputs(state, vkps, result_hash=b"\x22" * 32):
     approvals = {kp.public: kp.sign(payload) for kp in vkps}
     verifiers = state.members(Role.VERIFICATION)
     return approvals, verifiers
+
+
+class TestApprovalPayload:
+    @pytest.mark.parametrize("result_hash", [b"\x00" * 32, b"\x22" * 32, bytes(range(32))])
+    def test_equals_fresh_encoding(self, result_hash):
+        expected = canonical_json({"approve_result": result_hash.hex()})
+        assert approval_payload(result_hash) == expected
+        assert approval_payload(result_hash) == expected
 
 
 class TestFormSeal:

@@ -67,8 +67,12 @@ class TestRunCommand:
                 'adversary=[{"behavior":"equivocate_proposal","role":"consensus","indices":[9]}]',
                 "adversary[0].indices[0]: must lie in [0, 7)",
             ),
+            (
+                'adversary=[{"behavior":"faulty_execution","role":"consensus","indices":[1]}]',
+                "adversary[0].role: 'consensus' cannot perform 'faulty_execution' (only execution)",
+            ),
         ],
-        ids=["delta_t", "phi_t", "gst", "stake", "adversary-index"],
+        ids=["delta_t", "phi_t", "gst", "stake", "adversary-index", "adversary-role"],
     )
     def test_bad_override_exits_two(self, tmp_path, capsys, override, error):
         out = tmp_path / "artifacts"

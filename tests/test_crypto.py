@@ -125,6 +125,67 @@ class TestSeededStream:
     def test_distinct_seeds_differ(self):
         assert seeded_stream(b"\x01" * 32).word(0) != seeded_stream(b"\x02" * 32).word(0)
 
+    @pytest.mark.parametrize("seed", [b"\x00" * 32, b"\x07" * 32, bytes(range(32)), b"short"])
+    def test_words_match_framing(self, seed):
+        """Each stream hashes from a prefix it fed once; every word still
+        equals the raw framing, in any order and after repeats."""
+        stream = seeded_stream(seed)
+        for j in (3, 0, 1, 3, 1000, 2**40):
+            expected = int.from_bytes(ref_hash(b"stream", seed + j.to_bytes(8, "big"))[:8], "big")
+            assert stream.word(j) == expected
+
+    @pytest.mark.parametrize(
+        "seed, words, word_1000",
+        [
+            (
+                b"\x07" * 32,
+                ["25ededf727eede6b", "0ecbce1c465dcb24", "81e9dfa5da3250b3"],
+                "2205e6ce544c8261",
+            ),
+            (
+                bytes(range(32)),
+                ["f35676fa4dcdd484", "89aa945e6bf8e55f", "8ee62e1d7855d634"],
+                "d29c2037d6d52c82",
+            ),
+        ],
+    )
+    def test_pinned_words(self, seed, words, word_1000):
+        stream = seeded_stream(seed)
+        assert [f"{stream.next_word():016x}" for _ in words] == words
+        assert f"{stream.word(1000):016x}" == word_1000
+
+
+class TestStakingSignature:
+    @pytest.mark.parametrize("seed", [b"\x01" * 32, b"\x05" * 32, bytes(range(32))])
+    def test_sign_and_verify_match_framing(self, seed):
+        kp = StakingKeyPair.from_seed(seed)
+        secret = ref_hash(b"stakesk", seed)
+        assert (kp.secret, kp.public) == (secret, ref_hash(b"stakepk", secret))
+        for message in (b"", b"vote", b"vote", b"x" * 200):
+            expected = ref_hash(b"stakesig", len(secret).to_bytes(8, "big") + secret + message)
+            assert kp.sign(message) == expected
+            assert staking_verify(kp.public, message, expected)
+            assert not staking_verify(kp.public, message + b"!", expected)
+
+    def test_pinned_signature(self):
+        kp = StakingKeyPair.from_seed(b"\x05" * 32)
+        assert kp.sign(b"vector").hex() == (
+            "c315f7e02d4016c2ed24cf5c08fb47175d34bc209440077a04e23dc4b2fd8568"
+        )
+
+    def test_keys_do_not_share_signatures(self):
+        a, b = StakingKeyPair.from_seed(b"\x11" * 32), StakingKeyPair.from_seed(b"\x12" * 32)
+        assert a.sign(b"m") != b.sign(b"m")
+        assert not staking_verify(b.public, b"m", a.sign(b"m"))
+
+    def test_unregistered_key(self):
+        """A pair built directly signs with its own secret but is not
+        registered, so nothing it signs verifies."""
+        kp = StakingKeyPair(secret=b"\x33" * 32, public=b"\x44" * 32)
+        expected = ref_hash(b"stakesig", (32).to_bytes(8, "big") + b"\x33" * 32 + b"m")
+        assert kp.sign(b"m") == expected
+        assert not staking_verify(kp.public, b"m", expected)
+
 
 def ref_shuffle(seed: bytes, items: list) -> list:
     # independent trace of the stream/rejection spec

@@ -1,5 +1,8 @@
+import dataclasses
 import random
 
+from flowpipe.crypto import hash as fhash
+from flowpipe.encoding import canonical_json
 from flowpipe.execution import (
     EMPTY_TRACE,
     GENESIS_RESULT_HASH,
@@ -182,3 +185,24 @@ class TestChunking:
         assert a.result.result_hash() == b.result.result_hash()
         assert a.spocks == b.spocks
 
+
+class TestResultHash:
+    def test_equals_fresh_encoding(self):
+        result = run_block([4, 4, 4], 10).result
+        fresh = fhash("execresult", canonical_json(result.to_dict()))
+        assert result.result_hash() == fresh
+        assert result.result_hash() == fresh
+
+    def test_replace_hashes_afresh(self):
+        result = run_block([4, 4, 4], 10).result
+        before = result.result_hash()
+        tampered = dataclasses.replace(result, final_state=b"\xee" * 32)
+        assert tampered.result_hash() != before
+        assert tampered.result_hash() == fhash("execresult", canonical_json(tampered.to_dict()))
+        assert result.result_hash() == before
+
+    def test_memo_outside_equality(self):
+        result = run_block([6, 6], 10).result
+        copy = dataclasses.replace(result)
+        result.result_hash()
+        assert result == copy and hash(result) == hash(copy)

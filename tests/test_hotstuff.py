@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -72,6 +73,64 @@ class TestLeaderSelection:
     def test_empty_members_rejected(self):
         with pytest.raises(ValueError):
             leader_for_round(1, [], SEED)
+
+
+def make_engine(kps, members, sent: list) -> ConsensusEngine:
+    """Engine of `kps[0]` that accepts every payload and appends every
+    message it sends to `sent`."""
+    return ConsensusEngine(
+        keypair=kps[0],
+        members=members,
+        seed=SEED,
+        base_timeout=100,
+        digest_payload=lambda p: crypto.hash("payload", canonical_json(p)),
+        validate_payload=lambda p, parent: True,
+        make_payload=lambda parent: {"by": "n0"},
+        broadcast=sent.append,
+        send=lambda key, msg: sent.append(msg),
+        set_timer=lambda duration, rnd: None,
+        on_finalize=lambda node: None,
+    )
+
+
+class TestCachedEncodings:
+    """Every memoised encoding equals the formula computed afresh."""
+
+    def test_engine_leader_memo_matches_formula(self):
+        kps, members = make_members([3, 1, 2, 5])
+        eng = make_engine(kps, list(reversed(members)), [])
+        for r in range(1, 2001):
+            assert eng.leader(r) == leader_for_round(r, members, SEED)
+        info = eng.leader.cache_info()
+        assert info.currsize <= info.maxsize < 2000
+        # the early rounds were evicted and are recomputed
+        for r in range(1, 2001, 7):
+            assert eng.leader(r) == leader_for_round(r, members, SEED)
+
+    def test_vote_payload(self):
+        for r, digest in [(1, b"\x00" * 32), (7, b"\xcd" * 32), (7, b"\xce" * 32), (2**40, bytes(range(32)))]:
+            expected = canonical_json({"vote_round": r, "digest": digest.hex()})
+            assert vote_payload(r, digest) == expected
+            assert vote_payload(r, digest) == expected
+
+    def test_proposal_signed_bytes(self):
+        justify = QuorumCertificate(b"\x02" * 32, 4, (), ())
+        p = Proposal(5, {"x": 1}, b"\x01" * 32, justify, b"\x03" * 32, b"")
+
+        def fresh(prop):
+            return canonical_json(
+                {
+                    "round": prop.round,
+                    "digest": prop.payload_digest.hex(),
+                    "parent": prop.justify.payload_digest.hex(),
+                    "justify_round": prop.justify.round,
+                }
+            )
+
+        assert p.signed_bytes() == fresh(p)
+        assert p.signed_bytes() == fresh(p)
+        moved = dataclasses.replace(p, round=6)
+        assert moved.signed_bytes() == fresh(moved) != p.signed_bytes()
 
 
 class TestQcValidity:
@@ -371,19 +430,7 @@ class TestVotingRules:
         self.kps, self.members = make_members([1] * 4)
         self.by_key = {kp.public: kp for kp in self.kps}
         self.sent = []
-        self.eng = ConsensusEngine(
-            keypair=self.kps[0],
-            members=self.members,
-            seed=SEED,
-            base_timeout=100,
-            digest_payload=lambda p: crypto.hash("payload", canonical_json(p)),
-            validate_payload=lambda p, parent: True,
-            make_payload=lambda parent: {"by": "n0"},
-            broadcast=self.sent.append,
-            send=lambda key, msg: self.sent.append(msg),
-            set_timer=lambda duration, rnd: None,
-            on_finalize=lambda node: None,
-        )
+        self.eng = make_engine(self.kps, self.members, self.sent)
 
     def proposal(self, round_number, justify, proposer=None, tag="p"):
         proposer = proposer or self.by_key[self.eng.leader(round_number)]

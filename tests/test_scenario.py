@@ -28,6 +28,18 @@ BUNDLED = [
 ]
 
 
+ROLE_NAMES = ("collector", "consensus", "execution", "verification")
+
+# adversary behavior -> the roles that perform it, as docs/scenario-schema.md states
+PERFORMED_BY = {
+    "non_responsive": ROLE_NAMES,
+    "withhold_collection": ("collector",),
+    "equivocate_proposal": ("consensus",),
+    "stale_vote": ("consensus",),
+    "faulty_execution": ("execution",),
+}
+
+
 def bundled_path(name: str) -> str:
     return str(resources.files("flowpipe") / "scenarios" / f"{name}.json")
 
@@ -114,6 +126,29 @@ class TestValidation:
             }
         )
         assert errors == ["adversary[0].indices[0]: expected int"]
+
+    @pytest.mark.parametrize(
+        "behavior, role",
+        [
+            (behavior, role)
+            for behavior, allowed in PERFORMED_BY.items()
+            for role in ROLE_NAMES
+            if role not in allowed
+        ],
+    )
+    def test_adversary_role_cannot_perform_behavior(self, behavior, role):
+        """A node of this role has no code path for the behavior, so the run
+        would be byte-identical to an honest one; validation rejects it."""
+        errors = validate_scenario({"adversary": [{"behavior": behavior, "role": role}]})
+        only = ", ".join(PERFORMED_BY[behavior])
+        assert errors == [f"adversary[0].role: {role!r} cannot perform {behavior!r} (only {only})"]
+
+    @pytest.mark.parametrize(
+        "behavior, role",
+        [(behavior, role) for behavior, allowed in PERFORMED_BY.items() for role in allowed],
+    )
+    def test_adversary_role_performs_behavior(self, behavior, role):
+        assert validate_scenario({"adversary": [{"behavior": behavior, "role": role}]}) == []
 
     @pytest.mark.parametrize(
         "path, value, low",
@@ -270,6 +305,19 @@ class TestBehaviorAssignment:
 
 
 class TestShortRuns:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_event_log_is_plain_json(self, name):
+        """`Simulator.event` logs payloads as given, so each record must
+        already be what JSON gives back: str keys, lists rather than tuples,
+        no bytes and no enums (a str enum equals its value, so compare
+        reprs). The horizon, 6,000 ticks past GST, reaches every event kind."""
+        doc = load_scenario(bundled_path(name))
+        doc["run"]["max_sim_time"] = min(doc["run"]["max_sim_time"], doc["network"]["gst"] + 6000)
+        records = run_scenario(doc).world.sim.log.records
+        assert records
+        for rec in records:
+            assert repr(rec) == repr(json.loads(json.dumps(rec)))
+
     def test_happy_path_report_shape(self):
         doc = short_doc()
         doc["checks"] = {"safety": True, "min_finalized": 10, "no_challenges": True}
@@ -333,3 +381,11 @@ class TestSchemaDoc:
             len(v) for k, v in DEFAULTS.items() if isinstance(v, dict) and k not in ("stakes", "checks")
         )
         assert checked == documented
+
+    def test_behavior_rows_match_validation(self):
+        """The `| behavior | roles |` table lists every behavior validation
+        accepts, each with exactly the roles it accepts it for."""
+        doc = pathlib.Path(__file__).parent.parent / "docs" / "scenario-schema.md"
+        rows = re.findall(r"^\| `(\w+)` \| ((?:`\w+`(?:, )?)+) \|", doc.read_text(), re.M)
+        table = {b: tuple(re.findall(r"`(\w+)`", roles)) for b, roles in rows}
+        assert table == PERFORMED_BY

@@ -209,6 +209,47 @@ class TestApplyUpdates:
             assert total == initial
 
 
+class TestStoredCommitment:
+    """`apply_updates` stores the commitment of each snapshot it returns and
+    hands an unchanged snapshot back; every value equals a fresh commit."""
+
+    @pytest.mark.parametrize("updates", [[], [StateUpdate(entries=(), cause="epoch")]])
+    def test_no_entries_equal_fresh_commit(self, updates):
+        st = make_state((10, 20, 30))
+        res = apply_updates(st, updates)
+        assert res.commitment == commit_state(st.copy())
+        snap = res.state
+        again = apply_updates(snap, updates)
+        assert again.state is snap
+        assert again.commitment == commit_state(snap.copy())
+
+    def test_snapshot_stores_fresh_commitment(self):
+        st = make_state((50, 50))
+        upd = StateUpdate(
+            entries=({"op": "slash", "key": hexify(node(1).staking_public_key), "amount": 7},),
+            cause="slash",
+        )
+        res = apply_updates(st, [upd])
+        assert res.commitment == res.state.commitment == commit_state(res.state.copy())
+        assert res.commitment != commit_state(st)
+
+    def test_hand_mutated_state_commits_fresh(self):
+        st = make_state((10, 20))
+        before = apply_updates(st, []).commitment
+        rec = node(9, stake=5)
+        st.records[rec.staking_public_key] = rec
+        after = apply_updates(st, [])
+        assert st.commitment is None
+        assert after.state is not st
+        assert after.commitment == commit_state(st) != before
+
+    def test_copy_drops_stored_commitment(self):
+        snap = apply_updates(make_state(), []).state
+        assert snap.commitment is not None
+        assert snap.copy().commitment is None
+        assert snap.copy() == snap
+
+
 class TestUnstaking:
     def test_discharge_and_release_epochs(self):
         st = make_state((50,))
