@@ -123,15 +123,18 @@ def propose_proto_block(
 
 @dataclass
 class EvaluationContext:
-    """Everything a voting node consults when judging a proposal."""
+    """Everything a voting node consults when judging a proposal.
+    `evaluate_proposal` fills in `new_state`, the protocol state the
+    proposal's updates lead to, when it accepts the proposal."""
 
     parent_height: int
-    ancestor_collection_hashes: set[bytes]
+    collection_on_chain: Callable[[bytes], bool]
     received_collections: set[bytes]
     collector_clusters: dict[int, list[NodeIdentity]]
     seal_valid: Callable[[BlockSeal], bool]
     challenge_verified: Callable[[dict], bool]
     parent_protocol_state: ProtocolState
+    new_state: Optional[ProtocolState] = None
 
 
 def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Optional[str]]:
@@ -141,7 +144,7 @@ def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Opt
         return False, "condition-2:chain-extension"
     seen: set[bytes] = set()
     for gc in pb.guaranteed_collections:
-        if gc.collection_hash in ctx.ancestor_collection_hashes or gc.collection_hash in seen:
+        if ctx.collection_on_chain(gc.collection_hash) or gc.collection_hash in seen:
             return False, "condition-4:stale-collection"
         seen.add(gc.collection_hash)
     for gc in pb.guaranteed_collections:
@@ -163,6 +166,7 @@ def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Opt
         return False, "condition-10:state-commitment"
     if replay.commitment != pb.state_commitment:
         return False, "condition-10:state-commitment"
+    ctx.new_state = replay.state
     return True, None
 
 

@@ -207,7 +207,7 @@ class ConsensusEngine:
         self.locked_round = 0
         self.high_qc = GENESIS_QC
         self.finalized: list[bytes] = []
-        self._finalized_set: set[bytes] = set()
+        self.finalized_set: set[bytes] = set()
         self._votes: dict[tuple[int, bytes], dict[bytes, bytes]] = {}
         self._pending_qcs: dict[bytes, QuorumCertificate] = {}
         self._orphans: dict[bytes, list[Proposal]] = {}
@@ -262,14 +262,14 @@ class ConsensusEngine:
         while (
             cur
             and cur != GENESIS_DIGEST
-            and cur not in self._finalized_set
+            and cur not in self.finalized_set
             and cur in self.tree.nodes
         ):
             chain.append(cur)
             cur = self.tree.nodes[cur].parent
         for digest in reversed(chain):
             self.finalized.append(digest)
-            self._finalized_set.add(digest)
+            self.finalized_set.add(digest)
             self.on_finalize(self.tree.nodes[digest])
 
     def _enter_round(self, round_number: int) -> None:

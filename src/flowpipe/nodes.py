@@ -5,8 +5,7 @@ object driven by the simulator; nodes share nothing but messages."""
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import crypto
@@ -533,91 +532,48 @@ class CollectorNode(Node):
 def _challenge_mark(doc: dict):
     """Chain-dedupe key: the challenged target, independent of challenger. A
     missing collection's mark is its hash (bytes), a faulty chunk's is a
-    (result hash, chunk index digest) tuple, so the two never collide."""
+    (result hash, chunk index digest) tuple, and a protocol violation's is
+    its challenge id, whose canonical fields name only the accused and the
+    evidence. Collection hashes and challenge ids are hashes under different
+    tags, so no two marks collide."""
     if doc["kind"] == ChallengeKind.MISSING_COLLECTION.value:
         return bytes.fromhex(doc["evidence"][0])
     if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
         return (bytes.fromhex(doc["evidence"][0]), bytes.fromhex(doc["evidence"][1]))
-    return None
+    return bytes.fromhex(doc["id"])
 
 
-def _already_challenged(mark, ctx: ChainCtx, pending=()) -> bool:
-    """The challenge target `mark` is already challenged on `ctx`'s chain or
-    among `pending` marks; marks of unrecorded kinds never are."""
-    return mark is not None and (mark in pending or mark in ctx.challenged)
-
-
-class ChainSet:
-    """Append-only set view shared along a block chain. Extending the current
-    tip reuses the backing dict, so accumulating per-block context costs
-    O(new entries) instead of O(chain length); a fork off an older block
-    copies its prefix once."""
-
-    __slots__ = ("_index", "_size")
-
-    def __init__(self, items=()):
-        self._index: dict = {}
-        for x in items:
-            if x not in self._index:
-                self._index[x] = len(self._index)
-        self._size = len(self._index)
-
-    def __contains__(self, x) -> bool:
-        idx = self._index.get(x)
-        return idx is not None and idx < self._size
-
-    def __iter__(self):
-        # backing dict preserves insertion order; our view is its prefix
-        return islice(iter(self._index), self._size)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def extend(self, items) -> "ChainSet":
-        index = self._index
-        if self._size != len(index):
-            # a sibling branch already grew the backing dict; copy our prefix
-            n = self._size
-            index = {k: v for k, v in index.items() if v < n}
-        for x in items:
-            if x not in index:
-                index[x] = len(index)
-        view = ChainSet.__new__(ChainSet)
-        view._index = index
-        view._size = len(index)
-        return view
+# kinds of chain fact and their keys: "block" (digest, height >= 1),
+# "collection" (collection hash), "sealed" (result hash), "challenged"
+# (`_challenge_mark`), "fcc" ((result hash, id) of a recorded
+# faulty-computation challenge), "adjudicated" and "upheld" (challenge id;
+# upheld when the accused was slashed)
+_FACT_KINDS = ("block", "collection", "sealed", "challenged", "fcc", "adjudicated", "upheld")
 
 
 @dataclass
 class ChainCtx:
+    """A block as a consensus node judges chains through it: the protocol
+    state after it, the head of its sealed results (sealing is sequential,
+    so the sealed set is a chain) and `facts`, which holds only what the
+    block itself records. Earlier facts sit in the unfinalized ancestors,
+    reached through `parent`, and in the node's finalized prefix; see
+    `ConsensusNode._on_chain`."""
+
     digest: bytes
     height: int
     state: ProtocolState
-    collections: ChainSet = field(default_factory=ChainSet)
-    sealed: ChainSet = field(default_factory=ChainSet)
-    ancestors: ChainSet = field(default_factory=ChainSet)
-    challenge_ids: ChainSet = field(default_factory=ChainSet)
-    adjudicated: ChainSet = field(default_factory=ChainSet)
-    open_fcc: dict[bytes, bytes] = field(default_factory=dict)  # challenge id -> result hash
-    condemned: ChainSet = field(default_factory=ChainSet)  # results with upheld FCC
-    # sealing is sequential, so the sealed set is a chain; this is its head
-    sealed_tip: bytes = GENESIS_RESULT_HASH
-    # chain-level duplicate suppression by challenge target (_challenge_mark)
-    challenged: ChainSet = field(default_factory=ChainSet)
+    sealed_tip: bytes
+    parent: Optional[ChainCtx]  # None on the finalized tip
+    facts: dict[str, set]  # kind -> keys
 
 
 class ConsensusNode(Node):
     def __init__(self, sim, name, keypair, directory, behavior=None):
         super().__init__(sim, name, keypair, directory, behavior)
-        self.ctxs: dict[bytes, ChainCtx] = {
-            directory.genesis_digest: ChainCtx(
-                digest=directory.genesis_digest,
-                height=0,
-                state=directory.initial_state,
-                sealed=ChainSet([GENESIS_RESULT_HASH]),
-                ancestors=ChainSet([directory.genesis_digest]),
-            )
-        }
+        self.tip = self._genesis_ctx()  # context of the last finalized block
+        # the tip and its descendants; every other context is dropped
+        self.ctxs: dict[bytes, ChainCtx] = {self.tip.digest: self.tip}
         self.known_collections: dict[bytes, GuaranteedCollection] = {}
         self.pending_collections: list[bytes] = []
         self.pending_challenges: dict[bytes, dict] = {}  # dedupe key -> challenge doc
@@ -631,11 +587,14 @@ class ConsensusNode(Node):
         self.drb_shares: dict[bytes, dict[int, crypto.SignatureShare]] = {}
         self.randomness: dict[bytes, int] = {}
         self.fcc_context: dict[bytes, tuple[bytes, int]] = {}  # id -> (result, chunk)
+        # result hash -> ids of the FCCs against it, received or in a built block
+        self.fcc_ids: dict[bytes, set[bytes]] = {}
         self.mcc_responses: dict[bytes, dict[bytes, Optional[tuple]]] = {}
         self.adjudicated_ids: set[bytes] = set()
         self.finalized_heights: dict[int, bytes] = {}
         self.first_seen: dict[bytes, int] = {}  # block hash -> tick first validated
         self.recorded_challenges: dict[bytes, dict] = {}  # challenge id -> doc
+        self.recorded_fcc: dict[bytes, list[dict]] = {}  # result hash -> docs, chain order
 
         engine_cls = ConsensusEngine
         if self.acts("equivocate_proposal"):
@@ -653,6 +612,10 @@ class ConsensusNode(Node):
             on_finalize=self._on_finalize,
             on_evidence=self._on_evidence,
         )
+        # facts of the finalized prefix, by kind; its blocks are the engine's
+        # finalized set, so the digests are not kept twice
+        self.final = {kind: set(keys) for kind, keys in self.tip.facts.items()}
+        self.final["block"] = self.engine.finalized_set
         self.listen(
             {
                 GuaranteeAnnounce: self._on_guarantee_announce,
@@ -667,22 +630,42 @@ class ConsensusNode(Node):
     def handle(self, sender: str, msg: Any):
         self.handlers.get(type(msg), _ignore)(sender, msg)
 
-    # -- proposal assembly ---------------------------------------------------
+    # -- chain contexts --------------------------------------------------------
+
+    def _genesis_ctx(self) -> ChainCtx:
+        facts = {kind: set() for kind in _FACT_KINDS}
+        facts["sealed"].add(GENESIS_RESULT_HASH)
+        return ChainCtx(
+            self.d.genesis_digest, 0, self.d.initial_state, GENESIS_RESULT_HASH, None, facts
+        )
+
+    def _on_chain(self, ctx: ChainCtx, kind: str, key) -> bool:
+        """Whether the chain through `ctx` records the fact: in the block of
+        `ctx` or of an unfinalized ancestor, else in the finalized prefix.
+        A context outside the finalized tip's subtree, such as the genesis
+        stand-in of `_make_payload`, sees only its own facts."""
+        while key not in ctx.facts[kind]:
+            if ctx.parent is None:
+                return ctx is self.tip and key in self.final[kind]
+            ctx = ctx.parent
+        return True
 
     def _ctx_for(self, digest: bytes) -> Optional[ChainCtx]:
-        """Chain context for a known tree node, built lazily by replaying the
-        payload chain from the nearest cached ancestor."""
-        if digest in self.ctxs:
-            return self.ctxs[digest]
+        """Chain context for a tree node that descends from the finalized
+        tip, built lazily by replaying the payload chain from the nearest
+        kept context; None for any other node."""
         chain = []
-        cur = digest
-        while cur not in self.ctxs:
-            node = self.engine.tree.nodes.get(cur)
-            if node is None or not isinstance(node.payload, ProtoBlock):
+        while digest not in self.ctxs:
+            node = self.engine.tree.nodes.get(digest)
+            if (
+                node is None
+                or not isinstance(node.payload, ProtoBlock)
+                or node.payload.height <= self.tip.height
+            ):
                 return None
             chain.append(node.payload)
-            cur = node.parent
-        ctx = self.ctxs[cur]
+            digest = node.parent
+        ctx = self.ctxs[digest]
         for pb in reversed(chain):
             try:
                 ctx = self._build_ctx(pb, ctx)
@@ -690,30 +673,71 @@ class ConsensusNode(Node):
                 return None
         return ctx
 
+    def _build_ctx(
+        self, pb: ProtoBlock, parent: ChainCtx, state: Optional[ProtocolState] = None
+    ) -> ChainCtx:
+        """Context of `pb` on `parent`; `state` is the protocol state after
+        `pb` when the caller has already replayed its updates."""
+        digest = pb.hash()
+        if digest in self.ctxs:
+            return self.ctxs[digest]
+        if state is None:
+            state = apply_updates(parent.state, pb.protocol_state_updates).state
+        fcc = set()
+        for doc in pb.slashing_challenges:
+            if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
+                rh, cid = bytes.fromhex(doc["evidence"][0]), bytes.fromhex(doc["id"])
+                fcc.add((rh, cid))
+                self.fcc_ids.setdefault(rh, set()).add(cid)
+        adjudications = [u.meta for u in pb.protocol_state_updates if u.cause == "adjudication"]
+        ctx = ChainCtx(
+            digest=digest,
+            height=pb.height,
+            state=state,
+            sealed_tip=(
+                pb.block_seals[-1].execution_result_hash if pb.block_seals else parent.sealed_tip
+            ),
+            parent=parent,
+            facts={
+                "block": {digest},
+                "collection": {g.collection_hash for g in pb.guaranteed_collections},
+                "sealed": {s.execution_result_hash for s in pb.block_seals},
+                "challenged": {_challenge_mark(doc) for doc in pb.slashing_challenges},
+                "fcc": fcc,
+                "adjudicated": {bytes.fromhex(m["challenge_id"]) for m in adjudications},
+                "upheld": {
+                    bytes.fromhex(m["challenge_id"])
+                    for m in adjudications
+                    if m.get("outcome") == "accused_slashed"
+                },
+            },
+        )
+        self.ctxs[digest] = ctx
+        return ctx
+
+    # -- proposal assembly ---------------------------------------------------
+
     def _make_payload(self, parent_digest: bytes):
         ctx = self._ctx_for(parent_digest)
-        if ctx is None:  # parent context missing; propose a no-op extension
-            ctx = self.ctxs[self.d.genesis_digest]
+        if ctx is None:
+            # parent context missing: a height-1 block on genesis, which every
+            # node holding the parent's context rejects at condition 2
+            ctx = self._genesis_ctx()
         collections = [
             self.known_collections[h]
             for h in self.pending_collections
-            if h not in ctx.collections
+            if not self._on_chain(ctx, "collection", h)
         ]
         challenges = []
         updates = []
-        block_marks: set = set()
+        block_marks: dict = {}  # mark -> id of the challenge listed for it
         for dedupe_key in sorted(self.pending_challenges):
             doc = self.pending_challenges[dedupe_key]
-            cid = bytes.fromhex(doc["id"])
-            if cid in ctx.challenge_ids:
+            if not self._challenge_fresh(ctx, doc, block_marks):
                 continue
-            mark = _challenge_mark(doc)
-            if _already_challenged(mark, ctx, block_marks):
-                continue
-            block_marks.add(mark)
             challenges.append(doc)
         for cid in sorted(self.pending_updates):
-            if cid not in ctx.adjudicated:
+            if not self._on_chain(ctx, "adjudicated", cid):
                 updates.append(self.pending_updates[cid])
         seals = self._ready_seals(ctx)
         return propose_proto_block(
@@ -726,17 +750,33 @@ class ConsensusNode(Node):
             pending_updates=updates,
         )
 
+    def _challenge_fresh(self, ctx: ChainCtx, doc: dict, block_marks: dict) -> bool:
+        """The challenge's target is not yet challenged on the chain through
+        `ctx`, nor by another challenge listed in the block so far. Listing
+        the same challenge again is allowed: an equivocator that sends one
+        pair of proposals in two rounds yields one challenge under two
+        evidence keys."""
+        mark = _challenge_mark(doc)
+        return (
+            not self._on_chain(ctx, "challenged", mark)
+            and block_marks.setdefault(mark, doc["id"]) == doc["id"]
+        )
+
     def _result_pending_challenge(self, ctx: ChainCtx, result_hash: bytes) -> bool:
-        if result_hash in ctx.condemned:
-            return True
-        for cid, rh in ctx.open_fcc.items():
-            if rh == result_hash and cid not in ctx.adjudicated:
-                return True
-        # locally known challenges not yet chain-recorded also block sealing
-        for cid, (rh, _) in self.fcc_context.items():
-            if rh == result_hash and cid not in ctx.adjudicated:
-                if self._fcc_upheld(cid) is not False:
+        """A faulty-computation challenge against the result blocks its seal
+        on the chain through `ctx`: one recorded there that is unadjudicated
+        or upheld, or one received here that is unadjudicated there and not
+        dismissed here."""
+        for cid in self.fcc_ids.get(result_hash, ()):
+            recorded = self._on_chain(ctx, "fcc", (result_hash, cid))
+            if self._on_chain(ctx, "adjudicated", cid):
+                if recorded and self._on_chain(ctx, "upheld", cid):
                     return True
+            elif recorded or (
+                self.fcc_context.get(cid, (None,))[0] == result_hash
+                and self._fcc_upheld(cid) is not False
+            ):
+                return True
         return False
 
     def _fcc_upheld(self, cid: bytes) -> Optional[bool]:
@@ -752,10 +792,10 @@ class ConsensusNode(Node):
         while advanced:
             advanced = False
             for rh in sorted(self.results_by_prev.get(tip, ())):
-                if rh in ctx.sealed:
+                if self._on_chain(ctx, "sealed", rh):
                     continue
                 result = self.results[rh]
-                if result.block_hash not in ctx.ancestors:
+                if not self._on_chain(ctx, "block", result.block_hash):
                     continue
                 if self._result_pending_challenge(ctx, rh):
                     continue
@@ -785,7 +825,7 @@ class ConsensusNode(Node):
         newly_sealed: set = set()
 
         def _is_sealed(rh: bytes) -> bool:
-            return rh in newly_sealed or rh in ctx.sealed
+            return rh in newly_sealed or self._on_chain(ctx, "sealed", rh)
 
         def seal_ok(seal) -> bool:
             ok = validate_seal(
@@ -807,24 +847,20 @@ class ConsensusNode(Node):
                 newly_sealed.add(seal.execution_result_hash)
             return ok
 
-        seen_marks: set = set()
+        block_marks: dict = {}
 
         def challenge_ok(doc) -> bool:
             try:
                 ch = self._challenge_from_doc(doc)
             except (KeyError, ValueError):
                 return False
-            if challenge_id(ch) != ch.challenge_id:
-                return False
-            mark = _challenge_mark(doc)
-            if _already_challenged(mark, ctx, seen_marks):
-                return False
-            seen_marks.add(mark)
-            return True
+            return challenge_id(ch) == ch.challenge_id and self._challenge_fresh(
+                ctx, doc, block_marks
+            )
 
         ectx = EvaluationContext(
             parent_height=ctx.height,
-            ancestor_collection_hashes=ctx.collections,
+            collection_on_chain=lambda h: self._on_chain(ctx, "collection", h),
             received_collections=set(self.known_collections),
             collector_clusters=self.d.clusters,
             seal_valid=seal_ok,
@@ -835,7 +871,7 @@ class ConsensusNode(Node):
         if not ok:
             self.sim.event(self.name, "proposal_rejected", {"reason": reason})
             return False
-        self._build_ctx(payload, ctx)
+        self._build_ctx(payload, ctx, ectx.new_state)
         return True
 
     @staticmethod
@@ -849,55 +885,6 @@ class ConsensusNode(Node):
             full_proof=doc["full_proof"],
             challenge_id=bytes.fromhex(doc["id"]),
         )
-
-    def _build_ctx(self, pb: ProtoBlock, parent: ChainCtx) -> ChainCtx:
-        digest = pb.hash()
-        if digest in self.ctxs:
-            return self.ctxs[digest]
-        new_state = apply_updates(parent.state, pb.protocol_state_updates).state
-        new_ids: list[bytes] = []
-        new_marks: list = []
-        open_fcc = dict(parent.open_fcc)
-        for doc in pb.slashing_challenges:
-            cid = bytes.fromhex(doc["id"])
-            new_ids.append(cid)
-            mark = _challenge_mark(doc)
-            if mark is not None:
-                new_marks.append(mark)
-            if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
-                open_fcc[cid] = bytes.fromhex(doc["evidence"][0])
-        new_adjudicated: list[bytes] = []
-        new_condemned: list[bytes] = []
-        for upd in pb.protocol_state_updates:
-            if upd.cause == "adjudication":
-                cid = bytes.fromhex(upd.meta["challenge_id"])
-                new_adjudicated.append(cid)
-                if upd.meta.get("outcome") == "accused_slashed" and cid in open_fcc:
-                    new_condemned.append(open_fcc[cid])
-        ctx = ChainCtx(
-            digest=digest,
-            height=pb.height,
-            state=new_state,
-            collections=parent.collections.extend(
-                g.collection_hash for g in pb.guaranteed_collections
-            ),
-            sealed=parent.sealed.extend(
-                s.execution_result_hash for s in pb.block_seals
-            ),
-            ancestors=parent.ancestors.extend((digest,)),
-            challenge_ids=parent.challenge_ids.extend(new_ids),
-            adjudicated=parent.adjudicated.extend(new_adjudicated),
-            open_fcc=open_fcc,
-            condemned=parent.condemned.extend(new_condemned),
-            challenged=parent.challenged.extend(new_marks),
-            sealed_tip=(
-                pb.block_seals[-1].execution_result_hash
-                if pb.block_seals
-                else parent.sealed_tip
-            ),
-        )
-        self.ctxs[digest] = ctx
-        return ctx
 
     # -- finalization pipeline ---------------------------------------------------
 
@@ -924,17 +911,28 @@ class ConsensusNode(Node):
                 "sealed",
                 {"result": hexify(seal.execution_result_hash), "block": hexify(seal.sealed_block_hash)},
             )
+        # the block joins the finalized prefix; the engine's finalized set,
+        # the prefix's "block" facts, already holds its digest
+        final = self.final
+        for kind, keys in ctx.facts.items():
+            final[kind] |= keys
+        # keep the new tip and its descendants; a context is built after its
+        # parent, so one pass in insertion order finds them all
+        kept = {digest: ctx}
+        for d, c in self.ctxs.items():
+            if c.parent is not None and c.parent.digest in kept:
+                kept[d] = c
+        ctx.parent = None
+        self.ctxs, self.tip = kept, ctx
         # drop mempool entries now recorded on-chain
         self.pending_collections = [
-            h for h in self.pending_collections if h not in ctx.collections
+            h for h in self.pending_collections if h not in final["collection"]
         ]
         for key in list(self.pending_challenges):
-            doc = self.pending_challenges[key]
-            cid = bytes.fromhex(doc["id"])
-            if cid in ctx.challenge_ids or _already_challenged(_challenge_mark(doc), ctx):
+            if _challenge_mark(self.pending_challenges[key]) in final["challenged"]:
                 del self.pending_challenges[key]
         for cid in list(self.pending_updates):
-            if cid in ctx.adjudicated:
+            if cid in final["adjudicated"]:
                 del self.pending_updates[cid]
         # notify the other roles
         self.send_all(
@@ -952,6 +950,9 @@ class ConsensusNode(Node):
         # adjudicate challenges recorded in this block
         for doc in pb.slashing_challenges:
             self.recorded_challenges[bytes.fromhex(doc["id"])] = doc
+            if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
+                rh = bytes.fromhex(doc["evidence"][0])
+                self.recorded_fcc.setdefault(rh, []).append(doc)
             self._start_adjudication(doc)
 
     def _on_evidence(self, ev):
@@ -982,7 +983,7 @@ class ConsensusNode(Node):
     def _slash_basis(self) -> ProtocolState:
         """Protocol state that slash amounts are priced from: the genesis
         state, not the chain state at the recording block."""
-        return self.ctxs[self.d.genesis_digest].state
+        return self.d.initial_state
 
     def _record_adjudication(self, adj, upd):
         if adj.challenge_id in self.adjudicated_ids:
@@ -1121,9 +1122,9 @@ class ConsensusNode(Node):
             "receipt",
             {"result": hexify(rh), "executor": hexify(receipt.executor)},
         )
-        for cid, doc in list(self.recorded_challenges.items()):
-            if cid not in self.adjudicated_ids:
-                self._start_adjudication(doc)
+        # only a recorded FCC against this result can have waited on it
+        for doc in self.recorded_fcc.get(rh, ()):
+            self._start_adjudication(doc)
 
     def _on_challenge(self, sender: str, msg: ChallengeMsg):
         ch = msg.challenge
@@ -1131,7 +1132,10 @@ class ConsensusNode(Node):
             dedupe = crypto.hash(
                 "dedupe", b"fcc" + msg.result_hash + msg.chunk_index.to_bytes(8, "big")
             )
-            self.fcc_context.setdefault(ch.challenge_id, (msg.result_hash, msg.chunk_index))
+            rh, _ = self.fcc_context.setdefault(
+                ch.challenge_id, (msg.result_hash, msg.chunk_index)
+            )
+            self.fcc_ids.setdefault(rh, set()).add(ch.challenge_id)
         else:
             dedupe = crypto.hash("dedupe", b"mcc" + ch.evidence[0])
         if dedupe in self._challenge_seen:

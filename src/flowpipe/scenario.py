@@ -476,11 +476,7 @@ def _honest_result_hashes(world: World) -> set[bytes]:
     prev = GENESIS_RESULT_HASH
     honest: set[bytes] = set()
     for height in sorted(obs.finalized_heights):
-        digest = obs.finalized_heights[height]
-        ctx = obs.ctxs.get(digest)
-        if ctx is None:
-            continue
-        node = obs.engine.tree.nodes.get(digest)
+        node = obs.engine.tree.nodes.get(obs.finalized_heights[height])
         if node is None:
             continue
         pb = node.payload

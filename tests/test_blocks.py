@@ -60,7 +60,7 @@ def make_guarantee(collector_kps, members, coll_hash, signer_idx, cluster=0):
 def plain_context(state: ProtocolState, **overrides) -> EvaluationContext:
     defaults = dict(
         parent_height=0,
-        ancestor_collection_hashes=set(),
+        collection_on_chain=lambda h: False,
         received_collections=set(),
         collector_clusters={0: state.members(Role.COLLECTOR)},
         seal_valid=lambda s: True,
@@ -128,7 +128,7 @@ class TestEvaluateProposal:
         gc = make_guarantee(kps, state.members(Role.COLLECTOR), coll, [0, 1, 2])
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
         ctx = plain_context(
-            state, received_collections={coll}, ancestor_collection_hashes={coll}
+            state, received_collections={coll}, collection_on_chain=lambda h: h == coll
         )
         ok, reason = evaluate_proposal(pb, ctx)
         assert not ok and reason.startswith("condition-4")
@@ -177,6 +177,18 @@ class TestEvaluateProposal:
         upd = StateUpdate(entries=({"op": "stake_delta", "key": key.hex(), "delta": 3},), cause="stake")
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
         assert evaluate_proposal(pb, plain_context(state)) == (True, None)
+
+    def test_accepted_proposal_hands_back_replayed_state(self):
+        state, _, _ = base_protocol_state()
+        key = sorted(state.records)[0]
+        upd = StateUpdate(entries=({"op": "stake_delta", "key": key.hex(), "delta": 3},), cause="stake")
+        pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
+        ctx = plain_context(state)
+        assert evaluate_proposal(pb, ctx) == (True, None)
+        assert ctx.new_state == apply_updates(state, [upd]).state
+        rejected = plain_context(state, parent_height=3)
+        assert evaluate_proposal(pb, rejected)[0] is False
+        assert rejected.new_state is None
 
 
 class TestRandomnessAttachment:

@@ -1,0 +1,282 @@
+"""Consensus chain contexts: a finalized-prefix set per node plus one
+per-block delta per unfinalized block.
+
+The oracle recomputes every chain fact of a kept context by walking that
+block's payload chain to genesis in the engine tree, with the per-chain
+rules the contexts implement, and compares each lookup against it."""
+
+import dataclasses
+import gc
+import weakref
+from importlib import resources
+
+import pytest
+
+from flowpipe import blocks, nodes
+from flowpipe.execution import GENESIS_RESULT_HASH
+from flowpipe.nodes import ConsensusNode, _challenge_mark
+from flowpipe.scenario import build_world, load_scenario
+from flowpipe.state import ChallengeKind, apply_updates
+
+FCC = ChallengeKind.FAULTY_COMPUTATION.value
+PV = ChallengeKind.PROTOCOL_VIOLATION.value
+
+
+def started_world(name: str):
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / f"{name}.json"))
+    world = build_world(doc)
+    for node in (
+        world.collectors + world.consensus + world.executors + world.verifiers + world.agents
+    ):
+        node.start()
+    return world
+
+
+def chain_to_genesis(node: ConsensusNode, digest: bytes) -> list:
+    """Payloads from height 1 up to the block `digest`, read from the tree."""
+    chain = []
+    while digest != node.d.genesis_digest:
+        tree_node = node.engine.tree.nodes[digest]
+        chain.append(tree_node.payload)
+        digest = tree_node.parent
+    return chain[::-1]
+
+
+@dataclasses.dataclass
+class BruteForce:
+    height: int
+    state: object
+    sealed_tip: bytes
+    facts: dict  # kind -> set, for the kinds looked up by key
+    open_fcc: dict  # challenge id -> result hash, every recorded FCC
+    condemned: set  # results with an upheld FCC recorded before its adjudication
+
+
+def brute_force(node: ConsensusNode, digest: bytes) -> BruteForce:
+    facts = {kind: set() for kind in ("block", "collection", "sealed", "challenged", "adjudicated")}
+    facts["sealed"].add(GENESIS_RESULT_HASH)
+    open_fcc: dict = {}
+    condemned: set = set()
+    state = node.d.initial_state
+    sealed_tip = GENESIS_RESULT_HASH
+    chain = chain_to_genesis(node, digest)
+    for pb in chain:
+        state = apply_updates(state, pb.protocol_state_updates).state
+        facts["block"].add(pb.hash())
+        facts["collection"].update(g.collection_hash for g in pb.guaranteed_collections)
+        facts["sealed"].update(s.execution_result_hash for s in pb.block_seals)
+        for doc in pb.slashing_challenges:
+            facts["challenged"].add(_challenge_mark(doc))
+            if doc["kind"] == FCC:
+                open_fcc[bytes.fromhex(doc["id"])] = bytes.fromhex(doc["evidence"][0])
+        for upd in pb.protocol_state_updates:
+            if upd.cause == "adjudication":
+                cid = bytes.fromhex(upd.meta["challenge_id"])
+                facts["adjudicated"].add(cid)
+                if upd.meta.get("outcome") == "accused_slashed" and cid in open_fcc:
+                    condemned.add(open_fcc[cid])
+        if pb.block_seals:
+            sealed_tip = pb.block_seals[-1].execution_result_hash
+    return BruteForce(len(chain), state, sealed_tip, facts, open_fcc, condemned)
+
+
+def brute_force_pending(node: ConsensusNode, bf: BruteForce, rh: bytes) -> bool:
+    """Whether a challenge blocks sealing `rh`: an upheld or unadjudicated
+    recorded FCC on the chain, or a received FCC unadjudicated on the chain
+    and not dismissed by the node."""
+    adjudicated = bf.facts["adjudicated"]
+    if rh in bf.condemned:
+        return True
+    if any(r == rh and cid not in adjudicated for cid, r in bf.open_fcc.items()):
+        return True
+    return any(
+        r == rh and cid not in adjudicated and node._fcc_upheld(cid) is not False
+        for cid, (r, _) in node.fcc_context.items()
+    )
+
+
+def check_against_oracle(world) -> int:
+    """Compare every lookup of every kept context with the brute force;
+    returns how many nodes hold two kept contexts at one height."""
+    forks = 0
+    for node in world.consensus:
+        oracles = {d: brute_force(node, d) for d in node.ctxs}
+        candidates = {kind: set() for kind in ("collection", "sealed", "challenged", "adjudicated")}
+        for bf in oracles.values():
+            for kind in candidates:
+                candidates[kind] |= bf.facts[kind]
+        candidates["collection"] |= set(node.known_collections)
+        candidates["sealed"] |= set(node.results)
+        candidates["adjudicated"] |= set(node.fcc_context) | set(node.recorded_challenges)
+        candidates["block"] = {
+            d for d, n in node.engine.tree.nodes.items() if n.payload is not None
+        }
+        fcc_targets = {(cid, rh) for cid, (rh, _) in node.fcc_context.items()}
+        for bf in oracles.values():
+            fcc_targets |= set(bf.open_fcc.items())
+        for digest, ctx in node.ctxs.items():
+            bf = oracles[digest]
+            assert (ctx.height, ctx.sealed_tip) == (bf.height, bf.sealed_tip), node.name
+            assert ctx.state == bf.state, node.name
+            for kind, keys in candidates.items():
+                for key in keys:
+                    assert node._on_chain(ctx, kind, key) == (key in bf.facts[kind]), (
+                        node.name, kind, key
+                    )
+            for cid, rh in fcc_targets:
+                assert node._on_chain(ctx, "fcc", (rh, cid)) == (bf.open_fcc.get(cid) == rh)
+            for rh in node.results:
+                condemned = any(
+                    node._on_chain(ctx, "fcc", (rh, cid)) and node._on_chain(ctx, "upheld", cid)
+                    for cid in node.fcc_ids.get(rh, ())
+                )
+                assert condemned == (rh in bf.condemned), (node.name, rh.hex())
+                assert node._result_pending_challenge(ctx, rh) == brute_force_pending(
+                    node, bf, rh
+                ), (node.name, rh.hex())
+        heights = [ctx.height for ctx in node.ctxs.values()]
+        forks += len(heights) != len(set(heights))
+    return forks
+
+
+def assert_pruned(world) -> None:
+    """Each consensus node keeps only its finalized tip and the tip's
+    descendants, and no kept context points at a dropped one."""
+    for node in world.consensus:
+        tip = node.tip
+        if node.finalized_heights:
+            assert tip.digest == node.finalized_heights[max(node.finalized_heights)]
+        assert tip.parent is None
+        assert node.ctxs[tip.digest] is tip
+        for digest, ctx in node.ctxs.items():
+            assert ctx.digest == digest
+            if ctx is not tip:
+                assert ctx.parent is node.ctxs[ctx.parent.digest], node.name
+                assert ctx.height > tip.height
+            # the engine tree agrees that the context descends from the tip
+            cur = digest
+            while cur != tip.digest:
+                cur = node.engine.tree.nodes[cur].parent
+                assert cur in node.engine.tree.nodes, (node.name, digest.hex())
+
+
+class TestPruning:
+    @pytest.mark.parametrize("name", ["happy-path", "byzantine-executor"])
+    def test_only_tip_subtree_kept(self, name):
+        world = started_world(name)
+        world.sim.run(until=6000)
+        assert_pruned(world)
+        early = [weakref.ref(ctx) for node in world.consensus for ctx in node.ctxs.values()]
+        world.sim.run(until=20000)
+        assert_pruned(world)
+        for node in world.consensus:
+            # the tip and a short unfinalized suffix, not one context per block
+            assert len(node.finalized_heights) > 300
+            assert len(node.ctxs) <= 12, (node.name, len(node.ctxs))
+        # the contexts kept at 6,000 ticks are all below the tips now, and
+        # nothing still references them
+        gc.collect()
+        assert all(ref() is None for ref in early)
+
+    def test_only_own_block_facts(self):
+        world = started_world("byzantine-executor")
+        world.sim.run(until=6000)
+        for node in world.consensus:
+            for ctx in node.ctxs.values():
+                pb = node.engine.tree.nodes[ctx.digest].payload
+                assert ctx.facts["block"] == {pb.hash()}
+                assert ctx.facts["collection"] == {
+                    g.collection_hash for g in pb.guaranteed_collections
+                }
+                assert ctx.facts["sealed"] == {s.execution_result_hash for s in pb.block_seals}
+                assert ctx.facts["challenged"] == {
+                    _challenge_mark(doc) for doc in pb.slashing_challenges
+                }
+
+
+class TestOracle:
+    @pytest.mark.parametrize(
+        "name,horizon",
+        [
+            ("happy-path", 8000),
+            ("byzantine-executor", 8000),
+            ("withheld-collection", 8000),
+            ("equivocating-leader", 8000),
+        ],
+    )
+    def test_lookups_match_brute_force(self, name, horizon):
+        world = started_world(name)
+        forks = 0
+        for t in range(500, horizon + 1, 500):
+            world.sim.run(until=t)
+            forks += check_against_oracle(world)
+        if name == "equivocating-leader":
+            assert forks, "no checkpoint saw fork contexts"
+
+
+class TestProposals:
+    def test_recorded_protocol_violation_repeat_rejected(self):
+        world = started_world("equivocating-leader")
+        node = world.consensus[0]
+        t = 0
+        while not any(doc["kind"] == PV for doc in node.recorded_challenges.values()):
+            t += 250
+            assert t <= 15000, "no protocol-violation challenge recorded"
+            world.sim.run(until=t)
+        recorded = next(doc for doc in node.recorded_challenges.values() if doc["kind"] == PV)
+        parent = node.tip.digest
+        base = node._make_payload(parent)
+        assert node._validate_payload(base, parent)
+        repeat = dataclasses.replace(
+            base, slashing_challenges=base.slashing_challenges + (recorded,)
+        )
+        assert not node._validate_payload(repeat, parent)
+        last = world.sim.log.records[-1]
+        assert (last["node"], last["kind"]) == (node.name, "proposal_rejected")
+        assert last["payload"]["reason"] == "condition-9:challenge-unverified"
+
+    def test_validation_replays_updates_once(self, monkeypatch):
+        world = started_world("byzantine-executor")
+        world.sim.run(until=3000)
+        node = world.consensus[0]
+        parent = node.tip.digest
+        pb = node._make_payload(parent)
+        assert pb.protocol_state_updates, "expected adjudication updates to replay"
+        calls = []
+
+        def counting(state, updates):
+            calls.append(len(updates))
+            return apply_updates(state, updates)
+
+        monkeypatch.setattr(blocks, "apply_updates", counting)
+        monkeypatch.setattr(nodes, "apply_updates", counting)
+        assert node._validate_payload(pb, parent)
+        assert calls == [len(pb.protocol_state_updates)]
+        assert node.ctxs[pb.hash()].state == apply_updates(
+            node.tip.state, pb.protocol_state_updates
+        ).state
+
+    def test_missing_parent_context_proposal_rejected(self, monkeypatch):
+        """A leader whose high-QC block never reached it has no context for
+        the parent and proposes a height-1 block on genesis instead; every
+        node that holds the parent's context rejects it at condition 2, so
+        the round is lost."""
+        checked = []
+        make_payload = ConsensusNode._make_payload
+
+        def spy(self, parent):
+            pb = make_payload(self, parent)
+            if self._ctx_for(parent) is None:
+                assert (pb.height, pb.previous_block_hash) == (1, self.d.genesis_digest)
+                for other in world.consensus:
+                    if other is self or other._ctx_for(parent) is None:
+                        continue
+                    assert not other._validate_payload(pb, parent)
+                    checked.append(self.sim.log.records[-1]["payload"]["reason"])
+            return pb
+
+        # the engines bind `_make_payload` when the world is built
+        monkeypatch.setattr(ConsensusNode, "_make_payload", spy)
+        world = started_world("happy-path")
+        world.sim.run(until=6000)
+        assert checked and set(checked) == {"condition-2:chain-extension"}
