@@ -106,7 +106,7 @@ def propose_proto_block(
     working = apply_updates(parent_protocol_state, [])
     for upd in pending_updates:
         try:
-            working = apply_updates(working.state, [upd])
+            working = apply_updates(working, [upd])
         except UpdateRejected:
             continue
         accepted.append(upd)
@@ -166,7 +166,7 @@ def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Opt
         return False, "condition-10:state-commitment"
     if replay.commitment != pb.state_commitment:
         return False, "condition-10:state-commitment"
-    ctx.new_state = replay.state
+    ctx.new_state = replay
     return True, None
 
 

@@ -15,14 +15,13 @@ from .crypto import Seed, derive_seed, fisher_yates_shuffle
 class ClusterAssignment:
     mapping: dict[bytes, int]  # staking key -> cluster index in [0, c)
     c: int
-    epoch: int
 
     def cluster_members(self, index: int) -> list[bytes]:
         return sorted(k for k, v in self.mapping.items() if v == index)
 
 
 def cluster_assignment(
-    collectors: Sequence[bytes], c: int, r: bytes, epoch: int = 0
+    collectors: Sequence[bytes], c: int, r: bytes
 ) -> ClusterAssignment:
     """Deterministic partition of collectors into c clusters.
 
@@ -57,7 +56,7 @@ def cluster_assignment(
         cls[pi[j]] = i
         i += 1
         j += 1
-    return ClusterAssignment(mapping=cls, c=c, epoch=epoch)
+    return ClusterAssignment(mapping=cls, c=c)
 
 
 def route_transaction(tx_hash: bytes, c: int) -> int:

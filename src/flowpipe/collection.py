@@ -20,16 +20,6 @@ def collection_hash(tx_hashes: Sequence[bytes]) -> bytes:
     return crypto.hash("collection", payload)
 
 
-@dataclass
-class Collection:
-    tx_hashes: list[bytes]
-    cluster_index: int
-    closed: bool = False
-
-    def hash(self) -> bytes:
-        return collection_hash(self.tx_hashes)
-
-
 @dataclass(frozen=True)
 class GuaranteedCollection:
     collection_hash: bytes

@@ -3,13 +3,13 @@ per-chunk trace commitments, and execution receipts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .crypto import hash as fhash
 from .encoding import canonical_json, hexify, once
 from .merkle import ExecutionState, state_proof_gen
-from .vm import ExecOutcome, SignedTransaction, execute
+from .vm import SignedTransaction, execute
 
 EMPTY_TRACE = b"\x00" * 32
 
@@ -81,9 +81,6 @@ def canonical(collections: Sequence[Sequence[SignedTransaction]]) -> list[Signed
     return out
 
 
-ExecuteFn = Callable[[ExecutionState, SignedTransaction], ExecOutcome]
-
-
 @dataclass
 class BlockExecutionOutput:
     result: ExecutionResult
@@ -91,7 +88,6 @@ class BlockExecutionOutput:
     end_state: ExecutionState
     chunk_start_states: list[ExecutionState]
     chunk_tx_ranges: list[tuple[int, int]]  # [start, end) indices per chunk
-    oversized_chunks: list[int] = field(default_factory=list)
 
 
 def block_execution(
@@ -100,7 +96,6 @@ def block_execution(
     previous_result_hash: bytes,
     state: ExecutionState,
     gamma_chunk: int,
-    execute_fn: ExecuteFn = execute,
 ) -> BlockExecutionOutput:
     """Execute a block's canonical transaction sequence into chunks.
 
@@ -108,8 +103,7 @@ def block_execution(
     would exceed gamma_chunk; the closing transaction becomes the first of
     the next chunk, and its trace lands in the next chunk's commitment. A
     chunk always holds at least one transaction, so a single transaction
-    costing more than gamma_chunk occupies an oversized chunk of its own
-    (flagged in the output).
+    costing more than gamma_chunk occupies an oversized chunk of its own.
     """
     spocks: list[bytes] = []
     chunks: list[Chunk] = []
@@ -124,7 +118,7 @@ def block_execution(
 
     for i, tx in enumerate(transactions):
         state_before = state
-        outcome = execute_fn(state, tx)
+        outcome = execute(state, tx)
         state, tau, zeta = outcome.state, outcome.cost, outcome.trace
         if i == 0:
             tau_0 = tau
@@ -170,13 +164,11 @@ def block_execution(
         (chunk_starts[k], chunk_starts[k + 1] if k + 1 < len(chunk_starts) else len(transactions))
         for k in range(len(chunk_starts))
     ]
-    oversized = [k for k, c in enumerate(chunks) if c.computation_consumption > gamma_chunk]
     return BlockExecutionOutput(
         result=result,
         spocks=tuple(spocks),
         end_state=state,
         chunk_start_states=chunk_start_states,
         chunk_tx_ranges=ranges,
-        oversized_chunks=oversized,
     )
 

@@ -21,7 +21,6 @@ from .blocks import (
 )
 from .clustering import route_transaction
 from .collection import (
-    Collection,
     GuaranteedCollection,
     TxCheck,
     close_trigger,
@@ -57,6 +56,7 @@ from .state import (
 from .verification import (
     ChunkDataPackage,
     DisputedChunk,
+    MissingCollectionAttestation,
     adjudicate_fcc,
     adjudicate_mcc,
     assign_chunks,
@@ -254,12 +254,6 @@ class MccResponse:
     texts: Optional[tuple[SignedTransaction, ...]]
 
 
-@dataclass(frozen=True)
-class AttestationMsg:
-    collection_hash: bytes
-    adjudication_id: bytes
-
-
 # ---------------------------------------------------------------------------
 # Shared node runtime
 # ---------------------------------------------------------------------------
@@ -444,15 +438,14 @@ class CollectorNode(Node):
                     self.open_collection.append(h)
                     self.included.add(h)
         elif kind == "close" and self.open_collection:
-            coll = Collection(list(self.open_collection), self.cluster_index, closed=True)
-            ch = coll.hash()
-            self.store[ch] = [self.pool[h] for h in coll.tx_hashes]
-            self.guaranteed_history.update(coll.tx_hashes)
-            self.open_collection = []
+            tx_hashes, self.open_collection = self.open_collection, []
+            ch = collection_hash(tx_hashes)
+            self.store[ch] = [self.pool[h] for h in tx_hashes]
+            self.guaranteed_history.update(tx_hashes)
             self.open_round = self.engine.current_round
             stub = GuaranteedCollection(ch, self.cluster_index, (), ())
             sig = self.keypair.sign(stub.signed_payload())
-            self.sim.event(self.name, "collection_closed", {"hash": hexify(ch), "size": len(coll.tx_hashes)})
+            self.sim.event(self.name, "collection_closed", {"hash": hexify(ch), "size": len(tx_hashes)})
             share = GuaranteeShare(ch, self.cluster_index, self.keypair.public, sig)
             self._on_guarantee_share(self.name, share)
             self.send_all(self.peers, share)
@@ -682,7 +675,7 @@ class ConsensusNode(Node):
         if digest in self.ctxs:
             return self.ctxs[digest]
         if state is None:
-            state = apply_updates(parent.state, pb.protocol_state_updates).state
+            state = apply_updates(parent.state, pb.protocol_state_updates)
         fcc = set()
         for doc in pb.slashing_challenges:
             if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
@@ -1054,15 +1047,12 @@ class ConsensusNode(Node):
                 self.name, "adjudication", {"id": hexify(cid), "outcome": "dismissed", "slashed": []}
             )
         if outcome.attestation is not None:
-            att = AttestationMsg(
-                outcome.attestation.collection_hash, outcome.attestation.adjudication_id
-            )
             self.sim.event(
                 self.name,
                 "attestation",
                 {"collection": hexify(outcome.attestation.collection_hash)},
             )
-            self.send_all(self.d.executor_names, att)
+            self.send_all(self.d.executor_names, outcome.attestation)
         if outcome.recovered is not None:
             # forward the recovered texts to executors still waiting on them
             self.send_all(
@@ -1174,7 +1164,7 @@ class ExecutionNode(Node):
             {
                 Finalized: self._on_finalized,
                 CollectionResponse: self._on_collection_response,
-                AttestationMsg: self._on_attestation,
+                MissingCollectionAttestation: self._on_attestation,
             }
         )
 
@@ -1187,7 +1177,7 @@ class ExecutionNode(Node):
             self.blocks[pb.height] = pb
             self._advance()
 
-    def _on_attestation(self, sender: str, msg: AttestationMsg):
+    def _on_attestation(self, sender: str, msg: MissingCollectionAttestation):
         if msg.collection_hash not in self.texts:
             self.skipped.add(msg.collection_hash)
             self.retrieving.pop(msg.collection_hash, None)
@@ -1357,9 +1347,7 @@ class VerificationNode(Node):
             self.keypair.public, len(result.chunks), seed, self.d.coverage_p
         )
         for k in sorted(assigned):
-            verdict = verify_chunk(
-                self.keypair, result, k, msg.packages[k], msg.receipt.spocks[k]
-            )
+            verdict = verify_chunk(result, k, msg.packages[k], msg.receipt.spocks[k])
             if not verdict.ok:
                 fcc = make_fcc(
                     self.keypair.public,

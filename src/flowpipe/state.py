@@ -1,5 +1,5 @@
-"""Protocol state: node identities, epochs, commitments, effective-vote
-arithmetic, state-update application, and slashing-challenge adjudication."""
+"""Protocol state: staked node records, commitments, effective-vote
+arithmetic, slash application, and slashing-challenge adjudication."""
 
 from __future__ import annotations
 
@@ -31,64 +31,22 @@ class NodeIdentity:
     role: Role
     stake: int
     network_address: str
-    drb_public_key: Optional[int] = None
-    active_from_epoch: int = 0
-    discharged_from_epoch: Optional[int] = None
 
     def __post_init__(self):
         if self.stake < 0:
             raise ValueError("stake must be non-negative")
 
 
-@dataclass(frozen=True)
-class Epoch:
-    index: int
-    start_height: int
-    length_blocks: int
-    staking_deadline_height: int
-
-    def __post_init__(self):
-        if not self.staking_deadline_height < self.start_height + self.length_blocks:
-            raise ValueError("staking deadline must fall inside the epoch")
-
-
-@dataclass(frozen=True)
-class HeldStake:
-    amount: int
-    release_epoch: int
-
-
 @dataclass
 class ProtocolState:
     records: dict[bytes, NodeIdentity] = field(default_factory=dict)
-    held_stakes: dict[bytes, HeldStake] = field(default_factory=dict)
-    epoch: Epoch = Epoch(index=0, start_height=0, length_blocks=100_000, staking_deadline_height=80_000)
     total_slashed: int = 0
-    total_released: int = 0
     # set only on the snapshots `apply_updates` returns, which nothing
     # mutates afterwards; a state built or changed by hand has None
     commitment: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ProtocolState":
-        return ProtocolState(
-            records=dict(self.records),
-            held_stakes=dict(self.held_stakes),
-            epoch=self.epoch,
-            total_slashed=self.total_slashed,
-            total_released=self.total_released,
-        )
-
-    def members(self, role: Role, epoch_index: Optional[int] = None) -> list[NodeIdentity]:
-        """Nodes active in `role` during the given epoch (default: current)."""
-        e = self.epoch.index if epoch_index is None else epoch_index
-        out = []
-        for rec in self.records.values():
-            if rec.role != role or rec.active_from_epoch > e:
-                continue
-            if rec.discharged_from_epoch is not None and rec.discharged_from_epoch <= e:
-                continue
-            out.append(rec)
-        return sorted(out, key=lambda r: r.staking_public_key)
+        return ProtocolState(records=dict(self.records), total_slashed=self.total_slashed)
 
 
 def effective_votes(voters: Iterable[bytes], group: Sequence[NodeIdentity]) -> Fraction:
@@ -115,10 +73,11 @@ def meets_supermajority(fraction: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class StateUpdate:
-    """An ordered list of record changes published inside a block."""
+    """An ordered list of record changes published inside a block. The only
+    op is `slash`, which `adjudicate_challenge` publishes."""
 
     entries: tuple[dict, ...]
-    cause: str  # stake | unstake | slash | adjudication | epoch
+    cause: str
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -129,128 +88,62 @@ class UpdateRejected(ValueError):
     pass
 
 
-@dataclass
-class ApplyResult:
-    state: ProtocolState
-    commitment: bytes
-    events: list[dict] = field(default_factory=list)
-
-
-def _record_to_dict(rec: NodeIdentity) -> dict:
-    return {
-        "key": hexify(rec.staking_public_key),
-        "role": rec.role.value,
-        "stake": rec.stake,
-        "addr": rec.network_address,
-        "drb_pk": rec.drb_public_key,
-        "active_from": rec.active_from_epoch,
-        "discharged_from": rec.discharged_from_epoch,
-    }
+# The canonical serialization also carries the fields of a staking lifecycle
+# (DRB keys, joining and discharge epochs, held stake, releases) that the
+# simulator does not model. They are fixed at these values, which keeps each
+# state commitment, and every block hash built on one, stable.
+_RECORD_CONSTANTS = {"drb_pk": None, "active_from": 0, "discharged_from": None}
+_EPOCH = {
+    "index": 0,
+    "start_height": 0,
+    "length_blocks": 100_000,
+    "staking_deadline_height": 80_000,
+}
 
 
 def commit_state(state: ProtocolState) -> bytes:
     """Digest of the canonical serialization (records sorted by key bytes)."""
     doc = {
         "records": [
-            _record_to_dict(state.records[k]) for k in sorted(state.records)
-        ],
-        "held": [
             {
-                "key": hexify(k),
-                "amount": state.held_stakes[k].amount,
-                "release_epoch": state.held_stakes[k].release_epoch,
+                "key": hexify(rec.staking_public_key),
+                "role": rec.role.value,
+                "stake": rec.stake,
+                "addr": rec.network_address,
+                **_RECORD_CONSTANTS,
             }
-            for k in sorted(state.held_stakes)
+            for _, rec in sorted(state.records.items())
         ],
-        "epoch": {
-            "index": state.epoch.index,
-            "start_height": state.epoch.start_height,
-            "length_blocks": state.epoch.length_blocks,
-            "staking_deadline_height": state.epoch.staking_deadline_height,
-        },
+        "held": [],
+        "epoch": _EPOCH,
         "total_slashed": state.total_slashed,
-        "total_released": state.total_released,
+        "total_released": 0,
     }
     return crypto.hash("state", canonical_json(doc))
 
 
-def _apply_slash(state: ProtocolState, key: bytes, amount: int, events: list[dict]) -> None:
-    remaining = amount
-    rec = state.records.get(key)
-    if rec is not None and rec.stake > 0:
-        cut = min(rec.stake, remaining)
-        state.records[key] = replace(rec, stake=rec.stake - cut)
-        remaining -= cut
-        state.total_slashed += cut
-    held = state.held_stakes.get(key)
-    if remaining > 0 and held is not None and held.amount > 0:
-        cut = min(held.amount, remaining)
-        state.held_stakes[key] = HeldStake(held.amount - cut, held.release_epoch)
-        remaining -= cut
-        state.total_slashed += cut
-    if remaining > 0:
-        # over-slash clamps at zero; the shortfall is only recorded
-        events.append({"kind": "over_slash", "key": hexify(key), "shortfall": remaining})
-
-
-def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> ApplyResult:
-    """Apply updates to a copy of `state`; reject the whole batch on error.
+def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> ProtocolState:
+    """Apply the slashes in `updates` to a copy of `state`; any other op
+    rejects the whole batch. A slash cuts the node's stake, clamped at zero.
 
     The returned state is a snapshot carrying its commitment and must not be
     mutated. Updates with no entries change nothing, so a snapshot comes back
-    as itself with its stored commitment."""
+    as itself."""
     if state.commitment is not None and not any(upd.entries for upd in updates):
-        return ApplyResult(state=state, commitment=state.commitment)
+        return state
     new = state.copy()
-    events: list[dict] = []
     for upd in updates:
         for entry in upd.entries:
-            op = entry["op"]
-            key = bytes.fromhex(entry["key"]) if "key" in entry else None
-            if op == "create":
-                r = entry["record"]
-                new.records[bytes.fromhex(r["key"])] = NodeIdentity(
-                    staking_public_key=bytes.fromhex(r["key"]),
-                    role=Role(r["role"]),
-                    stake=r["stake"],
-                    network_address=r["addr"],
-                    drb_public_key=r.get("drb_pk"),
-                    active_from_epoch=r.get("active_from", 0),
-                    discharged_from_epoch=r.get("discharged_from"),
-                )
-            elif op == "stake_delta":
-                rec = new.records.get(key)
-                if rec is None:
-                    raise UpdateRejected(f"unknown node {entry['key']}")
-                if rec.stake + entry["delta"] < 0:
-                    raise UpdateRejected("stake would go negative")
-                new.records[key] = replace(rec, stake=rec.stake + entry["delta"])
-            elif op == "slash":
-                _apply_slash(new, key, entry["amount"], events)
-            elif op == "discharge":
-                rec = new.records.get(key)
-                if rec is None:
-                    raise UpdateRejected(f"unknown node {entry['key']}")
-                new.records[key] = replace(rec, discharged_from_epoch=entry["epoch"])
-            elif op == "hold":
-                rec = new.records.get(key)
-                if rec is None:
-                    raise UpdateRejected(f"unknown node {entry['key']}")
-                new.held_stakes[key] = HeldStake(rec.stake, entry["release_epoch"])
-                new.records[key] = replace(rec, stake=0)
-            elif op == "release":
-                held = new.held_stakes.pop(key, None)
-                if held is not None:
-                    new.total_released += held.amount
-            elif op == "set_drb_key":
-                rec = new.records.get(key)
-                if rec is None:
-                    raise UpdateRejected(f"unknown node {entry['key']}")
-                new.records[key] = replace(rec, drb_public_key=entry["drb_pk"])
-            else:
-                raise UpdateRejected(f"unknown update op {op!r}")
+            if entry["op"] != "slash":
+                raise UpdateRejected(f"unknown update op {entry['op']!r}")
+            key = bytes.fromhex(entry["key"])
+            rec = new.records.get(key)
+            if rec is not None:
+                cut = min(rec.stake, entry["amount"])
+                new.records[key] = replace(rec, stake=rec.stake - cut)
+                new.total_slashed += cut
     new.commitment = commit_state(new)
-    return ApplyResult(state=new, commitment=new.commitment, events=events)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +194,9 @@ class Adjudication:
 
 
 def _slash_amount(state: ProtocolState, key: bytes) -> int:
-    """A slash takes the node's whole stake, active and held."""
+    """A slash takes the node's whole stake."""
     rec = state.records.get(key)
-    held = state.held_stakes.get(key)
-    return (rec.stake if rec else 0) + (held.amount if held else 0)
+    return rec.stake if rec else 0
 
 
 def adjudicate_challenge(

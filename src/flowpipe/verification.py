@@ -1,6 +1,7 @@
 """Chunk verification and challenge adjudication: deterministic chunk
-assignment, re-execution checks producing approvals or faulty-computation
-challenges, and consensus-side resolution of both challenge kinds."""
+assignment, re-execution checks that pass a chunk or ground a
+faulty-computation challenge, and consensus-side resolution of both
+challenge kinds."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from typing import Optional, Sequence
 
 from . import crypto
 from .collection import collection_hash as compute_collection_hash
-from .encoding import canonical_json, hexify
 from .execution import EMPTY_TRACE, ExecutionResult, trace_update
 from .merkle import ExecutionState, value_proof_vrfy
 from .state import (
@@ -41,33 +41,6 @@ def assign_chunks(verifier: bytes, chunk_count: int, randomness: bytes, p: float
     return assigned
 
 
-@dataclass(frozen=True)
-class ResultApproval:
-    execution_result_hash: bytes
-    chunk_index: int
-    verifier: bytes
-    spock: bytes
-    signature: bytes
-
-    def signed_payload(self) -> bytes:
-        return canonical_json(
-            {
-                "result": hexify(self.execution_result_hash),
-                "chunk": self.chunk_index,
-                "spock": hexify(self.spock),
-            }
-        )
-
-
-def make_approval(
-    keypair: crypto.StakingKeyPair, result_hash: bytes, chunk_index: int, spock: bytes
-) -> ResultApproval:
-    stub = ResultApproval(result_hash, chunk_index, keypair.public, spock, b"")
-    return ResultApproval(
-        result_hash, chunk_index, keypair.public, spock, keypair.sign(stub.signed_payload())
-    )
-
-
 @dataclass
 class ChunkDataPackage:
     """Executor-provided verification inputs for one chunk: the touched
@@ -83,7 +56,6 @@ class ChunkDataPackage:
 class ChunkVerdict:
     ok: bool
     reason: Optional[str] = None
-    approval: Optional[ResultApproval] = None
 
 
 def _reexecute(
@@ -100,7 +72,6 @@ def _reexecute(
 
 
 def verify_chunk(
-    keypair: crypto.StakingKeyPair,
     result: ExecutionResult,
     chunk_index: int,
     package: ChunkDataPackage,
@@ -132,8 +103,7 @@ def verify_chunk(
     elif trace != executor_spock:
         reason = "trace-mismatch"
     else:
-        approval = make_approval(keypair, result.result_hash(), chunk_index, trace)
-        return ChunkVerdict(ok=True, approval=approval)
+        return ChunkVerdict(ok=True)
     return ChunkVerdict(ok=False, reason=reason)
 
 
@@ -185,9 +155,8 @@ def adjudicate_fcc(
     """Re-execute the disputed chunk; a genuine divergence slashes the named
     executor, who is the fault origin because each executor chains only its
     own results; a clean replay slashes the challenger."""
-    keypair = crypto.StakingKeyPair.from_seed(b"adjudicator" + challenge.challenge_id)
     verdict = verify_chunk(
-        keypair, disputed.result, disputed.chunk_index, disputed.package, disputed.executor_spock
+        disputed.result, disputed.chunk_index, disputed.package, disputed.executor_spock
     )
     return adjudicate_challenge(state, challenge, response_exonerates=verdict.ok, timed_out=False)
 

@@ -18,7 +18,6 @@ from flowpipe.blocks import (
 from flowpipe.collection import GuaranteedCollection
 from flowpipe.encoding import canonical_json
 from flowpipe.state import (
-    Epoch,
     NodeIdentity,
     ProtocolState,
     Role,
@@ -26,9 +25,6 @@ from flowpipe.state import (
     apply_updates,
     commit_state,
 )
-
-EPOCH = Epoch(index=0, start_height=0, length_blocks=1000, staking_deadline_height=800)
-
 
 def node(seed: bytes, role: Role, stake=10) -> tuple[crypto.StakingKeyPair, NodeIdentity]:
     kp = crypto.StakingKeyPair.from_seed(seed)
@@ -46,7 +42,11 @@ def base_protocol_state(n_collectors=4, n_verifiers=4):
         kp, ident = node(bytes([80 + i]) * 32, Role.VERIFICATION)
         records[ident.staking_public_key] = ident
         verifier_kps.append(kp)
-    return ProtocolState(records=records, epoch=EPOCH), collector_kps, verifier_kps
+    return ProtocolState(records=records), collector_kps, verifier_kps
+
+
+def members(state: ProtocolState, role: Role) -> list[NodeIdentity]:
+    return [rec for _, rec in sorted(state.records.items()) if rec.role == role]
 
 
 def make_guarantee(collector_kps, members, coll_hash, signer_idx, cluster=0):
@@ -62,7 +62,7 @@ def plain_context(state: ProtocolState, **overrides) -> EvaluationContext:
         parent_height=0,
         collection_on_chain=lambda h: False,
         received_collections=set(),
-        collector_clusters={0: state.members(Role.COLLECTOR)},
+        collector_clusters={0: members(state, Role.COLLECTOR)},
         seal_valid=lambda s: True,
         challenge_verified=lambda c: True,
         parent_protocol_state=state,
@@ -94,7 +94,7 @@ class TestProposalAssembly:
     def test_commitment_reflects_accepted_updates(self):
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
-        upd = StateUpdate(entries=({"op": "stake_delta", "key": key.hex(), "delta": 5},), cause="stake")
+        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 5},), cause="adjudication")
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
         assert pb.protocol_state_updates == (upd,)
         assert pb.state_commitment == apply_updates(state, [upd]).commitment
@@ -110,7 +110,7 @@ class TestEvaluateProposal:
     def test_fully_valid(self):
         state, kps, _ = base_protocol_state()
         coll = crypto.hash("collection", b"a")
-        gc = make_guarantee(kps, state.members(Role.COLLECTOR), coll, [0, 1, 2])
+        gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1, 2])
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
         ctx = plain_context(state, received_collections={coll})
         assert evaluate_proposal(pb, ctx) == (True, None)
@@ -125,7 +125,7 @@ class TestEvaluateProposal:
     def test_condition_4_stale_collection(self):
         state, kps, _ = base_protocol_state()
         coll = crypto.hash("collection", b"a")
-        gc = make_guarantee(kps, state.members(Role.COLLECTOR), coll, [0, 1, 2])
+        gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1, 2])
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
         ctx = plain_context(
             state, received_collections={coll}, collection_on_chain=lambda h: h == coll
@@ -136,7 +136,7 @@ class TestEvaluateProposal:
     def test_condition_5_not_received(self):
         state, kps, _ = base_protocol_state()
         coll = crypto.hash("collection", b"a")
-        gc = make_guarantee(kps, state.members(Role.COLLECTOR), coll, [0, 1, 2])
+        gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1, 2])
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
         ok, reason = evaluate_proposal(pb, plain_context(state))
         assert not ok and reason.startswith("condition-5")
@@ -144,7 +144,7 @@ class TestEvaluateProposal:
     def test_condition_6_insufficient_signers(self):
         state, kps, _ = base_protocol_state()
         coll = crypto.hash("collection", b"a")
-        gc = make_guarantee(kps, state.members(Role.COLLECTOR), coll, [0, 1])  # 50%
+        gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1])  # 50%
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
         ok, reason = evaluate_proposal(pb, plain_context(state, received_collections={coll}))
         assert not ok and reason.startswith("condition-6")
@@ -171,21 +171,33 @@ class TestEvaluateProposal:
         ok, reason = evaluate_proposal(pb, plain_context(state))
         assert not ok and reason.startswith("condition-10")
 
+    def test_condition_10_unknown_update_op(self):
+        # a slash is the only op; any other rejects the block's whole update list
+        state, _, _ = base_protocol_state()
+        key = sorted(state.records)[0]
+        bad = StateUpdate(
+            entries=({"op": "mint", "key": key.hex(), "amount": 5},), cause="adjudication"
+        )
+        pb = ProtoBlock(b"\x10" * 32, 1, (), (), (), (bad,), commit_state(state))
+        ctx = plain_context(state)
+        assert evaluate_proposal(pb, ctx) == (False, "condition-10:state-commitment")
+        assert ctx.new_state is None
+
     def test_condition_10_replay_matches(self):
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
-        upd = StateUpdate(entries=({"op": "stake_delta", "key": key.hex(), "delta": 3},), cause="stake")
+        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 3},), cause="adjudication")
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
         assert evaluate_proposal(pb, plain_context(state)) == (True, None)
 
     def test_accepted_proposal_hands_back_replayed_state(self):
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
-        upd = StateUpdate(entries=({"op": "stake_delta", "key": key.hex(), "delta": 3},), cause="stake")
+        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 3},), cause="adjudication")
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
         ctx = plain_context(state)
         assert evaluate_proposal(pb, ctx) == (True, None)
-        assert ctx.new_state == apply_updates(state, [upd]).state
+        assert ctx.new_state == apply_updates(state, [upd])
         rejected = plain_context(state, parent_height=3)
         assert evaluate_proposal(pb, rejected)[0] is False
         assert rejected.new_state is None
@@ -237,7 +249,7 @@ class TestRandomnessAttachment:
 def seal_inputs(state, vkps, result_hash=b"\x22" * 32):
     payload = approval_payload(result_hash)
     approvals = {kp.public: kp.sign(payload) for kp in vkps}
-    verifiers = state.members(Role.VERIFICATION)
+    verifiers = members(state, Role.VERIFICATION)
     return approvals, verifiers
 
 
@@ -302,30 +314,30 @@ class TestValidateSeal:
 
     def test_roundtrip_valid(self):
         state, _, vkps = base_protocol_state()
-        assert self.check(self.make(state, vkps), state.members(Role.VERIFICATION))
+        assert self.check(self.make(state, vkps), members(state, Role.VERIFICATION))
 
     def test_unknown_result_rejected(self):
         state, _, vkps = base_protocol_state()
-        assert not self.check(self.make(state, vkps), state.members(Role.VERIFICATION), result=None)
+        assert not self.check(self.make(state, vkps), members(state, Role.VERIFICATION), result=None)
 
     def test_field_mismatch_rejected(self):
         state, _, vkps = base_protocol_state()
         seal = self.make(state, vkps)
-        verifiers = state.members(Role.VERIFICATION)
+        verifiers = members(state, Role.VERIFICATION)
         assert not self.check(seal, verifiers, result=(b"\x99" * 32, b"\x33" * 32))
 
     def test_pending_challenge_rejected(self):
         state, _, vkps = base_protocol_state()
-        assert not self.check(self.make(state, vkps), state.members(Role.VERIFICATION), pending=True)
+        assert not self.check(self.make(state, vkps), members(state, Role.VERIFICATION), pending=True)
 
     def test_unsealed_parent_rejected(self):
         state, _, vkps = base_protocol_state()
-        verifiers = state.members(Role.VERIFICATION)
+        verifiers = members(state, Role.VERIFICATION)
         assert not self.check(self.make(state, vkps), verifiers, parent_sealed=False)
 
     def test_every_listed_approval_must_count(self):
         state, _, vkps = base_protocol_state()
-        verifiers = state.members(Role.VERIFICATION)
+        verifiers = members(state, Role.VERIFICATION)
         seal = self.make(state, vkps)
         duplicate = BlockSeal(
             seal.sealed_block_hash,

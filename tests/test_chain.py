@@ -61,7 +61,7 @@ def brute_force(node: ConsensusNode, digest: bytes) -> BruteForce:
     sealed_tip = GENESIS_RESULT_HASH
     chain = chain_to_genesis(node, digest)
     for pb in chain:
-        state = apply_updates(state, pb.protocol_state_updates).state
+        state = apply_updates(state, pb.protocol_state_updates)
         facts["block"].add(pb.hash())
         facts["collection"].update(g.collection_hash for g in pb.guaranteed_collections)
         facts["sealed"].update(s.execution_result_hash for s in pb.block_seals)
@@ -254,7 +254,7 @@ class TestProposals:
         assert calls == [len(pb.protocol_state_updates)]
         assert node.ctxs[pb.hash()].state == apply_updates(
             node.tip.state, pb.protocol_state_updates
-        ).state
+        )
 
     def test_missing_parent_context_proposal_rejected(self, monkeypatch):
         """A leader whose high-QC block never reached it has no context for

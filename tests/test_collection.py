@@ -2,7 +2,6 @@ import pytest
 
 from flowpipe.clustering import route_transaction
 from flowpipe.collection import (
-    Collection,
     GuaranteedCollection,
     TxCheck,
     close_trigger,
@@ -143,10 +142,6 @@ class TestCollectionHash:
     def test_order_sensitivity(self):
         a, b = fhash("tx", b"a"), fhash("tx", b"b")
         assert collection_hash([a, b]) != collection_hash([b, a])
-
-    def test_collection_object(self):
-        hashes = [fhash("tx", bytes([i])) for i in range(3)]
-        assert Collection(tx_hashes=hashes, cluster_index=0).hash() == collection_hash(hashes)
 
 
 class TestAppendProposal:

@@ -125,7 +125,7 @@ class TestChunking:
         out = run_block([4, 15, 2], 10)
         got = [(c.starting_transaction_index, c.computation_consumption) for c in out.result.chunks]
         assert got == [(0, 4), (1, 15), (2, 2)]
-        assert out.oversized_chunks == [1]
+        assert out.chunk_tx_ranges[1] == (1, 2)
 
     def test_empty_block(self):
         out = run_block([], 10)
@@ -142,7 +142,6 @@ class TestChunking:
             chunks = out.result.chunks
             for k, chunk in enumerate(chunks):
                 if chunk.computation_consumption > gamma:
-                    assert k in out.oversized_chunks
                     lo, hi = out.chunk_tx_ranges[k]
                     assert hi - lo == 1  # only single oversized transactions exceed
             # contiguous coverage and consumption bookkeeping

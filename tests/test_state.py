@@ -7,7 +7,6 @@ from flowpipe import crypto
 from flowpipe.encoding import canonical_json, hexify
 from flowpipe.state import (
     ChallengeKind,
-    Epoch,
     NodeIdentity,
     ProtocolState,
     Role,
@@ -31,15 +30,9 @@ def node(i: int, role=Role.CONSENSUS, stake=10) -> NodeIdentity:
     )
 
 
-def unstake(key: bytes, discharge_epoch: int, release_epoch: int) -> StateUpdate:
-    """Discharge `key` from `discharge_epoch`; its stake stays slashable on
-    hold until `release_epoch`."""
+def slash(key: bytes, amount: int) -> StateUpdate:
     return StateUpdate(
-        entries=(
-            {"op": "discharge", "key": hexify(key), "epoch": discharge_epoch},
-            {"op": "hold", "key": hexify(key), "release_epoch": release_epoch},
-        ),
-        cause="unstake",
+        entries=({"op": "slash", "key": hexify(key), "amount": amount},), cause="adjudication"
     )
 
 
@@ -126,6 +119,23 @@ class TestCommitment:
         }
         assert commit_state(st) == crypto.hash("state", canonical_json(doc))
 
+    def test_two_records_golden(self):
+        # pins the per-record constants and `total_slashed`, which the
+        # empty-state golden above cannot reach
+        e = NodeIdentity(bytes([1]) * 32, Role.EXECUTION, 50, "e0")
+        v = NodeIdentity(bytes([2]) * 32, Role.VERIFICATION, 30, "v0")
+        before = ProtocolState(records={v.staking_public_key: v, e.staking_public_key: e})
+        assert commit_state(before).hex() == (
+            "62dbb227ed4a2fb04f46e5302363ea29fa50893b35b5d65a919f7b96bce9c677"
+        )
+        slashed = NodeIdentity(e.staking_public_key, Role.EXECUTION, 0, "e0")
+        after = ProtocolState(
+            records={v.staking_public_key: v, e.staking_public_key: slashed}, total_slashed=50
+        )
+        assert commit_state(after).hex() == (
+            "eb371c69c0f89efecefbc02f6b49190d2735afd83fd70547b0306c03b06f07bb"
+        )
+
     def test_randomized_soundness(self):
         rng = random.Random(7)
         for _ in range(30):
@@ -138,75 +148,45 @@ class TestCommitment:
 class TestApplyUpdates:
     def test_empty_updates_keep_commitment(self):
         st = make_state()
-        res = apply_updates(st, [])
-        assert res.commitment == commit_state(st)
+        assert apply_updates(st, []).commitment == commit_state(st)
 
     def test_slash(self):
         st = make_state((50,))
-        key = hexify(node(1).staking_public_key)
-        upd = StateUpdate(entries=({"op": "slash", "key": key, "amount": 10},), cause="slash")
-        res = apply_updates(st, [upd])
-        assert res.state.records[node(1).staking_public_key].stake == 40
-        assert res.state.total_slashed == 10
+        res = apply_updates(st, [slash(node(1).staking_public_key, 10)])
+        assert res.records[node(1).staking_public_key].stake == 40
+        assert res.total_slashed == 10
 
     def test_over_slash_clamps_with_event(self):
+        # the stake stops at zero and only the cut counts as slashed
         st = make_state((50,))
-        key = hexify(node(1).staking_public_key)
-        upd = StateUpdate(entries=({"op": "slash", "key": key, "amount": 60},), cause="slash")
-        res = apply_updates(st, [upd])
-        assert res.state.records[node(1).staking_public_key].stake == 0
-        assert res.state.total_slashed == 50
-        assert any(e["kind"] == "over_slash" and e["shortfall"] == 10 for e in res.events)
+        res = apply_updates(st, [slash(node(1).staking_public_key, 60)])
+        assert res.records[node(1).staking_public_key].stake == 0
+        assert res.total_slashed == 50
 
     def test_negative_stake_rejected(self):
-        st = make_state((5,))
-        key = hexify(node(1).staking_public_key)
-        upd = StateUpdate(entries=({"op": "stake_delta", "key": key, "delta": -6},), cause="stake")
-        with pytest.raises(UpdateRejected):
-            apply_updates(st, [upd])
-        assert st.records[node(1).staking_public_key].stake == 5
+        with pytest.raises(ValueError):
+            node(1, stake=-1)
+
+    def test_unknown_op_rejects_whole_batch(self):
+        st = make_state((50, 50))
+        records, before = dict(st.records), commit_state(st)
+        key = hexify(node(2).staking_public_key)
+        bad = StateUpdate(entries=({"op": "mint", "key": key, "amount": 5},), cause="adjudication")
+        with pytest.raises(UpdateRejected, match="unknown update op 'mint'"):
+            apply_updates(st, [slash(node(1).staking_public_key, 10), bad])
+        assert st.records == records and st.total_slashed == 0
+        assert st.commitment is None and commit_state(st) == before
 
     def test_conservation_over_random_sequences(self):
+        # slashes move stake into `total_slashed`; none is created or lost
         rng = random.Random(13)
         st = make_state(tuple(rng.randrange(10, 100) for _ in range(6)))
         initial = sum(r.stake for r in st.records.values())
         keys = sorted(st.records)
         for _ in range(200):
-            key = rng.choice(keys)
-            kind = rng.choice(["slash", "unstake", "epoch"])
-            if kind == "slash":
-                upd = StateUpdate(
-                    entries=({"op": "slash", "key": hexify(key), "amount": rng.randrange(0, 40)},),
-                    cause="slash",
-                )
-                st = apply_updates(st, [upd]).state
-            elif kind == "unstake":
-                if st.records[key].discharged_from_epoch is None:
-                    upd = unstake(key, st.epoch.index + 1, st.epoch.index + 2)
-                    st = apply_updates(st, [upd]).state
-            else:
-                new_epoch = Epoch(
-                    index=st.epoch.index + 1,
-                    start_height=st.epoch.start_height + st.epoch.length_blocks,
-                    length_blocks=st.epoch.length_blocks,
-                    staking_deadline_height=st.epoch.start_height
-                    + st.epoch.length_blocks
-                    + 80_000,
-                )
-                updates = [
-                    StateUpdate(entries=({"op": "release", "key": hexify(k)},), cause="epoch")
-                    for k in sorted(st.held_stakes)
-                    if st.held_stakes[k].release_epoch <= new_epoch.index
-                ]
-                st = apply_updates(st, updates).state
-                st.epoch = new_epoch
-            total = (
-                sum(r.stake for r in st.records.values())
-                + sum(h.amount for h in st.held_stakes.values())
-                + st.total_slashed
-                + st.total_released
-            )
-            assert total == initial
+            updates = [slash(rng.choice(keys), rng.randrange(0, 40)) for _ in range(rng.randrange(3))]
+            st = apply_updates(st, updates)
+            assert sum(r.stake for r in st.records.values()) + st.total_slashed == initial
 
 
 class TestStoredCommitment:
@@ -216,22 +196,17 @@ class TestStoredCommitment:
     @pytest.mark.parametrize("updates", [[], [StateUpdate(entries=(), cause="epoch")]])
     def test_no_entries_equal_fresh_commit(self, updates):
         st = make_state((10, 20, 30))
-        res = apply_updates(st, updates)
-        assert res.commitment == commit_state(st.copy())
-        snap = res.state
+        snap = apply_updates(st, updates)
+        assert snap.commitment == commit_state(st.copy())
         again = apply_updates(snap, updates)
-        assert again.state is snap
+        assert again is snap
         assert again.commitment == commit_state(snap.copy())
 
     def test_snapshot_stores_fresh_commitment(self):
         st = make_state((50, 50))
-        upd = StateUpdate(
-            entries=({"op": "slash", "key": hexify(node(1).staking_public_key), "amount": 7},),
-            cause="slash",
-        )
-        res = apply_updates(st, [upd])
-        assert res.commitment == res.state.commitment == commit_state(res.state.copy())
-        assert res.commitment != commit_state(st)
+        snap = apply_updates(st, [slash(node(1).staking_public_key, 7)])
+        assert snap.commitment == commit_state(snap.copy())
+        assert snap.commitment != commit_state(st)
 
     def test_hand_mutated_state_commits_fresh(self):
         st = make_state((10, 20))
@@ -240,38 +215,14 @@ class TestStoredCommitment:
         st.records[rec.staking_public_key] = rec
         after = apply_updates(st, [])
         assert st.commitment is None
-        assert after.state is not st
+        assert after is not st
         assert after.commitment == commit_state(st) != before
 
     def test_copy_drops_stored_commitment(self):
-        snap = apply_updates(make_state(), []).state
+        snap = apply_updates(make_state(), [])
         assert snap.commitment is not None
         assert snap.copy().commitment is None
         assert snap.copy() == snap
-
-
-class TestUnstaking:
-    def test_discharge_and_release_epochs(self):
-        st = make_state((50,))
-        key = node(1).staking_public_key
-        st = apply_updates(st, [unstake(key, 4, 5)]).state
-        rec = st.records[key]
-        assert rec.discharged_from_epoch == 4
-        assert rec.stake == 0
-        assert st.held_stakes[key].release_epoch == 5
-        # still a member in epoch 3 (stake on hold), gone from epoch 4
-        assert [m.staking_public_key for m in st.members(Role.CONSENSUS, epoch_index=3)] == [key]
-        assert all(
-            m.staking_public_key != key for m in st.members(Role.CONSENSUS, epoch_index=4)
-        )
-
-    def test_held_stake_slashable(self):
-        st = make_state((50,))
-        key = node(1).staking_public_key
-        st = apply_updates(st, [unstake(key, 1, 2)]).state
-        upd = StateUpdate(entries=({"op": "slash", "key": hexify(key), "amount": 20},), cause="slash")
-        st = apply_updates(st, [upd]).state
-        assert st.held_stakes[key].amount == 30
 
 
 class TestAdjudication:
@@ -290,14 +241,14 @@ class TestAdjudication:
         adj, upd = adjudicate_challenge(st, self.make_challenge(), None, timed_out=True)
         assert adj.outcome == "accused_slashed"
         res = apply_updates(st, [upd])
-        assert res.state.records[node(1).staking_public_key].stake == 0
+        assert res.records[node(1).staking_public_key].stake == 0
 
     def test_exonerating_response_slashes_challenger(self):
         st = make_state((50, 50))
         adj, upd = adjudicate_challenge(st, self.make_challenge(), True, timed_out=False)
         assert adj.outcome == "challenger_slashed"
         res = apply_updates(st, [upd])
-        assert res.state.records[node(2).staking_public_key].stake == 0
+        assert res.records[node(2).staking_public_key].stake == 0
 
     def test_full_proof_immediate(self):
         st = make_state((50, 50))

@@ -10,7 +10,7 @@ from flowpipe.execution import (
     block_execution,
 )
 from flowpipe.merkle import ExecutionState, value_proof_gen
-from flowpipe.state import ChallengeKind, Epoch, NodeIdentity, ProtocolState, Role
+from flowpipe.state import ChallengeKind, NodeIdentity, ProtocolState, Role
 from flowpipe.verification import (
     ChunkDataPackage,
     DisputedChunk,
@@ -79,24 +79,21 @@ class TestAssignChunks:
 
 class TestVerifyChunk:
     def setup_method(self):
-        self.kp = crypto.StakingKeyPair.from_seed(b"verifier" * 4)
         self.txs, self.out = executed_block()
 
     def test_honest_result_approved_every_chunk(self):
         for k in range(len(self.out.result.chunks)):
             verdict = verify_chunk(
-                self.kp, self.out.result, k, package_for(self.out, self.txs, k), self.out.spocks[k]
+                self.out.result, k, package_for(self.out, self.txs, k), self.out.spocks[k]
             )
             assert verdict.ok, verdict.reason
-            assert verdict.approval.chunk_index == k
-            assert verdict.approval.verifier == self.kp.public
 
     def test_tampered_final_state_detected(self):
         r = self.out.result
         tampered = ExecutionResult(r.block_hash, r.previous_execution_result_hash, r.chunks, b"\xee" * 32)
         last = len(r.chunks) - 1
         verdict = verify_chunk(
-            self.kp, tampered, last, package_for(self.out, self.txs, last), self.out.spocks[last]
+            tampered, last, package_for(self.out, self.txs, last), self.out.spocks[last]
         )
         assert not verdict.ok
         assert verdict.reason == "end-state-mismatch"
@@ -111,14 +108,14 @@ class TestVerifyChunk:
         tampered = ExecutionResult(r.block_hash, r.previous_execution_result_hash,
                                    (fake,) + r.chunks[1:], r.final_state)
         verdict = verify_chunk(
-            self.kp, tampered, 0, package_for(self.out, self.txs, 0), self.out.spocks[0]
+            tampered, 0, package_for(self.out, self.txs, 0), self.out.spocks[0]
         )
         assert not verdict.ok
         assert verdict.reason == "consumption-mismatch"
 
     def test_wrong_spock_detected(self):
         verdict = verify_chunk(
-            self.kp, self.out.result, 0, package_for(self.out, self.txs, 0), b"\x00" * 32
+            self.out.result, 0, package_for(self.out, self.txs, 0), b"\x00" * 32
         )
         assert not verdict.ok
         assert verdict.reason == "trace-mismatch"
@@ -127,7 +124,7 @@ class TestVerifyChunk:
         pkg = package_for(self.out, self.txs, 1)
         key = next(iter(pkg.registers))
         pkg.registers[key] = pkg.registers[key] + b"\x01"
-        verdict = verify_chunk(self.kp, self.out.result, 1, pkg, self.out.spocks[1])
+        verdict = verify_chunk(self.out.result, 1, pkg, self.out.spocks[1])
         assert not verdict.ok
         assert verdict.reason == "state-proof-failure"
 
@@ -135,7 +132,7 @@ class TestVerifyChunk:
         pkg = package_for(self.out, self.txs, 1)
         if pkg.proofs:
             pkg.proofs.pop(next(iter(pkg.proofs)))
-            verdict = verify_chunk(self.kp, self.out.result, 1, pkg, self.out.spocks[1])
+            verdict = verify_chunk(self.out.result, 1, pkg, self.out.spocks[1])
             assert not verdict.ok
             assert verdict.reason == "state-proof-failure"
 
@@ -146,7 +143,7 @@ def adjudication_state():
         kp = crypto.StakingKeyPair.from_seed(bytes([120 + i]) * 32)
         records[kp.public] = NodeIdentity(kp.public, role, 100, f"a{i}")
     keys = sorted(records)
-    return ProtocolState(records=records, epoch=Epoch(0, 0, 1000, 800)), keys
+    return ProtocolState(records=records), keys
 
 
 class TestAdjudicateFcc:
