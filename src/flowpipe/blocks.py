@@ -21,6 +21,7 @@ from .encoding import canonical_json, hexify, once
 from .state import (
     NodeIdentity,
     ProtocolState,
+    SlashingChallenge,
     StateUpdate,
     UpdateRejected,
     apply_updates,
@@ -60,7 +61,7 @@ class ProtoBlock:
     height: int
     guaranteed_collections: tuple[GuaranteedCollection, ...]
     block_seals: tuple[BlockSeal, ...]
-    slashing_challenges: tuple[dict, ...]  # canonical challenge documents
+    slashing_challenges: tuple[SlashingChallenge, ...]
     protocol_state_updates: tuple[StateUpdate, ...]
     state_commitment: bytes
 
@@ -70,7 +71,7 @@ class ProtoBlock:
             "height": self.height,
             "guaranteed_collections": [g.to_dict() for g in self.guaranteed_collections],
             "block_seals": [s.to_dict() for s in self.block_seals],
-            "slashing_challenges": list(self.slashing_challenges),
+            "slashing_challenges": [c.to_dict() for c in self.slashing_challenges],
             "protocol_state_updates": [u.to_dict() for u in self.protocol_state_updates],
             "state_commitment": hexify(self.state_commitment),
         }
@@ -96,7 +97,7 @@ def propose_proto_block(
     parent_protocol_state: ProtocolState,
     pending_collections: Sequence[GuaranteedCollection],
     ready_seals: Sequence[BlockSeal],
-    pending_challenges: Sequence[dict],
+    pending_challenges: Sequence[SlashingChallenge],
     pending_updates: Sequence[StateUpdate],
 ) -> ProtoBlock:
     """Assemble a proposal from the primary's mempool view. Invalid state
@@ -132,7 +133,7 @@ class EvaluationContext:
     received_collections: set[bytes]
     collector_clusters: dict[int, list[NodeIdentity]]
     seal_valid: Callable[[BlockSeal], bool]
-    challenge_verified: Callable[[dict], bool]
+    challenge_verified: Callable[[SlashingChallenge], bool]
     parent_protocol_state: ProtocolState
     new_state: Optional[ProtocolState] = None
 

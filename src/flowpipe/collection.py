@@ -114,17 +114,17 @@ def validate_append_proposal(
     proposal: Sequence[bytes],
     pool: dict[bytes, SignedTransaction],
     open_collection: Sequence[bytes],
-    guaranteed_history: set[bytes],
+    included: set[bytes],
 ) -> bool:
     """Vote in favor of appending `proposal` iff the node holds every full
-    text, nothing duplicates the open collection, and nothing overlaps a
-    collection this cluster already guaranteed. Signature/cluster checks
-    happened at intake, so pool membership implies them."""
+    text, nothing duplicates the open collection, and nothing overlaps what
+    this cluster already included, open or guaranteed. Signature/cluster
+    checks happened at intake, so pool membership implies them."""
     seen = set(open_collection)
     for h in proposal:
         if h not in pool:
             return False
-        if h in seen or h in guaranteed_history:
+        if h in seen or h in included:
             return False
         seen.add(h)
     return True

@@ -206,7 +206,6 @@ class ConsensusEngine:
         self.last_voted_round = 0
         self.locked_round = 0
         self.high_qc = GENESIS_QC
-        self.finalized: list[bytes] = []
         self.finalized_set: set[bytes] = set()
         self._votes: dict[tuple[int, bytes], dict[bytes, bytes]] = {}
         self._pending_qcs: dict[bytes, QuorumCertificate] = {}
@@ -268,7 +267,6 @@ class ConsensusEngine:
             chain.append(cur)
             cur = self.tree.nodes[cur].parent
         for digest in reversed(chain):
-            self.finalized.append(digest)
             self.finalized_set.add(digest)
             self.on_finalize(self.tree.nodes[digest])
 

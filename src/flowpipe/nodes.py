@@ -37,7 +37,7 @@ from .execution import (
     block_execution,
     canonical,
 )
-from .hotstuff import ConsensusEngine, NewRound, Proposal, Vote, vote_payload
+from .hotstuff import GENESIS_DIGEST, ConsensusEngine, NewRound, Proposal, Vote, vote_payload
 from .merkle import ExecutionState, value_proof_gen
 from .sim import Handler, Simulator
 from .state import (
@@ -90,7 +90,6 @@ class Directory:
     clusters: dict[int, list[NodeIdentity]]  # cluster index -> members
     cluster_of: dict[bytes, int]
     initial_state: ProtocolState
-    genesis_digest: bytes  # engine-level digest standing for the genesis block
     epoch_seed: bytes
     params: crypto.ThresholdParams
     drb_vv: crypto.VerificationVector
@@ -113,6 +112,14 @@ class Behavior:
     target_chunk: Optional[int] = None
 
 
+class _Junk:
+    """What an equivocating leader lists as a slashing challenge to make its
+    twin proposal differ; honest nodes reject it at condition 9."""
+
+    def to_dict(self) -> dict:
+        return {"equivocation": 1}
+
+
 class EquivocatingEngine(ConsensusEngine):
     """Byzantine leader: signs two conflicting proposals for each round it
     leads and broadcasts both."""
@@ -124,9 +131,7 @@ class EquivocatingEngine(ConsensusEngine):
         self._proposed_rounds.add(r)
         parent = self.high_qc.payload_digest
         base = self.make_payload(parent)
-        twin = dataclasses.replace(
-            base, slashing_challenges=base.slashing_challenges + ({"equivocation": 1},)
-        )
+        twin = dataclasses.replace(base, slashing_challenges=base.slashing_challenges + (_Junk(),))
         for payload in (base, twin):
             digest = self.digest_payload(payload)
             proposal = Proposal(
@@ -225,8 +230,7 @@ class ApprovalMsg:
 @dataclass(frozen=True)
 class ChallengeMsg:
     challenge: SlashingChallenge
-    # FCC context so adjudicators can locate the disputed chunk
-    result_hash: Optional[bytes] = None
+    # an FCC names its result in `evidence[0]`; the index locates the chunk
     chunk_index: Optional[int] = None
 
 
@@ -355,11 +359,10 @@ class CollectorNode(Node):
         self.included: set[bytes] = set()
         self.open_collection: list[bytes] = []
         self.open_round = 1
-        self.guaranteed_history: set[bytes] = set()
         self.store: dict[bytes, list[SignedTransaction]] = {}
         self.shares: dict[bytes, dict[bytes, bytes]] = {}
         self.announced: set[bytes] = set()
-        self.heights: dict[bytes, int] = {directory.genesis_digest: 0}
+        self.heights: dict[bytes, int] = {GENESIS_DIGEST: 0}
         self.next_height = 1
 
         self.attach_engine(
@@ -403,11 +406,7 @@ class CollectorNode(Node):
             self.d.collection_timespan_rounds,
         ):
             return dict(base, kind="close")
-        fresh = [
-            hexify(h)
-            for h in self.pool
-            if h not in self.included and h not in self.guaranteed_history
-        ]
+        fresh = [hexify(h) for h in self.pool if h not in self.included]
         if fresh:
             return dict(base, kind="append", hashes=fresh)
         return dict(base, kind="noop")
@@ -425,7 +424,7 @@ class CollectorNode(Node):
         if kind == "append":
             hashes = [bytes.fromhex(h) for h in payload.get("hashes", [])]
             return bool(hashes) and validate_append_proposal(
-                hashes, self.pool, self.open_collection, self.guaranteed_history
+                hashes, self.pool, self.open_collection, self.included
             )
         return False
 
@@ -434,14 +433,13 @@ class CollectorNode(Node):
         kind = payload.get("kind")
         if kind == "append":
             for h in (bytes.fromhex(x) for x in payload["hashes"]):
-                if h in self.pool and h not in self.included and h not in self.guaranteed_history:
+                if h in self.pool and h not in self.included:
                     self.open_collection.append(h)
                     self.included.add(h)
         elif kind == "close" and self.open_collection:
             tx_hashes, self.open_collection = self.open_collection, []
             ch = collection_hash(tx_hashes)
             self.store[ch] = [self.pool[h] for h in tx_hashes]
-            self.guaranteed_history.update(tx_hashes)
             self.open_round = self.engine.current_round
             stub = GuaranteedCollection(ch, self.cluster_index, (), ())
             sig = self.keypair.sign(stub.signed_payload())
@@ -522,18 +520,18 @@ class CollectorNode(Node):
 # ---------------------------------------------------------------------------
 
 
-def _challenge_mark(doc: dict):
+def _challenge_mark(ch: SlashingChallenge):
     """Chain-dedupe key: the challenged target, independent of challenger. A
     missing collection's mark is its hash (bytes), a faulty chunk's is a
     (result hash, chunk index digest) tuple, and a protocol violation's is
     its challenge id, whose canonical fields name only the accused and the
     evidence. Collection hashes and challenge ids are hashes under different
     tags, so no two marks collide."""
-    if doc["kind"] == ChallengeKind.MISSING_COLLECTION.value:
-        return bytes.fromhex(doc["evidence"][0])
-    if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
-        return (bytes.fromhex(doc["evidence"][0]), bytes.fromhex(doc["evidence"][1]))
-    return bytes.fromhex(doc["id"])
+    if ch.kind == ChallengeKind.MISSING_COLLECTION:
+        return ch.evidence[0]
+    if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
+        return ch.evidence[:2]
+    return ch.challenge_id
 
 
 # kinds of chain fact and their keys: "block" (digest, height >= 1),
@@ -569,13 +567,11 @@ class ConsensusNode(Node):
         self.ctxs: dict[bytes, ChainCtx] = {self.tip.digest: self.tip}
         self.known_collections: dict[bytes, GuaranteedCollection] = {}
         self.pending_collections: list[bytes] = []
-        self.pending_challenges: dict[bytes, dict] = {}  # dedupe key -> challenge doc
+        self.pending_challenges: dict[bytes, SlashingChallenge] = {}  # by dedupe key
         self._challenge_seen: set[bytes] = set()  # dedupe keys ever accepted
         self.pending_updates: dict[bytes, StateUpdate] = {}  # challenge id -> update
-        self.results: dict[bytes, ExecutionResult] = {}
+        self.receipts: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt and packages
         self.results_by_prev: dict[bytes, list[bytes]] = {}  # prev result -> successors
-        self.packages: dict[bytes, tuple] = {}  # result hash -> chunk packages
-        self.receipts: dict[bytes, ExecutionReceipt] = {}
         self.approvals: dict[bytes, dict[bytes, bytes]] = {}
         self.drb_shares: dict[bytes, dict[int, crypto.SignatureShare]] = {}
         self.randomness: dict[bytes, int] = {}
@@ -586,8 +582,8 @@ class ConsensusNode(Node):
         self.adjudicated_ids: set[bytes] = set()
         self.finalized_heights: dict[int, bytes] = {}
         self.first_seen: dict[bytes, int] = {}  # block hash -> tick first validated
-        self.recorded_challenges: dict[bytes, dict] = {}  # challenge id -> doc
-        self.recorded_fcc: dict[bytes, list[dict]] = {}  # result hash -> docs, chain order
+        self.recorded_challenges: dict[bytes, SlashingChallenge] = {}  # by challenge id
+        self.recorded_fcc: dict[bytes, list[SlashingChallenge]] = {}  # by result, chain order
 
         engine_cls = ConsensusEngine
         if self.acts("equivocate_proposal"):
@@ -629,7 +625,7 @@ class ConsensusNode(Node):
         facts = {kind: set() for kind in _FACT_KINDS}
         facts["sealed"].add(GENESIS_RESULT_HASH)
         return ChainCtx(
-            self.d.genesis_digest, 0, self.d.initial_state, GENESIS_RESULT_HASH, None, facts
+            GENESIS_DIGEST, 0, self.d.initial_state, GENESIS_RESULT_HASH, None, facts
         )
 
     def _on_chain(self, ctx: ChainCtx, kind: str, key) -> bool:
@@ -677,12 +673,13 @@ class ConsensusNode(Node):
         if state is None:
             state = apply_updates(parent.state, pb.protocol_state_updates)
         fcc = set()
-        for doc in pb.slashing_challenges:
-            if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
-                rh, cid = bytes.fromhex(doc["evidence"][0]), bytes.fromhex(doc["id"])
-                fcc.add((rh, cid))
-                self.fcc_ids.setdefault(rh, set()).add(cid)
-        adjudications = [u.meta for u in pb.protocol_state_updates if u.cause == "adjudication"]
+        for ch in pb.slashing_challenges:
+            if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
+                fcc.add((ch.evidence[0], ch.challenge_id))
+                self.fcc_ids.setdefault(ch.evidence[0], set()).add(ch.challenge_id)
+        adjudications = [
+            u.adjudication for u in pb.protocol_state_updates if u.adjudication is not None
+        ]
         ctx = ChainCtx(
             digest=digest,
             height=pb.height,
@@ -695,14 +692,10 @@ class ConsensusNode(Node):
                 "block": {digest},
                 "collection": {g.collection_hash for g in pb.guaranteed_collections},
                 "sealed": {s.execution_result_hash for s in pb.block_seals},
-                "challenged": {_challenge_mark(doc) for doc in pb.slashing_challenges},
+                "challenged": {_challenge_mark(ch) for ch in pb.slashing_challenges},
                 "fcc": fcc,
-                "adjudicated": {bytes.fromhex(m["challenge_id"]) for m in adjudications},
-                "upheld": {
-                    bytes.fromhex(m["challenge_id"])
-                    for m in adjudications
-                    if m.get("outcome") == "accused_slashed"
-                },
+                "adjudicated": {a.challenge_id for a in adjudications},
+                "upheld": {a.challenge_id for a in adjudications if a.outcome == "accused_slashed"},
             },
         )
         self.ctxs[digest] = ctx
@@ -725,10 +718,9 @@ class ConsensusNode(Node):
         updates = []
         block_marks: dict = {}  # mark -> id of the challenge listed for it
         for dedupe_key in sorted(self.pending_challenges):
-            doc = self.pending_challenges[dedupe_key]
-            if not self._challenge_fresh(ctx, doc, block_marks):
-                continue
-            challenges.append(doc)
+            ch = self.pending_challenges[dedupe_key]
+            if self._challenge_fresh(ctx, ch, block_marks):
+                challenges.append(ch)
         for cid in sorted(self.pending_updates):
             if not self._on_chain(ctx, "adjudicated", cid):
                 updates.append(self.pending_updates[cid])
@@ -743,16 +735,16 @@ class ConsensusNode(Node):
             pending_updates=updates,
         )
 
-    def _challenge_fresh(self, ctx: ChainCtx, doc: dict, block_marks: dict) -> bool:
+    def _challenge_fresh(self, ctx: ChainCtx, ch: SlashingChallenge, block_marks: dict) -> bool:
         """The challenge's target is not yet challenged on the chain through
         `ctx`, nor by another challenge listed in the block so far. Listing
         the same challenge again is allowed: an equivocator that sends one
         pair of proposals in two rounds yields one challenge under two
         evidence keys."""
-        mark = _challenge_mark(doc)
+        mark = _challenge_mark(ch)
         return (
             not self._on_chain(ctx, "challenged", mark)
-            and block_marks.setdefault(mark, doc["id"]) == doc["id"]
+            and block_marks.setdefault(mark, ch.challenge_id) == ch.challenge_id
         )
 
     def _result_pending_challenge(self, ctx: ChainCtx, result_hash: bytes) -> bool:
@@ -776,7 +768,7 @@ class ConsensusNode(Node):
         upd = self.pending_updates.get(cid)
         if upd is None:
             return None
-        return upd.meta.get("outcome") == "accused_slashed"
+        return upd.adjudication.outcome == "accused_slashed"
 
     def _ready_seals(self, ctx: ChainCtx):
         seals = []
@@ -787,7 +779,7 @@ class ConsensusNode(Node):
             for rh in sorted(self.results_by_prev.get(tip, ())):
                 if self._on_chain(ctx, "sealed", rh):
                     continue
-                result = self.results[rh]
+                result = self._result(rh)
                 if not self._on_chain(ctx, "block", result.block_hash):
                     continue
                 if self._result_pending_challenge(ctx, rh):
@@ -825,14 +817,11 @@ class ConsensusNode(Node):
                 seal,
                 self.d.verifier_members,
                 result_lookup=lambda rh: (
-                    (self.results[rh].block_hash, self.results[rh].final_state)
-                    if rh in self.results
-                    else None
+                    (r.block_hash, r.final_state) if (r := self._result(rh)) is not None else None
                 ),
                 parent_result_sealed=lambda rh: (
-                    _is_sealed(self.results[rh].previous_execution_result_hash)
-                    if rh in self.results
-                    else False
+                    (r := self._result(rh)) is not None
+                    and _is_sealed(r.previous_execution_result_hash)
                 ),
                 challenge_pending=lambda rh: self._result_pending_challenge(ctx, rh),
             )
@@ -842,13 +831,11 @@ class ConsensusNode(Node):
 
         block_marks: dict = {}
 
-        def challenge_ok(doc) -> bool:
-            try:
-                ch = self._challenge_from_doc(doc)
-            except (KeyError, ValueError):
-                return False
-            return challenge_id(ch) == ch.challenge_id and self._challenge_fresh(
-                ctx, doc, block_marks
+        def challenge_ok(ch) -> bool:
+            return (
+                isinstance(ch, SlashingChallenge)
+                and challenge_id(ch) == ch.challenge_id
+                and self._challenge_fresh(ctx, ch, block_marks)
             )
 
         ectx = EvaluationContext(
@@ -867,17 +854,9 @@ class ConsensusNode(Node):
         self._build_ctx(payload, ctx, ectx.new_state)
         return True
 
-    @staticmethod
-    def _challenge_from_doc(doc: dict) -> SlashingChallenge:
-        return SlashingChallenge(
-            kind=ChallengeKind(doc["kind"]),
-            challenger=bytes.fromhex(doc["challenger"]),
-            accused=tuple(bytes.fromhex(a) for a in doc["accused"]),
-            evidence=tuple(bytes.fromhex(e) for e in doc["evidence"]),
-            deadline=doc["deadline"],
-            full_proof=doc["full_proof"],
-            challenge_id=bytes.fromhex(doc["id"]),
-        )
+    def _result(self, rh: bytes) -> Optional[ExecutionResult]:
+        msg = self.receipts.get(rh)
+        return msg.receipt.execution_result if msg is not None else None
 
     # -- finalization pipeline ---------------------------------------------------
 
@@ -941,12 +920,11 @@ class ConsensusNode(Node):
                 else:
                     self.sim.send(self.name, peer, drb)
         # adjudicate challenges recorded in this block
-        for doc in pb.slashing_challenges:
-            self.recorded_challenges[bytes.fromhex(doc["id"])] = doc
-            if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value:
-                rh = bytes.fromhex(doc["evidence"][0])
-                self.recorded_fcc.setdefault(rh, []).append(doc)
-            self._start_adjudication(doc)
+        for ch in pb.slashing_challenges:
+            self.recorded_challenges[ch.challenge_id] = ch
+            if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
+                self.recorded_fcc.setdefault(ch.evidence[0], []).append(ch)
+            self._start_adjudication(ch)
 
     def _on_evidence(self, ev):
         dedupe = ("equiv", hexify(ev.proposer), ev.round)
@@ -963,20 +941,14 @@ class ConsensusNode(Node):
             deadline=0,
             full_proof=True,
         )
-        doc = dataclasses.replace(ch, challenge_id=challenge_id(ch)).to_dict()
-        self.pending_challenges[key] = doc
+        ch = self.pending_challenges[key] = dataclasses.replace(ch, challenge_id=challenge_id(ch))
         self.sim.event(
             self.name,
             "equivocation_challenge",
             {"accused": hexify(ev.proposer), "round": ev.round},
         )
         # full proof: adjudicate now, before the chain records the challenge
-        self._start_adjudication(doc)
-
-    def _slash_basis(self) -> ProtocolState:
-        """Protocol state that slash amounts are priced from: the genesis
-        state, not the chain state at the recording block."""
-        return self.d.initial_state
+        self._start_adjudication(ch)
 
     def _record_adjudication(self, adj, upd):
         if adj.challenge_id in self.adjudicated_ids:
@@ -993,34 +965,32 @@ class ConsensusNode(Node):
             },
         )
 
-    def _start_adjudication(self, doc: dict):
-        cid = bytes.fromhex(doc["id"])
+    def _start_adjudication(self, ch: SlashingChallenge):
+        """Slash amounts are priced from the genesis state, not the chain
+        state at the recording block."""
+        cid = ch.challenge_id
         if cid in self.adjudicated_ids or cid in self.mcc_responses:
             return
-        kind = doc["kind"]
-        ch = self._challenge_from_doc(doc)
-        if kind == ChallengeKind.PROTOCOL_VIOLATION.value:
-            adj, upd = adjudicate_challenge(self._slash_basis(), ch, None, timed_out=False)
+        if ch.kind == ChallengeKind.PROTOCOL_VIOLATION:
+            adj, upd = adjudicate_challenge(self.d.initial_state, ch, None, timed_out=False)
             self._record_adjudication(adj, upd)
-        elif kind == ChallengeKind.FAULTY_COMPUTATION.value:
+        elif ch.kind == ChallengeKind.FAULTY_COMPUTATION:
             info = self.fcc_context.get(cid)
             if info is None:
                 return
             result_hash, chunk_index = info
-            result = self.results.get(result_hash)
-            packages = self.packages.get(result_hash)
-            receipt = self.receipts.get(result_hash)
-            if result is None or packages is None or receipt is None:
+            msg = self.receipts.get(result_hash)
+            if msg is None:
                 return  # disputed receipt not yet received; retried on arrival
             disputed = DisputedChunk(
-                result=result,
+                result=msg.receipt.execution_result,
                 chunk_index=chunk_index,
-                package=packages[chunk_index],
-                executor_spock=receipt.spocks[chunk_index],
+                package=msg.packages[chunk_index],
+                executor_spock=msg.receipt.spocks[chunk_index],
             )
-            adj, upd = adjudicate_fcc(self._slash_basis(), ch, disputed)
+            adj, upd = adjudicate_fcc(self.d.initial_state, ch, disputed)
             self._record_adjudication(adj, upd)
-        elif kind == ChallengeKind.MISSING_COLLECTION.value:
+        elif ch.kind == ChallengeKind.MISSING_COLLECTION:
             self.mcc_responses[cid] = {}
             coll_hash = ch.evidence[0]
             self.send_all([self.d.name_of[a] for a in ch.accused], MccQuery(coll_hash, cid))
@@ -1038,7 +1008,7 @@ class ConsensusNode(Node):
         }
         for g in ch.accused:
             responses.setdefault(g, None)
-        outcome = adjudicate_mcc(self._slash_basis(), ch, responses)
+        outcome = adjudicate_mcc(self.d.initial_state, ch, responses)
         if outcome.update is not None:
             self._record_adjudication(outcome.adjudication, outcome.update)
         else:
@@ -1097,34 +1067,30 @@ class ConsensusNode(Node):
     def _on_receipt(self, sender: str, msg: ReceiptMsg):
         receipt = msg.receipt
         rh = receipt.execution_result.result_hash()
-        if rh in self.results:
+        if rh in self.receipts:
             return
         if not crypto.staking_verify(receipt.executor, rh, receipt.executor_signature):
             return
-        self.results[rh] = receipt.execution_result
+        self.receipts[rh] = msg
         self.results_by_prev.setdefault(
             receipt.execution_result.previous_execution_result_hash, []
         ).append(rh)
-        self.receipts[rh] = receipt
-        self.packages[rh] = msg.packages
         self.sim.event(
             self.name,
             "receipt",
             {"result": hexify(rh), "executor": hexify(receipt.executor)},
         )
         # only a recorded FCC against this result can have waited on it
-        for doc in self.recorded_fcc.get(rh, ()):
-            self._start_adjudication(doc)
+        for ch in self.recorded_fcc.get(rh, ()):
+            self._start_adjudication(ch)
 
     def _on_challenge(self, sender: str, msg: ChallengeMsg):
         ch = msg.challenge
         if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
             dedupe = crypto.hash(
-                "dedupe", b"fcc" + msg.result_hash + msg.chunk_index.to_bytes(8, "big")
+                "dedupe", b"fcc" + ch.evidence[0] + msg.chunk_index.to_bytes(8, "big")
             )
-            rh, _ = self.fcc_context.setdefault(
-                ch.challenge_id, (msg.result_hash, msg.chunk_index)
-            )
+            rh, _ = self.fcc_context.setdefault(ch.challenge_id, (ch.evidence[0], msg.chunk_index))
             self.fcc_ids.setdefault(rh, set()).add(ch.challenge_id)
         else:
             dedupe = crypto.hash("dedupe", b"mcc" + ch.evidence[0])
@@ -1134,7 +1100,7 @@ class ConsensusNode(Node):
                 self._start_adjudication(self.recorded_challenges[ch.challenge_id])
             return
         self._challenge_seen.add(dedupe)
-        self.pending_challenges[dedupe] = ch.to_dict()
+        self.pending_challenges[dedupe] = ch
         self.sim.event(
             self.name,
             "challenge",
@@ -1203,7 +1169,7 @@ class ExecutionNode(Node):
         h = gc.collection_hash
         if h in self.retrieving or h in self.challenged:
             return
-        state = {"gc": gc, "order": sorted(gc.signers), "next": 0}
+        state = {"order": sorted(gc.signers), "next": 0}
         self.retrieving[h] = state
         self._query_next(h)
 
@@ -1361,9 +1327,7 @@ class VerificationNode(Node):
                     "fcc_raised",
                     {"result": hexify(rh), "chunk": k, "reason": verdict.reason},
                 )
-                self.send_all(
-                    self.d.consensus_names, ChallengeMsg(fcc, result_hash=rh, chunk_index=k)
-                )
+                self.send_all(self.d.consensus_names, ChallengeMsg(fcc, chunk_index=k))
                 return
         self.sim.event(self.name, "approved", {"result": hexify(rh)})
         sig = self.keypair.sign(approval_payload(rh))
@@ -1409,7 +1373,7 @@ class UserAgent(Node):
             script=script,
             payer_signature=self.keypair.public + self.keypair.sign(script),
             script_signatures=(),
-            reference_block_hash=self.d.genesis_digest,
+            reference_block_hash=GENESIS_DIGEST,
         )
         self.sent += 1
         cluster = route_transaction(tx.tx_hash(), len(self.d.clusters))

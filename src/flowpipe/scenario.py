@@ -15,7 +15,6 @@ from typing import Any, Optional
 from . import crypto
 from .blocks import GENESIS_RANDOMNESS
 from .clustering import cluster_assignment
-from .hotstuff import GENESIS_DIGEST
 from .nodes import (
     Behavior,
     CollectorNode,
@@ -29,7 +28,7 @@ from .encoding import hexify
 from .execution import GENESIS_RESULT_HASH, block_execution, canonical
 from .merkle import ExecutionState
 from .sim import Metrics, SimConfig, Simulator
-from .state import ChallengeKind, NodeIdentity, ProtocolState, Role
+from .state import ChallengeKind, NodeIdentity, ProtocolState, Role, SlashingChallenge
 
 
 class ScenarioError(ValueError):
@@ -384,7 +383,6 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
         clusters=clusters,
         cluster_of=dict(assignment.mapping),
         initial_state=initial_state,
-        genesis_digest=GENESIS_DIGEST,
         epoch_seed=epoch_seed,
         params=params,
         drb_vv=dkg.verification_vector,
@@ -620,10 +618,10 @@ def add_mcc_property(world: World, cluster_index: int, add) -> None:
         for gc in node.payload.guaranteed_collections:
             chain_gcs[gc.collection_hash] = gc
     withheld = {h for h, gc in chain_gcs.items() if gc.cluster_index == cluster_index}
-    mcc_targets: dict[bytes, dict] = {}
-    for doc in obs.recorded_challenges.values():
-        if doc["kind"] == ChallengeKind.MISSING_COLLECTION.value:
-            mcc_targets[bytes.fromhex(doc["evidence"][0])] = doc
+    mcc_targets: dict[bytes, SlashingChallenge] = {}
+    for ch in obs.recorded_challenges.values():
+        if ch.kind == ChallengeKind.MISSING_COLLECTION:
+            mcc_targets[ch.evidence[0]] = ch
     ok = bool(withheld) and set(mcc_targets) == withheld
     detail = f"{len(withheld)} withheld collections, {len(mcc_targets)} MCCs recorded"
     if ok:
@@ -631,9 +629,9 @@ def add_mcc_property(world: World, cluster_index: int, add) -> None:
         slashed_by_id: dict[str, set[str]] = {}
         for r in _observer_events(world, "adjudication"):
             slashed_by_id[r["payload"]["id"]] = set(r["payload"]["slashed"])
-        for h, doc in mcc_targets.items():
+        for h, ch in mcc_targets.items():
             want = {hexify(s) for s in chain_gcs[h].signers}
-            got = slashed_by_id.get(doc["id"], set())
+            got = slashed_by_id.get(hexify(ch.challenge_id), set())
             if got != want:
                 ok = False
                 detail = f"guarantor set not fully slashed for {hexify(h)[:12]}"

@@ -74,14 +74,16 @@ def meets_supermajority(fraction: Fraction) -> bool:
 @dataclass(frozen=True)
 class StateUpdate:
     """An ordered list of record changes published inside a block. The only
-    op is `slash`, which `adjudicate_challenge` publishes."""
+    op is `slash`, which `adjudicate_challenge` publishes together with the
+    adjudication behind it."""
 
     entries: tuple[dict, ...]
     cause: str
-    meta: dict = field(default_factory=dict)
+    adjudication: Optional[Adjudication] = None
 
     def to_dict(self) -> dict:
-        return {"entries": list(self.entries), "cause": self.cause, "meta": self.meta}
+        meta = self.adjudication.to_dict() if self.adjudication is not None else {}
+        return {"entries": list(self.entries), "cause": self.cause, "meta": meta}
 
 
 class UpdateRejected(ValueError):
@@ -122,9 +124,25 @@ def commit_state(state: ProtocolState) -> bytes:
     return crypto.hash("state", canonical_json(doc))
 
 
+def _slash_entry(entry: dict) -> tuple[bytes, int]:
+    """Key and amount of a slash entry; anything malformed, a negative amount
+    included, rejects the batch."""
+    op = entry.get("op")
+    if op != "slash":
+        raise UpdateRejected(f"unknown update op {op!r}")
+    amount = entry.get("amount")
+    if type(amount) is not int or amount < 0:
+        raise UpdateRejected(f"bad slash amount {amount!r}")
+    try:
+        return bytes.fromhex(entry["key"]), amount
+    except (KeyError, TypeError, ValueError):
+        raise UpdateRejected(f"bad slash key {entry.get('key')!r}") from None
+
+
 def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> ProtocolState:
-    """Apply the slashes in `updates` to a copy of `state`; any other op
-    rejects the whole batch. A slash cuts the node's stake, clamped at zero.
+    """Apply the slashes in `updates` to a copy of `state`; any other op, or
+    a malformed slash, rejects the whole batch. A slash cuts the node's
+    stake, clamped at zero.
 
     The returned state is a snapshot carrying its commitment and must not be
     mutated. Updates with no entries change nothing, so a snapshot comes back
@@ -134,12 +152,10 @@ def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> Proto
     new = state.copy()
     for upd in updates:
         for entry in upd.entries:
-            if entry["op"] != "slash":
-                raise UpdateRejected(f"unknown update op {entry['op']!r}")
-            key = bytes.fromhex(entry["key"])
+            key, amount = _slash_entry(entry)
             rec = new.records.get(key)
             if rec is not None:
-                cut = min(rec.stake, entry["amount"])
+                cut = min(rec.stake, amount)
                 new.records[key] = replace(rec, stake=rec.stake - cut)
                 new.total_slashed += cut
     new.commitment = commit_state(new)
@@ -153,6 +169,9 @@ def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> Proto
 
 @dataclass(frozen=True)
 class SlashingChallenge:
+    """Nodes and blocks hold challenges as objects; `to_dict` writes the hex
+    document that a challenge id or a block hash covers."""
+
     kind: ChallengeKind
     challenger: bytes
     accused: tuple[bytes, ...]
@@ -225,5 +244,5 @@ def adjudicate_challenge(
         for k in slashed
     )
     adj = Adjudication(challenge_id=cid, outcome=outcome, slashed=tuple(slashed))
-    upd = StateUpdate(entries=entries, cause="adjudication", meta=adj.to_dict())
+    upd = StateUpdate(entries=entries, cause="adjudication", adjudication=adj)
     return adj, upd

@@ -185,7 +185,7 @@ def test_late_receipts_adjudicated_on_arrival():
 
     def counting(challenge):
         nonlocal waits
-        cid = bytes.fromhex(challenge["id"])
+        cid = challenge.challenge_id
         info = n0.fcc_context.get(cid)
         if cid not in n0.adjudicated_ids and info is not None and info[0] not in n0.receipts:
             waits += 1
@@ -209,9 +209,8 @@ def test_late_receipts_adjudicated_on_arrival():
     # rest wait on receipts still in flight at the horizon
     arrived = {
         cid
-        for cid, doc in n0.recorded_challenges.items()
-        if doc["kind"] == ChallengeKind.FAULTY_COMPUTATION.value
-        and bytes.fromhex(doc["evidence"][0]) in n0.receipts
+        for cid, ch in n0.recorded_challenges.items()
+        if ch.kind == ChallengeKind.FAULTY_COMPUTATION and ch.evidence[0] in n0.receipts
     }
     assert len(arrived) > 100 and arrived <= set(mine)
     assert all(mine[cid] == theirs[cid] for cid in arrived)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -179,6 +180,22 @@ class TestEvaluateProposal:
             entries=({"op": "mint", "key": key.hex(), "amount": 5},), cause="adjudication"
         )
         pb = ProtoBlock(b"\x10" * 32, 1, (), (), (), (bad,), commit_state(state))
+        ctx = plain_context(state)
+        assert evaluate_proposal(pb, ctx) == (False, "condition-10:state-commitment")
+        assert ctx.new_state is None
+
+    def test_condition_10_negative_slash(self):
+        # the block commits to the state a slash of -25 would mint; replay
+        # rejects the slash instead of reaching that state
+        state, _, _ = base_protocol_state()
+        key = sorted(state.records)[0]
+        minted = state.copy()
+        minted.records[key] = dataclasses.replace(state.records[key], stake=35)
+        minted.total_slashed = -25
+        upd = StateUpdate(
+            entries=({"op": "slash", "key": key.hex(), "amount": -25},), cause="adjudication"
+        )
+        pb = ProtoBlock(b"\x10" * 32, 1, (), (), (), (upd,), commit_state(minted))
         ctx = plain_context(state)
         assert evaluate_proposal(pb, ctx) == (False, "condition-10:state-commitment")
         assert ctx.new_state is None

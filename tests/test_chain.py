@@ -14,12 +14,13 @@ import pytest
 
 from flowpipe import blocks, nodes
 from flowpipe.execution import GENESIS_RESULT_HASH
+from flowpipe.hotstuff import GENESIS_DIGEST
 from flowpipe.nodes import ConsensusNode, _challenge_mark
 from flowpipe.scenario import build_world, load_scenario
 from flowpipe.state import ChallengeKind, apply_updates
 
-FCC = ChallengeKind.FAULTY_COMPUTATION.value
-PV = ChallengeKind.PROTOCOL_VIOLATION.value
+FCC = ChallengeKind.FAULTY_COMPUTATION
+PV = ChallengeKind.PROTOCOL_VIOLATION
 
 
 def started_world(name: str):
@@ -35,7 +36,7 @@ def started_world(name: str):
 def chain_to_genesis(node: ConsensusNode, digest: bytes) -> list:
     """Payloads from height 1 up to the block `digest`, read from the tree."""
     chain = []
-    while digest != node.d.genesis_digest:
+    while digest != GENESIS_DIGEST:
         tree_node = node.engine.tree.nodes[digest]
         chain.append(tree_node.payload)
         digest = tree_node.parent
@@ -65,15 +66,15 @@ def brute_force(node: ConsensusNode, digest: bytes) -> BruteForce:
         facts["block"].add(pb.hash())
         facts["collection"].update(g.collection_hash for g in pb.guaranteed_collections)
         facts["sealed"].update(s.execution_result_hash for s in pb.block_seals)
-        for doc in pb.slashing_challenges:
-            facts["challenged"].add(_challenge_mark(doc))
-            if doc["kind"] == FCC:
-                open_fcc[bytes.fromhex(doc["id"])] = bytes.fromhex(doc["evidence"][0])
+        for ch in pb.slashing_challenges:
+            facts["challenged"].add(_challenge_mark(ch))
+            if ch.kind == FCC:
+                open_fcc[ch.challenge_id] = ch.evidence[0]
         for upd in pb.protocol_state_updates:
             if upd.cause == "adjudication":
-                cid = bytes.fromhex(upd.meta["challenge_id"])
+                cid = upd.adjudication.challenge_id
                 facts["adjudicated"].add(cid)
-                if upd.meta.get("outcome") == "accused_slashed" and cid in open_fcc:
+                if upd.adjudication.outcome == "accused_slashed" and cid in open_fcc:
                     condemned.add(open_fcc[cid])
         if pb.block_seals:
             sealed_tip = pb.block_seals[-1].execution_result_hash
@@ -106,7 +107,7 @@ def check_against_oracle(world) -> int:
             for kind in candidates:
                 candidates[kind] |= bf.facts[kind]
         candidates["collection"] |= set(node.known_collections)
-        candidates["sealed"] |= set(node.results)
+        candidates["sealed"] |= set(node.receipts)
         candidates["adjudicated"] |= set(node.fcc_context) | set(node.recorded_challenges)
         candidates["block"] = {
             d for d, n in node.engine.tree.nodes.items() if n.payload is not None
@@ -125,7 +126,7 @@ def check_against_oracle(world) -> int:
                     )
             for cid, rh in fcc_targets:
                 assert node._on_chain(ctx, "fcc", (rh, cid)) == (bf.open_fcc.get(cid) == rh)
-            for rh in node.results:
+            for rh in node.receipts:
                 condemned = any(
                     node._on_chain(ctx, "fcc", (rh, cid)) and node._on_chain(ctx, "upheld", cid)
                     for cid in node.fcc_ids.get(rh, ())
@@ -190,7 +191,7 @@ class TestPruning:
                 }
                 assert ctx.facts["sealed"] == {s.execution_result_hash for s in pb.block_seals}
                 assert ctx.facts["challenged"] == {
-                    _challenge_mark(doc) for doc in pb.slashing_challenges
+                    _challenge_mark(ch) for ch in pb.slashing_challenges
                 }
 
 
@@ -219,11 +220,11 @@ class TestProposals:
         world = started_world("equivocating-leader")
         node = world.consensus[0]
         t = 0
-        while not any(doc["kind"] == PV for doc in node.recorded_challenges.values()):
+        while not any(ch.kind == PV for ch in node.recorded_challenges.values()):
             t += 250
             assert t <= 15000, "no protocol-violation challenge recorded"
             world.sim.run(until=t)
-        recorded = next(doc for doc in node.recorded_challenges.values() if doc["kind"] == PV)
+        recorded = next(ch for ch in node.recorded_challenges.values() if ch.kind == PV)
         parent = node.tip.digest
         base = node._make_payload(parent)
         assert node._validate_payload(base, parent)
@@ -267,7 +268,7 @@ class TestProposals:
         def spy(self, parent):
             pb = make_payload(self, parent)
             if self._ctx_for(parent) is None:
-                assert (pb.height, pb.previous_block_hash) == (1, self.d.genesis_digest)
+                assert (pb.height, pb.previous_block_hash) == (1, GENESIS_DIGEST)
                 for other in world.consensus:
                     if other is self or other._ctx_for(parent) is None:
                         continue

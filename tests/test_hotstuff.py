@@ -359,8 +359,8 @@ class TestEngineIntegration:
             rounds = {n.round for n in eng.tree.nodes.values()}
             if silent:  # a silent leader's rounds pass by timeout and leave no block
                 assert set(range(1, max(rounds))) - rounds
-            assert eng.finalized, name
-            assert eng.finalized == finality_check(eng.tree)[1:]  # never behind it
+            assert h.finalized[name], name
+            assert h.finalized[name] == finality_check(eng.tree)[1:]  # never behind it
 
 
 class EquivocatingEngine(ConsensusEngine):

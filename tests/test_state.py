@@ -177,6 +177,34 @@ class TestApplyUpdates:
         assert st.records == records and st.total_slashed == 0
         assert st.commitment is None and commit_state(st) == before
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            # applied, a slash of -25 would mint stake: the stake-50 record
+            # of node 1 would end at 75 and `total_slashed` at -25
+            {"op": "slash", "key": "01" * 32, "amount": -25},
+            {"key": "01" * 32, "amount": 5},
+            {"op": "slash", "amount": 5},
+            {"op": "slash", "key": "01" * 32},
+            {"op": "slash", "key": "zz" * 32, "amount": 5},
+            {"op": "slash", "key": "01" * 32, "amount": 2.5},
+            {"op": "slash", "key": "01" * 32, "amount": "5"},
+        ],
+        ids=[
+            "negative-amount",
+            "no-op",
+            "no-key",
+            "no-amount",
+            "non-hex-key",
+            "float-amount",
+            "str-amount",
+        ],
+    )
+    def test_malformed_slash_rejected(self, entry):
+        st = make_state((50, 50))
+        with pytest.raises(UpdateRejected):
+            apply_updates(st, [StateUpdate(entries=(entry,), cause="adjudication")])
+
     def test_conservation_over_random_sequences(self):
         # slashes move stake into `total_slashed`; none is created or lost
         rng = random.Random(13)
