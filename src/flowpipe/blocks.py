@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from . import crypto
 from .collection import GuaranteedCollection, guarantee_authentic
-from .encoding import canonical_json, hexify, once
+from .encoding import canonical_json, hexify, once, once_for
 from .state import (
     NodeIdentity,
     ProtocolState,
@@ -79,6 +79,23 @@ class ProtoBlock:
     @once
     def hash(self) -> bytes:
         return crypto.hash("protoblock", canonical_json(self.to_dict()))
+
+    def replay(self, parent_state: ProtocolState) -> Optional[ProtocolState]:
+        """The protocol state this block's updates lead to from
+        `parent_state`, or None when `apply_updates` rejects them. A snapshot
+        parent is keyed by its commitment, so every node judging the block
+        on the same parent state reads one replay; a parent state built by
+        hand has no commitment and is replayed on each call."""
+        if parent_state.commitment is None:
+            return _replay(self, parent_state)
+        return once_for(self, parent_state.commitment, _replay, self, parent_state)
+
+
+def _replay(pb: ProtoBlock, parent_state: ProtocolState) -> Optional[ProtocolState]:
+    try:
+        return apply_updates(parent_state, pb.protocol_state_updates)
+    except UpdateRejected:
+        return None
 
 
 def block_seed(sigma: int) -> bytes:
@@ -161,11 +178,8 @@ def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Opt
     for ch in pb.slashing_challenges:
         if not ctx.challenge_verified(ch):
             return False, "condition-9:challenge-unverified"
-    try:
-        replay = apply_updates(ctx.parent_protocol_state, pb.protocol_state_updates)
-    except UpdateRejected:
-        return False, "condition-10:state-commitment"
-    if replay.commitment != pb.state_commitment:
+    replay = pb.replay(ctx.parent_protocol_state)
+    if replay is None or replay.commitment != pb.state_commitment:
         return False, "condition-10:state-commitment"
     ctx.new_state = replay
     return True, None

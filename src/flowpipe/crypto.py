@@ -88,7 +88,11 @@ class SeededStream:
             raise ValueError("bound must be positive")
         limit = (_U64 // bound) * bound
         while True:
-            w = self.next_word()
+            # `next_word` inline: this draw runs once per simulated message
+            h = self._prefix.copy()
+            h.update(self._next.to_bytes(8, "big"))
+            self._next += 1
+            w = int.from_bytes(h.digest()[:8], "big")
             if w < limit:
                 return w % bound
 

@@ -37,3 +37,21 @@ def once(method):
             return value
 
     return memoized
+
+
+def once_for(obj, key, fn, *args):
+    """`fn(*args)`, a verdict about the frozen `obj` that also reads `key`
+    (everything the verdict reads besides `obj`), computed once per key.
+
+    Like `once`, the value is kept in the instance's `__dict__`, so it is
+    freed with the instance and a `dataclasses.replace` twin computes its
+    own. The instance holds one slot per `fn`, the last (key, value): a call
+    under another key computes afresh and takes the slot over. `key` must be
+    immutable, so that an equal key means an equal input."""
+    memo = f"_{fn.__name__}_memo"
+    slot = obj.__dict__.get(memo)
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    value = fn(*args)
+    obj.__dict__[memo] = (key, value)
+    return value

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from . import crypto
-from .encoding import canonical_json, hexify, once
+from .encoding import canonical_json, hexify, once, once_for
 from .state import NodeIdentity, effective_votes, meets_supermajority
 
 GENESIS_DIGEST = crypto.hash("consensus-genesis", b"")
@@ -37,12 +37,38 @@ def leader_for_round(round_number: int, members: Sequence[NodeIdentity], seed: b
     raise AssertionError("cumulative stake walk must terminate")
 
 
+class LeaderSchedule:
+    """The leaders of one consensus group. Its members, sorted by staking key
+    into one tuple, and its seed fix every round's leader, so the engines of
+    a group share one schedule and each round's leader is drawn once. The
+    LRU bound keeps a long run from growing the table by one entry per
+    round; an evicted round is drawn again."""
+
+    def __init__(self, members: Sequence[NodeIdentity], seed: bytes):
+        self.members = tuple(sorted(members, key=lambda m: m.staking_public_key))
+        self.seed = seed
+        self.leader = functools.lru_cache(maxsize=256)(self._leader)
+
+    def _leader(self, round_number: int) -> bytes:
+        return leader_for_round(round_number, self.members, self.seed)
+
+
 @dataclass(frozen=True)
 class QuorumCertificate:
     payload_digest: bytes
     round: int
     signers: tuple[bytes, ...]
     signatures: tuple[bytes, ...]
+
+    def valid_for(self, members: tuple[NodeIdentity, ...]) -> bool:
+        """`qc_valid` against `members`, computed once per certificate for
+        each member set: a broadcast certificate is one object shared by
+        every engine of the group, and the engines share one members tuple.
+        The genesis certificate is module-wide and carries no signatures, so
+        it keeps no slot."""
+        if self.round == 0:
+            return qc_valid(self, members)
+        return once_for(self, members, qc_valid, self, members)
 
 
 GENESIS_QC = QuorumCertificate(payload_digest=GENESIS_DIGEST, round=0, signers=(), signatures=())
@@ -88,6 +114,12 @@ class Proposal:
                 "justify_round": self.justify.round,
             }
         )
+
+    @once
+    def signed_by_proposer(self) -> bool:
+        """The proposer's signature over `signed_bytes` verifies; checked
+        once per broadcast proposal, which every receiver shares."""
+        return crypto.staking_verify(self.proposer, self.signed_bytes(), self.signature)
 
 
 @dataclass(frozen=True)
@@ -171,8 +203,7 @@ class ConsensusEngine:
     def __init__(
         self,
         keypair: crypto.StakingKeyPair,
-        members: Sequence[NodeIdentity],
-        seed: bytes,
+        schedule: LeaderSchedule,
         base_timeout: int,
         digest_payload: DigestFn,
         validate_payload: ValidateFn,
@@ -184,8 +215,8 @@ class ConsensusEngine:
         on_evidence: Optional[EvidenceFn] = None,
     ):
         self.keypair = keypair
-        self.members = sorted(members, key=lambda m: m.staking_public_key)
-        self.seed = seed
+        self.members = schedule.members
+        self.leader = schedule.leader
         self.base_timeout = base_timeout
         self.timeout = base_timeout
         self.digest_payload = digest_payload
@@ -196,10 +227,6 @@ class ConsensusEngine:
         self.set_timer = set_timer
         self.on_finalize = on_finalize
         self.on_evidence = on_evidence or (lambda ev: None)
-        # members and seed are fixed for the engine's life, so leaders are
-        # memoised; the LRU bound keeps a long run from growing the table by
-        # one entry per round, and an evicted round is recomputed
-        self.leader = functools.lru_cache(maxsize=256)(self._leader)
 
         self.tree = BlockTree()
         self.current_round = 1
@@ -207,7 +234,8 @@ class ConsensusEngine:
         self.locked_round = 0
         self.high_qc = GENESIS_QC
         self.finalized_set: set[bytes] = set()
-        self._votes: dict[tuple[int, bytes], dict[bytes, bytes]] = {}
+        # (round, digest) -> voter -> signature; None once the QC is formed
+        self._votes: dict[tuple[int, bytes], Optional[dict[bytes, bytes]]] = {}
         self._pending_qcs: dict[bytes, QuorumCertificate] = {}
         self._orphans: dict[bytes, list[Proposal]] = {}
         self._proposal_seen: dict[tuple[bytes, int], Proposal] = {}
@@ -215,9 +243,6 @@ class ConsensusEngine:
         self._evidence_emitted: set[tuple[bytes, int]] = set()
 
     # -- helpers ----------------------------------------------------------
-
-    def _leader(self, round_number: int) -> bytes:
-        return leader_for_round(round_number, self.members, self.seed)
 
     def is_leader(self, round_number: int) -> bool:
         return self.leader(round_number) == self.keypair.public
@@ -307,8 +332,7 @@ class ConsensusEngine:
     def on_proposal(self, proposal: Proposal) -> None:
         if proposal.proposer != self.leader(proposal.round):
             return
-        expected = proposal.signed_bytes()
-        if not crypto.staking_verify(proposal.proposer, expected, proposal.signature):
+        if not proposal.signed_by_proposer():
             return
         key = (proposal.proposer, proposal.round)
         prior = self._proposal_seen.get(key)
@@ -327,7 +351,7 @@ class ConsensusEngine:
         self._proposal_seen[key] = proposal
 
         justify = proposal.justify
-        if not qc_valid(justify, self.members):
+        if not justify.valid_for(self.members):
             return
         if justify.payload_digest not in self.tree.nodes:
             # out-of-order arrival: park until the parent shows up
@@ -375,15 +399,20 @@ class ConsensusEngine:
     def on_vote(self, vote: Vote) -> None:
         if not self.is_leader(vote.round + 1):
             return
+        key = (vote.round, vote.payload_digest)
+        bucket = self._votes.get(key, {})
+        if bucket is None:
+            return  # the QC is formed; a late vote would only repeat it
         if not crypto.staking_verify(
             vote.voter, vote_payload(vote.round, vote.payload_digest), vote.signature
         ):
             return
-        bucket = self._votes.setdefault((vote.round, vote.payload_digest), {})
+        self._votes[key] = bucket
         bucket.setdefault(vote.voter, vote.signature)  # duplicates counted once
         signers = tuple(sorted(bucket))
         if not meets_supermajority(effective_votes(signers, self.members)):
             return
+        self._votes[key] = None
         qc = QuorumCertificate(
             payload_digest=vote.payload_digest,
             round=vote.round,
@@ -395,7 +424,7 @@ class ConsensusEngine:
         self._enter_round(vote.round + 1)
 
     def on_new_round(self, msg: NewRound) -> None:
-        if qc_valid(msg.high_qc, self.members):
+        if msg.high_qc.valid_for(self.members):
             self._certify(msg.high_qc)
             self._update_high_qc(msg.high_qc)
         if msg.round == self.current_round and self.is_leader(msg.round):

@@ -37,7 +37,16 @@ from .execution import (
     block_execution,
     canonical,
 )
-from .hotstuff import GENESIS_DIGEST, ConsensusEngine, NewRound, Proposal, Vote, vote_payload
+from .encoding import once_for
+from .hotstuff import (
+    GENESIS_DIGEST,
+    ConsensusEngine,
+    LeaderSchedule,
+    NewRound,
+    Proposal,
+    Vote,
+    vote_payload,
+)
 from .merkle import ExecutionState, value_proof_gen
 from .sim import Handler, Simulator
 from .state import (
@@ -62,7 +71,6 @@ from .verification import (
     assign_chunks,
     make_fcc,
     make_mcc,
-    verify_chunk,
 )
 from .vm import SignedTransaction, ToyTransaction
 
@@ -75,22 +83,23 @@ from .vm import SignedTransaction, ToyTransaction
 @dataclass
 class Directory:
     """Static world view handed to every node at scenario start: membership,
-    cluster map, beacon material, and protocol parameters. Stake weights are
+    cluster map, one leader schedule per consensus group, beacon material,
+    and protocol parameters. Stake weights are
     per-epoch snapshots; mid-run slashes change the protocol state but not
     the current epoch's voting weights."""
 
     name_of: dict[bytes, str]
     key_of: dict[str, bytes]
-    consensus_members: list[NodeIdentity]
+    consensus_schedule: LeaderSchedule
     verifier_members: list[NodeIdentity]
     executor_names: list[str]
     verifier_names: list[str]
     consensus_names: list[str]
     collector_names: list[str]
     clusters: dict[int, list[NodeIdentity]]  # cluster index -> members
+    cluster_schedules: dict[int, LeaderSchedule]  # cluster index -> leaders
     cluster_of: dict[bytes, int]
     initial_state: ProtocolState
-    epoch_seed: bytes
     params: crypto.ThresholdParams
     drb_vv: crypto.VerificationVector
     drb_committee: dict[bytes, crypto.SecretShare]  # member key -> share
@@ -206,6 +215,14 @@ class Finalized:
 class DrbShare:
     pb_hash: bytes
     share: crypto.SignatureShare
+
+    def verified(self, params: crypto.ThresholdParams, vv: crypto.VerificationVector) -> bool:
+        """`signature_share_verify` on the share over the block hash, computed
+        once per message for each (params, vv): a member sends one share
+        object to every consensus node."""
+        return once_for(
+            self, (params, vv), crypto.signature_share_verify, params, vv, self.share, self.pb_hash
+        )
 
 
 @dataclass(frozen=True)
@@ -368,10 +385,7 @@ class CollectorNode(Node):
         self.attach_engine(
             ConsensusEngine,
             self.peers,
-            members=members,
-            seed=crypto.derive_seed(
-                ["cluster-consensus", str(self.cluster_index)], directory.epoch_seed
-            ),
+            schedule=directory.cluster_schedules[self.cluster_index],
             digest_payload=lambda p: crypto.hash("cluster-payload", canonical_json(p)),
             validate_payload=self._validate_payload,
             make_payload=self._make_payload,
@@ -593,8 +607,7 @@ class ConsensusNode(Node):
         self.attach_engine(
             engine_cls,
             [peer for peer in directory.consensus_names if peer != name],
-            members=directory.consensus_members,
-            seed=directory.epoch_seed,
+            schedule=directory.consensus_schedule,
             digest_payload=ProtoBlock.hash,
             validate_payload=self._validate_payload,
             make_payload=self._make_payload,
@@ -1034,7 +1047,7 @@ class ConsensusNode(Node):
     def _on_drb_share(self, sender: str, msg: DrbShare):
         if msg.pb_hash in self.randomness:
             return
-        if not crypto.signature_share_verify(self.d.params, self.d.drb_vv, msg.share, msg.pb_hash):
+        if not msg.verified(self.d.params, self.d.drb_vv):
             return
         bucket = self.drb_shares.setdefault(msg.pb_hash, {})
         bucket.setdefault(msg.share.party_index, msg.share)
@@ -1313,7 +1326,7 @@ class VerificationNode(Node):
             self.keypair.public, len(result.chunks), seed, self.d.coverage_p
         )
         for k in sorted(assigned):
-            verdict = verify_chunk(result, k, msg.packages[k], msg.receipt.spocks[k])
+            verdict = msg.packages[k].verdict(result, k, msg.receipt.spocks[k])
             if not verdict.ok:
                 fcc = make_fcc(
                     self.keypair.public,

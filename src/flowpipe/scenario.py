@@ -26,9 +26,17 @@ from .nodes import (
 )
 from .encoding import hexify
 from .execution import GENESIS_RESULT_HASH, block_execution, canonical
+from .hotstuff import LeaderSchedule
 from .merkle import ExecutionState
 from .sim import Metrics, SimConfig, Simulator
-from .state import ChallengeKind, NodeIdentity, ProtocolState, Role, SlashingChallenge
+from .state import (
+    ChallengeKind,
+    NodeIdentity,
+    ProtocolState,
+    Role,
+    SlashingChallenge,
+    apply_updates,
+)
 
 
 class ScenarioError(ValueError):
@@ -344,7 +352,8 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
     name_of = {k: i.network_address for k, i in records.items()}
     agent_keys = make_keys("u", 1)
 
-    initial_state = ProtocolState(records=records)
+    # a snapshot carrying its commitment, as every later chain state does
+    initial_state = apply_updates(ProtocolState(records=records), [])
     epoch_seed = crypto.derive_seed(["epoch"], GENESIS_RANDOMNESS + seed_bytes)
 
     # collector clusters from the epoch randomness
@@ -374,16 +383,21 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
     directory = Directory(
         name_of=name_of,
         key_of={v: k for k, v in name_of.items()},
-        consensus_members=ids[Role.CONSENSUS],
+        consensus_schedule=LeaderSchedule(ids[Role.CONSENSUS], epoch_seed),
         verifier_members=ids[Role.VERIFICATION],
         executor_names=names(Role.EXECUTION),
         verifier_names=names(Role.VERIFICATION),
         consensus_names=names(Role.CONSENSUS),
         collector_names=names(Role.COLLECTOR),
         clusters=clusters,
+        cluster_schedules={
+            idx: LeaderSchedule(
+                members, crypto.derive_seed(["cluster-consensus", str(idx)], epoch_seed)
+            )
+            for idx, members in clusters.items()
+        },
         cluster_of=dict(assignment.mapping),
         initial_state=initial_state,
-        epoch_seed=epoch_seed,
         params=params,
         drb_vv=dkg.verification_vector,
         drb_committee=drb_committee,

@@ -72,7 +72,8 @@ class Simulator:
         self.config = config
         self.now = 0
         self.log = EventLog()
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        # (time, sequence, fn, args): the loop calls fn(*args)
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._handlers: dict[str, Handler] = {}
         self._skew: dict[str, float] = {}
@@ -95,7 +96,7 @@ class Simulator:
     def schedule(self, delay: int, fn: Callable[[], None]) -> None:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, ()))
         self._seq += 1
 
     def set_timer(self, node: str, duration: int, fn: Callable[[], None]) -> None:
@@ -114,22 +115,26 @@ class Simulator:
         else:
             bound = self.config.delta_t
         delay = 1 + self._net_stream.next_below(bound)
+        # a heap entry with arguments, so no closure is built per message
+        heapq.heappush(
+            self._heap, (self.now + delay, self._seq, self._deliver, (receiver, sender, message))
+        )
+        self._seq += 1
 
-        def deliver():
-            self.delivered += 1
-            self._handlers[receiver](sender, message)
-
-        self.schedule(delay, deliver)
+    def _deliver(self, receiver: str, sender: str, message: Any) -> None:
+        self.delivered += 1
+        self._handlers[receiver](sender, message)
 
     # -- run loop ----------------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> None:
         horizon = self.config.max_sim_time if until is None else until
-        while self._heap and self._heap[0][0] <= horizon:
-            t, _, fn = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
+            t, _, fn, args = heapq.heappop(heap)
             self.now = t
-            fn()
-        self.now = max(self.now, min(horizon, self._heap[0][0]) if self._heap else horizon)
+            fn(*args)
+        self.now = max(self.now, min(horizon, heap[0][0]) if heap else horizon)
 
     def event(self, node: str, kind: str, payload: dict) -> None:
         """Log `payload` as given: a fresh dict of JSON values (str keys;

@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from . import crypto
 from .collection import collection_hash as compute_collection_hash
+from .encoding import once_for
 from .execution import EMPTY_TRACE, ExecutionResult, trace_update
 from .merkle import ExecutionState, value_proof_vrfy
 from .state import (
@@ -41,18 +43,33 @@ def assign_chunks(verifier: bytes, chunk_count: int, randomness: bytes, p: float
     return assigned
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChunkDataPackage:
     """Executor-provided verification inputs for one chunk: the touched
     registers with proofs against the chunk's start commitment, plus the
-    full transaction texts."""
+    full transaction texts. Deeply immutable: one package goes by reference
+    to every verifier and adjudicator, which share its verdict."""
 
-    registers: dict[bytes, bytes]
-    proofs: dict[bytes, object]  # key -> ValueProof
-    transactions: list[SignedTransaction]
+    registers: Mapping[bytes, bytes]
+    proofs: Mapping[bytes, object]  # key -> ValueProof
+    transactions: tuple[SignedTransaction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "registers", MappingProxyType(dict(self.registers)))
+        object.__setattr__(self, "proofs", MappingProxyType(dict(self.proofs)))
+        object.__setattr__(self, "transactions", tuple(self.transactions))
+
+    def verdict(
+        self, result: ExecutionResult, chunk_index: int, executor_spock: bytes
+    ) -> ChunkVerdict:
+        """`verify_chunk` on this package, computed once per (result hash,
+        chunk index, spock): the verifiers drawing the chunk and every
+        adjudicator of a challenge against it read one verdict."""
+        key = (result.result_hash(), chunk_index, executor_spock)
+        return once_for(self, key, verify_chunk, result, chunk_index, self, executor_spock)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChunkVerdict:
     ok: bool
     reason: Optional[str] = None
@@ -155,8 +172,8 @@ def adjudicate_fcc(
     """Re-execute the disputed chunk; a genuine divergence slashes the named
     executor, who is the fault origin because each executor chains only its
     own results; a clean replay slashes the challenger."""
-    verdict = verify_chunk(
-        disputed.result, disputed.chunk_index, disputed.package, disputed.executor_spock
+    verdict = disputed.package.verdict(
+        disputed.result, disputed.chunk_index, disputed.executor_spock
     )
     return adjudicate_challenge(state, challenge, response_exonerates=verdict.ok, timed_out=False)
 

@@ -17,7 +17,7 @@ from flowpipe.clustering import cluster_compromise_probability, cluster_assignme
 from flowpipe.collection import TxCheck, validate_transaction
 from flowpipe.encoding import canonical_json, hexify
 from flowpipe.execution import GENESIS_RESULT_HASH, block_execution
-from flowpipe.hotstuff import ConsensusEngine, NewRound, Proposal, Vote
+from flowpipe.hotstuff import ConsensusEngine, LeaderSchedule, NewRound, Proposal, Vote
 from flowpipe.merkle import ExecutionState, state_proof_gen
 from flowpipe.scenario import (
     DEFAULTS,
@@ -271,15 +271,16 @@ class EngineHarness:
             NodeIdentity(kp.public, Role.CONSENSUS, 1, f"n{i}")
             for i, kp in enumerate(self.kps)
         ]
+        self.schedule = LeaderSchedule(self.members, seed)
         self.names = {kp.public: f"n{i}" for i, kp in enumerate(self.kps)}
         self.silent = {f"n{i}" for i in silent}
         self.finalized = {f"n{i}": [] for i in range(n)}
         self.engines = {}
         for i in range(n):
             cls = EquivocatingEngine if i in equivocators else ConsensusEngine
-            self._wire(i, cls, seed)
+            self._wire(i, cls)
 
-    def _wire(self, i, engine_cls, seed):
+    def _wire(self, i, engine_cls):
         name = f"n{i}"
         counter = iter(range(10**9))
 
@@ -297,8 +298,7 @@ class EngineHarness:
         self.sim.register_node(name, handler)
         self.engines[name] = engine_cls(
             keypair=self.kps[i],
-            members=self.members,
-            seed=seed,
+            schedule=self.schedule,
             base_timeout=20,
             digest_payload=lambda p: crypto.hash("payload", canonical_json(p)),
             validate_payload=lambda p, parent: True,

@@ -390,3 +390,103 @@ class TestValidateSeal:
                 signatures,
             )
             assert not self.check(short, verifiers)
+
+
+class TestSharedReplay:
+    """`ProtoBlock.replay` keeps condition 10's replay on the block, keyed by
+    the parent state's commitment; twins and other parents get their own."""
+
+    def setup_method(self):
+        state, _, _ = base_protocol_state()
+        self.parent = apply_updates(state, [])  # a snapshot, as on the chain
+        self.key = sorted(state.records)[0]
+
+    def slash(self, amount, key=None):
+        entry = {"op": "slash", "key": (key or self.key).hex(), "amount": amount}
+        return StateUpdate(entries=(entry,), cause="adjudication")
+
+    def test_replay_computed_once_per_parent(self, monkeypatch):
+        import flowpipe.blocks as blocks
+
+        calls = []
+
+        def counting(state, updates):
+            calls.append(state.commitment)
+            return apply_updates(state, updates)
+
+        monkeypatch.setattr(blocks, "apply_updates", counting)
+        pb = ProtoBlock(b"\x10" * 32, 1, (), (), (), (self.slash(3),), b"")
+        first = pb.replay(self.parent)
+        for _ in range(6):
+            assert pb.replay(self.parent) is first
+        assert first == apply_updates(self.parent, [self.slash(3)])
+        other = apply_updates(self.parent, [self.slash(1, sorted(self.parent.records)[1])])
+        assert pb.replay(other) == apply_updates(other, [self.slash(3)]) != first
+        assert calls == [self.parent.commitment, other.commitment]
+
+    def test_tampered_block_twin_rejected_after_original_accepted(self):
+        pb = propose_proto_block(b"\x10" * 32, 0, self.parent, [], [], [], [self.slash(3)])
+        assert evaluate_proposal(pb, plain_context(self.parent)) == (True, None)
+        # same committed state, another slash: the twin replays on its own
+        twin = dataclasses.replace(pb, protocol_state_updates=(self.slash(4),))
+        ctx = plain_context(self.parent)
+        assert evaluate_proposal(twin, ctx) == (False, "condition-10:state-commitment")
+        assert ctx.new_state is None
+        minting = dataclasses.replace(pb, protocol_state_updates=(self.slash(-3),))
+        assert evaluate_proposal(minting, plain_context(self.parent))[1] == (
+            "condition-10:state-commitment"
+        )
+        ctx = plain_context(self.parent)
+        assert evaluate_proposal(pb, ctx) == (True, None)
+        assert ctx.new_state == apply_updates(self.parent, [self.slash(3)])
+
+    def test_other_parent_state_judged_on_its_own(self):
+        pb = propose_proto_block(b"\x10" * 32, 0, self.parent, [], [], [], [self.slash(3)])
+        assert evaluate_proposal(pb, plain_context(self.parent)) == (True, None)
+        other = apply_updates(self.parent, [self.slash(1)])
+        assert evaluate_proposal(pb, plain_context(other)) == (
+            False,
+            "condition-10:state-commitment",
+        )
+        # a hand-built parent has no commitment and is replayed afresh
+        by_hand = ProtocolState(records=dict(self.parent.records))
+        assert evaluate_proposal(pb, plain_context(by_hand)) == (True, None)
+        by_hand.records[self.key] = dataclasses.replace(by_hand.records[self.key], stake=99)
+        assert evaluate_proposal(pb, plain_context(by_hand))[0] is False
+
+
+class TestSharedShareCheck:
+    """`DrbShare.verified` keeps the share check on the message that a
+    beacon member sends to every consensus node."""
+
+    def setup_method(self):
+        self.params = crypto.make_params(7)
+        entropy = [crypto.hash("drb", bytes([i])) for i in range(7)]
+        dkg = crypto.dkg_setup(self.params, entropy)
+        self.vv, self.shares = dkg.verification_vector, dkg.shares
+        self.message = crypto.hash("block", b"1")
+
+    def test_tampered_share_twin_rejected_after_original_accepted(self):
+        from flowpipe.nodes import DrbShare
+
+        msg = DrbShare(self.message, crypto.threshold_sign(self.params, self.shares[0], self.message))
+        assert msg.verified(self.params, self.vv) and msg.verified(self.params, self.vv)
+        forged = dataclasses.replace(
+            msg, share=dataclasses.replace(msg.share, value=(msg.share.value + 1) % self.params.q)
+        )
+        assert not forged.verified(self.params, self.vv)
+        other_block = dataclasses.replace(msg, pb_hash=crypto.hash("block", b"2"))
+        assert not other_block.verified(self.params, self.vv)
+        impostor = dataclasses.replace(msg, share=dataclasses.replace(msg.share, party_index=2))
+        assert not impostor.verified(self.params, self.vv)
+        assert msg.verified(self.params, self.vv)
+
+    def test_share_rejected_under_another_committee(self):
+        from flowpipe.nodes import DrbShare
+
+        msg = DrbShare(self.message, crypto.threshold_sign(self.params, self.shares[0], self.message))
+        assert msg.verified(self.params, self.vv)
+        entropy = [crypto.hash("drb-other", bytes([i])) for i in range(7)]
+        other_vv = crypto.dkg_setup(self.params, entropy).verification_vector
+        assert not msg.verified(self.params, other_vv)
+        assert msg.verified(self.params, self.vv)

@@ -11,6 +11,7 @@ from flowpipe.hotstuff import (
     BlockTree,
     ConsensusEngine,
     EquivocationEvidence,
+    LeaderSchedule,
     NewRound,
     Proposal,
     QuorumCertificate,
@@ -80,8 +81,7 @@ def make_engine(kps, members, sent: list) -> ConsensusEngine:
     message it sends to `sent`."""
     return ConsensusEngine(
         keypair=kps[0],
-        members=members,
-        seed=SEED,
+        schedule=LeaderSchedule(members, SEED),
         base_timeout=100,
         digest_payload=lambda p: crypto.hash("payload", canonical_json(p)),
         validate_payload=lambda p, parent: True,
@@ -247,6 +247,7 @@ class Harness:
         )
         self.sim = Simulator(self.cfg)
         self.kps, self.members = make_members(stakes)
+        self.schedule = LeaderSchedule(self.members, SEED)  # shared, as in a world
         self.names = {kp.public: f"n{i}" for i, kp in enumerate(self.kps)}
         self.engines: dict[str, ConsensusEngine] = {}
         self.finalized: dict[str, list[bytes]] = {f"n{i}": [] for i in range(len(stakes))}
@@ -275,8 +276,7 @@ class Harness:
             self.sim.register_node(name, handler)
         engine = engine_cls(
             keypair=kp,
-            members=self.members,
-            seed=SEED,
+            schedule=self.schedule,
             base_timeout=4 * self.cfg.delta_t,
             digest_payload=lambda p: crypto.hash("payload", canonical_json(p)),
             validate_payload=lambda p, parent: True,
@@ -479,3 +479,123 @@ class TestVotingRules:
         # a later round extending the locked chain is voted for
         self.eng.on_proposal(self.proposal(5, self.qc(p3)))
         assert self.eng.last_voted_round == 5
+
+    def test_late_votes_ignored_once_qc_formed(self, monkeypatch):
+        r = next(r for r in range(1, 100) if self.eng.is_leader(r + 1))
+        digest = crypto.hash("payload", b"late")
+        msg = vote_payload(r, digest)
+        checked = []
+        real = crypto.staking_verify
+
+        def counting(public, message, signature):
+            if message == msg:
+                checked.append(public)
+            return real(public, message, signature)
+
+        monkeypatch.setattr(crypto, "staking_verify", counting)
+        voters = sorted(self.kps, key=lambda kp: kp.public)
+        for kp in voters[:3]:  # three of four equal stakes pass 2/3
+            self.eng.on_vote(Vote(r, digest, kp.public, kp.sign(msg)))
+        formed = self.eng.high_qc
+        assert (formed.round, formed.payload_digest, len(formed.signers)) == (r, digest, 3)
+        late = voters[3]
+        before = len(checked)
+        self.eng.on_vote(Vote(r, digest, late.public, late.sign(msg)))
+        assert self.eng.high_qc is formed
+        assert len(checked) == before  # the late vote's signature is not checked
+        # a vote for another digest of the round still counts toward its own QC
+        other = crypto.hash("payload", b"other")
+        self.eng.on_vote(Vote(r, other, late.public, late.sign(vote_payload(r, other))))
+        assert self.eng._votes[(r, other)] == {late.public: late.sign(vote_payload(r, other))}
+
+
+class TestSharedVerdicts:
+    """Certificate and proposal checks are kept on the broadcast object, so
+    every receiver reads one verdict. A `dataclasses.replace` twin is a new
+    instance and is judged on its own, and a certificate judged for one
+    member set is judged again for another."""
+
+    def make_qc(self, kps, signer_idx, round_number=3, digest=b"\xcd" * 32):
+        msg = vote_payload(round_number, digest)
+        signers = tuple(kps[i].public for i in signer_idx)
+        return QuorumCertificate(
+            digest, round_number, signers, tuple(kps[i].sign(msg) for i in signer_idx)
+        )
+
+    def test_tampered_qc_twin_rejected_after_original_accepted(self):
+        kps, members = make_members([1] * 4)
+        group = LeaderSchedule(members, SEED).members
+        qc = self.make_qc(kps, range(3))
+        assert qc.valid_for(group) and qc.valid_for(group)
+        forged = dataclasses.replace(qc, signatures=qc.signatures[:-1] + (b"\xff" * 32,))
+        assert not forged.valid_for(group)
+        short = dataclasses.replace(qc, signers=qc.signers[:2], signatures=qc.signatures[:2])
+        assert not short.valid_for(group)
+        moved = dataclasses.replace(qc, round=4)  # signatures cover round 3
+        assert not moved.valid_for(group)
+        assert qc.valid_for(group)
+
+    def test_qc_valid_for_one_member_set_rejected_by_another(self):
+        kps, members = make_members([1] * 4)
+        qc = self.make_qc(kps, range(3))
+        cluster_a = LeaderSchedule(members, SEED).members
+        assert qc.valid_for(cluster_a)
+        # another cluster: other keys
+        other_kps = [crypto.StakingKeyPair.from_seed(bytes([i + 50]) * 32) for i in range(4)]
+        cluster_b = tuple(
+            NodeIdentity(kp.public, Role.CONSENSUS, 1, f"m{i}") for i, kp in enumerate(other_kps)
+        )
+        assert not qc.valid_for(cluster_b)
+        # the same keys under other stakes: the three signers lack 2/3
+        restaked = tuple(
+            dataclasses.replace(m, stake=10) if m.staking_public_key == kps[3].public else m
+            for m in cluster_a
+        )
+        assert not qc.valid_for(restaked)
+        assert qc.valid_for(cluster_a)
+
+    def test_verdict_computed_once_per_member_set(self, monkeypatch):
+        import flowpipe.hotstuff as hotstuff
+
+        calls = []
+        real = hotstuff.qc_valid
+
+        def counting(qc, members):
+            calls.append(members)
+            return real(qc, members)
+
+        counting.__name__ = real.__name__
+        monkeypatch.setattr(hotstuff, "qc_valid", counting)
+        kps, members = make_members([1] * 4)
+        group = LeaderSchedule(members, SEED).members
+        qc = self.make_qc(kps, range(3))
+        for _ in range(5):
+            assert qc.valid_for(group)
+        assert calls == [group]
+        # the module-wide genesis certificate keeps nothing of a world
+        assert GENESIS_QC.valid_for(group)
+        assert set(vars(GENESIS_QC)) == {f.name for f in dataclasses.fields(GENESIS_QC)}
+
+    def test_tampered_proposal_twin_rejected_after_original_accepted(self):
+        kps, _ = make_members([1] * 4)
+        justify = QuorumCertificate(b"\x02" * 32, 4, (), ())
+        stub = Proposal(5, {"x": 1}, b"\x01" * 32, justify, kps[0].public, b"")
+        p = dataclasses.replace(stub, signature=kps[0].sign(stub.signed_bytes()))
+        assert p.signed_by_proposer() and p.signed_by_proposer()
+        assert not dataclasses.replace(p, signature=b"\xff" * 32).signed_by_proposer()
+        assert not dataclasses.replace(p, round=6).signed_by_proposer()
+        assert not dataclasses.replace(p, proposer=kps[1].public).signed_by_proposer()
+        assert p.signed_by_proposer()
+
+
+class TestLeaderSchedule:
+    def test_engines_share_schedule(self):
+        h = Harness([1] * 4)
+        leaders = {id(eng.leader) for eng in h.engines.values()}
+        assert leaders == {id(h.schedule.leader)}
+        assert all(eng.members is h.schedule.members for eng in h.engines.values())
+
+    def test_members_sorted_tuple(self):
+        _, members = make_members([3, 1, 2, 5])
+        schedule = LeaderSchedule(list(reversed(members)), SEED)
+        assert schedule.members == tuple(sorted(members, key=lambda m: m.staking_public_key))

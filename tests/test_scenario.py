@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pathlib
 import re
@@ -354,6 +355,36 @@ class TestShortRuns:
         res = run_scenario(doc, seed=1)
         assert res.world.metrics.collections_guaranteed > 0
         assert res.world.metrics.blocks_sealed > 0
+
+
+class TestWorldsShareNothing:
+    """The verdicts a world keeps live on its own objects, so worlds run one
+    after another in a process cannot see each other's."""
+
+    def test_seed_1_other_seed_seed_1_reproduce_goldens(self):
+        golden = pathlib.Path(__file__).parent / "golden"
+        names = ["byzantine-executor", "equivocating-leader", "withheld-collection"]
+
+        def digest(name, seed):
+            res = run_scenario(load_scenario(bundled_path(name)), seed=seed)
+            return hashlib.sha256(res.world.sim.log.to_jsonl().encode()).hexdigest()
+
+        first = {name: digest(name, 1) for name in names}
+        other = {name: digest(name, 2) for name in names}
+        again = {name: digest(name, 1) for name in names}
+        for name in names:
+            stored = (golden / f"{name}.sha256").read_text().strip()
+            assert first[name] == again[name] == stored, name
+            assert other[name] != stored, name
+
+    def test_engines_of_a_group_share_one_schedule(self):
+        world = build_world(short_doc())
+        d = world.directory
+        assert {id(n.engine.leader) for n in world.consensus} == {id(d.consensus_schedule.leader)}
+        for c in world.collectors:
+            schedule = d.cluster_schedules[c.cluster_index]
+            assert c.engine.leader is schedule.leader and c.engine.members is schedule.members
+        assert len({id(s) for s in d.cluster_schedules.values()}) == len(d.clusters)
 
 
 class TestSchemaDoc:

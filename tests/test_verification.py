@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -123,16 +124,20 @@ class TestVerifyChunk:
     def test_tampered_register_value_fails_proof(self):
         pkg = package_for(self.out, self.txs, 1)
         key = next(iter(pkg.registers))
-        pkg.registers[key] = pkg.registers[key] + b"\x01"
-        verdict = verify_chunk(self.out.result, 1, pkg, self.out.spocks[1])
+        registers = dict(pkg.registers)
+        registers[key] = registers[key] + b"\x01"
+        tampered = dataclasses.replace(pkg, registers=registers)
+        verdict = verify_chunk(self.out.result, 1, tampered, self.out.spocks[1])
         assert not verdict.ok
         assert verdict.reason == "state-proof-failure"
 
     def test_missing_proof_fails(self):
         pkg = package_for(self.out, self.txs, 1)
         if pkg.proofs:
-            pkg.proofs.pop(next(iter(pkg.proofs)))
-            verdict = verify_chunk(self.out.result, 1, pkg, self.out.spocks[1])
+            proofs = dict(pkg.proofs)
+            proofs.pop(next(iter(proofs)))
+            tampered = dataclasses.replace(pkg, proofs=proofs)
+            verdict = verify_chunk(self.out.result, 1, tampered, self.out.spocks[1])
             assert not verdict.ok
             assert verdict.reason == "state-proof-failure"
 
@@ -235,3 +240,84 @@ class TestDetectionScaling:
             expect = (1 - p) ** v
             sigma = math.sqrt(trials * expect * (1 - expect))
             assert abs(misses - trials * expect) < 3 * sigma, (p, v)
+
+
+class TestSharedVerdict:
+    """`ChunkDataPackage.verdict` keeps `verify_chunk`'s verdict on the
+    package, which every verifier and adjudicator receives by reference.
+    Twins built with `dataclasses.replace` and other results are judged on
+    their own."""
+
+    def setup_method(self):
+        self.txs, self.out = executed_block()
+        self.last = len(self.out.result.chunks) - 1
+
+    def test_package_is_deeply_immutable(self):
+        st = self.out.chunk_start_states[1]
+        registers = {key: st.get(key) for key in st.keys()}
+        pkg = ChunkDataPackage(
+            registers=registers,
+            proofs={key: value_proof_gen(st, key) for key in st.keys()},
+            transactions=list(self.txs[:2]),
+        )
+        key = next(iter(registers))
+        registers[key] = b"\xff"  # the caller's dict is not the package's
+        assert pkg.registers[key] == st.get(key)
+        with pytest.raises(TypeError):
+            pkg.registers[key] = b"\xff"
+        with pytest.raises(TypeError):
+            pkg.proofs[key] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pkg.registers = {}
+        assert pkg.transactions == tuple(self.txs[:2])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pkg.verdict(self.out.result, 1, self.out.spocks[1]).ok = False
+
+    def test_tampered_package_twin_rejected_after_original_accepted(self):
+        pkg = package_for(self.out, self.txs, 1)
+        assert pkg.verdict(self.out.result, 1, self.out.spocks[1]).ok
+        key = next(iter(pkg.registers))
+        registers = dict(pkg.registers)
+        registers[key] = registers[key] + b"\x01"
+        twin = dataclasses.replace(pkg, registers=registers)
+        verdict = twin.verdict(self.out.result, 1, self.out.spocks[1])
+        assert (verdict.ok, verdict.reason) == (False, "state-proof-failure")
+        dropped = dataclasses.replace(pkg, transactions=pkg.transactions[:-1])
+        assert not dropped.verdict(self.out.result, 1, self.out.spocks[1]).ok
+        assert pkg.verdict(self.out.result, 1, self.out.spocks[1]).ok
+
+    def test_tampered_result_and_spock_judged_on_their_own(self):
+        pkg = package_for(self.out, self.txs, self.last)
+        spock = self.out.spocks[self.last]
+        assert pkg.verdict(self.out.result, self.last, spock).ok
+        bad = dataclasses.replace(self.out.result, final_state=crypto.hash("bad", b""))
+        verdict = pkg.verdict(bad, self.last, spock)
+        assert (verdict.ok, verdict.reason) == (False, "end-state-mismatch")
+        verdict = pkg.verdict(self.out.result, self.last, b"\x00" * 32)
+        assert (verdict.ok, verdict.reason) == (False, "trace-mismatch")
+        assert pkg.verdict(self.out.result, self.last, spock).ok
+
+    def test_verifiers_and_adjudicators_share_one_check(self, monkeypatch):
+        import flowpipe.verification as verification
+
+        calls = []
+        real = verification.verify_chunk
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        counting.__name__ = real.__name__
+        monkeypatch.setattr(verification, "verify_chunk", counting)
+        result = dataclasses.replace(self.out.result, final_state=crypto.hash("bad", b""))
+        pkg = package_for(self.out, self.txs, self.last)
+        spock = self.out.spocks[self.last]
+        for _ in range(5):  # five verifiers draw the chunk
+            assert not pkg.verdict(result, self.last, spock).ok
+        state, keys = adjudication_state()
+        fcc = make_fcc(keys[2], keys[0], result.result_hash(), self.last, deadline=10)
+        disputed = DisputedChunk(result, self.last, pkg, spock)
+        for _ in range(7):  # seven consensus nodes adjudicate
+            adj, _ = adjudicate_fcc(state, fcc, disputed)
+            assert adj.slashed == (keys[0],)
+        assert calls == [self.last]
