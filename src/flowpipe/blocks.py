@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import crypto
 from .collection import GuaranteedCollection, guarantee_authentic
@@ -37,22 +37,39 @@ class BlockSeal:
     sealed_block_hash: bytes
     execution_result_hash: bytes
     final_state_commitment: bytes
-    approvers: tuple[bytes, ...]  # verifier staking keys (signer bitmap)
-    approval_signatures: tuple[bytes, ...]
+    approvals: tuple[Approval, ...]  # sorted by verifier key
 
     def to_dict(self) -> dict:
         return {
             "sealed_block_hash": hexify(self.sealed_block_hash),
             "execution_result_hash": hexify(self.execution_result_hash),
             "final_state_commitment": hexify(self.final_state_commitment),
-            "approvers": [hexify(a) for a in self.approvers],
-            "approval_signatures": [hexify(s) for s in self.approval_signatures],
+            "approvers": [hexify(a.verifier) for a in self.approvals],
+            "approval_signatures": [hexify(a.signature) for a in self.approvals],
         }
 
 
 @functools.lru_cache(maxsize=4096)
 def approval_payload(result_hash: bytes) -> bytes:
     return canonical_json({"approve_result": hexify(result_hash)})
+
+
+@dataclass(frozen=True)
+class Approval:
+    """A verifier's signature over `approval_payload(result_hash)`."""
+
+    result_hash: bytes
+    verifier: bytes  # staking public key
+    signature: bytes
+
+    @once
+    def valid(self) -> bool:
+        """The signature check, once per object: a verifier sends one
+        approval to every consensus node, and the seals that carry it carry
+        the same object."""
+        return crypto.staking_verify(
+            self.verifier, approval_payload(self.result_hash), self.signature
+        )
 
 
 @dataclass(frozen=True)
@@ -191,18 +208,17 @@ def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Opt
 
 
 def _approval_quorum(
-    result_hash: bytes, approvals: dict[bytes, bytes], verifiers: Sequence[NodeIdentity]
-) -> Optional[dict[bytes, bytes]]:
-    """The approvals that count toward sealing `result_hash`: the signer is a
-    registered verifier and its signature over `approval_payload` verifies.
-    None unless they carry a verifier supermajority."""
-    payload = approval_payload(result_hash)
+    result_hash: bytes, approvals: Iterable[Approval], verifiers: Sequence[NodeIdentity]
+) -> Optional[dict[bytes, Approval]]:
+    """The approvals that count toward sealing `result_hash`, one per signer:
+    the approval is for `result_hash`, the signer is a registered verifier
+    and its signature verifies. None unless they carry a verifier
+    supermajority."""
     member_keys = {m.staking_public_key for m in verifiers}
-    valid = {
-        k: sig
-        for k, sig in approvals.items()
-        if k in member_keys and crypto.staking_verify(k, payload, sig)
-    }
+    valid: dict[bytes, Approval] = {}
+    for a in approvals:
+        if a.result_hash == result_hash and a.verifier in member_keys and a.valid():
+            valid.setdefault(a.verifier, a)
     if not valid or not meets_supermajority(effective_votes(valid, verifiers)):
         return None
     return valid
@@ -212,7 +228,7 @@ def form_seal(
     sealed_block_hash: bytes,
     execution_result_hash: bytes,
     final_state_commitment: bytes,
-    approvals: dict[bytes, bytes],  # verifier key -> signature over approval_payload
+    approvals: Iterable[Approval],
     verifiers: Sequence[NodeIdentity],
 ) -> Optional[BlockSeal]:
     """Seal once the valid approvals pass the verifier supermajority; None
@@ -221,13 +237,11 @@ def form_seal(
     valid = _approval_quorum(execution_result_hash, approvals, verifiers)
     if valid is None:
         return None
-    approvers = tuple(sorted(valid))
     return BlockSeal(
         sealed_block_hash=sealed_block_hash,
         execution_result_hash=execution_result_hash,
         final_state_commitment=final_state_commitment,
-        approvers=approvers,
-        approval_signatures=tuple(valid[a] for a in approvers),
+        approvals=tuple(valid[k] for k in sorted(valid)),
     )
 
 
@@ -252,12 +266,7 @@ def validate_seal(
         return False
     if not parent_result_sealed(seal.execution_result_hash):
         return False
-    if len(seal.approvers) != len(seal.approval_signatures):
-        return False
-    valid = _approval_quorum(
-        seal.execution_result_hash,
-        dict(zip(seal.approvers, seal.approval_signatures)),
-        verifiers,
-    )
-    # a duplicate, an outsider or a bad signature leaves fewer valid approvals
-    return valid is not None and len(valid) == len(seal.approvers)
+    valid = _approval_quorum(seal.execution_result_hash, seal.approvals, verifiers)
+    # a duplicate, an outsider, a bad signature or an approval of another
+    # result leaves fewer valid approvals
+    return valid is not None and len(valid) == len(seal.approvals)

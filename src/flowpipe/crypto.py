@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .encoding import once
+from .encoding import once, once_for
 
 Digest = bytes  # 32 bytes
 Seed = bytes  # 32 bytes
@@ -213,6 +213,15 @@ class SignatureShare:
     party_index: int
     value: int
 
+    def verified(self, params: ThresholdParams, vv: VerificationVector, message: bytes) -> bool:
+        """`signature_share_verify` on this share, computed once per
+        (params, vv, message): a committee member sends one share object to
+        every consensus node, and recovery reads the verdict its receiver
+        already holds."""
+        return once_for(
+            self, (params, vv, message), signature_share_verify, params, vv, self, message
+        )
+
 
 @dataclass(frozen=True)
 class GroupSignature:
@@ -366,14 +375,13 @@ def threshold_recover(
     """Lagrange-interpolate t+1 valid signature shares at x = 0.
 
     Invalid shares are identified against the per-party public keys and
-    rejected; fewer than t+1 valid shares from distinct parties raises
+    rejected, by the verdict each share keeps (`SignatureShare.verified`);
+    fewer than t+1 valid shares from distinct parties raises
     InsufficientShares.
     """
     valid: dict[int, SignatureShare] = {}
     for s in shares:
-        if s.party_index in valid:
-            continue
-        if signature_share_verify(params, vv, s, message):
+        if s.party_index not in valid and s.verified(params, vv, message):
             valid[s.party_index] = s
     if len(valid) < params.t + 1:
         raise InsufficientShares(

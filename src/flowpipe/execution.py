@@ -88,6 +88,7 @@ class BlockExecutionOutput:
     end_state: ExecutionState
     chunk_start_states: list[ExecutionState]
     chunk_tx_ranges: list[tuple[int, int]]  # [start, end) indices per chunk
+    chunk_touched: list[frozenset]  # registers each chunk's transactions touch
 
 
 def block_execution(
@@ -104,16 +105,20 @@ def block_execution(
     the next chunk, and its trace lands in the next chunk's commitment. A
     chunk always holds at least one transaction, so a single transaction
     costing more than gamma_chunk occupies an oversized chunk of its own.
+    Each chunk records the registers its transactions touch, from which its
+    chunk data package is built.
     """
     spocks: list[bytes] = []
     chunks: list[Chunk] = []
     chunk_start_states: list[ExecutionState] = []
     chunk_starts: list[int] = []
+    chunk_touched: list[frozenset] = []
 
     state_start = state
     start_index = 0
     consumption = 0
     chunk_trace = EMPTY_TRACE
+    touched: set[bytes] = set()
     tau_0 = 0
 
     for i, tx in enumerate(transactions):
@@ -134,13 +139,16 @@ def block_execution(
             spocks.append(chunk_trace)
             chunk_start_states.append(state_start)
             chunk_starts.append(start_index)
+            chunk_touched.append(frozenset(touched))
             state_start = state_before
             start_index = i
             tau_0 = tau
             chunk_trace = EMPTY_TRACE
             consumption = 0
+            touched = set()
         consumption += tau
         chunk_trace = trace_update(chunk_trace, zeta)
+        touched |= outcome.touched
 
     chunks.append(
         Chunk(
@@ -153,6 +161,7 @@ def block_execution(
     spocks.append(chunk_trace)
     chunk_start_states.append(state_start)
     chunk_starts.append(start_index)
+    chunk_touched.append(frozenset(touched))
 
     result = ExecutionResult(
         block_hash=block_hash,
@@ -170,5 +179,6 @@ def block_execution(
         end_state=state,
         chunk_start_states=chunk_start_states,
         chunk_tx_ranges=ranges,
+        chunk_touched=chunk_touched,
     )
 

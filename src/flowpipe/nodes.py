@@ -10,6 +10,7 @@ from typing import Any, Optional
 
 from . import crypto
 from .blocks import (
+    Approval,
     EvaluationContext,
     ProtoBlock,
     approval_payload,
@@ -31,13 +32,11 @@ from .collection import (
 from .encoding import canonical_json, hexify
 from .execution import (
     GENESIS_RESULT_HASH,
-    BlockExecutionOutput,
     ExecutionReceipt,
     ExecutionResult,
     block_execution,
     canonical,
 )
-from .encoding import once_for
 from .hotstuff import (
     GENESIS_DIGEST,
     ConsensusEngine,
@@ -47,7 +46,7 @@ from .hotstuff import (
     Vote,
     vote_payload,
 )
-from .merkle import ExecutionState, value_proof_gen
+from .merkle import ExecutionState
 from .sim import Handler, Simulator
 from .state import (
     ChallengeKind,
@@ -63,12 +62,12 @@ from .state import (
     meets_supermajority,
 )
 from .verification import (
-    ChunkDataPackage,
     DisputedChunk,
     MissingCollectionAttestation,
     adjudicate_fcc,
     adjudicate_mcc,
     assign_chunks,
+    chunk_data_packages,
     make_fcc,
     make_mcc,
 )
@@ -217,12 +216,9 @@ class DrbShare:
     share: crypto.SignatureShare
 
     def verified(self, params: crypto.ThresholdParams, vv: crypto.VerificationVector) -> bool:
-        """`signature_share_verify` on the share over the block hash, computed
-        once per message for each (params, vv): a member sends one share
-        object to every consensus node."""
-        return once_for(
-            self, (params, vv), crypto.signature_share_verify, params, vv, self.share, self.pb_hash
-        )
+        """The share's check over the block hash, kept on the share object,
+        which `threshold_recover` reads again."""
+        return self.share.verified(params, vv, self.pb_hash)
 
 
 @dataclass(frozen=True)
@@ -239,9 +235,7 @@ class ReceiptMsg:
 
 @dataclass(frozen=True)
 class ApprovalMsg:
-    result_hash: bytes
-    verifier: bytes
-    signature: bytes
+    approval: Approval
 
 
 @dataclass(frozen=True)
@@ -586,7 +580,7 @@ class ConsensusNode(Node):
         self.pending_updates: dict[bytes, StateUpdate] = {}  # challenge id -> update
         self.receipts: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt and packages
         self.results_by_prev: dict[bytes, list[bytes]] = {}  # prev result -> successors
-        self.approvals: dict[bytes, dict[bytes, bytes]] = {}
+        self.approvals: dict[bytes, dict[bytes, Approval]] = {}  # result -> verifier -> approval
         self.drb_shares: dict[bytes, dict[int, crypto.SignatureShare]] = {}
         self.randomness: dict[bytes, int] = {}
         self.fcc_context: dict[bytes, tuple[bytes, int]] = {}  # id -> (result, chunk)
@@ -801,7 +795,7 @@ class ConsensusNode(Node):
                     sealed_block_hash=result.block_hash,
                     execution_result_hash=rh,
                     final_state_commitment=result.final_state,
-                    approvals=self.approvals.get(rh, {}),
+                    approvals=self.approvals.get(rh, {}).values(),
                     verifiers=self.d.verifier_members,
                 )
                 if seal is not None:
@@ -1069,8 +1063,9 @@ class ConsensusNode(Node):
             self.pending_collections.append(h)
 
     def _on_approval(self, sender: str, msg: ApprovalMsg):
-        if crypto.staking_verify(msg.verifier, approval_payload(msg.result_hash), msg.signature):
-            self.approvals.setdefault(msg.result_hash, {}).setdefault(msg.verifier, msg.signature)
+        a = msg.approval
+        if a.valid():
+            self.approvals.setdefault(a.result_hash, {}).setdefault(a.verifier, a)
 
     def _on_mcc_response(self, sender: str, msg: MccResponse):
         bucket = self.mcc_responses.get(msg.challenge_id)
@@ -1239,7 +1234,7 @@ class ExecutionNode(Node):
             result = self._tamper(result)
         self.exec_state = out.end_state
         self.prev_result_hash = result.result_hash()
-        packages = self._packages(out, txs)
+        packages = chunk_data_packages(out, txs)
         receipt = ExecutionReceipt(
             execution_result=result,
             spocks=out.spocks,
@@ -1261,18 +1256,6 @@ class ExecutionNode(Node):
             chunks = result.chunks[:target] + (fake,) + result.chunks[target + 1 :]
             return dataclasses.replace(result, chunks=chunks)
         return dataclasses.replace(result, final_state=crypto.hash("tampered", result.final_state))
-
-    @staticmethod
-    def _packages(out: BlockExecutionOutput, txs) -> tuple:
-        packages = []
-        for k, st in enumerate(out.chunk_start_states):
-            lo, hi = out.chunk_tx_ranges[k]
-            registers = {key: st.get(key) for key in st.keys()}
-            proofs = {key: value_proof_gen(st, key) for key in st.keys()}
-            packages.append(
-                ChunkDataPackage(registers=registers, proofs=proofs, transactions=txs[lo:hi])
-            )
-        return tuple(packages)
 
 
 # ---------------------------------------------------------------------------
@@ -1343,8 +1326,8 @@ class VerificationNode(Node):
                 self.send_all(self.d.consensus_names, ChallengeMsg(fcc, chunk_index=k))
                 return
         self.sim.event(self.name, "approved", {"result": hexify(rh)})
-        sig = self.keypair.sign(approval_payload(rh))
-        self.send_all(self.d.consensus_names, ApprovalMsg(rh, self.keypair.public, sig))
+        approval = Approval(rh, self.keypair.public, self.keypair.sign(approval_payload(rh)))
+        self.send_all(self.d.consensus_names, ApprovalMsg(approval))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from typing import Mapping, Optional, Sequence
 from . import crypto
 from .collection import collection_hash as compute_collection_hash
 from .encoding import once_for
-from .execution import EMPTY_TRACE, ExecutionResult, trace_update
-from .merkle import ExecutionState, value_proof_vrfy
+from .execution import EMPTY_TRACE, BlockExecutionOutput, ExecutionResult, trace_update
+from .merkle import ExecutionState, UnprovenRegister, value_proof_vrfy
 from .state import (
     Adjudication,
     ChallengeKind,
@@ -45,12 +45,15 @@ def assign_chunks(verifier: bytes, chunk_count: int, randomness: bytes, p: float
 
 @dataclass(frozen=True)
 class ChunkDataPackage:
-    """Executor-provided verification inputs for one chunk: the touched
-    registers with proofs against the chunk's start commitment, plus the
-    full transaction texts. Deeply immutable: one package goes by reference
-    to every verifier and adjudicator, which share its verdict."""
+    """Executor-provided verification inputs for one chunk, as in the source
+    design's chunk data pack: only the registers the chunk's transactions
+    touch, each with its value at the chunk's start (None for a register
+    that does not exist yet) and a membership or non-membership proof
+    against the chunk's start commitment, plus the full transaction texts.
+    Deeply immutable: one package goes by reference to every verifier and
+    adjudicator, which share its verdict."""
 
-    registers: Mapping[bytes, bytes]
+    registers: Mapping[bytes, Optional[bytes]]
     proofs: Mapping[bytes, object]  # key -> ValueProof
     transactions: tuple[SignedTransaction, ...]
 
@@ -67,6 +70,26 @@ class ChunkDataPackage:
         adjudicator of a challenge against it read one verdict."""
         key = (result.result_hash(), chunk_index, executor_spock)
         return once_for(self, key, verify_chunk, result, chunk_index, self, executor_spock)
+
+
+def chunk_data_packages(
+    out: BlockExecutionOutput, transactions: Sequence[SignedTransaction]
+) -> tuple[ChunkDataPackage, ...]:
+    """One package per chunk of an executed block, proving exactly the
+    registers the chunk touches against the chunk's start state."""
+    packages = []
+    for start, touched, (lo, hi) in zip(
+        out.chunk_start_states, out.chunk_touched, out.chunk_tx_ranges
+    ):
+        keys = sorted(touched)
+        packages.append(
+            ChunkDataPackage(
+                registers={key: start.get(key) for key in keys},
+                proofs={key: start.prove(key) for key in keys},
+                transactions=transactions[lo:hi],
+            )
+        )
+    return tuple(packages)
 
 
 @dataclass(frozen=True)
@@ -94,20 +117,23 @@ def verify_chunk(
     package: ChunkDataPackage,
     executor_spock: bytes,
 ) -> ChunkVerdict:
-    """Re-execute an assigned chunk from the executor's data package and
-    approve only a full match of consumption, end commitment, and trace."""
+    """Re-execute an assigned chunk on the partial tree its data package
+    proves and approve only a full match of consumption, end commitment, and
+    trace. A register the re-execution touches outside the package rejects
+    the chunk; it never reads as absent."""
     chunk = result.chunks[chunk_index]
-    memo: dict[tuple[bytes, bytes], bytes] = {}  # the package's proofs share upper nodes
+    commitment = chunk.start_state_commitment
     for key, value in package.registers.items():
         proof = package.proofs.get(key)
-        if proof is None or not value_proof_vrfy(
-            key, value, proof, chunk.start_state_commitment, memo
-        ):
+        if proof is None or not value_proof_vrfy(key, value, proof, commitment):
             return ChunkVerdict(ok=False, reason="state-proof-failure")
-    start = ExecutionState(package.registers)
-    if start.root() != chunk.start_state_commitment:
+    start = ExecutionState.from_proofs(commitment, package.registers, package.proofs)
+    if start is None:
         return ChunkVerdict(ok=False, reason="state-proof-failure")
-    consumed, end_root, trace = _reexecute(start, package.transactions)
+    try:
+        consumed, end_root, trace = _reexecute(start, package.transactions)
+    except UnprovenRegister:
+        return ChunkVerdict(ok=False, reason="unproven-register")
     expected_end = (
         result.chunks[chunk_index + 1].start_state_commitment
         if chunk_index + 1 < len(result.chunks)

@@ -94,14 +94,19 @@ class ExecOutcome:
     trace: bytes  # per-transaction execution trace commitment
     status: str  # ok | failed | malformed
     detail: Optional[str] = None
+    touched: frozenset = frozenset()  # registers read (present or absent) or written
 
 
-def _apply_ops(state, ops) -> dict[bytes, bytes]:
-    """Compute register updates for a parsed script; raises on rule violations."""
+def _apply_ops(state, ops, touched: set) -> dict[bytes, bytes]:
+    """Compute register updates for a parsed script; raises on rule
+    violations. Every register read from `state` is added to `touched`."""
     updates: dict[bytes, bytes] = {}
 
     def current(key: bytes) -> Optional[bytes]:
-        return updates.get(key, state.get(key))
+        if key in updates:
+            return updates[key]
+        touched.add(key)
+        return state.get(key)
 
     for op in ops:
         kind = op["kind"]
@@ -129,7 +134,9 @@ def _apply_ops(state, ops) -> dict[bytes, bytes]:
 def execute(state, tx: SignedTransaction) -> ExecOutcome:
     """Apply a transaction; failed or malformed scripts consume their cost
     but leave the registers unchanged. The trace commitment binds the start
-    root, the transaction hash, and the end root."""
+    root, the transaction hash, and the end root. The outcome names the
+    registers the transaction touched: a failed one touched what it read
+    before failing, a malformed one nothing."""
     start_root = state.root()
     try:
         parsed = ToyTransaction.parse(tx.script)
@@ -138,12 +145,17 @@ def execute(state, tx: SignedTransaction) -> ExecOutcome:
         return ExecOutcome(state=state, cost=MIN_COST, trace=trace, status="malformed", detail=str(exc))
 
     cost = parsed.total_cost()
+    touched: set[bytes] = set()
     try:
-        updates = _apply_ops(state, parsed.operations)
+        updates = _apply_ops(state, parsed.operations, touched)
     except ValueError as exc:
         trace = fhash("trace", start_root + tx.tx_hash() + state.root())
-        return ExecOutcome(state=state, cost=cost, trace=trace, status="failed", detail=str(exc))
+        return ExecOutcome(
+            state=state, cost=cost, trace=trace, status="failed", detail=str(exc),
+            touched=frozenset(touched),
+        )
 
     new_state = state.with_updates(updates)
     trace = fhash("trace", start_root + tx.tx_hash() + new_state.root())
-    return ExecOutcome(state=new_state, cost=cost, trace=trace, status="ok")
+    touched.update(updates)
+    return ExecOutcome(state=new_state, cost=cost, trace=trace, status="ok", touched=frozenset(touched))

@@ -31,15 +31,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "73f24a0b126cf61d94f3033a00adcecf6b1c24b0dcb5f89c208f6e2e276bc58d",
+        "981bead78dfff988e08d68d522718574ebc6757e6ee3123fc542d3840b7cc1d4",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "0ab71e3343dcd5a01d8cf68eef70eac3ce35d9d5e956cc0875f2746485d67ff7",
+        "accf54f36cb6c43f1cea0fe4597a418378d13c93306a23bb5d6246d8c5b387b6",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "2dc6425e156d54f3f9133ab3e4f2f83ec8127f80674d4fcac760473f54fffc48",
+        "d66c0ed1b09bdf2f30589389fb67e87b73cfeb4a4b5ddabc907d262938b794e0",
     ),
 }
 
@@ -195,7 +195,7 @@ def test_late_receipts_adjudicated_on_arrival():
     run_world(world)
     report = evaluate_properties(world)
     assert report["passed"], report["properties"]
-    assert waits == 128
+    assert waits == 123
 
     def outcomes(node):
         return {

@@ -6,6 +6,7 @@ import pytest
 from flowpipe import crypto
 from flowpipe.blocks import (
     GENESIS_RANDOMNESS,
+    Approval,
     BlockSeal,
     EvaluationContext,
     ProtoBlock,
@@ -152,7 +153,7 @@ class TestEvaluateProposal:
 
     def test_condition_8_seal_invalid(self):
         state, _, _ = base_protocol_state()
-        seal = BlockSeal(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, (), ())
+        seal = BlockSeal(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, ())
         pb = ProtoBlock(b"\x10" * 32, 1, (), (seal,), (), (), commit_state(state))
         ctx = plain_context(state, seal_valid=lambda s: False)
         ok, reason = evaluate_proposal(pb, ctx)
@@ -263,9 +264,12 @@ class TestRandomnessAttachment:
         assert not crypto.threshold_verify(self.params, sigma, wrong, empty_proto(self.state).hash())
 
 
+def approve(kp, result_hash=b"\x22" * 32) -> Approval:
+    return Approval(result_hash, kp.public, kp.sign(approval_payload(result_hash)))
+
+
 def seal_inputs(state, vkps, result_hash=b"\x22" * 32):
-    payload = approval_payload(result_hash)
-    approvals = {kp.public: kp.sign(payload) for kp in vkps}
+    approvals = [approve(kp, result_hash) for kp in vkps]
     verifiers = members(state, Role.VERIFICATION)
     return approvals, verifiers
 
@@ -284,7 +288,7 @@ class TestFormSeal:
         approvals, verifiers = seal_inputs(state, vkps)
         seal = form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers)
         assert seal is not None
-        assert len(seal.approvers) == 4
+        assert [a.verifier for a in seal.approvals] == sorted(kp.public for kp in vkps)
 
     def test_exactly_two_thirds_pending(self):
         state, _, vkps = base_protocol_state(n_verifiers=3)
@@ -310,7 +314,7 @@ class TestFormSeal:
     def test_bad_signature_not_counted(self):
         state, _, vkps = base_protocol_state(n_verifiers=3)
         approvals, verifiers = seal_inputs(state, vkps)
-        approvals[vkps[0].public] = b"\x00" * 32  # 2 of 3 valid = exactly 2/3
+        approvals[0] = dataclasses.replace(approvals[0], signature=b"\x00" * 32)  # 2 of 3 valid
         assert form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers) is None
 
 
@@ -356,40 +360,60 @@ class TestValidateSeal:
         state, _, vkps = base_protocol_state()
         verifiers = members(state, Role.VERIFICATION)
         seal = self.make(state, vkps)
-        duplicate = BlockSeal(
-            seal.sealed_block_hash,
-            seal.execution_result_hash,
-            seal.final_state_commitment,
-            seal.approvers + seal.approvers[:1],
-            seal.approval_signatures + seal.approval_signatures[:1],
-        )
+
+        def with_approvals(approvals):
+            return dataclasses.replace(seal, approvals=tuple(approvals))
+
+        assert self.check(with_approvals(seal.approvals), verifiers)
+        duplicate = with_approvals(seal.approvals + seal.approvals[:1])
         assert not self.check(duplicate, verifiers)
-        forged = BlockSeal(
-            seal.sealed_block_hash,
-            seal.execution_result_hash,
-            seal.final_state_commitment,
-            seal.approvers,
-            seal.approval_signatures[:-1] + (b"\x00" * 32,),
-        )
-        assert not self.check(forged, verifiers)
+        forged_sig = dataclasses.replace(seal.approvals[-1], signature=b"\x00" * 32)
+        assert not self.check(with_approvals(seal.approvals[:-1] + (forged_sig,)), verifiers)
         outsider = crypto.StakingKeyPair.from_seed(b"\x77" * 32)
-        extra = BlockSeal(
-            seal.sealed_block_hash,
-            seal.execution_result_hash,
-            seal.final_state_commitment,
-            seal.approvers + (outsider.public,),
-            seal.approval_signatures + (outsider.sign(approval_payload(seal.execution_result_hash)),),
-        )
+        extra = with_approvals(seal.approvals + (approve(outsider, seal.execution_result_hash),))
         assert not self.check(extra, verifiers)
-        for approvers, signatures in [((), ()), (seal.approvers, seal.approval_signatures[:-1])]:
-            short = BlockSeal(
-                seal.sealed_block_hash,
-                seal.execution_result_hash,
-                seal.final_state_commitment,
-                approvers,
-                signatures,
-            )
-            assert not self.check(short, verifiers)
+        # the last approver's valid signature, but over another result
+        last = next(kp for kp in vkps if kp.public == seal.approvals[-1].verifier)
+        elsewhere = approve(last, b"\x23" * 32)
+        assert elsewhere.valid()
+        assert not self.check(with_approvals(seal.approvals[:-1] + (elsewhere,)), verifiers)
+        assert not self.check(with_approvals(()), verifiers)
+
+
+class TestSharedApprovalCheck:
+    """`Approval.valid` keeps the signature check on the approval object,
+    which a verifier broadcasts to every consensus node and every seal that
+    includes it carries; a twin built with `dataclasses.replace` is checked
+    on its own."""
+
+    def test_one_signature_check_per_approval(self, monkeypatch):
+        calls = []
+        real = crypto.staking_verify
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(crypto, "staking_verify", counting)
+        state, _, vkps = base_protocol_state()
+        approvals, verifiers = seal_inputs(state, vkps)
+        for _ in range(7):  # every consensus node receives each approval
+            assert all(a.valid() for a in approvals)
+        seals = [form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers)
+                 for _ in range(3)]  # three leaders propose the seal
+        for seal in seals:
+            for _ in range(7):  # every voter validates it
+                assert TestValidateSeal().check(seal, verifiers)
+        assert sorted(calls) == sorted(kp.public for kp in vkps)
+
+    def test_forged_twin_rejected_after_original_accepted(self):
+        state, _, vkps = base_protocol_state()
+        original = approve(vkps[0])
+        assert original.valid()
+        assert not dataclasses.replace(original, signature=b"\x00" * 32).valid()
+        assert not dataclasses.replace(original, result_hash=b"\x23" * 32).valid()
+        assert not dataclasses.replace(original, verifier=vkps[1].public).valid()
+        assert original.valid()
 
 
 class TestSharedReplay:
@@ -456,8 +480,9 @@ class TestSharedReplay:
 
 
 class TestSharedShareCheck:
-    """`DrbShare.verified` keeps the share check on the message that a
-    beacon member sends to every consensus node."""
+    """`DrbShare.verified` keeps the share check on the share object that a
+    beacon member sends to every consensus node, and `threshold_recover`
+    reads that verdict instead of checking the share again."""
 
     def setup_method(self):
         self.params = crypto.make_params(7)
@@ -490,3 +515,30 @@ class TestSharedShareCheck:
         other_vv = crypto.dkg_setup(self.params, entropy).verification_vector
         assert not msg.verified(self.params, other_vv)
         assert msg.verified(self.params, self.vv)
+
+    def test_recovery_reads_the_share_verdicts(self, monkeypatch):
+        from flowpipe.nodes import DrbShare
+
+        calls = []
+        real = crypto.signature_share_verify
+
+        def counting(params, vv, sig, message):
+            calls.append(sig.party_index)
+            return real(params, vv, sig, message)
+
+        counting.__name__ = real.__name__
+        monkeypatch.setattr(crypto, "signature_share_verify", counting)
+        t = self.params.t
+        msgs = [
+            DrbShare(self.message, crypto.threshold_sign(self.params, s, self.message))
+            for s in self.shares[: t + 1]
+        ]
+        for _ in range(7):  # every consensus node receives each share
+            assert all(m.verified(self.params, self.vv) for m in msgs)
+        for _ in range(7):  # and each recovers the group signature
+            sigma = crypto.threshold_recover(self.params, self.vv, [m.share for m in msgs], self.message)
+        assert crypto.threshold_verify(self.params, sigma, self.vv.group_public_key, self.message)
+        assert calls == [m.share.party_index for m in msgs]
+        # a share checked under another message is checked afresh, and fails
+        with pytest.raises(crypto.InsufficientShares):
+            crypto.threshold_recover(self.params, self.vv, [m.share for m in msgs], b"other")

@@ -18,6 +18,7 @@ from flowpipe.vm import (
     account_key,
     decode_balance,
     execute,
+    register_key,
 )
 
 BLOCK_HASH = b"\xb0" * 32
@@ -78,6 +79,44 @@ class TestVm:
         a, b = execute(st, tx), execute(st, tx)
         assert a.state.root() == b.state.root()
         assert (a.cost, a.trace) == (b.cost, b.trace)
+
+
+    def test_touched_registers(self):
+        # reads (present or absent) and writes; a failure keeps what it read
+        # before failing, a malformed script touches nothing
+        st = base_state()
+        alice, bob, carol = (account_key(a) for a in ("alice", "bob", "carol"))
+        cases = [
+            ([{"kind": "transfer", "from": "alice", "to": "bob", "amount": 5}], "ok", {alice, bob}),
+            ([{"kind": "transfer", "from": "alice", "to": "carol", "amount": 5}], "failed", {alice, carol}),
+            ([{"kind": "create_account", "account": "carol"}], "ok", {carol}),
+            ([{"kind": "create_account", "account": "alice"}], "failed", {alice}),
+            ([{"kind": "set_register", "register": "r", "value": "01"}], "ok", {register_key("r")}),
+            (
+                [
+                    {"kind": "create_account", "account": "carol", "balance": 3},
+                    {"kind": "transfer", "from": "carol", "to": "bob", "amount": 1},
+                ],
+                "ok",
+                {carol, bob},
+            ),
+        ]
+        for ops, status, touched in cases:
+            out = execute(st, make_tx(ops))
+            assert (out.status, out.touched) == (status, touched), ops
+        malformed = SignedTransaction(b"not json", b"\x01" * 32, (), REF_HASH)
+        assert execute(st, malformed).touched == frozenset()
+
+    def test_chunks_gather_what_their_transactions_touch(self):
+        txs = [cost_tx(i, c) for i, c in enumerate((4, 4, 4))]
+        out = block_execution(BLOCK_HASH, txs, GENESIS_RESULT_HASH, base_state(), 10)
+        assert out.chunk_tx_ranges == [(0, 2), (2, 3)]
+        assert out.chunk_touched == [
+            {register_key("r0"), register_key("r1")},
+            {register_key("r2")},
+        ]
+        empty = block_execution(BLOCK_HASH, [], GENESIS_RESULT_HASH, base_state(), 10)
+        assert empty.chunk_touched == [frozenset()]
 
 
 class TestCanonicalOrder:

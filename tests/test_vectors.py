@@ -1,10 +1,12 @@
-"""Golden-vector checks: digests, stream words, shuffles, and tiny-field
-threshold signatures must stay bit-identical across implementations."""
+"""Golden-vector checks: digests, stream words, shuffles, tiny-field
+threshold signatures and the sparse Merkle state commitment must stay
+bit-identical across implementations."""
 
 import pathlib
 
 from flowpipe import crypto
 from flowpipe.encoding import hexify
+from flowpipe.merkle import EMPTY_ROOT, ExecutionState, value_proof_vrfy
 
 VECTORS = pathlib.Path(__file__).parent.parent / "vectors"
 
@@ -75,3 +77,28 @@ class TestSignatureVectors:
             params, dkg.verification_vector, shares[: params.t + 1], msg
         )
         assert f"{sigma.value:04x}" == v["group_signature"]
+
+
+class TestMerkleVectors:
+    REGISTERS = {b"alice": b"\x01", b"bob": b"\x02", b"carol": b"\x03", b"dave": b"\x04", b"erin": b"\x05"}
+
+    def test_roots(self):
+        v = load("merkle.hex")
+        assert hexify(ExecutionState().root()) == hexify(EMPTY_ROOT) == v["empty_root"]
+        assert hexify(ExecutionState(self.REGISTERS).root()) == v["root_alice_to_erin"]
+
+    def test_membership_proof(self):
+        v = load("merkle.hex")
+        st = ExecutionState(self.REGISTERS)
+        proof = st.prove(b"carol")
+        assert "".join(hexify(s) for s in proof.siblings) == v["member_carol_siblings"]
+        assert proof.other is None
+        assert value_proof_vrfy(b"carol", b"\x03", proof, st.root())
+
+    def test_non_membership_proof(self):
+        v = load("merkle.hex")
+        st = ExecutionState(self.REGISTERS)
+        proof = st.prove(b"zed")
+        assert "".join(hexify(s) for s in proof.siblings) == v["absent_zed_siblings"]
+        assert hexify(proof.other[0] + proof.other[1]) == v["absent_zed_other"]
+        assert value_proof_vrfy(b"zed", None, proof, st.root())

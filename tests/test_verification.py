@@ -10,7 +10,7 @@ from flowpipe.execution import (
     ExecutionResult,
     block_execution,
 )
-from flowpipe.merkle import ExecutionState, value_proof_gen
+from flowpipe.merkle import ExecutionState, value_proof_vrfy
 from flowpipe.state import ChallengeKind, NodeIdentity, ProtocolState, Role
 from flowpipe.verification import (
     ChunkDataPackage,
@@ -18,39 +18,72 @@ from flowpipe.verification import (
     adjudicate_fcc,
     adjudicate_mcc,
     assign_chunks,
+    chunk_data_packages,
     make_fcc,
     make_mcc,
     verify_chunk,
 )
-from flowpipe.vm import SignedTransaction, ToyTransaction
+from flowpipe.vm import (
+    SignedTransaction,
+    ToyTransaction,
+    account_key,
+    encode_balance,
+    register_key,
+)
 
 BLOCK_HASH = b"\xb1" * 32
 RAND = crypto.hash("rand", b"x")
 
 
-def cost_tx(i, cost):
+def op_tx(op, cost):
     return SignedTransaction(
-        script=ToyTransaction(
-            operations=({"kind": "set_register", "register": f"r{i}", "value": "ab", "cost": cost},)
-        ).to_script(),
+        script=ToyTransaction(operations=({**op, "cost": cost},)).to_script(),
         payer_signature=b"\x01" * 32,
         script_signatures=(),
         reference_block_hash=b"\x00" * 32,
     )
 
 
-def executed_block(costs=(3, 4, 5, 2, 6), gamma=8):
-    txs = [cost_tx(i, c) for i, c in enumerate(costs)]
-    out = block_execution(BLOCK_HASH, txs, GENESIS_RESULT_HASH, ExecutionState(), gamma)
+def cost_tx(i, cost):
+    return op_tx({"kind": "set_register", "register": f"r{i}", "value": "ab"}, cost)
+
+
+ALICE, BOB, CAROL = (account_key(a) for a in ("alice", "bob", "carol"))
+
+# registers present before the block; the u* registers stay untouched
+START = {
+    register_key("r0"): b"\x00",
+    register_key("r1"): b"\x01",
+    ALICE: encode_balance(50),
+    BOB: encode_balance(0),
+    **{register_key(f"u{j}"): bytes([j]) for j in range(20)},
+}
+
+# with gamma 8 the costs make three chunks: [0, 1], [2, 3], [4]
+BLOCK_OPS = (
+    ({"kind": "set_register", "register": "r0", "value": "ab"}, 3),
+    ({"kind": "transfer", "from": "alice", "to": "bob", "amount": 10}, 4),
+    ({"kind": "set_register", "register": "r2", "value": "cd"}, 5),
+    ({"kind": "transfer", "from": "alice", "to": "carol", "amount": 1}, 2),  # fails
+    ({"kind": "set_register", "register": "r1", "value": "ef"}, 6),
+)
+
+# the registers each chunk reads or writes; carol and r2 are absent at its start
+TOUCHED = [
+    {register_key("r0"), ALICE, BOB},
+    {register_key("r2"), ALICE, CAROL},
+    {register_key("r1")},
+]
+
+
+def executed_block(ops=BLOCK_OPS, gamma=8, start=START):
+    txs = [op_tx(op, cost) for op, cost in ops]
+    out = block_execution(BLOCK_HASH, txs, GENESIS_RESULT_HASH, ExecutionState(start), gamma)
     return txs, out
 
 
 def package_for(out, txs, k) -> ChunkDataPackage:
-    st = out.chunk_start_states[k]
-    lo, hi = out.chunk_tx_ranges[k]
-    registers = {key: st.get(key) for key in st.keys()}
-    proofs = {key: value_proof_gen(st, key) for key in st.keys()}
-    return ChunkDataPackage(registers=registers, proofs=proofs, transactions=txs[lo:hi])
+    return chunk_data_packages(out, txs)[k]
 
 
 class TestAssignChunks:
@@ -140,6 +173,103 @@ class TestVerifyChunk:
             verdict = verify_chunk(self.out.result, 1, tampered, self.out.spocks[1])
             assert not verdict.ok
             assert verdict.reason == "state-proof-failure"
+
+
+class TestTouchedRegisterPackages:
+    """A package proves exactly the registers its chunk touches, each
+    against the chunk's start commitment, and a verifier re-executes on the
+    partial tree those proofs span."""
+
+    def setup_method(self):
+        self.txs, self.out = executed_block()
+        self.packages = chunk_data_packages(self.out, self.txs)
+
+    def verdict(self, k, registers=None, proofs=None):
+        pkg = self.packages[k]
+        twin = dataclasses.replace(
+            pkg,
+            registers=pkg.registers if registers is None else registers,
+            proofs=pkg.proofs if proofs is None else proofs,
+        )
+        v = verify_chunk(self.out.result, k, twin, self.out.spocks[k])
+        return v.ok, v.reason
+
+    def test_packages_carry_only_touched_registers(self):
+        assert len(self.packages) == len(TOUCHED)
+        for k, pkg in enumerate(self.packages):
+            assert set(pkg.registers) == set(pkg.proofs) == TOUCHED[k]
+            start = self.out.chunk_start_states[k]
+            root = self.out.result.chunks[k].start_state_commitment
+            for key, value in pkg.registers.items():
+                assert value == start.get(key)
+                assert value_proof_vrfy(key, value, pkg.proofs[key], root)
+        assert self.packages[1].registers[CAROL] is None
+        assert self.packages[1].registers[register_key("r2")] is None
+
+    def test_empty_chunk_package_carries_zero_registers(self):
+        malformed = SignedTransaction(b"not json", b"\x01" * 32, (), b"\x00" * 32)
+        for txs in ([], [malformed]):
+            out = block_execution(BLOCK_HASH, txs, GENESIS_RESULT_HASH, ExecutionState(START), 8)
+            (pkg,) = chunk_data_packages(out, txs)
+            assert dict(pkg.registers) == {} and dict(pkg.proofs) == {}
+            assert verify_chunk(out.result, 0, pkg, out.spocks[0]).ok
+
+    def test_package_lacking_a_touched_key_rejected(self):
+        # a read of a present key, a read of an absent key, a pure write
+        for key in (ALICE, CAROL, register_key("r2")):
+            registers = {k: v for k, v in self.packages[1].registers.items() if k != key}
+            assert self.verdict(1, registers=registers) == (False, "unproven-register"), key
+
+    def test_missing_key_in_a_proven_slot_rejected(self):
+        # two absent accounts whose paths end in the same empty slot or at
+        # the same neighbouring leaf: proving one does not prove the other
+        start = ExecutionState(START)
+        names = [f"x{i}" for i in range(2000)]
+        first = {}
+        for name in names:
+            proof = start.prove(account_key(name))
+            if proof in first:
+                a, b = first[proof], name
+                break
+            first[proof] = name
+        ops = (({"kind": "transfer", "from": a, "to": b, "amount": 1}, 1),)
+        txs, out = executed_block(ops)
+        (pkg,) = chunk_data_packages(out, txs)
+        assert set(pkg.registers) == {account_key(a), account_key(b)}
+        assert verify_chunk(out.result, 0, pkg, out.spocks[0]).ok
+        registers = {account_key(a): None}
+        twin = dataclasses.replace(pkg, registers=registers)
+        verdict = verify_chunk(out.result, 0, twin, out.spocks[0])
+        assert (verdict.ok, verdict.reason) == (False, "unproven-register")
+
+    def test_package_lying_about_an_absence_rejected(self):
+        pkg = self.packages[1]
+        start = self.out.chunk_start_states[1]
+        # a present register claimed absent, with its own or a borrowed proof
+        for proof in (pkg.proofs[ALICE], pkg.proofs[CAROL], start.prove(b"nowhere")):
+            registers = {**pkg.registers, ALICE: None}
+            proofs = {**pkg.proofs, ALICE: proof}
+            assert self.verdict(1, registers, proofs) == (False, "state-proof-failure")
+        # an absent register claimed present
+        registers = {**pkg.registers, CAROL: encode_balance(100)}
+        assert self.verdict(1, registers=registers) == (False, "state-proof-failure")
+
+    def test_package_carrying_a_bogus_register_rejected(self):
+        pkg = self.packages[1]
+        start = self.out.chunk_start_states[1]
+        untouched = register_key("u3")
+        for key, value, proof in [
+            (b"reg/bogus", b"\x01", pkg.proofs[ALICE]),
+            (b"reg/bogus", b"\x01", start.prove(b"reg/bogus")),
+            (untouched, b"\xff", start.prove(untouched)),
+        ]:
+            registers = {**pkg.registers, key: value}
+            proofs = {**pkg.proofs, key: proof}
+            assert self.verdict(1, registers, proofs) == (False, "state-proof-failure")
+        # an untouched register with its true value and proof does no harm
+        registers = {**pkg.registers, untouched: start.get(untouched)}
+        proofs = {**pkg.proofs, untouched: start.prove(untouched)}
+        assert self.verdict(1, registers, proofs) == (True, None)
 
 
 def adjudication_state():
@@ -254,10 +384,10 @@ class TestSharedVerdict:
 
     def test_package_is_deeply_immutable(self):
         st = self.out.chunk_start_states[1]
-        registers = {key: st.get(key) for key in st.keys()}
+        registers = st.registers
         pkg = ChunkDataPackage(
             registers=registers,
-            proofs={key: value_proof_gen(st, key) for key in st.keys()},
+            proofs={key: st.prove(key) for key in registers},
             transactions=list(self.txs[:2]),
         )
         key = next(iter(registers))
