@@ -12,8 +12,12 @@ import json
 from typing import Any
 
 
+# `json.dumps` with these arguments would build a new encoder on every call
+CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: Any) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return CANONICAL_ENCODER.encode(obj).encode()
 
 
 def hexify(b: bytes) -> str:

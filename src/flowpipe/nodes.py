@@ -241,8 +241,10 @@ class ApprovalMsg:
 @dataclass(frozen=True)
 class ChallengeMsg:
     challenge: SlashingChallenge
-    # an FCC names its result in `evidence[0]`; the index locates the chunk
+    # an FCC names its result in `evidence[0]`; the index locates the chunk,
+    # and the accused executor's receipt signature shows that it signed it
     chunk_index: Optional[int] = None
+    executor_signature: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
@@ -531,14 +533,15 @@ class CollectorNode(Node):
 def _challenge_mark(ch: SlashingChallenge):
     """Chain-dedupe key: the challenged target, independent of challenger. A
     missing collection's mark is its hash (bytes), a faulty chunk's is a
-    (result hash, chunk index digest) tuple, and a protocol violation's is
-    its challenge id, whose canonical fields name only the accused and the
-    evidence. Collection hashes and challenge ids are hashes under different
-    tags, so no two marks collide."""
+    (result hash, chunk index digest, accused executor) tuple, so each
+    executor that signed a faulty result is challenged once, and a protocol
+    violation's is its challenge id, whose canonical fields name only the
+    accused and the evidence. Collection hashes and challenge ids are hashes
+    under different tags, so no two marks collide."""
     if ch.kind == ChallengeKind.MISSING_COLLECTION:
         return ch.evidence[0]
     if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
-        return ch.evidence[:2]
+        return ch.evidence[:2] + ch.accused
     return ch.challenge_id
 
 
@@ -1095,8 +1098,13 @@ class ConsensusNode(Node):
     def _on_challenge(self, sender: str, msg: ChallengeMsg):
         ch = msg.challenge
         if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
+            # only an executor that signed the result answers for it
+            if len(ch.accused) != 1 or not crypto.staking_verify(
+                ch.accused[0], ch.evidence[0], msg.executor_signature
+            ):
+                return
             dedupe = crypto.hash(
-                "dedupe", b"fcc" + ch.evidence[0] + msg.chunk_index.to_bytes(8, "big")
+                "dedupe", b"fcc" + ch.evidence[0] + msg.chunk_index.to_bytes(8, "big") + ch.accused[0]
             )
             rh, _ = self.fcc_context.setdefault(ch.challenge_id, (ch.evidence[0], msg.chunk_index))
             self.fcc_ids.setdefault(rh, set()).add(ch.challenge_id)
@@ -1264,11 +1272,25 @@ class ExecutionNode(Node):
 
 
 class VerificationNode(Node):
+    """Verifies each result once, on the first receipt that carries it. A
+    result seals only after its previous result, so one this node rejected
+    never seals and neither does anything built on it: such descendants
+    are not verified, approved or challenged. The executors that signed a
+    rejected result are challenged once its previous result is approved
+    here, each on its own receipt."""
+
     def __init__(self, sim, name, keypair, directory, behavior=None):
         super().__init__(sim, name, keypair, directory, behavior)
         self.seeds: dict[bytes, bytes] = {}  # block hash -> randomness seed
-        self.pending: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt awaiting seed
-        self.checked: set[bytes] = set()
+        # result hash -> its receipts, in arrival order, awaiting the seed
+        self.pending: dict[bytes, list[ReceiptMsg]] = {}
+        self.checked: set[bytes] = {GENESIS_RESULT_HASH}  # judged here, and genesis
+        self.dead: set[bytes] = set()  # rejected here, and their descendants
+        self.faults: dict[bytes, int] = {}  # result rejected here -> failing chunk
+        self.accused: set[tuple[bytes, bytes]] = set()  # (result, executor) judged
+        # previous result not yet judged here -> (receipt, chunk, reason) of
+        # faulty successors, challenged once it is approved
+        self.held: dict[bytes, list[tuple[ReceiptMsg, int, str]]] = {}
         # verifiers key off randomness and receipts, not finalization notices
         self.listen({BlockRandomness: self._on_randomness, ReceiptMsg: self._on_receipt})
 
@@ -1287,47 +1309,84 @@ class VerificationNode(Node):
             return
         self.seeds[msg.pb_hash] = block_seed(msg.sigma)
         for rh in sorted(self.pending):
-            self._try_verify(self.pending[rh])
+            self._try_verify(rh)
 
     def _on_receipt(self, sender: str, msg: ReceiptMsg):
         rh = msg.receipt.execution_result.result_hash()
-        if rh not in self.checked:
-            self.pending.setdefault(rh, msg)
-            self._try_verify(msg)
+        if rh in self.faults:
+            self._accuse(msg)
+        elif rh not in self.checked:
+            self.pending.setdefault(rh, []).append(msg)
+            self._try_verify(rh)
 
-    def _try_verify(self, msg: ReceiptMsg):
+    def _try_verify(self, rh: bytes):
+        receipts = self.pending[rh]
+        msg = receipts[0]
         result = msg.receipt.execution_result
-        rh = result.result_hash()
-        if rh in self.checked:
+        if result.previous_execution_result_hash in self.dead:
+            del self.pending[rh]
+            self.checked.add(rh)
+            self.dead.add(rh)
+            self.held.pop(rh, None)
             return
         seed = self.seeds.get(result.block_hash)
         if seed is None:
             return
+        del self.pending[rh]
         self.checked.add(rh)
-        self.pending.pop(rh, None)
         assigned = assign_chunks(
             self.keypair.public, len(result.chunks), seed, self.d.coverage_p
         )
         for k in sorted(assigned):
             verdict = msg.packages[k].verdict(result, k, msg.receipt.spocks[k])
             if not verdict.ok:
-                fcc = make_fcc(
-                    self.keypair.public,
-                    msg.receipt.executor,
-                    rh,
-                    k,
-                    deadline=self.sim.now + self.d.mcc_deadline,
-                )
-                self.sim.event(
-                    self.name,
-                    "fcc_raised",
-                    {"result": hexify(rh), "chunk": k, "reason": verdict.reason},
-                )
-                self.send_all(self.d.consensus_names, ChallengeMsg(fcc, chunk_index=k))
+                self.dead.add(rh)
+                self.held.pop(rh, None)
+                self.faults[rh] = k
+                for signed in receipts:
+                    self._accuse(signed)
                 return
         self.sim.event(self.name, "approved", {"result": hexify(rh)})
         approval = Approval(rh, self.keypair.public, self.keypair.sign(approval_payload(rh)))
         self.send_all(self.d.consensus_names, ApprovalMsg(approval))
+        for held in self.held.pop(rh, ()):
+            self._challenge(*held)
+
+    def _accuse(self, msg: ReceiptMsg):
+        """Judge the executor of `msg`, a receipt for a result rejected here,
+        on its own signature and package of the failing chunk. A fault is
+        challenged now if the previous result is approved here, later if
+        that is not yet judged, and never once that is rejected."""
+        receipt = msg.receipt
+        result = receipt.execution_result
+        rh, prev = result.result_hash(), result.previous_execution_result_hash
+        key = (rh, receipt.executor)
+        if key in self.accused or prev in self.dead:
+            return
+        self.accused.add(key)
+        k = self.faults[rh]
+        verdict = msg.packages[k].verdict(result, k, receipt.spocks[k])
+        if verdict.ok or not crypto.staking_verify(receipt.executor, rh, receipt.executor_signature):
+            return
+        if prev in self.checked:
+            self._challenge(msg, k, verdict.reason)
+        else:
+            self.held.setdefault(prev, []).append((msg, k, verdict.reason))
+
+    def _challenge(self, msg: ReceiptMsg, k: int, reason: str):
+        rh = msg.receipt.execution_result.result_hash()
+        fcc = make_fcc(
+            self.keypair.public,
+            msg.receipt.executor,
+            rh,
+            k,
+            deadline=self.sim.now + self.d.mcc_deadline,
+        )
+        self.sim.event(self.name, "fcc_raised", {"result": hexify(rh), "chunk": k, "reason": reason})
+        self.send_all(
+            self.d.consensus_names,
+            ChallengeMsg(fcc, chunk_index=k, executor_signature=msg.receipt.executor_signature),
+        )
 
 
 # ---------------------------------------------------------------------------

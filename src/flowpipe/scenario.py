@@ -131,7 +131,7 @@ _MINIMUMS: dict[str, dict[str, int]] = {
     "clusters": {"count": 1},
     "drb": {"committee_size": 1},
     "execution_params": {"gamma_chunk": 1},
-    "transactions": {"interval": 1},
+    "transactions": {"interval": 1, "cost": 0},  # the VM rejects a negative cost
     "network": {"delta_t": 1, "phi_t": 1, "gst": 0, "pre_gst_delay_multiplier": 1},
     "run": {"max_sim_time": 1},
 }

@@ -5,11 +5,11 @@ drop/delay before), per-node clock skew, and a replayable event log."""
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import crypto
+from .encoding import CANONICAL_ENCODER
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,11 @@ class EventLog:
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(self.to_jsonl())
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in self.records
-        )
+        encode = CANONICAL_ENCODER.encode
+        return "".join([encode(rec) + "\n" for rec in self.records])
 
     def digest(self) -> bytes:
         return crypto.hash("eventlog", self.to_jsonl().encode())

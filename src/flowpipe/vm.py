@@ -33,6 +33,31 @@ def decode_balance(value: bytes) -> int:
     return int.from_bytes(value, "big")
 
 
+def _u64(value) -> bool:
+    return type(value) is int and 0 <= value < 1 << 64
+
+
+def _text(value) -> bool:
+    return isinstance(value, str)
+
+
+def _hex(value) -> bool:
+    try:
+        bytes.fromhex(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+_COST = {"cost": (False, _u64)}
+# operation kind -> field -> (required, check of its value)
+_OPERATIONS = {
+    "create_account": {"account": (True, _text), "balance": (False, _u64), **_COST},
+    "transfer": {"from": (True, _text), "to": (True, _text), "amount": (True, _u64), **_COST},
+    "set_register": {"register": (True, _text), "value": (True, _hex), **_COST},
+}
+
+
 @dataclass(frozen=True)
 class ToyTransaction:
     """Ordered operations, each with a declared computation cost."""
@@ -55,12 +80,16 @@ class ToyTransaction:
         if not isinstance(ops, list):
             raise MalformedScript("script must carry an operation list")
         for op in ops:
-            if not isinstance(op, dict) or op.get("kind") not in (
-                "create_account",
-                "transfer",
-                "set_register",
-            ):
+            kind = op.get("kind") if isinstance(op, dict) else None
+            fields = _OPERATIONS.get(kind) if isinstance(kind, str) else None
+            if fields is None:
                 raise MalformedScript(f"unknown operation: {op!r}")
+            for name, (required, valid) in fields.items():
+                if name in op:
+                    if not valid(op[name]):
+                        raise MalformedScript(f"ill-typed {name}: {op!r}")
+                elif required:
+                    raise MalformedScript(f"missing {name}: {op!r}")
         return cls(operations=tuple(ops))
 
 
@@ -98,8 +127,9 @@ class ExecOutcome:
 
 
 def _apply_ops(state, ops, touched: set) -> dict[bytes, bytes]:
-    """Compute register updates for a parsed script; raises on rule
-    violations. Every register read from `state` is added to `touched`."""
+    """Compute register updates for a script `ToyTransaction.parse`
+    accepted; raises ValueError on rule violations. Every register read
+    from `state` is added to `touched`."""
     updates: dict[bytes, bytes] = {}
 
     def current(key: bytes) -> Optional[bytes]:
@@ -114,16 +144,18 @@ def _apply_ops(state, ops, touched: set) -> dict[bytes, bytes]:
             key = account_key(op["account"])
             if current(key) is not None:
                 raise ValueError(f"account exists: {op['account']}")
-            updates[key] = encode_balance(int(op.get("balance", 0)))
+            updates[key] = encode_balance(op.get("balance", 0))
         elif kind == "transfer":
             src = account_key(op["from"])
             dst = account_key(op["to"])
             src_val, dst_val = current(src), current(dst)
             if src_val is None or dst_val is None:
                 raise ValueError("transfer endpoints must exist")
-            amount = int(op["amount"])
-            if amount < 0 or decode_balance(src_val) < amount:
+            amount = op["amount"]
+            if decode_balance(src_val) < amount:
                 raise ValueError("insufficient balance")
+            if not _u64(decode_balance(dst_val) + amount):
+                raise ValueError("balance overflow")
             updates[src] = encode_balance(decode_balance(src_val) - amount)
             updates[dst] = encode_balance(decode_balance(dst_val) + amount)
         elif kind == "set_register":

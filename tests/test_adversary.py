@@ -8,15 +8,32 @@ change what a run reports.
 
 Two more runs drive node paths no bundled scenario reaches and pin their
 outcomes: missing-collection challenges that the guarantors answer, and
-receipts that reach the observer after the challenges against them."""
+receipts that reach the observer after the challenges against them.
 
+The last tests pin what a verifier does with a chain of results built on
+one it rejected (nothing, since none of them can ever seal) and with the
+executors that signed the rejected result (each is challenged once, on its
+own receipt, and consensus records a challenge only against a signer)."""
+
+import dataclasses
 import hashlib
 import json
 from importlib import resources
 
 import pytest
 
-from flowpipe.nodes import CollectionRequest, CollectionResponse, ReceiptMsg
+from flowpipe import crypto, nodes
+from flowpipe.blocks import propose_proto_block
+from flowpipe.hotstuff import GENESIS_DIGEST
+from flowpipe.nodes import (
+    ApprovalMsg,
+    BlockRandomness,
+    ChallengeMsg,
+    CollectionRequest,
+    CollectionResponse,
+    Finalized,
+    ReceiptMsg,
+)
 from flowpipe.scenario import (
     build_world,
     evaluate_properties,
@@ -25,6 +42,7 @@ from flowpipe.scenario import (
     run_world,
 )
 from flowpipe.state import ChallengeKind
+from flowpipe.verification import make_fcc
 
 SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": [1]}
 
@@ -39,7 +57,7 @@ CASES = {
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "d66c0ed1b09bdf2f30589389fb67e87b73cfeb4a4b5ddabc907d262938b794e0",
+        "4009db8a3fc90ea1d3ef5162b47a815562e998196af71178e5754396ab6a7e6f",
     ),
 }
 
@@ -71,15 +89,15 @@ METRICS = {
     ),
     "faulty_execution_target_chunk": (
         [
-            ("blocks_finalized", 110),
-            ("blocks_sealed", 104),
+            ("blocks_finalized", 99),
+            ("blocks_sealed", 93),
             ("collections_guaranteed", 12),
-            ("challenges", 110),
-            ("slashes", 105),
-            ("mean_finalization_latency", 209.9181818181818),
-            ("max_finalization_latency", 288),
+            ("challenges", 1),
+            ("slashes", 1),
+            ("mean_finalization_latency", 226.72727272727272),
+            ("max_finalization_latency", 583),
         ],
-        "a43b82fb533776833dce7ebb3372e0420cbf69c4a43310260c012921ca855ce7",
+        "2507e5d01fa447dc9f6716fe13c11a90ff84c86f38b4c457bc5e2bef0dfd794b",
     ),
 }
 
@@ -167,9 +185,10 @@ def test_answered_mcc_dismissed():
 
 def test_late_receipts_adjudicated_on_arrival():
     """byzantine-executor with every receipt reaching observer n0 1,500 ticks
-    late: n0 records faulty-computation challenges before it holds the
-    disputed receipt, waits, and adjudicates each one when the receipt
-    arrives, with the outcome n1 reaches."""
+    late: n0 records the run's two faulty-computation challenges, one per
+    tampering executor, before it holds the disputed receipt, waits, and
+    adjudicates each one when the receipt arrives, with the outcome n1
+    reaches."""
     doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "byzantine-executor.json"))
     doc["run"]["max_sim_time"] = 8000
     world = build_world(doc)
@@ -195,7 +214,7 @@ def test_late_receipts_adjudicated_on_arrival():
     run_world(world)
     report = evaluate_properties(world)
     assert report["passed"], report["properties"]
-    assert waits == 123
+    assert waits == 2
 
     def outcomes(node):
         return {
@@ -205,12 +224,175 @@ def test_late_receipts_adjudicated_on_arrival():
         }
 
     mine, theirs = outcomes(n0), outcomes(n1)
-    # every recorded challenge whose receipt has arrived is adjudicated; the
-    # rest wait on receipts still in flight at the horizon
+    # every recorded challenge whose receipt has arrived is adjudicated
     arrived = {
         cid
         for cid, ch in n0.recorded_challenges.items()
         if ch.kind == ChallengeKind.FAULTY_COMPUTATION and ch.evidence[0] in n0.receipts
     }
-    assert len(arrived) > 100 and arrived <= set(mine)
+    assert len(arrived) == 2 and arrived <= set(mine)
     assert all(mine[cid] == theirs[cid] for cid in arrived)
+
+
+def block_randomness(world, pb_hash: bytes) -> BlockRandomness:
+    """The beacon's signature over `pb_hash`, recovered from t+1 shares."""
+    d = world.directory
+    shares = [
+        crypto.threshold_sign(d.params, share, pb_hash)
+        for share in list(d.drb_committee.values())[: d.params.t + 1]
+    ]
+    return BlockRandomness(pb_hash, crypto.threshold_recover(d.params, d.drb_vv, shares, pb_hash).value)
+
+
+def two_block_receipts():
+    """A world whose executors e1 and e2 tamper, each executor's receipts to
+    verifier v0 for two empty finalized blocks, and the captured sends, with
+    v0 holding the randomness of both blocks."""
+    doc = merge_defaults(
+        {
+            "roles": {"execution": 3},
+            "adversary": [{"behavior": "faulty_execution", "role": "execution", "indices": [1, 2]}],
+        }
+    )
+    world = build_world(doc)
+    verifier = world.verifiers[0]
+    sent = []
+    world.sim.send = lambda sender, receiver, msg: sent.append((sender, receiver, msg))
+    state = world.directory.initial_state
+    pb1 = propose_proto_block(GENESIS_DIGEST, 0, state, [], [], [], [])
+    pb2 = propose_proto_block(pb1.hash(), 1, state, [], [], [], [])
+    for pb in (pb1, pb2):
+        for executor in world.executors:
+            executor.handle(world.consensus[0].name, Finalized(pb))
+    receipts = [
+        [m for s, r, m in sent if s == executor.name and r == verifier.name]
+        for executor in world.executors
+    ]
+    sent.clear()
+    for pb in (pb1, pb2):
+        verifier.handle(world.consensus[0].name, block_randomness(world, pb.hash()))
+    return world, verifier, receipts, sent
+
+
+def challenges(sent) -> list:
+    return [
+        (m.challenge.evidence[0], m.challenge.accused)
+        for _, _, m in sent
+        if isinstance(m, ChallengeMsg)
+    ]
+
+
+@pytest.mark.parametrize("successor_first", [False, True])
+def test_verifier_challenges_only_the_first_result_of_a_dead_chain(monkeypatch, successor_first):
+    """An honest and two tampering executors each execute two finalized
+    blocks. The tamperers sign the same results, and the second, r2, builds
+    on the first, r1. A verifier challenges r1 once per tamperer and nothing
+    for r2, whichever receipt reaches it first; in order, it never verifies
+    r2. The honest chain is approved."""
+    world, verifier, (honest_chain, *tampered), sent = two_block_receipts()
+    honest, liars = world.executors[0], world.executors[1:]
+    r1, r2 = (m.receipt.execution_result for m in tampered[0])
+    assert r2.previous_execution_result_hash == r1.result_hash()
+    assert [m.receipt.execution_result for m in tampered[1]] == [r1, r2]
+    verified = []
+    assign_chunks = nodes.assign_chunks
+
+    def counting(verifier_key, chunk_count, seed, p):
+        verified.append(seed)
+        return assign_chunks(verifier_key, chunk_count, seed, p)
+
+    monkeypatch.setattr(nodes, "assign_chunks", counting)
+    for msg in honest_chain:
+        verifier.handle(honest.name, msg)
+    for liar, chain in zip(liars, tampered):
+        for msg in chain[::-1] if successor_first else chain:
+            verifier.handle(liar.name, msg)
+
+    approved = {m.approval.result_hash for _, _, m in sent if isinstance(m, ApprovalMsg)}
+    assert challenges(sent) == [
+        (r1.result_hash(), (liar.keypair.public,))
+        for liar in liars
+        for _ in world.consensus
+    ]
+    assert approved == {m.receipt.execution_result.result_hash() for m in honest_chain}
+    assert len(verified) == (4 if successor_first else 3)
+    # receipts for the dead chain arriving again change nothing, and a
+    # receipt that names the honest executor without its signature draws no
+    # challenge against it
+    sent.clear()
+    forged = dataclasses.replace(
+        tampered[0][0],
+        receipt=dataclasses.replace(tampered[0][0].receipt, executor=honest.keypair.public),
+    )
+    for msg in tampered[0] + tampered[1] + [forged]:
+        verifier.handle(liars[0].name, msg)
+    assert not sent
+
+
+def test_each_signer_judged_on_its_own_package():
+    """e1 signs the honest executor's first result but ships a wrong SPoCK
+    for its chunk. The verifier rejects the result on e1's receipt and
+    challenges e1; the honest receipt for the same result, whose chunk
+    checks out, draws no challenge."""
+    world, verifier, (honest_chain, liar_chain, _), sent = two_block_receipts()
+    honest, liar = world.executors[0], world.executors[1]
+    good = honest_chain[0].receipt
+    rh = good.execution_result.result_hash()
+    copied = ReceiptMsg(
+        dataclasses.replace(
+            good,
+            spocks=(b"\x01" * 32,) + good.spocks[1:],
+            executor=liar.keypair.public,
+            executor_signature=liar.keypair.sign(rh),
+        ),
+        honest_chain[0].packages,
+    )
+    verifier.handle(liar.name, copied)
+    verifier.handle(honest.name, honest_chain[0])
+    assert challenges(sent) == [(rh, (liar.keypair.public,))] * len(world.consensus)
+
+
+def test_consensus_records_fcc_only_against_a_signer():
+    """A faulty-computation challenge reaches consensus with the accused
+    executor's signature over the result. One that names an executor which
+    never signed the result is dropped, so no node can have the honest
+    executor slashed for another's fault."""
+    world, verifier, (_, liar_chain, _), _ = two_block_receipts()
+    n0 = world.consensus[0]
+    honest, liar = world.executors[0], world.executors[1]
+    receipt = liar_chain[0].receipt
+    rh = receipt.execution_result.result_hash()
+    for accused, signature in (
+        (honest.keypair.public, receipt.executor_signature),
+        (honest.keypair.public, None),
+        (liar.keypair.public, None),
+        (liar.keypair.public, receipt.executor_signature),
+    ):
+        fcc = make_fcc(verifier.keypair.public, accused, rh, 0, deadline=400)
+        n0.handle(verifier.name, ChallengeMsg(fcc, chunk_index=0, executor_signature=signature))
+    assert [ch.accused for ch in n0.pending_challenges.values()] == [(liar.keypair.public,)]
+    # a dropped challenge leaves no adjudication context behind
+    assert set(n0.fcc_context) == {ch.challenge_id for ch in n0.pending_challenges.values()}
+
+
+def test_bundled_verifiers_skip_descendants_of_their_challenges():
+    """On bundled byzantine-executor, no verifier approves or challenges a
+    result whose previous result that verifier challenged."""
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "byzantine-executor.json"))
+    world = build_world(doc)
+    run_world(world)
+    previous = {
+        rh: msg.receipt.execution_result.previous_execution_result_hash
+        for node in world.consensus
+        for rh, msg in node.receipts.items()
+    }
+    challenged: dict[str, set] = {}
+    judged = 0
+    for r in world.sim.log.records:
+        if r["kind"] in ("fcc_raised", "approved"):
+            rh = bytes.fromhex(r["payload"]["result"])
+            assert previous[rh].hex() not in challenged.get(r["node"], ()), r
+            judged += 1
+            if r["kind"] == "fcc_raised":
+                challenged.setdefault(r["node"], set()).add(r["payload"]["result"])
+    assert judged and challenged

@@ -238,8 +238,11 @@ class TestProposals:
 
     def test_validation_replays_updates_once(self, monkeypatch):
         world = started_world("byzantine-executor")
-        world.sim.run(until=3000)
         node = world.consensus[0]
+        # stop while an adjudication waits to be recorded on chain
+        while not node.pending_updates:
+            assert world.sim.now < 3000, "expected an adjudication by tick 3000"
+            world.sim.run(until=world.sim.now + 1)
         parent = node.tip.digest
         pb = node._make_payload(parent)
         assert pb.protocol_state_updates, "expected adjudication updates to replay"

@@ -44,6 +44,18 @@ def check(tx, inclusion_height, window=10, cluster=None, c=1, heights=None):
 
 
 class TestValidateTransaction:
+    def test_ill_formed_operations_rejected(self):
+        # what the VM cannot run never enters a collection
+        kp = payer()
+        for ops in (
+            [{"kind": "transfer"}],
+            [{"kind": "create_account", "account": 5}],
+            [{"kind": "set_register", "register": "r", "value": "01", "cost": "3"}],
+        ):
+            script = ToyTransaction(operations=tuple(ops)).to_script()
+            tx = SignedTransaction(script, kp.public + kp.sign(script), (), REF)
+            assert check(tx, 1005) == TxCheck.MALFORMED_FIELDS, ops
+
     def test_window_interior(self):
         assert check(make_tx(0), 1005) == TxCheck.OK
 

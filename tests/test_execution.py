@@ -1,6 +1,8 @@
 import dataclasses
 import random
 
+import pytest
+
 from flowpipe.crypto import hash as fhash
 from flowpipe.encoding import canonical_json
 from flowpipe.execution import (
@@ -13,10 +15,12 @@ from flowpipe.execution import (
 )
 from flowpipe.merkle import ExecutionState
 from flowpipe.vm import (
+    MalformedScript,
     SignedTransaction,
     ToyTransaction,
     account_key,
     decode_balance,
+    encode_balance,
     execute,
     register_key,
 )
@@ -72,6 +76,34 @@ class TestVm:
         out = execute(base_state(), tx)
         assert out.status == "malformed"
         assert out.cost == 1
+
+    def test_ill_formed_operations_are_malformed(self):
+        """An operation with a missing or ill-typed field cannot run: `parse`
+        rejects it, so `execute` reports the script malformed at the minimum
+        cost instead of raising."""
+        st = base_state()
+        for ops in (
+            [{"kind": "transfer"}],
+            [{"kind": "create_account", "account": 5}],
+            [{"kind": "set_register", "register": "r", "value": "01", "cost": "3"}],
+            [{"kind": "set_register", "register": "r", "value": "01", "cost": 1.5}],
+            [{"kind": "set_register", "register": "r", "value": "zz"}],
+            [{"kind": "create_account", "account": "carol", "balance": -1}],
+            [{"kind": "transfer", "from": "alice", "to": "bob", "amount": True}],
+            [{"kind": ["transfer"]}],
+        ):
+            tx = make_tx(ops)
+            with pytest.raises(MalformedScript):
+                ToyTransaction.parse(tx.script)
+            out = execute(st, tx)
+            assert (out.status, out.cost, out.state.root()) == ("malformed", 1, st.root()), ops
+
+    def test_transfer_past_the_balance_limit_fails(self):
+        st = ExecutionState(
+            {account_key("alice"): encode_balance(5), account_key("bob"): encode_balance((1 << 64) - 1)}
+        )
+        out = execute(st, make_tx([{"kind": "transfer", "from": "alice", "to": "bob", "amount": 5}]))
+        assert (out.status, out.detail, out.state.root()) == ("failed", "balance overflow", st.root())
 
     def test_determinism(self):
         st = base_state()

@@ -161,6 +161,7 @@ class TestValidation:
             ("stakes.consensus", 0, 1),
             ("stakes.execution", -5, 1),
             ("stakes.verification", 0, 1),
+            ("transactions.cost", -1, 0),
         ],
     )
     def test_minimum(self, path, value, low):
