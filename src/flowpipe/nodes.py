@@ -232,6 +232,12 @@ class ReceiptMsg:
     receipt: ExecutionReceipt
     packages: tuple  # one ChunkDataPackage per chunk
 
+    def well_formed(self) -> bool:
+        """One package and one SPoCK per chunk, so any chunk index a
+        verifier or adjudicator reads has both."""
+        chunks = len(self.receipt.execution_result.chunks)
+        return len(self.packages) == chunks == len(self.receipt.spocks)
+
 
 @dataclass(frozen=True)
 class ApprovalMsg:
@@ -1078,7 +1084,7 @@ class ConsensusNode(Node):
     def _on_receipt(self, sender: str, msg: ReceiptMsg):
         receipt = msg.receipt
         rh = receipt.execution_result.result_hash()
-        if rh in self.receipts:
+        if rh in self.receipts or not msg.well_formed():
             return
         if not crypto.staking_verify(receipt.executor, rh, receipt.executor_signature):
             return
@@ -1272,12 +1278,19 @@ class ExecutionNode(Node):
 
 
 class VerificationNode(Node):
-    """Verifies each result once, on the first receipt that carries it. A
-    result seals only after its previous result, so one this node rejected
-    never seals and neither does anything built on it: such descendants
-    are not verified, approved or challenged. The executors that signed a
-    rejected result are challenged once its previous result is approved
-    here, each on its own receipt."""
+    """Judges each result on its receipts, in arrival order. A receipt
+    without its executor's signature over the result, or whose package or
+    SPoCK fails a chunk on its own (the signature covers neither), says
+    nothing about the result and is dropped: the next receipt is judged
+    instead. A result is approved on a receipt that passes every assigned
+    chunk and rejected on one whose re-execution disagrees with the
+    result's own commitments.
+
+    A result seals only after its previous result, so one this node
+    rejected never seals and neither does anything built on it: such
+    descendants are not verified, approved or challenged. Each executor
+    that signed a rejected result is challenged once, when its previous
+    result is approved here."""
 
     def __init__(self, sim, name, keypair, directory, behavior=None):
         super().__init__(sim, name, keypair, directory, behavior)
@@ -1286,11 +1299,12 @@ class VerificationNode(Node):
         self.pending: dict[bytes, list[ReceiptMsg]] = {}
         self.checked: set[bytes] = {GENESIS_RESULT_HASH}  # judged here, and genesis
         self.dead: set[bytes] = set()  # rejected here, and their descendants
-        self.faults: dict[bytes, int] = {}  # result rejected here -> failing chunk
-        self.accused: set[tuple[bytes, bytes]] = set()  # (result, executor) judged
-        # previous result not yet judged here -> (receipt, chunk, reason) of
-        # faulty successors, challenged once it is approved
-        self.held: dict[bytes, list[tuple[ReceiptMsg, int, str]]] = {}
+        # result rejected here -> (failing chunk, verdict reason)
+        self.faults: dict[bytes, tuple[int, str]] = {}
+        self.accused: set[tuple[bytes, bytes]] = set()  # (result, signer) challenged or held
+        # previous result not yet judged here -> signed receipts of rejected
+        # successors, challenged once it is approved
+        self.held: dict[bytes, list[ReceiptMsg]] = {}
         # verifiers key off randomness and receipts, not finalization notices
         self.listen({BlockRandomness: self._on_randomness, ReceiptMsg: self._on_receipt})
 
@@ -1312,6 +1326,8 @@ class VerificationNode(Node):
             self._try_verify(rh)
 
     def _on_receipt(self, sender: str, msg: ReceiptMsg):
+        if not msg.well_formed():
+            return
         rh = msg.receipt.execution_result.result_hash()
         if rh in self.faults:
             self._accuse(msg)
@@ -1321,60 +1337,71 @@ class VerificationNode(Node):
 
     def _try_verify(self, rh: bytes):
         receipts = self.pending[rh]
-        msg = receipts[0]
-        result = msg.receipt.execution_result
+        result = receipts[0].receipt.execution_result
         if result.previous_execution_result_hash in self.dead:
             del self.pending[rh]
-            self.checked.add(rh)
-            self.dead.add(rh)
-            self.held.pop(rh, None)
+            self._reject(rh)
             return
         seed = self.seeds.get(result.block_hash)
         if seed is None:
             return
         del self.pending[rh]
-        self.checked.add(rh)
-        assigned = assign_chunks(
-            self.keypair.public, len(result.chunks), seed, self.d.coverage_p
+        assigned = sorted(
+            assign_chunks(self.keypair.public, len(result.chunks), seed, self.d.coverage_p)
         )
-        for k in sorted(assigned):
-            verdict = msg.packages[k].verdict(result, k, msg.receipt.spocks[k])
-            if not verdict.ok:
-                self.dead.add(rh)
-                self.held.pop(rh, None)
-                self.faults[rh] = k
+        for msg in receipts:
+            receipt = msg.receipt
+            if not crypto.staking_verify(receipt.executor, rh, receipt.executor_signature):
+                continue
+            for k in assigned:
+                verdict = msg.packages[k].verdict(result, k, receipt.spocks[k])
+                if not verdict.ok:
+                    break
+            else:
+                self._approve(rh)
+                return
+            if verdict.result_fault:
+                self._reject(rh)
+                self.faults[rh] = (k, verdict.reason)
                 for signed in receipts:
                     self._accuse(signed)
                 return
+        # every receipt so far failed on its own; the next one is judged afresh
+
+    def _approve(self, rh: bytes):
+        self.checked.add(rh)
         self.sim.event(self.name, "approved", {"result": hexify(rh)})
         approval = Approval(rh, self.keypair.public, self.keypair.sign(approval_payload(rh)))
         self.send_all(self.d.consensus_names, ApprovalMsg(approval))
         for held in self.held.pop(rh, ()):
-            self._challenge(*held)
+            self._challenge(held)
+
+    def _reject(self, rh: bytes):
+        self.checked.add(rh)
+        self.dead.add(rh)
+        self.held.pop(rh, None)
 
     def _accuse(self, msg: ReceiptMsg):
-        """Judge the executor of `msg`, a receipt for a result rejected here,
-        on its own signature and package of the failing chunk. A fault is
-        challenged now if the previous result is approved here, later if
-        that is not yet judged, and never once that is rejected."""
+        """Challenge the executor of `msg`, a receipt for a result rejected
+        here, if it signed the result: now if the previous result is approved
+        here, later if that is not yet judged, and never once that is dead."""
         receipt = msg.receipt
         result = receipt.execution_result
         rh, prev = result.result_hash(), result.previous_execution_result_hash
         key = (rh, receipt.executor)
         if key in self.accused or prev in self.dead:
             return
-        self.accused.add(key)
-        k = self.faults[rh]
-        verdict = msg.packages[k].verdict(result, k, receipt.spocks[k])
-        if verdict.ok or not crypto.staking_verify(receipt.executor, rh, receipt.executor_signature):
+        if not crypto.staking_verify(receipt.executor, rh, receipt.executor_signature):
             return
+        self.accused.add(key)
         if prev in self.checked:
-            self._challenge(msg, k, verdict.reason)
+            self._challenge(msg)
         else:
-            self.held.setdefault(prev, []).append((msg, k, verdict.reason))
+            self.held.setdefault(prev, []).append(msg)
 
-    def _challenge(self, msg: ReceiptMsg, k: int, reason: str):
+    def _challenge(self, msg: ReceiptMsg):
         rh = msg.receipt.execution_result.result_hash()
+        k, reason = self.faults[rh]
         fcc = make_fcc(
             self.keypair.public,
             msg.receipt.executor,

@@ -97,6 +97,14 @@ class ChunkVerdict:
     ok: bool
     reason: Optional[str] = None
 
+    @property
+    def result_fault(self) -> bool:
+        """Re-execution from the proven start state disagrees with the
+        result's own commitments. The other failures (a bad proof, a register
+        outside the package, a wrong SPoCK) belong to the one package or SPoCK
+        read, which the executor's signature over the result does not cover."""
+        return self.reason in ("consumption-mismatch", "end-state-mismatch")
+
 
 def _reexecute(
     state: ExecutionState, transactions: Sequence[SignedTransaction]

@@ -11,9 +11,11 @@ outcomes: missing-collection challenges that the guarantors answer, and
 receipts that reach the observer after the challenges against them.
 
 The last tests pin what a verifier does with a chain of results built on
-one it rejected (nothing, since none of them can ever seal) and with the
-executors that signed the rejected result (each is challenged once, on its
-own receipt, and consensus records a challenge only against a signer)."""
+one it rejected (nothing, since none of them can ever seal), with the
+executors that signed the rejected result (each is challenged once, and
+consensus records a challenge only against a signer and upholds it whichever
+signer's package it keeps), and with receipts whose own package or SPoCK
+fails (they are dropped, and the result is judged on the next receipt)."""
 
 import dataclasses
 import hashlib
@@ -42,7 +44,7 @@ from flowpipe.scenario import (
     run_world,
 )
 from flowpipe.state import ChallengeKind
-from flowpipe.verification import make_fcc
+from flowpipe.verification import ChunkDataPackage, make_fcc
 
 SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": [1]}
 
@@ -329,27 +331,121 @@ def test_verifier_challenges_only_the_first_result_of_a_dead_chain(monkeypatch, 
     assert not sent
 
 
-def test_each_signer_judged_on_its_own_package():
-    """e1 signs the honest executor's first result but ships a wrong SPoCK
-    for its chunk. The verifier rejects the result on e1's receipt and
-    challenges e1; the honest receipt for the same result, whose chunk
-    checks out, draws no challenge."""
-    world, verifier, (honest_chain, liar_chain, _), sent = two_block_receipts()
+@pytest.mark.parametrize("forgery", ["copied-spock", "signed-spock", "bad-proof"])
+def test_receipt_faults_leave_the_result_open(forgery):
+    """A receipt for the honest executor's first result whose own SPoCK or
+    package fails reaches the verifier first: a copy of the honest receipt
+    (whose signature covers only the result) or a receipt the tamperer e1
+    signs. The verifier drops it and challenges nobody, then approves the
+    honest chain on the honest receipts that follow: the first result and
+    the second, built on it."""
+    world, verifier, (honest_chain, _, _), sent = two_block_receipts()
     honest, liar = world.executors[0], world.executors[1]
-    good = honest_chain[0].receipt
+    first = honest_chain[0]
+    good = first.receipt
     rh = good.execution_result.result_hash()
-    copied = ReceiptMsg(
-        dataclasses.replace(
-            good,
-            spocks=(b"\x01" * 32,) + good.spocks[1:],
-            executor=liar.keypair.public,
-            executor_signature=liar.keypair.sign(rh),
+    wrong_spock = (b"\x01" * 32,) + good.spocks[1:]
+    unproven = ChunkDataPackage(registers={b"\x02" * 32: b"\x03"}, proofs={}, transactions=())
+    forged, reason = {
+        "copied-spock": (
+            ReceiptMsg(dataclasses.replace(good, spocks=wrong_spock), first.packages),
+            "trace-mismatch",
         ),
-        honest_chain[0].packages,
+        "signed-spock": (
+            ReceiptMsg(
+                dataclasses.replace(
+                    good,
+                    spocks=wrong_spock,
+                    executor=liar.keypair.public,
+                    executor_signature=liar.keypair.sign(rh),
+                ),
+                first.packages,
+            ),
+            "trace-mismatch",
+        ),
+        "bad-proof": (ReceiptMsg(good, (unproven,) + first.packages[1:]), "state-proof-failure"),
+    }[forgery]
+    verdict = forged.packages[0].verdict(good.execution_result, 0, forged.receipt.spocks[0])
+    assert (verdict.ok, verdict.reason) == (False, reason)
+    verifier.handle(liar.name, forged)
+    assert not sent and rh not in verifier.checked
+    for msg in honest_chain:
+        verifier.handle(honest.name, msg)
+    approved = {m.approval.result_hash for _, _, m in sent if isinstance(m, ApprovalMsg)}
+    assert approved == {m.receipt.execution_result.result_hash() for m in honest_chain}
+    assert not challenges(sent) and not verifier.dead
+
+
+def test_verifier_judges_a_result_only_on_signed_receipts():
+    """A copy of the tamperer's receipt without its signature neither
+    rejects the faulty result nor draws a challenge; the signed receipt that
+    follows does both."""
+    world, verifier, (_, liar_chain, _), sent = two_block_receipts()
+    liar = world.executors[1]
+    signed = liar_chain[0]
+    rh = signed.receipt.execution_result.result_hash()
+    unsigned = dataclasses.replace(
+        signed, receipt=dataclasses.replace(signed.receipt, executor_signature=b"\x00" * 32)
     )
-    verifier.handle(liar.name, copied)
-    verifier.handle(honest.name, honest_chain[0])
+    verifier.handle(liar.name, unsigned)
+    assert not sent and rh not in verifier.checked
+    verifier.handle(liar.name, signed)
     assert challenges(sent) == [(rh, (liar.keypair.public,))] * len(world.consensus)
+
+
+def test_receipt_without_a_package_per_chunk_is_dropped():
+    """A receipt with no chunk data packages is dropped on arrival at a
+    verifier and at a consensus node, without raising; the well-formed
+    receipt for the same result is then judged and kept as usual."""
+    world, verifier, (honest_chain, _, _), sent = two_block_receipts()
+    honest, n0 = world.executors[0], world.consensus[0]
+    first = honest_chain[0]
+    rh = first.receipt.execution_result.result_hash()
+    empty = dataclasses.replace(first, packages=())
+    for node in (verifier, n0):
+        node.handle(honest.name, empty)
+    assert not sent and rh not in verifier.checked and rh not in n0.receipts
+    for node in (verifier, n0):
+        node.handle(honest.name, first)
+    assert n0.receipts[rh] is first
+    assert {m.approval.result_hash for _, _, m in sent if isinstance(m, ApprovalMsg)} == {rh}
+
+
+def test_consensus_upholds_each_signers_challenge_on_either_package():
+    """The tamperers e1 and e2 sign the same faulty result, and e1's receipt
+    carries a wrong SPoCK as well. A verifier that judges e1's receipt first
+    rejects the result on its own commitments and challenges both signers.
+    Consensus adjudicates each challenge against the one receipt it keeps for
+    the result, e1's at n0 and e2's at n1; both nodes slash each accused and
+    never the challenger."""
+    world, verifier, (_, e1_chain, e2_chain), sent = two_block_receipts()
+    e1, e2 = world.executors[1:]
+    n0, n1 = world.consensus[:2]
+    theirs = e1_chain[0].receipt
+    wrong_spock = (b"\x01" * 32,) + theirs.spocks[1:]
+    e1_receipt = ReceiptMsg(dataclasses.replace(theirs, spocks=wrong_spock), e1_chain[0].packages)
+    e2_receipt = e2_chain[0]
+    assert e1_receipt.receipt.execution_result == e2_receipt.receipt.execution_result
+    verifier.handle(e1.name, e1_receipt)
+    verifier.handle(e2.name, e2_receipt)
+    fccs = [m for _, r, m in sent if r == n0.name and isinstance(m, ChallengeMsg)]
+    assert [m.challenge.accused for m in fccs] == [(e1.keypair.public,), (e2.keypair.public,)]
+    arrivals = ((e1.name, e1_receipt), (e2.name, e2_receipt))
+    for node, order in ((n0, arrivals), (n1, arrivals[::-1])):
+        for name, msg in order:
+            node.handle(name, msg)
+        kept = order[0][1]
+        assert node.receipts[theirs.execution_result.result_hash()] is kept
+        for m in fccs:
+            node.handle(verifier.name, m)
+            node._start_adjudication(m.challenge)  # as when a block records it
+        outcomes = [
+            node.pending_updates[m.challenge.challenge_id].adjudication for m in fccs
+        ]
+        assert [(a.outcome, a.slashed) for a in outcomes] == [
+            ("accused_slashed", (e1.keypair.public,)),
+            ("accused_slashed", (e2.keypair.public,)),
+        ]
 
 
 def test_consensus_records_fcc_only_against_a_signer():
@@ -386,13 +482,14 @@ def test_bundled_verifiers_skip_descendants_of_their_challenges():
         for node in world.consensus
         for rh, msg in node.receipts.items()
     }
+    records = world.sim.log.records
     challenged: dict[str, set] = {}
-    judged = 0
-    for r in world.sim.log.records:
-        if r["kind"] in ("fcc_raised", "approved"):
-            rh = bytes.fromhex(r["payload"]["result"])
-            assert previous[rh].hex() not in challenged.get(r["node"], ()), r
-            judged += 1
-            if r["kind"] == "fcc_raised":
-                challenged.setdefault(r["node"], set()).add(r["payload"]["result"])
+    for r in records:
+        if r["kind"] == "fcc_raised":
+            challenged.setdefault(r["node"], set()).add(r["payload"]["result"])
+    # whenever it was logged, before or after the challenge of its previous result
+    judged = [r for r in records if r["kind"] in ("fcc_raised", "approved")]
+    for r in judged:
+        rh = bytes.fromhex(r["payload"]["result"])
+        assert previous[rh].hex() not in challenged.get(r["node"], ()), r
     assert judged and challenged

@@ -131,6 +131,7 @@ class TestVerifyChunk:
         )
         assert not verdict.ok
         assert verdict.reason == "end-state-mismatch"
+        assert verdict.result_fault
 
     def test_tampered_consumption_detected(self):
         r = self.out.result
@@ -146,6 +147,7 @@ class TestVerifyChunk:
         )
         assert not verdict.ok
         assert verdict.reason == "consumption-mismatch"
+        assert verdict.result_fault
 
     def test_wrong_spock_detected(self):
         verdict = verify_chunk(
@@ -153,6 +155,8 @@ class TestVerifyChunk:
         )
         assert not verdict.ok
         assert verdict.reason == "trace-mismatch"
+        # the signature over the result does not cover the SPoCK
+        assert not verdict.result_fault
 
     def test_tampered_register_value_fails_proof(self):
         pkg = package_for(self.out, self.txs, 1)
@@ -163,6 +167,7 @@ class TestVerifyChunk:
         verdict = verify_chunk(self.out.result, 1, tampered, self.out.spocks[1])
         assert not verdict.ok
         assert verdict.reason == "state-proof-failure"
+        assert not verdict.result_fault
 
     def test_missing_proof_fails(self):
         pkg = package_for(self.out, self.txs, 1)
@@ -241,6 +246,7 @@ class TestTouchedRegisterPackages:
         twin = dataclasses.replace(pkg, registers=registers)
         verdict = verify_chunk(out.result, 0, twin, out.spocks[0])
         assert (verdict.ok, verdict.reason) == (False, "unproven-register")
+        assert not verdict.result_fault
 
     def test_package_lying_about_an_absence_rejected(self):
         pkg = self.packages[1]
