@@ -9,7 +9,7 @@ formation via pluggable payload hooks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
 
 from . import crypto
@@ -247,16 +247,18 @@ class ConsensusEngine:
     def is_leader(self, round_number: int) -> bool:
         return self.leader(round_number) == self.keypair.public
 
-    def _sign_proposal(self, p_round: int, digest: bytes, justify: QuorumCertificate) -> bytes:
-        stub = Proposal(
-            round=p_round,
-            payload=None,
-            payload_digest=digest,
-            justify=justify,
+    def _proposal(self, payload: Any) -> Proposal:
+        """This node's signed proposal of `payload` for the current round,
+        justified by the high QC."""
+        unsigned = Proposal(
+            round=self.current_round,
+            payload=payload,
+            payload_digest=self.digest_payload(payload),
+            justify=self.high_qc,
             proposer=self.keypair.public,
             signature=b"",
         )
-        return self.keypair.sign(stub.signed_bytes())
+        return replace(unsigned, signature=self.keypair.sign(unsigned.signed_bytes()))
 
     def _update_high_qc(self, qc: QuorumCertificate) -> None:
         if qc.round > self.high_qc.round:
@@ -307,17 +309,7 @@ class ConsensusEngine:
         r = self.current_round
         if r in self._proposed_rounds:  # one proposal per round — never equivocate
             return
-        parent = self.high_qc.payload_digest
-        payload = self.make_payload(parent)
-        digest = self.digest_payload(payload)
-        proposal = Proposal(
-            round=r,
-            payload=payload,
-            payload_digest=digest,
-            justify=self.high_qc,
-            proposer=self.keypair.public,
-            signature=self._sign_proposal(r, digest, self.high_qc),
-        )
+        proposal = self._proposal(self.make_payload(self.high_qc.payload_digest))
         self._proposed_rounds.add(r)
         self.broadcast(proposal)
         self.on_proposal(proposal)  # leaders process their own proposal

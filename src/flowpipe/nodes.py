@@ -62,7 +62,6 @@ from .state import (
     meets_supermajority,
 )
 from .verification import (
-    DisputedChunk,
     MissingCollectionAttestation,
     adjudicate_fcc,
     adjudicate_mcc,
@@ -137,20 +136,10 @@ class EquivocatingEngine(ConsensusEngine):
         if r in self._proposed_rounds:
             return
         self._proposed_rounds.add(r)
-        parent = self.high_qc.payload_digest
-        base = self.make_payload(parent)
+        base = self.make_payload(self.high_qc.payload_digest)
         twin = dataclasses.replace(base, slashing_challenges=base.slashing_challenges + (_Junk(),))
         for payload in (base, twin):
-            digest = self.digest_payload(payload)
-            proposal = Proposal(
-                round=r,
-                payload=payload,
-                payload_digest=digest,
-                justify=self.high_qc,
-                proposer=self.keypair.public,
-                signature=self._sign_proposal(r, digest, self.high_qc),
-            )
-            self.broadcast(proposal)
+            self.broadcast(self._proposal(payload))
 
 
 class StaleVoteEngine(ConsensusEngine):
@@ -247,9 +236,8 @@ class ApprovalMsg:
 @dataclass(frozen=True)
 class ChallengeMsg:
     challenge: SlashingChallenge
-    # an FCC names its result in `evidence[0]`; the index locates the chunk,
-    # and the accused executor's receipt signature shows that it signed it
-    chunk_index: Optional[int] = None
+    # an FCC names its result and chunk in its evidence; the accused
+    # executor's receipt signature shows that it signed the result
     executor_signature: Optional[bytes] = None
 
 
@@ -262,19 +250,6 @@ class CollectionRequest:
 class CollectionResponse:
     collection_hash: bytes
     texts: tuple[SignedTransaction, ...]
-
-
-@dataclass(frozen=True)
-class MccQuery:
-    collection_hash: bytes
-    challenge_id: bytes
-
-
-@dataclass(frozen=True)
-class MccResponse:
-    challenge_id: bytes
-    collection_hash: bytes
-    texts: Optional[tuple[SignedTransaction, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +377,7 @@ class CollectorNode(Node):
             }
         )
         if not self.acts("withhold_collection"):
-            self.listen(
-                {CollectionRequest: self._on_collection_request, MccQuery: self._on_mcc_query}
-            )
+            self.listen({CollectionRequest: self._on_collection_request})
 
     def handle(self, sender: str, msg: Any):
         self.handlers.get(type(msg), _ignore)(sender, msg)
@@ -474,16 +447,6 @@ class CollectorNode(Node):
         texts = self.store.get(msg.collection_hash)
         if texts is not None:
             self.sim.send(self.name, sender, CollectionResponse(msg.collection_hash, tuple(texts)))
-
-    def _on_mcc_query(self, sender: str, msg: MccQuery):
-        texts = self.store.get(msg.collection_hash)
-        self.sim.send(
-            self.name,
-            sender,
-            MccResponse(
-                msg.challenge_id, msg.collection_hash, tuple(texts) if texts is not None else None
-            ),
-        )
 
     def _ingest(self, tx: SignedTransaction, gossip: bool):
         h = tx.tx_hash()
@@ -584,22 +547,21 @@ class ConsensusNode(Node):
         self.ctxs: dict[bytes, ChainCtx] = {self.tip.digest: self.tip}
         self.known_collections: dict[bytes, GuaranteedCollection] = {}
         self.pending_collections: list[bytes] = []
-        self.pending_challenges: dict[bytes, SlashingChallenge] = {}  # by dedupe key
-        self._challenge_seen: set[bytes] = set()  # dedupe keys ever accepted
+        self.pending_challenges: dict[Any, SlashingChallenge] = {}  # by `_challenge_mark`, arrival order
         self.pending_updates: dict[bytes, StateUpdate] = {}  # challenge id -> update
         self.receipts: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt and packages
         self.results_by_prev: dict[bytes, list[bytes]] = {}  # prev result -> successors
         self.approvals: dict[bytes, dict[bytes, Approval]] = {}  # result -> verifier -> approval
         self.drb_shares: dict[bytes, dict[int, crypto.SignatureShare]] = {}
         self.randomness: dict[bytes, int] = {}
-        self.fcc_context: dict[bytes, tuple[bytes, int]] = {}  # id -> (result, chunk)
+        self.fcc_received: set[bytes] = set()  # ids of the FCCs received here
         # result hash -> ids of the FCCs against it, received or in a built block
         self.fcc_ids: dict[bytes, set[bytes]] = {}
-        self.mcc_responses: dict[bytes, dict[bytes, Optional[tuple]]] = {}
+        # collection hash -> guarantor -> texts, for each MCC adjudicated here
+        self.mcc_responses: dict[bytes, dict[bytes, tuple]] = {}
         self.adjudicated_ids: set[bytes] = set()
         self.finalized_heights: dict[int, bytes] = {}
         self.first_seen: dict[bytes, int] = {}  # block hash -> tick first validated
-        self.recorded_challenges: dict[bytes, SlashingChallenge] = {}  # by challenge id
         self.recorded_fcc: dict[bytes, list[SlashingChallenge]] = {}  # by result, chain order
 
         engine_cls = ConsensusEngine
@@ -628,7 +590,7 @@ class ConsensusNode(Node):
                 ApprovalMsg: self._on_approval,
                 ChallengeMsg: self._on_challenge,
                 DrbShare: self._on_drb_share,
-                MccResponse: self._on_mcc_response,
+                CollectionResponse: self._on_collection_response,
             }
         )
 
@@ -730,13 +692,12 @@ class ConsensusNode(Node):
             for h in self.pending_collections
             if not self._on_chain(ctx, "collection", h)
         ]
-        challenges = []
+        challenges = [
+            ch
+            for mark, ch in self.pending_challenges.items()
+            if not self._on_chain(ctx, "challenged", mark)
+        ]
         updates = []
-        block_marks: dict = {}  # mark -> id of the challenge listed for it
-        for dedupe_key in sorted(self.pending_challenges):
-            ch = self.pending_challenges[dedupe_key]
-            if self._challenge_fresh(ctx, ch, block_marks):
-                challenges.append(ch)
         for cid in sorted(self.pending_updates):
             if not self._on_chain(ctx, "adjudicated", cid):
                 updates.append(self.pending_updates[cid])
@@ -751,18 +712,6 @@ class ConsensusNode(Node):
             pending_updates=updates,
         )
 
-    def _challenge_fresh(self, ctx: ChainCtx, ch: SlashingChallenge, block_marks: dict) -> bool:
-        """The challenge's target is not yet challenged on the chain through
-        `ctx`, nor by another challenge listed in the block so far. Listing
-        the same challenge again is allowed: an equivocator that sends one
-        pair of proposals in two rounds yields one challenge under two
-        evidence keys."""
-        mark = _challenge_mark(ch)
-        return (
-            not self._on_chain(ctx, "challenged", mark)
-            and block_marks.setdefault(mark, ch.challenge_id) == ch.challenge_id
-        )
-
     def _result_pending_challenge(self, ctx: ChainCtx, result_hash: bytes) -> bool:
         """A faulty-computation challenge against the result blocks its seal
         on the chain through `ctx`: one recorded there that is unadjudicated
@@ -773,10 +722,7 @@ class ConsensusNode(Node):
             if self._on_chain(ctx, "adjudicated", cid):
                 if recorded and self._on_chain(ctx, "upheld", cid):
                     return True
-            elif recorded or (
-                self.fcc_context.get(cid, (None,))[0] == result_hash
-                and self._fcc_upheld(cid) is not False
-            ):
+            elif recorded or (cid in self.fcc_received and self._fcc_upheld(cid) is not False):
                 return True
         return False
 
@@ -845,14 +791,16 @@ class ConsensusNode(Node):
                 newly_sealed.add(seal.execution_result_hash)
             return ok
 
-        block_marks: dict = {}
+        block_marks: set = set()
 
         def challenge_ok(ch) -> bool:
-            return (
-                isinstance(ch, SlashingChallenge)
-                and challenge_id(ch) == ch.challenge_id
-                and self._challenge_fresh(ctx, ch, block_marks)
-            )
+            if not isinstance(ch, SlashingChallenge) or challenge_id(ch) != ch.challenge_id:
+                return False
+            mark = _challenge_mark(ch)
+            if mark in block_marks or self._on_chain(ctx, "challenged", mark):
+                return False
+            block_marks.add(mark)
+            return True
 
         ectx = EvaluationContext(
             parent_height=ctx.height,
@@ -916,9 +864,9 @@ class ConsensusNode(Node):
         self.pending_collections = [
             h for h in self.pending_collections if h not in final["collection"]
         ]
-        for key in list(self.pending_challenges):
-            if _challenge_mark(self.pending_challenges[key]) in final["challenged"]:
-                del self.pending_challenges[key]
+        for mark in list(self.pending_challenges):
+            if mark in final["challenged"]:
+                del self.pending_challenges[mark]
         for cid in list(self.pending_updates):
             if cid in final["adjudicated"]:
                 del self.pending_updates[cid]
@@ -937,16 +885,20 @@ class ConsensusNode(Node):
                     self.sim.send(self.name, peer, drb)
         # adjudicate challenges recorded in this block
         for ch in pb.slashing_challenges:
-            self.recorded_challenges[ch.challenge_id] = ch
             if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
                 self.recorded_fcc.setdefault(ch.evidence[0], []).append(ch)
             self._start_adjudication(ch)
 
+    def _accept_challenge(self, ch: SlashingChallenge) -> bool:
+        """Keep the challenge for the next proposal unless its mark is
+        pending here or challenged on the finalized chain."""
+        mark = _challenge_mark(ch)
+        if mark in self.pending_challenges or mark in self.final["challenged"]:
+            return False
+        self.pending_challenges[mark] = ch
+        return True
+
     def _on_evidence(self, ev):
-        dedupe = ("equiv", hexify(ev.proposer), ev.round)
-        key = crypto.hash("dedupe", canonical_json(dedupe))
-        if key in self.pending_challenges:
-            return
         # canonical challenge fields so every detecting node derives the same
         # challenge id and the chain records the violation once
         ch = SlashingChallenge(
@@ -957,7 +909,9 @@ class ConsensusNode(Node):
             deadline=0,
             full_proof=True,
         )
-        ch = self.pending_challenges[key] = dataclasses.replace(ch, challenge_id=challenge_id(ch))
+        ch = dataclasses.replace(ch, challenge_id=challenge_id(ch))
+        if not self._accept_challenge(ch):
+            return
         self.sim.event(
             self.name,
             "equivocation_challenge",
@@ -985,31 +939,24 @@ class ConsensusNode(Node):
         """Slash amounts are priced from the genesis state, not the chain
         state at the recording block."""
         cid = ch.challenge_id
-        if cid in self.adjudicated_ids or cid in self.mcc_responses:
+        if cid in self.adjudicated_ids:
             return
         if ch.kind == ChallengeKind.PROTOCOL_VIOLATION:
             adj, upd = adjudicate_challenge(self.d.initial_state, ch, None, timed_out=False)
             self._record_adjudication(adj, upd)
         elif ch.kind == ChallengeKind.FAULTY_COMPUTATION:
-            info = self.fcc_context.get(cid)
-            if info is None:
-                return
-            result_hash, chunk_index = info
-            msg = self.receipts.get(result_hash)
+            msg = self.receipts.get(ch.evidence[0])
             if msg is None:
                 return  # disputed receipt not yet received; retried on arrival
-            disputed = DisputedChunk(
-                result=msg.receipt.execution_result,
-                chunk_index=chunk_index,
-                package=msg.packages[chunk_index],
-                executor_spock=msg.receipt.spocks[chunk_index],
-            )
-            adj, upd = adjudicate_fcc(self.d.initial_state, ch, disputed)
+            adj, upd = adjudicate_fcc(self.d.initial_state, ch, msg.receipt, msg.packages)
             self._record_adjudication(adj, upd)
         elif ch.kind == ChallengeKind.MISSING_COLLECTION:
-            self.mcc_responses[cid] = {}
             coll_hash = ch.evidence[0]
-            self.send_all([self.d.name_of[a] for a in ch.accused], MccQuery(coll_hash, cid))
+            if coll_hash in self.mcc_responses:
+                return  # the guarantors are already asked
+            # a guarantor answers the request executors use for retrieval
+            self.mcc_responses[coll_hash] = {}
+            self.send_all([self.d.name_of[a] for a in ch.accused], CollectionRequest(coll_hash))
             self.sim.set_timer(
                 self.name, self.d.mcc_deadline, lambda: self._mcc_deadline(ch)
             )
@@ -1018,10 +965,7 @@ class ConsensusNode(Node):
         cid = ch.challenge_id
         if cid in self.adjudicated_ids:
             return
-        responses = {
-            g: (list(t) if t is not None else None)
-            for g, t in self.mcc_responses.get(cid, {}).items()
-        }
+        responses = {g: list(t) for g, t in self.mcc_responses[ch.evidence[0]].items()}
         for g in ch.accused:
             responses.setdefault(g, None)
         outcome = adjudicate_mcc(self.d.initial_state, ch, responses)
@@ -1076,8 +1020,8 @@ class ConsensusNode(Node):
         if a.valid():
             self.approvals.setdefault(a.result_hash, {}).setdefault(a.verifier, a)
 
-    def _on_mcc_response(self, sender: str, msg: MccResponse):
-        bucket = self.mcc_responses.get(msg.challenge_id)
+    def _on_collection_response(self, sender: str, msg: CollectionResponse):
+        bucket = self.mcc_responses.get(msg.collection_hash)
         if bucket is not None:
             bucket.setdefault(self.d.key_of[sender], msg.texts)
 
@@ -1109,27 +1053,14 @@ class ConsensusNode(Node):
                 ch.accused[0], ch.evidence[0], msg.executor_signature
             ):
                 return
-            dedupe = crypto.hash(
-                "dedupe", b"fcc" + ch.evidence[0] + msg.chunk_index.to_bytes(8, "big") + ch.accused[0]
+            self.fcc_received.add(ch.challenge_id)
+            self.fcc_ids.setdefault(ch.evidence[0], set()).add(ch.challenge_id)
+        if self._accept_challenge(ch):
+            self.sim.event(
+                self.name,
+                "challenge",
+                {"kind": ch.kind.value, "id": hexify(ch.challenge_id)},
             )
-            rh, _ = self.fcc_context.setdefault(ch.challenge_id, (ch.evidence[0], msg.chunk_index))
-            self.fcc_ids.setdefault(rh, set()).add(ch.challenge_id)
-        else:
-            dedupe = crypto.hash("dedupe", b"mcc" + ch.evidence[0])
-        if dedupe in self._challenge_seen:
-            # a recorded challenge may have been waiting on this context
-            if ch.challenge_id in self.recorded_challenges:
-                self._start_adjudication(self.recorded_challenges[ch.challenge_id])
-            return
-        self._challenge_seen.add(dedupe)
-        self.pending_challenges[dedupe] = ch
-        self.sim.event(
-            self.name,
-            "challenge",
-            {"kind": ch.kind.value, "id": hexify(ch.challenge_id)},
-        )
-        if ch.challenge_id in self.recorded_challenges:
-            self._start_adjudication(self.recorded_challenges[ch.challenge_id])
 
 
 # ---------------------------------------------------------------------------
@@ -1412,7 +1343,7 @@ class VerificationNode(Node):
         self.sim.event(self.name, "fcc_raised", {"result": hexify(rh), "chunk": k, "reason": reason})
         self.send_all(
             self.d.consensus_names,
-            ChallengeMsg(fcc, chunk_index=k, executor_signature=msg.receipt.executor_signature),
+            ChallengeMsg(fcc, executor_signature=msg.receipt.executor_signature),
         )
 
 

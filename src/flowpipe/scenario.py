@@ -625,17 +625,17 @@ def add_mcc_property(world: World, cluster_index: int, add) -> None:
     guarantor set slashed."""
     obs = world.observer
     chain_gcs: dict[bytes, Any] = {}
+    mcc_targets: dict[bytes, SlashingChallenge] = {}
     for height in sorted(obs.finalized_heights):
         node = obs.engine.tree.nodes.get(obs.finalized_heights[height])
         if node is None:
             continue
         for gc in node.payload.guaranteed_collections:
             chain_gcs[gc.collection_hash] = gc
+        for ch in node.payload.slashing_challenges:
+            if ch.kind == ChallengeKind.MISSING_COLLECTION:
+                mcc_targets[ch.evidence[0]] = ch
     withheld = {h for h, gc in chain_gcs.items() if gc.cluster_index == cluster_index}
-    mcc_targets: dict[bytes, SlashingChallenge] = {}
-    for ch in obs.recorded_challenges.values():
-        if ch.kind == ChallengeKind.MISSING_COLLECTION:
-            mcc_targets[ch.evidence[0]] = ch
     ok = bool(withheld) and set(mcc_targets) == withheld
     detail = f"{len(withheld)} withheld collections, {len(mcc_targets)} MCCs recorded"
     if ok:

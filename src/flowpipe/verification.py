@@ -13,7 +13,13 @@ from typing import Mapping, Optional, Sequence
 from . import crypto
 from .collection import collection_hash as compute_collection_hash
 from .encoding import once_for
-from .execution import EMPTY_TRACE, BlockExecutionOutput, ExecutionResult, trace_update
+from .execution import (
+    EMPTY_TRACE,
+    BlockExecutionOutput,
+    ExecutionReceipt,
+    ExecutionResult,
+    trace_update,
+)
 from .merkle import ExecutionState, UnprovenRegister, value_proof_vrfy
 from .state import (
     Adjudication,
@@ -158,6 +164,10 @@ def verify_chunk(
     return ChunkVerdict(ok=False, reason=reason)
 
 
+def _chunk_digest(chunk_index: int) -> bytes:
+    return crypto.hash("chunk-index", chunk_index.to_bytes(8, "big"))
+
+
 def make_fcc(
     challenger: bytes,
     executor: bytes,
@@ -169,10 +179,20 @@ def make_fcc(
         kind=ChallengeKind.FAULTY_COMPUTATION,
         challenger=challenger,
         accused=(executor,),
-        evidence=(result_hash, crypto.hash("chunk-index", chunk_index.to_bytes(8, "big"))),
+        evidence=(result_hash, _chunk_digest(chunk_index)),
         deadline=deadline,
     )
     return dataclasses.replace(ch, challenge_id=challenge_id(ch))
+
+
+def fcc_chunk(challenge: SlashingChallenge, result: ExecutionResult) -> Optional[int]:
+    """Index of the result chunk whose digest the challenge names in
+    `evidence[1]`, or None when it names none of them."""
+    named = challenge.evidence[1:2]
+    for k in range(len(result.chunks)):
+        if named == (_chunk_digest(k),):
+            return k
+    return None
 
 
 def make_mcc(
@@ -188,28 +208,21 @@ def make_mcc(
     return dataclasses.replace(ch, challenge_id=challenge_id(ch))
 
 
-@dataclass
-class DisputedChunk:
-    """Attested inputs an adjudicator re-executes a challenged chunk from."""
-
-    result: ExecutionResult
-    chunk_index: int
-    package: ChunkDataPackage
-    executor_spock: bytes
-
-
 def adjudicate_fcc(
     state: ProtocolState,
     challenge: SlashingChallenge,
-    disputed: DisputedChunk,
+    receipt: ExecutionReceipt,
+    packages: Sequence[ChunkDataPackage],
 ) -> tuple[Adjudication, StateUpdate]:
-    """Re-execute the disputed chunk; a genuine divergence slashes the named
-    executor, who is the fault origin because each executor chains only its
-    own results; a clean replay slashes the challenger."""
-    verdict = disputed.package.verdict(
-        disputed.result, disputed.chunk_index, disputed.executor_spock
-    )
-    return adjudicate_challenge(state, challenge, response_exonerates=verdict.ok, timed_out=False)
+    """Re-execute the chunk the challenge names from the disputed receipt's
+    package; a genuine divergence slashes the named executor, who is the
+    fault origin because each executor chains only its own results; a clean
+    replay, or a challenge naming no chunk of the result, slashes the
+    challenger."""
+    result = receipt.execution_result
+    k = fcc_chunk(challenge, result)
+    clean = k is None or packages[k].verdict(result, k, receipt.spocks[k]).ok
+    return adjudicate_challenge(state, challenge, response_exonerates=clean, timed_out=False)
 
 
 @dataclass(frozen=True)

@@ -154,10 +154,12 @@ def _apply_ops(state, ops, touched: set) -> dict[bytes, bytes]:
             amount = op["amount"]
             if decode_balance(src_val) < amount:
                 raise ValueError("insufficient balance")
-            if not _u64(decode_balance(dst_val) + amount):
-                raise ValueError("balance overflow")
             updates[src] = encode_balance(decode_balance(src_val) - amount)
-            updates[dst] = encode_balance(decode_balance(dst_val) + amount)
+            # read after the debit, so a transfer to the sender nets to zero
+            dst_balance = decode_balance(current(dst)) + amount
+            if not _u64(dst_balance):
+                raise ValueError("balance overflow")
+            updates[dst] = encode_balance(dst_balance)
         elif kind == "set_register":
             updates[register_key(op["register"])] = bytes.fromhex(op["value"])
     return updates

@@ -242,18 +242,7 @@ class EquivocatingEngine(ConsensusEngine):
             return
         self._proposed_rounds.add(r)
         for variant in ("a", "b"):
-            payload = {"equivocator": variant, "round": r}
-            digest = self.digest_payload(payload)
-            self.broadcast(
-                Proposal(
-                    round=r,
-                    payload=payload,
-                    payload_digest=digest,
-                    justify=self.high_qc,
-                    proposer=self.keypair.public,
-                    signature=self._sign_proposal(r, digest, self.high_qc),
-                )
-            )
+            self.broadcast(self._proposal({"equivocator": variant, "round": r}))
 
 
 class EngineHarness:

@@ -8,7 +8,11 @@ change what a run reports.
 
 Two more runs drive node paths no bundled scenario reaches and pin their
 outcomes: missing-collection challenges that the guarantors answer, and
-receipts that reach the observer after the challenges against them.
+receipts that reach the observer after the challenges against them. Three
+check that a consensus node judges a challenge on what the challenge itself
+names: a recorded faulty-computation challenge is adjudicated without its
+`ChallengeMsg`, on the chunk its digest names, and each equivocation is
+challenged once.
 
 The last tests pin what a verifier does with a chain of results built on
 one it rejected (nothing, since none of them can ever seal), with the
@@ -150,19 +154,22 @@ def test_adversary_run_pinned(case):
 
 
 def test_answered_mcc_dismissed():
-    """Cluster 0's collectors stop serving `CollectionRequest` but still
-    answer `MccQuery`. Executors raise missing-collection challenges, the
-    guarantors answer every query, each challenge is dismissed without a
-    slash, and consensus forwards the recovered texts to the executors,
+    """Cluster 0's collectors serve `CollectionRequest` only to consensus
+    nodes. Executors raise missing-collection challenges, the guarantors
+    answer every adjudicator's request, each challenge is dismissed without
+    a slash, and consensus forwards the recovered texts to the executors,
     which then execute every collection instead of skipping it."""
     doc = merge_defaults(
         {"run": {"max_sim_time": 8000}, "checks": {"safety": True, "no_faulty_seals": True}}
     )
     world = build_world(doc)
+    consensus = {node.name for node in world.consensus}
     for collector in world.collectors:
         if collector.cluster_index == 0:
-            del collector.handlers[CollectionRequest]
-    consensus = {node.name for node in world.consensus}
+            serve = collector.handlers[CollectionRequest]
+            collector.handlers[CollectionRequest] = (
+                lambda sender, msg, serve=serve: sender in consensus and serve(sender, msg)
+            )
     forwarded = set()
     real_send = world.sim.send
 
@@ -206,9 +213,11 @@ def test_late_receipts_adjudicated_on_arrival():
 
     def counting(challenge):
         nonlocal waits
-        cid = challenge.challenge_id
-        info = n0.fcc_context.get(cid)
-        if cid not in n0.adjudicated_ids and info is not None and info[0] not in n0.receipts:
+        if (
+            challenge.kind == ChallengeKind.FAULTY_COMPUTATION
+            and challenge.challenge_id not in n0.adjudicated_ids
+            and challenge.evidence[0] not in n0.receipts
+        ):
             waits += 1
         start_adjudication(challenge)
 
@@ -218,22 +227,117 @@ def test_late_receipts_adjudicated_on_arrival():
     assert report["passed"], report["properties"]
     assert waits == 2
 
-    def outcomes(node):
-        return {
-            bytes.fromhex(r["payload"]["id"]): r["payload"]["outcome"]
-            for r in world.sim.log.select("adjudication")
-            if r["node"] == node.name
-        }
-
-    mine, theirs = outcomes(n0), outcomes(n1)
+    mine, theirs = adjudications(world, n0), adjudications(world, n1)
     # every recorded challenge whose receipt has arrived is adjudicated
-    arrived = {
-        cid
-        for cid, ch in n0.recorded_challenges.items()
-        if ch.kind == ChallengeKind.FAULTY_COMPUTATION and ch.evidence[0] in n0.receipts
-    }
+    arrived = {cid for cid, ch in recorded_fccs(n0).items() if ch.evidence[0] in n0.receipts}
     assert len(arrived) == 2 and arrived <= set(mine)
     assert all(mine[cid] == theirs[cid] for cid in arrived)
+
+
+def recorded_fccs(node) -> dict:
+    """The faulty-computation challenges in the node's finalized blocks, by
+    id."""
+    blocks = [node.engine.tree.nodes[d].payload for d in node.finalized_heights.values()]
+    return {
+        ch.challenge_id: ch
+        for pb in blocks
+        for ch in pb.slashing_challenges
+        if ch.kind == ChallengeKind.FAULTY_COMPUTATION
+    }
+
+
+def adjudications(world, node) -> dict:
+    return {
+        bytes.fromhex(r["payload"]["id"]): r["payload"]["outcome"]
+        for r in world.sim.log.select("adjudication")
+        if r["node"] == node.name
+    }
+
+
+def test_recorded_fcc_adjudicated_without_its_challenge_msg():
+    """byzantine-executor with observer n0 never handling a `ChallengeMsg`:
+    a recorded faulty-computation challenge names its result and chunk, so
+    n0 adjudicates each one whose receipt it holds, with n1's outcome."""
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "byzantine-executor.json"))
+    doc["run"]["max_sim_time"] = 8000
+    world = build_world(doc)
+    n0, n1 = world.consensus[0], world.consensus[1]
+    del n0.handlers[ChallengeMsg]
+    run_world(world)
+    recorded = {cid for cid, ch in recorded_fccs(n0).items() if ch.evidence[0] in n0.receipts}
+    mine, theirs = adjudications(world, n0), adjudications(world, n1)
+    assert recorded
+    assert {cid: mine.get(cid) for cid in recorded} == {cid: theirs[cid] for cid in recorded}
+    assert not n0.fcc_received
+
+
+def test_fcc_judged_on_the_chunk_it_names():
+    """An FCC names its chunk by digest in `evidence[1]`: one naming no
+    chunk of the result is adjudicated like a clean replay, and one naming
+    chunk 1 is judged on chunk 1's package. Executor e1 tampers with chunk 1
+    of its results; n1 judges challenges against a two-chunk one at tick
+    3,000."""
+    doc = merge_defaults(
+        {
+            "execution_params": {"gamma_chunk": 3},
+            "transactions": {"interval": 100},
+            "adversary": [
+                {
+                    "behavior": "faulty_execution",
+                    "role": "execution",
+                    "indices": [1],
+                    "target_chunk": 1,
+                }
+            ],
+        }
+    )
+    world = build_world(doc)
+    for role in (world.collectors, world.consensus, world.executors, world.verifiers, world.agents):
+        for node in role:
+            node.start()
+    world.sim.run(until=3000)
+    n1, liar, verifier = world.consensus[1], world.executors[1], world.verifiers[0]
+    receipt = next(
+        m.receipt
+        for m in n1.receipts.values()
+        if m.receipt.executor == liar.keypair.public and len(m.receipt.execution_result.chunks) == 2
+    )
+    rh = receipt.execution_result.result_hash()
+    outcomes = []
+    for k in (2, 0, 1):  # past the last chunk, an honest chunk, the tampered one
+        fcc = make_fcc(verifier.keypair.public, liar.keypair.public, rh, k, deadline=10**6)
+        n1.handle(verifier.name, ChallengeMsg(fcc, executor_signature=receipt.executor_signature))
+        n1._start_adjudication(fcc)  # as when a block records it
+        outcomes.append(n1.pending_updates[fcc.challenge_id].adjudication.outcome)
+    assert outcomes == ["challenger_slashed", "challenger_slashed", "accused_slashed"]
+
+
+def test_each_equivocation_challenged_once(monkeypatch):
+    """On bundled equivocating-leader the equivocator sends one pair of
+    proposals in several rounds. Each pair is one challenge: no finalized
+    block lists a challenge twice, and each node logs one
+    `equivocation_challenge` per challenge."""
+    logged = []  # (node, accused, pair of payload digests) per record
+    on_evidence = nodes.ConsensusNode._on_evidence
+
+    def recording(self, ev):
+        before = len(self.sim.log.records)
+        on_evidence(self, ev)
+        pair = tuple(sorted((ev.first.payload_digest, ev.second.payload_digest)))
+        for r in self.sim.log.records[before:]:
+            if r["kind"] == "equivocation_challenge":
+                logged.append((self.name, ev.proposer, pair))
+
+    monkeypatch.setattr(nodes.ConsensusNode, "_on_evidence", recording)
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "equivocating-leader.json"))
+    world = build_world(doc)
+    run_world(world)
+    assert logged and len(logged) == len(set(logged))
+    for node in world.consensus:
+        for digest in node.finalized_heights.values():
+            pb = node.engine.tree.nodes[digest].payload
+            ids = [ch.challenge_id for ch in pb.slashing_challenges]
+            assert len(ids) == len(set(ids)), node.name
 
 
 def block_randomness(world, pb_hash: bytes) -> BlockRandomness:
@@ -465,10 +569,11 @@ def test_consensus_records_fcc_only_against_a_signer():
         (liar.keypair.public, receipt.executor_signature),
     ):
         fcc = make_fcc(verifier.keypair.public, accused, rh, 0, deadline=400)
-        n0.handle(verifier.name, ChallengeMsg(fcc, chunk_index=0, executor_signature=signature))
+        n0.handle(verifier.name, ChallengeMsg(fcc, executor_signature=signature))
     assert [ch.accused for ch in n0.pending_challenges.values()] == [(liar.keypair.public,)]
-    # a dropped challenge leaves no adjudication context behind
-    assert set(n0.fcc_context) == {ch.challenge_id for ch in n0.pending_challenges.values()}
+    # a dropped challenge leaves no trace that could block a seal
+    assert n0.fcc_received == {ch.challenge_id for ch in n0.pending_challenges.values()}
+    assert n0.fcc_ids == {rh: n0.fcc_received}
 
 
 def test_bundled_verifiers_skip_descendants_of_their_challenges():

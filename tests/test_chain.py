@@ -43,6 +43,16 @@ def chain_to_genesis(node: ConsensusNode, digest: bytes) -> list:
     return chain[::-1]
 
 
+def finalized_challenges(node: ConsensusNode) -> list:
+    """The challenges the node's finalized blocks record, in chain order."""
+    return [ch for pb in chain_to_genesis(node, node.tip.digest) for ch in pb.slashing_challenges]
+
+
+def received_fcc(node: ConsensusNode) -> dict:
+    """Challenge id -> result hash of every FCC the node received."""
+    return {cid: rh for rh, ids in node.fcc_ids.items() for cid in ids if cid in node.fcc_received}
+
+
 @dataclasses.dataclass
 class BruteForce:
     height: int
@@ -92,7 +102,7 @@ def brute_force_pending(node: ConsensusNode, bf: BruteForce, rh: bytes) -> bool:
         return True
     return any(
         r == rh and cid not in adjudicated and node._fcc_upheld(cid) is not False
-        for cid, (r, _) in node.fcc_context.items()
+        for cid, r in received_fcc(node).items()
     )
 
 
@@ -108,11 +118,11 @@ def check_against_oracle(world) -> int:
                 candidates[kind] |= bf.facts[kind]
         candidates["collection"] |= set(node.known_collections)
         candidates["sealed"] |= set(node.receipts)
-        candidates["adjudicated"] |= set(node.fcc_context) | set(node.recorded_challenges)
+        candidates["adjudicated"] |= node.fcc_received | node.adjudicated_ids
         candidates["block"] = {
             d for d, n in node.engine.tree.nodes.items() if n.payload is not None
         }
-        fcc_targets = {(cid, rh) for cid, (rh, _) in node.fcc_context.items()}
+        fcc_targets = set(received_fcc(node).items())
         for bf in oracles.values():
             fcc_targets |= set(bf.open_fcc.items())
         for digest, ctx in node.ctxs.items():
@@ -220,11 +230,11 @@ class TestProposals:
         world = started_world("equivocating-leader")
         node = world.consensus[0]
         t = 0
-        while not any(ch.kind == PV for ch in node.recorded_challenges.values()):
+        while not any(ch.kind == PV for ch in finalized_challenges(node)):
             t += 250
             assert t <= 15000, "no protocol-violation challenge recorded"
             world.sim.run(until=t)
-        recorded = next(ch for ch in node.recorded_challenges.values() if ch.kind == PV)
+        recorded = next(ch for ch in finalized_challenges(node) if ch.kind == PV)
         parent = node.tip.digest
         base = node._make_payload(parent)
         assert node._validate_payload(base, parent)
@@ -234,6 +244,26 @@ class TestProposals:
         assert not node._validate_payload(repeat, parent)
         last = world.sim.log.records[-1]
         assert (last["node"], last["kind"]) == (node.name, "proposal_rejected")
+        assert last["payload"]["reason"] == "condition-9:challenge-unverified"
+
+    def test_block_repeating_a_challenge_rejected(self):
+        """A block may list a challenge, or any two challenges of one mark,
+        only once."""
+        world = started_world("equivocating-leader")
+        node = world.consensus[0]
+        while True:
+            parent = node.tip.digest
+            base = node._make_payload(parent)
+            if base.slashing_challenges:
+                break
+            assert world.sim.now < 15000, "no challenge to list"
+            world.sim.run(until=world.sim.now + 50)
+        assert node._validate_payload(base, parent)
+        repeat = dataclasses.replace(
+            base, slashing_challenges=base.slashing_challenges + base.slashing_challenges[:1]
+        )
+        assert not node._validate_payload(repeat, parent)
+        last = world.sim.log.records[-1]
         assert last["payload"]["reason"] == "condition-9:challenge-unverified"
 
     def test_validation_replays_updates_once(self, monkeypatch):

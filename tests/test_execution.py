@@ -66,6 +66,18 @@ class TestVm:
         assert out.cost == 4
         assert out.state.root() == st.root()
 
+    def test_transfer_to_self_keeps_the_balance(self):
+        """A transfer from an account to itself moves nothing, and one larger
+        than the balance fails like any overdraft."""
+        st = base_state()
+        tx = make_tx([{"kind": "transfer", "from": "alice", "to": "alice", "amount": 10}])
+        out = execute(st, tx)
+        assert out.status == "ok"
+        assert decode_balance(out.state.get(account_key("alice"))) == 50
+        tx = make_tx([{"kind": "transfer", "from": "alice", "to": "alice", "amount": 60}])
+        out = execute(st, tx)
+        assert (out.status, out.detail, out.state.root()) == ("failed", "insufficient balance", st.root())
+
     def test_malformed_script(self):
         tx = SignedTransaction(
             script=b"not json",

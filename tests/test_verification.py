@@ -7,6 +7,7 @@ import pytest
 from flowpipe import crypto
 from flowpipe.execution import (
     GENESIS_RESULT_HASH,
+    ExecutionReceipt,
     ExecutionResult,
     block_execution,
 )
@@ -14,11 +15,11 @@ from flowpipe.merkle import ExecutionState, value_proof_vrfy
 from flowpipe.state import ChallengeKind, NodeIdentity, ProtocolState, Role
 from flowpipe.verification import (
     ChunkDataPackage,
-    DisputedChunk,
     adjudicate_fcc,
     adjudicate_mcc,
     assign_chunks,
     chunk_data_packages,
+    fcc_chunk,
     make_fcc,
     make_mcc,
     verify_chunk,
@@ -84,6 +85,11 @@ def executed_block(ops=BLOCK_OPS, gamma=8, start=START):
 
 def package_for(out, txs, k) -> ChunkDataPackage:
     return chunk_data_packages(out, txs)[k]
+
+
+def receipt_for(result, out, executor=b"") -> ExecutionReceipt:
+    """An (unsigned) receipt for `result` with the spocks of `out`."""
+    return ExecutionReceipt(result, out.spocks, executor, b"")
 
 
 class TestAssignChunks:
@@ -298,8 +304,8 @@ class TestAdjudicateFcc:
         tampered = ExecutionResult(r.block_hash, r.previous_execution_result_hash, r.chunks, b"\xee" * 32)
         last = len(r.chunks) - 1
         fcc = make_fcc(self.challenger, self.executor, tampered.result_hash(), last, deadline=10)
-        disputed = DisputedChunk(tampered, last, package_for(self.out, self.txs, last), self.out.spocks[last])
-        adj, upd = adjudicate_fcc(self.state, fcc, disputed)
+        packages = chunk_data_packages(self.out, self.txs)
+        adj, upd = adjudicate_fcc(self.state, fcc, receipt_for(tampered, self.out), packages)
         assert adj.outcome == "accused_slashed"
         assert adj.slashed == (self.executor,)
         assert upd.entries[0]["amount"] == 100
@@ -307,12 +313,34 @@ class TestAdjudicateFcc:
     def test_frivolous_challenge_slashes_challenger(self):
         last = len(self.out.result.chunks) - 1
         fcc = make_fcc(self.challenger, self.executor, self.out.result.result_hash(), last, deadline=10)
-        disputed = DisputedChunk(
-            self.out.result, last, package_for(self.out, self.txs, last), self.out.spocks[last]
-        )
-        adj, upd = adjudicate_fcc(self.state, fcc, disputed)
+        packages = chunk_data_packages(self.out, self.txs)
+        adj, upd = adjudicate_fcc(self.state, fcc, receipt_for(self.out.result, self.out), packages)
         assert adj.outcome == "challenger_slashed"
         assert adj.slashed == (self.challenger,)
+
+    def test_challenge_names_its_chunk(self):
+        """The chunk digest in `evidence[1]` picks the package judged; a
+        digest naming no chunk of the result slashes the challenger."""
+        r = self.out.result
+        assert len(r.chunks) >= 2
+        c1 = r.chunks[1]
+        fake = dataclasses.replace(c1, computation_consumption=c1.computation_consumption + 1)
+        tampered = dataclasses.replace(r, chunks=(r.chunks[0], fake) + r.chunks[2:])
+        receipt = receipt_for(tampered, self.out)
+        packages = chunk_data_packages(self.out, self.txs)
+        rh = tampered.result_hash()
+        outcomes = {}
+        for k in (0, 1, len(r.chunks)):
+            fcc = make_fcc(self.challenger, self.executor, rh, k, deadline=10)
+            assert fcc_chunk(fcc, tampered) == (k if k < len(r.chunks) else None)
+            outcomes[k] = adjudicate_fcc(self.state, fcc, receipt, packages)[0].outcome
+        assert outcomes == {
+            0: "challenger_slashed",
+            1: "accused_slashed",
+            len(r.chunks): "challenger_slashed",
+        }
+        unnamed = dataclasses.replace(fcc, evidence=(rh,))
+        assert fcc_chunk(unnamed, tampered) is None
 
 
 class TestAdjudicateMcc:
@@ -452,8 +480,9 @@ class TestSharedVerdict:
             assert not pkg.verdict(result, self.last, spock).ok
         state, keys = adjudication_state()
         fcc = make_fcc(keys[2], keys[0], result.result_hash(), self.last, deadline=10)
-        disputed = DisputedChunk(result, self.last, pkg, spock)
+        receipt = receipt_for(result, self.out)
+        packages = chunk_data_packages(self.out, self.txs)[: self.last] + (pkg,)
         for _ in range(7):  # seven consensus nodes adjudicate
-            adj, _ = adjudicate_fcc(state, fcc, disputed)
+            adj, _ = adjudicate_fcc(state, fcc, receipt, packages)
             assert adj.slashed == (keys[0],)
         assert calls == [self.last]
