@@ -67,6 +67,7 @@ from .verification import (
     adjudicate_mcc,
     assign_chunks,
     chunk_data_packages,
+    fcc_signed,
     make_fcc,
     make_mcc,
 )
@@ -236,9 +237,6 @@ class ApprovalMsg:
 @dataclass(frozen=True)
 class ChallengeMsg:
     challenge: SlashingChallenge
-    # an FCC names its result and chunk in its evidence; the accused
-    # executor's receipt signature shows that it signed the result
-    executor_signature: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
@@ -512,6 +510,20 @@ def _challenge_mark(ch: SlashingChallenge):
     if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
         return ch.evidence[:2] + ch.accused
     return ch.challenge_id
+
+
+def _challenge_valid(ch) -> bool:
+    """The challenge's id covers its fields, an MCC names one collection,
+    and an FCC carries the accused executor's signature over the disputed
+    result. A block or a node takes no other challenge, so none can slash
+    an executor for a result it never signed."""
+    if not isinstance(ch, SlashingChallenge) or challenge_id(ch) != ch.challenge_id:
+        return False
+    if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
+        return fcc_signed(ch)
+    if ch.kind == ChallengeKind.MISSING_COLLECTION:
+        return len(ch.evidence) == 1
+    return True
 
 
 # kinds of chain fact and their keys: "block" (digest, height >= 1),
@@ -794,7 +806,7 @@ class ConsensusNode(Node):
         block_marks: set = set()
 
         def challenge_ok(ch) -> bool:
-            if not isinstance(ch, SlashingChallenge) or challenge_id(ch) != ch.challenge_id:
+            if not _challenge_valid(ch):
                 return False
             mark = _challenge_mark(ch)
             if mark in block_marks or self._on_chain(ctx, "challenged", mark):
@@ -1047,12 +1059,9 @@ class ConsensusNode(Node):
 
     def _on_challenge(self, sender: str, msg: ChallengeMsg):
         ch = msg.challenge
+        if not _challenge_valid(ch):
+            return
         if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
-            # only an executor that signed the result answers for it
-            if len(ch.accused) != 1 or not crypto.staking_verify(
-                ch.accused[0], ch.evidence[0], msg.executor_signature
-            ):
-                return
             self.fcc_received.add(ch.challenge_id)
             self.fcc_ids.setdefault(ch.evidence[0], set()).add(ch.challenge_id)
         if self._accept_challenge(ch):
@@ -1338,13 +1347,11 @@ class VerificationNode(Node):
             msg.receipt.executor,
             rh,
             k,
+            msg.receipt.executor_signature,
             deadline=self.sim.now + self.d.mcc_deadline,
         )
         self.sim.event(self.name, "fcc_raised", {"result": hexify(rh), "chunk": k, "reason": reason})
-        self.send_all(
-            self.d.consensus_names,
-            ChallengeMsg(fcc, executor_signature=msg.receipt.executor_signature),
-        )
+        self.send_all(self.d.consensus_names, ChallengeMsg(fcc))
 
 
 # ---------------------------------------------------------------------------

@@ -173,16 +173,29 @@ def make_fcc(
     executor: bytes,
     result_hash: bytes,
     chunk_index: int,
+    executor_signature: bytes,
     deadline: int,
 ) -> SlashingChallenge:
+    """The evidence names the result, its chunk by digest, and the
+    executor's receipt signature over the result."""
     ch = SlashingChallenge(
         kind=ChallengeKind.FAULTY_COMPUTATION,
         challenger=challenger,
         accused=(executor,),
-        evidence=(result_hash, _chunk_digest(chunk_index)),
+        evidence=(result_hash, _chunk_digest(chunk_index), executor_signature),
         deadline=deadline,
     )
     return dataclasses.replace(ch, challenge_id=challenge_id(ch))
+
+
+def fcc_signed(challenge: SlashingChallenge) -> bool:
+    """The FCC accuses one executor and carries that executor's signature
+    over the disputed result, so only a signer of the result answers for it."""
+    return (
+        len(challenge.accused) == 1
+        and len(challenge.evidence) == 3
+        and crypto.staking_verify(challenge.accused[0], challenge.evidence[0], challenge.evidence[2])
+    )
 
 
 def fcc_chunk(challenge: SlashingChallenge, result: ExecutionResult) -> Optional[int]:

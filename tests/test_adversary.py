@@ -17,9 +17,11 @@ challenged once.
 The last tests pin what a verifier does with a chain of results built on
 one it rejected (nothing, since none of them can ever seal), with the
 executors that signed the rejected result (each is challenged once, and
-consensus records a challenge only against a signer and upholds it whichever
-signer's package it keeps), and with receipts whose own package or SPoCK
-fails (they are dropped, and the result is judged on the next receipt)."""
+consensus, on arrival and in a block, takes a challenge only against a
+signer and upholds it whichever signer's package it keeps), with challenges
+that lack their evidence (they are rejected), and with receipts whose own
+package or SPoCK fails (they are dropped, and the result is judged on the
+next receipt)."""
 
 import dataclasses
 import hashlib
@@ -47,8 +49,8 @@ from flowpipe.scenario import (
     merge_defaults,
     run_world,
 )
-from flowpipe.state import ChallengeKind
-from flowpipe.verification import ChunkDataPackage, make_fcc
+from flowpipe.state import ChallengeKind, challenge_id
+from flowpipe.verification import ChunkDataPackage, make_fcc, make_mcc
 
 SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": [1]}
 
@@ -63,7 +65,7 @@ CASES = {
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "4009db8a3fc90ea1d3ef5162b47a815562e998196af71178e5754396ab6a7e6f",
+        "4db670e4fb6657a56d559f8fda8532e6d90d4ced648ce8655c9317e5d804688b",
     ),
 }
 
@@ -305,8 +307,10 @@ def test_fcc_judged_on_the_chunk_it_names():
     rh = receipt.execution_result.result_hash()
     outcomes = []
     for k in (2, 0, 1):  # past the last chunk, an honest chunk, the tampered one
-        fcc = make_fcc(verifier.keypair.public, liar.keypair.public, rh, k, deadline=10**6)
-        n1.handle(verifier.name, ChallengeMsg(fcc, executor_signature=receipt.executor_signature))
+        fcc = make_fcc(
+            verifier.keypair.public, liar.keypair.public, rh, k, receipt.executor_signature, 10**6
+        )
+        n1.handle(verifier.name, ChallengeMsg(fcc))
         n1._start_adjudication(fcc)  # as when a block records it
         outcomes.append(n1.pending_updates[fcc.challenge_id].adjudication.outcome)
     assert outcomes == ["challenger_slashed", "challenger_slashed", "accused_slashed"]
@@ -552,28 +556,84 @@ def test_consensus_upholds_each_signers_challenge_on_either_package():
         ]
 
 
+def forged_fccs(world, verifier, receipt) -> list:
+    """FCCs against the liar's faulty result that no signer stands behind:
+    the honest executor named with the liar's signature or with none, the
+    liar named with no signature, and the liar and the honest executor named
+    together; the last item is the one FCC the liar's signature stands
+    behind."""
+    honest, liar = world.executors[0].keypair.public, world.executors[1].keypair.public
+    rh = receipt.execution_result.result_hash()
+    signature = receipt.executor_signature
+    out = [
+        make_fcc(verifier.keypair.public, accused, rh, 0, sig, deadline=400)
+        for accused, sig in ((honest, signature), (honest, b""), (liar, b""), (liar, signature))
+    ]
+    pair = dataclasses.replace(out[-1], accused=(liar, honest))
+    out.insert(-1, dataclasses.replace(pair, challenge_id=challenge_id(pair)))
+    return out
+
+
 def test_consensus_records_fcc_only_against_a_signer():
-    """A faulty-computation challenge reaches consensus with the accused
-    executor's signature over the result. One that names an executor which
-    never signed the result is dropped, so no node can have the honest
-    executor slashed for another's fault."""
+    """A faulty-computation challenge carries the accused executor's
+    signature over the result in `evidence[2]`. One that names an executor
+    which never signed the result, or names two, is dropped, so no node can
+    have the honest executor slashed for another's fault."""
     world, verifier, (_, liar_chain, _), _ = two_block_receipts()
     n0 = world.consensus[0]
-    honest, liar = world.executors[0], world.executors[1]
     receipt = liar_chain[0].receipt
     rh = receipt.execution_result.result_hash()
-    for accused, signature in (
-        (honest.keypair.public, receipt.executor_signature),
-        (honest.keypair.public, None),
-        (liar.keypair.public, None),
-        (liar.keypair.public, receipt.executor_signature),
-    ):
-        fcc = make_fcc(verifier.keypair.public, accused, rh, 0, deadline=400)
-        n0.handle(verifier.name, ChallengeMsg(fcc, executor_signature=signature))
-    assert [ch.accused for ch in n0.pending_challenges.values()] == [(liar.keypair.public,)]
+    fccs = forged_fccs(world, verifier, receipt)
+    for fcc in fccs:
+        n0.handle(verifier.name, ChallengeMsg(fcc))
+    assert [ch.accused for ch in n0.pending_challenges.values()] == [
+        (world.executors[1].keypair.public,)
+    ]
     # a dropped challenge leaves no trace that could block a seal
     assert n0.fcc_received == {ch.challenge_id for ch in n0.pending_challenges.values()}
     assert n0.fcc_ids == {rh: n0.fcc_received}
+
+
+def test_chain_records_fcc_only_against_a_signer():
+    """A block that lists an FCC naming an executor which never signed the
+    disputed result, or naming two executors, fails condition 9 at every
+    consensus node, so a leader cannot have the honest executor slashed
+    either; a block listing the liar's signed FCC passes."""
+    world, verifier, (_, liar_chain, _), _ = two_block_receipts()
+    state = world.directory.initial_state
+    *forged, signed = forged_fccs(world, verifier, liar_chain[0].receipt)
+    for node in world.consensus:
+        for fcc in forged:
+            pb = propose_proto_block(GENESIS_DIGEST, 0, state, [], [], [fcc], [])
+            assert not node._validate_payload(pb, GENESIS_DIGEST)
+        pb = propose_proto_block(GENESIS_DIGEST, 0, state, [], [], [signed], [])
+        assert node._validate_payload(pb, GENESIS_DIGEST)
+    reasons = [r["payload"]["reason"] for r in world.sim.log.select("proposal_rejected")]
+    assert reasons == ["condition-9:challenge-unverified"] * len(forged) * len(world.consensus)
+
+
+def test_challenge_without_its_evidence_rejected():
+    """An MCC or FCC with empty evidence and a matching id is dropped on
+    arrival and fails condition 9 in a block, instead of raising out of the
+    node that reads its evidence."""
+    world, verifier, (_, liar_chain, _), _ = two_block_receipts()
+    n0 = world.consensus[0]
+    state = world.directory.initial_state
+    receipt = liar_chain[0].receipt
+    rh = receipt.execution_result.result_hash()
+    guarantors = [c.staking_public_key for c in world.directory.clusters[0]]
+    for ch in (
+        make_mcc(verifier.keypair.public, guarantors, rh, deadline=400),
+        make_fcc(verifier.keypair.public, receipt.executor, rh, 0, receipt.executor_signature, 400),
+    ):
+        empty = dataclasses.replace(ch, evidence=())
+        empty = dataclasses.replace(empty, challenge_id=challenge_id(empty))
+        n0.handle(verifier.name, ChallengeMsg(empty))
+        pb = propose_proto_block(GENESIS_DIGEST, 0, state, [], [], [empty], [])
+        assert not n0._validate_payload(pb, GENESIS_DIGEST)
+    assert not n0.pending_challenges and not n0.fcc_received
+    reasons = [r["payload"]["reason"] for r in world.sim.log.select("proposal_rejected")]
+    assert reasons == ["condition-9:challenge-unverified"] * 2
 
 
 def test_bundled_verifiers_skip_descendants_of_their_challenges():

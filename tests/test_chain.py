@@ -118,7 +118,11 @@ def check_against_oracle(world) -> int:
                 candidates[kind] |= bf.facts[kind]
         candidates["collection"] |= set(node.known_collections)
         candidates["sealed"] |= set(node.receipts)
-        candidates["adjudicated"] |= node.fcc_received | node.adjudicated_ids
+        candidates["adjudicated"] |= (
+            node.fcc_received
+            | node.adjudicated_ids
+            | {ch.challenge_id for ch in finalized_challenges(node)}
+        )
         candidates["block"] = {
             d for d, n in node.engine.tree.nodes.items() if n.payload is not None
         }

@@ -20,6 +20,7 @@ from flowpipe.verification import (
     assign_chunks,
     chunk_data_packages,
     fcc_chunk,
+    fcc_signed,
     make_fcc,
     make_mcc,
     verify_chunk,
@@ -303,7 +304,7 @@ class TestAdjudicateFcc:
         r = self.out.result
         tampered = ExecutionResult(r.block_hash, r.previous_execution_result_hash, r.chunks, b"\xee" * 32)
         last = len(r.chunks) - 1
-        fcc = make_fcc(self.challenger, self.executor, tampered.result_hash(), last, deadline=10)
+        fcc = make_fcc(self.challenger, self.executor, tampered.result_hash(), last, b"", deadline=10)
         packages = chunk_data_packages(self.out, self.txs)
         adj, upd = adjudicate_fcc(self.state, fcc, receipt_for(tampered, self.out), packages)
         assert adj.outcome == "accused_slashed"
@@ -312,7 +313,7 @@ class TestAdjudicateFcc:
 
     def test_frivolous_challenge_slashes_challenger(self):
         last = len(self.out.result.chunks) - 1
-        fcc = make_fcc(self.challenger, self.executor, self.out.result.result_hash(), last, deadline=10)
+        fcc = make_fcc(self.challenger, self.executor, self.out.result.result_hash(), last, b"", deadline=10)
         packages = chunk_data_packages(self.out, self.txs)
         adj, upd = adjudicate_fcc(self.state, fcc, receipt_for(self.out.result, self.out), packages)
         assert adj.outcome == "challenger_slashed"
@@ -331,7 +332,7 @@ class TestAdjudicateFcc:
         rh = tampered.result_hash()
         outcomes = {}
         for k in (0, 1, len(r.chunks)):
-            fcc = make_fcc(self.challenger, self.executor, rh, k, deadline=10)
+            fcc = make_fcc(self.challenger, self.executor, rh, k, b"", deadline=10)
             assert fcc_chunk(fcc, tampered) == (k if k < len(r.chunks) else None)
             outcomes[k] = adjudicate_fcc(self.state, fcc, receipt, packages)[0].outcome
         assert outcomes == {
@@ -341,6 +342,26 @@ class TestAdjudicateFcc:
         }
         unnamed = dataclasses.replace(fcc, evidence=(rh,))
         assert fcc_chunk(unnamed, tampered) is None
+
+    def test_fcc_signed_only_by_its_one_accused(self):
+        """`fcc_signed` holds when the FCC carries its one accused
+        executor's signature over the disputed result, and for no other
+        accused, signature, result or second accused."""
+        signer = crypto.StakingKeyPair.from_seed(b"\x77" * 32)
+        other = crypto.StakingKeyPair.from_seed(b"\x78" * 32)
+        rh = self.out.result.result_hash()
+        sig = signer.sign(rh)
+        fcc = make_fcc(self.challenger, signer.public, rh, 0, sig, deadline=10)
+        assert fcc_signed(fcc)
+        for accused, result, signature in (
+            (other.public, rh, sig),
+            (signer.public, rh, other.sign(rh)),
+            (signer.public, crypto.hash("other", b""), sig),
+            (signer.public, rh, b""),
+        ):
+            assert not fcc_signed(make_fcc(self.challenger, accused, result, 0, signature, deadline=10))
+        assert not fcc_signed(dataclasses.replace(fcc, accused=(signer.public, other.public)))
+        assert not fcc_signed(dataclasses.replace(fcc, evidence=fcc.evidence[:2]))
 
 
 class TestAdjudicateMcc:
@@ -380,7 +401,7 @@ class TestAdjudicateMcc:
 
     def test_challenge_kinds(self):
         assert self.mcc.kind == ChallengeKind.MISSING_COLLECTION
-        fcc = make_fcc(self.keys[2], self.keys[0], b"\x01" * 32, 0, deadline=5)
+        fcc = make_fcc(self.keys[2], self.keys[0], b"\x01" * 32, 0, b"", deadline=5)
         assert fcc.kind == ChallengeKind.FAULTY_COMPUTATION
 
 
@@ -479,7 +500,7 @@ class TestSharedVerdict:
         for _ in range(5):  # five verifiers draw the chunk
             assert not pkg.verdict(result, self.last, spock).ok
         state, keys = adjudication_state()
-        fcc = make_fcc(keys[2], keys[0], result.result_hash(), self.last, deadline=10)
+        fcc = make_fcc(keys[2], keys[0], result.result_hash(), self.last, b"", deadline=10)
         receipt = receipt_for(result, self.out)
         packages = chunk_data_packages(self.out, self.txs)[: self.last] + (pkg,)
         for _ in range(7):  # seven consensus nodes adjudicate
