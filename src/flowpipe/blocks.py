@@ -99,12 +99,9 @@ class ProtoBlock:
 
     def replay(self, parent_state: ProtocolState) -> Optional[ProtocolState]:
         """The protocol state this block's updates lead to from
-        `parent_state`, or None when `apply_updates` rejects them. A snapshot
-        parent is keyed by its commitment, so every node judging the block
-        on the same parent state reads one replay; a parent state built by
-        hand has no commitment and is replayed on each call."""
-        if parent_state.commitment is None:
-            return _replay(self, parent_state)
+        `parent_state`, or None when `apply_updates` rejects them. Kept per
+        parent commitment, so every node judging the block on the same parent
+        state reads one replay."""
         return once_for(self, parent_state.commitment, _replay, self, parent_state)
 
 
@@ -138,7 +135,7 @@ def propose_proto_block(
     updates are dropped rather than poisoning the block; an empty collection
     list never blocks production."""
     accepted: list[StateUpdate] = []
-    working = apply_updates(parent_protocol_state, [])
+    working = parent_protocol_state
     for upd in pending_updates:
         try:
             working = apply_updates(working, [upd])
@@ -154,6 +151,13 @@ def propose_proto_block(
         protocol_state_updates=tuple(accepted),
         state_commitment=working.commitment,
     )
+
+
+def guarantee_valid(gc: GuaranteedCollection, clusters: dict[int, list[NodeIdentity]]) -> bool:
+    """Proposal condition 6 for one guarantee: its cluster exists and the
+    guarantee is authentic for that cluster."""
+    cluster = clusters.get(gc.cluster_index)
+    return bool(cluster) and guarantee_authentic(gc, cluster)
 
 
 @dataclass
@@ -186,8 +190,7 @@ def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Opt
         if gc.collection_hash not in ctx.received_collections:
             return False, "condition-5:collection-not-received"
     for gc in pb.guaranteed_collections:
-        cluster = ctx.collector_clusters.get(gc.cluster_index)
-        if not cluster or not guarantee_authentic(gc, cluster):
+        if not guarantee_valid(gc, ctx.collector_clusters):
             return False, "condition-6:collection-authenticity"
     for seal in pb.block_seals:
         if not ctx.seal_valid(seal):

@@ -216,6 +216,7 @@ class ConsensusEngine:
     ):
         self.keypair = keypair
         self.members = schedule.members
+        self.member_keys = {m.staking_public_key for m in self.members}
         self.leader = schedule.leader
         self.base_timeout = base_timeout
         self.timeout = base_timeout
@@ -395,10 +396,10 @@ class ConsensusEngine:
         bucket = self._votes.get(key, {})
         if bucket is None:
             return  # the QC is formed; a late vote would only repeat it
-        if not crypto.staking_verify(
+        if vote.voter not in self.member_keys or not crypto.staking_verify(
             vote.voter, vote_payload(vote.round, vote.payload_digest), vote.signature
         ):
-            return
+            return  # an outsider's vote would make the quorum count raise
         self._votes[key] = bucket
         bucket.setdefault(vote.voter, vote.signature)  # duplicates counted once
         signers = tuple(sorted(bucket))

@@ -17,6 +17,7 @@ from .blocks import (
     evaluate_proposal,
     form_seal,
     block_seed,
+    guarantee_valid,
     propose_proto_block,
     validate_seal,
 )
@@ -49,6 +50,7 @@ from .hotstuff import (
 from .merkle import ExecutionState
 from .sim import Handler, Simulator
 from .state import (
+    Adjudication,
     ChallengeKind,
     NodeIdentity,
     ProtocolState,
@@ -64,12 +66,12 @@ from .state import (
 from .verification import (
     MissingCollectionAttestation,
     adjudicate_fcc,
-    adjudicate_mcc,
     assign_chunks,
     chunk_data_packages,
     fcc_signed,
     make_fcc,
     make_mcc,
+    mcc_texts,
 )
 from .vm import SignedTransaction, ToyTransaction
 
@@ -470,6 +472,8 @@ class CollectorNode(Node):
         if share.collection_hash not in self.store:
             # only guarantors that hold the texts aggregate
             return
+        if self.d.cluster_of.get(share.signer) != self.cluster_index:
+            return  # a share from outside the cluster would make the count raise
         stub = GuaranteedCollection(share.collection_hash, share.cluster_index, (), ())
         if not crypto.staking_verify(share.signer, stub.signed_payload(), share.signature):
             return
@@ -932,11 +936,13 @@ class ConsensusNode(Node):
         # full proof: adjudicate now, before the chain records the challenge
         self._start_adjudication(ch)
 
-    def _record_adjudication(self, adj, upd):
+    def _record_adjudication(self, adj: Adjudication, upd: Optional[StateUpdate] = None):
+        """Log an adjudication made here; only a slash (`upd`) waits for the chain."""
         if adj.challenge_id in self.adjudicated_ids:
             return
         self.adjudicated_ids.add(adj.challenge_id)
-        self.pending_updates[adj.challenge_id] = upd
+        if upd is not None:
+            self.pending_updates[adj.challenge_id] = upd
         self.sim.event(
             self.name,
             "adjudication",
@@ -954,7 +960,7 @@ class ConsensusNode(Node):
         if cid in self.adjudicated_ids:
             return
         if ch.kind == ChallengeKind.PROTOCOL_VIOLATION:
-            adj, upd = adjudicate_challenge(self.d.initial_state, ch, None, timed_out=False)
+            adj, upd = adjudicate_challenge(self.d.initial_state, ch, accused_at_fault=True)
             self._record_adjudication(adj, upd)
         elif ch.kind == ChallengeKind.FAULTY_COMPUTATION:
             msg = self.receipts.get(ch.evidence[0])
@@ -974,32 +980,19 @@ class ConsensusNode(Node):
             )
 
     def _mcc_deadline(self, ch: SlashingChallenge):
-        cid = ch.challenge_id
+        cid, coll_hash = ch.challenge_id, ch.evidence[0]
         if cid in self.adjudicated_ids:
             return
-        responses = {g: list(t) for g, t in self.mcc_responses[ch.evidence[0]].items()}
-        for g in ch.accused:
-            responses.setdefault(g, None)
-        outcome = adjudicate_mcc(self.d.initial_state, ch, responses)
-        if outcome.update is not None:
-            self._record_adjudication(outcome.adjudication, outcome.update)
-        else:
-            self.adjudicated_ids.add(cid)
-            self.sim.event(
-                self.name, "adjudication", {"id": hexify(cid), "outcome": "dismissed", "slashed": []}
-            )
-        if outcome.attestation is not None:
-            self.sim.event(
-                self.name,
-                "attestation",
-                {"collection": hexify(outcome.attestation.collection_hash)},
-            )
-            self.send_all(self.d.executor_names, outcome.attestation)
-        if outcome.recovered is not None:
+        texts = mcc_texts(ch, self.mcc_responses[coll_hash])
+        if texts is not None:
+            self._record_adjudication(Adjudication(cid, "dismissed", ()))
             # forward the recovered texts to executors still waiting on them
-            self.send_all(
-                self.d.executor_names, CollectionResponse(ch.evidence[0], tuple(outcome.recovered))
-            )
+            self.send_all(self.d.executor_names, CollectionResponse(coll_hash, tuple(texts)))
+            return
+        adj, upd = adjudicate_challenge(self.d.initial_state, ch, accused_at_fault=True)
+        self._record_adjudication(adj, upd)
+        self.sim.event(self.name, "attestation", {"collection": hexify(coll_hash)})
+        self.send_all(self.d.executor_names, MissingCollectionAttestation(coll_hash, cid))
 
     # -- beacon ---------------------------------------------------
 
@@ -1023,7 +1016,8 @@ class ConsensusNode(Node):
 
     def _on_guarantee_announce(self, sender: str, msg: GuaranteeAnnounce):
         h = msg.gc.collection_hash
-        if h not in self.known_collections:
+        # a guarantee condition 6 rejects would sit in every later proposal
+        if h not in self.known_collections and guarantee_valid(msg.gc, self.d.clusters):
             self.known_collections[h] = msg.gc
             self.pending_collections.append(h)
 

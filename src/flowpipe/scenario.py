@@ -35,7 +35,6 @@ from .state import (
     ProtocolState,
     Role,
     SlashingChallenge,
-    apply_updates,
 )
 
 
@@ -352,8 +351,7 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
     name_of = {k: i.network_address for k, i in records.items()}
     agent_keys = make_keys("u", 1)
 
-    # a snapshot carrying its commitment, as every later chain state does
-    initial_state = apply_updates(ProtocolState(records=records), [])
+    initial_state = ProtocolState(records=records)
     epoch_seed = crypto.derive_seed(["epoch"], GENESIS_RANDOMNESS + seed_bytes)
 
     # collector clusters from the epoch randomness

@@ -6,7 +6,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import crypto
 from .encoding import canonical_json, hexify
@@ -37,16 +38,18 @@ class NodeIdentity:
             raise ValueError("stake must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolState:
-    records: dict[bytes, NodeIdentity] = field(default_factory=dict)
-    total_slashed: int = 0
-    # set only on the snapshots `apply_updates` returns, which nothing
-    # mutates afterwards; a state built or changed by hand has None
-    commitment: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    """An immutable snapshot: chain contexts and blocks share one by
+    reference, so it carries its commitment from construction on."""
 
-    def copy(self) -> "ProtocolState":
-        return ProtocolState(records=dict(self.records), total_slashed=self.total_slashed)
+    records: Mapping[bytes, NodeIdentity] = field(default_factory=dict)
+    total_slashed: int = 0
+    commitment: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", MappingProxyType(dict(self.records)))
+        object.__setattr__(self, "commitment", commit_state(self))
 
 
 def effective_votes(voters: Iterable[bytes], group: Sequence[NodeIdentity]) -> Fraction:
@@ -140,26 +143,23 @@ def _slash_entry(entry: dict) -> tuple[bytes, int]:
 
 
 def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> ProtocolState:
-    """Apply the slashes in `updates` to a copy of `state`; any other op, or
-    a malformed slash, rejects the whole batch. A slash cuts the node's
-    stake, clamped at zero.
-
-    The returned state is a snapshot carrying its commitment and must not be
-    mutated. Updates with no entries change nothing, so a snapshot comes back
-    as itself."""
-    if state.commitment is not None and not any(upd.entries for upd in updates):
+    """The state after the slashes in `updates`; any other op, or a
+    malformed slash, rejects the whole batch. A slash cuts the node's stake,
+    clamped at zero. Updates with no entries change nothing, so `state`
+    comes back as itself."""
+    if not any(upd.entries for upd in updates):
         return state
-    new = state.copy()
+    records = dict(state.records)
+    total_slashed = state.total_slashed
     for upd in updates:
         for entry in upd.entries:
             key, amount = _slash_entry(entry)
-            rec = new.records.get(key)
+            rec = records.get(key)
             if rec is not None:
                 cut = min(rec.stake, amount)
-                new.records[key] = replace(rec, stake=rec.stake - cut)
-                new.total_slashed += cut
-    new.commitment = commit_state(new)
-    return new
+                records[key] = replace(rec, stake=rec.stake - cut)
+                total_slashed += cut
+    return ProtocolState(records=records, total_slashed=total_slashed)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ class SlashingChallenge:
     accused: tuple[bytes, ...]
     evidence: tuple[bytes, ...]  # digest references into the event log
     deadline: int  # simulated time / block height, depending on context
-    full_proof: bool = False
+    full_proof: bool = False  # read by no rule, but covered by the challenge id
     challenge_id: bytes = b""
 
     def to_dict(self) -> dict:
@@ -219,30 +219,20 @@ def _slash_amount(state: ProtocolState, key: bytes) -> int:
 
 
 def adjudicate_challenge(
-    state: ProtocolState,
-    challenge: SlashingChallenge,
-    response_exonerates: Optional[bool],
-    timed_out: bool,
+    state: ProtocolState, challenge: SlashingChallenge, accused_at_fault: bool
 ) -> tuple[Adjudication, StateUpdate]:
-    """Resolve a recorded slashing challenge.
-
-    Full-proof challenges are adjudicated immediately against the accused.
-    Otherwise a silent accused past its deadline is slashed; a response is
-    evaluated and whichever side is at fault loses stake.
-    """
-    if challenge.full_proof or timed_out or response_exonerates is False:
+    """Settle a slashing challenge against whichever side is at fault: the
+    accused, or else the challenger. Slash amounts are priced from `state`."""
+    if accused_at_fault:
         slashed = challenge.accused
         outcome = "accused_slashed"
-    elif response_exonerates:
+    else:
         slashed = (challenge.challenger,)
         outcome = "challenger_slashed"
-    else:
-        raise ValueError("challenge has neither proof, timeout, nor response verdict")
-    cid = challenge.challenge_id or challenge_id(challenge)
     entries = tuple(
         {"op": "slash", "key": hexify(k), "amount": _slash_amount(state, k)}
         for k in slashed
     )
-    adj = Adjudication(challenge_id=cid, outcome=outcome, slashed=tuple(slashed))
+    adj = Adjudication(challenge.challenge_id, outcome, tuple(slashed))
     upd = StateUpdate(entries=entries, cause="adjudication", adjudication=adj)
     return adj, upd

@@ -235,7 +235,7 @@ def adjudicate_fcc(
     result = receipt.execution_result
     k = fcc_chunk(challenge, result)
     clean = k is None or packages[k].verdict(result, k, receipt.spocks[k]).ok
-    return adjudicate_challenge(state, challenge, response_exonerates=clean, timed_out=False)
+    return adjudicate_challenge(state, challenge, accused_at_fault=not clean)
 
 
 @dataclass(frozen=True)
@@ -247,34 +247,15 @@ class MissingCollectionAttestation:
     adjudication_id: bytes
 
 
-@dataclass
-class MccOutcome:
-    adjudication: Adjudication
-    update: Optional[StateUpdate] = None
-    attestation: Optional[MissingCollectionAttestation] = None
-    recovered: Optional[list[SignedTransaction]] = None
-
-
-def adjudicate_mcc(
-    state: ProtocolState,
-    challenge: SlashingChallenge,
-    responses: dict[bytes, Optional[list[SignedTransaction]]],
-) -> MccOutcome:
-    """Any guarantor response reconstructing the collection hash closes the
-    challenge without a slash; total silence slashes every guarantor and
-    issues the skip attestation. A response failing reconstruction counts
-    as silence for that guarantor."""
-    coll_hash = challenge.evidence[0]
-    cid = challenge.challenge_id or challenge_id(challenge)
+def mcc_texts(
+    challenge: SlashingChallenge, responses: Mapping[bytes, Sequence[SignedTransaction]]
+) -> Optional[Sequence[SignedTransaction]]:
+    """The texts of the first guarantor, in key order, whose response
+    rebuilds the challenged collection's hash, or None when none does. Any
+    such response dismisses the challenge; otherwise every guarantor is at
+    fault."""
     for guarantor in sorted(responses):
         texts = responses[guarantor]
-        if texts is None:
-            continue
-        if compute_collection_hash([t.tx_hash() for t in texts]) == coll_hash:
-            adj = Adjudication(challenge_id=cid, outcome="dismissed", slashed=())
-            return MccOutcome(adjudication=adj, recovered=list(texts))
-    adj, upd = adjudicate_challenge(state, challenge, response_exonerates=None, timed_out=True)
-    attestation = MissingCollectionAttestation(
-        collection_hash=coll_hash, adjudication_id=adj.challenge_id
-    )
-    return MccOutcome(adjudication=adj, update=upd, attestation=attestation)
+        if compute_collection_hash([t.tx_hash() for t in texts]) == challenge.evidence[0]:
+            return texts
+    return None

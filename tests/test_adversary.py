@@ -21,7 +21,12 @@ consensus, on arrival and in a block, takes a challenge only against a
 signer and upholds it whichever signer's package it keeps), with challenges
 that lack their evidence (they are rejected), and with receipts whose own
 package or SPoCK fails (they are dropped, and the result is judged on the
-next receipt)."""
+next receipt).
+
+Two more check intake: a forged guarantee announced to every consensus node
+is dropped instead of sitting in every later proposal, and a guarantee share
+signed from outside the cluster is dropped instead of raising out of the
+quorum count."""
 
 import dataclasses
 import hashlib
@@ -32,6 +37,7 @@ import pytest
 
 from flowpipe import crypto, nodes
 from flowpipe.blocks import propose_proto_block
+from flowpipe.collection import GuaranteedCollection
 from flowpipe.hotstuff import GENESIS_DIGEST
 from flowpipe.nodes import (
     ApprovalMsg,
@@ -40,6 +46,8 @@ from flowpipe.nodes import (
     CollectionRequest,
     CollectionResponse,
     Finalized,
+    GuaranteeAnnounce,
+    GuaranteeShare,
     ReceiptMsg,
 )
 from flowpipe.scenario import (
@@ -658,3 +666,49 @@ def test_bundled_verifiers_skip_descendants_of_their_challenges():
         rh = bytes.fromhex(r["payload"]["result"])
         assert previous[rh].hex() not in challenged.get(r["node"], ()), r
     assert judged and challenged
+
+
+def test_forged_guarantee_dropped_on_arrival():
+    """Collector c0 announces a guarantee of a made-up collection of cluster
+    0, signed by c0 alone with a junk signature, to every consensus node at
+    tick 1,000. Kept, it would be listed in every later proposal and
+    rejected at condition 6 each time: n0 would finalize 16 blocks by tick
+    6,000 (98 without the forgery)."""
+    doc = merge_defaults({"run": {"seed": 1, "max_sim_time": 6000}})
+    world = build_world(doc)
+    c0 = world.collectors[0]
+    forged = GuaranteedCollection(
+        crypto.hash("collection", b"made up"), 0, (c0.keypair.public,), (b"\x00" * 32,)
+    )
+
+    def announce():
+        for node in world.consensus:
+            world.sim.send(c0.name, node.name, GuaranteeAnnounce(forged))
+
+    world.sim.schedule(1000, announce)
+    run_world(world)
+    assert all(forged.collection_hash not in n.known_collections for n in world.consensus)
+    reasons = [r["payload"]["reason"] for r in world.sim.log.select("proposal_rejected")]
+    assert "condition-6:collection-authenticity" not in reasons
+    assert world.metrics.blocks_finalized >= 90
+
+
+def test_share_from_outside_the_cluster_dropped():
+    """A guarantee share that consensus node n1 signs for a collection a
+    guarantor holds and has not announced is dropped before its signature is
+    checked; counted, it would make the cluster's quorum count raise. A
+    member's share still counts."""
+    world = build_world(merge_defaults({}))
+    guarantor, n1 = world.collectors[0], world.consensus[1]
+    h = crypto.hash("collection", b"held")
+    guarantor.store[h] = []
+    payload = GuaranteedCollection(h, guarantor.cluster_index, (), ()).signed_payload()
+    outsider = GuaranteeShare(h, guarantor.cluster_index, n1.keypair.public, n1.keypair.sign(payload))
+    assert crypto.staking_verify(outsider.signer, payload, outsider.signature)
+    guarantor.handle(n1.name, outsider)
+    assert h not in guarantor.shares
+    mine = GuaranteeShare(
+        h, guarantor.cluster_index, guarantor.keypair.public, guarantor.keypair.sign(payload)
+    )
+    guarantor.handle(guarantor.name, mine)
+    assert set(guarantor.shares[h]) == {guarantor.keypair.public}

@@ -499,6 +499,33 @@ class TestVotingRules:
         assert self.eng._votes[(r, other)] == {late.public: late.sign(vote_payload(r, other))}
 
 
+    def test_outsider_vote_dropped(self, monkeypatch):
+        """A vote signed by a registered key outside the group is dropped
+        before its signature is checked: counted, it would make the quorum
+        count raise, and a QC listing it fails `qc_valid` at every
+        receiver. The members' votes still form the QC."""
+        r = next(r for r in range(1, 100) if self.eng.is_leader(r + 1))
+        digest = crypto.hash("payload", b"outsider")
+        msg = vote_payload(r, digest)
+        outsider = crypto.StakingKeyPair.from_seed(b"\x55" * 32)
+        assert crypto.staking_verify(outsider.public, msg, outsider.sign(msg))
+        checked = []
+        real = crypto.staking_verify
+
+        def counting(public, message, signature):
+            checked.append(public)
+            return real(public, message, signature)
+
+        monkeypatch.setattr(crypto, "staking_verify", counting)
+        self.eng.on_vote(Vote(r, digest, outsider.public, outsider.sign(msg)))
+        assert not checked and not self.eng._votes.get((r, digest))
+        for kp in sorted(self.kps, key=lambda kp: kp.public)[:3]:
+            self.eng.on_vote(Vote(r, digest, kp.public, kp.sign(msg)))
+        formed = self.eng.high_qc
+        assert (formed.round, formed.payload_digest) == (r, digest)
+        assert outsider.public not in formed.signers and qc_valid(formed, self.members)
+
+
 class TestSharedVerdicts:
     """Certificate and proposal checks are kept on the broadcast object, so
     every receiver reads one verdict. A `dataclasses.replace` twin is a new

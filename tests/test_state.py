@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -37,11 +38,8 @@ def slash(key: bytes, amount: int) -> StateUpdate:
 
 
 def make_state(stakes=(10,) * 10, role=Role.CONSENSUS) -> ProtocolState:
-    st = ProtocolState()
-    for i, s in enumerate(stakes):
-        rec = node(i + 1, role=role, stake=s)
-        st.records[rec.staking_public_key] = rec
-    return st
+    recs = [node(i + 1, role=role, stake=s) for i, s in enumerate(stakes)]
+    return ProtocolState(records={r.staking_public_key: r for r in recs})
 
 
 class TestEffectiveVotes:
@@ -88,13 +86,9 @@ class TestSupermajority:
 
 class TestCommitment:
     def test_insertion_order_irrelevant(self):
-        a = ProtocolState()
-        b = ProtocolState()
         r1, r2 = node(1), node(2)
-        a.records[r1.staking_public_key] = r1
-        a.records[r2.staking_public_key] = r2
-        b.records[r2.staking_public_key] = r2
-        b.records[r1.staking_public_key] = r1
+        a = ProtocolState(records={r1.staking_public_key: r1, r2.staking_public_key: r2})
+        b = ProtocolState(records={r2.staking_public_key: r2, r1.staking_public_key: r1})
         assert commit_state(a) == commit_state(b)
 
     def test_stake_change_changes_commitment(self):
@@ -175,7 +169,7 @@ class TestApplyUpdates:
         with pytest.raises(UpdateRejected, match="unknown update op 'mint'"):
             apply_updates(st, [slash(node(1).staking_public_key, 10), bad])
         assert st.records == records and st.total_slashed == 0
-        assert st.commitment is None and commit_state(st) == before
+        assert st.commitment == commit_state(st) == before
 
     @pytest.mark.parametrize(
         "entry",
@@ -218,39 +212,66 @@ class TestApplyUpdates:
 
 
 class TestStoredCommitment:
-    """`apply_updates` stores the commitment of each snapshot it returns and
-    hands an unchanged snapshot back; every value equals a fresh commit."""
+    """A state carries its commitment from construction on, and
+    `apply_updates` hands an unchanged state back; every value equals a
+    fresh commit."""
 
     @pytest.mark.parametrize("updates", [[], [StateUpdate(entries=(), cause="epoch")]])
     def test_no_entries_equal_fresh_commit(self, updates):
         st = make_state((10, 20, 30))
         snap = apply_updates(st, updates)
-        assert snap.commitment == commit_state(st.copy())
+        assert snap is st
+        assert snap.commitment == commit_state(st)
         again = apply_updates(snap, updates)
         assert again is snap
-        assert again.commitment == commit_state(snap.copy())
+        assert again.commitment == commit_state(snap)
 
     def test_snapshot_stores_fresh_commitment(self):
         st = make_state((50, 50))
         snap = apply_updates(st, [slash(node(1).staking_public_key, 7)])
-        assert snap.commitment == commit_state(snap.copy())
+        assert snap.commitment == commit_state(snap)
         assert snap.commitment != commit_state(st)
 
-    def test_hand_mutated_state_commits_fresh(self):
-        st = make_state((10, 20))
-        before = apply_updates(st, []).commitment
-        rec = node(9, stake=5)
-        st.records[rec.staking_public_key] = rec
-        after = apply_updates(st, [])
-        assert st.commitment is None
-        assert after is not st
-        assert after.commitment == commit_state(st) != before
+    def test_every_state_carries_its_commitment(self):
+        rng = random.Random(21)
+        for _ in range(20):
+            st = make_state(tuple(rng.randrange(0, 100) for _ in range(rng.randrange(6))))
+            assert st.commitment == commit_state(st)
+            keys = sorted(st.records) or [node(1).staking_public_key]
+            for _ in range(5):
+                st = apply_updates(st, [slash(rng.choice(keys), rng.randrange(0, 60))])
+                assert st.commitment == commit_state(st)
+        assert ProtocolState().commitment == commit_state(ProtocolState())
 
-    def test_copy_drops_stored_commitment(self):
-        snap = apply_updates(make_state(), [])
-        assert snap.commitment is not None
-        assert snap.copy().commitment is None
-        assert snap.copy() == snap
+
+class TestFrozenState:
+    """Chain contexts and blocks share one state by reference, so no holder
+    can change it under another."""
+
+    def test_fields_cannot_be_assigned(self):
+        st = make_state((10, 20))
+        for name, value in (("records", {}), ("total_slashed", 5), ("commitment", b"")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(st, name, value)
+
+    def test_records_are_read_only(self):
+        st = make_state((10, 20))
+        rec = node(9, stake=5)
+        with pytest.raises(TypeError):
+            st.records[rec.staking_public_key] = rec
+        with pytest.raises(TypeError):
+            del st.records[node(1).staking_public_key]
+        assert len(st.records) == 2
+
+    def test_builder_dict_is_not_shared(self):
+        rec = node(1)
+        records = {rec.staking_public_key: rec}
+        st = ProtocolState(records=records)
+        before = st.commitment
+        other = node(2)
+        records[other.staking_public_key] = other
+        assert list(st.records) == [rec.staking_public_key]
+        assert st.commitment == commit_state(st) == before
 
 
 class TestAdjudication:
@@ -266,21 +287,24 @@ class TestAdjudication:
 
     def test_silent_accused_slashed(self):
         st = make_state((50, 50))
-        adj, upd = adjudicate_challenge(st, self.make_challenge(), None, timed_out=True)
+        adj, upd = adjudicate_challenge(st, self.make_challenge(), accused_at_fault=True)
         assert adj.outcome == "accused_slashed"
         res = apply_updates(st, [upd])
         assert res.records[node(1).staking_public_key].stake == 0
 
     def test_exonerating_response_slashes_challenger(self):
         st = make_state((50, 50))
-        adj, upd = adjudicate_challenge(st, self.make_challenge(), True, timed_out=False)
+        adj, upd = adjudicate_challenge(st, self.make_challenge(), accused_at_fault=False)
         assert adj.outcome == "challenger_slashed"
         res = apply_updates(st, [upd])
         assert res.records[node(2).staking_public_key].stake == 0
 
     def test_full_proof_immediate(self):
+        # a full proof needs no response: the caller finds the accused at
+        # fault on receipt, and the flag itself changes no outcome
         st = make_state((50, 50))
-        adj, upd = adjudicate_challenge(
-            st, self.make_challenge(full_proof=True), None, timed_out=False
-        )
-        assert adj.outcome == "accused_slashed"
+        for at_fault, outcome in ((True, "accused_slashed"), (False, "challenger_slashed")):
+            adj, upd = adjudicate_challenge(
+                st, self.make_challenge(full_proof=True), accused_at_fault=at_fault
+            )
+            assert adj.outcome == outcome

@@ -12,17 +12,17 @@ from flowpipe.execution import (
     block_execution,
 )
 from flowpipe.merkle import ExecutionState, value_proof_vrfy
-from flowpipe.state import ChallengeKind, NodeIdentity, ProtocolState, Role
+from flowpipe.state import ChallengeKind, NodeIdentity, ProtocolState, Role, adjudicate_challenge
 from flowpipe.verification import (
     ChunkDataPackage,
     adjudicate_fcc,
-    adjudicate_mcc,
     assign_chunks,
     chunk_data_packages,
     fcc_chunk,
     fcc_signed,
     make_fcc,
     make_mcc,
+    mcc_texts,
     verify_chunk,
 )
 from flowpipe.vm import (
@@ -375,29 +375,27 @@ class TestAdjudicateMcc:
         self.mcc = make_mcc(self.keys[2], self.guarantors, self.coll_hash, deadline=10)
 
     def test_total_silence_slashes_all_and_attests(self):
-        outcome = adjudicate_mcc(self.state, self.mcc, {g: None for g in self.guarantors})
-        assert outcome.adjudication.outcome == "accused_slashed"
-        assert set(outcome.adjudication.slashed) == set(self.guarantors)
-        assert outcome.attestation is not None
-        assert outcome.attestation.collection_hash == self.coll_hash
-        assert outcome.update is not None
+        """No response rebuilds the collection, so every guarantor is at
+        fault; the skip attestation cites this adjudication's id."""
+        assert mcc_texts(self.mcc, {}) is None
+        adj, upd = adjudicate_challenge(self.state, self.mcc, accused_at_fault=True)
+        assert adj.outcome == "accused_slashed"
+        assert adj.challenge_id == self.mcc.challenge_id
+        assert set(adj.slashed) == set(self.guarantors)
+        assert [e["amount"] for e in upd.entries] == [100, 100]
 
     def test_one_valid_response_dismisses(self):
-        responses = {self.guarantors[0]: None, self.guarantors[1]: list(self.txs)}
-        outcome = adjudicate_mcc(self.state, self.mcc, responses)
-        assert outcome.adjudication.outcome == "dismissed"
-        assert outcome.adjudication.slashed == ()
-        assert outcome.attestation is None
-        assert [t.tx_hash() for t in outcome.recovered] == [t.tx_hash() for t in self.txs]
+        texts = mcc_texts(self.mcc, {self.guarantors[1]: tuple(self.txs)})
+        assert [t.tx_hash() for t in texts] == [t.tx_hash() for t in self.txs]
+
+    def test_first_rebuilding_guarantor_in_key_order(self):
+        first, second = sorted(self.guarantors)
+        responses = {second: tuple(self.txs), first: tuple(self.txs)}
+        assert mcc_texts(self.mcc, responses) is responses[first]
 
     def test_corrupt_response_counts_as_silence(self):
-        responses = {
-            self.guarantors[0]: self.txs[:-1],  # wrong contents
-            self.guarantors[1]: None,
-        }
-        outcome = adjudicate_mcc(self.state, self.mcc, responses)
-        assert outcome.adjudication.outcome == "accused_slashed"
-        assert outcome.attestation is not None
+        responses = {self.guarantors[0]: self.txs[:-1]}  # wrong contents
+        assert mcc_texts(self.mcc, responses) is None
 
     def test_challenge_kinds(self):
         assert self.mcc.kind == ChallengeKind.MISSING_COLLECTION
