@@ -4,6 +4,11 @@ Chained variant: one generic phase per round; a payload is finalized once
 three certified descendants with consecutive rounds sit above it. The same
 engine drives both collector-cluster consensus and main-chain block
 formation via pluggable payload hooks.
+
+Nothing below a finalized block's round can be voted on, certified or
+finalized again, so each finalization drops the engine's per-round books
+below that round; of those rounds only the finalized chain stays in the
+tree.
 """
 
 from __future__ import annotations
@@ -121,6 +126,20 @@ class Proposal:
         once per broadcast proposal, which every receiver shares."""
         return crypto.staking_verify(self.proposer, self.signed_bytes(), self.signature)
 
+    def binds_payload(self, digest_payload: DigestFn) -> bool:
+        """The payload hashes to the signed digest under `digest_payload`;
+        checked once per broadcast proposal for each digest function, so the
+        function must be one object for the whole group."""
+        return once_for(self, digest_payload, _binds, self, digest_payload)
+
+
+def _binds(proposal: Proposal, digest_payload: DigestFn) -> bool:
+    """A payload the digest function cannot hash binds no digest."""
+    try:
+        return digest_payload(proposal.payload) == proposal.payload_digest
+    except (AttributeError, TypeError, ValueError):
+        return False
+
 
 @dataclass(frozen=True)
 class Vote:
@@ -155,10 +174,28 @@ class BlockNode:
     payload: Any
 
 
+def _drop_front(book: dict, stale: Callable[[Any, Any], bool]) -> list:
+    """Delete entries from the front of the insertion-ordered `book` while
+    `stale(key, value)` holds, and return their keys. Each book fills in
+    close to round order, so a finalization stops at its first live entry
+    instead of scanning the book; an entry behind a live one waits for a
+    later finalization."""
+    dropped = []
+    for key, value in book.items():
+        if not stale(key, value):
+            break
+        dropped.append(key)
+    for key in dropped:
+        del book[key]
+    return dropped
+
+
 @dataclass
 class BlockTree:
     nodes: dict[bytes, BlockNode] = field(default_factory=dict)
     certified: dict[bytes, QuorumCertificate] = field(default_factory=dict)
+    # digest -> round of each added node not yet below a pruning floor
+    recent: dict[bytes, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if GENESIS_DIGEST not in self.nodes:
@@ -173,6 +210,16 @@ class BlockTree:
         self.nodes[digest] = BlockNode(
             digest=digest, round=round_number, parent=parent, payload=payload
         )
+        self.recent[digest] = round_number
+
+    def prune(self, floor: int, finalized: set[bytes]) -> None:
+        """Drop the certificates of rounds below `floor`, and the nodes of
+        those rounds that are not `finalized`; genesis and the finalized
+        chain stay."""
+        _drop_front(self.certified, lambda digest, qc: qc.round < floor)
+        for digest in _drop_front(self.recent, lambda digest, r: r < floor):
+            if digest not in finalized:
+                del self.nodes[digest]
 
     def certify(self, qc: QuorumCertificate) -> bool:
         """Record the QC; True when this newly certifies a known block."""
@@ -235,12 +282,15 @@ class ConsensusEngine:
         self.locked_round = 0
         self.high_qc = GENESIS_QC
         self.finalized_set: set[bytes] = set()
+        # the round of the newest finalized block: the books below it are
+        # dropped, and a message for a round below it is ignored
+        self.floor = 0
         # (round, digest) -> voter -> signature; None once the QC is formed
         self._votes: dict[tuple[int, bytes], Optional[dict[bytes, bytes]]] = {}
         self._pending_qcs: dict[bytes, QuorumCertificate] = {}
         self._orphans: dict[bytes, list[Proposal]] = {}
         self._proposal_seen: dict[tuple[bytes, int], Proposal] = {}
-        self._proposed_rounds: set[int] = set()
+        self._proposed_round = 0  # the last round proposed in; rounds only grow
         self._evidence_emitted: set[tuple[bytes, int]] = set()
 
     # -- helpers ----------------------------------------------------------
@@ -268,6 +318,8 @@ class ConsensusEngine:
             self.timeout = self.base_timeout
 
     def _certify(self, qc: QuorumCertificate) -> None:
+        if qc.round < self.floor:
+            return  # it could only finalize what is finalized already
         if qc.payload_digest not in self.tree.nodes:
             self._pending_qcs.setdefault(qc.payload_digest, qc)
             return
@@ -297,6 +349,21 @@ class ConsensusEngine:
         for digest in reversed(chain):
             self.finalized_set.add(digest)
             self.on_finalize(self.tree.nodes[digest])
+        if chain:
+            self._prune(self.tree.nodes[chain[0]].round)
+
+    def _prune(self, floor: int) -> None:
+        """Drop the books of the rounds below `floor`, the round of the block
+        just finalized. The lock and the high QC are above it already (the
+        3-chain that finalized the block was certified and locked here), so
+        a vote, certificate or proposal of such a round could change
+        nothing but the books; the guards on `floor` keep them out."""
+        self.floor = floor
+        _drop_front(self._votes, lambda key, bucket: key[0] < floor)
+        _drop_front(self._proposal_seen, lambda key, proposal: key[1] < floor)
+        _drop_front(self._pending_qcs, lambda digest, qc: qc.round < floor)
+        _drop_front(self._orphans, lambda digest, parked: parked[0].justify.round < floor)
+        self.tree.prune(floor, self.finalized_set)
 
     def _enter_round(self, round_number: int) -> None:
         if round_number <= self.current_round:
@@ -308,10 +375,10 @@ class ConsensusEngine:
 
     def _propose(self) -> None:
         r = self.current_round
-        if r in self._proposed_rounds:  # one proposal per round — never equivocate
+        if r <= self._proposed_round:  # one proposal per round — never equivocate
             return
         proposal = self._proposal(self.make_payload(self.high_qc.payload_digest))
-        self._proposed_rounds.add(r)
+        self._proposed_round = r
         self.broadcast(proposal)
         self.on_proposal(proposal)  # leaders process their own proposal
 
@@ -323,9 +390,9 @@ class ConsensusEngine:
             self._propose()
 
     def on_proposal(self, proposal: Proposal) -> None:
-        if proposal.proposer != self.leader(proposal.round):
+        if proposal.round < self.floor or proposal.proposer != self.leader(proposal.round):
             return
-        if not proposal.signed_by_proposer():
+        if not proposal.signed_by_proposer() or not proposal.binds_payload(self.digest_payload):
             return
         key = (proposal.proposer, proposal.round)
         prior = self._proposal_seen.get(key)
@@ -347,8 +414,10 @@ class ConsensusEngine:
         if not justify.valid_for(self.members):
             return
         if justify.payload_digest not in self.tree.nodes:
-            # out-of-order arrival: park until the parent shows up
-            self._orphans.setdefault(justify.payload_digest, []).append(proposal)
+            # out-of-order arrival: park until the parent shows up; a parent
+            # below the floor never shows up again
+            if justify.round >= self.floor:
+                self._orphans.setdefault(justify.payload_digest, []).append(proposal)
             return
         self._certify(justify)
         self._update_high_qc(justify)
@@ -390,7 +459,7 @@ class ConsensusEngine:
             self.send(next_leader, vote)
 
     def on_vote(self, vote: Vote) -> None:
-        if not self.is_leader(vote.round + 1):
+        if vote.round < self.floor or not self.is_leader(vote.round + 1):
             return
         key = (vote.round, vote.payload_digest)
         bucket = self._votes.get(key, {})

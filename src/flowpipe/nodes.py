@@ -136,9 +136,9 @@ class EquivocatingEngine(ConsensusEngine):
 
     def _propose(self):
         r = self.current_round
-        if r in self._proposed_rounds:
+        if r <= self._proposed_round:
             return
-        self._proposed_rounds.add(r)
+        self._proposed_round = r
         base = self.make_payload(self.high_qc.payload_digest)
         twin = dataclasses.replace(base, slashing_challenges=base.slashing_challenges + (_Junk(),))
         for payload in (base, twin):
@@ -339,6 +339,12 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
+def _cluster_payload_digest(payload) -> bytes:
+    """Digest of a cluster consensus payload; one function for every
+    collector, so a proposal's digest check is shared by its receivers."""
+    return crypto.hash("cluster-payload", canonical_json(payload))
+
+
 class CollectorNode(Node):
     def __init__(self, sim, name, keypair, directory, behavior=None):
         super().__init__(sim, name, keypair, directory, behavior)
@@ -363,7 +369,7 @@ class CollectorNode(Node):
             ConsensusEngine,
             self.peers,
             schedule=directory.cluster_schedules[self.cluster_index],
-            digest_payload=lambda p: crypto.hash("cluster-payload", canonical_json(p)),
+            digest_payload=_cluster_payload_digest,
             validate_payload=self._validate_payload,
             make_payload=self._make_payload,
             on_finalize=self._on_cluster_finalize,
@@ -472,6 +478,8 @@ class CollectorNode(Node):
         if share.collection_hash not in self.store:
             # only guarantors that hold the texts aggregate
             return
+        if share.cluster_index != self.cluster_index:
+            return  # its signature covers another cluster's guarantee
         if self.d.cluster_of.get(share.signer) != self.cluster_index:
             return  # a share from outside the cluster would make the count raise
         stub = GuaranteedCollection(share.collection_hash, share.cluster_index, (), ())
@@ -863,6 +871,8 @@ class ConsensusNode(Node):
                 "sealed",
                 {"result": hexify(seal.execution_result_hash), "block": hexify(seal.sealed_block_hash)},
             )
+            # no chain through the finalized tip forms this seal again
+            self.approvals.pop(seal.execution_result_hash, None)
         # the block joins the finalized prefix; the engine's finalized set,
         # the prefix's "block" facts, already holds its digest
         final = self.final
@@ -1009,6 +1019,7 @@ class ConsensusNode(Node):
             self.d.params, self.d.drb_vv, list(bucket.values()), msg.pb_hash
         )
         self.randomness[msg.pb_hash] = sigma.value
+        del self.drb_shares[msg.pb_hash]  # later shares stop at `randomness`
         self.sim.event(self.name, "randomness", {"block": hexify(msg.pb_hash)})
         self.send_all(self.d.verifier_names, BlockRandomness(msg.pb_hash, sigma.value))
 
@@ -1023,7 +1034,7 @@ class ConsensusNode(Node):
 
     def _on_approval(self, sender: str, msg: ApprovalMsg):
         a = msg.approval
-        if a.valid():
+        if a.result_hash not in self.final["sealed"] and a.valid():
             self.approvals.setdefault(a.result_hash, {}).setdefault(a.verifier, a)
 
     def _on_collection_response(self, sender: str, msg: CollectionResponse):
@@ -1119,6 +1130,7 @@ class ExecutionNode(Node):
             if missing:
                 return
             self._execute(pb)
+            del self.blocks[self.next_height]
             self.next_height += 1
 
     def _retrieve(self, gc: GuaranteedCollection):

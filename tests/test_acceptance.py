@@ -238,9 +238,9 @@ class EquivocatingEngine(ConsensusEngine):
 
     def _propose(self):
         r = self.current_round
-        if r in self._proposed_rounds:
+        if r <= self._proposed_round:
             return
-        self._proposed_rounds.add(r)
+        self._proposed_round = r
         for variant in ("a", "b"):
             self.broadcast(self._proposal({"equivocator": variant, "round": r}))
 

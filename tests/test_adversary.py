@@ -23,10 +23,13 @@ that lack their evidence (they are rejected), and with receipts whose own
 package or SPoCK fails (they are dropped, and the result is judged on the
 next receipt).
 
-Two more check intake: a forged guarantee announced to every consensus node
-is dropped instead of sitting in every later proposal, and a guarantee share
-signed from outside the cluster is dropped instead of raising out of the
-quorum count."""
+Four more check intake: a forged guarantee announced to every consensus
+node is dropped instead of sitting in every later proposal, a guarantee
+share signed from outside the cluster is dropped instead of raising out of
+the quorum count, a share signed for another cluster's index is dropped
+instead of spoiling the guarantor's announcement, and a proposal copy whose
+payload does not hash to its signed digest is ignored instead of splitting
+finality."""
 
 import dataclasses
 import hashlib
@@ -36,9 +39,9 @@ from importlib import resources
 import pytest
 
 from flowpipe import crypto, nodes
-from flowpipe.blocks import propose_proto_block
+from flowpipe.blocks import guarantee_valid, propose_proto_block
 from flowpipe.collection import GuaranteedCollection
-from flowpipe.hotstuff import GENESIS_DIGEST
+from flowpipe.hotstuff import GENESIS_DIGEST, Proposal
 from flowpipe.nodes import (
     ApprovalMsg,
     BlockRandomness,
@@ -712,3 +715,74 @@ def test_share_from_outside_the_cluster_dropped():
     )
     guarantor.handle(guarantor.name, mine)
     assert set(guarantor.shares[h]) == {guarantor.keypair.public}
+
+
+def happy_path(max_sim_time: int) -> dict:
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
+    doc["run"].update(seed=1, max_sim_time=max_sim_time)
+    return doc
+
+
+def test_proposal_payload_bound_to_its_digest():
+    """Consensus n3 also sends n0 alone a copy of its first proposal of a
+    block at height 5 or more that lists collections; the copy's payload
+    drops the collections but keeps the signed digest and signature. Taken
+    on its signature, the copy put a payload under a digest it does not
+    hash to, and n0 finalized at height 48 a block no other node finalized."""
+    world = build_world(happy_path(6000))
+    n0, n3 = world.consensus[0], world.consensus[3]
+    real_send = world.sim.send
+    tampered = []
+
+    def send(sender, receiver, message):
+        if (
+            not tampered
+            and sender == n3.name
+            and receiver == n0.name
+            and isinstance(message, Proposal)
+            and message.payload.height >= 5
+            and message.payload.guaranteed_collections
+        ):
+            copy = dataclasses.replace(
+                message, payload=dataclasses.replace(message.payload, guaranteed_collections=())
+            )
+            tampered.append(copy)
+            real_send(sender, receiver, copy)
+        real_send(sender, receiver, message)
+
+    world.sim.send = send
+    run_world(world)
+    assert tampered
+    safety = next(p for p in evaluate_properties(world)["properties"] if p["name"] == "safety")
+    assert safety["passed"], safety["detail"]
+    assert n0.finalized_heights.items() <= world.consensus[1].finalized_heights.items()
+    assert len(n0.finalized_heights) >= 90
+
+
+def test_share_for_another_cluster_dropped():
+    """On the default scenario, one cluster-0 collector signs each share it
+    sends for cluster index 1 instead of 0. Aggregated into the guarantor's
+    own cluster-0 guarantee, such a share made 15 of the 35 announcements
+    honest guarantors sent n0 fail `guarantee_valid` at consensus intake;
+    dropped, it leaves none."""
+    world = build_world(merge_defaults({"run": {"seed": 1, "max_sim_time": 6000}}))
+    liar = next(c for c in world.collectors if c.cluster_index == 0)
+    n0 = world.consensus[0]
+    real_send = world.sim.send
+    announced = []
+
+    def send(sender, receiver, message):
+        if sender == liar.name and isinstance(message, GuaranteeShare):
+            stub = GuaranteedCollection(message.collection_hash, 1, (), ())
+            message = GuaranteeShare(
+                message.collection_hash, 1, message.signer, liar.keypair.sign(stub.signed_payload())
+            )
+        if isinstance(message, GuaranteeAnnounce) and sender != liar.name and receiver == n0.name:
+            announced.append(message.gc)
+        real_send(sender, receiver, message)
+
+    world.sim.send = send
+    run_world(world)
+    assert len(announced) >= 30
+    clusters = world.directory.clusters
+    assert all(guarantee_valid(gc, clusters) for gc in announced)

@@ -368,9 +368,9 @@ class EquivocatingEngine(ConsensusEngine):
 
     def _propose(self):
         r = self.current_round
-        if r in self._proposed_rounds:
+        if r <= self._proposed_round:
             return
-        self._proposed_rounds.add(r)
+        self._proposed_round = r
         for variant in ("a", "b"):
             self.broadcast(self._proposal({"equivocator": variant, "round": r}))
 
@@ -498,6 +498,50 @@ class TestVotingRules:
         self.eng.on_vote(Vote(r, other, late.public, late.sign(vote_payload(r, other))))
         assert self.eng._votes[(r, other)] == {late.public: late.sign(vote_payload(r, other))}
 
+
+    def test_payload_not_hashing_to_its_digest_ignored(self):
+        """The signature covers the digest, not the payload: a copy whose
+        payload differs (or cannot be hashed) but keeps the digest and
+        signature is ignored, and the genuine proposal still counts."""
+        genuine = self.proposal(1, GENESIS_QC)
+        for payload in ({"round": 1, "tag": "swapped"}, {"round": object()}):
+            self.eng.on_proposal(dataclasses.replace(genuine, payload=payload))
+            assert genuine.payload_digest not in self.eng.tree.nodes
+            assert self.eng.last_voted_round == 0 and not self.votes()
+        self.eng.on_proposal(genuine)
+        assert self.eng.tree.nodes[genuine.payload_digest].payload == genuine.payload
+        assert self.eng.last_voted_round == 1
+
+    def test_rounds_below_the_floor_ignored(self):
+        """Once the block of round 4 is finalized, the books of rounds 1-3
+        are dropped, and so is a fork of round 3; a proposal, vote or
+        certificate of such a round is ignored, and the finalized blocks
+        stay in the tree."""
+        p1 = self.proposal(1, GENESIS_QC)
+        p2 = self.proposal(2, self.qc(p1))
+        fork = self.proposal(3, self.qc(p1), tag="fork")
+        chain = [p1, p2]
+        for r in range(4, 9):
+            chain.append(self.proposal(r, self.qc(chain[-1])))
+        for proposal in [p1, p2, fork] + chain[2:]:
+            self.eng.on_proposal(proposal)
+        finalized = {p.payload_digest for p in chain[:3]}
+        assert self.eng.finalized_set == finalized and self.eng.floor == 4
+        assert finalized <= set(self.eng.tree.nodes)
+        assert fork.payload_digest not in self.eng.tree.nodes
+        assert all(key[1] >= 4 for key in self.eng._proposal_seen)
+        assert all(qc.round >= 4 for qc in self.eng.tree.certified.values())
+        late = self.proposal(3, self.qc(p2), tag="late")
+        self.eng.on_proposal(late)
+        assert late.payload_digest not in self.eng.tree.nodes
+        assert (late.proposer, 3) not in self.eng._proposal_seen
+        digest = crypto.hash("payload", b"old")
+        for r in range(1, 4):
+            for kp in self.kps:
+                self.eng.on_vote(Vote(r, digest, kp.public, kp.sign(vote_payload(r, digest))))
+        assert all(key[0] >= 4 for key in self.eng._votes)
+        self.eng._certify(self.qc(p2))
+        assert p2.payload_digest not in self.eng.tree.certified
 
     def test_outsider_vote_dropped(self, monkeypatch):
         """A vote signed by a registered key outside the group is dropped
