@@ -469,8 +469,7 @@ def run_world(world: World) -> None:
 
 
 def _observer_events(world: World, kind: str) -> list[dict]:
-    name = world.observer.name
-    return [r for r in world.sim.log.select(kind) if r["node"] == name]
+    return world.sim.log.select(kind, world.observer.name)
 
 
 def _honest_result_hashes(world: World) -> set[bytes]:

@@ -5,6 +5,7 @@ drop/delay before), per-node clock skew, and a replayable event log."""
 from __future__ import annotations
 
 import heapq
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -37,27 +38,82 @@ class SimConfig:
 
 
 class EventLog:
-    """Totally ordered run record; identical for identical (scenario, seed)."""
+    """Totally ordered run record; identical for identical (scenario, seed).
+
+    Each record is kept only as its canonical JSON line, encoded once on
+    `append` with `CANONICAL_ENCODER`; its keys sort as kind, node, payload,
+    t. The lines are packed into text blocks of about `BLOCK_LINES`, so no
+    object is kept per record; `select` and `records` decode on demand."""
+
+    BLOCK_LINES = 1024
 
     def __init__(self):
-        self.records: list[dict] = []
+        self._blocks: list[str] = []  # each a run of whole lines
+        self._tail: list[str] = []  # lines not yet packed into a block
+        self._heads: dict[tuple[str, str], str] = {}  # (kind, node) -> line head
 
     def append(self, t: int, node: str, kind: str, payload: dict) -> None:
-        self.records.append({"t": t, "node": node, "kind": kind, "payload": payload})
+        head = self._heads.get((kind, node))
+        if head is None:
+            head = self._heads[(kind, node)] = _line_start(kind, node) + '"payload":'
+        tail = self._tail
+        tail.append(f'{head}{CANONICAL_ENCODER.encode(payload)},"t":{t}}}\n')
+        if len(tail) == self.BLOCK_LINES:
+            self._blocks.append("".join(tail))
+            tail.clear()
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_jsonl())
 
     def to_jsonl(self) -> str:
-        encode = CANONICAL_ENCODER.encode
-        return "".join([encode(rec) + "\n" for rec in self.records])
+        """The whole log as text; it becomes the log's only block, so the
+        packed blocks and the text are never held together after the call."""
+        text = "".join(self._blocks + self._tail)
+        self._blocks = [text] if text else []
+        self._tail = []
+        return text
 
     def digest(self) -> bytes:
         return crypto.hash("eventlog", self.to_jsonl().encode())
 
-    def select(self, kind: str) -> list[dict]:
-        return [r for r in self.records if r["kind"] == kind]
+    def select(self, kind: str, node: Optional[str] = None) -> list[dict]:
+        """The records of `kind` (and of `node`, if given), in log order;
+        only the lines with that canonical prefix are decoded."""
+        start = _line_start(kind, node)
+        return [
+            json.loads(line)
+            for block in self._blocks + self._tail
+            for line in _lines_starting(block, start)
+        ]
+
+    @property
+    def records(self) -> list[dict]:
+        """Every record, decoded afresh. A canonical line is ASCII with
+        control characters escaped, so only its newline splits it."""
+        return [json.loads(line) for block in self._blocks + self._tail for line in block.splitlines()]
+
+
+def _lines_starting(block: str, start: str) -> list[str]:
+    """The lines of `block`, a run of whole lines, that begin with `start`."""
+    found = []
+    if block.startswith(start):
+        found.append(block[: block.index("\n")])
+    needle = "\n" + start
+    i = block.find(needle)
+    while i != -1:
+        end = block.index("\n", i + 1)
+        found.append(block[i + 1 : end])
+        i = block.find(needle, end)
+    return found
+
+
+def _line_start(kind: str, node: Optional[str] = None) -> str:
+    """The start of the canonical line of every record of `kind` (and of
+    `node`, if given)."""
+    encode = CANONICAL_ENCODER.encode
+    start = f'{{"kind":{encode(kind)},"node":'
+    return start if node is None else f"{start}{encode(node)},"
 
 
 Handler = Callable[[str, Any], None]  # (sender_name, message)
@@ -135,8 +191,8 @@ class Simulator:
         self.now = max(self.now, min(horizon, heap[0][0]) if heap else horizon)
 
     def event(self, node: str, kind: str, payload: dict) -> None:
-        """Log `payload` as given: a fresh dict of JSON values (str keys;
-        lists, not tuples) that the caller does not touch again."""
+        """Log `payload`, a dict of JSON values (str keys; lists, not
+        tuples), as it stands now: the log encodes it at once."""
         self.log.append(self.now, node, kind, payload)
 
 

@@ -65,8 +65,8 @@ def effective_votes(voters: Iterable[bytes], group: Sequence[NodeIdentity]) -> F
 
 
 def meets_supermajority(fraction: Fraction) -> bool:
-    """Strictly more than 2/3."""
-    return fraction > Fraction(2, 3)
+    """Strictly more than 2/3 (a `Fraction`'s denominator is positive)."""
+    return 3 * fraction.numerator > 2 * fraction.denominator
 
 
 # ---------------------------------------------------------------------------

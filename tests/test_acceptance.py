@@ -380,12 +380,8 @@ class TestExecutionSafety:
             world = res.world
             faulty = {hexify(world.executors[i].keypair.public) for i in (1, 2)}
             slashed = set()
-            for rec in world.sim.log.records:
-                if (
-                    rec["kind"] == "adjudication"
-                    and rec["node"] == world.observer.name
-                    and rec["payload"]["outcome"] == "accused_slashed"
-                ):
+            for rec in world.sim.log.select("adjudication", world.observer.name):
+                if rec["payload"]["outcome"] == "accused_slashed":
                     slashed.update(rec["payload"]["slashed"])
             assert faulty <= slashed, f"seed {seed}: fault origin not slashed"
         elapsed = time.monotonic() - t0

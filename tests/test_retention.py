@@ -9,16 +9,26 @@ round off the finalized chain. A consensus node drops a block's beacon
 shares once it recovers the block's randomness and the approvals of each
 result a finalized block seals; an executor drops each block it executed.
 
+The event log keeps each record as its canonical line, packed into text:
+replayed into a fresh `EventLog`, a run's records take at most
+`LOG_BOUND` times the length of their JSONL text (kept as dicts, the 30k
+happy-path run's records took 5.5 times).
+
 The soak test (`pytest -m soak`, deselected by default) runs the same
 checks at a horizon 25 times the tier-1 one."""
 
+import io
+import json
+import tracemalloc
 from importlib import resources
 
 import pytest
 
 from flowpipe.scenario import build_world, evaluate_properties, load_scenario, run_world
+from flowpipe.sim import EventLog
 
 BOUND = 16  # entries; happy-path keeps at most 8 of any of these
+LOG_BOUND = 1.5  # bytes an event log keeps per character of its JSONL text
 
 
 def retained(world) -> dict[str, int]:
@@ -58,6 +68,29 @@ def assert_bounded(world) -> None:
     assert not over, over
 
 
+def assert_log_compact(log) -> None:
+    """Replay every record of `log` into a fresh `EventLog` under
+    tracemalloc, one decoded record at a time, and bound what it keeps."""
+    text = log.to_jsonl()
+    tracemalloc.start()
+    try:
+        replay = EventLog()
+        for line in io.StringIO(text):
+            rec = json.loads(line)
+            replay.append(rec["t"], rec["node"], rec["kind"], rec["payload"])
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert replay.to_jsonl() == text
+    assert kept <= LOG_BOUND * len(text), (kept, len(text))
+
+
+def test_event_log_keeps_canonical_text():
+    world = happy_path(30_000)
+    run_world(world)
+    assert_log_compact(world.sim.log)
+
+
 def test_retention_bounded_at_two_horizons():
     world = happy_path(24_000)
     for node in (
@@ -85,3 +118,4 @@ def test_soak_happy_path_stays_bounded():
     assert report["passed"], report["properties"]
     assert len(world.observer.finalized_heights) > 2_000
     assert_bounded(world)
+    assert_log_compact(world.sim.log)

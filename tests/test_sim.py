@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from flowpipe.encoding import CANONICAL_ENCODER
 from flowpipe.scenario import DEFAULTS
 from flowpipe.sim import EventLog, Metrics, SimConfig, Simulator
 
@@ -198,6 +199,51 @@ class TestEventLog:
         path = tmp_path / "events.jsonl"
         log.write_jsonl(str(path))
         assert path.read_text() == log.to_jsonl()
+
+    def test_payload_mutated_after_append_is_not_logged(self):
+        log = EventLog()
+        payload = {"a": [1, 2], "b": "x"}
+        log.append(1, "n0", "k", payload)
+        text = log.to_jsonl()
+        payload["a"].append(3)
+        payload["c"] = 4
+        assert log.to_jsonl() == text
+        assert log.select("k") == [{"t": 1, "node": "n0", "kind": "k", "payload": {"a": [1, 2], "b": "x"}}]
+
+    def test_records_round_trip_canonical_lines(self):
+        appended = [
+            {"t": 0, "node": "n0", "kind": "note", "payload": {"text": "café ✓ 𝄞", "ratio": 0.1}},
+            {"t": 5, "node": "n1", "kind": "grid", "payload": {"rows": [[1, [2.5, -3]], [], ["z"]]}},
+            {"t": 7, "node": "n0", "kind": "empty", "payload": {}},
+        ]
+        log = EventLog()
+        for rec in appended:
+            log.append(rec["t"], rec["node"], rec["kind"], rec["payload"])
+        assert log.records == appended
+        assert log.to_jsonl() == "".join(CANONICAL_ENCODER.encode(r) + "\n" for r in appended)
+
+    def test_select_by_node_equals_filtering_records(self):
+        log = EventLog()
+        # packed blocks and unpacked lines; every payload holds a nested
+        # {"kind":"x","node":"n0",...} that a match must not start inside
+        for t in range(2 * EventLog.BLOCK_LINES + 7):
+            log.append(t, f"n{t % 3}", ("x", "y", "xy")[t % 5 % 3], {"kind": "x", "node": "n0", "t": t})
+        records = log.records
+        for kind in ("x", "y", "xy", "z"):
+            for node in ("n0", "n1", "n3"):
+                want = [r for r in records if r["kind"] == kind and r["node"] == node]
+                assert log.select(kind, node) == want
+            assert log.select(kind) == [r for r in records if r["kind"] == kind]
+
+    def test_to_jsonl_twice_returns_equal_text(self):
+        log = EventLog()
+        for t in range(EventLog.BLOCK_LINES + 5):
+            log.append(t, "n0", "k", {"v": t})
+        records = log.records
+        first = log.to_jsonl()
+        assert log.to_jsonl() == first
+        assert log.records == records and log.select("k", "n0") == records
+        assert len(first.splitlines()) == EventLog.BLOCK_LINES + 5
 
 
 class TestMetrics:

@@ -83,6 +83,11 @@ class TestSupermajority:
         assert not meets_supermajority(Fraction(2, 3))
         assert meets_supermajority(Fraction(2, 3) + Fraction(1, n))
 
+    def test_integer_check_agrees_with_fraction_comparison(self):
+        for d in range(1, 41):
+            for n in range(d + 1):
+                assert meets_supermajority(Fraction(n, d)) == (Fraction(n, d) > Fraction(2, 3)), (n, d)
+
 
 class TestCommitment:
     def test_insertion_order_irrelevant(self):
