@@ -1,6 +1,7 @@
-"""Simulated node processes for every role, plus scripted Byzantine
-behaviors and the transaction workload. Each node is a reactive callback
-object driven by the simulator; nodes share nothing but messages."""
+"""Simulated node processes for every role and the transaction workload.
+Each node is a reactive callback object driven by the simulator; nodes
+share nothing but messages. The role classes follow the protocol and
+nothing else: `adversary` corrupts a built node to make it Byzantine."""
 
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ from .hotstuff import (
     NewRound,
     Proposal,
     Vote,
-    vote_payload,
 )
 from .merkle import ExecutionState
 from .sim import Handler, Simulator
@@ -114,59 +114,6 @@ class Directory:
     base_timeout: int
     mcc_deadline: int
     retrieval_timeout: int
-
-
-@dataclass
-class Behavior:
-    kind: str  # withhold_collection | equivocate_proposal | faulty_execution | non_responsive | stale_vote
-    target_chunk: Optional[int] = None
-
-
-class _Junk:
-    """What an equivocating leader lists as a slashing challenge to make its
-    twin proposal differ; honest nodes reject it at condition 9."""
-
-    def to_dict(self) -> dict:
-        return {"equivocation": 1}
-
-
-class EquivocatingEngine(ConsensusEngine):
-    """Byzantine leader: signs two conflicting proposals for each round it
-    leads and broadcasts both."""
-
-    def _propose(self):
-        r = self.current_round
-        if r <= self._proposed_round:
-            return
-        self._proposed_round = r
-        base = self.make_payload(self.high_qc.payload_digest)
-        twin = dataclasses.replace(base, slashing_challenges=base.slashing_challenges + (_Junk(),))
-        for payload in (base, twin):
-            self.broadcast(self._proposal(payload))
-
-
-class StaleVoteEngine(ConsensusEngine):
-    """Byzantine voter: emits votes carrying an outdated round number, which
-    honest leaders discard during aggregation."""
-
-    def on_proposal(self, proposal):
-        real_send = self.send
-
-        def stale_send(key, msg):
-            if isinstance(msg, Vote) and msg.round > 1:
-                msg = Vote(
-                    round=msg.round - 1,
-                    payload_digest=msg.payload_digest,
-                    voter=msg.voter,
-                    signature=self.keypair.sign(vote_payload(msg.round - 1, msg.payload_digest)),
-                )
-            real_send(key, msg)
-
-        self.send = stale_send
-        try:
-            super().on_proposal(proposal)
-        finally:
-            self.send = real_send
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +208,10 @@ def _ignore(sender: str, msg: Any) -> None:
 
 
 class Node:
-    """Runtime every role shares: identity, world view, scripted behavior,
-    and one table from exact message type to handler. Behavior-specific
-    handling is expressed by what a node puts in its table, not by
-    behavior checks inside the handlers.
+    """Runtime every role shares: identity, world view, and one table from
+    exact message type to handler. A Byzantine behavior is a change to a
+    built node, such as what its table holds (see `adversary`), never a
+    check inside the handlers.
 
     Each role class repeats the one-line `handle` below in its own body, so
     that per-role profiles (cProfile, `perfbench/tracer.py`) see one code
@@ -278,26 +225,15 @@ class Node:
         name: str,
         keypair: crypto.StakingKeyPair,
         directory: Directory,
-        behavior: Optional[Behavior] = None,
     ):
         self.sim = sim
         self.name = name
         self.keypair = keypair
         self.d = directory
-        self.behavior = behavior
         self.handlers: dict[type, Handler] = {}
-        # a non-responsive node never starts and handles no message
-        self.silent = self.acts("non_responsive")
-
-    def acts(self, kind: str) -> bool:
-        return self.behavior is not None and self.behavior.kind == kind
-
-    def listen(self, table: dict[type, Handler]) -> None:
-        if not self.silent:
-            self.handlers.update(table)
 
     def start(self):
-        if self.engine is not None and not self.silent:
+        if self.engine is not None:
             self.engine.start()
 
     def handle(self, sender: str, msg: Any):
@@ -309,10 +245,10 @@ class Node:
 
     # -- consensus engine wiring ---------------------------------------------
 
-    def attach_engine(self, engine_cls, peers: list[str], **wiring) -> None:
+    def attach_engine(self, peers: list[str], **wiring) -> None:
         """Run a consensus engine over the simulator: broadcasts go to
         `peers` in order, and the engine's messages enter the table."""
-        engine = self.engine = engine_cls(
+        engine = self.engine = ConsensusEngine(
             keypair=self.keypair,
             base_timeout=self.d.base_timeout,
             broadcast=lambda msg: self.send_all(peers, msg),
@@ -320,7 +256,7 @@ class Node:
             set_timer=self._engine_timer,
             **wiring,
         )
-        self.listen(
+        self.handlers.update(
             {
                 Proposal: lambda sender, msg: engine.on_proposal(msg),
                 Vote: lambda sender, msg: engine.on_vote(msg),
@@ -346,8 +282,8 @@ def _cluster_payload_digest(payload) -> bytes:
 
 
 class CollectorNode(Node):
-    def __init__(self, sim, name, keypair, directory, behavior=None):
-        super().__init__(sim, name, keypair, directory, behavior)
+    def __init__(self, sim, name, keypair, directory):
+        super().__init__(sim, name, keypair, directory)
         self.cluster_index = directory.cluster_of[keypair.public]
         members = directory.clusters[self.cluster_index]
         self.peers = [
@@ -366,7 +302,6 @@ class CollectorNode(Node):
         self.next_height = 1
 
         self.attach_engine(
-            ConsensusEngine,
             self.peers,
             schedule=directory.cluster_schedules[self.cluster_index],
             digest_payload=_cluster_payload_digest,
@@ -374,16 +309,15 @@ class CollectorNode(Node):
             make_payload=self._make_payload,
             on_finalize=self._on_cluster_finalize,
         )
-        self.listen(
+        self.handlers.update(
             {
                 SubmitTx: lambda sender, msg: self._ingest(msg.tx, gossip=True),
                 GossipTx: lambda sender, msg: self._ingest(msg.tx, gossip=False),
                 GuaranteeShare: self._on_guarantee_share,
                 Finalized: self._on_finalized,
+                CollectionRequest: self._on_collection_request,
             }
         )
-        if not self.acts("withhold_collection"):
-            self.listen({CollectionRequest: self._on_collection_request})
 
     def handle(self, sender: str, msg: Any):
         self.handlers.get(type(msg), _ignore)(sender, msg)
@@ -417,7 +351,10 @@ class CollectorNode(Node):
         if kind == "close":
             return bool(self.open_collection)
         if kind == "append":
-            hashes = [bytes.fromhex(h) for h in payload.get("hashes", [])]
+            try:
+                hashes = [bytes.fromhex(h) for h in payload.get("hashes", [])]
+            except (TypeError, ValueError):
+                return False  # not a list of hex strings
             return bool(hashes) and validate_append_proposal(
                 hashes, self.pool, self.open_collection, self.included
             )
@@ -564,8 +501,8 @@ class ChainCtx:
 
 
 class ConsensusNode(Node):
-    def __init__(self, sim, name, keypair, directory, behavior=None):
-        super().__init__(sim, name, keypair, directory, behavior)
+    def __init__(self, sim, name, keypair, directory):
+        super().__init__(sim, name, keypair, directory)
         self.tip = self._genesis_ctx()  # context of the last finalized block
         # the tip and its descendants; every other context is dropped
         self.ctxs: dict[bytes, ChainCtx] = {self.tip.digest: self.tip}
@@ -588,13 +525,7 @@ class ConsensusNode(Node):
         self.first_seen: dict[bytes, int] = {}  # block hash -> tick first validated
         self.recorded_fcc: dict[bytes, list[SlashingChallenge]] = {}  # by result, chain order
 
-        engine_cls = ConsensusEngine
-        if self.acts("equivocate_proposal"):
-            engine_cls = EquivocatingEngine
-        elif self.acts("stale_vote"):
-            engine_cls = StaleVoteEngine
         self.attach_engine(
-            engine_cls,
             [peer for peer in directory.consensus_names if peer != name],
             schedule=directory.consensus_schedule,
             digest_payload=ProtoBlock.hash,
@@ -607,7 +538,7 @@ class ConsensusNode(Node):
         # finalized set, so the digests are not kept twice
         self.final = {kind: set(keys) for kind, keys in self.tip.facts.items()}
         self.final["block"] = self.engine.finalized_set
-        self.listen(
+        self.handlers.update(
             {
                 GuaranteeAnnounce: self._on_guarantee_announce,
                 ReceiptMsg: self._on_receipt,
@@ -1083,8 +1014,8 @@ class ConsensusNode(Node):
 
 
 class ExecutionNode(Node):
-    def __init__(self, sim, name, keypair, directory, behavior=None):
-        super().__init__(sim, name, keypair, directory, behavior)
+    def __init__(self, sim, name, keypair, directory):
+        super().__init__(sim, name, keypair, directory)
         self.blocks: dict[int, ProtoBlock] = {}
         self.next_height = 1
         self.exec_state = ExecutionState()
@@ -1093,7 +1024,7 @@ class ExecutionNode(Node):
         self.skipped: set[bytes] = set()
         self.retrieving: dict[bytes, dict] = {}  # collection hash -> query state
         self.challenged: set[bytes] = set()
-        self.listen(
+        self.handlers.update(
             {
                 Finalized: self._on_finalized,
                 CollectionResponse: self._on_collection_response,
@@ -1189,9 +1120,11 @@ class ExecutionNode(Node):
         out = block_execution(
             pb.hash(), txs, self.prev_result_hash, self.exec_state, self.d.gamma_chunk
         )
-        result = out.result
-        if self.acts("faulty_execution"):
-            result = self._tamper(result)
+        self._publish(pb, out.result, out, txs)
+
+    def _publish(self, pb: ProtoBlock, result: ExecutionResult, out, txs) -> None:
+        """Chain on `result`, the result of `pb` that `block_execution` gave
+        in `out` for the transactions `txs`, then sign, log and send it."""
         self.exec_state = out.end_state
         self.prev_result_hash = result.result_hash()
         packages = chunk_data_packages(out, txs)
@@ -1207,15 +1140,6 @@ class ExecutionNode(Node):
             {"height": pb.height, "result": hexify(result.result_hash()), "txs": len(txs)},
         )
         self.send_all(self.d.consensus_names + self.d.verifier_names, ReceiptMsg(receipt, packages))
-
-    def _tamper(self, result: ExecutionResult) -> ExecutionResult:
-        target = self.behavior.target_chunk
-        if target is not None and target < len(result.chunks):
-            c = result.chunks[target]
-            fake = dataclasses.replace(c, computation_consumption=c.computation_consumption + 1)
-            chunks = result.chunks[:target] + (fake,) + result.chunks[target + 1 :]
-            return dataclasses.replace(result, chunks=chunks)
-        return dataclasses.replace(result, final_state=crypto.hash("tampered", result.final_state))
 
 
 # ---------------------------------------------------------------------------
@@ -1238,8 +1162,8 @@ class VerificationNode(Node):
     that signed a rejected result is challenged once, when its previous
     result is approved here."""
 
-    def __init__(self, sim, name, keypair, directory, behavior=None):
-        super().__init__(sim, name, keypair, directory, behavior)
+    def __init__(self, sim, name, keypair, directory):
+        super().__init__(sim, name, keypair, directory)
         self.seeds: dict[bytes, bytes] = {}  # block hash -> randomness seed
         # result hash -> its receipts, in arrival order, awaiting the seed
         self.pending: dict[bytes, list[ReceiptMsg]] = {}
@@ -1252,7 +1176,7 @@ class VerificationNode(Node):
         # successors, challenged once it is approved
         self.held: dict[bytes, list[ReceiptMsg]] = {}
         # verifiers key off randomness and receipts, not finalization notices
-        self.listen({BlockRandomness: self._on_randomness, ReceiptMsg: self._on_receipt})
+        self.handlers.update({BlockRandomness: self._on_randomness, ReceiptMsg: self._on_receipt})
 
     def handle(self, sender: str, msg: Any):
         self.handlers.get(type(msg), _ignore)(sender, msg)

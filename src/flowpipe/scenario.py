@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import crypto
+from .adversary import BEHAVIORS
 from .blocks import GENESIS_RANDOMNESS
 from .clustering import cluster_assignment
 from .nodes import (
-    Behavior,
     CollectorNode,
     ConsensusNode,
     Directory,
@@ -45,15 +45,6 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(errors))
         self.errors = errors
 
-
-# adversary behavior -> the roles whose nodes implement it
-_BEHAVIORS: dict[str, tuple[str, ...]] = {
-    "non_responsive": tuple(r.value for r in Role),
-    "withhold_collection": (Role.COLLECTOR.value,),
-    "equivocate_proposal": (Role.CONSENSUS.value,),
-    "stale_vote": (Role.CONSENSUS.value,),
-    "faulty_execution": (Role.EXECUTION.value,),
-}
 
 DEFAULTS: dict = {
     "name": "unnamed",
@@ -149,8 +140,9 @@ def validate_scenario(doc: Any) -> list[str]:
         elif not isinstance(value, type(DEFAULTS[key])):
             errors.append(f"{key}: expected {_KINDS[type(DEFAULTS[key])]}")
         elif key == "adversary":
+            named: dict = {}
             for i, spec in enumerate(value):
-                errors.extend(_validate_adversary(f"adversary[{i}]", spec, doc))
+                errors.extend(_validate_adversary(f"adversary[{i}]", spec, doc, named))
         elif isinstance(value, dict):
             errors.extend(_check_fields(key, value, _SCHEMA[key]))
     errors.extend(_validate_semantics(doc))
@@ -181,14 +173,16 @@ def _value(doc: dict, section: str, key: str):
     return DEFAULTS[section][key]
 
 
-def _validate_adversary(path: str, spec: Any, doc: dict) -> list[str]:
+def _validate_adversary(path: str, spec: Any, doc: dict, named: dict) -> list[str]:
+    """Errors of one adversary entry; `named` maps each node or cluster that
+    an earlier entry names to that entry's path."""
     if not isinstance(spec, dict):
         return [f"{path}: expected an object"]
     errors = _check_fields(path, spec, _ADVERSARY_KEYS)
     behavior, role = spec.get("behavior"), spec.get("role")
     if "behavior" not in spec:
         errors.append(f"{path}.behavior: required")
-    elif not (isinstance(behavior, str) and behavior in _BEHAVIORS):
+    elif not (isinstance(behavior, str) and behavior in BEHAVIORS):
         errors.append(f"{path}.behavior: unknown behavior {behavior!r}")
     counts = {r.value: key for r, _, key, _, _ in _ROLES}  # role -> roles key
     if "role" not in spec:
@@ -197,8 +191,8 @@ def _validate_adversary(path: str, spec: Any, doc: dict) -> list[str]:
         errors.append(f"{path}.role: unknown role {role!r}")
         role = None
     # an unknown behavior is reported above, so it accepts every role here
-    elif isinstance(behavior, str) and role not in _BEHAVIORS.get(behavior, counts):
-        allowed = ", ".join(_BEHAVIORS[behavior])
+    elif isinstance(behavior, str) and role not in BEHAVIORS.get(behavior, (counts,))[0]:
+        allowed = ", ".join(BEHAVIORS[behavior][0])
         errors.append(f"{path}.role: {role!r} cannot perform {behavior!r} (only {allowed})")
     indices = spec.get("indices")
     for j, idx in enumerate(indices if isinstance(indices, list) else []):
@@ -206,9 +200,17 @@ def _validate_adversary(path: str, spec: Any, doc: dict) -> list[str]:
             errors.append(f"{path}.indices[{j}]: expected int")
         elif role is not None and not 0 <= idx < (n := _value(doc, "roles", counts[role])):
             errors.append(f"{path}.indices[{j}]: must lie in [0, {n})")
+        elif role is not None and (first := named.setdefault((role, idx), path)) != path:
+            errors.append(f"{path}.indices[{j}]: {role} {idx} is already named by {first}")
     cluster, n = spec.get("cluster"), _value(doc, "clusters", "count")
-    if type(cluster) is int and not 0 <= cluster < n:
+    if role not in (None, Role.COLLECTOR.value) and cluster is not None:
+        errors.append(f"{path}.cluster: only collectors belong to a cluster")
+    elif type(cluster) is int and not 0 <= cluster < n:
         errors.append(f"{path}.cluster: must lie in [0, {n})")
+    elif role and type(cluster) is int and (first := named.setdefault(cluster, path)) != path:
+        errors.append(f"{path}.cluster: cluster {cluster} is already named by {first}")
+    if role is not None and not indices and cluster is None:
+        errors.append(f"{path}: names no node (give indices or cluster)")
     return errors
 
 
@@ -311,17 +313,16 @@ _ROLES = [
 ]
 
 
-def _behavior_for(doc: dict, role: str, index: int, cluster_index: Optional[int]) -> Optional[Behavior]:
-    for spec in doc.get("adversary", []):
-        if spec["role"] != role:
-            continue
-        indices = spec.get("indices")
-        target_cluster = spec.get("cluster")
-        if indices is not None and index in indices:
-            return Behavior(spec["behavior"], spec.get("target_chunk"))
-        if target_cluster is not None and cluster_index == target_cluster:
-            return Behavior(spec["behavior"], spec.get("target_chunk"))
-    return None
+def _corrupt(node, doc: dict, role: str, index: int, cluster_index: Optional[int]) -> None:
+    """Apply to the node the first adversary entry that names it, by index
+    or (for a collector) by cluster, which may name it too."""
+    for spec in doc["adversary"]:
+        if spec["role"] == role and (
+            index in (spec.get("indices") or ())
+            or (cluster_index is not None and spec.get("cluster") == cluster_index)
+        ):
+            BEHAVIORS[spec["behavior"]][1](node, spec)
+            return
 
 
 def build_world(doc: dict, seed: Optional[int] = None) -> World:
@@ -417,8 +418,8 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
 
     for role, prefix, _, node_cls, world_list in _ROLES:
         for i, kp in enumerate(keys[role]):
-            behavior = _behavior_for(doc, role.value, i, directory.cluster_of.get(kp.public))
-            node = node_cls(sim, f"{prefix}{i}", kp, directory, behavior)
+            node = node_cls(sim, f"{prefix}{i}", kp, directory)
+            _corrupt(node, doc, role.value, i, directory.cluster_of.get(kp.public))
             sim.register_node(node.name, node.handle)
             getattr(world, world_list).append(node)
     tx_conf = doc["transactions"]

@@ -23,13 +23,14 @@ that lack their evidence (they are rejected), and with receipts whose own
 package or SPoCK fails (they are dropped, and the result is judged on the
 next receipt).
 
-Four more check intake: a forged guarantee announced to every consensus
+Five more check intake: a forged guarantee announced to every consensus
 node is dropped instead of sitting in every later proposal, a guarantee
 share signed from outside the cluster is dropped instead of raising out of
 the quorum count, a share signed for another cluster's index is dropped
-instead of spoiling the guarantor's announcement, and a proposal copy whose
+instead of spoiling the guarantor's announcement, a proposal copy whose
 payload does not hash to its signed digest is ignored instead of splitting
-finality."""
+finality, and a cluster proposal whose transaction hashes are not hex
+strings is rejected instead of raising out of the run."""
 
 import dataclasses
 import hashlib
@@ -786,3 +787,36 @@ def test_share_for_another_cluster_dropped():
     assert len(announced) >= 30
     clusters = world.directory.clusters
     assert all(guarantee_valid(gc, clusters) for gc in announced)
+
+
+@pytest.mark.parametrize("hashes", [["zz"], 5, [7]], ids=["not-hex", "not-a-list", "not-str"])
+def test_malformed_cluster_proposal_rejected(hashes):
+    """At tick 1,500 of the default scenario, a cluster-0 collector gets a
+    proposal that its round's leader signed, whose append payload lists
+    `hashes` that are not hex strings. The collector rejects it without a
+    vote; `bytes.fromhex` on each entry made it raise out of `on_proposal`
+    and out of the run."""
+    world = build_world(merge_defaults({"run": {"seed": 1}}))
+    world.sim.run(until=1500)
+    collector = next(c for c in world.collectors if c.cluster_index == 0)
+    engine = collector.engine
+    r = max(engine.current_round, engine.last_voted_round + 1)
+    leader = next(c for c in world.collectors if c.keypair.public == engine.leader(r))
+    payload = {
+        "parent": engine.high_qc.payload_digest.hex(),
+        "round": r,
+        "kind": "append",
+        "hashes": hashes,
+    }
+    unsigned = Proposal(
+        round=r,
+        payload=payload,
+        payload_digest=nodes._cluster_payload_digest(payload),
+        justify=engine.high_qc,
+        proposer=leader.keypair.public,
+        signature=b"",
+    )
+    proposal = dataclasses.replace(unsigned, signature=leader.keypair.sign(unsigned.signed_bytes()))
+    engine.on_proposal(proposal)
+    assert engine.last_voted_round < r
+    assert proposal.payload_digest in engine.tree.nodes

@@ -1,7 +1,8 @@
 """Static reachability guards: every class and function defined under
 src/flowpipe is referenced by name somewhere else in the package, so no
 protocol rule survives only as a test-only twin of the one the simulator
-runs, and every name a module imports is used in that module. The checks
+runs, and every name a module imports is used in that module. A third
+guard keeps Byzantine behaviors out of the honest role classes. The checks
 parse the sources and search names; they run nothing."""
 
 import ast
@@ -9,6 +10,7 @@ import pathlib
 import re
 
 import flowpipe
+from flowpipe.adversary import BEHAVIORS
 
 SRC = pathlib.Path(flowpipe.__file__).resolve().parent
 
@@ -76,3 +78,28 @@ def unused_imports() -> list[str]:
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, f"imported in src/flowpipe but never used: {unused}"
+
+
+def _names(tree: ast.AST):
+    """Every identifier the module binds or reads, and every str constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_role_classes_hold_no_adversary():
+    """`nodes.py` names no behavior of `adversary.BEHAVIORS` and no
+    `behavior`, `acts` or `silent`: a Byzantine behavior corrupts a built
+    node from `adversary`, so no branch on one creeps back into the honest
+    role classes."""
+    banned = set(BEHAVIORS) | {"behavior", "Behavior", "acts", "silent"}
+    found = banned & set(_names(ast.parse((SRC / "nodes.py").read_text())))
+    assert not found, f"nodes.py names adversary behaviors: {sorted(found)}"

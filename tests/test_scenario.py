@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from flowpipe.nodes import CollectionRequest
 from flowpipe.scenario import (
     _MINIMUMS,
     DEFAULTS,
@@ -110,7 +111,7 @@ class TestValidation:
 
     def test_adversary_unknown_behavior(self):
         errors = validate_scenario(
-            {"adversary": [{"behavior": "explode", "role": "execution"}]}
+            {"adversary": [{"behavior": "explode", "role": "execution", "indices": [0]}]}
         )
         assert errors == ["adversary[0].behavior: unknown behavior 'explode'"]
 
@@ -140,7 +141,9 @@ class TestValidation:
     def test_adversary_role_cannot_perform_behavior(self, behavior, role):
         """A node of this role has no code path for the behavior, so the run
         would be byte-identical to an honest one; validation rejects it."""
-        errors = validate_scenario({"adversary": [{"behavior": behavior, "role": role}]})
+        errors = validate_scenario(
+            {"adversary": [{"behavior": behavior, "role": role, "indices": [0]}]}
+        )
         only = ", ".join(PERFORMED_BY[behavior])
         assert errors == [f"adversary[0].role: {role!r} cannot perform {behavior!r} (only {only})"]
 
@@ -149,7 +152,8 @@ class TestValidation:
         [(behavior, role) for behavior, allowed in PERFORMED_BY.items() for role in allowed],
     )
     def test_adversary_role_performs_behavior(self, behavior, role):
-        assert validate_scenario({"adversary": [{"behavior": behavior, "role": role}]}) == []
+        entry = {"behavior": behavior, "role": role, "indices": [0]}
+        assert validate_scenario({"adversary": [entry]}) == []
 
     @pytest.mark.parametrize(
         "path, value, low",
@@ -176,7 +180,12 @@ class TestValidation:
                 ["adversary[0].cluster: expected int"],
             ),
             (
-                {"behavior": "faulty_execution", "role": "execution", "target_chunk": False},
+                {
+                    "behavior": "faulty_execution",
+                    "role": "execution",
+                    "indices": [1],
+                    "target_chunk": False,
+                },
                 ["adversary[0].target_chunk: expected int"],
             ),
             (
@@ -196,7 +205,7 @@ class TestValidation:
                 ["adversary[0].indices: expected list"],
             ),
             (
-                {"behavior": ["stale_vote"], "role": "consensus"},
+                {"behavior": ["stale_vote"], "role": "consensus", "indices": [1]},
                 [
                     "adversary[0].behavior: expected str",
                     "adversary[0].behavior: unknown behavior ['stale_vote']",
@@ -215,6 +224,50 @@ class TestValidation:
     )
     def test_adversary_entry_rejected(self, entry, errors):
         assert validate_scenario({"adversary": [entry]}) == errors
+
+    @pytest.mark.parametrize(
+        "adversary, errors",
+        [
+            (
+                [{"behavior": "stale_vote", "role": "consensus"}],
+                ["adversary[0]: names no node (give indices or cluster)"],
+            ),
+            (
+                [{"behavior": "stale_vote", "role": "consensus", "indices": []}],
+                ["adversary[0]: names no node (give indices or cluster)"],
+            ),
+            (
+                [{"behavior": "stale_vote", "role": "consensus", "cluster": 0}],
+                ["adversary[0].cluster: only collectors belong to a cluster"],
+            ),
+            (
+                [
+                    {"behavior": "non_responsive", "role": "consensus", "indices": [1]},
+                    {"behavior": "stale_vote", "role": "consensus", "indices": [2, 1]},
+                ],
+                ["adversary[1].indices[1]: consensus 1 is already named by adversary[0]"],
+            ),
+            (
+                [
+                    {"behavior": "withhold_collection", "role": "collector", "cluster": 0},
+                    {"behavior": "non_responsive", "role": "collector", "cluster": 0},
+                ],
+                ["adversary[1].cluster: cluster 0 is already named by adversary[0]"],
+            ),
+        ],
+        ids=["no-target", "empty-indices", "cluster-off-collectors", "index-twice", "cluster-twice"],
+    )
+    def test_adversary_entry_naming_no_node_rejected(self, adversary, errors):
+        """Each entry would corrupt no node: it names none, or only nodes an
+        earlier entry already corrupts."""
+        assert validate_scenario({"adversary": adversary}) == errors
+
+    def test_adversary_entries_may_share_an_index_across_roles(self):
+        adversary = [
+            {"behavior": "non_responsive", "role": "consensus", "indices": [1]},
+            {"behavior": "non_responsive", "role": "execution", "indices": [1]},
+        ]
+        assert validate_scenario({"adversary": adversary}) == []
 
     def test_adversary_ranges_follow_configured_counts(self):
         doc = {
@@ -283,21 +336,35 @@ class TestBehaviorAssignment:
         doc = short_doc(
             adversary=[{"behavior": "faulty_execution", "role": "execution", "indices": [1]}]
         )
-        world = build_world(doc)
-        assert world.executors[0].behavior is None
-        assert world.executors[1].behavior.kind == "faulty_execution"
+        e0, e1 = build_world(doc).executors
+        assert "_publish" not in vars(e0)
+        assert "_publish" in vars(e1)
 
     def test_cluster_targets_all_members(self):
         doc = short_doc(
             adversary=[{"behavior": "withhold_collection", "role": "collector", "cluster": 0}]
         )
         world = build_world(doc)
-        by_name = {c.name: c for c in world.collectors}
-        name_of = world.directory.name_of
-        for ident in world.directory.clusters[0]:
-            assert by_name[name_of[ident.staking_public_key]].behavior.kind == "withhold_collection"
-        for ident in world.directory.clusters[1]:
-            assert by_name[name_of[ident.staking_public_key]].behavior is None
+        for collector in world.collectors:
+            serves = CollectionRequest in collector.handlers
+            assert serves == (collector.cluster_index == 1), collector.name
+
+    def test_first_entry_naming_a_collector_wins(self):
+        """A cluster entry and an indices entry may name one collector; which
+        collectors they share depends on the seeded clustering, so validation
+        accepts the pair and the collector takes the first entry."""
+        doc = short_doc(
+            adversary=[
+                {"behavior": "withhold_collection", "role": "collector", "cluster": 0},
+                {"behavior": "non_responsive", "role": "collector", "indices": list(range(8))},
+            ]
+        )
+        assert validate_scenario(doc) == []
+        for collector in build_world(doc).collectors:
+            if collector.cluster_index == 0:
+                assert collector.handlers and CollectionRequest not in collector.handlers
+            else:
+                assert not collector.handlers, collector.name
 
     def test_seed_argument_overrides_document(self):
         doc = short_doc()
