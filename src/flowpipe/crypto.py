@@ -13,6 +13,7 @@ the same functions.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -22,10 +23,8 @@ Digest = bytes  # 32 bytes
 Seed = bytes  # 32 bytes
 
 _U64 = 1 << 64
-
-
-def _u64be(n: int) -> bytes:
-    return n.to_bytes(8, "big")
+_U64BE = struct.Struct(">Q")
+_u64be = _U64BE.pack
 
 
 def _frame(b: bytes) -> bytes:
@@ -71,6 +70,7 @@ class SeededStream:
         self._next = 0
         # SHA-256 already fed len("stream") || "stream" || seed
         self._prefix = hashlib.sha256(_frame(b"stream") + self.seed)
+        self._limits: dict[int, int] = {}  # bound -> rejection limit
 
     def word(self, j: int) -> int:
         h = self._prefix.copy()
@@ -84,15 +84,17 @@ class SeededStream:
 
     def next_below(self, bound: int) -> int:
         """Unbiased draw in [0, bound) by rejection sampling on 64-bit words."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (_U64 // bound) * bound
+        limit = self._limits.get(bound)
+        if limit is None:
+            if not 0 < bound <= _U64:
+                raise ValueError("bound must lie in [1, 2**64]")
+            limit = self._limits[bound] = (_U64 // bound) * bound
         while True:
             # `next_word` inline: this draw runs once per simulated message
             h = self._prefix.copy()
-            h.update(self._next.to_bytes(8, "big"))
+            h.update(_u64be(self._next))
             self._next += 1
-            w = int.from_bytes(h.digest()[:8], "big")
+            w = _U64BE.unpack_from(h.digest())[0]
             if w < limit:
                 return w % bound
 

@@ -240,8 +240,9 @@ class Node:
         self.handlers.get(type(msg), _ignore)(sender, msg)
 
     def send_all(self, names, msg) -> None:
+        send, sender = self.sim.send, self.name
         for name in names:
-            self.sim.send(self.name, name, msg)
+            send(sender, name, msg)
 
     # -- consensus engine wiring ---------------------------------------------
 

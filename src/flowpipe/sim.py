@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -120,15 +121,21 @@ Handler = Callable[[str, Any], None]  # (sender_name, message)
 
 
 class Simulator:
-    """Single-threaded event loop over (time, sequence)-ordered events."""
+    """Single-threaded event loop over a calendar queue: `_buckets` maps a
+    tick to its `(fn, args)` entries, and the heap `_ticks` holds each tick
+    with a bucket once. The golden logs rely on the order: entries run by
+    (tick, queue order), as a (time, sequence) heap would run them, so a
+    `schedule(0, ...)` made inside a tick runs later in that same tick. A
+    callback that raises ends `run`, and the rest of its tick is dropped."""
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.now = 0
         self.log = EventLog()
-        # (time, sequence, fn, args): the loop calls fn(*args)
-        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
-        self._seq = 0
+        self._buckets: defaultdict[int, list[tuple[Callable[..., None], tuple]]] = defaultdict(list)
+        self._ticks: list[int] = []
+        self._gst = config.gst
+        self._delta_t = config.delta_t
         self._handlers: dict[str, Handler] = {}
         self._skew: dict[str, float] = {}
         self._net_stream = crypto.seeded_stream(crypto.derive_seed(["net"], config.seed))
@@ -150,8 +157,11 @@ class Simulator:
     def schedule(self, delay: int, fn: Callable[[], None]) -> None:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, ()))
-        self._seq += 1
+        t = self.now + delay
+        bucket = self._buckets[t]
+        if not bucket:
+            heapq.heappush(self._ticks, t)
+        bucket.append((fn, ()))
 
     def set_timer(self, node: str, duration: int, fn: Callable[[], None]) -> None:
         """Node-local timer, dilated by the node's clock skew."""
@@ -159,36 +169,36 @@ class Simulator:
         self.schedule(dilated, fn)
 
     def send(self, sender: str, receiver: str, message: Any) -> None:
-        if receiver not in self._handlers:
+        handler = self._handlers.get(receiver)
+        if handler is None:
             raise ValueError(f"unknown receiver: {receiver}")
-        if self.now < self.config.gst:
+        bound = self._delta_t
+        if self.now < self._gst:
             if self._net_stream.next_unit() < self.config.pre_gst_drop_probability:
                 self.dropped += 1
                 return
-            bound = self.config.delta_t * self.config.pre_gst_delay_multiplier
-        else:
-            bound = self.config.delta_t
-        delay = 1 + self._net_stream.next_below(bound)
-        # a heap entry with arguments, so no closure is built per message
-        heapq.heappush(
-            self._heap, (self.now + delay, self._seq, self._deliver, (receiver, sender, message))
-        )
-        self._seq += 1
-
-    def _deliver(self, receiver: str, sender: str, message: Any) -> None:
-        self.delivered += 1
-        self._handlers[receiver](sender, message)
+            bound *= self.config.pre_gst_delay_multiplier
+        t = self.now + 1 + self._net_stream.next_below(bound)
+        bucket = self._buckets[t]
+        if not bucket:
+            heapq.heappush(self._ticks, t)
+        bucket.append((handler, (sender, message)))
 
     # -- run loop ----------------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> None:
         horizon = self.config.max_sim_time if until is None else until
-        heap = self._heap
-        while heap and heap[0][0] <= horizon:
-            t, _, fn, args = heapq.heappop(heap)
+        ticks, buckets = self._ticks, self._buckets
+        while ticks and ticks[0] <= horizon:
+            t = heapq.heappop(ticks)
             self.now = t
-            fn(*args)
-        self.now = max(self.now, min(horizon, heap[0][0]) if heap else horizon)
+            delivered = 0  # a delivery's args are (sender, message), a timer's ()
+            for fn, args in buckets.pop(t):
+                if args:
+                    delivered += 1
+                fn(*args)
+            self.delivered += delivered
+        self.now = max(self.now, min(horizon, ticks[0]) if ticks else horizon)
 
     def event(self, node: str, kind: str, payload: dict) -> None:
         """Log `payload`, a dict of JSON values (str keys; lists, not

@@ -155,6 +155,53 @@ class TestSeededStream:
         assert f"{stream.word(1000):016x}" == word_1000
 
 
+def ref_below(seed: bytes, bounds: list[int]) -> tuple[list[int], int]:
+    """Independent trace of `next_below` over `bounds`: the draws, and how
+    many words they took."""
+    counter = 0
+    draws = []
+    for bound in bounds:
+        limit = ((1 << 64) // bound) * bound
+        while True:
+            w = int.from_bytes(ref_hash(b"stream", seed + counter.to_bytes(8, "big"))[:8], "big")
+            counter += 1
+            if w < limit:
+                draws.append(w % bound)
+                break
+    return draws, counter
+
+
+class TestNextBelow:
+    # at bound 2**63 + 1 about half of all words fall at or above the limit
+    BOUNDS = [2**63 + 1, 2**64 - 1, 100, 2**63 + 1, 1, 2**64, 7, 2**63 + 1] * 8
+
+    @pytest.mark.parametrize("seed", [b"\x00" * 32, b"\x07" * 32, bytes(range(32))])
+    def test_rejection_matches_reference_trace(self, seed):
+        stream = seeded_stream(seed)
+        draws = [stream.next_below(b) for b in self.BOUNDS]
+        want, words = ref_below(seed, self.BOUNDS)
+        assert draws == want
+        assert stream.next_word() == stream.word(words)  # no word skipped or reused
+        assert words > len(self.BOUNDS)  # the rejection branch ran
+
+    def test_rejected_word_is_skipped(self):
+        # word 2 of this stream (0x81e9...) is at or above the limit for
+        # 2**63 + 1, which is 2**63 + 1 itself; word 3 is below it
+        seed = b"\x07" * 32
+        stream = seeded_stream(seed)
+        assert stream.word(2) >= 2**63 + 1 > stream.word(3)
+        stream.next_word(), stream.next_word()
+        assert stream.next_below(2**63 + 1) == stream.word(3)
+        assert stream.next_word() == stream.word(4)
+
+    @pytest.mark.parametrize("bound", [0, -1, 2**64 + 1])
+    def test_bound_out_of_range_rejected(self, bound):
+        stream = seeded_stream(b"\x01" * 32)
+        with pytest.raises(ValueError):
+            stream.next_below(bound)
+        assert stream.next_word() == stream.word(0)
+
+
 class TestStakingSignature:
     @pytest.mark.parametrize("seed", [b"\x01" * 32, b"\x05" * 32, bytes(range(32))])
     def test_sign_and_verify_match_framing(self, seed):

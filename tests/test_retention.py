@@ -9,6 +9,9 @@ round off the finalized chain. A consensus node drops a block's beacon
 shares once it recovers the block's randomness and the approvals of each
 result a finalized block seals; an executor drops each block it executed.
 
+The simulator's calendar queue holds a bucket only for a tick still to
+come, so it never keeps one per tick already run.
+
 The event log keeps each record as its canonical line, packed into text:
 replayed into a fresh `EventLog`, a run's records take at most
 `LOG_BOUND` times the length of their JSONL text (kept as dicts, the 30k
@@ -68,6 +71,13 @@ def assert_bounded(world) -> None:
     assert not over, over
 
 
+def assert_queue_ahead(sim) -> None:
+    """The simulator queues only future ticks, each once: a bucket left
+    behind for a tick already run would grow the queue by one per tick."""
+    assert sorted(sim._ticks) == sorted(sim._buckets)
+    assert all(t > sim.now and bucket for t, bucket in sim._buckets.items())
+
+
 def assert_log_compact(log) -> None:
     """Replay every record of `log` into a fresh `EventLog` under
     tracemalloc, one decoded record at a time, and bound what it keeps."""
@@ -102,6 +112,7 @@ def test_retention_bounded_at_two_horizons():
         world.sim.run(until=horizon)
         finalized.append(len(world.observer.finalized_heights))
         assert_bounded(world)
+        assert_queue_ahead(world.sim)
     # four times the horizon finalizes about four times the blocks
     assert finalized[0] > 90 and finalized[1] > 3 * finalized[0]
     # the finalized chain itself stays in every engine's tree
@@ -118,4 +129,5 @@ def test_soak_happy_path_stays_bounded():
     assert report["passed"], report["properties"]
     assert len(world.observer.finalized_heights) > 2_000
     assert_bounded(world)
+    assert_queue_ahead(world.sim)
     assert_log_compact(world.sim.log)

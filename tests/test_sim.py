@@ -1,7 +1,12 @@
+import heapq
 import math
+from collections import defaultdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
+from flowpipe import crypto
 from flowpipe.encoding import CANONICAL_ENCODER
 from flowpipe.scenario import DEFAULTS
 from flowpipe.sim import EventLog, Metrics, SimConfig, Simulator
@@ -129,6 +134,144 @@ class TestDeterminism:
         sim.schedule(5, lambda: order.append("second"))
         sim.run()
         assert order == ["first", "second"]
+
+
+NODES = ("a", "b", "c")
+
+
+class HeapSim:
+    """Reference model of the ordering contract: one heap keyed by (time,
+    sequence), with the simulator's network rules restated."""
+
+    def __init__(self, config):
+        self.config = config
+        self.now = self.delivered = self.dropped = 0
+        self._heap, self._seq, self._handlers = [], 0, {}
+        self._net = crypto.seeded_stream(crypto.derive_seed(["net"], config.seed))
+
+    def register_node(self, name, handler):
+        self._handlers[name] = handler
+
+    def _push(self, t, fn, args):
+        heapq.heappush(self._heap, (t, self._seq, fn, args))
+        self._seq += 1
+
+    def schedule(self, delay, fn):
+        self._push(self.now + delay, fn, ())
+
+    def send(self, sender, receiver, message):
+        bound = self.config.delta_t
+        if self.now < self.config.gst:
+            if self._net.next_unit() < self.config.pre_gst_drop_probability:
+                self.dropped += 1
+                return
+            bound *= self.config.pre_gst_delay_multiplier
+        self._push(self.now + 1 + self._net.next_below(bound), self._deliver, (receiver, sender, message))
+
+    def _deliver(self, receiver, sender, message):
+        self.delivered += 1
+        self._handlers[receiver](sender, message)
+
+    def run(self, until=None):
+        horizon = self.config.max_sim_time if until is None else until
+        while self._heap and self._heap[0][0] <= horizon:
+            t, _, fn, args = heapq.heappop(self._heap)
+            self.now = t
+            fn(*args)
+        self.now = max(self.now, min(horizon, self._heap[0][0]) if self._heap else horizon)
+
+
+def drive(sim, plan, pieces):
+    """Play `plan` on `sim`, running it to each horizon in `pieces` and then
+    to the end. `plan[i]` is `(parent, action)`: entry i is issued from the
+    callback of entry `parent`, or, for `parent == -k - 1`, before the k-th
+    run. An action is `("schedule", delay)` or `("send", sender, receiver)`.
+    Returns every callback as (entry, (sender, receiver) or None, now), and
+    (now, delivered, dropped) after each run."""
+    children = defaultdict(list)
+    for i, (parent, _) in enumerate(plan):
+        children[parent].append(i)
+    calls = []
+
+    def fire(i, link):
+        calls.append((i, link, sim.now))
+        for child in children[i]:
+            issue(child)
+
+    def issue(i):
+        kind, *args = plan[i][1]
+        if kind == "schedule":
+            sim.schedule(args[0], lambda: fire(i, None))
+        else:
+            sim.send(NODES[args[0]], NODES[args[1]], i)
+
+    for name in NODES:
+        sim.register_node(name, lambda sender, i, name=name: fire(i, (sender, name)))
+    states = []
+    for k, until in enumerate(pieces + [None]):
+        for i in children[-k - 1]:
+            issue(i)
+        sim.run(until=until)
+        states.append((sim.now, sim.delivered, sim.dropped))
+    return calls, states
+
+
+actions = hs.one_of(
+    hs.tuples(hs.just("schedule"), hs.integers(0, 4)),
+    hs.tuples(hs.just("send"), hs.integers(0, 2), hs.integers(0, 2)),
+)
+
+
+@hs.composite
+def programs(draw):
+    """A network, run horizons and a plan for `drive`."""
+    pieces = sorted(draw(hs.lists(hs.integers(0, 60), max_size=3)))
+    plan = []
+    for i in range(draw(hs.integers(1, 40))):
+        plan.append((draw(hs.integers(-len(pieces) - 1, i - 1)), draw(actions)))
+    return {
+        "delta_t": draw(hs.integers(1, 4)),
+        "gst": draw(hs.sampled_from([0, 12, 10**6])),
+        "max_sim_time": draw(hs.integers(0, 80)),
+        "pieces": pieces,
+        "plan": plan,
+    }
+
+
+class TestOrderingContract:
+    """The calendar queue runs callbacks in exactly the order, and at exactly
+    the ticks, of a (time, sequence) heap, with the same delay draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(programs())
+    # a zero-delay chain inside one tick, behind an entry already queued there
+    @example(
+        {"delta_t": 1, "gst": 0, "max_sim_time": 10, "pieces": [],
+         "plan": [(-1, ("schedule", 2)), (-1, ("schedule", 2)), (0, ("schedule", 0)), (2, ("schedule", 0))]}
+    )
+    def test_matches_heap_model(self, program):
+        config = sim_config(
+            delta_t=program["delta_t"],
+            gst=program["gst"],
+            pre_gst_drop_probability=0.25,
+            pre_gst_delay_multiplier=3,
+            max_sim_time=program["max_sim_time"],
+        )
+        want = drive(HeapSim(config), program["plan"], program["pieces"])
+        assert drive(Simulator(config), program["plan"], program["pieces"]) == want
+
+    def test_zero_delay_runs_later_in_the_same_tick(self):
+        sim = Simulator(sim_config())
+        order = []
+
+        def first():
+            order.append(("first", sim.now))
+            sim.schedule(0, lambda: order.append(("zero", sim.now)))
+
+        sim.schedule(5, first)
+        sim.schedule(5, lambda: order.append(("second", sim.now)))
+        sim.run()
+        assert order == [("first", 5), ("second", 5), ("zero", 5)]
 
 
 class TestClockSkew:
