@@ -19,14 +19,12 @@ from . import crypto
 from .collection import GuaranteedCollection, guarantee_authentic
 from .encoding import canonical_json, hexify, once, once_for
 from .state import (
-    NodeIdentity,
     ProtocolState,
     SlashingChallenge,
+    StakeTable,
     StateUpdate,
     UpdateRejected,
     apply_updates,
-    effective_votes,
-    meets_supermajority,
 )
 
 GENESIS_RANDOMNESS = crypto.hash("genesis", b"")
@@ -49,7 +47,9 @@ class BlockSeal:
         }
 
 
-@functools.lru_cache(maxsize=4096)
+# a result is approved, and its approvals checked, within a few blocks, so a
+# small bound keeps every hit; each key is computed once
+@functools.lru_cache(maxsize=256)
 def approval_payload(result_hash: bytes) -> bytes:
     return canonical_json({"approve_result": hexify(result_hash)})
 
@@ -153,11 +153,11 @@ def propose_proto_block(
     )
 
 
-def guarantee_valid(gc: GuaranteedCollection, clusters: dict[int, list[NodeIdentity]]) -> bool:
+def guarantee_valid(gc: GuaranteedCollection, clusters: dict[int, StakeTable]) -> bool:
     """Proposal condition 6 for one guarantee: its cluster exists and the
     guarantee is authentic for that cluster."""
     cluster = clusters.get(gc.cluster_index)
-    return bool(cluster) and guarantee_authentic(gc, cluster)
+    return cluster is not None and guarantee_authentic(gc, cluster)
 
 
 @dataclass
@@ -169,7 +169,7 @@ class EvaluationContext:
     parent_height: int
     collection_on_chain: Callable[[bytes], bool]
     received_collections: set[bytes]
-    collector_clusters: dict[int, list[NodeIdentity]]
+    collector_clusters: dict[int, StakeTable]
     seal_valid: Callable[[BlockSeal], bool]
     challenge_verified: Callable[[SlashingChallenge], bool]
     parent_protocol_state: ProtocolState
@@ -211,18 +211,17 @@ def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Opt
 
 
 def _approval_quorum(
-    result_hash: bytes, approvals: Iterable[Approval], verifiers: Sequence[NodeIdentity]
+    result_hash: bytes, approvals: Iterable[Approval], verifiers: StakeTable
 ) -> Optional[dict[bytes, Approval]]:
     """The approvals that count toward sealing `result_hash`, one per signer:
     the approval is for `result_hash`, the signer is a registered verifier
     and its signature verifies. None unless they carry a verifier
     supermajority."""
-    member_keys = {m.staking_public_key for m in verifiers}
     valid: dict[bytes, Approval] = {}
     for a in approvals:
-        if a.result_hash == result_hash and a.verifier in member_keys and a.valid():
+        if a.result_hash == result_hash and a.verifier in verifiers.keys and a.valid():
             valid.setdefault(a.verifier, a)
-    if not valid or not meets_supermajority(effective_votes(valid, verifiers)):
+    if not valid or not verifiers.supermajority(valid):
         return None
     return valid
 
@@ -232,7 +231,7 @@ def form_seal(
     execution_result_hash: bytes,
     final_state_commitment: bytes,
     approvals: Iterable[Approval],
-    verifiers: Sequence[NodeIdentity],
+    verifiers: StakeTable,
 ) -> Optional[BlockSeal]:
     """Seal once the valid approvals pass the verifier supermajority; None
     until then. The caller seals sequentially along the receipt chain and
@@ -250,7 +249,7 @@ def form_seal(
 
 def validate_seal(
     seal: BlockSeal,
-    verifiers: Sequence[NodeIdentity],
+    verifiers: StakeTable,
     result_lookup: Callable[[bytes], Optional[tuple[bytes, bytes]]],
     parent_result_sealed: Callable[[bytes], bool],
     challenge_pending: Callable[[bytes], bool],

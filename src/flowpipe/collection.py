@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import crypto
 from .clustering import route_transaction
 from .encoding import canonical_json, hexify
-from .state import NodeIdentity, effective_votes, meets_supermajority
+from .state import StakeTable
 from .vm import MalformedScript, SignedTransaction, ToyTransaction
 
 
@@ -41,12 +41,11 @@ class GuaranteedCollection:
         )
 
 
-def guarantee_authentic(gc: GuaranteedCollection, cluster_members: Sequence[NodeIdentity]) -> bool:
+def guarantee_authentic(gc: GuaranteedCollection, cluster: StakeTable) -> bool:
     """A guarantee is authentic when its signers are authorized cluster
     members holding strictly more than 2/3 of the cluster stake, with valid
     signatures."""
-    member_keys = {m.staking_public_key for m in cluster_members}
-    if not set(gc.signers) <= member_keys:
+    if not set(gc.signers) <= cluster.keys:
         return False
     if len(set(gc.signers)) != len(gc.signers) or len(gc.signers) != len(gc.signatures):
         return False
@@ -54,7 +53,7 @@ def guarantee_authentic(gc: GuaranteedCollection, cluster_members: Sequence[Node
     for signer, sig in zip(gc.signers, gc.signatures):
         if not crypto.staking_verify(signer, payload, sig):
             return False
-    return meets_supermajority(effective_votes(gc.signers, cluster_members))
+    return cluster.supermajority(gc.signers)
 
 
 class TxCheck(str, enum.Enum):

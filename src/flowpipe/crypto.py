@@ -12,6 +12,7 @@ the same functions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -355,7 +356,10 @@ class InsufficientShares(ValueError):
     pass
 
 
-def _lagrange_at_zero(indices: Sequence[int], q: int) -> list[int]:
+# a committee recovers every beacon from the same few index sets, so each
+# set's coefficients are computed once
+@functools.lru_cache(maxsize=256)
+def _lagrange_at_zero(indices: tuple[int, ...], q: int) -> tuple[int, ...]:
     coeffs = []
     for i in indices:
         num, den = 1, 1
@@ -365,7 +369,7 @@ def _lagrange_at_zero(indices: Sequence[int], q: int) -> list[int]:
             num = num * (-j) % q
             den = den * (i - j) % q
         coeffs.append(num * pow(den, -1, q) % q)
-    return coeffs
+    return tuple(coeffs)
 
 
 def threshold_recover(
@@ -389,7 +393,7 @@ def threshold_recover(
         raise InsufficientShares(
             f"need {params.t + 1} valid shares, got {len(valid)}"
         )
-    indices = sorted(valid)[: params.t + 1]
+    indices = tuple(sorted(valid)[: params.t + 1])
     lam = _lagrange_at_zero(indices, params.q)
     sigma = sum(l * valid[i].value for l, i in zip(lam, indices)) % params.q
     return GroupSignature(value=sigma)

@@ -9,15 +9,36 @@ from __future__ import annotations
 
 import functools
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 
-# `json.dumps` with these arguments would build a new encoder on every call
 CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# `json.dumps` and `JSONEncoder.encode` build a new C encoder on every call;
+# this one, with `CANONICAL_ENCODER`'s settings, is built once. With no
+# markers it skips the cycle check, so a cyclic payload raises RecursionError.
+# CPython always ships the C encoder; without it this module fails to import.
+_encode = c_make_encoder(
+    None,  # markers
+    CANONICAL_ENCODER.default,
+    encode_basestring_ascii,  # ensure_ascii
+    CANONICAL_ENCODER.indent,
+    CANONICAL_ENCODER.key_separator,
+    CANONICAL_ENCODER.item_separator,
+    CANONICAL_ENCODER.sort_keys,
+    CANONICAL_ENCODER.skipkeys,
+    CANONICAL_ENCODER.allow_nan,
+)
+
+
+def canonical_text(obj: Any) -> str:
+    """The text `CANONICAL_ENCODER.encode(obj)` returns."""
+    return "".join(_encode(obj, 0))
 
 
 def canonical_json(obj: Any) -> bytes:
-    return CANONICAL_ENCODER.encode(obj).encode()
+    return "".join(_encode(obj, 0)).encode()
 
 
 def hexify(b: bytes) -> str:

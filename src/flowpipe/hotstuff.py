@@ -15,27 +15,26 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from . import crypto
 from .encoding import canonical_json, hexify, once, once_for
-from .state import NodeIdentity, effective_votes, meets_supermajority
+from .state import StakeTable
 
 GENESIS_DIGEST = crypto.hash("consensus-genesis", b"")
 
 
-def leader_for_round(round_number: int, members: Sequence[NodeIdentity], seed: bytes) -> bytes:
-    """Stake-weighted pseudo-random leader; all nodes agree given the seed."""
-    if not members:
+def leader_for_round(round_number: int, table: StakeTable, seed: bytes) -> bytes:
+    """Stake-weighted pseudo-random leader; all nodes agree given the seed.
+    The draw walks the table's members in key order."""
+    if not table.members:
         raise ValueError("empty membership")
-    ordered = sorted(members, key=lambda m: m.staking_public_key)
-    total = sum(m.stake for m in ordered)
     stream = crypto.seeded_stream(
         crypto.derive_seed(["leader"], seed + round_number.to_bytes(8, "big"))
     )
-    pick = stream.next_below(total)
+    pick = stream.next_below(table.total)
     acc = 0
-    for m in ordered:
+    for m in table.members:
         acc += m.stake
         if pick < acc:
             return m.staking_public_key
@@ -43,19 +42,19 @@ def leader_for_round(round_number: int, members: Sequence[NodeIdentity], seed: b
 
 
 class LeaderSchedule:
-    """The leaders of one consensus group. Its members, sorted by staking key
-    into one tuple, and its seed fix every round's leader, so the engines of
-    a group share one schedule and each round's leader is drawn once. The
-    LRU bound keeps a long run from growing the table by one entry per
-    round; an evicted round is drawn again."""
+    """The leaders of one consensus group. Its stake table and its seed fix
+    every round's leader, so the engines of a group share one schedule and
+    each round's leader is drawn once. The LRU bound keeps a long run from
+    growing the cache by one entry per round; an evicted round is drawn
+    again."""
 
-    def __init__(self, members: Sequence[NodeIdentity], seed: bytes):
-        self.members = tuple(sorted(members, key=lambda m: m.staking_public_key))
+    def __init__(self, table: StakeTable, seed: bytes):
+        self.table = table
         self.seed = seed
         self.leader = functools.lru_cache(maxsize=256)(self._leader)
 
     def _leader(self, round_number: int) -> bytes:
-        return leader_for_round(round_number, self.members, self.seed)
+        return leader_for_round(round_number, self.table, self.seed)
 
 
 @dataclass(frozen=True)
@@ -65,39 +64,40 @@ class QuorumCertificate:
     signers: tuple[bytes, ...]
     signatures: tuple[bytes, ...]
 
-    def valid_for(self, members: tuple[NodeIdentity, ...]) -> bool:
-        """`qc_valid` against `members`, computed once per certificate for
-        each member set: a broadcast certificate is one object shared by
-        every engine of the group, and the engines share one members tuple.
-        The genesis certificate is module-wide and carries no signatures, so
-        it keeps no slot."""
+    def valid_for(self, table: StakeTable) -> bool:
+        """`qc_valid` against `table`, computed once per certificate for
+        each table: a broadcast certificate is one object shared by every
+        engine of the group, and the engines share one table. The genesis
+        certificate is module-wide and carries no signatures, so it keeps no
+        slot."""
         if self.round == 0:
-            return qc_valid(self, members)
-        return once_for(self, members, qc_valid, self, members)
+            return qc_valid(self, table)
+        return once_for(self, table, qc_valid, self, table)
 
 
 GENESIS_QC = QuorumCertificate(payload_digest=GENESIS_DIGEST, round=0, signers=(), signatures=())
 
 
-@functools.lru_cache(maxsize=4096)
+# a (round, digest) is signed, checked and certified within a few rounds, so
+# a small bound keeps every hit; each key is computed once
+@functools.lru_cache(maxsize=256)
 def vote_payload(round_number: int, digest: bytes) -> bytes:
     return canonical_json({"vote_round": round_number, "digest": hexify(digest)})
 
 
-def qc_valid(qc: QuorumCertificate, members: Sequence[NodeIdentity]) -> bool:
+def qc_valid(qc: QuorumCertificate, table: StakeTable) -> bool:
     """Genuine supermajority of authorized signers over the vote payload."""
     if qc.round == 0:
         return qc.payload_digest == GENESIS_DIGEST and not qc.signers
     if len(set(qc.signers)) != len(qc.signers) or len(qc.signers) != len(qc.signatures):
         return False
-    member_keys = {m.staking_public_key for m in members}
-    if not set(qc.signers) <= member_keys:
+    if not set(qc.signers) <= table.keys:
         return False
     msg = vote_payload(qc.round, qc.payload_digest)
     for signer, sig in zip(qc.signers, qc.signatures):
         if not crypto.staking_verify(signer, msg, sig):
             return False
-    return meets_supermajority(effective_votes(qc.signers, members))
+    return table.supermajority(qc.signers)
 
 
 @dataclass(frozen=True)
@@ -262,8 +262,7 @@ class ConsensusEngine:
         on_evidence: Optional[EvidenceFn] = None,
     ):
         self.keypair = keypair
-        self.members = schedule.members
-        self.member_keys = {m.staking_public_key for m in self.members}
+        self.table = schedule.table
         self.leader = schedule.leader
         self.base_timeout = base_timeout
         self.timeout = base_timeout
@@ -411,7 +410,7 @@ class ConsensusEngine:
         self._proposal_seen[key] = proposal
 
         justify = proposal.justify
-        if not justify.valid_for(self.members):
+        if not justify.valid_for(self.table):
             return
         if justify.payload_digest not in self.tree.nodes:
             # out-of-order arrival: park until the parent shows up; a parent
@@ -465,16 +464,16 @@ class ConsensusEngine:
         bucket = self._votes.get(key, {})
         if bucket is None:
             return  # the QC is formed; a late vote would only repeat it
-        if vote.voter not in self.member_keys or not crypto.staking_verify(
+        if vote.voter not in self.table.keys or not crypto.staking_verify(
             vote.voter, vote_payload(vote.round, vote.payload_digest), vote.signature
         ):
             return  # an outsider's vote would make the quorum count raise
         self._votes[key] = bucket
         bucket.setdefault(vote.voter, vote.signature)  # duplicates counted once
-        signers = tuple(sorted(bucket))
-        if not meets_supermajority(effective_votes(signers, self.members)):
+        if not self.table.supermajority(bucket):
             return
         self._votes[key] = None
+        signers = tuple(sorted(bucket))
         qc = QuorumCertificate(
             payload_digest=vote.payload_digest,
             round=vote.round,
@@ -486,7 +485,7 @@ class ConsensusEngine:
         self._enter_round(vote.round + 1)
 
     def on_new_round(self, msg: NewRound) -> None:
-        if msg.high_qc.valid_for(self.members):
+        if msg.high_qc.valid_for(self.table):
             self._certify(msg.high_qc)
             self._update_high_qc(msg.high_qc)
         if msg.round == self.current_round and self.is_leader(msg.round):

@@ -52,16 +52,14 @@ from .sim import Handler, Simulator
 from .state import (
     Adjudication,
     ChallengeKind,
-    NodeIdentity,
     ProtocolState,
     SlashingChallenge,
+    StakeTable,
     StateUpdate,
     UpdateRejected,
     adjudicate_challenge,
     apply_updates,
     challenge_id,
-    effective_votes,
-    meets_supermajority,
 )
 from .verification import (
     MissingCollectionAttestation,
@@ -84,21 +82,24 @@ from .vm import SignedTransaction, ToyTransaction
 @dataclass
 class Directory:
     """Static world view handed to every node at scenario start: membership,
-    cluster map, one leader schedule per consensus group, beacon material,
-    and protocol parameters. Stake weights are
-    per-epoch snapshots; mid-run slashes change the protocol state but not
-    the current epoch's voting weights."""
+    cluster map, one stake table per group (the consensus group, each
+    cluster and the verifiers), one leader schedule per consensus group over
+    its table, beacon material, and protocol parameters. Every weighted rule
+    reads these tables. They are built once from the genesis records, and a
+    slash does not change them yet: it changes the protocol state, not the
+    voting weights."""
 
     name_of: dict[bytes, str]
     key_of: dict[str, bytes]
-    consensus_schedule: LeaderSchedule
-    verifier_members: list[NodeIdentity]
+    consensus: StakeTable
+    consensus_schedule: LeaderSchedule  # over `consensus`
+    verifiers: StakeTable
     executor_names: list[str]
     verifier_names: list[str]
     consensus_names: list[str]
     collector_names: list[str]
-    clusters: dict[int, list[NodeIdentity]]  # cluster index -> members
-    cluster_schedules: dict[int, LeaderSchedule]  # cluster index -> leaders
+    clusters: dict[int, StakeTable]  # cluster index -> its table
+    cluster_schedules: dict[int, LeaderSchedule]  # cluster index -> leaders over its table
     cluster_of: dict[bytes, int]
     initial_state: ProtocolState
     params: crypto.ThresholdParams
@@ -286,10 +287,10 @@ class CollectorNode(Node):
     def __init__(self, sim, name, keypair, directory):
         super().__init__(sim, name, keypair, directory)
         self.cluster_index = directory.cluster_of[keypair.public]
-        members = directory.clusters[self.cluster_index]
+        self.cluster = directory.clusters[self.cluster_index]
         self.peers = [
             directory.name_of[m.staking_public_key]
-            for m in members
+            for m in self.cluster.members
             if m.staking_public_key != keypair.public
         ]
         self.pool: dict[bytes, SignedTransaction] = {}
@@ -418,28 +419,22 @@ class CollectorNode(Node):
             return
         if share.cluster_index != self.cluster_index:
             return  # its signature covers another cluster's guarantee
-        if self.d.cluster_of.get(share.signer) != self.cluster_index:
+        if share.signer not in self.cluster.keys:
             return  # a share from outside the cluster would make the count raise
         stub = GuaranteedCollection(share.collection_hash, share.cluster_index, (), ())
         if not crypto.staking_verify(share.signer, stub.signed_payload(), share.signature):
             return
         bucket = self.shares.setdefault(share.collection_hash, {})
         bucket.setdefault(share.signer, share.signature)
-        if share.collection_hash in self.announced:
+        if share.collection_hash in self.announced or not self.cluster.supermajority(bucket):
             return
-        members = self.d.clusters[self.cluster_index]
+        signers = tuple(sorted(bucket))
         gc = GuaranteedCollection(
-            share.collection_hash,
-            self.cluster_index,
-            tuple(sorted(bucket)),
-            tuple(bucket[s] for s in sorted(bucket)),
+            share.collection_hash, self.cluster_index, signers, tuple(bucket[s] for s in signers)
         )
-        if meets_supermajority(effective_votes(gc.signers, members)):
-            self.announced.add(share.collection_hash)
-            self.sim.event(
-                self.name, "collection_guaranteed", {"hash": hexify(share.collection_hash)}
-            )
-            self.send_all(self.d.consensus_names, GuaranteeAnnounce(gc))
+        self.announced.add(share.collection_hash)
+        self.sim.event(self.name, "collection_guaranteed", {"hash": hexify(share.collection_hash)})
+        self.send_all(self.d.consensus_names, GuaranteeAnnounce(gc))
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +702,7 @@ class ConsensusNode(Node):
                     execution_result_hash=rh,
                     final_state_commitment=result.final_state,
                     approvals=self.approvals.get(rh, {}).values(),
-                    verifiers=self.d.verifier_members,
+                    verifiers=self.d.verifiers,
                 )
                 if seal is not None:
                     seals.append(seal)
@@ -733,7 +728,7 @@ class ConsensusNode(Node):
         def seal_ok(seal) -> bool:
             ok = validate_seal(
                 seal,
-                self.d.verifier_members,
+                self.d.verifiers,
                 result_lookup=lambda rh: (
                     (r.block_hash, r.final_state) if (r := self._result(rh)) is not None else None
                 ),
@@ -1328,7 +1323,7 @@ class UserAgent(Node):
         )
         self.sent += 1
         cluster = route_transaction(tx.tx_hash(), len(self.d.clusters))
-        members = self.d.clusters[cluster]
+        members = self.d.clusters[cluster].members
         target = self.d.name_of[members[self.sent % len(members)].staking_public_key]
         self.sim.event(self.name, "tx_submitted", {"hash": hexify(tx.tx_hash()), "cluster": cluster})
         self.sim.send(self.name, target, SubmitTx(tx))

@@ -35,6 +35,7 @@ from .state import (
     ProtocolState,
     Role,
     SlashingChallenge,
+    StakeTable,
 )
 
 
@@ -360,9 +361,10 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
         [k.public for k in keys[Role.COLLECTOR]], doc["clusters"]["count"], epoch_seed
     )
     clusters = {
-        idx: [records[k] for k in assignment.cluster_members(idx)]
+        idx: StakeTable([records[k] for k in assignment.cluster_members(idx)])
         for idx in range(assignment.c)
     }
+    consensus = StakeTable(ids[Role.CONSENSUS])
 
     # beacon committee: the consensus members with the lowest staking keys
     committee_size = doc["drb"]["committee_size"]
@@ -382,8 +384,9 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
     directory = Directory(
         name_of=name_of,
         key_of={v: k for k, v in name_of.items()},
-        consensus_schedule=LeaderSchedule(ids[Role.CONSENSUS], epoch_seed),
-        verifier_members=ids[Role.VERIFICATION],
+        consensus=consensus,
+        consensus_schedule=LeaderSchedule(consensus, epoch_seed),
+        verifiers=StakeTable(ids[Role.VERIFICATION]),
         executor_names=names(Role.EXECUTION),
         verifier_names=names(Role.VERIFICATION),
         consensus_names=names(Role.CONSENSUS),
@@ -391,9 +394,9 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
         clusters=clusters,
         cluster_schedules={
             idx: LeaderSchedule(
-                members, crypto.derive_seed(["cluster-consensus", str(idx)], epoch_seed)
+                table, crypto.derive_seed(["cluster-consensus", str(idx)], epoch_seed)
             )
-            for idx, members in clusters.items()
+            for idx, table in clusters.items()
         },
         cluster_of=dict(assignment.mapping),
         initial_state=initial_state,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import crypto
-from .encoding import CANONICAL_ENCODER
+from .encoding import canonical_text
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class EventLog:
     """Totally ordered run record; identical for identical (scenario, seed).
 
     Each record is kept only as its canonical JSON line, encoded once on
-    `append` with `CANONICAL_ENCODER`; its keys sort as kind, node, payload,
+    `append` with `canonical_text`; its keys sort as kind, node, payload,
     t. The lines are packed into text blocks of about `BLOCK_LINES`, so no
     object is kept per record; `select` and `records` decode on demand."""
 
@@ -58,7 +58,7 @@ class EventLog:
         if head is None:
             head = self._heads[(kind, node)] = _line_start(kind, node) + '"payload":'
         tail = self._tail
-        tail.append(f'{head}{CANONICAL_ENCODER.encode(payload)},"t":{t}}}\n')
+        tail.append(f'{head}{canonical_text(payload)},"t":{t}}}\n')
         if len(tail) == self.BLOCK_LINES:
             self._blocks.append("".join(tail))
             tail.clear()
@@ -112,9 +112,8 @@ def _lines_starting(block: str, start: str) -> list[str]:
 def _line_start(kind: str, node: Optional[str] = None) -> str:
     """The start of the canonical line of every record of `kind` (and of
     `node`, if given)."""
-    encode = CANONICAL_ENCODER.encode
-    start = f'{{"kind":{encode(kind)},"node":'
-    return start if node is None else f"{start}{encode(node)},"
+    start = f'{{"kind":{canonical_text(kind)},"node":'
+    return start if node is None else f"{start}{canonical_text(node)},"
 
 
 Handler = Callable[[str, Any], None]  # (sender_name, message)

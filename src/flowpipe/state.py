@@ -1,11 +1,11 @@
-"""Protocol state: staked node records, commitments, effective-vote
-arithmetic, slash application, and slashing-challenge adjudication."""
+"""Protocol state: staked node records, commitments, each group's stake
+table and its quorum rule, slash application, and slashing-challenge
+adjudication."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -52,21 +52,40 @@ class ProtocolState:
         object.__setattr__(self, "commitment", commit_state(self))
 
 
-def effective_votes(voters: Iterable[bytes], group: Sequence[NodeIdentity]) -> Fraction:
-    """Staked fraction of `group` voting in favor; exact rational arithmetic."""
-    by_key = {m.staking_public_key: m.stake for m in group}
-    total = sum(by_key.values())
-    if total == 0:
-        raise ValueError("group has zero total stake")
-    voter_set = set(voters)
-    if not voter_set <= set(by_key):
-        raise ValueError("voters must be a subset of the group")
-    return Fraction(sum(by_key[v] for v in voter_set), total)
+@dataclass(frozen=True, eq=False)
+class StakeTable:
+    """One group's stake weights, built once from its identity records: the
+    members sorted by staking key, the key set, each key's stake and the
+    total. Every weighted rule of the group reads the one table. It compares
+    by identity, so a verdict kept per table (`QuorumCertificate.valid_for`)
+    checks its key in O(1)."""
 
+    members: tuple[NodeIdentity, ...]
+    keys: frozenset[bytes] = field(init=False)
+    stake: Mapping[bytes, int] = field(init=False, repr=False)
+    total: int = field(init=False)
 
-def meets_supermajority(fraction: Fraction) -> bool:
-    """Strictly more than 2/3 (a `Fraction`'s denominator is positive)."""
-    return 3 * fraction.numerator > 2 * fraction.denominator
+    def __post_init__(self):
+        members = tuple(sorted(self.members, key=lambda m: m.staking_public_key))
+        stake = {m.staking_public_key: m.stake for m in members}
+        if len(stake) != len(members):
+            raise ValueError("a staking key appears twice in the group")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "keys", frozenset(stake))
+        object.__setattr__(self, "stake", MappingProxyType(stake))
+        object.__setattr__(self, "total", sum(stake.values()))
+
+    def supermajority(self, voters: Iterable[bytes]) -> bool:
+        """The distinct `voters` hold strictly more than 2/3 of the group's
+        stake: `3·w > 2·total`, in integers. A voter from outside the group
+        or a group with no stake raises."""
+        if self.total == 0:
+            raise ValueError("group has zero total stake")
+        voter_set = set(voters)
+        if not voter_set <= self.keys:
+            raise ValueError("voters must be a subset of the group")
+        stake = self.stake
+        return 3 * sum(stake[v] for v in voter_set) > 2 * self.total
 
 
 # ---------------------------------------------------------------------------

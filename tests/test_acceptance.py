@@ -28,7 +28,7 @@ from flowpipe.scenario import (
     run_world,
 )
 from flowpipe.sim import SimConfig, Simulator
-from flowpipe.state import NodeIdentity, Role
+from flowpipe.state import NodeIdentity, Role, StakeTable
 from flowpipe.verification import assign_chunks
 from flowpipe.vm import SignedTransaction, ToyTransaction, execute
 
@@ -256,11 +256,10 @@ class EngineHarness:
         self.kps = [
             crypto.StakingKeyPair.from_seed(bytes([seed_byte, i]) * 16) for i in range(n)
         ]
-        self.members = [
-            NodeIdentity(kp.public, Role.CONSENSUS, 1, f"n{i}")
-            for i, kp in enumerate(self.kps)
-        ]
-        self.schedule = LeaderSchedule(self.members, seed)
+        table = StakeTable(
+            NodeIdentity(kp.public, Role.CONSENSUS, 1, f"n{i}") for i, kp in enumerate(self.kps)
+        )
+        self.schedule = LeaderSchedule(table, seed)
         self.names = {kp.public: f"n{i}" for i, kp in enumerate(self.kps)}
         self.silent = {f"n{i}" for i in silent}
         self.finalized = {f"n{i}": [] for i in range(n)}

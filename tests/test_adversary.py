@@ -633,7 +633,7 @@ def test_challenge_without_its_evidence_rejected():
     state = world.directory.initial_state
     receipt = liar_chain[0].receipt
     rh = receipt.execution_result.result_hash()
-    guarantors = [c.staking_public_key for c in world.directory.clusters[0]]
+    guarantors = [c.staking_public_key for c in world.directory.clusters[0].members]
     for ch in (
         make_mcc(verifier.keypair.public, guarantors, rh, deadline=400),
         make_fcc(verifier.keypair.public, receipt.executor, rh, 0, receipt.executor_signature, 400),

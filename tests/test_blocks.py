@@ -23,6 +23,7 @@ from flowpipe.state import (
     NodeIdentity,
     ProtocolState,
     Role,
+    StakeTable,
     StateUpdate,
     apply_updates,
     commit_state,
@@ -47,8 +48,9 @@ def base_protocol_state(n_collectors=4, n_verifiers=4):
     return ProtocolState(records=records), collector_kps, verifier_kps
 
 
-def members(state: ProtocolState, role: Role) -> list[NodeIdentity]:
-    return [rec for _, rec in sorted(state.records.items()) if rec.role == role]
+def members(state: ProtocolState, role: Role) -> StakeTable:
+    """The stake table of `role`'s group in `state`."""
+    return StakeTable(rec for rec in state.records.values() if rec.role == role)
 
 
 def make_guarantee(collector_kps, members, coll_hash, signer_idx, cluster=0):

@@ -11,7 +11,7 @@ from flowpipe.collection import (
     validate_transaction,
 )
 from flowpipe.crypto import StakingKeyPair, hash as fhash
-from flowpipe.state import NodeIdentity, Role
+from flowpipe.state import NodeIdentity, Role, StakeTable
 from flowpipe.vm import SignedTransaction, ToyTransaction
 
 REF = b"\xaa" * 32
@@ -113,7 +113,7 @@ def cluster_of(n, stake=10):
     members = [
         NodeIdentity(kp.public, Role.COLLECTOR, stake, f"c{i}") for i, kp in enumerate(kps)
     ]
-    return kps, members
+    return kps, StakeTable(members)
 
 
 def guarantee(coll_hash, kps, signer_idx, cluster=0):

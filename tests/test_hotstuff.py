@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+from importlib import resources
 
 import pytest
 
@@ -20,68 +22,118 @@ from flowpipe.hotstuff import (
     qc_valid,
     vote_payload,
 )
-from flowpipe.scenario import DEFAULTS
+from flowpipe.scenario import DEFAULTS, build_world, load_scenario
 from flowpipe.sim import SimConfig, Simulator
-from flowpipe.state import NodeIdentity, Role
+from flowpipe.state import NodeIdentity, Role, StakeTable
 
 SEED = b"\x07" * 32
 
 
 def make_members(stakes):
+    """Key pairs in member order and the group's stake table."""
     kps = [crypto.StakingKeyPair.from_seed(bytes([i + 1]) * 32) for i in range(len(stakes))]
     members = [
         NodeIdentity(kp.public, Role.CONSENSUS, stake, f"n{i}")
         for i, (kp, stake) in enumerate(zip(kps, stakes))
     ]
-    return kps, members
+    return kps, StakeTable(members)
 
 
 class TestLeaderSelection:
     def test_single_member(self):
-        kps, members = make_members([5])
+        kps, table = make_members([5])
         for r in range(1, 20):
-            assert leader_for_round(r, members, SEED) == kps[0].public
+            assert leader_for_round(r, table, SEED) == kps[0].public
 
     def test_agreement_regardless_of_input_order(self):
-        kps, members = make_members([3, 1, 2])
+        kps, table = make_members([3, 1, 2])
         for r in range(1, 50):
-            assert leader_for_round(r, members, SEED) == leader_for_round(
-                r, list(reversed(members)), SEED
+            assert leader_for_round(r, table, SEED) == leader_for_round(
+                r, StakeTable(reversed(table.members)), SEED
             )
 
     def test_equal_stakes_frequency(self):
         # oracle: binomial 3-sigma band around 1/n over 10^5 rounds
         n, rounds = 5, 100_000
-        kps, members = make_members([7] * n)
+        kps, table = make_members([7] * n)
         counts = {kp.public: 0 for kp in kps}
         for r in range(1, rounds + 1):
-            counts[leader_for_round(r, members, SEED)] += 1
+            counts[leader_for_round(r, table, SEED)] += 1
         p = 1 / n
         sigma = math.sqrt(rounds * p * (1 - p))
         for c in counts.values():
             assert abs(c - rounds * p) < 3 * sigma
 
     def test_double_stake_double_frequency(self):
-        kps, members = make_members([2, 1, 1])
+        kps, table = make_members([2, 1, 1])
         rounds = 100_000
         counts = {kp.public: 0 for kp in kps}
         for r in range(1, rounds + 1):
-            counts[leader_for_round(r, members, SEED)] += 1
+            counts[leader_for_round(r, table, SEED)] += 1
         p = 1 / 2
         sigma = math.sqrt(rounds * p * (1 - p))
         assert abs(counts[kps[0].public] - rounds * p) < 3 * sigma
 
     def test_empty_members_rejected(self):
         with pytest.raises(ValueError):
-            leader_for_round(1, [], SEED)
+            leader_for_round(1, StakeTable([]), SEED)
 
 
-def make_engine(kps, members, sent: list) -> ConsensusEngine:
+def reference_leader(round_number, members, seed):
+    """The leader walk over a plain member list, sorting and summing the
+    stakes afresh each round: the form it had before stake tables."""
+    ordered = sorted(members, key=lambda m: m.staking_public_key)
+    total = sum(m.stake for m in ordered)
+    stream = crypto.seeded_stream(
+        crypto.derive_seed(["leader"], seed + round_number.to_bytes(8, "big"))
+    )
+    pick = stream.next_below(total)
+    acc = 0
+    for m in ordered:
+        acc += m.stake
+        if pick < acc:
+            return m.staking_public_key
+    raise AssertionError("cumulative stake walk must terminate")
+
+
+class TestLeaderWalkAgainstReference:
+    ROUNDS = range(1, 5001)
+
+    def test_bundled_consensus_group(self):
+        doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
+        schedule = build_world(doc).directory.consensus_schedule
+        members = list(schedule.table.members)
+        for r in self.ROUNDS:
+            assert leader_for_round(r, schedule.table, schedule.seed) == reference_leader(
+                r, members, schedule.seed
+            ), r
+
+    def test_random_stakes_with_zero_stake_members(self):
+        rng = random.Random(19)
+        for case in range(6):
+            n = rng.randint(2, 7)
+            stakes = [rng.choice([0, 0, 1, 2, 5, 9]) for _ in range(n)]
+            stakes[rng.randrange(n)] = 0
+            stakes[rng.randrange(n)] = rng.randint(1, 9)  # the total is positive
+            assert 0 in stakes and sum(stakes) > 0
+            _, table = make_members(stakes)
+            members = list(table.members)
+            rng.shuffle(members)  # the reference sorts its own input
+            seed = bytes([case]) * 32
+            leaders = set()
+            for r in self.ROUNDS:
+                leader = leader_for_round(r, table, seed)
+                assert leader == reference_leader(r, members, seed), (stakes, r)
+                leaders.add(leader)
+            assert all(table.stake[k] > 0 for k in leaders), stakes
+
+
+def make_engine(kps, table, sent: list) -> ConsensusEngine:
     """Engine of `kps[0]` that accepts every payload and appends every
     message it sends to `sent`."""
     return ConsensusEngine(
         keypair=kps[0],
-        schedule=LeaderSchedule(members, SEED),
+        schedule=LeaderSchedule(table, SEED),
         base_timeout=100,
         digest_payload=lambda p: crypto.hash("payload", canonical_json(p)),
         validate_payload=lambda p, parent: True,
@@ -97,15 +149,15 @@ class TestCachedEncodings:
     """Every memoised encoding equals the formula computed afresh."""
 
     def test_engine_leader_memo_matches_formula(self):
-        kps, members = make_members([3, 1, 2, 5])
-        eng = make_engine(kps, list(reversed(members)), [])
+        kps, table = make_members([3, 1, 2, 5])
+        eng = make_engine(kps, StakeTable(reversed(table.members)), [])
         for r in range(1, 2001):
-            assert eng.leader(r) == leader_for_round(r, members, SEED)
+            assert eng.leader(r) == leader_for_round(r, table, SEED)
         info = eng.leader.cache_info()
         assert info.currsize <= info.maxsize < 2000
         # the early rounds were evicted and are recomputed
         for r in range(1, 2001, 7):
-            assert eng.leader(r) == leader_for_round(r, members, SEED)
+            assert eng.leader(r) == leader_for_round(r, table, SEED)
 
     def test_vote_payload(self):
         for r, digest in [(1, b"\x00" * 32), (7, b"\xcd" * 32), (7, b"\xce" * 32), (2**40, bytes(range(32)))]:
@@ -134,28 +186,28 @@ class TestCachedEncodings:
 
 
 class TestQcValidity:
-    def make_qc(self, kps, members, signer_idx, round_number=3, digest=b"\xcd" * 32):
+    def make_qc(self, kps, table, signer_idx, round_number=3, digest=b"\xcd" * 32):
         msg = vote_payload(round_number, digest)
         signers = tuple(kps[i].public for i in signer_idx)
         sigs = tuple(kps[i].sign(msg) for i in signer_idx)
         return QuorumCertificate(digest, round_number, signers, sigs)
 
     def test_supermajority_required(self):
-        kps, members = make_members([1] * 10)
-        assert qc_valid(self.make_qc(kps, members, range(7)), members)
-        assert not qc_valid(self.make_qc(kps, members, range(6)), members)
+        kps, table = make_members([1] * 10)
+        assert qc_valid(self.make_qc(kps, table, range(7)), table)
+        assert not qc_valid(self.make_qc(kps, table, range(6)), table)
 
     def test_forged_signature_rejected(self):
-        kps, members = make_members([1] * 4)
-        qc = self.make_qc(kps, members, range(3))
+        kps, table = make_members([1] * 4)
+        qc = self.make_qc(kps, table, range(3))
         forged = QuorumCertificate(
             qc.payload_digest, qc.round, qc.signers, qc.signatures[:-1] + (b"\xff" * 32,)
         )
-        assert not qc_valid(forged, members)
+        assert not qc_valid(forged, table)
 
     def test_genesis_qc(self):
-        _, members = make_members([1] * 4)
-        assert qc_valid(GENESIS_QC, members)
+        _, table = make_members([1] * 4)
+        assert qc_valid(GENESIS_QC, table)
 
 
 def finality_check(tree: BlockTree) -> list[bytes]:
@@ -246,8 +298,8 @@ class Harness:
             **dict(DEFAULTS["network"], delta_t=5), seed=seed, max_sim_time=50_000
         )
         self.sim = Simulator(self.cfg)
-        self.kps, self.members = make_members(stakes)
-        self.schedule = LeaderSchedule(self.members, SEED)  # shared, as in a world
+        self.kps, self.table = make_members(stakes)
+        self.schedule = LeaderSchedule(self.table, SEED)  # shared, as in a world
         self.names = {kp.public: f"n{i}" for i, kp in enumerate(self.kps)}
         self.engines: dict[str, ConsensusEngine] = {}
         self.finalized: dict[str, list[bytes]] = {f"n{i}": [] for i in range(len(stakes))}
@@ -417,10 +469,10 @@ class TestVotingRules:
     lock."""
 
     def setup_method(self):
-        self.kps, self.members = make_members([1] * 4)
+        self.kps, self.table = make_members([1] * 4)
         self.by_key = {kp.public: kp for kp in self.kps}
         self.sent = []
-        self.eng = make_engine(self.kps, self.members, self.sent)
+        self.eng = make_engine(self.kps, self.table, self.sent)
 
     def proposal(self, round_number, justify, proposer=None, tag="p"):
         proposer = proposer or self.by_key[self.eng.leader(round_number)]
@@ -567,7 +619,7 @@ class TestVotingRules:
             self.eng.on_vote(Vote(r, digest, kp.public, kp.sign(msg)))
         formed = self.eng.high_qc
         assert (formed.round, formed.payload_digest) == (r, digest)
-        assert outsider.public not in formed.signers and qc_valid(formed, self.members)
+        assert outsider.public not in formed.signers and qc_valid(formed, self.table)
 
 
 class TestSharedVerdicts:
@@ -584,8 +636,7 @@ class TestSharedVerdicts:
         )
 
     def test_tampered_qc_twin_rejected_after_original_accepted(self):
-        kps, members = make_members([1] * 4)
-        group = LeaderSchedule(members, SEED).members
+        kps, group = make_members([1] * 4)
         qc = self.make_qc(kps, range(3))
         assert qc.valid_for(group) and qc.valid_for(group)
         forged = dataclasses.replace(qc, signatures=qc.signatures[:-1] + (b"\xff" * 32,))
@@ -597,20 +648,19 @@ class TestSharedVerdicts:
         assert qc.valid_for(group)
 
     def test_qc_valid_for_one_member_set_rejected_by_another(self):
-        kps, members = make_members([1] * 4)
+        kps, cluster_a = make_members([1] * 4)
         qc = self.make_qc(kps, range(3))
-        cluster_a = LeaderSchedule(members, SEED).members
         assert qc.valid_for(cluster_a)
         # another cluster: other keys
         other_kps = [crypto.StakingKeyPair.from_seed(bytes([i + 50]) * 32) for i in range(4)]
-        cluster_b = tuple(
+        cluster_b = StakeTable(
             NodeIdentity(kp.public, Role.CONSENSUS, 1, f"m{i}") for i, kp in enumerate(other_kps)
         )
         assert not qc.valid_for(cluster_b)
         # the same keys under other stakes: the three signers lack 2/3
-        restaked = tuple(
+        restaked = StakeTable(
             dataclasses.replace(m, stake=10) if m.staking_public_key == kps[3].public else m
-            for m in cluster_a
+            for m in cluster_a.members
         )
         assert not qc.valid_for(restaked)
         assert qc.valid_for(cluster_a)
@@ -621,18 +671,21 @@ class TestSharedVerdicts:
         calls = []
         real = hotstuff.qc_valid
 
-        def counting(qc, members):
-            calls.append(members)
-            return real(qc, members)
+        def counting(qc, table):
+            calls.append(table)
+            return real(qc, table)
 
         counting.__name__ = real.__name__
         monkeypatch.setattr(hotstuff, "qc_valid", counting)
-        kps, members = make_members([1] * 4)
-        group = LeaderSchedule(members, SEED).members
+        kps, group = make_members([1] * 4)
         qc = self.make_qc(kps, range(3))
         for _ in range(5):
             assert qc.valid_for(group)
         assert calls == [group]
+        # a table compares by identity: an equal twin is another key
+        twin = StakeTable(group.members)
+        assert twin != group and qc.valid_for(twin)
+        assert calls == [group, twin]
         # the module-wide genesis certificate keeps nothing of a world
         assert GENESIS_QC.valid_for(group)
         assert set(vars(GENESIS_QC)) == {f.name for f in dataclasses.fields(GENESIS_QC)}
@@ -654,9 +707,10 @@ class TestLeaderSchedule:
         h = Harness([1] * 4)
         leaders = {id(eng.leader) for eng in h.engines.values()}
         assert leaders == {id(h.schedule.leader)}
-        assert all(eng.members is h.schedule.members for eng in h.engines.values())
+        assert all(eng.table is h.schedule.table for eng in h.engines.values())
 
     def test_members_sorted_tuple(self):
-        _, members = make_members([3, 1, 2, 5])
-        schedule = LeaderSchedule(list(reversed(members)), SEED)
-        assert schedule.members == tuple(sorted(members, key=lambda m: m.staking_public_key))
+        _, table = make_members([3, 1, 2, 5])
+        members = list(reversed(table.members))
+        schedule = LeaderSchedule(StakeTable(members), SEED)
+        assert schedule.table.members == tuple(sorted(members, key=lambda m: m.staking_public_key))

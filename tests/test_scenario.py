@@ -451,8 +451,10 @@ class TestWorldsShareNothing:
         assert {id(n.engine.leader) for n in world.consensus} == {id(d.consensus_schedule.leader)}
         for c in world.collectors:
             schedule = d.cluster_schedules[c.cluster_index]
-            assert c.engine.leader is schedule.leader and c.engine.members is schedule.members
+            assert c.engine.leader is schedule.leader
+            assert c.engine.table is schedule.table is d.clusters[c.cluster_index]
         assert len({id(s) for s in d.cluster_schedules.values()}) == len(d.clusters)
+        assert all(n.engine.table is d.consensus_schedule.table is d.consensus for n in world.consensus)
 
 
 class TestSchemaDoc:

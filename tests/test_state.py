@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,13 +13,12 @@ from flowpipe.state import (
     ProtocolState,
     Role,
     SlashingChallenge,
+    StakeTable,
     StateUpdate,
     UpdateRejected,
     adjudicate_challenge,
     apply_updates,
     commit_state,
-    effective_votes,
-    meets_supermajority,
 )
 
 
@@ -43,50 +43,122 @@ def make_state(stakes=(10,) * 10, role=Role.CONSENSUS) -> ProtocolState:
 
 
 class TestEffectiveVotes:
+    """The staked fraction of a group voting in favor, read through the one
+    quorum rule, `StakeTable.supermajority`."""
+
     def test_equal_stakes(self):
         group = [node(i) for i in range(1, 11)]
         voters = [g.staking_public_key for g in group[:7]]
-        assert effective_votes(voters, group) == Fraction(7, 10)
+        assert StakeTable(group).supermajority(voters)  # 7/10
+        assert not StakeTable(group).supermajority(voters[:6])  # 6/10
 
     def test_weighted(self):
         group = [node(1, stake=5), node(2, stake=3), node(3, stake=2)]
         voters = [group[0].staking_public_key, group[1].staking_public_key]
-        assert effective_votes(voters, group) == Fraction(8, 10)
+        assert StakeTable(group).supermajority(voters)  # 8/10
+        # 5/10 and 7/10: the weights count, not the heads
+        assert not StakeTable(group).supermajority([group[0].staking_public_key])
+        assert StakeTable(group).supermajority([group[0].staking_public_key, group[2].staking_public_key])
+        assert StakeTable(group).total == 10
+        assert StakeTable(group).stake == {g.staking_public_key: g.stake for g in group}
 
     def test_full_group(self):
         group = [node(i, stake=i) for i in range(1, 5)]
-        assert effective_votes([g.staking_public_key for g in group], group) == 1
+        assert StakeTable(group).supermajority([g.staking_public_key for g in group])
 
     def test_zero_total_stake(self):
         group = [node(1, stake=0)]
         with pytest.raises(ValueError):
-            effective_votes([], group)
+            StakeTable(group).supermajority([])
+        with pytest.raises(ValueError):
+            StakeTable(group).supermajority([group[0].staking_public_key])
+        with pytest.raises(ValueError):
+            StakeTable([]).supermajority([])
 
     def test_voters_outside_group(self):
         group = [node(1)]
         with pytest.raises(ValueError):
-            effective_votes([node(2).staking_public_key], group)
+            StakeTable(group).supermajority([node(2).staking_public_key])
+        with pytest.raises(ValueError):  # however much stake the members hold
+            StakeTable([node(1), node(3)]).supermajority([node(1).staking_public_key, node(2).staking_public_key])
+
+    def test_duplicate_voters_counted_once(self):
+        group = [node(1, stake=7), node(2, stake=3)]
+        k2 = group[1].staking_public_key
+        assert not StakeTable(group).supermajority([k2, k2, k2])
+
+    def test_members_sorted_and_keys_unique(self):
+        group = [node(3), node(1, stake=4), node(2, stake=0)]
+        t = StakeTable(group)
+        assert [m.staking_public_key for m in t.members] == [bytes([i]) * 32 for i in (1, 2, 3)]
+        assert t.keys == {g.staking_public_key for g in group}
+        with pytest.raises(ValueError):
+            StakeTable([node(1), node(1, stake=3)])
+
+    def test_compares_by_identity(self):
+        group = [node(1), node(2)]
+        assert StakeTable(group) != StakeTable(group)
+        t = StakeTable(group)
+        assert t == t and {t: 1}[t] == 1
 
 
 class TestSupermajority:
+    """Strictly more than 2/3 of the stake. Each case names a fraction
+    w/total and checks it on a group whose voters hold w of total."""
+
+    @staticmethod
+    def holds(w: int, total: int) -> bool:
+        """`supermajority` on a two-member group of stakes (w, total - w)
+        with only the first voting."""
+        group = [node(1, stake=w), node(2, stake=total - w)]
+        return StakeTable(group).supermajority([group[0].staking_public_key])
+
     def test_exactly_two_thirds_is_not_enough(self):
-        assert not meets_supermajority(Fraction(2, 3))
+        assert not self.holds(2, 3)
+        assert not self.holds(20, 30)
 
     def test_above(self):
-        assert meets_supermajority(Fraction(7, 10))
+        assert self.holds(7, 10)
 
     def test_zero(self):
-        assert not meets_supermajority(Fraction(0))
+        assert not self.holds(0, 5)
+        assert not StakeTable([node(1)]).supermajority([])
 
     def test_strictness_at_group_granularity(self):
         n = 30
-        assert not meets_supermajority(Fraction(2, 3))
-        assert meets_supermajority(Fraction(2, 3) + Fraction(1, n))
+        group = [node(i, stake=1) for i in range(1, n + 1)]
+        keys = [g.staking_public_key for g in group]
+        assert not StakeTable(group).supermajority(keys[:20])  # 2/3
+        assert StakeTable(group).supermajority(keys[:21])  # 2/3 + 1/n
 
     def test_integer_check_agrees_with_fraction_comparison(self):
         for d in range(1, 41):
             for n in range(d + 1):
-                assert meets_supermajority(Fraction(n, d)) == (Fraction(n, d) > Fraction(2, 3)), (n, d)
+                assert self.holds(n, d) == (Fraction(n, d) > Fraction(2, 3)), (n, d)
+
+    def test_every_small_group_and_voter_subset(self):
+        """Every stake vector of 1 to 5 members with stakes 0 to 4, over
+        every voter subset, against the `Fraction` comparison."""
+        checked = 0
+        for size in range(1, 6):
+            group = [node(i) for i in range(1, size + 1)]
+            keys = [g.staking_public_key for g in group]
+            for stakes in itertools.product(range(5), repeat=size):
+                t = StakeTable(dataclasses.replace(g, stake=s) for g, s in zip(group, stakes))
+                total = sum(stakes)
+                for mask in range(1 << size):
+                    voters = [k for i, k in enumerate(keys) if mask >> i & 1]
+                    if total == 0:
+                        with pytest.raises(ValueError):
+                            t.supermajority(voters)
+                        continue
+                    w = sum(s for i, s in enumerate(stakes) if mask >> i & 1)
+                    assert t.supermajority(voters) == (Fraction(w, total) > Fraction(2, 3)), (
+                        stakes,
+                        mask,
+                    )
+                    checked += 1
+        assert checked == sum((5**k - 1) * 2**k for k in range(1, 6))
 
 
 class TestCommitment:
