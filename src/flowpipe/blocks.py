@@ -257,7 +257,8 @@ def validate_seal(
     """Structural seal check used by proposal condition 8: the referenced
     result exists and matches the seal's block/state fields, no challenge on
     the result is pending, the parent result is sealed, and every listed
-    approval counts toward a genuine quorum."""
+    approval counts toward a genuine quorum. The quorum verdict is kept on
+    the seal per table: every receiver of a proposal checks the same seal."""
     looked_up = result_lookup(seal.execution_result_hash)
     if looked_up is None:
         return False
@@ -268,7 +269,11 @@ def validate_seal(
         return False
     if not parent_result_sealed(seal.execution_result_hash):
         return False
+    return once_for(seal, verifiers, _approved, seal, verifiers)
+
+
+def _approved(seal: BlockSeal, verifiers: StakeTable) -> bool:
+    """Every listed approval counts toward a verifier quorum; a duplicate, an
+    outsider, a bad signature or an approval of another result does not."""
     valid = _approval_quorum(seal.execution_result_hash, seal.approvals, verifiers)
-    # a duplicate, an outsider, a bad signature or an approval of another
-    # result leaves fewer valid approvals
     return valid is not None and len(valid) == len(seal.approvals)

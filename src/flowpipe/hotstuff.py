@@ -166,6 +166,13 @@ class EquivocationEvidence:
     second: Proposal
 
 
+class _Ballot(dict):
+    """Voter -> signature for one (round, digest), and the voters' stake,
+    tallied as each distinct voter's vote is counted."""
+
+    weight = 0
+
+
 @dataclass
 class BlockNode:
     digest: bytes
@@ -285,7 +292,7 @@ class ConsensusEngine:
         # dropped, and a message for a round below it is ignored
         self.floor = 0
         # (round, digest) -> voter -> signature; None once the QC is formed
-        self._votes: dict[tuple[int, bytes], Optional[dict[bytes, bytes]]] = {}
+        self._votes: dict[tuple[int, bytes], Optional[_Ballot]] = {}
         self._pending_qcs: dict[bytes, QuorumCertificate] = {}
         self._orphans: dict[bytes, list[Proposal]] = {}
         self._proposal_seen: dict[tuple[bytes, int], Proposal] = {}
@@ -461,16 +468,19 @@ class ConsensusEngine:
         if vote.round < self.floor or not self.is_leader(vote.round + 1):
             return
         key = (vote.round, vote.payload_digest)
-        bucket = self._votes.get(key, {})
+        bucket = self._votes.get(key, _Ballot())
         if bucket is None:
             return  # the QC is formed; a late vote would only repeat it
+        if vote.voter in bucket:
+            return  # duplicates counted once
         if vote.voter not in self.table.keys or not crypto.staking_verify(
             vote.voter, vote_payload(vote.round, vote.payload_digest), vote.signature
         ):
             return  # an outsider's vote would make the quorum count raise
         self._votes[key] = bucket
-        bucket.setdefault(vote.voter, vote.signature)  # duplicates counted once
-        if not self.table.supermajority(bucket):
+        bucket[vote.voter] = vote.signature
+        bucket.weight += self.table.stake[vote.voter]
+        if not self.table.passes(bucket.weight):
             return
         self._votes[key] = None
         signers = tuple(sorted(bucket))

@@ -85,7 +85,11 @@ class StakeTable:
         if not voter_set <= self.keys:
             raise ValueError("voters must be a subset of the group")
         stake = self.stake
-        return 3 * sum(stake[v] for v in voter_set) > 2 * self.total
+        return self.passes(sum(stake[v] for v in voter_set))
+
+    def passes(self, weight: int) -> bool:
+        """`weight` is a quorum of the group: `3·weight > 2·total`."""
+        return 3 * weight > 2 * self.total
 
 
 # ---------------------------------------------------------------------------
