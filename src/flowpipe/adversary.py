@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from . import crypto
-from .hotstuff import Vote, vote_payload
+from .hotstuff import Proposal, Vote, vote_payload
 from .nodes import CollectionRequest
 from .state import Role
 
@@ -48,21 +48,21 @@ class _Junk:
 
 
 def equivocate_proposal(node, spec: dict) -> None:
-    """Signs two conflicting proposals for each round it leads and
-    broadcasts both."""
+    """Signs a conflicting twin of each proposal it makes and broadcasts it
+    after the proposal. Proposals leave the engine only through `broadcast`,
+    so it proposes, and waits for its high-QC block, as an honest leader
+    does, and processes its own first proposal."""
     engine = node.engine
+    broadcast = engine.broadcast
 
-    def propose():
-        r = engine.current_round
-        if r <= engine._proposed_round:
-            return
-        engine._proposed_round = r
-        base = engine.make_payload(engine.high_qc.payload_digest)
-        twin = replace(base, slashing_challenges=base.slashing_challenges + (_Junk(),))
-        for payload in (base, twin):
-            engine.broadcast(engine._proposal(payload))
+    def equivocating_broadcast(msg):
+        broadcast(msg)
+        if isinstance(msg, Proposal):
+            pb = msg.payload
+            twin = replace(pb, slashing_challenges=pb.slashing_challenges + (_Junk(),))
+            broadcast(engine._proposal(twin))
 
-    engine._propose = propose
+    engine.broadcast = equivocating_broadcast
 
 
 def faulty_execution(node, spec: dict) -> None:

@@ -238,7 +238,7 @@ class BlockTree:
 
 DigestFn = Callable[[Any], bytes]
 ValidateFn = Callable[[Any, bytes], bool]  # (payload, parent_digest) -> accept
-MakePayloadFn = Callable[[bytes], Any]  # parent_digest -> payload
+MakePayloadFn = Callable[[bytes], Any]  # parent_digest -> payload, or None to wait for it
 SendFn = Callable[[bytes, Any], None]
 BroadcastFn = Callable[[Any], None]
 TimerFn = Callable[[int, int], None]  # (duration, round) -> schedules on_local_timeout(round)
@@ -380,10 +380,15 @@ class ConsensusEngine:
             self._propose()
 
     def _propose(self) -> None:
+        """Extend the high-QC block, once per round; while the host can make
+        no payload on it (None), wait until the block enters the tree."""
         r = self.current_round
         if r <= self._proposed_round:  # one proposal per round — never equivocate
             return
-        proposal = self._proposal(self.make_payload(self.high_qc.payload_digest))
+        payload = self.make_payload(self.high_qc.payload_digest)
+        if payload is None:
+            return
+        proposal = self._proposal(payload)
         self._proposed_round = r
         self.broadcast(proposal)
         self.on_proposal(proposal)  # leaders process their own proposal
@@ -400,21 +405,14 @@ class ConsensusEngine:
             return
         if not proposal.signed_by_proposer() or not proposal.binds_payload(self.digest_payload):
             return
+        # a conflicting proposal is evidence, and is then judged like any
+        # other: the vote rule allows one vote per round, and the twin the
+        # node saw first may be the invalid one
         key = (proposal.proposer, proposal.round)
-        prior = self._proposal_seen.get(key)
-        if prior is not None and prior.payload_digest != proposal.payload_digest:
-            if key not in self._evidence_emitted:
-                self._evidence_emitted.add(key)
-                self.on_evidence(
-                    EquivocationEvidence(
-                        proposer=proposal.proposer,
-                        round=proposal.round,
-                        first=prior,
-                        second=proposal,
-                    )
-                )
-            return
-        self._proposal_seen[key] = proposal
+        prior = self._proposal_seen.setdefault(key, proposal)
+        if prior.payload_digest != proposal.payload_digest and key not in self._evidence_emitted:
+            self._evidence_emitted.add(key)
+            self.on_evidence(EquivocationEvidence(*key, prior, proposal))
 
         justify = proposal.justify
         if not justify.valid_for(self.table):
@@ -441,6 +439,9 @@ class ConsensusEngine:
             self._certify(pending)
         for orphan in self._orphans.pop(proposal.payload_digest, []):
             self.on_proposal(orphan)
+        if proposal.payload_digest == self.high_qc.payload_digest:
+            if self.is_leader(self.current_round):
+                self._propose()  # a leader waiting for this block proposes now
 
         if proposal.round < self.current_round:
             return

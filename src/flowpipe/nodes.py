@@ -560,8 +560,8 @@ class ConsensusNode(Node):
     def _on_chain(self, ctx: ChainCtx, kind: str, key) -> bool:
         """Whether the chain through `ctx` records the fact: in the block of
         `ctx` or of an unfinalized ancestor, else in the finalized prefix.
-        A context outside the finalized tip's subtree, such as the genesis
-        stand-in of `_make_payload`, sees only its own facts."""
+        A context outside the finalized tip's subtree sees only its own
+        facts."""
         while key not in ctx.facts[kind]:
             if ctx.parent is None:
                 return ctx is self.tip and key in self.final[kind]
@@ -635,9 +635,7 @@ class ConsensusNode(Node):
     def _make_payload(self, parent_digest: bytes):
         ctx = self._ctx_for(parent_digest)
         if ctx is None:
-            # parent context missing: a height-1 block on genesis, which every
-            # node holding the parent's context rejects at condition 2
-            ctx = self._genesis_ctx()
+            return None  # the parent has not reached this node: wait for it
         collections = [
             self.known_collections[h]
             for h in self.pending_collections

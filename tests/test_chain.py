@@ -14,18 +14,33 @@ import pytest
 
 from flowpipe import blocks, nodes
 from flowpipe.execution import GENESIS_RESULT_HASH
-from flowpipe.hotstuff import GENESIS_DIGEST
+from flowpipe.hotstuff import GENESIS_DIGEST, Proposal
 from flowpipe.nodes import ConsensusNode, _challenge_mark
-from flowpipe.scenario import build_world, load_scenario
+from flowpipe.scenario import build_world, load_scenario, run_world
 from flowpipe.state import ChallengeKind, apply_updates
 
 FCC = ChallengeKind.FAULTY_COMPUTATION
 PV = ChallengeKind.PROTOCOL_VIOLATION
 
 
+BUNDLED = [
+    "happy-path",
+    "byzantine-executor",
+    "withheld-collection",
+    "equivocating-leader",
+    "network-partition",
+    "pre-gst-chaos",
+]
+
+
+def bundled_world(name: str):
+    return build_world(
+        load_scenario(str(resources.files("flowpipe") / "scenarios" / f"{name}.json"))
+    )
+
+
 def started_world(name: str):
-    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / f"{name}.json"))
-    world = build_world(doc)
+    world = bundled_world(name)
     for node in (
         world.collectors + world.consensus + world.executors + world.verifiers + world.agents
     ):
@@ -175,6 +190,36 @@ def assert_pruned(world) -> None:
                 assert cur in node.engine.tree.nodes, (node.name, digest.hex())
 
 
+def inject_sibling(world) -> bool:
+    """Hand every consensus node a valid sibling of n0's newest block: an
+    empty block on the same parent and justify, proposed for a round no node
+    has reached, whose leader, the equivocator, signs it. A node that votes
+    there validates it and so keeps two contexts at one height, a fork the
+    oracle then checks. False, and nothing sent, when n0's newest context is
+    its finalized tip or an empty block itself."""
+    n0 = world.consensus[0]
+    newest = max(n0.ctxs.values(), key=lambda ctx: ctx.height)
+    parent = newest.parent
+    if parent is None:
+        return False
+    sibling = blocks.propose_proto_block(parent.digest, parent.height, parent.state, [], [], [], [])
+    if sibling.hash() == newest.digest:
+        return False
+    (spec,) = world.doc["adversary"]
+    equivocator = world.consensus[spec["indices"][0]]
+    r = max(node.engine.current_round for node in world.consensus) + 1
+    while not equivocator.engine.is_leader(r):
+        r += 1
+    stub = Proposal(
+        r, sibling, sibling.hash(), n0.engine.tree.certified[parent.digest],
+        equivocator.keypair.public, b"",
+    )
+    proposal = dataclasses.replace(stub, signature=equivocator.keypair.sign(stub.signed_bytes()))
+    for node in world.consensus:
+        node.engine.on_proposal(proposal)
+    return True
+
+
 class TestPruning:
     @pytest.mark.parametrize("name", ["happy-path", "byzantine-executor"])
     def test_only_tip_subtree_kept(self, name):
@@ -220,13 +265,18 @@ class TestOracle:
         ],
     )
     def test_lookups_match_brute_force(self, name, horizon):
+        """No bundled run keeps two contexts at one height at a checkpoint, so
+        the equivocating-leader run is handed a valid sibling proposal once,
+        and the oracle checks the fork it makes."""
         world = started_world(name)
-        forks = 0
+        forks, injected = 0, False
         for t in range(500, horizon + 1, 500):
             world.sim.run(until=t)
+            if name == "equivocating-leader" and t >= 2000 and not injected:
+                injected = inject_sibling(world)
             forks += check_against_oracle(world)
         if name == "equivocating-leader":
-            assert forks, "no checkpoint saw fork contexts"
+            assert injected and forks, "no checkpoint saw fork contexts"
 
 
 class TestProposals:
@@ -294,27 +344,47 @@ class TestProposals:
             node.tip.state, pb.protocol_state_updates
         )
 
-    def test_missing_parent_context_proposal_rejected(self, monkeypatch):
-        """A leader whose high-QC block never reached it has no context for
-        the parent and proposes a height-1 block on genesis instead; every
-        node that holds the parent's context rejects it at condition 2, so
-        the round is lost."""
-        checked = []
-        make_payload = ConsensusNode._make_payload
+    def test_leader_waits_for_its_high_qc_block(self, monkeypatch):
+        """A leader whose high-QC block has not reached it has no context for
+        it, makes no payload and proposes nothing. Once the block arrives it
+        proposes on it in the same round, and every other consensus node
+        validates and accepts that proposal. On happy-path this happens to
+        n1 in round 27 at tick 1,347, and twice more by tick 6,000."""
+        waits, made, verdicts = [], {}, []
+        make_payload, validate_payload = ConsensusNode._make_payload, ConsensusNode._validate_payload
 
-        def spy(self, parent):
+        def spy_make(self, parent):
             pb = make_payload(self, parent)
-            if self._ctx_for(parent) is None:
-                assert (pb.height, pb.previous_block_hash) == (1, GENESIS_DIGEST)
-                for other in world.consensus:
-                    if other is self or other._ctx_for(parent) is None:
-                        continue
-                    assert not other._validate_payload(pb, parent)
-                    checked.append(self.sim.log.records[-1]["payload"]["reason"])
+            key = (self.name, self.engine.current_round, parent)
+            if pb is None:
+                assert self._ctx_for(parent) is None
+                waits.append(key)
+            else:
+                made.setdefault(key, pb)
             return pb
 
-        # the engines bind `_make_payload` when the world is built
-        monkeypatch.setattr(ConsensusNode, "_make_payload", spy)
+        def spy_validate(self, payload, parent):
+            ok = validate_payload(self, payload, parent)
+            verdicts.append((self.name, payload.hash(), ok))
+            return ok
+
+        # the engines bind both methods when the world is built
+        monkeypatch.setattr(ConsensusNode, "_make_payload", spy_make)
+        monkeypatch.setattr(ConsensusNode, "_validate_payload", spy_validate)
         world = started_world("happy-path")
         world.sim.run(until=6000)
-        assert checked and set(checked) == {"condition-2:chain-extension"}
+        assert len(waits) >= 2
+        for name, round_number, parent in waits:
+            pb = made[(name, round_number, parent)]
+            assert pb.previous_block_hash == parent
+            others = {(n, ok) for n, digest, ok in verdicts if digest == pb.hash() and n != name}
+            assert others == {(node.name, True) for node in world.consensus if node.name != name}
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_no_proposal_off_the_parent_chain(self, name):
+        """No bundled run at its default seed has a proposal rejected for not
+        extending its parent: a leader proposes only on its high-QC block."""
+        world = bundled_world(name)
+        run_world(world)
+        reasons = {r["payload"]["reason"] for r in world.sim.log.select("proposal_rejected")}
+        assert "condition-2:chain-extension" not in reasons

@@ -512,15 +512,66 @@ class TestVotingRules:
         for p in (p1, p2, p3):
             self.eng.on_proposal(p)
         assert self.eng.locked_round == 1 and self.eng.last_voted_round == 3
-        # round 4 forks off genesis: its justify (round 0) is below the lock
-        fork = self.proposal(4, GENESIS_QC, tag="fork")
+        # a later round forks off genesis: its justify (round 0) is below the
+        # lock. Another member leads it and the next round, so the engine
+        # makes no proposal of its own there.
+        r = next(r for r in range(4, 100) if not (self.eng.is_leader(r) or self.eng.is_leader(r + 1)))
+        fork = self.proposal(r, GENESIS_QC, tag="fork")
         self.eng.on_proposal(fork)
         assert fork.payload_digest in self.eng.tree.nodes
         assert self.eng.last_voted_round == 3
         assert all(v.payload_digest != fork.payload_digest for v in self.votes())
         # a later round extending the locked chain is voted for
-        self.eng.on_proposal(self.proposal(5, self.qc(p3)))
-        assert self.eng.last_voted_round == 5
+        later = self.proposal(r + 1, self.qc(p3))
+        self.eng.on_proposal(later)
+        assert self.eng.last_voted_round == r + 1
+
+    def proposals(self):
+        return [m for m in self.sent if isinstance(m, Proposal)]
+
+    def test_leader_waits_for_its_high_qc_block(self):
+        """A leader whose QC certifies a block that has not reached it gets
+        no payload from its host (None) and sends no proposal, however often
+        it is asked; once the block enters its tree it proposes exactly once,
+        extending that block."""
+        eng = self.eng
+        eng.make_payload = lambda parent: {"by": "n0"} if parent in eng.tree.nodes else None
+        r = next(r for r in range(2, 100) if eng.is_leader(r + 1) and not eng.is_leader(r))
+        block = self.proposal(r, GENESIS_QC)
+        qc = self.qc(block)
+        for signer, signature in zip(qc.signers, qc.signatures):
+            eng.on_vote(Vote(r, block.payload_digest, signer, signature))
+        assert (eng.high_qc.payload_digest, eng.current_round) == (block.payload_digest, r + 1)
+        other = next(kp for kp in self.kps if kp.public != eng.keypair.public)
+        eng.on_new_round(NewRound(r + 1, eng.high_qc, other.public))
+        assert not self.proposals()
+        eng.on_proposal(block)
+        sent = self.proposals()
+        assert [(p.round, p.justify.payload_digest) for p in sent] == [(r + 1, block.payload_digest)]
+        eng.on_proposal(block)
+        eng.on_new_round(NewRound(r + 1, eng.high_qc, other.public))
+        assert self.proposals() == sent
+
+    def test_valid_twin_after_invalid_one_is_kept_and_voted(self):
+        """An equivocating leader's two proposals of one round reach the node
+        in either order. The evidence is emitted once per round, both blocks
+        enter the tree, and the node votes once per round, for the valid
+        twin: the invalid one no longer shuts out the valid one behind it."""
+        eng = self.eng
+        evidence = []
+        eng.on_evidence = evidence.append
+        eng.validate_payload = lambda payload, parent: payload["tag"] != "invalid"
+        rounds = [r for r in range(1, 100) if not eng.is_leader(r) and not eng.is_leader(r + 1)]
+        for r, order in zip(rounds, (("invalid", "valid"), ("valid", "invalid"))):
+            first, second = (self.proposal(r, GENESIS_QC, tag=tag) for tag in order)
+            for p in (first, second, first, second):
+                eng.on_proposal(p)
+            assert {first.payload_digest, second.payload_digest} <= set(eng.tree.nodes)
+            assert [(ev.round, ev.first, ev.second) for ev in evidence[-1:]] == [(r, first, second)]
+            valid = first if order[0] == "valid" else second
+            assert [v.payload_digest for v in self.votes() if v.round == r] == [valid.payload_digest]
+            assert eng.last_voted_round == r
+        assert len(evidence) == 2
 
     def test_late_votes_ignored_once_qc_formed(self, monkeypatch):
         r = next(r for r in range(1, 100) if self.eng.is_leader(r + 1))
