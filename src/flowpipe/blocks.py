@@ -7,25 +7,37 @@ chain, the locking rule allows the vote) are enforced by
 height part of condition 2 and checks conditions 4-6 and 8-10. Condition 7
 (each included seal was received) holds by construction, because a seal
 reaches a voter inside the proposal that includes it; condition 8 validates
-it."""
+it.
+
+Every condition is judged over a `ChainView`, plain data a consensus node
+builds for the parent block: the parent's `ChainCtx`, the node's finalized
+prefix and what the node has received. The chain-fact lookup, the
+pending-challenge rule and the challenge-validity rule live here, next to
+the conditions that read them, and the node's proposer and challenge intake
+call the same functions."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from . import crypto
 from .collection import GuaranteedCollection, guarantee_authentic
 from .encoding import canonical_json, hexify, once, once_for
+from .execution import GENESIS_RESULT_HASH, ExecutionResult
+from .hotstuff import GENESIS_DIGEST
 from .state import (
+    ChallengeKind,
     ProtocolState,
     SlashingChallenge,
     StakeTable,
     StateUpdate,
     UpdateRejected,
     apply_updates,
+    challenge_id,
 )
+from .verification import fcc_signed
 
 GENESIS_RANDOMNESS = crypto.hash("genesis", b"")
 
@@ -160,48 +172,156 @@ def guarantee_valid(gc: GuaranteedCollection, clusters: dict[int, StakeTable]) -
     return cluster is not None and guarantee_authentic(gc, cluster)
 
 
+# kinds of chain fact and their keys: "block" (digest, height >= 1),
+# "collection" (collection hash), "sealed" (result hash), "challenged"
+# (`challenge_mark`), "fcc" ((result hash, id) of a recorded
+# faulty-computation challenge), "adjudicated" and "upheld" (challenge id;
+# upheld when the accused was slashed)
+FACT_KINDS = ("block", "collection", "sealed", "challenged", "fcc", "adjudicated", "upheld")
+
+
 @dataclass
-class EvaluationContext:
-    """Everything a voting node consults when judging a proposal.
-    `evaluate_proposal` fills in `new_state`, the protocol state the
-    proposal's updates lead to, when it accepts the proposal."""
+class ChainCtx:
+    """A block as a consensus node judges chains through it: the protocol
+    state after it, the head of its sealed results (sealing is sequential,
+    so the sealed set is a chain) and `facts`, which holds only what the
+    block itself records. Earlier facts sit in the unfinalized ancestors,
+    reached through `parent`, and in the node's finalized prefix; see
+    `ChainView.on_chain`."""
 
-    parent_height: int
-    collection_on_chain: Callable[[bytes], bool]
-    received_collections: set[bytes]
-    collector_clusters: dict[int, StakeTable]
-    seal_valid: Callable[[BlockSeal], bool]
-    challenge_verified: Callable[[SlashingChallenge], bool]
-    parent_protocol_state: ProtocolState
-    new_state: Optional[ProtocolState] = None
+    digest: bytes
+    height: int
+    state: ProtocolState
+    sealed_tip: bytes
+    parent: Optional[ChainCtx]  # None on the finalized tip
+    facts: dict[str, set]  # kind -> keys
 
 
-def evaluate_proposal(pb: ProtoBlock, ctx: EvaluationContext) -> tuple[bool, Optional[str]]:
-    """Vote decision: every condition must hold; the reason names the first
-    failed one. The consensus engine has already checked conditions 1-3."""
-    if pb.height != ctx.parent_height + 1:
+def genesis_ctx(state: ProtocolState) -> ChainCtx:
+    """The genesis block's context: protocol state `state`, and the genesis
+    result sealed."""
+    facts = {kind: set() for kind in FACT_KINDS}
+    facts["sealed"].add(GENESIS_RESULT_HASH)
+    return ChainCtx(GENESIS_DIGEST, 0, state, GENESIS_RESULT_HASH, None, facts)
+
+
+def challenge_mark(ch: SlashingChallenge):
+    """Chain-dedupe key: the challenged target, independent of challenger. A
+    missing collection's mark is its hash (bytes), a faulty chunk's is a
+    (result hash, chunk index digest, accused executor) tuple, so each
+    executor that signed a faulty result is challenged once, and a protocol
+    violation's is its challenge id, whose canonical fields name only the
+    accused and the evidence. Collection hashes and challenge ids are hashes
+    under different tags, so no two marks collide."""
+    if ch.kind == ChallengeKind.MISSING_COLLECTION:
+        return ch.evidence[0]
+    if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
+        return ch.evidence[:2] + ch.accused
+    return ch.challenge_id
+
+
+def challenge_valid(ch) -> bool:
+    """The challenge's id covers its fields, an MCC names one collection,
+    and an FCC carries the accused executor's signature over the disputed
+    result. A block or a node takes no other challenge, so none can slash
+    an executor for a result it never signed."""
+    if not isinstance(ch, SlashingChallenge) or challenge_id(ch) != ch.challenge_id:
+        return False
+    if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
+        return fcc_signed(ch)
+    if ch.kind == ChallengeKind.MISSING_COLLECTION:
+        return len(ch.evidence) == 1
+    return True
+
+
+@dataclass
+class ChainView:
+    """What a consensus node consults to judge the chain through the block
+    of `ctx`, as plain data: its finalized tip and prefix, what it received,
+    its own queued adjudications and the stake tables. The maps are the
+    node's own, read and never copied."""
+
+    ctx: ChainCtx
+    tip: ChainCtx  # the node's finalized tip
+    final: dict[str, set]  # kind -> keys of the finalized prefix
+    collections: Mapping[bytes, GuaranteedCollection]  # received guarantees by collection hash
+    results: Mapping[bytes, ExecutionResult]  # received results by result hash
+    # result hash -> ids of the faulty-computation challenges (FCCs) against
+    # it, received or recorded in a block the node built a context for
+    fcc_ids: Mapping[bytes, set]
+    fcc_received: set  # ids of the FCCs the node received itself
+    # challenge id -> the update of an adjudication made here, until the
+    # finalized chain records it
+    verdicts: Mapping[bytes, StateUpdate]
+    clusters: dict[int, StakeTable]  # collector cluster index -> its table
+    verifiers: StakeTable
+
+    def on_chain(self, kind: str, key) -> bool:
+        """Whether the chain through `ctx` records the fact: in the block of
+        `ctx` or of an unfinalized ancestor, else in the finalized prefix.
+        A context outside the finalized tip's subtree sees only its own
+        facts."""
+        ctx = self.ctx
+        while key not in ctx.facts[kind]:
+            if ctx.parent is None:
+                return ctx is self.tip and key in self.final[kind]
+            ctx = ctx.parent
+        return True
+
+    def result_pending_challenge(self, result_hash: bytes) -> bool:
+        """An FCC against the result blocks its seal on the chain through
+        `ctx`: one recorded there that is unadjudicated or upheld, or one
+        received here that is unadjudicated there and not dismissed here."""
+        for cid in self.fcc_ids.get(result_hash, ()):
+            recorded = self.on_chain("fcc", (result_hash, cid))
+            if self.on_chain("adjudicated", cid):
+                if recorded and self.on_chain("upheld", cid):
+                    return True
+            elif recorded or (cid in self.fcc_received and self.fcc_upheld(cid) is not False):
+                return True
+        return False
+
+    def fcc_upheld(self, cid: bytes) -> Optional[bool]:
+        """The node's own verdict on challenge `cid`, None while it has none
+        queued."""
+        upd = self.verdicts.get(cid)
+        return None if upd is None else upd.adjudication.outcome == "accused_slashed"
+
+
+def evaluate_proposal(pb: ProtoBlock, view: ChainView) -> tuple[bool, Optional[str]]:
+    """Vote decision on a proposal extending `view.ctx`: every condition
+    must hold; the reason names the first failed one. The consensus engine
+    has already checked conditions 1-3. An accepted block's protocol state
+    is `pb.replay(view.ctx.state)`, kept on the block."""
+    if pb.height != view.ctx.height + 1:
         return False, "condition-2:chain-extension"
     seen: set[bytes] = set()
     for gc in pb.guaranteed_collections:
-        if ctx.collection_on_chain(gc.collection_hash) or gc.collection_hash in seen:
+        if view.on_chain("collection", gc.collection_hash) or gc.collection_hash in seen:
             return False, "condition-4:stale-collection"
         seen.add(gc.collection_hash)
     for gc in pb.guaranteed_collections:
-        if gc.collection_hash not in ctx.received_collections:
+        if gc.collection_hash not in view.collections:
             return False, "condition-5:collection-not-received"
     for gc in pb.guaranteed_collections:
-        if not guarantee_valid(gc, ctx.collector_clusters):
+        if not guarantee_valid(gc, view.clusters):
             return False, "condition-6:collection-authenticity"
+    # a seal may extend one listed before it in the same block
+    sealed: set[bytes] = set()
     for seal in pb.block_seals:
-        if not ctx.seal_valid(seal):
+        if not validate_seal(seal, view, sealed):
             return False, "condition-8:seal-invalid"
+        sealed.add(seal.execution_result_hash)
+    # a block lists each challenge mark once, and none already on the chain
+    marks: set = set()
     for ch in pb.slashing_challenges:
-        if not ctx.challenge_verified(ch):
+        mark = challenge_mark(ch) if challenge_valid(ch) else None
+        if mark is None or mark in marks or view.on_chain("challenged", mark):
             return False, "condition-9:challenge-unverified"
-    replay = pb.replay(ctx.parent_protocol_state)
+        marks.add(mark)
+    replay = pb.replay(view.ctx.state)
     if replay is None or replay.commitment != pb.state_commitment:
         return False, "condition-10:state-commitment"
-    ctx.new_state = replay
     return True, None
 
 
@@ -247,29 +367,27 @@ def form_seal(
     )
 
 
-def validate_seal(
-    seal: BlockSeal,
-    verifiers: StakeTable,
-    result_lookup: Callable[[bytes], Optional[tuple[bytes, bytes]]],
-    parent_result_sealed: Callable[[bytes], bool],
-    challenge_pending: Callable[[bytes], bool],
-) -> bool:
-    """Structural seal check used by proposal condition 8: the referenced
-    result exists and matches the seal's block/state fields, no challenge on
-    the result is pending, the parent result is sealed, and every listed
-    approval counts toward a genuine quorum. The quorum verdict is kept on
-    the seal per table: every receiver of a proposal checks the same seal."""
-    looked_up = result_lookup(seal.execution_result_hash)
-    if looked_up is None:
+def validate_seal(seal: BlockSeal, view: ChainView, block_sealed: Container[bytes] = ()) -> bool:
+    """Proposal condition 8 for one seal on the chain through `view`: the
+    node holds the referenced result and it matches the seal's block/state
+    fields, no challenge on the result is pending, the previous result is
+    sealed on the chain or earlier in the same block (`block_sealed`), and
+    every listed approval counts toward a genuine quorum of `view.verifiers`.
+    The quorum verdict is kept on the seal per table: every receiver of a
+    proposal checks the same seal."""
+    rh = seal.execution_result_hash
+    result = view.results.get(rh)
+    if (
+        result is None
+        or result.block_hash != seal.sealed_block_hash
+        or result.final_state != seal.final_state_commitment
+        or view.result_pending_challenge(rh)
+    ):
         return False
-    block_hash, final_state = looked_up
-    if block_hash != seal.sealed_block_hash or final_state != seal.final_state_commitment:
+    prev = result.previous_execution_result_hash
+    if prev not in block_sealed and not view.on_chain("sealed", prev):
         return False
-    if challenge_pending(seal.execution_result_hash):
-        return False
-    if not parent_result_sealed(seal.execution_result_hash):
-        return False
-    return once_for(seal, verifiers, _approved, seal, verifiers)
+    return once_for(seal, view.verifiers, _approved, seal, view.verifiers)
 
 
 def _approved(seal: BlockSeal, verifiers: StakeTable) -> bool:

@@ -369,6 +369,7 @@ class ConsensusEngine:
         _drop_front(self._proposal_seen, lambda key, proposal: key[1] < floor)
         _drop_front(self._pending_qcs, lambda digest, qc: qc.round < floor)
         _drop_front(self._orphans, lambda digest, parked: parked[0].justify.round < floor)
+        self._evidence_emitted = {key for key in self._evidence_emitted if key[1] >= floor}
         self.tree.prune(floor, self.finalized_set)
 
     def _enter_round(self, round_number: int) -> None:

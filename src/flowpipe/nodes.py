@@ -12,15 +12,18 @@ from typing import Any, Optional
 from . import crypto
 from .blocks import (
     Approval,
-    EvaluationContext,
+    ChainCtx,
+    ChainView,
     ProtoBlock,
     approval_payload,
+    challenge_mark,
+    challenge_valid,
     evaluate_proposal,
     form_seal,
     block_seed,
+    genesis_ctx,
     guarantee_valid,
     propose_proto_block,
-    validate_seal,
 )
 from .clustering import route_transaction
 from .collection import (
@@ -56,9 +59,7 @@ from .state import (
     SlashingChallenge,
     StakeTable,
     StateUpdate,
-    UpdateRejected,
     adjudicate_challenge,
-    apply_updates,
     challenge_id,
 )
 from .verification import (
@@ -66,7 +67,6 @@ from .verification import (
     adjudicate_fcc,
     assign_chunks,
     chunk_data_packages,
-    fcc_signed,
     make_fcc,
     make_mcc,
     mcc_texts,
@@ -442,71 +442,18 @@ class CollectorNode(Node):
 # ---------------------------------------------------------------------------
 
 
-def _challenge_mark(ch: SlashingChallenge):
-    """Chain-dedupe key: the challenged target, independent of challenger. A
-    missing collection's mark is its hash (bytes), a faulty chunk's is a
-    (result hash, chunk index digest, accused executor) tuple, so each
-    executor that signed a faulty result is challenged once, and a protocol
-    violation's is its challenge id, whose canonical fields name only the
-    accused and the evidence. Collection hashes and challenge ids are hashes
-    under different tags, so no two marks collide."""
-    if ch.kind == ChallengeKind.MISSING_COLLECTION:
-        return ch.evidence[0]
-    if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
-        return ch.evidence[:2] + ch.accused
-    return ch.challenge_id
-
-
-def _challenge_valid(ch) -> bool:
-    """The challenge's id covers its fields, an MCC names one collection,
-    and an FCC carries the accused executor's signature over the disputed
-    result. A block or a node takes no other challenge, so none can slash
-    an executor for a result it never signed."""
-    if not isinstance(ch, SlashingChallenge) or challenge_id(ch) != ch.challenge_id:
-        return False
-    if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
-        return fcc_signed(ch)
-    if ch.kind == ChallengeKind.MISSING_COLLECTION:
-        return len(ch.evidence) == 1
-    return True
-
-
-# kinds of chain fact and their keys: "block" (digest, height >= 1),
-# "collection" (collection hash), "sealed" (result hash), "challenged"
-# (`_challenge_mark`), "fcc" ((result hash, id) of a recorded
-# faulty-computation challenge), "adjudicated" and "upheld" (challenge id;
-# upheld when the accused was slashed)
-_FACT_KINDS = ("block", "collection", "sealed", "challenged", "fcc", "adjudicated", "upheld")
-
-
-@dataclass
-class ChainCtx:
-    """A block as a consensus node judges chains through it: the protocol
-    state after it, the head of its sealed results (sealing is sequential,
-    so the sealed set is a chain) and `facts`, which holds only what the
-    block itself records. Earlier facts sit in the unfinalized ancestors,
-    reached through `parent`, and in the node's finalized prefix; see
-    `ConsensusNode._on_chain`."""
-
-    digest: bytes
-    height: int
-    state: ProtocolState
-    sealed_tip: bytes
-    parent: Optional[ChainCtx]  # None on the finalized tip
-    facts: dict[str, set]  # kind -> keys
-
-
 class ConsensusNode(Node):
     def __init__(self, sim, name, keypair, directory):
         super().__init__(sim, name, keypair, directory)
-        self.tip = self._genesis_ctx()  # context of the last finalized block
+        self.tip = genesis_ctx(directory.initial_state)  # context of the last finalized block
         # the tip and its descendants; every other context is dropped
         self.ctxs: dict[bytes, ChainCtx] = {self.tip.digest: self.tip}
         self.known_collections: dict[bytes, GuaranteedCollection] = {}
         self.pending_collections: list[bytes] = []
-        self.pending_challenges: dict[Any, SlashingChallenge] = {}  # by `_challenge_mark`, arrival order
+        self.pending_challenges: dict[Any, SlashingChallenge] = {}  # by `challenge_mark`, arrival order
         self.pending_updates: dict[bytes, StateUpdate] = {}  # challenge id -> update
         self.receipts: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt and packages
+        self.results: dict[bytes, ExecutionResult] = {}  # result hash -> the receipt's result
         self.results_by_prev: dict[bytes, list[bytes]] = {}  # prev result -> successors
         self.approvals: dict[bytes, dict[bytes, Approval]] = {}  # result -> verifier -> approval
         self.drb_shares: dict[bytes, dict[int, crypto.SignatureShare]] = {}
@@ -550,23 +497,20 @@ class ConsensusNode(Node):
 
     # -- chain contexts --------------------------------------------------------
 
-    def _genesis_ctx(self) -> ChainCtx:
-        facts = {kind: set() for kind in _FACT_KINDS}
-        facts["sealed"].add(GENESIS_RESULT_HASH)
-        return ChainCtx(
-            GENESIS_DIGEST, 0, self.d.initial_state, GENESIS_RESULT_HASH, None, facts
+    def _view(self, ctx: ChainCtx) -> ChainView:
+        """This node's view of the chain through `ctx`."""
+        return ChainView(
+            ctx=ctx,
+            tip=self.tip,
+            final=self.final,
+            collections=self.known_collections,
+            results=self.results,
+            fcc_ids=self.fcc_ids,
+            fcc_received=self.fcc_received,
+            verdicts=self.pending_updates,
+            clusters=self.d.clusters,
+            verifiers=self.d.verifiers,
         )
-
-    def _on_chain(self, ctx: ChainCtx, kind: str, key) -> bool:
-        """Whether the chain through `ctx` records the fact: in the block of
-        `ctx` or of an unfinalized ancestor, else in the finalized prefix.
-        A context outside the finalized tip's subtree sees only its own
-        facts."""
-        while key not in ctx.facts[kind]:
-            if ctx.parent is None:
-                return ctx is self.tip and key in self.final[kind]
-            ctx = ctx.parent
-        return True
 
     def _ctx_for(self, digest: bytes) -> Optional[ChainCtx]:
         """Chain context for a tree node that descends from the finalized
@@ -585,22 +529,20 @@ class ConsensusNode(Node):
             digest = node.parent
         ctx = self.ctxs[digest]
         for pb in reversed(chain):
-            try:
-                ctx = self._build_ctx(pb, ctx)
-            except UpdateRejected:
+            ctx = self._build_ctx(pb, ctx)
+            if ctx is None:
                 return None
         return ctx
 
-    def _build_ctx(
-        self, pb: ProtoBlock, parent: ChainCtx, state: Optional[ProtocolState] = None
-    ) -> ChainCtx:
-        """Context of `pb` on `parent`; `state` is the protocol state after
-        `pb` when the caller has already replayed its updates."""
+    def _build_ctx(self, pb: ProtoBlock, parent: ChainCtx) -> Optional[ChainCtx]:
+        """Context of `pb` on `parent`, None when its updates do not apply
+        there; the replay is the one kept on the block."""
         digest = pb.hash()
         if digest in self.ctxs:
             return self.ctxs[digest]
+        state = pb.replay(parent.state)
         if state is None:
-            state = apply_updates(parent.state, pb.protocol_state_updates)
+            return None
         fcc = set()
         for ch in pb.slashing_challenges:
             if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
@@ -621,7 +563,7 @@ class ConsensusNode(Node):
                 "block": {digest},
                 "collection": {g.collection_hash for g in pb.guaranteed_collections},
                 "sealed": {s.execution_result_hash for s in pb.block_seals},
-                "challenged": {_challenge_mark(ch) for ch in pb.slashing_challenges},
+                "challenged": {challenge_mark(ch) for ch in pb.slashing_challenges},
                 "fcc": fcc,
                 "adjudicated": {a.challenge_id for a in adjudications},
                 "upheld": {a.challenge_id for a in adjudications if a.outcome == "accused_slashed"},
@@ -636,21 +578,22 @@ class ConsensusNode(Node):
         ctx = self._ctx_for(parent_digest)
         if ctx is None:
             return None  # the parent has not reached this node: wait for it
+        view = self._view(ctx)
         collections = [
             self.known_collections[h]
             for h in self.pending_collections
-            if not self._on_chain(ctx, "collection", h)
+            if not view.on_chain("collection", h)
         ]
         challenges = [
             ch
             for mark, ch in self.pending_challenges.items()
-            if not self._on_chain(ctx, "challenged", mark)
+            if not view.on_chain("challenged", mark)
         ]
         updates = []
         for cid in sorted(self.pending_updates):
-            if not self._on_chain(ctx, "adjudicated", cid):
+            if not view.on_chain("adjudicated", cid):
                 updates.append(self.pending_updates[cid])
-        seals = self._ready_seals(ctx)
+        seals = self._ready_seals(view)
         return propose_proto_block(
             parent_hash=ctx.digest,
             parent_height=ctx.height,
@@ -661,39 +604,19 @@ class ConsensusNode(Node):
             pending_updates=updates,
         )
 
-    def _result_pending_challenge(self, ctx: ChainCtx, result_hash: bytes) -> bool:
-        """A faulty-computation challenge against the result blocks its seal
-        on the chain through `ctx`: one recorded there that is unadjudicated
-        or upheld, or one received here that is unadjudicated there and not
-        dismissed here."""
-        for cid in self.fcc_ids.get(result_hash, ()):
-            recorded = self._on_chain(ctx, "fcc", (result_hash, cid))
-            if self._on_chain(ctx, "adjudicated", cid):
-                if recorded and self._on_chain(ctx, "upheld", cid):
-                    return True
-            elif recorded or (cid in self.fcc_received and self._fcc_upheld(cid) is not False):
-                return True
-        return False
-
-    def _fcc_upheld(self, cid: bytes) -> Optional[bool]:
-        upd = self.pending_updates.get(cid)
-        if upd is None:
-            return None
-        return upd.adjudication.outcome == "accused_slashed"
-
-    def _ready_seals(self, ctx: ChainCtx):
+    def _ready_seals(self, view: ChainView):
         seals = []
-        tip = ctx.sealed_tip
+        tip = view.ctx.sealed_tip
         advanced = True
         while advanced:
             advanced = False
             for rh in sorted(self.results_by_prev.get(tip, ())):
-                if self._on_chain(ctx, "sealed", rh):
+                if view.on_chain("sealed", rh):
                     continue
-                result = self._result(rh)
-                if not self._on_chain(ctx, "block", result.block_hash):
+                result = self.results[rh]
+                if not view.on_chain("block", result.block_hash):
                     continue
-                if self._result_pending_challenge(ctx, rh):
+                if view.result_pending_challenge(rh):
                     continue
                 seal = form_seal(
                     sealed_block_hash=result.block_hash,
@@ -718,58 +641,12 @@ class ConsensusNode(Node):
         ctx = self._ctx_for(parent_digest)
         if ctx is None:
             return False
-        newly_sealed: set = set()
-
-        def _is_sealed(rh: bytes) -> bool:
-            return rh in newly_sealed or self._on_chain(ctx, "sealed", rh)
-
-        def seal_ok(seal) -> bool:
-            ok = validate_seal(
-                seal,
-                self.d.verifiers,
-                result_lookup=lambda rh: (
-                    (r.block_hash, r.final_state) if (r := self._result(rh)) is not None else None
-                ),
-                parent_result_sealed=lambda rh: (
-                    (r := self._result(rh)) is not None
-                    and _is_sealed(r.previous_execution_result_hash)
-                ),
-                challenge_pending=lambda rh: self._result_pending_challenge(ctx, rh),
-            )
-            if ok:
-                newly_sealed.add(seal.execution_result_hash)
-            return ok
-
-        block_marks: set = set()
-
-        def challenge_ok(ch) -> bool:
-            if not _challenge_valid(ch):
-                return False
-            mark = _challenge_mark(ch)
-            if mark in block_marks or self._on_chain(ctx, "challenged", mark):
-                return False
-            block_marks.add(mark)
-            return True
-
-        ectx = EvaluationContext(
-            parent_height=ctx.height,
-            collection_on_chain=lambda h: self._on_chain(ctx, "collection", h),
-            received_collections=set(self.known_collections),
-            collector_clusters=self.d.clusters,
-            seal_valid=seal_ok,
-            challenge_verified=challenge_ok,
-            parent_protocol_state=ctx.state,
-        )
-        ok, reason = evaluate_proposal(payload, ectx)
+        ok, reason = evaluate_proposal(payload, self._view(ctx))
         if not ok:
             self.sim.event(self.name, "proposal_rejected", {"reason": reason})
             return False
-        self._build_ctx(payload, ctx, ectx.new_state)
+        self._build_ctx(payload, ctx)
         return True
-
-    def _result(self, rh: bytes) -> Optional[ExecutionResult]:
-        msg = self.receipts.get(rh)
-        return msg.receipt.execution_result if msg is not None else None
 
     # -- finalization pipeline ---------------------------------------------------
 
@@ -843,7 +720,7 @@ class ConsensusNode(Node):
     def _accept_challenge(self, ch: SlashingChallenge) -> bool:
         """Keep the challenge for the next proposal unless its mark is
         pending here or challenged on the finalized chain."""
-        mark = _challenge_mark(ch)
+        mark = challenge_mark(ch)
         if mark in self.pending_challenges or mark in self.final["challenged"]:
             return False
         self.pending_challenges[mark] = ch
@@ -975,6 +852,7 @@ class ConsensusNode(Node):
         if not crypto.staking_verify(receipt.executor, rh, receipt.executor_signature):
             return
         self.receipts[rh] = msg
+        self.results[rh] = receipt.execution_result
         self.results_by_prev.setdefault(
             receipt.execution_result.previous_execution_result_hash, []
         ).append(rh)
@@ -989,7 +867,7 @@ class ConsensusNode(Node):
 
     def _on_challenge(self, sender: str, msg: ChallengeMsg):
         ch = msg.challenge
-        if not _challenge_valid(ch):
+        if not challenge_valid(ch):
             return
         if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
             self.fcc_received.add(ch.challenge_id)

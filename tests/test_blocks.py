@@ -5,29 +5,37 @@ import pytest
 
 from flowpipe import crypto
 from flowpipe.blocks import (
+    FACT_KINDS,
     GENESIS_RANDOMNESS,
     Approval,
     BlockSeal,
-    EvaluationContext,
+    ChainCtx,
+    ChainView,
     ProtoBlock,
     approval_payload,
     block_seed,
+    challenge_mark,
     evaluate_proposal,
     form_seal,
+    genesis_ctx,
     propose_proto_block,
     validate_seal,
 )
 from flowpipe.collection import GuaranteedCollection
 from flowpipe.encoding import canonical_json
+from flowpipe.execution import GENESIS_RESULT_HASH, ExecutionResult
 from flowpipe.state import (
     NodeIdentity,
     ProtocolState,
     Role,
     StakeTable,
     StateUpdate,
+    adjudicate_challenge,
     apply_updates,
+    challenge_id,
     commit_state,
 )
+from flowpipe.verification import make_fcc, make_mcc
 
 def node(seed: bytes, role: Role, stake=10) -> tuple[crypto.StakingKeyPair, NodeIdentity]:
     kp = crypto.StakingKeyPair.from_seed(seed)
@@ -61,18 +69,44 @@ def make_guarantee(collector_kps, members, coll_hash, signer_idx, cluster=0):
     return GuaranteedCollection(coll_hash, cluster, signers, sigs)
 
 
-def plain_context(state: ProtocolState, **overrides) -> EvaluationContext:
+def plain_view(state: ProtocolState, parent_height=0, final=None, **fields) -> ChainView:
+    """The view of a node that holds nothing but its finalized tip, a block
+    at `parent_height` after which the protocol state is `state`. The
+    finalized prefix records genesis's result as sealed, plus `final`
+    (kind -> keys); `fields` replace the view's other fields."""
+    tip = dataclasses.replace(genesis_ctx(state), height=parent_height)
+    prefix = {kind: set(keys) for kind, keys in tip.facts.items()}
+    for kind, keys in (final or {}).items():
+        prefix[kind] |= set(keys)
     defaults = dict(
-        parent_height=0,
-        collection_on_chain=lambda h: False,
-        received_collections=set(),
-        collector_clusters={0: members(state, Role.COLLECTOR)},
-        seal_valid=lambda s: True,
-        challenge_verified=lambda c: True,
-        parent_protocol_state=state,
+        ctx=tip,
+        tip=tip,
+        final=prefix,
+        collections={},
+        results={},
+        fcc_ids={},
+        fcc_received=set(),
+        verdicts={},
+        clusters={0: members(state, Role.COLLECTOR)},
+        verifiers=members(state, Role.VERIFICATION),
     )
-    defaults.update(overrides)
-    return EvaluationContext(**defaults)
+    defaults.update(fields)
+    return ChainView(**defaults)
+
+
+def extend(view: ChainView, **facts) -> ChainView:
+    """The same node's view of the chain through an unfinalized child of
+    `view.ctx` whose block records `facts` (kind -> keys)."""
+    parent = view.ctx
+    ctx = ChainCtx(
+        digest=crypto.hash("test-block", parent.digest),
+        height=parent.height + 1,
+        state=parent.state,
+        sealed_tip=parent.sealed_tip,
+        parent=parent,
+        facts={kind: set(facts.get(kind, ())) for kind in FACT_KINDS},
+    )
+    return dataclasses.replace(view, ctx=ctx)
 
 
 def empty_proto(state: ProtocolState, parent=b"\x10" * 32, height=1) -> ProtoBlock:
@@ -116,13 +150,13 @@ class TestEvaluateProposal:
         coll = crypto.hash("collection", b"a")
         gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1, 2])
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
-        ctx = plain_context(state, received_collections={coll})
-        assert evaluate_proposal(pb, ctx) == (True, None)
+        view = plain_view(state, collections={coll: gc})
+        assert evaluate_proposal(pb, view) == (True, None)
 
     def test_condition_2_height_gap(self):
         state, _, _ = base_protocol_state()
         ok, reason = evaluate_proposal(
-            empty_proto(state, height=3), plain_context(state, parent_height=0)
+            empty_proto(state, height=3), plain_view(state, parent_height=0)
         )
         assert not ok and reason.startswith("condition-2")
 
@@ -131,10 +165,16 @@ class TestEvaluateProposal:
         coll = crypto.hash("collection", b"a")
         gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1, 2])
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
-        ctx = plain_context(
-            state, received_collections={coll}, collection_on_chain=lambda h: h == coll
-        )
-        ok, reason = evaluate_proposal(pb, ctx)
+        received = {coll: gc}
+        for view in (
+            plain_view(state, final={"collection": {coll}}, collections=received),
+            extend(plain_view(state, collections=received), collection={coll}),
+        ):
+            ok, reason = evaluate_proposal(dataclasses.replace(pb, height=view.ctx.height + 1), view)
+            assert not ok and reason.startswith("condition-4")
+        # listed twice in one block
+        twice = dataclasses.replace(pb, guaranteed_collections=(gc, gc))
+        ok, reason = evaluate_proposal(twice, plain_view(state, collections=received))
         assert not ok and reason.startswith("condition-4")
 
     def test_condition_5_not_received(self):
@@ -142,7 +182,7 @@ class TestEvaluateProposal:
         coll = crypto.hash("collection", b"a")
         gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1, 2])
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
-        ok, reason = evaluate_proposal(pb, plain_context(state))
+        ok, reason = evaluate_proposal(pb, plain_view(state))
         assert not ok and reason.startswith("condition-5")
 
     def test_condition_6_insufficient_signers(self):
@@ -150,15 +190,17 @@ class TestEvaluateProposal:
         coll = crypto.hash("collection", b"a")
         gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1])  # 50%
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
-        ok, reason = evaluate_proposal(pb, plain_context(state, received_collections={coll}))
+        ok, reason = evaluate_proposal(pb, plain_view(state, collections={coll: gc}))
         assert not ok and reason.startswith("condition-6")
 
     def test_condition_8_seal_invalid(self):
+        # the node holds the result, but the seal lists no approval
         state, _, _ = base_protocol_state()
+        result = ExecutionResult(b"\x01" * 32, GENESIS_RESULT_HASH, (), b"\x03" * 32)
         seal = BlockSeal(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, ())
         pb = ProtoBlock(b"\x10" * 32, 1, (), (seal,), (), (), commit_state(state))
-        ctx = plain_context(state, seal_valid=lambda s: False)
-        ok, reason = evaluate_proposal(pb, ctx)
+        view = plain_view(state, results={b"\x02" * 32: result})
+        ok, reason = evaluate_proposal(pb, view)
         assert not ok and reason.startswith("condition-8")
 
     def test_condition_9_challenge_unverified(self):
@@ -166,13 +208,13 @@ class TestEvaluateProposal:
         pb = ProtoBlock(
             b"\x10" * 32, 1, (), (), ({"kind": "bogus"},), (), commit_state(state)
         )
-        ok, reason = evaluate_proposal(pb, plain_context(state, challenge_verified=lambda c: False))
+        ok, reason = evaluate_proposal(pb, plain_view(state))
         assert not ok and reason.startswith("condition-9")
 
     def test_condition_10_tampered_commitment(self):
         state, _, _ = base_protocol_state()
         pb = ProtoBlock(b"\x10" * 32, 1, (), (), (), (), b"\xde" * 32)
-        ok, reason = evaluate_proposal(pb, plain_context(state))
+        ok, reason = evaluate_proposal(pb, plain_view(state))
         assert not ok and reason.startswith("condition-10")
 
     def test_condition_10_unknown_update_op(self):
@@ -183,9 +225,8 @@ class TestEvaluateProposal:
             entries=({"op": "mint", "key": key.hex(), "amount": 5},), cause="adjudication"
         )
         pb = ProtoBlock(b"\x10" * 32, 1, (), (), (), (bad,), commit_state(state))
-        ctx = plain_context(state)
-        assert evaluate_proposal(pb, ctx) == (False, "condition-10:state-commitment")
-        assert ctx.new_state is None
+        assert evaluate_proposal(pb, plain_view(state)) == (False, "condition-10:state-commitment")
+        assert pb.replay(state) is None
 
     def test_condition_10_negative_slash(self):
         # the block commits to the state a slash of -25 would mint; replay
@@ -200,28 +241,181 @@ class TestEvaluateProposal:
             entries=({"op": "slash", "key": key.hex(), "amount": -25},), cause="adjudication"
         )
         pb = ProtoBlock(b"\x10" * 32, 1, (), (), (), (upd,), commit_state(minted))
-        ctx = plain_context(state)
-        assert evaluate_proposal(pb, ctx) == (False, "condition-10:state-commitment")
-        assert ctx.new_state is None
+        assert evaluate_proposal(pb, plain_view(state)) == (False, "condition-10:state-commitment")
+        assert pb.replay(state) is None
 
     def test_condition_10_replay_matches(self):
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
         upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 3},), cause="adjudication")
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
-        assert evaluate_proposal(pb, plain_context(state)) == (True, None)
+        assert evaluate_proposal(pb, plain_view(state)) == (True, None)
 
     def test_accepted_proposal_hands_back_replayed_state(self):
+        # the caller reads the accepted block's state from the replay that
+        # condition 10 kept on the block
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
         upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 3},), cause="adjudication")
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
-        ctx = plain_context(state)
-        assert evaluate_proposal(pb, ctx) == (True, None)
-        assert ctx.new_state == apply_updates(state, [upd])
-        rejected = plain_context(state, parent_height=3)
-        assert evaluate_proposal(pb, rejected)[0] is False
-        assert rejected.new_state is None
+        assert evaluate_proposal(pb, plain_view(state)) == (True, None)
+        assert pb.replay(state) == apply_updates(state, [upd])
+        assert evaluate_proposal(pb, plain_view(state, parent_height=3))[0] is False
+
+
+def sealed_result(state, vkps, prev=GENESIS_RESULT_HASH, tag=b"r1"):
+    """A result extending `prev`, and its seal by every verifier."""
+    result = ExecutionResult(crypto.hash("block", tag), prev, (), crypto.hash("state", tag))
+    rh = result.result_hash()
+    approvals, verifiers = seal_inputs(state, vkps, rh)
+    return result, form_seal(result.block_hash, rh, result.final_state, approvals, verifiers)
+
+
+def with_seals(state, *seals) -> ProtoBlock:
+    return ProtoBlock(b"\x10" * 32, 1, (), seals, (), (), commit_state(state))
+
+
+def with_challenges(state, *challenges) -> ProtoBlock:
+    return ProtoBlock(b"\x10" * 32, 1, (), (), challenges, (), commit_state(state))
+
+
+EXECUTOR = crypto.StakingKeyPair.from_seed(b"\x91" * 32)
+CHALLENGER = crypto.StakingKeyPair.from_seed(b"\x92" * 32)
+
+
+def fcc(result_hash=b"\x22" * 32, challenger=CHALLENGER, signer=EXECUTOR):
+    """A faulty-computation challenge against EXECUTOR's result, carrying
+    `signer`'s signature over the result."""
+    return make_fcc(challenger.public, EXECUTOR.public, result_hash, 0, signer.sign(result_hash), 9)
+
+
+class TestSealCondition:
+    """Condition 8 over the chain view: the node holds the sealed result, no
+    faulty-computation challenge (FCC) against it is pending on the chain or
+    here, its previous result is sealed on the chain or earlier in the
+    block, and the approvals carry a verifier quorum."""
+
+    def setup_method(self):
+        self.state, _, self.vkps = base_protocol_state()
+        self.result, self.seal = sealed_result(self.state, self.vkps)
+        self.rh = self.seal.execution_result_hash
+        self.cid = fcc(self.rh).challenge_id
+
+    def view(self, **fields) -> ChainView:
+        fields.setdefault("results", {self.rh: self.result})
+        return plain_view(self.state, **fields)
+
+    def test_sealable_result_accepted(self):
+        assert evaluate_proposal(with_seals(self.state, self.seal), self.view()) == (True, None)
+
+    def test_unknown_result_rejected(self):
+        ok, reason = evaluate_proposal(with_seals(self.state, self.seal), self.view(results={}))
+        assert (ok, reason) == (False, "condition-8:seal-invalid")
+
+    def test_recorded_unadjudicated_fcc_blocks(self):
+        fccs = {"fcc_ids": {self.rh: {self.cid}}}
+        recorded = (
+            self.view(final={"fcc": {(self.rh, self.cid)}}, **fccs),
+            extend(self.view(**fccs), fcc={(self.rh, self.cid)}),
+        )
+        for view in recorded:
+            pb = dataclasses.replace(with_seals(self.state, self.seal), height=view.ctx.height + 1)
+            assert evaluate_proposal(pb, view) == (False, "condition-8:seal-invalid")
+        # dismissed on the chain, it blocks nothing; upheld, it blocks for good
+        facts = {"fcc": {(self.rh, self.cid)}, "adjudicated": {self.cid}}
+        dismissed = self.view(final=facts, **fccs)
+        assert evaluate_proposal(with_seals(self.state, self.seal), dismissed) == (True, None)
+        upheld = self.view(final=dict(facts, upheld={self.cid}), **fccs)
+        assert not evaluate_proposal(with_seals(self.state, self.seal), upheld)[0]
+
+    def test_received_fcc_not_dismissed_blocks(self):
+        received = dict(fcc_ids={self.rh: {self.cid}}, fcc_received={self.cid})
+        pb = with_seals(self.state, self.seal)
+        # no verdict here yet, or the accused upheld here
+        _, slash = adjudicate_challenge(self.state, fcc(self.rh), accused_at_fault=True)
+        for verdicts in ({}, {self.cid: slash}):
+            view = self.view(verdicts=verdicts, **received)
+            assert evaluate_proposal(pb, view) == (False, "condition-8:seal-invalid")
+        # dismissed here: the challenger is slashed and the seal may go in
+        _, dismissal = adjudicate_challenge(self.state, fcc(self.rh), accused_at_fault=False)
+        view = self.view(verdicts={self.cid: dismissal}, **received)
+        assert evaluate_proposal(pb, view) == (True, None)
+
+    def test_seals_chain_within_one_block(self):
+        second, seal2 = sealed_result(self.state, self.vkps, prev=self.rh, tag=b"r2")
+        view = self.view(results={self.rh: self.result, seal2.execution_result_hash: second})
+        assert evaluate_proposal(with_seals(self.state, self.seal, seal2), view) == (True, None)
+        reversed_order = with_seals(self.state, seal2, self.seal)
+        assert evaluate_proposal(reversed_order, view) == (False, "condition-8:seal-invalid")
+        # the second alone extends a result the chain has not sealed
+        assert not evaluate_proposal(with_seals(self.state, seal2), view)[0]
+
+
+class TestChallengeCondition:
+    """Condition 9 over the chain view: a listed challenge's id covers its
+    fields, an FCC carries the accused executor's signature over the
+    result, and its mark is on neither the chain nor earlier in the block."""
+
+    def setup_method(self):
+        self.state, _, _ = base_protocol_state()
+
+    def judge(self, *challenges, view=None):
+        view = view or plain_view(self.state)
+        pb = dataclasses.replace(
+            with_challenges(self.state, *challenges), height=view.ctx.height + 1
+        )
+        return evaluate_proposal(pb, view)
+
+    def test_valid_challenges_accepted(self):
+        mcc = make_mcc(CHALLENGER.public, (EXECUTOR.public,), b"\x66" * 32, 9)
+        assert self.judge(fcc(), mcc) == (True, None)
+
+    def test_wrong_challenge_id_rejected(self):
+        forged = dataclasses.replace(fcc(), challenge_id=b"\x00" * 32)
+        assert self.judge(forged) == (False, "condition-9:challenge-unverified")
+        # a field changed after the id was computed
+        moved = dataclasses.replace(fcc(), deadline=10)
+        assert self.judge(moved) == (False, "condition-9:challenge-unverified")
+
+    def test_fcc_without_executor_signature_rejected(self):
+        unsigned = fcc(signer=CHALLENGER)
+        assert unsigned.challenge_id == challenge_id(unsigned)
+        assert self.judge(unsigned) == (False, "condition-9:challenge-unverified")
+
+    def test_mark_on_the_chain_rejected(self):
+        mark = challenge_mark(fcc())
+        for view in (
+            plain_view(self.state, final={"challenged": {mark}}),
+            extend(plain_view(self.state), challenged={mark}),
+        ):
+            assert self.judge(fcc(), view=view) == (False, "condition-9:challenge-unverified")
+        # another result's FCC is not blocked by that mark
+        assert self.judge(fcc(b"\x23" * 32), view=view) == (True, None)
+
+    def test_mark_listed_twice_rejected(self):
+        other = crypto.StakingKeyPair.from_seed(b"\x93" * 32)
+        twin = fcc(challenger=other)
+        assert twin.challenge_id != fcc().challenge_id
+        assert challenge_mark(twin) == challenge_mark(fcc())
+        for listed in ((fcc(), fcc()), (fcc(), twin)):
+            assert self.judge(*listed) == (False, "condition-9:challenge-unverified")
+
+
+class TestChainView:
+    def test_lookup_walks_ancestors_then_the_prefix(self):
+        state, _, _ = base_protocol_state()
+        view = extend(extend(plain_view(state, final={"sealed": {b"\x01" * 32}}), sealed={b"\x02" * 32}))
+        for rh in (b"\x01" * 32, b"\x02" * 32, GENESIS_RESULT_HASH):
+            assert view.on_chain("sealed", rh)
+        assert not view.on_chain("sealed", b"\x03" * 32)
+
+    def test_context_off_the_tip_sees_only_its_own_facts(self):
+        state, _, _ = base_protocol_state()
+        view = plain_view(state, final={"sealed": {b"\x01" * 32}})
+        stale = dataclasses.replace(view.tip, digest=b"\x0f" * 32, facts={k: set() for k in FACT_KINDS})
+        off = extend(dataclasses.replace(view, ctx=stale), sealed={b"\x02" * 32})
+        assert off.on_chain("sealed", b"\x02" * 32)
+        assert not off.on_chain("sealed", b"\x01" * 32)
 
 
 class TestRandomnessAttachment:
@@ -306,13 +500,7 @@ class TestFormSeal:
         approvals, verifiers = seal_inputs(state, vkps)
         seal = form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers)
         assert seal is not None
-        assert not validate_seal(
-            seal,
-            verifiers,
-            result_lookup=lambda rh: (b"\x11" * 32, b"\x33" * 32),
-            parent_result_sealed=lambda rh: True,
-            challenge_pending=lambda rh: rh == b"\x22" * 32,
-        )
+        assert not TestValidateSeal().check(seal, verifiers, pending=True)
 
     def test_bad_signature_not_counted(self):
         state, _, vkps = base_protocol_state(n_verifiers=3)
@@ -328,13 +516,22 @@ class TestValidateSeal:
 
     def check(self, seal, verifiers, result=(b"\x11" * 32, b"\x33" * 32), parent_sealed=True,
               pending=False):
-        return validate_seal(
-            seal,
-            verifiers,
-            result_lookup=lambda rh: result,
-            parent_result_sealed=lambda rh: parent_sealed,
-            challenge_pending=lambda rh: pending,
+        """`validate_seal` on the view of a node that holds `result` (block
+        hash, final state; None for none) under the seal's result hash,
+        extending a sealed result or an unsealed one, with an unadjudicated
+        FCC against it recorded on the chain when `pending`."""
+        rh = seal.execution_result_hash
+        prev = GENESIS_RESULT_HASH if parent_sealed else b"\x44" * 32
+        results = {} if result is None else {rh: ExecutionResult(result[0], prev, (), result[1])}
+        cid = b"\x55" * 32
+        view = plain_view(
+            ProtocolState(records={}),
+            final={"fcc": {(rh, cid)}} if pending else None,
+            results=results,
+            fcc_ids={rh: {cid}} if pending else {},
+            verifiers=verifiers,
         )
+        return validate_seal(seal, view)
 
     def test_roundtrip_valid(self):
         state, _, vkps = base_protocol_state()
@@ -452,25 +649,26 @@ class TestSharedReplay:
 
     def test_tampered_block_twin_rejected_after_original_accepted(self):
         pb = propose_proto_block(b"\x10" * 32, 0, self.parent, [], [], [], [self.slash(3)])
-        assert evaluate_proposal(pb, plain_context(self.parent)) == (True, None)
+        assert evaluate_proposal(pb, plain_view(self.parent)) == (True, None)
         # same committed state, another slash: the twin replays on its own
         twin = dataclasses.replace(pb, protocol_state_updates=(self.slash(4),))
-        ctx = plain_context(self.parent)
-        assert evaluate_proposal(twin, ctx) == (False, "condition-10:state-commitment")
-        assert ctx.new_state is None
+        assert evaluate_proposal(twin, plain_view(self.parent)) == (
+            False,
+            "condition-10:state-commitment",
+        )
+        assert twin.replay(self.parent) != pb.replay(self.parent)
         minting = dataclasses.replace(pb, protocol_state_updates=(self.slash(-3),))
-        assert evaluate_proposal(minting, plain_context(self.parent))[1] == (
+        assert evaluate_proposal(minting, plain_view(self.parent))[1] == (
             "condition-10:state-commitment"
         )
-        ctx = plain_context(self.parent)
-        assert evaluate_proposal(pb, ctx) == (True, None)
-        assert ctx.new_state == apply_updates(self.parent, [self.slash(3)])
+        assert evaluate_proposal(pb, plain_view(self.parent)) == (True, None)
+        assert pb.replay(self.parent) == apply_updates(self.parent, [self.slash(3)])
 
     def test_other_parent_state_judged_on_its_own(self):
         pb = propose_proto_block(b"\x10" * 32, 0, self.parent, [], [], [], [self.slash(3)])
-        assert evaluate_proposal(pb, plain_context(self.parent)) == (True, None)
+        assert evaluate_proposal(pb, plain_view(self.parent)) == (True, None)
         other = apply_updates(self.parent, [self.slash(1)])
-        assert evaluate_proposal(pb, plain_context(other)) == (
+        assert evaluate_proposal(pb, plain_view(other)) == (
             False,
             "condition-10:state-commitment",
         )

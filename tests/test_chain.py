@@ -12,10 +12,11 @@ from importlib import resources
 
 import pytest
 
-from flowpipe import blocks, nodes
+from flowpipe import blocks
+from flowpipe.blocks import challenge_mark
 from flowpipe.execution import GENESIS_RESULT_HASH
 from flowpipe.hotstuff import GENESIS_DIGEST, Proposal
-from flowpipe.nodes import ConsensusNode, _challenge_mark
+from flowpipe.nodes import ConsensusNode
 from flowpipe.scenario import build_world, load_scenario, run_world
 from flowpipe.state import ChallengeKind, apply_updates
 
@@ -63,9 +64,10 @@ def finalized_challenges(node: ConsensusNode) -> list:
     return [ch for pb in chain_to_genesis(node, node.tip.digest) for ch in pb.slashing_challenges]
 
 
-def received_fcc(node: ConsensusNode) -> dict:
-    """Challenge id -> result hash of every FCC the node received."""
-    return {cid: rh for rh, ids in node.fcc_ids.items() for cid in ids if cid in node.fcc_received}
+def received_fcc(books) -> dict:
+    """Challenge id -> result hash of every FCC a node (or its chain view)
+    received."""
+    return {cid: rh for rh, ids in books.fcc_ids.items() for cid in ids if cid in books.fcc_received}
 
 
 @dataclasses.dataclass
@@ -92,7 +94,7 @@ def brute_force(node: ConsensusNode, digest: bytes) -> BruteForce:
         facts["collection"].update(g.collection_hash for g in pb.guaranteed_collections)
         facts["sealed"].update(s.execution_result_hash for s in pb.block_seals)
         for ch in pb.slashing_challenges:
-            facts["challenged"].add(_challenge_mark(ch))
+            facts["challenged"].add(challenge_mark(ch))
             if ch.kind == FCC:
                 open_fcc[ch.challenge_id] = ch.evidence[0]
         for upd in pb.protocol_state_updates:
@@ -106,18 +108,18 @@ def brute_force(node: ConsensusNode, digest: bytes) -> BruteForce:
     return BruteForce(len(chain), state, sealed_tip, facts, open_fcc, condemned)
 
 
-def brute_force_pending(node: ConsensusNode, bf: BruteForce, rh: bytes) -> bool:
+def brute_force_pending(view: blocks.ChainView, bf: BruteForce, rh: bytes) -> bool:
     """Whether a challenge blocks sealing `rh`: an upheld or unadjudicated
     recorded FCC on the chain, or a received FCC unadjudicated on the chain
-    and not dismissed by the node."""
+    and not dismissed by the node whose view it is."""
     adjudicated = bf.facts["adjudicated"]
     if rh in bf.condemned:
         return True
     if any(r == rh and cid not in adjudicated for cid, r in bf.open_fcc.items()):
         return True
     return any(
-        r == rh and cid not in adjudicated and node._fcc_upheld(cid) is not False
-        for cid, r in received_fcc(node).items()
+        r == rh and cid not in adjudicated and view.fcc_upheld(cid) is not False
+        for cid, r in received_fcc(view).items()
     )
 
 
@@ -146,23 +148,24 @@ def check_against_oracle(world) -> int:
             fcc_targets |= set(bf.open_fcc.items())
         for digest, ctx in node.ctxs.items():
             bf = oracles[digest]
+            view = node._view(ctx)
             assert (ctx.height, ctx.sealed_tip) == (bf.height, bf.sealed_tip), node.name
             assert ctx.state == bf.state, node.name
             for kind, keys in candidates.items():
                 for key in keys:
-                    assert node._on_chain(ctx, kind, key) == (key in bf.facts[kind]), (
+                    assert view.on_chain(kind, key) == (key in bf.facts[kind]), (
                         node.name, kind, key
                     )
             for cid, rh in fcc_targets:
-                assert node._on_chain(ctx, "fcc", (rh, cid)) == (bf.open_fcc.get(cid) == rh)
+                assert view.on_chain("fcc", (rh, cid)) == (bf.open_fcc.get(cid) == rh)
             for rh in node.receipts:
                 condemned = any(
-                    node._on_chain(ctx, "fcc", (rh, cid)) and node._on_chain(ctx, "upheld", cid)
+                    view.on_chain("fcc", (rh, cid)) and view.on_chain("upheld", cid)
                     for cid in node.fcc_ids.get(rh, ())
                 )
                 assert condemned == (rh in bf.condemned), (node.name, rh.hex())
-                assert node._result_pending_challenge(ctx, rh) == brute_force_pending(
-                    node, bf, rh
+                assert view.result_pending_challenge(rh) == brute_force_pending(
+                    view, bf, rh
                 ), (node.name, rh.hex())
         heights = [ctx.height for ctx in node.ctxs.values()]
         forks += len(heights) != len(set(heights))
@@ -250,7 +253,7 @@ class TestPruning:
                 }
                 assert ctx.facts["sealed"] == {s.execution_result_hash for s in pb.block_seals}
                 assert ctx.facts["challenged"] == {
-                    _challenge_mark(ch) for ch in pb.slashing_challenges
+                    challenge_mark(ch) for ch in pb.slashing_challenges
                 }
 
 
@@ -337,7 +340,6 @@ class TestProposals:
             return apply_updates(state, updates)
 
         monkeypatch.setattr(blocks, "apply_updates", counting)
-        monkeypatch.setattr(nodes, "apply_updates", counting)
         assert node._validate_payload(pb, parent)
         assert calls == [len(pb.protocol_state_updates)]
         assert node.ctxs[pb.hash()].state == apply_updates(

@@ -3,8 +3,8 @@ finalization makes unreachable is dropped, so what an engine or a node
 keeps of it stays under one fixed bound however long the run.
 
 Each engine (consensus and collector clusters) keeps its vote, proposal,
-certificate, pending-certificate and orphan books only for
-rounds at or above its newest finalized block, and no tree node below that
+certificate, pending-certificate, orphan and reported-equivocation books
+only for rounds at or above its newest finalized block, and no tree node below that
 round off the finalized chain. A consensus node drops a block's beacon
 shares once it recovers the block's randomness and the approvals of each
 result a finalized block seals; an executor drops each block it executed.
@@ -58,10 +58,15 @@ def retained(world) -> dict[str, int]:
     return sizes
 
 
-def happy_path(max_sim_time: int):
-    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
-    doc["run"]["max_sim_time"] = max_sim_time
+def bundled(name: str, max_sim_time=None):
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / f"{name}.json"))
+    if max_sim_time is not None:
+        doc["run"]["max_sim_time"] = max_sim_time
     return build_world(doc)
+
+
+def happy_path(max_sim_time: int):
+    return bundled("happy-path", max_sim_time)
 
 
 def assert_bounded(world) -> None:
@@ -119,6 +124,19 @@ def test_retention_bounded_at_two_horizons():
     for node in world.consensus:
         for digest in node.finalized_heights.values():
             assert digest in node.engine.tree.nodes and digest in node.engine.finalized_set
+
+
+def test_reported_equivocations_pruned_below_the_floor():
+    """An engine reports each equivocation once, and remembers the report
+    only while a proposal of that round can still reach it: `on_proposal`
+    ignores rounds below the floor, so an older entry is never read."""
+    world = bundled("equivocating-leader")
+    run_world(world)
+    assert world.sim.log.select("equivocation_challenge")
+    for node in world.consensus:
+        engine = node.engine
+        assert engine.floor > 200, node.name
+        assert all(r >= engine.floor for _, r in engine._evidence_emitted), node.name
 
 
 @pytest.mark.soak
