@@ -33,6 +33,7 @@ from .state import (
     SlashingChallenge,
     StakeTable,
     StateUpdate,
+    Tally,
     UpdateRejected,
     apply_updates,
     challenge_id,
@@ -330,22 +331,6 @@ def evaluate_proposal(pb: ProtoBlock, view: ChainView) -> tuple[bool, Optional[s
 # ---------------------------------------------------------------------------
 
 
-def _approval_quorum(
-    result_hash: bytes, approvals: Iterable[Approval], verifiers: StakeTable
-) -> Optional[dict[bytes, Approval]]:
-    """The approvals that count toward sealing `result_hash`, one per signer:
-    the approval is for `result_hash`, the signer is a registered verifier
-    and its signature verifies. None unless they carry a verifier
-    supermajority."""
-    valid: dict[bytes, Approval] = {}
-    for a in approvals:
-        if a.result_hash == result_hash and a.verifier in verifiers.keys and a.valid():
-            valid.setdefault(a.verifier, a)
-    if not valid or not verifiers.supermajority(valid):
-        return None
-    return valid
-
-
 def form_seal(
     sealed_block_hash: bytes,
     execution_result_hash: bytes,
@@ -353,17 +338,22 @@ def form_seal(
     approvals: Iterable[Approval],
     verifiers: StakeTable,
 ) -> Optional[BlockSeal]:
-    """Seal once the valid approvals pass the verifier supermajority; None
-    until then. The caller seals sequentially along the receipt chain and
-    skips challenged results."""
-    valid = _approval_quorum(execution_result_hash, approvals, verifiers)
-    if valid is None:
+    """Seal once the approvals of `execution_result_hash` by distinct
+    verifiers, each signature valid, hold a verifier quorum; None until
+    then. The seal carries every such approval, in key order. The caller
+    seals sequentially along the receipt chain and skips challenged
+    results."""
+    tally = Tally(verifiers)
+    for a in approvals:
+        if a.result_hash == execution_result_hash and tally.admits(a.verifier) and a.valid():
+            tally.add(a.verifier, a)
+    if not tally.quorum:
         return None
     return BlockSeal(
         sealed_block_hash=sealed_block_hash,
         execution_result_hash=execution_result_hash,
         final_state_commitment=final_state_commitment,
-        approvals=tuple(valid[k] for k in sorted(valid)),
+        approvals=tally.certificate()[1],
     )
 
 
@@ -391,7 +381,12 @@ def validate_seal(seal: BlockSeal, view: ChainView, block_sealed: Container[byte
 
 
 def _approved(seal: BlockSeal, verifiers: StakeTable) -> bool:
-    """Every listed approval counts toward a verifier quorum; a duplicate, an
-    outsider, a bad signature or an approval of another result does not."""
-    valid = _approval_quorum(seal.execution_result_hash, seal.approvals, verifiers)
-    return valid is not None and len(valid) == len(seal.approvals)
+    """The listed approvals certify the result (`StakeTable.certifies`): a
+    duplicate, an outsider, a bad signature or an approval of another
+    result fails the seal."""
+    rh = seal.execution_result_hash
+    return verifiers.certifies(
+        [a.verifier for a in seal.approvals],
+        seal.approvals,
+        lambda verifier, a: a.result_hash == rh and a.valid(),
+    )

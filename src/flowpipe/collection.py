@@ -42,18 +42,12 @@ class GuaranteedCollection:
 
 
 def guarantee_authentic(gc: GuaranteedCollection, cluster: StakeTable) -> bool:
-    """A guarantee is authentic when its signers are authorized cluster
-    members holding strictly more than 2/3 of the cluster stake, with valid
-    signatures."""
-    if not set(gc.signers) <= cluster.keys:
-        return False
-    if len(set(gc.signers)) != len(gc.signers) or len(gc.signers) != len(gc.signatures):
-        return False
+    """A quorum of the cluster signed the guarantee's payload
+    (`StakeTable.certifies`)."""
     payload = gc.signed_payload()
-    for signer, sig in zip(gc.signers, gc.signatures):
-        if not crypto.staking_verify(signer, payload, sig):
-            return False
-    return cluster.supermajority(gc.signers)
+    return cluster.certifies(
+        gc.signers, gc.signatures, lambda signer, sig: crypto.staking_verify(signer, payload, sig)
+    )
 
 
 class TxCheck(str, enum.Enum):

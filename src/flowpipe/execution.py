@@ -111,7 +111,6 @@ def block_execution(
     spocks: list[bytes] = []
     chunks: list[Chunk] = []
     chunk_start_states: list[ExecutionState] = []
-    chunk_starts: list[int] = []
     chunk_touched: list[frozenset] = []
 
     state_start = state
@@ -121,47 +120,33 @@ def block_execution(
     touched: set[bytes] = set()
     tau_0 = 0
 
-    for i, tx in enumerate(transactions):
-        state_before = state
-        outcome = execute(state, tx)
-        state, tau, zeta = outcome.state, outcome.cost, outcome.trace
-        if i == 0:
-            tau_0 = tau
-        if consumption + tau > gamma_chunk and consumption > 0:
-            chunks.append(
-                Chunk(
-                    start_state_commitment=state_proof_gen(state_start),
-                    starting_transaction_cc=tau_0,
-                    starting_transaction_index=start_index,
-                    computation_consumption=consumption,
-                )
+    def close_chunk():
+        chunks.append(
+            Chunk(
+                start_state_commitment=state_proof_gen(state_start),
+                starting_transaction_cc=tau_0,
+                starting_transaction_index=start_index,
+                computation_consumption=consumption,
             )
-            spocks.append(chunk_trace)
-            chunk_start_states.append(state_start)
-            chunk_starts.append(start_index)
-            chunk_touched.append(frozenset(touched))
-            state_start = state_before
-            start_index = i
-            tau_0 = tau
-            chunk_trace = EMPTY_TRACE
-            consumption = 0
-            touched = set()
-        consumption += tau
-        chunk_trace = trace_update(chunk_trace, zeta)
-        touched |= outcome.touched
-
-    chunks.append(
-        Chunk(
-            start_state_commitment=state_proof_gen(state_start),
-            starting_transaction_cc=tau_0,
-            starting_transaction_index=start_index,
-            computation_consumption=consumption,
         )
-    )
-    spocks.append(chunk_trace)
-    chunk_start_states.append(state_start)
-    chunk_starts.append(start_index)
-    chunk_touched.append(frozenset(touched))
+        spocks.append(chunk_trace)
+        chunk_start_states.append(state_start)
+        chunk_touched.append(frozenset(touched))
+
+    for i, tx in enumerate(transactions):
+        outcome = execute(state, tx)
+        tau = outcome.cost
+        if consumption + tau > gamma_chunk and consumption > 0:
+            close_chunk()
+            state_start, start_index = state, i
+            chunk_trace, consumption, touched = EMPTY_TRACE, 0, set()
+        if i == start_index:
+            tau_0 = tau
+        state = outcome.state
+        consumption += tau
+        chunk_trace = trace_update(chunk_trace, outcome.trace)
+        touched |= outcome.touched
+    close_chunk()
 
     result = ExecutionResult(
         block_hash=block_hash,
@@ -169,10 +154,8 @@ def block_execution(
         chunks=tuple(chunks),
         final_state=state_proof_gen(state),
     )
-    ranges = [
-        (chunk_starts[k], chunk_starts[k + 1] if k + 1 < len(chunk_starts) else len(transactions))
-        for k in range(len(chunk_starts))
-    ]
+    starts = [c.starting_transaction_index for c in chunks]
+    ranges = list(zip(starts, starts[1:] + [len(transactions)]))
     return BlockExecutionOutput(
         result=result,
         spocks=tuple(spocks),

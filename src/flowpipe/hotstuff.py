@@ -19,16 +19,15 @@ from typing import Any, Callable, Optional
 
 from . import crypto
 from .encoding import canonical_json, hexify, once, once_for
-from .state import StakeTable
+from .state import StakeTable, Tally
 
 GENESIS_DIGEST = crypto.hash("consensus-genesis", b"")
 
 
 def leader_for_round(round_number: int, table: StakeTable, seed: bytes) -> bytes:
     """Stake-weighted pseudo-random leader; all nodes agree given the seed.
-    The draw walks the table's members in key order."""
-    if not table.members:
-        raise ValueError("empty membership")
+    The draw walks the table's members in key order; a group with no stake
+    has no leader, and the draw raises ValueError."""
     stream = crypto.seeded_stream(
         crypto.derive_seed(["leader"], seed + round_number.to_bytes(8, "big"))
     )
@@ -86,18 +85,13 @@ def vote_payload(round_number: int, digest: bytes) -> bytes:
 
 
 def qc_valid(qc: QuorumCertificate, table: StakeTable) -> bool:
-    """Genuine supermajority of authorized signers over the vote payload."""
+    """A quorum of the group signed the vote payload (`StakeTable.certifies`)."""
     if qc.round == 0:
         return qc.payload_digest == GENESIS_DIGEST and not qc.signers
-    if len(set(qc.signers)) != len(qc.signers) or len(qc.signers) != len(qc.signatures):
-        return False
-    if not set(qc.signers) <= table.keys:
-        return False
     msg = vote_payload(qc.round, qc.payload_digest)
-    for signer, sig in zip(qc.signers, qc.signatures):
-        if not crypto.staking_verify(signer, msg, sig):
-            return False
-    return table.supermajority(qc.signers)
+    return table.certifies(
+        qc.signers, qc.signatures, lambda signer, sig: crypto.staking_verify(signer, msg, sig)
+    )
 
 
 @dataclass(frozen=True)
@@ -164,13 +158,6 @@ class EquivocationEvidence:
     round: int
     first: Proposal
     second: Proposal
-
-
-class _Ballot(dict):
-    """Voter -> signature for one (round, digest), and the voters' stake,
-    tallied as each distinct voter's vote is counted."""
-
-    weight = 0
 
 
 @dataclass
@@ -291,8 +278,8 @@ class ConsensusEngine:
         # the round of the newest finalized block: the books below it are
         # dropped, and a message for a round below it is ignored
         self.floor = 0
-        # (round, digest) -> voter -> signature; None once the QC is formed
-        self._votes: dict[tuple[int, bytes], Optional[_Ballot]] = {}
+        # (round, digest) -> voter -> signature, until a round's book is dropped
+        self._votes: dict[tuple[int, bytes], Tally] = {}
         self._pending_qcs: dict[bytes, QuorumCertificate] = {}
         self._orphans: dict[bytes, list[Proposal]] = {}
         self._proposal_seen: dict[tuple[bytes, int], Proposal] = {}
@@ -470,28 +457,18 @@ class ConsensusEngine:
         if vote.round < self.floor or not self.is_leader(vote.round + 1):
             return
         key = (vote.round, vote.payload_digest)
-        bucket = self._votes.get(key, _Ballot())
-        if bucket is None:
-            return  # the QC is formed; a late vote would only repeat it
-        if vote.voter in bucket:
-            return  # duplicates counted once
-        if vote.voter not in self.table.keys or not crypto.staking_verify(
-            vote.voter, vote_payload(vote.round, vote.payload_digest), vote.signature
-        ):
-            return  # an outsider's vote would make the quorum count raise
-        self._votes[key] = bucket
-        bucket[vote.voter] = vote.signature
-        bucket.weight += self.table.stake[vote.voter]
-        if not self.table.passes(bucket.weight):
+        tally = self._votes.get(key) or Tally(self.table)
+        # a late vote would only repeat the formed QC; a repeat or an
+        # outsider's vote is dropped before its signature is checked
+        if tally.quorum or not tally.admits(vote.voter):
             return
-        self._votes[key] = None
-        signers = tuple(sorted(bucket))
-        qc = QuorumCertificate(
-            payload_digest=vote.payload_digest,
-            round=vote.round,
-            signers=signers,
-            signatures=tuple(bucket[s] for s in signers),
-        )
+        if not crypto.staking_verify(vote.voter, vote_payload(*key), vote.signature):
+            return
+        self._votes[key] = tally
+        tally.add(vote.voter, vote.signature)
+        if not tally.quorum:
+            return
+        qc = QuorumCertificate(vote.payload_digest, vote.round, *tally.certificate())
         self._certify(qc)
         self._update_high_qc(qc)
         self._enter_round(vote.round + 1)

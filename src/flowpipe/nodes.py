@@ -59,6 +59,7 @@ from .state import (
     SlashingChallenge,
     StakeTable,
     StateUpdate,
+    Tally,
     adjudicate_challenge,
     challenge_id,
 )
@@ -298,8 +299,7 @@ class CollectorNode(Node):
         self.open_collection: list[bytes] = []
         self.open_round = 1
         self.store: dict[bytes, list[SignedTransaction]] = {}
-        self.shares: dict[bytes, dict[bytes, bytes]] = {}
-        self.announced: set[bytes] = set()
+        self.shares: dict[bytes, Tally] = {}  # collection hash -> signer -> signature
         self.heights: dict[bytes, int] = {GENESIS_DIGEST: 0}
         self.next_height = 1
 
@@ -414,26 +414,26 @@ class CollectorNode(Node):
             self.send_all(self.peers, GossipTx(tx))
 
     def _on_guarantee_share(self, sender: str, share: GuaranteeShare):
-        if share.collection_hash not in self.store:
+        h = share.collection_hash
+        if h not in self.store:
             # only guarantors that hold the texts aggregate
             return
         if share.cluster_index != self.cluster_index:
             return  # its signature covers another cluster's guarantee
-        if share.signer not in self.cluster.keys:
-            return  # a share from outside the cluster would make the count raise
-        stub = GuaranteedCollection(share.collection_hash, share.cluster_index, (), ())
+        tally = self.shares.get(h) or Tally(self.cluster)
+        # once announced, a share would only repeat the guarantee; a repeat
+        # or a share from outside the cluster is dropped before its check
+        if tally.quorum or not tally.admits(share.signer):
+            return
+        stub = GuaranteedCollection(h, share.cluster_index, (), ())
         if not crypto.staking_verify(share.signer, stub.signed_payload(), share.signature):
             return
-        bucket = self.shares.setdefault(share.collection_hash, {})
-        bucket.setdefault(share.signer, share.signature)
-        if share.collection_hash in self.announced or not self.cluster.supermajority(bucket):
+        self.shares[h] = tally
+        tally.add(share.signer, share.signature)
+        if not tally.quorum:
             return
-        signers = tuple(sorted(bucket))
-        gc = GuaranteedCollection(
-            share.collection_hash, self.cluster_index, signers, tuple(bucket[s] for s in signers)
-        )
-        self.announced.add(share.collection_hash)
-        self.sim.event(self.name, "collection_guaranteed", {"hash": hexify(share.collection_hash)})
+        gc = GuaranteedCollection(h, self.cluster_index, *tally.certificate())
+        self.sim.event(self.name, "collection_guaranteed", {"hash": hexify(h)})
         self.send_all(self.d.consensus_names, GuaranteeAnnounce(gc))
 
 
@@ -455,7 +455,7 @@ class ConsensusNode(Node):
         self.receipts: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt and packages
         self.results: dict[bytes, ExecutionResult] = {}  # result hash -> the receipt's result
         self.results_by_prev: dict[bytes, list[bytes]] = {}  # prev result -> successors
-        self.approvals: dict[bytes, dict[bytes, Approval]] = {}  # result -> verifier -> approval
+        self.approvals: dict[bytes, Tally] = {}  # result hash -> verifier -> approval
         self.drb_shares: dict[bytes, dict[int, crypto.SignatureShare]] = {}
         self.randomness: dict[bytes, int] = {}
         self.fcc_received: set[bytes] = set()  # ids of the FCCs received here
@@ -836,8 +836,13 @@ class ConsensusNode(Node):
 
     def _on_approval(self, sender: str, msg: ApprovalMsg):
         a = msg.approval
-        if a.result_hash not in self.final["sealed"] and a.valid():
-            self.approvals.setdefault(a.result_hash, {}).setdefault(a.verifier, a)
+        if a.result_hash in self.final["sealed"]:
+            return
+        tally = self.approvals.get(a.result_hash) or Tally(self.d.verifiers)
+        # an approval from outside the verifiers is dropped before its check
+        if tally.admits(a.verifier) and a.valid():
+            self.approvals[a.result_hash] = tally
+            tally.add(a.verifier, a)
 
     def _on_collection_response(self, sender: str, msg: CollectionResponse):
         bucket = self.mcc_responses.get(msg.collection_hash)

@@ -1,13 +1,13 @@
 """Protocol state: staked node records, commitments, each group's stake
-table and its quorum rule, slash application, and slashing-challenge
-adjudication."""
+table and its one quorum count (`Tally`), slash application, and
+slashing-challenge adjudication."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from . import crypto
 from .encoding import canonical_json, hexify
@@ -56,9 +56,10 @@ class ProtocolState:
 class StakeTable:
     """One group's stake weights, built once from its identity records: the
     members sorted by staking key, the key set, each key's stake and the
-    total. Every weighted rule of the group reads the one table. It compares
-    by identity, so a verdict kept per table (`QuorumCertificate.valid_for`)
-    checks its key in O(1)."""
+    total. Every weighted rule of the group reads the one table, and every
+    quorum of it is counted by a `Tally`; a group with no stake reaches
+    none. It compares by identity, so a verdict kept per table
+    (`QuorumCertificate.valid_for`) checks its key in O(1)."""
 
     members: tuple[NodeIdentity, ...]
     keys: frozenset[bytes] = field(init=False)
@@ -75,21 +76,50 @@ class StakeTable:
         object.__setattr__(self, "stake", MappingProxyType(stake))
         object.__setattr__(self, "total", sum(stake.values()))
 
-    def supermajority(self, voters: Iterable[bytes]) -> bool:
-        """The distinct `voters` hold strictly more than 2/3 of the group's
-        stake: `3·w > 2·total`, in integers. A voter from outside the group
-        or a group with no stake raises."""
-        if self.total == 0:
-            raise ValueError("group has zero total stake")
-        voter_set = set(voters)
-        if not voter_set <= self.keys:
-            raise ValueError("voters must be a subset of the group")
-        stake = self.stake
-        return self.passes(sum(stake[v] for v in voter_set))
+    def certifies(
+        self, signers: Sequence[bytes], signed: Sequence, verify: Callable[[bytes, Any], bool]
+    ) -> bool:
+        """The one certificate check, all or nothing: one `signed` item per
+        signer, the signers distinct members holding a quorum, and every
+        `verify(signer, item)` true. No item is verified unless the signers
+        pass the count."""
+        tally = Tally(self)
+        if len(signers) != len(signed) or not all(map(tally.add, signers, signed)):
+            return False
+        return tally.quorum and all(map(verify, signers, signed))
 
-    def passes(self, weight: int) -> bool:
-        """`weight` is a quorum of the group: `3·weight > 2·total`."""
-        return 3 * weight > 2 * self.total
+
+class Tally(dict):
+    """The effective votes of one group for one proposal: each counted
+    member's key maps to what it signed (a signature, an approval). As each
+    is counted, `weight` sums their stake and `quorum` says whether it is
+    strictly more than 2/3 of the group's: `3·weight > 2·total`, in
+    integers. Only a member not yet counted is admitted, so a caller checks
+    `admits` before it spends a signature check, and counts through
+    `add`."""
+
+    def __init__(self, table: StakeTable):
+        super().__init__()
+        self.table = table
+        self.weight = 0
+        self.quorum = False
+
+    def admits(self, key: bytes) -> bool:
+        return key in self.table.keys and key not in self
+
+    def add(self, key: bytes, signed) -> bool:
+        """Count `key`'s `signed` if `key` is admitted; False if not."""
+        if key not in self.table.keys or key in self:  # `admits`, inline on the vote path
+            return False
+        self[key] = signed
+        self.weight += self.table.stake[key]
+        self.quorum = 3 * self.weight > 2 * self.table.total
+        return True
+
+    def certificate(self) -> tuple[tuple[bytes, ...], tuple]:
+        """The counted signers in key order, and what each signed."""
+        signers = tuple(sorted(self))
+        return signers, tuple(self[s] for s in signers)
 
 
 # ---------------------------------------------------------------------------

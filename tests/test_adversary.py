@@ -23,14 +23,16 @@ that lack their evidence (they are rejected), and with receipts whose own
 package or SPoCK fails (they are dropped, and the result is judged on the
 next receipt).
 
-Five more check intake: a forged guarantee announced to every consensus
+Six more check intake: a forged guarantee announced to every consensus
 node is dropped instead of sitting in every later proposal, a guarantee
 share signed from outside the cluster is dropped instead of raising out of
-the quorum count, a share signed for another cluster's index is dropped
-instead of spoiling the guarantor's announcement, a proposal copy whose
-payload does not hash to its signed digest is ignored instead of splitting
-finality, and a cluster proposal whose transaction hashes are not hex
-strings is rejected instead of raising out of the run."""
+the quorum count, an approval signed by an executor is dropped instead of
+sitting in the books of a result it cannot seal, a share signed for another
+cluster's index is dropped instead of spoiling the guarantor's
+announcement, a proposal copy whose payload does not hash to its signed
+digest is ignored instead of splitting finality, and a cluster proposal
+whose transaction hashes are not hex strings is rejected instead of raising
+out of the run."""
 
 import dataclasses
 import hashlib
@@ -40,7 +42,7 @@ from importlib import resources
 import pytest
 
 from flowpipe import crypto, nodes
-from flowpipe.blocks import guarantee_valid, propose_proto_block
+from flowpipe.blocks import Approval, approval_payload, guarantee_valid, propose_proto_block
 from flowpipe.collection import GuaranteedCollection
 from flowpipe.hotstuff import GENESIS_DIGEST, Proposal
 from flowpipe.nodes import (
@@ -716,6 +718,26 @@ def test_share_from_outside_the_cluster_dropped():
     )
     guarantor.handle(guarantor.name, mine)
     assert set(guarantor.shares[h]) == {guarantor.keypair.public}
+
+
+def test_approval_from_outside_the_verifiers_dropped(monkeypatch):
+    """An approval that executor e0 signs for a result no block has sealed
+    is dropped by consensus node n0 before its signature is checked: its
+    signature verifies, but no verifier quorum can count it. A verifier's
+    approval of the result is kept."""
+    world = build_world(merge_defaults({}))
+    n0, e0, v0 = world.consensus[0], world.executors[0], world.verifiers[0]
+    rh = crypto.hash("result", b"pending")
+    outsider = Approval(rh, e0.keypair.public, e0.keypair.sign(approval_payload(rh)))
+    assert crypto.staking_verify(outsider.verifier, approval_payload(rh), outsider.signature)
+    checked = []
+    real = crypto.staking_verify
+    monkeypatch.setattr(crypto, "staking_verify", lambda *args: checked.append(args) or real(*args))
+    n0.handle(e0.name, ApprovalMsg(outsider))
+    assert rh not in n0.approvals and not checked
+    mine = Approval(rh, v0.keypair.public, v0.keypair.sign(approval_payload(rh)))
+    n0.handle(v0.name, ApprovalMsg(mine))
+    assert n0.approvals[rh] == {v0.keypair.public: mine}
 
 
 def happy_path(max_sim_time: int) -> dict:

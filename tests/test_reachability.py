@@ -2,8 +2,9 @@
 src/flowpipe is referenced by name somewhere else in the package, so no
 protocol rule survives only as a test-only twin of the one the simulator
 runs, and every name a module imports is used in that module. A third
-guard keeps Byzantine behaviors out of the honest role classes. The checks
-parse the sources and search names; they run nothing."""
+guard keeps Byzantine behaviors out of the honest role classes, and a fourth
+keeps every stake count inside `state.py`. The checks parse the sources and
+search names; they run nothing."""
 
 import ast
 import pathlib
@@ -103,3 +104,32 @@ def test_role_classes_hold_no_adversary():
     banned = set(BEHAVIORS) | {"behavior", "Behavior", "acts", "silent"}
     found = banned & set(_names(ast.parse((SRC / "nodes.py").read_text())))
     assert not found, f"nodes.py names adversary behaviors: {sorted(found)}"
+
+
+def stake_counts_outside_state() -> list[str]:
+    """module:line of each stake lookup by key (`x.stake[k]`) and each call
+    of a quorum comparison (`x.passes(...)`, `x.supermajority(...)`) in a
+    module other than `state.py`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "state.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            lookup = isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            if (
+                lookup and node.value.attr == "stake"
+                or call and node.func.attr in {"passes", "supermajority"}
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_stake_counted_only_in_state():
+    """Every quorum in the protocol (a consensus QC, a collection guarantee,
+    a seal's approvals) is counted by `state.Tally`, so no other module sums
+    stakes or compares a weight with the total itself. The leader draw's
+    walk over `m.stake` and `table.total` reads no stake by key and stays
+    allowed."""
+    found = stake_counts_outside_state()
+    assert not found, f"stake counted outside state.py: {found}"

@@ -15,6 +15,7 @@ from flowpipe.state import (
     SlashingChallenge,
     StakeTable,
     StateUpdate,
+    Tally,
     UpdateRejected,
     adjudicate_challenge,
     apply_updates,
@@ -42,50 +43,75 @@ def make_state(stakes=(10,) * 10, role=Role.CONSENSUS) -> ProtocolState:
     return ProtocolState(records={r.staking_public_key: r for r in recs})
 
 
+def voted(table: StakeTable, voters) -> Tally:
+    """A tally of `table` that has counted each of `voters` it admits."""
+    tally = Tally(table)
+    for v in voters:
+        tally.add(v, b"sig:" + v)
+    return tally
+
+
+def signed_by(key: bytes, signed: bytes) -> bool:
+    """The stand-in signature check that `voted` satisfies."""
+    return signed == b"sig:" + key
+
+
 class TestEffectiveVotes:
     """The staked fraction of a group voting in favor, read through the one
-    quorum rule, `StakeTable.supermajority`."""
+    quorum count, `Tally`."""
 
     def test_equal_stakes(self):
         group = [node(i) for i in range(1, 11)]
         voters = [g.staking_public_key for g in group[:7]]
-        assert StakeTable(group).supermajority(voters)  # 7/10
-        assert not StakeTable(group).supermajority(voters[:6])  # 6/10
+        assert voted(StakeTable(group), voters).quorum  # 7/10
+        assert not voted(StakeTable(group), voters[:6]).quorum  # 6/10
 
     def test_weighted(self):
         group = [node(1, stake=5), node(2, stake=3), node(3, stake=2)]
         voters = [group[0].staking_public_key, group[1].staking_public_key]
-        assert StakeTable(group).supermajority(voters)  # 8/10
+        assert voted(StakeTable(group), voters).quorum  # 8/10
         # 5/10 and 7/10: the weights count, not the heads
-        assert not StakeTable(group).supermajority([group[0].staking_public_key])
-        assert StakeTable(group).supermajority([group[0].staking_public_key, group[2].staking_public_key])
+        assert not voted(StakeTable(group), [group[0].staking_public_key]).quorum
+        assert voted(StakeTable(group), [group[0].staking_public_key, group[2].staking_public_key]).quorum
+        assert voted(StakeTable(group), voters).weight == 8
         assert StakeTable(group).total == 10
         assert StakeTable(group).stake == {g.staking_public_key: g.stake for g in group}
 
     def test_full_group(self):
         group = [node(i, stake=i) for i in range(1, 5)]
-        assert StakeTable(group).supermajority([g.staking_public_key for g in group])
+        assert voted(StakeTable(group), [g.staking_public_key for g in group]).quorum
 
     def test_zero_total_stake(self):
+        """A group with no stake reaches no quorum, and certifies nothing."""
         group = [node(1, stake=0)]
-        with pytest.raises(ValueError):
-            StakeTable(group).supermajority([])
-        with pytest.raises(ValueError):
-            StakeTable(group).supermajority([group[0].staking_public_key])
-        with pytest.raises(ValueError):
-            StakeTable([]).supermajority([])
+        key = group[0].staking_public_key
+        for table, voters in ((StakeTable(group), []), (StakeTable(group), [key]), (StakeTable([]), [])):
+            assert not voted(table, voters).quorum
+            assert not table.certifies(voters, [b"sig"] * len(voters), lambda k, s: True)
 
     def test_voters_outside_group(self):
+        """An outsider is not admitted: it adds no weight and no entry, and
+        a certificate listing it fails before any signature is checked."""
         group = [node(1)]
-        with pytest.raises(ValueError):
-            StakeTable(group).supermajority([node(2).staking_public_key])
-        with pytest.raises(ValueError):  # however much stake the members hold
-            StakeTable([node(1), node(3)]).supermajority([node(1).staking_public_key, node(2).staking_public_key])
+        outsider = node(2).staking_public_key
+        tally = Tally(StakeTable(group))
+        assert not tally.admits(outsider) and not tally.add(outsider, b"sig")
+        assert tally == {} and tally.weight == 0
+        # however much stake the members hold
+        table = StakeTable([node(1), node(3)])
+        checked = []
+        signers = [node(1).staking_public_key, outsider]
+        assert not table.certifies(signers, [b"a", b"b"], lambda k, s: checked.append(k) or True)
+        assert checked == []
 
     def test_duplicate_voters_counted_once(self):
+        """A repeat signer is counted once, with what it signed first."""
         group = [node(1, stake=7), node(2, stake=3)]
         k2 = group[1].staking_public_key
-        assert not StakeTable(group).supermajority([k2, k2, k2])
+        tally = voted(StakeTable(group), [k2])
+        assert not tally.admits(k2) and not tally.add(k2, b"second")
+        assert tally == {k2: b"sig:" + k2} and tally.weight == 3 and not tally.quorum
+        assert not StakeTable(group).certifies([k2, k2, k2], [b"s"] * 3, lambda k, s: True)
 
     def test_members_sorted_and_keys_unique(self):
         group = [node(3), node(1, stake=4), node(2, stake=0)]
@@ -108,10 +134,10 @@ class TestSupermajority:
 
     @staticmethod
     def holds(w: int, total: int) -> bool:
-        """`supermajority` on a two-member group of stakes (w, total - w)
+        """`Tally.quorum` on a two-member group of stakes (w, total - w)
         with only the first voting."""
         group = [node(1, stake=w), node(2, stake=total - w)]
-        return StakeTable(group).supermajority([group[0].staking_public_key])
+        return voted(StakeTable(group), [group[0].staking_public_key]).quorum
 
     def test_exactly_two_thirds_is_not_enough(self):
         assert not self.holds(2, 3)
@@ -122,14 +148,16 @@ class TestSupermajority:
 
     def test_zero(self):
         assert not self.holds(0, 5)
-        assert not StakeTable([node(1)]).supermajority([])
+        assert not Tally(StakeTable([node(1)])).quorum
 
     def test_strictness_at_group_granularity(self):
         n = 30
         group = [node(i, stake=1) for i in range(1, n + 1)]
         keys = [g.staking_public_key for g in group]
-        assert not StakeTable(group).supermajority(keys[:20])  # 2/3
-        assert StakeTable(group).supermajority(keys[:21])  # 2/3 + 1/n
+        table = StakeTable(group)
+        for m, passes in ((20, False), (21, True)):  # 2/3, then 2/3 + 1/n
+            assert voted(table, keys[:m]).quorum is passes
+            assert table.certifies(keys[:m], [b"sig:" + k for k in keys[:m]], signed_by) is passes
 
     def test_integer_check_agrees_with_fraction_comparison(self):
         for d in range(1, 41):
@@ -138,7 +166,8 @@ class TestSupermajority:
 
     def test_every_small_group_and_voter_subset(self):
         """Every stake vector of 1 to 5 members with stakes 0 to 4, over
-        every voter subset, against the `Fraction` comparison."""
+        every voter subset, against the `Fraction` comparison; a group with
+        no stake reaches no quorum."""
         checked = 0
         for size in range(1, 6):
             group = [node(i) for i in range(1, size + 1)]
@@ -149,16 +178,49 @@ class TestSupermajority:
                 for mask in range(1 << size):
                     voters = [k for i, k in enumerate(keys) if mask >> i & 1]
                     if total == 0:
-                        with pytest.raises(ValueError):
-                            t.supermajority(voters)
+                        assert not voted(t, voters).quorum
                         continue
                     w = sum(s for i, s in enumerate(stakes) if mask >> i & 1)
-                    assert t.supermajority(voters) == (Fraction(w, total) > Fraction(2, 3)), (
+                    assert voted(t, voters).quorum == (Fraction(w, total) > Fraction(2, 3)), (
                         stakes,
                         mask,
                     )
                     checked += 1
         assert checked == sum((5**k - 1) * 2**k for k in range(1, 6))
+
+
+class TestTally:
+    """The one count behind every quorum certificate, guarantee and seal."""
+
+    def group(self, n):
+        return StakeTable(node(i, stake=1) for i in range(1, n + 1))
+
+    def test_certificate_in_key_order(self):
+        table = self.group(5)
+        keys = [m.staking_public_key for m in table.members]
+        tally = voted(table, reversed(keys))
+        signers, signed = tally.certificate()
+        assert signers == tuple(sorted(keys)) == tuple(keys)
+        assert signed == tuple(b"sig:" + k for k in signers)
+
+    def test_certifies_all_or_nothing(self):
+        """One bad item, one item too few or too many, or a repeated signer
+        fails the whole certificate."""
+        table = self.group(4)
+        keys = [m.staking_public_key for m in table.members]
+        sigs = [b"sig:" + k for k in keys]
+        assert table.certifies(keys, sigs, signed_by)
+        assert not table.certifies(keys, sigs[:3] + [b"forged"], signed_by)
+        assert not table.certifies(keys, sigs[:3], signed_by)
+        assert not table.certifies(keys[:3], sigs, signed_by)
+        assert not table.certifies(keys[:3] + keys[:1], sigs[:3] + sigs[:1], signed_by)
+
+    def test_signatures_checked_only_for_a_quorum(self):
+        table = self.group(4)
+        keys = [m.staking_public_key for m in table.members]
+        checked = []
+        assert not table.certifies(keys[:2], [b"a", b"b"], lambda k, s: checked.append(k) or True)
+        assert checked == []
 
 
 class TestCommitment:
