@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Container, Mapping, Optional, Sequence
 
 from . import crypto
 from .collection import GuaranteedCollection, guarantee_authentic
@@ -332,43 +332,40 @@ def evaluate_proposal(pb: ProtoBlock, view: ChainView) -> tuple[bool, Optional[s
 
 
 def form_seal(
-    sealed_block_hash: bytes,
-    execution_result_hash: bytes,
-    final_state_commitment: bytes,
-    approvals: Iterable[Approval],
-    verifiers: StakeTable,
+    result_hash: bytes, result: ExecutionResult, approvals: Optional[Tally]
 ) -> Optional[BlockSeal]:
-    """Seal once the approvals of `execution_result_hash` by distinct
-    verifiers, each signature valid, hold a verifier quorum; None until
-    then. The seal carries every such approval, in key order. The caller
-    seals sequentially along the receipt chain and skips challenged
-    results."""
-    tally = Tally(verifiers)
-    for a in approvals:
-        if a.result_hash == execution_result_hash and tally.admits(a.verifier) and a.valid():
-            tally.add(a.verifier, a)
-    if not tally.quorum:
+    """The seal of `result` (hash `result_hash`) on the certificate of
+    `approvals`, the node's intake tally of the result's approvals, once it
+    holds a verifier quorum; None before. Intake already dropped outsiders,
+    repeats and bad signatures, so nothing is counted or checked here;
+    whether the seal may go in a block is condition 8's (`validate_seal`)."""
+    if approvals is None or not approvals.quorum:
         return None
     return BlockSeal(
-        sealed_block_hash=sealed_block_hash,
-        execution_result_hash=execution_result_hash,
-        final_state_commitment=final_state_commitment,
-        approvals=tally.certificate()[1],
+        sealed_block_hash=result.block_hash,
+        execution_result_hash=result_hash,
+        final_state_commitment=result.final_state,
+        approvals=approvals.certificate()[1],
     )
 
 
 def validate_seal(seal: BlockSeal, view: ChainView, block_sealed: Container[bytes] = ()) -> bool:
-    """Proposal condition 8 for one seal on the chain through `view`: the
-    node holds the referenced result and it matches the seal's block/state
-    fields, no challenge on the result is pending, the previous result is
-    sealed on the chain or earlier in the same block (`block_sealed`), and
-    every listed approval counts toward a genuine quorum of `view.verifiers`.
-    The quorum verdict is kept on the seal per table: every receiver of a
-    proposal checks the same seal."""
+    """Proposal condition 8 for one seal on the chain through `view`, and the
+    rule a leader picks its seals by: the result is sealed neither on the
+    chain nor earlier in the same block (`block_sealed`), the sealed block
+    is on the chain, the node holds the result and it matches the seal's
+    block/state fields, no challenge on the result is pending, the previous
+    result is sealed on the chain or earlier in the block, and every listed
+    approval counts toward a genuine quorum of `view.verifiers`. The quorum
+    verdict is kept on the seal per table: every receiver of a proposal
+    checks the same seal."""
     rh = seal.execution_result_hash
     result = view.results.get(rh)
     if (
         result is None
+        or rh in block_sealed
+        or view.on_chain("sealed", rh)
+        or not view.on_chain("block", seal.sealed_block_hash)
         or result.block_hash != seal.sealed_block_hash
         or result.final_state != seal.final_state_commitment
         or view.result_pending_challenge(rh)

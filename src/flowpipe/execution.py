@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import crypto
 from .crypto import hash as fhash
 from .encoding import canonical_json, hexify, once
 from .merkle import ExecutionState, state_proof_gen
@@ -70,6 +71,15 @@ class ExecutionReceipt:
     def __post_init__(self):
         if len(self.spocks) != len(self.execution_result.chunks):
             raise ValueError("one trace commitment per chunk required")
+
+    @once
+    def signed(self) -> bool:
+        """The executor's signature over the result hash, checked once per
+        object: an executor sends one receipt to every consensus node and
+        every verifier."""
+        return crypto.staking_verify(
+            self.executor, self.execution_result.result_hash(), self.executor_signature
+        )
 
 
 def canonical(collections: Sequence[Sequence[SignedTransaction]]) -> list[SignedTransaction]:

@@ -24,6 +24,7 @@ from .blocks import (
     genesis_ctx,
     guarantee_valid,
     propose_proto_block,
+    validate_seal,
 )
 from .clustering import route_transaction
 from .collection import (
@@ -605,32 +606,22 @@ class ConsensusNode(Node):
         )
 
     def _ready_seals(self, view: ChainView):
+        """The seals to list on the chain through `view`: from its sealed
+        tip along the receipt chain, at each step the first successor, in
+        hash order, whose seal of its intake tally passes condition 8."""
         seals = []
+        sealed = set()
         tip = view.ctx.sealed_tip
-        advanced = True
-        while advanced:
-            advanced = False
+        while True:
             for rh in sorted(self.results_by_prev.get(tip, ())):
-                if view.on_chain("sealed", rh):
-                    continue
-                result = self.results[rh]
-                if not view.on_chain("block", result.block_hash):
-                    continue
-                if view.result_pending_challenge(rh):
-                    continue
-                seal = form_seal(
-                    sealed_block_hash=result.block_hash,
-                    execution_result_hash=rh,
-                    final_state_commitment=result.final_state,
-                    approvals=self.approvals.get(rh, {}).values(),
-                    verifiers=self.d.verifiers,
-                )
-                if seal is not None:
-                    seals.append(seal)
-                    tip = rh
-                    advanced = True
+                seal = form_seal(rh, self.results[rh], self.approvals.get(rh))
+                if seal is not None and validate_seal(seal, view, sealed):
                     break
-        return seals
+            else:
+                return seals
+            seals.append(seal)
+            sealed.add(rh)
+            tip = rh
 
     # -- proposal validation ---------------------------------------------------
 
@@ -852,9 +843,7 @@ class ConsensusNode(Node):
     def _on_receipt(self, sender: str, msg: ReceiptMsg):
         receipt = msg.receipt
         rh = receipt.execution_result.result_hash()
-        if rh in self.receipts or not msg.well_formed():
-            return
-        if not crypto.staking_verify(receipt.executor, rh, receipt.executor_signature):
+        if rh in self.receipts or not msg.well_formed() or not receipt.signed():
             return
         self.receipts[rh] = msg
         self.results[rh] = receipt.execution_result
@@ -1098,7 +1087,7 @@ class VerificationNode(Node):
         )
         for msg in receipts:
             receipt = msg.receipt
-            if not crypto.staking_verify(receipt.executor, rh, receipt.executor_signature):
+            if not receipt.signed():
                 continue
             for k in assigned:
                 verdict = msg.packages[k].verdict(result, k, receipt.spocks[k])
@@ -1136,9 +1125,7 @@ class VerificationNode(Node):
         result = receipt.execution_result
         rh, prev = result.result_hash(), result.previous_execution_result_hash
         key = (rh, receipt.executor)
-        if key in self.accused or prev in self.dead:
-            return
-        if not crypto.staking_verify(receipt.executor, rh, receipt.executor_signature):
+        if key in self.accused or prev in self.dead or not receipt.signed():
             return
         self.accused.add(key)
         if prev in self.checked:

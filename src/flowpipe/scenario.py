@@ -10,11 +10,11 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from . import crypto
 from .adversary import BEHAVIORS
-from .blocks import GENESIS_RANDOMNESS
+from .blocks import GENESIS_RANDOMNESS, ProtoBlock
 from .clustering import cluster_assignment
 from .nodes import (
     CollectorNode,
@@ -476,11 +476,18 @@ def _observer_events(world: World, kind: str) -> list[dict]:
     return world.sim.log.select(kind, world.observer.name)
 
 
+def _finalized_blocks(world: World) -> Iterator[ProtoBlock]:
+    """The observer's finalized blocks in height order; pruning keeps every
+    finalized node of its block tree."""
+    obs = world.observer
+    for height in sorted(obs.finalized_heights):
+        yield obs.engine.tree.nodes[obs.finalized_heights[height]].payload
+
+
 def _honest_result_hashes(world: World) -> set[bytes]:
     """Reference re-execution of the observer's finalized chain with honest
     execution semantics; the returned result hashes are the only ones a
     correct seal may reference."""
-    obs = world.observer
     attested = {
         bytes.fromhex(r["payload"]["collection"])
         for r in world.sim.log.select("attestation")
@@ -488,11 +495,7 @@ def _honest_result_hashes(world: World) -> set[bytes]:
     exec_state = ExecutionState()
     prev = GENESIS_RESULT_HASH
     honest: set[bytes] = set()
-    for height in sorted(obs.finalized_heights):
-        node = obs.engine.tree.nodes.get(obs.finalized_heights[height])
-        if node is None:
-            continue
-        pb = node.payload
+    for pb in _finalized_blocks(world):
         ordered = []
         for gc in pb.guaranteed_collections:
             texts = None
@@ -624,16 +627,12 @@ def add_mcc_property(world: World, cluster_index: int, add) -> None:
     """Exactly one recorded missing-collection challenge per on-chain
     collection of the withholding cluster, each upheld with the full
     guarantor set slashed."""
-    obs = world.observer
     chain_gcs: dict[bytes, Any] = {}
     mcc_targets: dict[bytes, SlashingChallenge] = {}
-    for height in sorted(obs.finalized_heights):
-        node = obs.engine.tree.nodes.get(obs.finalized_heights[height])
-        if node is None:
-            continue
-        for gc in node.payload.guaranteed_collections:
+    for pb in _finalized_blocks(world):
+        for gc in pb.guaranteed_collections:
             chain_gcs[gc.collection_hash] = gc
-        for ch in node.payload.slashing_challenges:
+        for ch in pb.slashing_challenges:
             if ch.kind == ChallengeKind.MISSING_COLLECTION:
                 mcc_targets[ch.evidence[0]] = ch
     withheld = {h for h, gc in chain_gcs.items() if gc.cluster_index == cluster_index}

@@ -21,7 +21,8 @@ consensus, on arrival and in a block, takes a challenge only against a
 signer and upholds it whichever signer's package it keeps), with challenges
 that lack their evidence (they are rejected), and with receipts whose own
 package or SPoCK fails (they are dropped, and the result is judged on the
-next receipt).
+next receipt). The executor's signature on a receipt it broadcasts is
+checked once, however many nodes receive it.
 
 Six more check intake: a forged guarantee announced to every consensus
 node is dropped instead of sitting in every later proposal, a guarantee
@@ -32,7 +33,12 @@ cluster's index is dropped instead of spoiling the guarantor's
 announcement, a proposal copy whose payload does not hash to its signed
 digest is ignored instead of splitting finality, and a cluster proposal
 whose transaction hashes are not hex strings is rejected instead of raising
-out of the run."""
+out of the run.
+
+A leader that re-lists the seal of a result already sealed has its block
+rejected at condition 8 by every honest node, and sealing keeps pace. A
+leader that lists a slash with no adjudication behind it is still
+accepted; that test is an expected failure."""
 
 import dataclasses
 import hashlib
@@ -63,7 +69,7 @@ from flowpipe.scenario import (
     merge_defaults,
     run_world,
 )
-from flowpipe.state import ChallengeKind, challenge_id
+from flowpipe.state import ChallengeKind, StateUpdate, challenge_id
 from flowpipe.verification import ChunkDataPackage, make_fcc, make_mcc
 
 SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": [1]}
@@ -533,6 +539,36 @@ def test_receipt_without_a_package_per_chunk_is_dropped():
     assert {m.approval.result_hash for _, _, m in sent if isinstance(m, ApprovalMsg)} == {rh}
 
 
+def test_one_signature_check_per_broadcast_receipt(monkeypatch):
+    """An executor sends one receipt object to every consensus node and every
+    verifier; its signature is checked once (`ExecutionReceipt.signed`),
+    by whichever receiver reads it first."""
+    world = build_world(merge_defaults({}))
+    e0 = world.executors[0]
+    sent = []
+    world.sim.send = lambda sender, receiver, msg: sent.append((receiver, msg))
+    pb = propose_proto_block(GENESIS_DIGEST, 0, world.directory.initial_state, [], [], [], [])
+    e0.handle(world.consensus[0].name, Finalized(pb))
+    deliveries = [(r, m) for r, m in sent if isinstance(m, ReceiptMsg)]
+    receivers = world.consensus + world.verifiers
+    assert sorted(r for r, _ in deliveries) == sorted(n.name for n in receivers)
+    assert len({id(m) for _, m in deliveries}) == 1
+    for verifier in world.verifiers:  # each verifier judges the receipt on arrival
+        verifier.handle(world.consensus[0].name, block_randomness(world, pb.hash()))
+    checked = []
+    real = crypto.staking_verify
+    monkeypatch.setattr(crypto, "staking_verify", lambda *args: checked.append(args) or real(*args))
+    sent.clear()
+    by_name = {n.name: n for n in receivers}
+    for receiver, msg in deliveries:
+        by_name[receiver].handle(e0.name, msg)
+    receipt = deliveries[0][1].receipt
+    rh = receipt.execution_result.result_hash()
+    assert checked == [(e0.keypair.public, rh, receipt.executor_signature)]
+    assert all(rh in n.receipts for n in world.consensus)
+    assert sum(isinstance(m, ApprovalMsg) for _, m in sent) == len(world.verifiers) * len(world.consensus)
+
+
 def test_consensus_upholds_each_signers_challenge_on_either_package():
     """The tamperers e1 and e2 sign the same faulty result, and e1's receipt
     carries a wrong SPoCK as well. A verifier that judges e1's receipt first
@@ -848,3 +884,100 @@ def test_malformed_cluster_proposal_rejected(hashes):
     engine.on_proposal(proposal)
     assert engine.last_voted_round < r
     assert proposal.payload_digest in engine.tree.nodes
+
+
+def relisted_seal_run(relist: bool):
+    """happy-path to tick 12,000; when `relist`, leader n1 appends, once, the
+    seal of the first result sealed on its finalized chain to the block it
+    proposes. Returns the world and the tick of the re-listing proposal."""
+    world = build_world(happy_path(12000))
+    n1 = world.consensus[1]
+    make_payload = n1.engine.make_payload
+    relisted = []
+
+    def relisting(parent_digest):
+        pb = make_payload(parent_digest)
+        if not relist or relisted or pb is None:
+            return pb
+        old = [
+            seal
+            for height in sorted(n1.finalized_heights)
+            for seal in n1.engine.tree.nodes[n1.finalized_heights[height]].payload.block_seals
+        ]
+        if not old:
+            return pb
+        relisted.append(world.sim.now)
+        return dataclasses.replace(pb, block_seals=pb.block_seals + (old[0],))
+
+    n1.engine.make_payload = relisting
+    run_world(world)
+    return world, relisted[0] if relisted else None
+
+
+def test_relisted_seal_rejected():
+    """Leader n1 lists, once, the seal of a result its finalized chain has
+    already sealed. Condition 8 took it: every node accepted the block, the
+    sealed tip of every chain through it rewound to that result, and no
+    later result sealed. Each honest consensus node now rejects the block at
+    condition 8, and the observer keeps sealing at the pace of the run
+    without the re-listed seal, each result once."""
+    clean, _ = relisted_seal_run(relist=False)
+    world, t = relisted_seal_run(relist=True)
+    assert t is not None
+
+    def condition_8(w):
+        return [
+            r
+            for r in w.sim.log.select("proposal_rejected")
+            if r["payload"]["reason"] == "condition-8:seal-invalid"
+        ]
+
+    assert not condition_8(clean)
+    rejections = condition_8(world)
+    assert all(r["t"] >= t for r in rejections)
+    honest = {n.name for n in world.consensus} - {world.consensus[1].name}
+    assert honest <= {r["node"] for r in rejections}
+
+    def sealed(w):
+        return [r["payload"]["result"] for r in w.sim.log.select("sealed", w.observer.name)]
+
+    assert len(sealed(world)) == len(set(sealed(world)))
+    assert len(set(sealed(world))) >= 0.9 * len(set(sealed(clean)))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="condition 10 checks that a block's state updates replay to its "
+    "commitment, not that an adjudication stands behind each slash",
+)
+def test_bare_slash_rejected():
+    """Leader n1 lists in each block it proposes a bare update that slashes
+    honest consensus node n3, with no adjudication behind it. Condition 10
+    only replays the update against the block's commitment, so every node
+    accepts such blocks and n3's stake on n0's finalized tip goes to 0."""
+    world = build_world(happy_path(6000))
+    n0, n1, n3 = world.consensus[0], world.consensus[1], world.consensus[3]
+    make_payload = n1.engine.make_payload
+    slash = StateUpdate(
+        entries=({"op": "slash", "key": n3.keypair.public.hex(), "amount": 100},),
+        cause="adjudication",
+    )
+
+    def slashing(parent_digest):
+        pb = make_payload(parent_digest)
+        if pb is None:
+            return pb
+        parent = n1._ctx_for(parent_digest)
+        return propose_proto_block(
+            parent.digest,
+            parent.height,
+            parent.state,
+            pb.guaranteed_collections,
+            pb.block_seals,
+            pb.slashing_challenges,
+            pb.protocol_state_updates + (slash,),
+        )
+
+    n1.engine.make_payload = slashing
+    run_world(world)
+    assert n0.tip.state.records[n3.keypair.public].stake > 0

@@ -24,12 +24,15 @@ from flowpipe.blocks import (
 from flowpipe.collection import GuaranteedCollection
 from flowpipe.encoding import canonical_json
 from flowpipe.execution import GENESIS_RESULT_HASH, ExecutionResult
+from flowpipe.nodes import ApprovalMsg
+from flowpipe.scenario import build_world, merge_defaults
 from flowpipe.state import (
     NodeIdentity,
     ProtocolState,
     Role,
     StakeTable,
     StateUpdate,
+    Tally,
     adjudicate_challenge,
     apply_updates,
     challenge_id,
@@ -267,8 +270,7 @@ def sealed_result(state, vkps, prev=GENESIS_RESULT_HASH, tag=b"r1"):
     """A result extending `prev`, and its seal by every verifier."""
     result = ExecutionResult(crypto.hash("block", tag), prev, (), crypto.hash("state", tag))
     rh = result.result_hash()
-    approvals, verifiers = seal_inputs(state, vkps, rh)
-    return result, form_seal(result.block_hash, rh, result.final_state, approvals, verifiers)
+    return result, form_seal(rh, result, counted(*seal_inputs(state, vkps, rh)))
 
 
 def with_seals(state, *seals) -> ProtoBlock:
@@ -301,9 +303,13 @@ class TestSealCondition:
         self.rh = self.seal.execution_result_hash
         self.cid = fcc(self.rh).challenge_id
 
-    def view(self, **fields) -> ChainView:
+    def view(self, final=None, **fields) -> ChainView:
+        """The view of a node that holds `results` (default: the sealed
+        result), whose finalized prefix records their blocks unless `final`
+        names the blocks it records."""
         fields.setdefault("results", {self.rh: self.result})
-        return plain_view(self.state, **fields)
+        blocks = {result.block_hash for result in fields["results"].values()}
+        return plain_view(self.state, final={"block": blocks, **(final or {})}, **fields)
 
     def test_sealable_result_accepted(self):
         assert evaluate_proposal(with_seals(self.state, self.seal), self.view()) == (True, None)
@@ -349,6 +355,27 @@ class TestSealCondition:
         assert evaluate_proposal(reversed_order, view) == (False, "condition-8:seal-invalid")
         # the second alone extends a result the chain has not sealed
         assert not evaluate_proposal(with_seals(self.state, seal2), view)[0]
+
+    def test_result_sealed_on_the_chain_rejected(self):
+        for view in (
+            self.view(final={"sealed": {self.rh}}),
+            extend(self.view(), sealed={self.rh}),
+        ):
+            pb = dataclasses.replace(with_seals(self.state, self.seal), height=view.ctx.height + 1)
+            assert evaluate_proposal(pb, view) == (False, "condition-8:seal-invalid")
+
+    def test_result_sealed_twice_in_one_block_rejected(self):
+        pb = with_seals(self.state, self.seal, self.seal)
+        assert evaluate_proposal(pb, self.view()) == (False, "condition-8:seal-invalid")
+
+    def test_sealed_block_off_the_chain_rejected(self):
+        off = self.view(final={"block": set()})
+        pb = with_seals(self.state, self.seal)
+        assert evaluate_proposal(pb, off) == (False, "condition-8:seal-invalid")
+        # an unfinalized ancestor that is the sealed block puts it on the chain
+        view = extend(off, block={self.result.block_hash})
+        pb = dataclasses.replace(pb, height=view.ctx.height + 1)
+        assert evaluate_proposal(pb, view) == (True, None)
 
 
 class TestChallengeCondition:
@@ -471,6 +498,20 @@ def seal_inputs(state, vkps, result_hash=b"\x22" * 32):
     return approvals, verifiers
 
 
+def counted(approvals, verifiers) -> Tally:
+    """`approvals` counted into a `Tally` of `verifiers`, as a consensus
+    node's intake counts them."""
+    tally = Tally(verifiers)
+    for a in approvals:
+        if tally.admits(a.verifier) and a.valid():
+            tally.add(a.verifier, a)
+    return tally
+
+
+# a result of block 0x11.. with final state 0x33.., sealed under hash 0x22..
+PENDING = ExecutionResult(b"\x11" * 32, GENESIS_RESULT_HASH, (), b"\x33" * 32)
+
+
 class TestApprovalPayload:
     @pytest.mark.parametrize("result_hash", [b"\x00" * 32, b"\x22" * 32, bytes(range(32))])
     def test_equals_fresh_encoding(self, result_hash):
@@ -480,53 +521,71 @@ class TestApprovalPayload:
 
 
 class TestFormSeal:
+    """`form_seal` seals on the certificate of the node's intake tally of
+    the result's approvals (`ConsensusNode._on_approval`), once it holds a
+    verifier quorum."""
+
     def test_seal_formed(self):
         state, _, vkps = base_protocol_state()
-        approvals, verifiers = seal_inputs(state, vkps)
-        seal = form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers)
+        seal = form_seal(b"\x22" * 32, PENDING, counted(*seal_inputs(state, vkps)))
         assert seal is not None
         assert [a.verifier for a in seal.approvals] == sorted(kp.public for kp in vkps)
+        assert (seal.sealed_block_hash, seal.final_state_commitment) == (b"\x11" * 32, b"\x33" * 32)
 
     def test_exactly_two_thirds_pending(self):
         state, _, vkps = base_protocol_state(n_verifiers=3)
-        approvals, verifiers = seal_inputs(state, vkps[:2])
-        seal = form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers)
-        assert seal is None
+        tally = counted(*seal_inputs(state, vkps[:2]))
+        assert not tally.quorum
+        assert form_seal(b"\x22" * 32, PENDING, tally) is None
+        assert form_seal(b"\x22" * 32, PENDING, None) is None
 
     def test_pending_challenge_blocks(self):
         # A full approval quorum forms the seal, but no node accepts it while
         # a challenge against the sealed result is still open.
         state, _, vkps = base_protocol_state()
         approvals, verifiers = seal_inputs(state, vkps)
-        seal = form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers)
+        seal = form_seal(b"\x22" * 32, PENDING, counted(approvals, verifiers))
         assert seal is not None
         assert not TestValidateSeal().check(seal, verifiers, pending=True)
 
     def test_bad_signature_not_counted(self):
-        state, _, vkps = base_protocol_state(n_verifiers=3)
-        approvals, verifiers = seal_inputs(state, vkps)
-        approvals[0] = dataclasses.replace(approvals[0], signature=b"\x00" * 32)  # 2 of 3 valid
-        assert form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers) is None
+        """Consensus intake drops an approval whose signature fails, so the
+        tally it seals on never counts one: with two of five verifiers'
+        signatures forged, the result has no seal."""
+        world = build_world(merge_defaults({}))
+        n0 = world.consensus[0]
+        rh = crypto.hash("result", b"pending")
+        assert len(world.verifiers) == 5
+        for i, v in enumerate(world.verifiers):
+            a = approve(v.keypair, rh)
+            if i < 2:
+                a = dataclasses.replace(a, signature=b"\x00" * 32)
+            n0.handle(v.name, ApprovalMsg(a))
+        assert sorted(n0.approvals[rh]) == sorted(v.keypair.public for v in world.verifiers[2:])
+        assert form_seal(rh, PENDING, n0.approvals[rh]) is None
 
 
 class TestValidateSeal:
     def make(self, state, vkps, result_hash=b"\x22" * 32):
-        approvals, verifiers = seal_inputs(state, vkps, result_hash)
-        return form_seal(b"\x11" * 32, result_hash, b"\x33" * 32, approvals, verifiers)
+        return form_seal(result_hash, PENDING, counted(*seal_inputs(state, vkps, result_hash)))
 
     def check(self, seal, verifiers, result=(b"\x11" * 32, b"\x33" * 32), parent_sealed=True,
               pending=False):
         """`validate_seal` on the view of a node that holds `result` (block
         hash, final state; None for none) under the seal's result hash,
-        extending a sealed result or an unsealed one, with an unadjudicated
-        FCC against it recorded on the chain when `pending`."""
+        extending a sealed result or an unsealed one, with the sealed block
+        on the chain, and an unadjudicated FCC against the result recorded
+        there when `pending`."""
         rh = seal.execution_result_hash
         prev = GENESIS_RESULT_HASH if parent_sealed else b"\x44" * 32
         results = {} if result is None else {rh: ExecutionResult(result[0], prev, (), result[1])}
         cid = b"\x55" * 32
+        final = {"block": {seal.sealed_block_hash}}
+        if pending:
+            final["fcc"] = {(rh, cid)}
         view = plain_view(
             ProtocolState(records={}),
-            final={"fcc": {(rh, cid)}} if pending else None,
+            final=final,
             results=results,
             fcc_ids={rh: {cid}} if pending else {},
             verifiers=verifiers,
@@ -599,8 +658,8 @@ class TestSharedApprovalCheck:
         approvals, verifiers = seal_inputs(state, vkps)
         for _ in range(7):  # every consensus node receives each approval
             assert all(a.valid() for a in approvals)
-        seals = [form_seal(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32, approvals, verifiers)
-                 for _ in range(3)]  # three leaders propose the seal
+        tallies = [counted(approvals, verifiers) for _ in range(3)]
+        seals = [form_seal(b"\x22" * 32, PENDING, t) for t in tallies]  # three leaders seal
         for seal in seals:
             for _ in range(7):  # every voter validates it
                 assert TestValidateSeal().check(seal, verifiers)

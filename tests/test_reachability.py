@@ -2,8 +2,9 @@
 src/flowpipe is referenced by name somewhere else in the package, so no
 protocol rule survives only as a test-only twin of the one the simulator
 runs, and every name a module imports is used in that module. A third
-guard keeps Byzantine behaviors out of the honest role classes, and a fourth
-keeps every stake count inside `state.py`. The checks parse the sources and
+guard keeps Byzantine behaviors out of the honest role classes, a fourth
+keeps every stake count inside `state.py`, and a fifth keeps the seal
+rule's pending-challenge check inside `blocks.py`. The checks parse the sources and
 search names; they run nothing."""
 
 import ast
@@ -133,3 +134,28 @@ def test_stake_counted_only_in_state():
     allowed."""
     found = stake_counts_outside_state()
     assert not found, f"stake counted outside state.py: {found}"
+
+
+def pending_challenge_reads_outside_blocks() -> list[str]:
+    """module:line of each call of `.result_pending_challenge(` in a module
+    other than `blocks.py`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "blocks.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "result_pending_challenge"
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_pending_challenge_read_only_in_blocks():
+    """Only condition 8 (`blocks.validate_seal`) asks whether a challenge
+    blocks a result's seal, so a leader picks its seals by condition 8
+    instead of keeping its own copy of the rule."""
+    found = pending_challenge_reads_outside_blocks()
+    assert not found, f"result_pending_challenge called outside blocks.py: {found}"
