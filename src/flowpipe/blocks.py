@@ -246,7 +246,9 @@ class ChainView:
     tip: ChainCtx  # the node's finalized tip
     final: dict[str, set]  # kind -> keys of the finalized prefix
     collections: Mapping[bytes, GuaranteedCollection]  # received guarantees by collection hash
-    results: Mapping[bytes, ExecutionResult]  # received results by result hash
+    # received results by result hash; one sealed behind the finalized
+    # sealed tip may be gone, and condition 8 refuses it either way
+    results: Mapping[bytes, ExecutionResult]
     # result hash -> ids of the faulty-computation challenges (FCCs) against
     # it, received or recorded in a block the node built a context for
     fcc_ids: Mapping[bytes, set]

@@ -8,7 +8,7 @@ formation via pluggable payload hooks.
 Nothing below a finalized block's round can be voted on, certified or
 finalized again, so each finalization drops the engine's per-round books
 below that round; of those rounds only the finalized chain stays in the
-tree.
+tree, and only while the host keeps it (`keep_finalized`).
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class EquivocationEvidence:
     second: Proposal
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockNode:
     digest: bytes
     round: int
@@ -206,14 +206,16 @@ class BlockTree:
         )
         self.recent[digest] = round_number
 
-    def prune(self, floor: int, finalized: set[bytes]) -> None:
+    def prune(self, floor: int, finalized: set[bytes], keep_finalized: bool) -> None:
         """Drop the certificates of rounds below `floor`, and the nodes of
-        those rounds that are not `finalized`; genesis and the finalized
-        chain stay."""
+        those rounds that are not `finalized`; genesis stays, and so does
+        the finalized chain while `keep_finalized`, else a finalized node
+        leaves both the tree and `finalized`."""
         _drop_front(self.certified, lambda digest, qc: qc.round < floor)
         for digest in _drop_front(self.recent, lambda digest, r: r < floor):
-            if digest not in finalized:
+            if not keep_finalized or digest not in finalized:
                 del self.nodes[digest]
+                finalized.discard(digest)
 
     def certify(self, qc: QuorumCertificate) -> bool:
         """Record the QC; True when this newly certifies a known block."""
@@ -239,6 +241,11 @@ class ConsensusEngine:
     The host wires `broadcast`, `send`, and `set_timer` to its transport and
     calls `start`, `on_proposal`, `on_vote`, `on_new_round`, and
     `on_local_timeout` as events arrive.
+
+    Of the finalized chain the engine reads only the newest block; with
+    `keep_finalized` false it forgets the older ones, as collectors do. A
+    consensus node keeps them: its `final["block"]` is `finalized_set`, and
+    `scenario._finalized_blocks` and the benchmark read `tree.nodes`.
     """
 
     def __init__(
@@ -254,6 +261,7 @@ class ConsensusEngine:
         set_timer: TimerFn,
         on_finalize: FinalizeFn,
         on_evidence: Optional[EvidenceFn] = None,
+        keep_finalized: bool = True,
     ):
         self.keypair = keypair
         self.table = schedule.table
@@ -268,6 +276,7 @@ class ConsensusEngine:
         self.set_timer = set_timer
         self.on_finalize = on_finalize
         self.on_evidence = on_evidence or (lambda ev: None)
+        self.keep_finalized = keep_finalized
 
         self.tree = BlockTree()
         self.current_round = 1
@@ -357,7 +366,7 @@ class ConsensusEngine:
         _drop_front(self._pending_qcs, lambda digest, qc: qc.round < floor)
         _drop_front(self._orphans, lambda digest, parked: parked[0].justify.round < floor)
         self._evidence_emitted = {key for key in self._evidence_emitted if key[1] >= floor}
-        self.tree.prune(floor, self.finalized_set)
+        self.tree.prune(floor, self.finalized_set, self.keep_finalized)
 
     def _enter_round(self, round_number: int) -> None:
         if round_number <= self.current_round:
@@ -402,14 +411,14 @@ class ConsensusEngine:
             self._evidence_emitted.add(key)
             self.on_evidence(EquivocationEvidence(*key, prior, proposal))
 
+        # a justify below the floor is below the lock, so the proposal could
+        # get no vote; it is ignored whether or not the tree kept its parent
         justify = proposal.justify
-        if not justify.valid_for(self.table):
+        if justify.round < self.floor or not justify.valid_for(self.table):
             return
         if justify.payload_digest not in self.tree.nodes:
-            # out-of-order arrival: park until the parent shows up; a parent
-            # below the floor never shows up again
-            if justify.round >= self.floor:
-                self._orphans.setdefault(justify.payload_digest, []).append(proposal)
+            # out-of-order arrival: park until the parent shows up
+            self._orphans.setdefault(justify.payload_digest, []).append(proposal)
             return
         self._certify(justify)
         self._update_high_qc(justify)

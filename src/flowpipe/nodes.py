@@ -311,6 +311,7 @@ class CollectorNode(Node):
             validate_payload=self._validate_payload,
             make_payload=self._make_payload,
             on_finalize=self._on_cluster_finalize,
+            keep_finalized=False,  # no collector reads a cluster block after finalizing it
         )
         self.handlers.update(
             {
@@ -454,8 +455,11 @@ class ConsensusNode(Node):
         self.pending_challenges: dict[Any, SlashingChallenge] = {}  # by `challenge_mark`, arrival order
         self.pending_updates: dict[bytes, StateUpdate] = {}  # challenge id -> update
         self.receipts: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt and packages
-        self.results: dict[bytes, ExecutionResult] = {}  # result hash -> the receipt's result
-        self.results_by_prev: dict[bytes, list[bytes]] = {}  # prev result -> successors
+        # result hash -> the receipt's result, and prev result -> successors,
+        # the seal index; both drop a sealed result behind the finalized
+        # sealed tip (see `_on_finalize`)
+        self.results: dict[bytes, ExecutionResult] = {}
+        self.results_by_prev: dict[bytes, list[bytes]] = {}
         self.approvals: dict[bytes, Tally] = {}  # result hash -> verifier -> approval
         self.drb_shares: dict[bytes, dict[int, crypto.SignatureShare]] = {}
         self.randomness: dict[bytes, int] = {}
@@ -466,7 +470,10 @@ class ConsensusNode(Node):
         self.mcc_responses: dict[bytes, dict[bytes, tuple]] = {}
         self.adjudicated_ids: set[bytes] = set()
         self.finalized_heights: dict[int, bytes] = {}
-        self.first_seen: dict[bytes, int] = {}  # block hash -> tick first validated
+        # block hash -> tick first validated, until the block is finalized or
+        # leaves the engine's tree unfinalized
+        self.first_seen: dict[bytes, int] = {}
+        self.finalization_latencies: list[int] = []  # ticks from first_seen, in finality order
         self.recorded_fcc: dict[bytes, list[SlashingChallenge]] = {}  # by result, chain order
 
         self.attach_engine(
@@ -644,9 +651,15 @@ class ConsensusNode(Node):
     def _on_finalize(self, node):
         pb: ProtoBlock = node.payload
         digest = pb.hash()
+        stamp = self.first_seen.pop(digest, None)
         ctx = self._ctx_for(digest)
         if ctx is None:
             return
+        if stamp is not None:
+            self.finalization_latencies.append(self.sim.now - stamp)
+        # a block pruned from the tree unfinalized is never finalized
+        for d in [d for d in self.first_seen if d not in self.engine.tree.nodes]:
+            del self.first_seen[d]
         self.finalized_heights[pb.height] = digest
         self.sim.event(
             self.name,
@@ -658,7 +671,14 @@ class ConsensusNode(Node):
                 "seals": [hexify(s.execution_result_hash) for s in pb.block_seals],
             },
         )
+        # each sealed result before the new sealed tip has a sealed successor:
+        # `_ready_seals` never reads its successors again, and `validate_seal`
+        # refuses a sealed result whether or not it is held
+        settled = self.tip.sealed_tip
         for seal in pb.block_seals:
+            self.results_by_prev.pop(settled, None)
+            self.results.pop(settled, None)
+            settled = seal.execution_result_hash
             self.sim.event(
                 self.name,
                 "sealed",
@@ -847,9 +867,11 @@ class ConsensusNode(Node):
             return
         self.receipts[rh] = msg
         self.results[rh] = receipt.execution_result
-        self.results_by_prev.setdefault(
-            receipt.execution_result.previous_execution_result_hash, []
-        ).append(rh)
+        # as in `_on_finalize`, a sealed result other than the finalized
+        # sealed tip has a sealed successor, so its successors get no entry
+        prev = receipt.execution_result.previous_execution_result_hash
+        if prev not in self.final["sealed"] or prev == self.tip.sealed_tip:
+            self.results_by_prev.setdefault(prev, []).append(rh)
         self.sim.event(
             self.name,
             "receipt",

@@ -459,11 +459,7 @@ def run_world(world: World) -> None:
         + len(_observer_events(world, "equivocation_challenge")),
         slashes=sum(len(r["payload"]["slashed"]) for r in _observer_events(world, "adjudication")),
         # ticks from the observer first validating a block to finalizing it
-        finalization_latencies=[
-            r["t"] - obs.first_seen[digest]
-            for r in _observer_events(world, "finalized")
-            if (digest := bytes.fromhex(r["payload"]["hash"])) in obs.first_seen
-        ],
+        finalization_latencies=obs.finalization_latencies,
     )
 
 

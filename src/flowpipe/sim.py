@@ -207,7 +207,8 @@ class Simulator:
 
 @dataclass
 class Metrics:
-    """Run outputs; `scenario.run_world` derives them from the event log."""
+    """Run outputs; `scenario.run_world` derives them from the event log and
+    the observer's finalization latencies."""
 
     blocks_finalized: int = 0
     blocks_sealed: int = 0

@@ -1,14 +1,41 @@
+import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from flowpipe.cli import main
+from flowpipe.cli import BUNDLED, main
 from flowpipe.clustering import cluster_compromise_probability
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def run_cli(args):
     return main(args)
+
+
+class TestBundledMetricsPins:
+    """`flowpipe run --scenario <name>` writes, for every bundled scenario,
+    the `metrics.csv` and `report.json` whose sha256 digests
+    `tests/golden/<name>.metrics.sha256` pins (in `sha256sum` format). Each
+    hash seed runs in its own process, so a metric that depends on the
+    iteration order of a set or dict of hashed values fails."""
+
+    @pytest.mark.parametrize("hashseed", ["0", "1"])
+    def test_bundled_metrics_match_pins(self, tmp_path, hashseed):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))
+        for name in BUNDLED:
+            out = tmp_path / name
+            cmd = [sys.executable, "-m", "flowpipe.cli", "run", "--scenario", name, "--out", str(out)]
+            subprocess.run(cmd, env=env, check=True, capture_output=True)
+            for line in (GOLDEN / f"{name}.metrics.sha256").read_text().splitlines():
+                want, artifact = line.split()
+                got = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+                assert got == want, (name, artifact)
 
 
 class TestRunCommand:

@@ -128,9 +128,9 @@ class TestLeaderWalkAgainstReference:
             assert all(table.stake[k] > 0 for k in leaders), stakes
 
 
-def make_engine(kps, table, sent: list) -> ConsensusEngine:
+def make_engine(kps, table, sent: list, **wiring) -> ConsensusEngine:
     """Engine of `kps[0]` that accepts every payload and appends every
-    message it sends to `sent`."""
+    message it sends to `sent`; `wiring` adds engine arguments."""
     return ConsensusEngine(
         keypair=kps[0],
         schedule=LeaderSchedule(table, SEED),
@@ -142,6 +142,7 @@ def make_engine(kps, table, sent: list) -> ConsensusEngine:
         send=lambda key, msg: sent.append(msg),
         set_timer=lambda duration, rnd: None,
         on_finalize=lambda node: None,
+        **wiring,
     )
 
 
@@ -645,6 +646,36 @@ class TestVotingRules:
         assert all(key[0] >= 4 for key in self.eng._votes)
         self.eng._certify(self.qc(p2))
         assert p2.payload_digest not in self.eng.tree.certified
+
+    @pytest.mark.parametrize("keep_finalized", [True, False], ids=["justify-kept", "justify-dropped"])
+    def test_proposal_justified_below_the_floor_ignored(self, keep_finalized):
+        """A proposal of a live round whose justify certifies a block below
+        the floor could get no vote, since the lock is above the floor. It
+        changes nothing, whether the tree still holds the justify's block
+        (a finalized block an engine keeps) or has dropped it."""
+        eng = make_engine(self.kps, self.table, self.sent, keep_finalized=keep_finalized)
+        self.eng = eng
+        chain = [self.proposal(1, GENESIS_QC)]
+        for r in range(2, 9):
+            chain.append(self.proposal(r, self.qc(chain[-1])))
+        for proposal in chain:
+            eng.on_proposal(proposal)
+        assert eng.floor == 4 and eng.locked_round > eng.floor
+        stale_parent = chain[1]  # finalized, round 2
+        assert (stale_parent.payload_digest in eng.tree.nodes) == keep_finalized
+
+        def state():
+            return (
+                eng.current_round, eng.locked_round, eng.last_voted_round, eng.high_qc,
+                dict(eng.tree.nodes), dict(eng.tree.certified),
+                {digest: list(parked) for digest, parked in eng._orphans.items()},
+            )
+
+        before, sent = state(), len(self.sent)
+        r = next(r for r in range(eng.current_round + 1, 100) if not eng.is_leader(r))
+        stale = self.proposal(r, self.qc(stale_parent), tag="stale")
+        eng.on_proposal(stale)
+        assert state() == before and len(self.sent) == sent
 
     def test_outsider_vote_dropped(self, monkeypatch):
         """A vote signed by a registered key outside the group is dropped

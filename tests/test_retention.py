@@ -5,9 +5,13 @@ keeps of it stays under one fixed bound however long the run.
 Each engine (consensus and collector clusters) keeps its vote, proposal,
 certificate, pending-certificate, orphan and reported-equivocation books
 only for rounds at or above its newest finalized block, and no tree node below that
-round off the finalized chain. A consensus node drops a block's beacon
-shares once it recovers the block's randomness and the approvals of each
-result a finalized block seals; an executor drops each block it executed.
+round off the finalized chain. A collector engine keeps of the finalized
+chain only its newest block. A consensus node drops a block's beacon
+shares once it recovers the block's randomness, the approvals of each
+result a finalized block seals, the received results before its sealed
+tip with their entries in the seal index, and a block's first-seen stamp
+once the block is finalized or pruned; an executor drops each block it
+executed.
 
 The simulator's calendar queue holds a bucket only for a tick still to
 come, so it never keeps one per tick already run.
@@ -50,9 +54,15 @@ def retained(world) -> dict[str, int]:
         note("engine.tree.certified", len(engine.tree.certified))
         note("engine.tree.recent", len(engine.tree.recent))
         note("engine.tree.nodes off the finalized chain", len(engine.tree.nodes) - len(engine.finalized_set))
+    for node in world.collectors:
+        note("collector engine.tree.nodes", len(node.engine.tree.nodes))
+        note("collector engine.finalized_set", len(node.engine.finalized_set))
     for node in world.consensus:
         note("ConsensusNode.drb_shares", len(node.drb_shares))
         note("ConsensusNode.approvals", len(node.approvals))
+        note("ConsensusNode.results", len(node.results))
+        note("ConsensusNode.results_by_prev", len(node.results_by_prev))
+        note("ConsensusNode.first_seen", len(node.first_seen))
     for node in world.executors:
         note("ExecutionNode.blocks", len(node.blocks))
     return sizes
@@ -71,7 +81,7 @@ def happy_path(max_sim_time: int):
 
 def assert_bounded(world) -> None:
     sizes = retained(world)
-    assert len(sizes) == 10
+    assert len(sizes) == 15
     over = {name: size for name, size in sizes.items() if size > BOUND}
     assert not over, over
 
@@ -120,7 +130,7 @@ def test_retention_bounded_at_two_horizons():
         assert_queue_ahead(world.sim)
     # four times the horizon finalizes about four times the blocks
     assert finalized[0] > 90 and finalized[1] > 3 * finalized[0]
-    # the finalized chain itself stays in every engine's tree
+    # the finalized chain itself stays in every consensus engine's tree
     for node in world.consensus:
         for digest in node.finalized_heights.values():
             assert digest in node.engine.tree.nodes and digest in node.engine.finalized_set
@@ -137,6 +147,26 @@ def test_reported_equivocations_pruned_below_the_floor():
         engine = node.engine
         assert engine.floor > 200, node.name
         assert all(r >= engine.floor for _, r in engine._evidence_emitted), node.name
+
+
+def test_late_receipt_makes_no_seal_index_entry():
+    """The seal index drops the successors of a result behind the finalized
+    sealed tip, and a receipt that extends such a result and arrives late
+    does not bring the entry back: `_ready_seals` starts at the sealed tip."""
+    world = happy_path(6_000)
+    run_world(world)
+    node = world.observer
+    settled = [
+        (rh, msg) for rh, msg in node.receipts.items()
+        if rh in node.final["sealed"] and rh != node.tip.sealed_tip
+    ]
+    assert len(settled) > 50
+    rh, msg = settled[-1]
+    prev = msg.receipt.execution_result.previous_execution_result_hash
+    assert prev not in node.results_by_prev and prev not in node.results
+    del node.receipts[rh]  # as if its receipt had not arrived yet
+    node._on_receipt("e0", msg)
+    assert node.receipts[rh] is msg and prev not in node.results_by_prev
 
 
 @pytest.mark.soak

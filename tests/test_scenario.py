@@ -417,6 +417,20 @@ class TestShortRuns:
         b = run_scenario(doc, seed=5).world.sim.log.digest()
         assert a != b
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="only a block that reaches validate_payload gets a first-seen stamp (ROADMAP item 10)",
+    )
+    def test_one_latency_per_finalized_block(self):
+        """Every block the observer finalizes has a finalization latency.
+        A block that enters the tree without being validated gets no
+        first-seen stamp: here n0 finalizes 150 blocks and reports 148
+        latencies."""
+        overrides = ["transactions.count=100", "transactions.interval=20", "run.max_sim_time=8000"]
+        doc = apply_overrides(load_scenario(bundled_path("happy-path")), overrides)
+        metrics = run_scenario(doc).world.metrics
+        assert len(metrics.finalization_latencies) == metrics.blocks_finalized
+
     def test_transactions_reach_sealed_chain(self):
         doc = short_doc()
         doc["run"]["max_sim_time"] = 12000
