@@ -7,7 +7,7 @@ change that moves only commitments (a new state commitment, say) leaves the
 masked streams equal, while a change to `t`, `node`, `kind` or any other
 payload field shows. Prints the first differing record, or that the masked
 streams are equal, with the record counts. Exits 0 when they are equal, 1
-when they differ.
+when they differ, and 2 on a usage error or a file it cannot read.
 """
 
 from __future__ import annotations
@@ -39,7 +39,14 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    old, new = masked(argv[0]), masked(argv[1])
+    streams = []
+    for path in argv:
+        try:
+            streams.append(masked(path))
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+            return 2
+    old, new = streams
     diff = first_difference(old, new)
     if diff is None:
         print(f"masked streams equal: {len(old)} records")

@@ -11,10 +11,11 @@ it.
 
 Every condition is judged over a `ChainView`, plain data a consensus node
 builds for the parent block: the parent's `ChainCtx`, the node's finalized
-prefix and what the node has received. The chain-fact lookup, the
-pending-challenge rule and the challenge-validity rule live here, next to
-the conditions that read them, and the node's proposer and challenge intake
-call the same functions."""
+prefix and what the node has received. The chain-fact lookup and the
+pending-challenge rule live here, next to the conditions that read them,
+and the node's proposer calls the same functions; condition 9 takes a
+challenge by `challenges.challenge_valid` and `challenge_mark`, as the
+node's challenge intake does."""
 
 from __future__ import annotations
 
@@ -23,22 +24,12 @@ from dataclasses import dataclass
 from typing import Container, Mapping, Optional, Sequence
 
 from . import crypto
+from .challenges import SlashingChallenge, challenge_mark, challenge_valid
 from .collection import GuaranteedCollection, guarantee_authentic
 from .encoding import canonical_json, hexify, once, once_for
 from .execution import GENESIS_RESULT_HASH, ExecutionResult
 from .hotstuff import GENESIS_DIGEST
-from .state import (
-    ChallengeKind,
-    ProtocolState,
-    SlashingChallenge,
-    StakeTable,
-    StateUpdate,
-    Tally,
-    UpdateRejected,
-    apply_updates,
-    challenge_id,
-)
-from .verification import fcc_signed
+from .state import ProtocolState, StakeTable, StateUpdate, Tally, UpdateRejected, apply_updates
 
 GENESIS_RANDOMNESS = crypto.hash("genesis", b"")
 
@@ -175,7 +166,7 @@ def guarantee_valid(gc: GuaranteedCollection, clusters: dict[int, StakeTable]) -
 
 # kinds of chain fact and their keys: "block" (digest, height >= 1),
 # "collection" (collection hash), "sealed" (result hash), "challenged"
-# (`challenge_mark`), "fcc" ((result hash, id) of a recorded
+# (`challenges.challenge_mark`), "fcc" ((result hash, id) of a recorded
 # faulty-computation challenge), "adjudicated" and "upheld" (challenge id;
 # upheld when the accused was slashed)
 FACT_KINDS = ("block", "collection", "sealed", "challenged", "fcc", "adjudicated", "upheld")
@@ -204,35 +195,6 @@ def genesis_ctx(state: ProtocolState) -> ChainCtx:
     facts = {kind: set() for kind in FACT_KINDS}
     facts["sealed"].add(GENESIS_RESULT_HASH)
     return ChainCtx(GENESIS_DIGEST, 0, state, GENESIS_RESULT_HASH, None, facts)
-
-
-def challenge_mark(ch: SlashingChallenge):
-    """Chain-dedupe key: the challenged target, independent of challenger. A
-    missing collection's mark is its hash (bytes), a faulty chunk's is a
-    (result hash, chunk index digest, accused executor) tuple, so each
-    executor that signed a faulty result is challenged once, and a protocol
-    violation's is its challenge id, whose canonical fields name only the
-    accused and the evidence. Collection hashes and challenge ids are hashes
-    under different tags, so no two marks collide."""
-    if ch.kind == ChallengeKind.MISSING_COLLECTION:
-        return ch.evidence[0]
-    if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
-        return ch.evidence[:2] + ch.accused
-    return ch.challenge_id
-
-
-def challenge_valid(ch) -> bool:
-    """The challenge's id covers its fields, an MCC names one collection,
-    and an FCC carries the accused executor's signature over the disputed
-    result. A block or a node takes no other challenge, so none can slash
-    an executor for a result it never signed."""
-    if not isinstance(ch, SlashingChallenge) or challenge_id(ch) != ch.challenge_id:
-        return False
-    if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
-        return fcc_signed(ch)
-    if ch.kind == ChallengeKind.MISSING_COLLECTION:
-        return len(ch.evidence) == 1
-    return True
 
 
 @dataclass
@@ -288,7 +250,7 @@ class ChainView:
         """The node's own verdict on challenge `cid`, None while it has none
         queued."""
         upd = self.verdicts.get(cid)
-        return None if upd is None else upd.adjudication.outcome == "accused_slashed"
+        return None if upd is None else upd.adjudication.upheld
 
 
 def evaluate_proposal(pb: ProtoBlock, view: ChainView) -> tuple[bool, Optional[str]]:

@@ -5,7 +5,6 @@ nothing else: `adversary` corrupts a built node to make it Byzantine."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -16,8 +15,6 @@ from .blocks import (
     ChainView,
     ProtoBlock,
     approval_payload,
-    challenge_mark,
-    challenge_valid,
     evaluate_proposal,
     form_seal,
     block_seed,
@@ -25,6 +22,18 @@ from .blocks import (
     guarantee_valid,
     propose_proto_block,
     validate_seal,
+)
+from .challenges import (
+    ChallengeKind,
+    SlashingChallenge,
+    adjudicate_challenge,
+    adjudicate_fcc,
+    challenge_mark,
+    challenge_valid,
+    make_fcc,
+    make_mcc,
+    make_pv,
+    mcc_texts,
 )
 from .clustering import route_transaction
 from .collection import (
@@ -53,26 +62,8 @@ from .hotstuff import (
 )
 from .merkle import ExecutionState
 from .sim import Handler, Simulator
-from .state import (
-    Adjudication,
-    ChallengeKind,
-    ProtocolState,
-    SlashingChallenge,
-    StakeTable,
-    StateUpdate,
-    Tally,
-    adjudicate_challenge,
-    challenge_id,
-)
-from .verification import (
-    MissingCollectionAttestation,
-    adjudicate_fcc,
-    assign_chunks,
-    chunk_data_packages,
-    make_fcc,
-    make_mcc,
-    mcc_texts,
-)
+from .state import Adjudication, ProtocolState, StakeTable, StateUpdate, Tally
+from .verification import assign_chunks, chunk_data_packages
 from .vm import SignedTransaction, ToyTransaction
 
 
@@ -189,6 +180,15 @@ class ApprovalMsg:
 @dataclass(frozen=True)
 class ChallengeMsg:
     challenge: SlashingChallenge
+
+
+@dataclass(frozen=True)
+class MissingCollectionAttestation:
+    """Licence for executors to skip a collection whose guarantors all went
+    silent; references the upholding adjudication."""
+
+    collection_hash: bytes
+    adjudication_id: bytes
 
 
 @dataclass(frozen=True)
@@ -574,7 +574,7 @@ class ConsensusNode(Node):
                 "challenged": {challenge_mark(ch) for ch in pb.slashing_challenges},
                 "fcc": fcc,
                 "adjudicated": {a.challenge_id for a in adjudications},
-                "upheld": {a.challenge_id for a in adjudications if a.outcome == "accused_slashed"},
+                "upheld": {a.challenge_id for a in adjudications if a.upheld},
             },
         )
         self.ctxs[digest] = ctx
@@ -738,17 +738,7 @@ class ConsensusNode(Node):
         return True
 
     def _on_evidence(self, ev):
-        # canonical challenge fields so every detecting node derives the same
-        # challenge id and the chain records the violation once
-        ch = SlashingChallenge(
-            kind=ChallengeKind.PROTOCOL_VIOLATION,
-            challenger=ev.proposer,
-            accused=(ev.proposer,),
-            evidence=tuple(sorted((ev.first.payload_digest, ev.second.payload_digest))),
-            deadline=0,
-            full_proof=True,
-        )
-        ch = dataclasses.replace(ch, challenge_id=challenge_id(ch))
+        ch = make_pv(ev.proposer, ev.first.payload_digest, ev.second.payload_digest)
         if not self._accept_challenge(ch):
             return
         self.sim.event(
@@ -756,7 +746,8 @@ class ConsensusNode(Node):
             "equivocation_challenge",
             {"accused": hexify(ev.proposer), "round": ev.round},
         )
-        # full proof: adjudicate now, before the chain records the challenge
+        # the engine holds both proposals: adjudicate now, before the chain
+        # records the challenge
         self._start_adjudication(ch)
 
     def _record_adjudication(self, adj: Adjudication, upd: Optional[StateUpdate] = None):
@@ -971,7 +962,7 @@ class ExecutionNode(Node):
             if h in self.challenged:
                 return
             self.challenged.add(h)
-            mcc = make_mcc(self.keypair.public, order, h, deadline=self.sim.now + self.d.mcc_deadline)
+            mcc = make_mcc(self.keypair.public, order, h)
             self.sim.event(self.name, "mcc_raised", {"collection": hexify(h)})
             self.send_all(self.d.consensus_names, ChallengeMsg(mcc))
             return
@@ -1159,12 +1150,7 @@ class VerificationNode(Node):
         rh = msg.receipt.execution_result.result_hash()
         k, reason = self.faults[rh]
         fcc = make_fcc(
-            self.keypair.public,
-            msg.receipt.executor,
-            rh,
-            k,
-            msg.receipt.executor_signature,
-            deadline=self.sim.now + self.d.mcc_deadline,
+            self.keypair.public, msg.receipt.executor, rh, k, msg.receipt.executor_signature
         )
         self.sim.event(self.name, "fcc_raised", {"result": hexify(rh), "chunk": k, "reason": reason})
         self.send_all(self.d.consensus_names, ChallengeMsg(fcc))

@@ -15,6 +15,7 @@ from typing import Any, Iterator, Optional
 from . import crypto
 from .adversary import BEHAVIORS
 from .blocks import GENESIS_RANDOMNESS, ProtoBlock
+from .challenges import ChallengeKind, SlashingChallenge
 from .clustering import cluster_assignment
 from .nodes import (
     CollectorNode,
@@ -29,14 +30,7 @@ from .execution import GENESIS_RESULT_HASH, block_execution, canonical
 from .hotstuff import LeaderSchedule
 from .merkle import ExecutionState
 from .sim import Metrics, SimConfig, Simulator
-from .state import (
-    ChallengeKind,
-    NodeIdentity,
-    ProtocolState,
-    Role,
-    SlashingChallenge,
-    StakeTable,
-)
+from .state import NodeIdentity, ProtocolState, Role, StakeTable
 
 
 class ScenarioError(ValueError):
@@ -120,10 +114,12 @@ _MINIMUMS: dict[str, dict[str, int]] = {
     "roles": dict.fromkeys(DEFAULTS["roles"], 1),
     "stakes": dict.fromkeys(DEFAULTS["stakes"], 1),
     "clusters": {"count": 1},
+    "consensus": {"base_timeout": 1},
     "drb": {"committee_size": 1},
     "execution_params": {"gamma_chunk": 1},
     "transactions": {"interval": 1, "cost": 0},  # the VM rejects a negative cost
     "network": {"delta_t": 1, "phi_t": 1, "gst": 0, "pre_gst_delay_multiplier": 1},
+    "timeouts": {"mcc_deadline": 1, "retrieval_timeout": 1},
     "run": {"max_sim_time": 1},
 }
 

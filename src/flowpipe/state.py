@@ -1,6 +1,7 @@
 """Protocol state: staked node records, commitments, each group's stake
-table and its one quorum count (`Tally`), slash application, and
-slashing-challenge adjudication."""
+table and its one quorum count (`Tally`), and the state updates that
+slash: how an adjudication is written as one (`slash_update`) and how a
+block's updates apply."""
 
 from __future__ import annotations
 
@@ -18,12 +19,6 @@ class Role(str, enum.Enum):
     CONSENSUS = "consensus"
     EXECUTION = "execution"
     VERIFICATION = "verification"
-
-
-class ChallengeKind(str, enum.Enum):
-    MISSING_COLLECTION = "missing_collection"
-    FAULTY_COMPUTATION = "faulty_computation"
-    PROTOCOL_VIOLATION = "protocol_violation"
 
 
 @dataclass(frozen=True)
@@ -128,18 +123,36 @@ class Tally(dict):
 
 
 @dataclass(frozen=True)
+class Adjudication:
+    challenge_id: bytes
+    outcome: str  # accused_slashed | challenger_slashed | dismissed
+    slashed: tuple[bytes, ...]
+
+    @property
+    def upheld(self) -> bool:
+        """The accused was found at fault."""
+        return self.outcome == "accused_slashed"
+
+    def to_dict(self) -> dict:
+        return {
+            "challenge_id": hexify(self.challenge_id),
+            "outcome": self.outcome,
+            "slashed": [hexify(s) for s in self.slashed],
+        }
+
+
+@dataclass(frozen=True)
 class StateUpdate:
     """An ordered list of record changes published inside a block. The only
-    op is `slash`, which `adjudicate_challenge` publishes together with the
+    op is `slash`, which `slash_update` writes together with the
     adjudication behind it."""
 
     entries: tuple[dict, ...]
-    cause: str
     adjudication: Optional[Adjudication] = None
 
     def to_dict(self) -> dict:
         meta = self.adjudication.to_dict() if self.adjudication is not None else {}
-        return {"entries": list(self.entries), "cause": self.cause, "meta": meta}
+        return {"entries": list(self.entries), "meta": meta}
 
 
 class UpdateRejected(ValueError):
@@ -180,6 +193,16 @@ def commit_state(state: ProtocolState) -> bytes:
     return crypto.hash("state", canonical_json(doc))
 
 
+def slash_update(state: ProtocolState, adj: Adjudication) -> StateUpdate:
+    """The update that carries `adj`: one slash entry per slashed node, each
+    taking the node's whole stake in `state`."""
+    entries = []
+    for key in adj.slashed:
+        rec = state.records.get(key)
+        entries.append({"op": "slash", "key": hexify(key), "amount": rec.stake if rec else 0})
+    return StateUpdate(entries=tuple(entries), adjudication=adj)
+
+
 def _slash_entry(entry: dict) -> tuple[bytes, int]:
     """Key and amount of a slash entry; anything malformed, a negative amount
     included, rejects the batch."""
@@ -213,79 +236,3 @@ def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> Proto
                 records[key] = replace(rec, stake=rec.stake - cut)
                 total_slashed += cut
     return ProtocolState(records=records, total_slashed=total_slashed)
-
-
-# ---------------------------------------------------------------------------
-# Slashing challenges
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SlashingChallenge:
-    """Nodes and blocks hold challenges as objects; `to_dict` writes the hex
-    document that a challenge id or a block hash covers."""
-
-    kind: ChallengeKind
-    challenger: bytes
-    accused: tuple[bytes, ...]
-    evidence: tuple[bytes, ...]  # digest references into the event log
-    deadline: int  # simulated time / block height, depending on context
-    full_proof: bool = False  # read by no rule, but covered by the challenge id
-    challenge_id: bytes = b""
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "challenger": hexify(self.challenger),
-            "accused": [hexify(a) for a in self.accused],
-            "evidence": [hexify(e) for e in self.evidence],
-            "deadline": self.deadline,
-            "full_proof": self.full_proof,
-            "id": hexify(self.challenge_id),
-        }
-
-
-def challenge_id(ch: SlashingChallenge) -> bytes:
-    doc = ch.to_dict()
-    doc.pop("id")
-    return crypto.hash("challenge", canonical_json(doc))
-
-
-@dataclass(frozen=True)
-class Adjudication:
-    challenge_id: bytes
-    outcome: str  # accused_slashed | challenger_slashed | dismissed
-    slashed: tuple[bytes, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "challenge_id": hexify(self.challenge_id),
-            "outcome": self.outcome,
-            "slashed": [hexify(s) for s in self.slashed],
-        }
-
-
-def _slash_amount(state: ProtocolState, key: bytes) -> int:
-    """A slash takes the node's whole stake."""
-    rec = state.records.get(key)
-    return rec.stake if rec else 0
-
-
-def adjudicate_challenge(
-    state: ProtocolState, challenge: SlashingChallenge, accused_at_fault: bool
-) -> tuple[Adjudication, StateUpdate]:
-    """Settle a slashing challenge against whichever side is at fault: the
-    accused, or else the challenger. Slash amounts are priced from `state`."""
-    if accused_at_fault:
-        slashed = challenge.accused
-        outcome = "accused_slashed"
-    else:
-        slashed = (challenge.challenger,)
-        outcome = "challenger_slashed"
-    entries = tuple(
-        {"op": "slash", "key": hexify(k), "amount": _slash_amount(state, k)}
-        for k in slashed
-    )
-    adj = Adjudication(challenge.challenge_id, outcome, tuple(slashed))
-    upd = StateUpdate(entries=entries, cause="adjudication", adjudication=adj)
-    return adj, upd

@@ -1,35 +1,17 @@
-"""Chunk verification and challenge adjudication: deterministic chunk
-assignment, re-execution checks that pass a chunk or ground a
-faulty-computation challenge, and consensus-side resolution of both
-challenge kinds."""
+"""Chunk verification: deterministic chunk assignment, chunk data
+packages, and the re-execution check that passes a chunk or grounds a
+faulty-computation challenge."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import crypto
-from .collection import collection_hash as compute_collection_hash
 from .encoding import once_for
-from .execution import (
-    EMPTY_TRACE,
-    BlockExecutionOutput,
-    ExecutionReceipt,
-    ExecutionResult,
-    trace_update,
-)
+from .execution import EMPTY_TRACE, BlockExecutionOutput, ExecutionResult, trace_update
 from .merkle import ExecutionState, UnprovenRegister, value_proof_vrfy
-from .state import (
-    Adjudication,
-    ChallengeKind,
-    ProtocolState,
-    SlashingChallenge,
-    StateUpdate,
-    adjudicate_challenge,
-    challenge_id,
-)
 from .vm import SignedTransaction, execute
 
 _U64 = 1 << 64
@@ -162,100 +144,3 @@ def verify_chunk(
     else:
         return ChunkVerdict(ok=True)
     return ChunkVerdict(ok=False, reason=reason)
-
-
-def _chunk_digest(chunk_index: int) -> bytes:
-    return crypto.hash("chunk-index", chunk_index.to_bytes(8, "big"))
-
-
-def make_fcc(
-    challenger: bytes,
-    executor: bytes,
-    result_hash: bytes,
-    chunk_index: int,
-    executor_signature: bytes,
-    deadline: int,
-) -> SlashingChallenge:
-    """The evidence names the result, its chunk by digest, and the
-    executor's receipt signature over the result."""
-    ch = SlashingChallenge(
-        kind=ChallengeKind.FAULTY_COMPUTATION,
-        challenger=challenger,
-        accused=(executor,),
-        evidence=(result_hash, _chunk_digest(chunk_index), executor_signature),
-        deadline=deadline,
-    )
-    return dataclasses.replace(ch, challenge_id=challenge_id(ch))
-
-
-def fcc_signed(challenge: SlashingChallenge) -> bool:
-    """The FCC accuses one executor and carries that executor's signature
-    over the disputed result, so only a signer of the result answers for it."""
-    return (
-        len(challenge.accused) == 1
-        and len(challenge.evidence) == 3
-        and crypto.staking_verify(challenge.accused[0], challenge.evidence[0], challenge.evidence[2])
-    )
-
-
-def fcc_chunk(challenge: SlashingChallenge, result: ExecutionResult) -> Optional[int]:
-    """Index of the result chunk whose digest the challenge names in
-    `evidence[1]`, or None when it names none of them."""
-    named = challenge.evidence[1:2]
-    for k in range(len(result.chunks)):
-        if named == (_chunk_digest(k),):
-            return k
-    return None
-
-
-def make_mcc(
-    challenger: bytes, guarantors: Sequence[bytes], coll_hash: bytes, deadline: int
-) -> SlashingChallenge:
-    ch = SlashingChallenge(
-        kind=ChallengeKind.MISSING_COLLECTION,
-        challenger=challenger,
-        accused=tuple(guarantors),
-        evidence=(coll_hash,),
-        deadline=deadline,
-    )
-    return dataclasses.replace(ch, challenge_id=challenge_id(ch))
-
-
-def adjudicate_fcc(
-    state: ProtocolState,
-    challenge: SlashingChallenge,
-    receipt: ExecutionReceipt,
-    packages: Sequence[ChunkDataPackage],
-) -> tuple[Adjudication, StateUpdate]:
-    """Re-execute the chunk the challenge names from the disputed receipt's
-    package; a genuine divergence slashes the named executor, who is the
-    fault origin because each executor chains only its own results; a clean
-    replay, or a challenge naming no chunk of the result, slashes the
-    challenger."""
-    result = receipt.execution_result
-    k = fcc_chunk(challenge, result)
-    clean = k is None or packages[k].verdict(result, k, receipt.spocks[k]).ok
-    return adjudicate_challenge(state, challenge, accused_at_fault=not clean)
-
-
-@dataclass(frozen=True)
-class MissingCollectionAttestation:
-    """Licence for executors to skip a collection whose guarantors all went
-    silent; references the upholding adjudication."""
-
-    collection_hash: bytes
-    adjudication_id: bytes
-
-
-def mcc_texts(
-    challenge: SlashingChallenge, responses: Mapping[bytes, Sequence[SignedTransaction]]
-) -> Optional[Sequence[SignedTransaction]]:
-    """The texts of the first guarantor, in key order, whose response
-    rebuilds the challenged collection's hash, or None when none does. Any
-    such response dismisses the challenge; otherwise every guarantor is at
-    fault."""
-    for guarantor in sorted(responses):
-        texts = responses[guarantor]
-        if compute_collection_hash([t.tx_hash() for t in texts]) == challenge.evidence[0]:
-            return texts
-    return None

@@ -36,9 +36,12 @@ whose transaction hashes are not hex strings is rejected instead of raising
 out of the run.
 
 A leader that re-lists the seal of a result already sealed has its block
-rejected at condition 8 by every honest node, and sealing keeps pace. A
-leader that lists a slash with no adjudication behind it is still
-accepted; that test is an expected failure."""
+rejected at condition 8 by every honest node, and sealing keeps pace.
+Three ways to slash an honest node still work, each pinned by an expected
+failure: a leader lists a slash with no adjudication behind it, a block
+lists a protocol-violation challenge whose evidence is two made-up digests,
+and anyone names an honest verifier as the challenger of a frivolous
+faulty-computation challenge."""
 
 import dataclasses
 import hashlib
@@ -49,6 +52,7 @@ import pytest
 
 from flowpipe import crypto, nodes
 from flowpipe.blocks import Approval, approval_payload, guarantee_valid, propose_proto_block
+from flowpipe.challenges import ChallengeKind, challenge_id, make_fcc, make_mcc, make_pv
 from flowpipe.collection import GuaranteedCollection
 from flowpipe.hotstuff import GENESIS_DIGEST, Proposal
 from flowpipe.nodes import (
@@ -69,8 +73,8 @@ from flowpipe.scenario import (
     merge_defaults,
     run_world,
 )
-from flowpipe.state import ChallengeKind, StateUpdate, challenge_id
-from flowpipe.verification import ChunkDataPackage, make_fcc, make_mcc
+from flowpipe.state import StateUpdate
+from flowpipe.verification import ChunkDataPackage
 
 SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": [1]}
 
@@ -85,7 +89,7 @@ CASES = {
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "c1918b703e751a8c27f78b530ff7826842aa9d3e43e9dcf0d89f75ac4ab65b42",
+        "facb58079ee241352919fe667577f8b9a16ab8c4070e390d7a2e50a2377713d3",
     ),
 }
 
@@ -328,7 +332,7 @@ def test_fcc_judged_on_the_chunk_it_names():
     outcomes = []
     for k in (2, 0, 1):  # past the last chunk, an honest chunk, the tampered one
         fcc = make_fcc(
-            verifier.keypair.public, liar.keypair.public, rh, k, receipt.executor_signature, 10**6
+            verifier.keypair.public, liar.keypair.public, rh, k, receipt.executor_signature
         )
         n1.handle(verifier.name, ChallengeMsg(fcc))
         n1._start_adjudication(fcc)  # as when a block records it
@@ -616,7 +620,7 @@ def forged_fccs(world, verifier, receipt) -> list:
     rh = receipt.execution_result.result_hash()
     signature = receipt.executor_signature
     out = [
-        make_fcc(verifier.keypair.public, accused, rh, 0, sig, deadline=400)
+        make_fcc(verifier.keypair.public, accused, rh, 0, sig)
         for accused, sig in ((honest, signature), (honest, b""), (liar, b""), (liar, signature))
     ]
     pair = dataclasses.replace(out[-1], accused=(liar, honest))
@@ -673,8 +677,8 @@ def test_challenge_without_its_evidence_rejected():
     rh = receipt.execution_result.result_hash()
     guarantors = [c.staking_public_key for c in world.directory.clusters[0].members]
     for ch in (
-        make_mcc(verifier.keypair.public, guarantors, rh, deadline=400),
-        make_fcc(verifier.keypair.public, receipt.executor, rh, 0, receipt.executor_signature, 400),
+        make_mcc(verifier.keypair.public, guarantors, rh),
+        make_fcc(verifier.keypair.public, receipt.executor, rh, 0, receipt.executor_signature),
     ):
         empty = dataclasses.replace(ch, evidence=())
         empty = dataclasses.replace(empty, challenge_id=challenge_id(empty))
@@ -958,10 +962,7 @@ def test_bare_slash_rejected():
     world = build_world(happy_path(6000))
     n0, n1, n3 = world.consensus[0], world.consensus[1], world.consensus[3]
     make_payload = n1.engine.make_payload
-    slash = StateUpdate(
-        entries=({"op": "slash", "key": n3.keypair.public.hex(), "amount": 100},),
-        cause="adjudication",
-    )
+    slash = StateUpdate(entries=({"op": "slash", "key": n3.keypair.public.hex(), "amount": 100},))
 
     def slashing(parent_digest):
         pb = make_payload(parent_digest)
@@ -981,3 +982,48 @@ def test_bare_slash_rejected():
     n1.engine.make_payload = slashing
     run_world(world)
     assert n0.tip.state.records[n3.keypair.public].stake > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a protocol-violation challenge carries two payload digests, not the "
+    "signed proposals, and adjudication upholds it without reading them",
+)
+def test_forged_protocol_violation_rejected():
+    """A block lists a protocol-violation challenge against honest consensus
+    node n3 whose evidence is two made-up payload digests. n0 accepts the
+    block and, as when the chain records the challenge, adjudicates it
+    `accused_slashed`: nothing ties the digests to proposals n3 signed."""
+    world, _, _, _ = two_block_receipts()
+    n0, n3 = world.consensus[0], world.consensus[3]
+    forged = make_pv(n3.keypair.public, crypto.hash("made-up", b"1"), crypto.hash("made-up", b"2"))
+    pb = propose_proto_block(GENESIS_DIGEST, 0, world.directory.initial_state, [], [], [forged], [])
+    if n0._validate_payload(pb, GENESIS_DIGEST):
+        n0._start_adjudication(forged)  # as when a block records it
+    upd = n0.pending_updates.get(forged.challenge_id)
+    assert upd is None or n3.keypair.public not in upd.adjudication.slashed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="no one signs a challenge's challenger, so anyone can name an honest "
+    "verifier as the challenger of a frivolous faulty-computation challenge",
+)
+def test_unsigned_challenger_not_slashed():
+    """Anyone can build an FCC against honest executor e0's result from e0's
+    public receipt signature and name honest verifier v0 as its challenger.
+    n0, holding e0's receipt, accepts a block listing it and adjudicates it
+    `challenger_slashed`, slashing v0."""
+    world, verifier, (honest_chain, _, _), _ = two_block_receipts()
+    n0, e0 = world.consensus[0], world.executors[0]
+    msg = honest_chain[0]
+    rh = msg.receipt.execution_result.result_hash()
+    forged = make_fcc(
+        verifier.keypair.public, e0.keypair.public, rh, 0, msg.receipt.executor_signature
+    )
+    n0.handle(e0.name, msg)
+    pb = propose_proto_block(GENESIS_DIGEST, 0, world.directory.initial_state, [], [], [forged], [])
+    if n0._validate_payload(pb, GENESIS_DIGEST):
+        n0._start_adjudication(forged)  # as when a block records it
+    upd = n0.pending_updates.get(forged.challenge_id)
+    assert upd is None or verifier.keypair.public not in upd.adjudication.slashed

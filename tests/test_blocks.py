@@ -14,12 +14,18 @@ from flowpipe.blocks import (
     ProtoBlock,
     approval_payload,
     block_seed,
-    challenge_mark,
     evaluate_proposal,
     form_seal,
     genesis_ctx,
     propose_proto_block,
     validate_seal,
+)
+from flowpipe.challenges import (
+    adjudicate_challenge,
+    challenge_id,
+    challenge_mark,
+    make_fcc,
+    make_mcc,
 )
 from flowpipe.collection import GuaranteedCollection
 from flowpipe.encoding import canonical_json
@@ -33,12 +39,9 @@ from flowpipe.state import (
     StakeTable,
     StateUpdate,
     Tally,
-    adjudicate_challenge,
     apply_updates,
-    challenge_id,
     commit_state,
 )
-from flowpipe.verification import make_fcc, make_mcc
 
 def node(seed: bytes, role: Role, stake=10) -> tuple[crypto.StakingKeyPair, NodeIdentity]:
     kp = crypto.StakingKeyPair.from_seed(seed)
@@ -127,7 +130,7 @@ def empty_proto(state: ProtocolState, parent=b"\x10" * 32, height=1) -> ProtoBlo
 class TestProposalAssembly:
     def test_invalid_updates_dropped(self):
         state, _, _ = base_protocol_state()
-        bad = StateUpdate(entries=({"op": "stake_delta", "key": "ff" * 32, "delta": 1},), cause="stake")
+        bad = StateUpdate(entries=({"op": "stake_delta", "key": "ff" * 32, "delta": 1},))
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [bad])
         assert pb.protocol_state_updates == ()
         assert pb.state_commitment == commit_state(state)
@@ -135,7 +138,7 @@ class TestProposalAssembly:
     def test_commitment_reflects_accepted_updates(self):
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
-        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 5},), cause="adjudication")
+        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 5},))
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
         assert pb.protocol_state_updates == (upd,)
         assert pb.state_commitment == apply_updates(state, [upd]).commitment
@@ -224,9 +227,7 @@ class TestEvaluateProposal:
         # a slash is the only op; any other rejects the block's whole update list
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
-        bad = StateUpdate(
-            entries=({"op": "mint", "key": key.hex(), "amount": 5},), cause="adjudication"
-        )
+        bad = StateUpdate(entries=({"op": "mint", "key": key.hex(), "amount": 5},))
         pb = ProtoBlock(b"\x10" * 32, 1, (), (), (), (bad,), commit_state(state))
         assert evaluate_proposal(pb, plain_view(state)) == (False, "condition-10:state-commitment")
         assert pb.replay(state) is None
@@ -240,9 +241,7 @@ class TestEvaluateProposal:
             records={**state.records, key: dataclasses.replace(state.records[key], stake=35)},
             total_slashed=-25,
         )
-        upd = StateUpdate(
-            entries=({"op": "slash", "key": key.hex(), "amount": -25},), cause="adjudication"
-        )
+        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": -25},))
         pb = ProtoBlock(b"\x10" * 32, 1, (), (), (), (upd,), commit_state(minted))
         assert evaluate_proposal(pb, plain_view(state)) == (False, "condition-10:state-commitment")
         assert pb.replay(state) is None
@@ -250,7 +249,7 @@ class TestEvaluateProposal:
     def test_condition_10_replay_matches(self):
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
-        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 3},), cause="adjudication")
+        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 3},))
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
         assert evaluate_proposal(pb, plain_view(state)) == (True, None)
 
@@ -259,7 +258,7 @@ class TestEvaluateProposal:
         # condition 10 kept on the block
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
-        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 3},), cause="adjudication")
+        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 3},))
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
         assert evaluate_proposal(pb, plain_view(state)) == (True, None)
         assert pb.replay(state) == apply_updates(state, [upd])
@@ -288,7 +287,7 @@ CHALLENGER = crypto.StakingKeyPair.from_seed(b"\x92" * 32)
 def fcc(result_hash=b"\x22" * 32, challenger=CHALLENGER, signer=EXECUTOR):
     """A faulty-computation challenge against EXECUTOR's result, carrying
     `signer`'s signature over the result."""
-    return make_fcc(challenger.public, EXECUTOR.public, result_hash, 0, signer.sign(result_hash), 9)
+    return make_fcc(challenger.public, EXECUTOR.public, result_hash, 0, signer.sign(result_hash))
 
 
 class TestSealCondition:
@@ -394,14 +393,14 @@ class TestChallengeCondition:
         return evaluate_proposal(pb, view)
 
     def test_valid_challenges_accepted(self):
-        mcc = make_mcc(CHALLENGER.public, (EXECUTOR.public,), b"\x66" * 32, 9)
+        mcc = make_mcc(CHALLENGER.public, (EXECUTOR.public,), b"\x66" * 32)
         assert self.judge(fcc(), mcc) == (True, None)
 
     def test_wrong_challenge_id_rejected(self):
         forged = dataclasses.replace(fcc(), challenge_id=b"\x00" * 32)
         assert self.judge(forged) == (False, "condition-9:challenge-unverified")
         # a field changed after the id was computed
-        moved = dataclasses.replace(fcc(), deadline=10)
+        moved = dataclasses.replace(fcc(), challenger=EXECUTOR.public)
         assert self.judge(moved) == (False, "condition-9:challenge-unverified")
 
     def test_fcc_without_executor_signature_rejected(self):
@@ -685,7 +684,7 @@ class TestSharedReplay:
 
     def slash(self, amount, key=None):
         entry = {"op": "slash", "key": (key or self.key).hex(), "amount": amount}
-        return StateUpdate(entries=(entry,), cause="adjudication")
+        return StateUpdate(entries=(entry,))
 
     def test_replay_computed_once_per_parent(self, monkeypatch):
         import flowpipe.blocks as blocks

@@ -13,12 +13,12 @@ from importlib import resources
 import pytest
 
 from flowpipe import blocks
-from flowpipe.blocks import challenge_mark
+from flowpipe.challenges import ChallengeKind, challenge_mark
 from flowpipe.execution import GENESIS_RESULT_HASH
 from flowpipe.hotstuff import GENESIS_DIGEST, Proposal
 from flowpipe.nodes import ConsensusNode
 from flowpipe.scenario import build_world, load_scenario, run_world
-from flowpipe.state import ChallengeKind, apply_updates
+from flowpipe.state import apply_updates
 
 FCC = ChallengeKind.FAULTY_COMPUTATION
 PV = ChallengeKind.PROTOCOL_VIOLATION
@@ -98,7 +98,7 @@ def brute_force(node: ConsensusNode, digest: bytes) -> BruteForce:
             if ch.kind == FCC:
                 open_fcc[ch.challenge_id] = ch.evidence[0]
         for upd in pb.protocol_state_updates:
-            if upd.cause == "adjudication":
+            if upd.adjudication is not None:
                 cid = upd.adjudication.challenge_id
                 facts["adjudicated"].add(cid)
                 if upd.adjudication.outcome == "accused_slashed" and cid in open_fcc:

@@ -1,6 +1,7 @@
 """`scripts/mask_events.py` compares event logs with every digest masked:
 a change of digests alone leaves the masked streams equal, any other change
-is reported at its first record."""
+is reported at its first record, and a file it cannot read is a usage
+error."""
 
 import json
 import pathlib
@@ -57,3 +58,14 @@ def test_missing_records_reported(tmp_path):
     short.write_text("".join(GOLDEN.read_text().splitlines(keepends=True)[:10]))
     code, out = compare(GOLDEN, short)
     assert code == 1 and "record 11" in out and "new: (none)" in out
+
+
+def test_unreadable_file_is_a_usage_error(tmp_path):
+    """A path that cannot be read exits 2, the usage-error code, and never
+    1, which says the streams differ."""
+    missing = tmp_path / "missing.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), str(GOLDEN), str(missing)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == f"cannot read {missing}: No such file or directory"

@@ -3,9 +3,10 @@ src/flowpipe is referenced by name somewhere else in the package, so no
 protocol rule survives only as a test-only twin of the one the simulator
 runs, and every name a module imports is used in that module. A third
 guard keeps Byzantine behaviors out of the honest role classes, a fourth
-keeps every stake count inside `state.py`, and a fifth keeps the seal
-rule's pending-challenge check inside `blocks.py`. The checks parse the sources and
-search names; they run nothing."""
+keeps every stake count inside `state.py`, a fifth keeps the seal rule's
+pending-challenge check inside `blocks.py`, and a sixth keeps the making of
+a slashing challenge and its id inside `challenges.py`. The checks parse
+the sources and search names; they run nothing."""
 
 import ast
 import pathlib
@@ -136,19 +137,19 @@ def test_stake_counted_only_in_state():
     assert not found, f"stake counted outside state.py: {found}"
 
 
-def pending_challenge_reads_outside_blocks() -> list[str]:
-    """module:line of each call of `.result_pending_challenge(` in a module
-    other than `blocks.py`."""
+def calls_outside(home: str, names: set[str]) -> list[str]:
+    """module:line of each call of a function, class or method named in
+    `names` in a module other than `home`."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "blocks.py":
+        if path.name == home:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "result_pending_challenge"
-            ):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
                 found.append(f"{path.stem}:{node.lineno}")
     return found
 
@@ -157,5 +158,13 @@ def test_pending_challenge_read_only_in_blocks():
     """Only condition 8 (`blocks.validate_seal`) asks whether a challenge
     blocks a result's seal, so a leader picks its seals by condition 8
     instead of keeping its own copy of the rule."""
-    found = pending_challenge_reads_outside_blocks()
+    found = calls_outside("blocks.py", {"result_pending_challenge"})
     assert not found, f"result_pending_challenge called outside blocks.py: {found}"
+
+
+def test_challenges_built_only_in_challenges():
+    """Only `challenges.py` constructs a `SlashingChallenge` or computes a
+    challenge id, so every kind of challenge is made by its one constructor
+    there and its id covers the same fields wherever it is checked."""
+    found = calls_outside("challenges.py", {"SlashingChallenge", "challenge_id"})
+    assert not found, f"challenge built or its id computed outside challenges.py: {found}"

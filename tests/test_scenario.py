@@ -166,6 +166,9 @@ class TestValidation:
             ("stakes.execution", -5, 1),
             ("stakes.verification", 0, 1),
             ("transactions.cost", -1, 0),
+            ("consensus.base_timeout", 0, 1),
+            ("timeouts.mcc_deadline", 0, 1),
+            ("timeouts.retrieval_timeout", -3, 1),
         ],
     )
     def test_minimum(self, path, value, low):

@@ -6,18 +6,16 @@ from fractions import Fraction
 import pytest
 
 from flowpipe import crypto
+from flowpipe.challenges import ChallengeKind, SlashingChallenge, adjudicate_challenge
 from flowpipe.encoding import canonical_json, hexify
 from flowpipe.state import (
-    ChallengeKind,
     NodeIdentity,
     ProtocolState,
     Role,
-    SlashingChallenge,
     StakeTable,
     StateUpdate,
     Tally,
     UpdateRejected,
-    adjudicate_challenge,
     apply_updates,
     commit_state,
 )
@@ -33,9 +31,7 @@ def node(i: int, role=Role.CONSENSUS, stake=10) -> NodeIdentity:
 
 
 def slash(key: bytes, amount: int) -> StateUpdate:
-    return StateUpdate(
-        entries=({"op": "slash", "key": hexify(key), "amount": amount},), cause="adjudication"
-    )
+    return StateUpdate(entries=({"op": "slash", "key": hexify(key), "amount": amount},))
 
 
 def make_state(stakes=(10,) * 10, role=Role.CONSENSUS) -> ProtocolState:
@@ -304,7 +300,7 @@ class TestApplyUpdates:
         st = make_state((50, 50))
         records, before = dict(st.records), commit_state(st)
         key = hexify(node(2).staking_public_key)
-        bad = StateUpdate(entries=({"op": "mint", "key": key, "amount": 5},), cause="adjudication")
+        bad = StateUpdate(entries=({"op": "mint", "key": key, "amount": 5},))
         with pytest.raises(UpdateRejected, match="unknown update op 'mint'"):
             apply_updates(st, [slash(node(1).staking_public_key, 10), bad])
         assert st.records == records and st.total_slashed == 0
@@ -336,7 +332,7 @@ class TestApplyUpdates:
     def test_malformed_slash_rejected(self, entry):
         st = make_state((50, 50))
         with pytest.raises(UpdateRejected):
-            apply_updates(st, [StateUpdate(entries=(entry,), cause="adjudication")])
+            apply_updates(st, [StateUpdate(entries=(entry,))])
 
     def test_conservation_over_random_sequences(self):
         # slashes move stake into `total_slashed`; none is created or lost
@@ -355,7 +351,7 @@ class TestStoredCommitment:
     `apply_updates` hands an unchanged state back; every value equals a
     fresh commit."""
 
-    @pytest.mark.parametrize("updates", [[], [StateUpdate(entries=(), cause="epoch")]])
+    @pytest.mark.parametrize("updates", [[], [StateUpdate(entries=())]])
     def test_no_entries_equal_fresh_commit(self, updates):
         st = make_state((10, 20, 30))
         snap = apply_updates(st, updates)
@@ -414,14 +410,12 @@ class TestFrozenState:
 
 
 class TestAdjudication:
-    def make_challenge(self, full_proof=False):
+    def make_challenge(self):
         return SlashingChallenge(
             kind=ChallengeKind.FAULTY_COMPUTATION,
             challenger=node(2).staking_public_key,
             accused=(node(1).staking_public_key,),
             evidence=(b"\x00" * 32,),
-            deadline=100,
-            full_proof=full_proof,
         )
 
     def test_silent_accused_slashed(self):
@@ -437,13 +431,3 @@ class TestAdjudication:
         assert adj.outcome == "challenger_slashed"
         res = apply_updates(st, [upd])
         assert res.records[node(2).staking_public_key].stake == 0
-
-    def test_full_proof_immediate(self):
-        # a full proof needs no response: the caller finds the accused at
-        # fault on receipt, and the flag itself changes no outcome
-        st = make_state((50, 50))
-        for at_fault, outcome in ((True, "accused_slashed"), (False, "challenger_slashed")):
-            adj, upd = adjudicate_challenge(
-                st, self.make_challenge(full_proof=True), accused_at_fault=at_fault
-            )
-            assert adj.outcome == outcome

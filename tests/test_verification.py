@@ -5,6 +5,16 @@ import random
 import pytest
 
 from flowpipe import crypto
+from flowpipe.challenges import (
+    ChallengeKind,
+    adjudicate_challenge,
+    adjudicate_fcc,
+    fcc_chunk,
+    fcc_signed,
+    make_fcc,
+    make_mcc,
+    mcc_texts,
+)
 from flowpipe.execution import (
     GENESIS_RESULT_HASH,
     ExecutionReceipt,
@@ -12,17 +22,11 @@ from flowpipe.execution import (
     block_execution,
 )
 from flowpipe.merkle import ExecutionState, value_proof_vrfy
-from flowpipe.state import ChallengeKind, NodeIdentity, ProtocolState, Role, adjudicate_challenge
+from flowpipe.state import NodeIdentity, ProtocolState, Role
 from flowpipe.verification import (
     ChunkDataPackage,
-    adjudicate_fcc,
     assign_chunks,
     chunk_data_packages,
-    fcc_chunk,
-    fcc_signed,
-    make_fcc,
-    make_mcc,
-    mcc_texts,
     verify_chunk,
 )
 from flowpipe.vm import (
@@ -304,7 +308,7 @@ class TestAdjudicateFcc:
         r = self.out.result
         tampered = ExecutionResult(r.block_hash, r.previous_execution_result_hash, r.chunks, b"\xee" * 32)
         last = len(r.chunks) - 1
-        fcc = make_fcc(self.challenger, self.executor, tampered.result_hash(), last, b"", deadline=10)
+        fcc = make_fcc(self.challenger, self.executor, tampered.result_hash(), last, b"")
         packages = chunk_data_packages(self.out, self.txs)
         adj, upd = adjudicate_fcc(self.state, fcc, receipt_for(tampered, self.out), packages)
         assert adj.outcome == "accused_slashed"
@@ -313,7 +317,7 @@ class TestAdjudicateFcc:
 
     def test_frivolous_challenge_slashes_challenger(self):
         last = len(self.out.result.chunks) - 1
-        fcc = make_fcc(self.challenger, self.executor, self.out.result.result_hash(), last, b"", deadline=10)
+        fcc = make_fcc(self.challenger, self.executor, self.out.result.result_hash(), last, b"")
         packages = chunk_data_packages(self.out, self.txs)
         adj, upd = adjudicate_fcc(self.state, fcc, receipt_for(self.out.result, self.out), packages)
         assert adj.outcome == "challenger_slashed"
@@ -332,7 +336,7 @@ class TestAdjudicateFcc:
         rh = tampered.result_hash()
         outcomes = {}
         for k in (0, 1, len(r.chunks)):
-            fcc = make_fcc(self.challenger, self.executor, rh, k, b"", deadline=10)
+            fcc = make_fcc(self.challenger, self.executor, rh, k, b"")
             assert fcc_chunk(fcc, tampered) == (k if k < len(r.chunks) else None)
             outcomes[k] = adjudicate_fcc(self.state, fcc, receipt, packages)[0].outcome
         assert outcomes == {
@@ -351,7 +355,7 @@ class TestAdjudicateFcc:
         other = crypto.StakingKeyPair.from_seed(b"\x78" * 32)
         rh = self.out.result.result_hash()
         sig = signer.sign(rh)
-        fcc = make_fcc(self.challenger, signer.public, rh, 0, sig, deadline=10)
+        fcc = make_fcc(self.challenger, signer.public, rh, 0, sig)
         assert fcc_signed(fcc)
         for accused, result, signature in (
             (other.public, rh, sig),
@@ -359,7 +363,7 @@ class TestAdjudicateFcc:
             (signer.public, crypto.hash("other", b""), sig),
             (signer.public, rh, b""),
         ):
-            assert not fcc_signed(make_fcc(self.challenger, accused, result, 0, signature, deadline=10))
+            assert not fcc_signed(make_fcc(self.challenger, accused, result, 0, signature))
         assert not fcc_signed(dataclasses.replace(fcc, accused=(signer.public, other.public)))
         assert not fcc_signed(dataclasses.replace(fcc, evidence=fcc.evidence[:2]))
 
@@ -372,7 +376,7 @@ class TestAdjudicateMcc:
 
         self.coll_hash = collection_hash([t.tx_hash() for t in self.txs])
         self.guarantors = tuple(self.keys[:2])
-        self.mcc = make_mcc(self.keys[2], self.guarantors, self.coll_hash, deadline=10)
+        self.mcc = make_mcc(self.keys[2], self.guarantors, self.coll_hash)
 
     def test_total_silence_slashes_all_and_attests(self):
         """No response rebuilds the collection, so every guarantor is at
@@ -399,7 +403,7 @@ class TestAdjudicateMcc:
 
     def test_challenge_kinds(self):
         assert self.mcc.kind == ChallengeKind.MISSING_COLLECTION
-        fcc = make_fcc(self.keys[2], self.keys[0], b"\x01" * 32, 0, b"", deadline=5)
+        fcc = make_fcc(self.keys[2], self.keys[0], b"\x01" * 32, 0, b"")
         assert fcc.kind == ChallengeKind.FAULTY_COMPUTATION
 
 
@@ -498,7 +502,7 @@ class TestSharedVerdict:
         for _ in range(5):  # five verifiers draw the chunk
             assert not pkg.verdict(result, self.last, spock).ok
         state, keys = adjudication_state()
-        fcc = make_fcc(keys[2], keys[0], result.result_hash(), self.last, b"", deadline=10)
+        fcc = make_fcc(keys[2], keys[0], result.result_hash(), self.last, b"")
         receipt = receipt_for(result, self.out)
         packages = chunk_data_packages(self.out, self.txs)[: self.last] + (pkg,)
         for _ in range(7):  # seven consensus nodes adjudicate
