@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Container, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import crypto
 from .challenges import SlashingChallenge, challenge_mark, challenge_valid
@@ -272,11 +272,11 @@ def evaluate_proposal(pb: ProtoBlock, view: ChainView) -> tuple[bool, Optional[s
         if not guarantee_valid(gc, view.clusters):
             return False, "condition-6:collection-authenticity"
     # a seal may extend one listed before it in the same block
-    sealed: set[bytes] = set()
+    tip = view.ctx.sealed_tip
     for seal in pb.block_seals:
-        if not validate_seal(seal, view, sealed):
+        if not validate_seal(seal, view, tip):
             return False, "condition-8:seal-invalid"
-        sealed.add(seal.execution_result_hash)
+        tip = seal.execution_result_hash
     # a block lists each challenge mark once, and none already on the chain
     marks: set = set()
     for ch in pb.slashing_challenges:
@@ -313,21 +313,20 @@ def form_seal(
     )
 
 
-def validate_seal(seal: BlockSeal, view: ChainView, block_sealed: Container[bytes] = ()) -> bool:
+def validate_seal(seal: BlockSeal, view: ChainView, tip: Optional[bytes] = None) -> bool:
     """Proposal condition 8 for one seal on the chain through `view`, and the
-    rule a leader picks its seals by: the result is sealed neither on the
-    chain nor earlier in the same block (`block_sealed`), the sealed block
-    is on the chain, the node holds the result and it matches the seal's
-    block/state fields, no challenge on the result is pending, the previous
-    result is sealed on the chain or earlier in the block, and every listed
-    approval counts toward a genuine quorum of `view.verifiers`. The quorum
-    verdict is kept on the seal per table: every receiver of a proposal
-    checks the same seal."""
+    rule a leader picks its seals by: the result is not sealed on the chain,
+    the sealed block is on the chain, the node holds the result and it
+    matches the seal's block/state fields, no challenge on the result is
+    pending, the previous result is the sealed tip so far (`tip`: the last
+    seal listed earlier in the same block, else the chain's), so a block is
+    sealed at most once, and every listed approval counts toward a genuine
+    quorum of `view.verifiers`. The quorum verdict is kept on the seal per
+    table: every receiver of a proposal checks the same seal."""
     rh = seal.execution_result_hash
     result = view.results.get(rh)
     if (
         result is None
-        or rh in block_sealed
         or view.on_chain("sealed", rh)
         or not view.on_chain("block", seal.sealed_block_hash)
         or result.block_hash != seal.sealed_block_hash
@@ -335,8 +334,7 @@ def validate_seal(seal: BlockSeal, view: ChainView, block_sealed: Container[byte
         or view.result_pending_challenge(rh)
     ):
         return False
-    prev = result.previous_execution_result_hash
-    if prev not in block_sealed and not view.on_chain("sealed", prev):
+    if result.previous_execution_result_hash != (view.ctx.sealed_tip if tip is None else tip):
         return False
     return once_for(seal, view.verifiers, _approved, seal, view.verifiers)
 

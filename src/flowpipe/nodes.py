@@ -617,17 +617,15 @@ class ConsensusNode(Node):
         tip along the receipt chain, at each step the first successor, in
         hash order, whose seal of its intake tally passes condition 8."""
         seals = []
-        sealed = set()
         tip = view.ctx.sealed_tip
         while True:
             for rh in sorted(self.results_by_prev.get(tip, ())):
                 seal = form_seal(rh, self.results[rh], self.approvals.get(rh))
-                if seal is not None and validate_seal(seal, view, sealed):
+                if seal is not None and validate_seal(seal, view, tip):
                     break
             else:
                 return seals
             seals.append(seal)
-            sealed.add(rh)
             tip = rh
 
     # -- proposal validation ---------------------------------------------------

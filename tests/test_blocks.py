@@ -293,8 +293,9 @@ def fcc(result_hash=b"\x22" * 32, challenger=CHALLENGER, signer=EXECUTOR):
 class TestSealCondition:
     """Condition 8 over the chain view: the node holds the sealed result, no
     faulty-computation challenge (FCC) against it is pending on the chain or
-    here, its previous result is sealed on the chain or earlier in the
-    block, and the approvals carry a verifier quorum."""
+    here, its previous result is the sealed tip of the chain or the seal
+    listed before it in the block, and the approvals carry a verifier
+    quorum."""
 
     def setup_method(self):
         self.state, _, self.vkps = base_protocol_state()
@@ -366,6 +367,28 @@ class TestSealCondition:
     def test_result_sealed_twice_in_one_block_rejected(self):
         pb = with_seals(self.state, self.seal, self.seal)
         assert evaluate_proposal(pb, self.view()) == (False, "condition-8:seal-invalid")
+
+    def test_block_sealed_at_most_once(self):
+        # R' is a second result of the sealed result's block, on the same
+        # previous result, with a verifier quorum of its own
+        sibling = ExecutionResult(
+            self.result.block_hash, GENESIS_RESULT_HASH, (), crypto.hash("state", b"r1'")
+        )
+        rh2 = sibling.result_hash()
+        seal2 = form_seal(rh2, sibling, counted(*seal_inputs(self.state, self.vkps, rh2)))
+        view = self.view(results={self.rh: self.result, rh2: sibling})
+        # its seal passes alone, but not once R is sealed earlier in the block
+        assert evaluate_proposal(with_seals(self.state, seal2), view) == (True, None)
+        both = with_seals(self.state, self.seal, seal2)
+        assert evaluate_proposal(both, view) == (False, "condition-8:seal-invalid")
+        # nor on a chain whose sealed tip is R
+        tip = dataclasses.replace(view.ctx, sealed_tip=self.rh)
+        tip.facts["sealed"].add(self.rh)
+        sealed = dataclasses.replace(view, ctx=tip, tip=tip)
+        assert evaluate_proposal(with_seals(self.state, seal2), sealed) == (
+            False,
+            "condition-8:seal-invalid",
+        )
 
     def test_sealed_block_off_the_chain_rejected(self):
         off = self.view(final={"block": set()})
