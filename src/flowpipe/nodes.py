@@ -1069,7 +1069,8 @@ class VerificationNode(Node):
         ):
             return
         self.seeds[msg.pb_hash] = block_seed(msg.sigma)
-        for rh in sorted(self.pending):
+        # in the order the results' first receipts arrived
+        for rh in list(self.pending):
             self._try_verify(rh)
 
     def _on_receipt(self, sender: str, msg: ReceiptMsg):

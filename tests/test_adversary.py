@@ -89,7 +89,7 @@ CASES = {
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "facb58079ee241352919fe667577f8b9a16ab8c4070e390d7a2e50a2377713d3",
+        "0ca9f10258e02770fc96bdcce729c683ff1215b2afd47b3c319815e1d102526d",
     ),
 }
 
@@ -378,10 +378,10 @@ def block_randomness(world, pb_hash: bytes) -> BlockRandomness:
     return BlockRandomness(pb_hash, crypto.threshold_recover(d.params, d.drb_vv, shares, pb_hash).value)
 
 
-def two_block_receipts():
+def two_block_receipts(randomness=True):
     """A world whose executors e1 and e2 tamper, each executor's receipts to
     verifier v0 for two empty finalized blocks, and the captured sends, with
-    v0 holding the randomness of both blocks."""
+    v0 holding the randomness of both blocks unless `randomness` is false."""
     doc = merge_defaults(
         {
             "roles": {"execution": 3},
@@ -403,7 +403,7 @@ def two_block_receipts():
         for executor in world.executors
     ]
     sent.clear()
-    for pb in (pb1, pb2):
+    for pb in (pb1, pb2) if randomness else ():
         verifier.handle(world.consensus[0].name, block_randomness(world, pb.hash()))
     return world, verifier, receipts, sent
 
@@ -461,6 +461,27 @@ def test_verifier_challenges_only_the_first_result_of_a_dead_chain(monkeypatch, 
     for msg in tampered[0] + tampered[1] + [forged]:
         verifier.handle(liars[0].name, msg)
     assert not sent
+
+
+@pytest.mark.parametrize("tampered_first", [False, True])
+def test_verifier_judges_waiting_results_in_arrival_order(tampered_first):
+    """The honest executor's and a tamperer's receipts for the first block
+    reach verifier v0 before the block's randomness. Once it arrives, v0
+    judges the two results in the order their receipts arrived, not in hash
+    order: its sends for the first to arrive go out first."""
+    world, verifier, (honest_chain, tampered, _), sent = two_block_receipts(randomness=False)
+    arrivals = [(world.executors[0], honest_chain[0]), (world.executors[1], tampered[0])]
+    if tampered_first:
+        arrivals.reverse()
+    for executor, msg in arrivals:
+        verifier.handle(executor.name, msg)
+    assert not sent
+    block = honest_chain[0].receipt.execution_result.block_hash
+    verifier.handle(world.consensus[0].name, block_randomness(world, block))
+    kinds = [type(m) for _, _, m in sent]
+    first, second = (ChallengeMsg, ApprovalMsg) if tampered_first else (ApprovalMsg, ChallengeMsg)
+    n = len(world.consensus)
+    assert kinds == [first] * n + [second] * n
 
 
 @pytest.mark.parametrize("forgery", ["copied-spock", "signed-spock", "bad-proof"])
