@@ -132,3 +132,11 @@ def close_trigger(
     if size == 0:
         return False
     return size >= size_threshold or rounds_open >= timespan_rounds
+
+
+def append_closes(fresh: int, rounds_open: int, timespan_rounds: int) -> bool:
+    """An append of `fresh` transactions also closes the collection once the
+    span since the previous close has passed, so a collection opened after
+    an idle span does not wait for a close block of its own. A close the
+    size threshold triggers keeps its own block."""
+    return fresh > 0 and rounds_open >= timespan_rounds

@@ -39,6 +39,7 @@ from .clustering import route_transaction
 from .collection import (
     GuaranteedCollection,
     TxCheck,
+    append_closes,
     close_trigger,
     collection_hash,
     validate_append_proposal,
@@ -340,9 +341,12 @@ class CollectorNode(Node):
         ):
             return dict(base, kind="close")
         fresh = [hexify(h) for h in self.pool if h not in self.included]
-        if fresh:
-            return dict(base, kind="append", hashes=fresh)
-        return dict(base, kind="noop")
+        if not fresh:
+            return dict(base, kind="noop")
+        payload = dict(base, kind="append", hashes=fresh)
+        if append_closes(len(fresh), rounds_open, self.d.collection_timespan_rounds):
+            payload["close"] = True  # absent, not false, on an append that leaves it open
+        return payload
 
     def _validate_payload(self, payload, parent_digest):
         if not isinstance(payload, dict):
@@ -355,6 +359,8 @@ class CollectorNode(Node):
         if kind == "close":
             return bool(self.open_collection)
         if kind == "append":
+            if payload.get("close", True) is not True:
+                return False  # `close`, when present, is exactly true
             try:
                 hashes = [bytes.fromhex(h) for h in payload.get("hashes", [])]
             except (TypeError, ValueError):
@@ -367,12 +373,14 @@ class CollectorNode(Node):
     def _on_cluster_finalize(self, node):
         payload = node.payload
         kind = payload.get("kind")
+        closes = kind == "close"
         if kind == "append":
             for h in (bytes.fromhex(x) for x in payload["hashes"]):
                 if h in self.pool and h not in self.included:
                     self.open_collection.append(h)
                     self.included.add(h)
-        elif kind == "close" and self.open_collection:
+            closes = payload.get("close") is True
+        if closes and self.open_collection:
             tx_hashes, self.open_collection = self.open_collection, []
             ch = collection_hash(tx_hashes)
             self.store[ch] = [self.pool[h] for h in tx_hashes]

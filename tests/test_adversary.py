@@ -81,15 +81,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "981bead78dfff988e08d68d522718574ebc6757e6ee3123fc542d3840b7cc1d4",
+        "041a2c61b4c37396c29bba7eb3d5c964750a1d279520d0e75aa856d5ad74dbef",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "accf54f36cb6c43f1cea0fe4597a418378d13c93306a23bb5d6246d8c5b387b6",
+        "e49aebb96f97531b6e00fb6535786fa5355ac985d1d1db6765457b79f3c2a80f",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "0ca9f10258e02770fc96bdcce729c683ff1215b2afd47b3c319815e1d102526d",
+        "bb0eea85017653271456bf58f0031611b9cfebdb586ebe8e382ef17ea3926f2b",
     ),
 }
 
@@ -99,37 +99,37 @@ METRICS = {
         [
             ("blocks_finalized", 21),
             ("blocks_sealed", 14),
-            ("collections_guaranteed", 7),
+            ("collections_guaranteed", 8),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 609.2857142857143),
-            ("max_finalization_latency", 2119),
+            ("mean_finalization_latency", 616.1428571428571),
+            ("max_finalization_latency", 2187),
         ],
-        "b07be4c24bdb522cef98379d3b43f5b6a35f772485bcda8bc983a71ad111841a",
+        "f995f0d6f03ae88deb1f9cc004056fd957e3e4ab08e3a55bec31ffed40dd72c3",
     ),
     "stale_vote": (
         [
-            ("blocks_finalized", 81),
-            ("blocks_sealed", 75),
-            ("collections_guaranteed", 11),
+            ("blocks_finalized", 85),
+            ("blocks_sealed", 79),
+            ("collections_guaranteed", 12),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 283.8888888888889),
-            ("max_finalization_latency", 680),
+            ("mean_finalization_latency", 273.11764705882354),
+            ("max_finalization_latency", 359),
         ],
-        "017652956e247f2f18d1a766aabc4ba84b278e617c9f35faba13143ad49bddc0",
+        "b19444b06223f2a28e622f02d26394d22c0814f431f6f0c512c244e1b9589418",
     ),
     "faulty_execution_target_chunk": (
         [
-            ("blocks_finalized", 110),
-            ("blocks_sealed", 103),
-            ("collections_guaranteed", 12),
+            ("blocks_finalized", 113),
+            ("blocks_sealed", 107),
+            ("collections_guaranteed", 11),
             ("challenges", 1),
             ("slashes", 1),
-            ("mean_finalization_latency", 211.74545454545455),
-            ("max_finalization_latency", 291),
+            ("mean_finalization_latency", 206.73214285714286),
+            ("max_finalization_latency", 279),
         ],
-        "f20538498273a1bf977ebe290d950814acf518f1481612fdd7c79a5648f25508",
+        "a1cc125a6c2edc36c10d2fde60f4ee394d471a39fd9c68c090d49c23408a4da9",
     ),
 }
 
@@ -210,9 +210,9 @@ def test_answered_mcc_dismissed():
     assert report["passed"], report["properties"]
     log = world.sim.log
     assert len(log.select("mcc_raised")) == 12
-    assert [r["payload"]["outcome"] for r in log.select("adjudication")] == ["dismissed"] * 35
+    assert [r["payload"]["outcome"] for r in log.select("adjudication")] == ["dismissed"] * 42
     assert world.metrics.slashes == 0
-    assert world.metrics.blocks_sealed == 85
+    assert world.metrics.blocks_sealed == 80
     assert not log.select("attestation")
     assert forwarded == {node.name for node in world.executors}
     assert all(not node.skipped for node in world.executors)
@@ -808,20 +808,20 @@ def happy_path(max_sim_time: int) -> dict:
 
 
 def test_proposal_payload_bound_to_its_digest():
-    """Consensus n3 also sends n0 alone a copy of its first proposal of a
+    """Consensus n2 also sends n0 alone a copy of its first proposal of a
     block at height 5 or more that lists collections; the copy's payload
     drops the collections but keeps the signed digest and signature. Taken
     on its signature, the copy put a payload under a digest it does not
-    hash to, and n0 finalized at height 48 a block no other node finalized."""
+    hash to, and n0 finalized a block no other node finalized."""
     world = build_world(happy_path(6000))
-    n0, n3 = world.consensus[0], world.consensus[3]
+    n0, n2 = world.consensus[0], world.consensus[2]
     real_send = world.sim.send
     tampered = []
 
     def send(sender, receiver, message):
         if (
             not tampered
-            and sender == n3.name
+            and sender == n2.name
             and receiver == n0.name
             and isinstance(message, Proposal)
             and message.payload.height >= 5

@@ -1,9 +1,13 @@
+from importlib import resources
+from types import SimpleNamespace
+
 import pytest
 
 from flowpipe.clustering import route_transaction
 from flowpipe.collection import (
     GuaranteedCollection,
     TxCheck,
+    append_closes,
     close_trigger,
     collection_hash,
     guarantee_authentic,
@@ -11,6 +15,8 @@ from flowpipe.collection import (
     validate_transaction,
 )
 from flowpipe.crypto import StakingKeyPair, hash as fhash
+from flowpipe.hotstuff import GENESIS_DIGEST
+from flowpipe.scenario import build_world, load_scenario, merge_defaults, run_world
 from flowpipe.state import NodeIdentity, Role, StakeTable
 from flowpipe.vm import SignedTransaction, ToyTransaction
 
@@ -197,3 +203,95 @@ class TestCloseTrigger:
     def test_timespan(self):
         assert close_trigger(1, 8, size_threshold=20, timespan_rounds=8)
         assert not close_trigger(1, 7, size_threshold=20, timespan_rounds=8)
+
+
+class TestAppendCloses:
+    """Once the span since the previous close has passed, the append that
+    opens a collection also closes it."""
+
+    def test_span_elapsed(self):
+        assert append_closes(1, 10, timespan_rounds=10)
+        assert append_closes(3, 25, timespan_rounds=10)
+
+    def test_span_not_elapsed(self):
+        assert not append_closes(3, 9, timespan_rounds=10)
+
+    def test_empty_pool_never_closes(self):
+        assert not append_closes(0, 999, timespan_rounds=1)
+
+
+def collector_with_pool(n: int):
+    """The default world, unrun, and its first collector holding `n` fresh
+    transactions in its pool, with their hashes."""
+    world = build_world(merge_defaults({"run": {"seed": 1}}))
+    collector = world.collectors[0]
+    txs = [make_tx(200 + i) for i in range(n)]
+    for tx in txs:
+        collector.pool[tx.tx_hash()] = tx
+    return world, collector, [tx.tx_hash() for tx in txs]
+
+
+def append(hashes, **fields) -> dict:
+    """An append payload on the genesis cluster block."""
+    return dict(
+        parent=GENESIS_DIGEST.hex(), round=1, kind="append", hashes=[h.hex() for h in hashes], **fields
+    )
+
+
+class TestCollectorAppendClose:
+    def test_leader_closes_with_the_append_once_the_span_passed(self):
+        _, collector, hashes = collector_with_pool(2)
+        span = collector.d.collection_timespan_rounds
+        collector.engine.current_round = collector.open_round + span - 1
+        assert "close" not in collector._make_payload(GENESIS_DIGEST)
+        collector.engine.current_round += 1
+        payload = collector._make_payload(GENESIS_DIGEST)
+        assert (payload["kind"], payload["hashes"], payload["close"]) == (
+            "append",
+            [h.hex() for h in hashes],
+            True,
+        )
+
+    @pytest.mark.parametrize("close", [False, None, 1, "true", [True]])
+    def test_malformed_close_rejected(self, close):
+        _, collector, hashes = collector_with_pool(2)
+        assert collector._validate_payload(append(hashes), GENESIS_DIGEST)
+        assert not collector._validate_payload(append(hashes, close=close), GENESIS_DIGEST)
+
+    def test_append_close_block_stores_the_collection(self):
+        world, collector, hashes = collector_with_pool(2)
+        payload = append(hashes, close=True)
+        assert collector._validate_payload(payload, GENESIS_DIGEST)
+        collector._on_cluster_finalize(SimpleNamespace(payload=payload))
+        ch = collection_hash(hashes)
+        assert [tx.tx_hash() for tx in collector.store[ch]] == hashes
+        assert collector.open_collection == [] and collector.included == set(hashes)
+        closed = [r["payload"] for r in world.sim.log.select("collection_closed")]
+        assert closed == [{"hash": ch.hex(), "size": 2}]
+
+
+def test_idle_collections_close_in_their_first_append():
+    """happy-path at seed 1 closes at least 10 of its 12 collections in an
+    append block that lists their first transaction, so none of those waits
+    for a close block of its own and its second 3-chain finalization, about
+    4 cluster rounds. (The append of a later round may list the transaction
+    again, because the pool is filtered by what is finalized, and close it.)"""
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
+    doc["run"].update(seed=1, max_sim_time=8000)
+    world = build_world(doc)
+    closed, in_append = set(), set()
+    for collector in world.collectors:
+
+        def on_finalize(node, collector=collector, finalize=collector.engine.on_finalize):
+            before = set(collector.store)
+            finalize(node)
+            for ch in set(collector.store) - before:
+                closed.add(ch)
+                first = collector.store[ch][0].tx_hash().hex()
+                if node.payload["kind"] == "append" and first in node.payload["hashes"]:
+                    in_append.add(ch)
+
+        collector.engine.on_finalize = on_finalize
+    run_world(world)
+    assert len(closed) == 12
+    assert len(in_append) >= 10
