@@ -123,20 +123,12 @@ def validate_append_proposal(
     return True
 
 
-def close_trigger(
-    size: int, rounds_open: int, size_threshold: int, timespan_rounds: int
-) -> bool:
-    """A close proposal is justified once the open collection reaches the
-    size threshold or has been open past the configured span. Empty
-    collections are never closed."""
-    if size == 0:
-        return False
-    return size >= size_threshold or rounds_open >= timespan_rounds
-
-
-def append_closes(fresh: int, rounds_open: int, timespan_rounds: int) -> bool:
-    """An append of `fresh` transactions also closes the collection once the
-    span since the previous close has passed, so a collection opened after
-    an idle span does not wait for a close block of its own. A close the
-    size threshold triggers keeps its own block."""
-    return fresh > 0 and rounds_open >= timespan_rounds
+def close_trigger(size: int, rounds_open: int, timespan_rounds: int) -> bool:
+    """A collection of `size` transactions closes once the span since the
+    previous close has passed: by a close block over the open collection,
+    or by the append that opens one, `size` being its fresh transactions,
+    so a collection opened after an idle span does not wait for a close
+    block of its own. Empty collections are never closed. A collection that
+    reaches the size threshold closes in the append block that fills it, so
+    no proposal waits for the size."""
+    return size > 0 and rounds_open >= timespan_rounds

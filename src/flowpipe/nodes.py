@@ -39,7 +39,6 @@ from .clustering import route_transaction
 from .collection import (
     GuaranteedCollection,
     TxCheck,
-    append_closes,
     close_trigger,
     collection_hash,
     validate_append_proposal,
@@ -333,18 +332,14 @@ class CollectorNode(Node):
         # parent/round fields chain the payload so digests are unique per slot
         base = {"parent": hexify(parent_digest), "round": self.engine.current_round}
         rounds_open = self.engine.current_round - self.open_round
-        if close_trigger(
-            len(self.open_collection),
-            rounds_open,
-            self.d.collection_size_threshold,
-            self.d.collection_timespan_rounds,
-        ):
+        span = self.d.collection_timespan_rounds
+        if close_trigger(len(self.open_collection), rounds_open, span):
             return dict(base, kind="close")
         fresh = [hexify(h) for h in self.pool if h not in self.included]
         if not fresh:
             return dict(base, kind="noop")
         payload = dict(base, kind="append", hashes=fresh)
-        if append_closes(len(fresh), rounds_open, self.d.collection_timespan_rounds):
+        if close_trigger(len(fresh), rounds_open, span):
             payload["close"] = True  # absent, not false, on an append that leaves it open
         return payload
 
@@ -375,16 +370,23 @@ class CollectorNode(Node):
         kind = payload.get("kind")
         closes = kind == "close"
         if kind == "append":
+            # every listed hash counts, held or not, so the collection's size
+            # and its close depend on the finalized cluster chain alone
             for h in (bytes.fromhex(x) for x in payload["hashes"]):
-                if h in self.pool and h not in self.included:
+                if h not in self.included:
                     self.open_collection.append(h)
                     self.included.add(h)
-            closes = payload.get("close") is True
+            closes = (
+                payload.get("close") is True
+                or len(self.open_collection) >= self.d.collection_size_threshold
+            )
         if closes and self.open_collection:
-            tx_hashes, self.open_collection = self.open_collection, []
+            tx_hashes = [h for h in self.open_collection if h in self.pool]
+            self.open_collection, self.open_round = [], self.engine.current_round
+            if not tx_hashes:
+                return  # it holds no listed text to guarantee
             ch = collection_hash(tx_hashes)
             self.store[ch] = [self.pool[h] for h in tx_hashes]
-            self.open_round = self.engine.current_round
             stub = GuaranteedCollection(ch, self.cluster_index, (), ())
             sig = self.keypair.sign(stub.signed_payload())
             self.sim.event(self.name, "collection_closed", {"hash": hexify(ch), "size": len(tx_hashes)})

@@ -81,15 +81,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "041a2c61b4c37396c29bba7eb3d5c964750a1d279520d0e75aa856d5ad74dbef",
+        "8fd8458a00be5e396e6e5ad50300f7ec289b26fdf382a3cb96a850b098a9890c",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "e49aebb96f97531b6e00fb6535786fa5355ac985d1d1db6765457b79f3c2a80f",
+        "6e679004c3a931b12f622e55b576167ba9148230f81823a47ea19eef09b31983",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "bb0eea85017653271456bf58f0031611b9cfebdb586ebe8e382ef17ea3926f2b",
+        "f7335c429517caed9cb0bd24b5822dd2663af018ed233d435a4b3ec3ca9ebadc",
     ),
 }
 
@@ -99,37 +99,37 @@ METRICS = {
         [
             ("blocks_finalized", 21),
             ("blocks_sealed", 14),
-            ("collections_guaranteed", 8),
+            ("collections_guaranteed", 10),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 616.1428571428571),
-            ("max_finalization_latency", 2187),
+            ("mean_finalization_latency", 595.8095238095239),
+            ("max_finalization_latency", 2110),
         ],
-        "f995f0d6f03ae88deb1f9cc004056fd957e3e4ab08e3a55bec31ffed40dd72c3",
+        "f8973d1c6d0e4396f62c127c645b85ca35087d80ba859c5ed18c371d61030f5d",
     ),
     "stale_vote": (
         [
-            ("blocks_finalized", 85),
-            ("blocks_sealed", 79),
-            ("collections_guaranteed", 12),
+            ("blocks_finalized", 87),
+            ("blocks_sealed", 81),
+            ("collections_guaranteed", 14),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 273.11764705882354),
-            ("max_finalization_latency", 359),
+            ("mean_finalization_latency", 265.8965517241379),
+            ("max_finalization_latency", 362),
         ],
-        "b19444b06223f2a28e622f02d26394d22c0814f431f6f0c512c244e1b9589418",
+        "6aa31b67b4577db9df3c6e39be9842bc244f1bef141a142c2fdbca374bcdf96c",
     ),
     "faulty_execution_target_chunk": (
         [
-            ("blocks_finalized", 113),
-            ("blocks_sealed", 107),
-            ("collections_guaranteed", 11),
+            ("blocks_finalized", 109),
+            ("blocks_sealed", 103),
+            ("collections_guaranteed", 14),
             ("challenges", 1),
             ("slashes", 1),
-            ("mean_finalization_latency", 206.73214285714286),
-            ("max_finalization_latency", 279),
+            ("mean_finalization_latency", 213.77981651376146),
+            ("max_finalization_latency", 280),
         ],
-        "a1cc125a6c2edc36c10d2fde60f4ee394d471a39fd9c68c090d49c23408a4da9",
+        "f92504c8535aedacb8de3e18cca6293f1e09fdc36e5b60d3c033bd88c3069080",
     ),
 }
 

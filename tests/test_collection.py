@@ -1,3 +1,4 @@
+import hashlib
 from importlib import resources
 from types import SimpleNamespace
 
@@ -7,7 +8,6 @@ from flowpipe.clustering import route_transaction
 from flowpipe.collection import (
     GuaranteedCollection,
     TxCheck,
-    append_closes,
     close_trigger,
     collection_hash,
     guarantee_authentic,
@@ -194,30 +194,27 @@ class TestAppendProposal:
 
 class TestCloseTrigger:
     def test_empty_never_closes(self):
-        assert not close_trigger(0, 999, size_threshold=1, timespan_rounds=1)
-
-    def test_size_threshold(self):
-        assert close_trigger(3, 0, size_threshold=3, timespan_rounds=100)
-        assert not close_trigger(2, 0, size_threshold=3, timespan_rounds=100)
+        assert not close_trigger(0, 999, timespan_rounds=1)
 
     def test_timespan(self):
-        assert close_trigger(1, 8, size_threshold=20, timespan_rounds=8)
-        assert not close_trigger(1, 7, size_threshold=20, timespan_rounds=8)
+        assert close_trigger(1, 8, timespan_rounds=8)
+        assert not close_trigger(1, 7, timespan_rounds=8)
 
 
 class TestAppendCloses:
     """Once the span since the previous close has passed, the append that
-    opens a collection also closes it."""
+    opens a collection also closes it: `close_trigger` over its fresh
+    transactions."""
 
     def test_span_elapsed(self):
-        assert append_closes(1, 10, timespan_rounds=10)
-        assert append_closes(3, 25, timespan_rounds=10)
+        assert close_trigger(1, 10, timespan_rounds=10)
+        assert close_trigger(3, 25, timespan_rounds=10)
 
     def test_span_not_elapsed(self):
-        assert not append_closes(3, 9, timespan_rounds=10)
+        assert not close_trigger(3, 9, timespan_rounds=10)
 
     def test_empty_pool_never_closes(self):
-        assert not append_closes(0, 999, timespan_rounds=1)
+        assert not close_trigger(0, 999, timespan_rounds=1)
 
 
 def collector_with_pool(n: int):
@@ -236,6 +233,72 @@ def append(hashes, **fields) -> dict:
     return dict(
         parent=GENESIS_DIGEST.hex(), round=1, kind="append", hashes=[h.hex() for h in hashes], **fields
     )
+
+
+def finalize(collector, payload) -> None:
+    """Finalize one cluster block carrying `payload` at `collector`."""
+    collector._on_cluster_finalize(SimpleNamespace(payload=payload))
+
+
+def closed_by(world) -> list:
+    """(node, payload) of each `collection_closed` record, in log order."""
+    return [(r["node"], r["payload"]) for r in world.sim.log.select("collection_closed")]
+
+
+class TestCollectorSizeClose:
+    """An append closes the collection when it brings the distinct hashes
+    listed since the previous close to the size threshold (3 here)."""
+
+    def test_two_then_one_close_at_the_second_finalization(self):
+        world, collector, hashes = collector_with_pool(3)
+        assert collector.d.collection_size_threshold == 3
+        finalize(collector, append(hashes[:2]))
+        assert collector.open_collection == hashes[:2] and closed_by(world) == []
+        finalize(collector, append(hashes[2:]))
+        ch = collection_hash(hashes)
+        assert closed_by(world) == [(collector.name, {"hash": ch.hex(), "size": 3})]
+        assert [tx.tx_hash() for tx in collector.store[ch]] == hashes
+        assert collector.open_collection == []
+
+    def test_one_append_of_four_closes_at_once(self):
+        world, collector, hashes = collector_with_pool(4)
+        finalize(collector, append(hashes))
+        ch = collection_hash(hashes)
+        assert closed_by(world) == [(collector.name, {"hash": ch.hex(), "size": 4})]
+        assert collector.open_collection == []
+
+    def test_relisted_hash_not_counted_twice(self):
+        # an append proposed before its parent finalized may list a hash again
+        world, collector, hashes = collector_with_pool(3)
+        finalize(collector, append(hashes[:2]))
+        finalize(collector, append(hashes[1:2]))
+        assert collector.open_collection == hashes[:2] and closed_by(world) == []
+
+    def test_missing_text_closes_at_the_same_block_as_a_full_peer(self):
+        world, collector, hashes = collector_with_pool(3)
+        peer = next(
+            c for c in world.collectors if c.cluster_index == collector.cluster_index and c is not collector
+        )
+        peer.pool.update(collector.pool)
+        del collector.pool[hashes[1]]
+        for node in (collector, peer):
+            finalize(node, append(hashes[:2]))
+        assert closed_by(world) == []
+        for node in (collector, peer):
+            finalize(node, append(hashes[2:]))
+        assert [node for node, _ in closed_by(world)] == [collector.name, peer.name]
+        assert collector.open_collection == peer.open_collection == []
+        assert collector.open_round == peer.open_round
+
+    def test_late_text_not_proposed_again(self):
+        """A text that arrives after the append listing it finalized stays
+        out of the collector's next payload: every peer refuses an append
+        that lists a hash already included."""
+        world, collector, hashes = collector_with_pool(1)
+        tx = collector.pool.pop(hashes[0])
+        finalize(collector, append(hashes))
+        collector.pool[hashes[0]] = tx
+        assert collector._make_payload(GENESIS_DIGEST)["kind"] == "noop"
 
 
 class TestCollectorAppendClose:
@@ -295,3 +358,43 @@ def test_idle_collections_close_in_their_first_append():
     run_world(world)
     assert len(closed) == 12
     assert len(in_append) >= 10
+
+
+def test_busy_clusters_close_full_collections_in_their_append():
+    """happy-path under ledger-load's load (100 transactions 20 ticks apart,
+    6,000 ticks) keeps its clusters busy. A collection closes in the append
+    block that brings it to the size threshold, so no `close` block closes a
+    full collection after a second 3-chain finalization; every collector of
+    a cluster closes the same collections in the same order. The log digest
+    and metric rows are pinned."""
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
+    doc["transactions"].update(count=100, interval=20)
+    doc["run"].update(seed=1, max_sim_time=6000)
+    world = build_world(doc)
+    threshold = world.collectors[0].d.collection_size_threshold
+    late = []  # sizes of full collections a close block closed
+    for collector in world.collectors:
+
+        def on_finalize(node, collector=collector, finalize=collector.engine.on_finalize):
+            size, before = len(collector.open_collection), len(collector.store)
+            finalize(node)
+            if node.payload["kind"] == "close" and len(collector.store) > before and size >= threshold:
+                late.append(size)
+
+        collector.engine.on_finalize = on_finalize
+    run_world(world)
+    assert late == []
+    for index in range(doc["clusters"]["count"]):
+        stores = [list(c.store) for c in world.collectors if c.cluster_index == index]
+        assert stores[0] and all(store == stores[0] for store in stores)
+    digest = hashlib.sha256(world.sim.log.to_jsonl().encode()).hexdigest()
+    assert digest == "242995ae95decf58d21d87f7711ee8cb7d5edff3f11d40eb6be8cfaf444604d7"
+    assert world.metrics.rows() == [
+        ("blocks_finalized", 111),
+        ("blocks_sealed", 104),
+        ("collections_guaranteed", 21),
+        ("challenges", 0),
+        ("slashes", 0),
+        ("mean_finalization_latency", 210.8),
+        ("max_finalization_latency", 298),
+    ]
