@@ -3,7 +3,7 @@
     python3 scripts/stage_split.py --scenario FILE --seed N [N ...]
 
 Runs the scenario document FILE at each scenario seed and prints, for every
-transaction the observer sealed, pooled over the seeds, the p50 and min-max
+transaction the observer sealed, pooled over the seeds, the p50 and min..max
 ticks of each stage:
 
     submitted -> collection closed -> guaranteed
@@ -15,6 +15,13 @@ run's event log and node state are read: `tx_submitted`, the first
 and the observer's `finalized` and `sealed` records of the block that lists
 the collection; the collector stores name each collection's transactions
 and the observer's finalized chain names each collection's block.
+
+Two more rows split finalized -> sealed. Each is an offset from the
+observer's `finalized` record of the transaction's block, so it may be
+negative (another node finalized first): to the first `executed` record at
+the block's height, and to the `approved` record that completes a verifier
+supermajority, by stake and in log order, of the result the observer
+sealed for the block.
 Needs `flowpipe` importable (installed, or `PYTHONPATH=src`).
 """
 
@@ -25,6 +32,7 @@ import statistics
 import sys
 
 from flowpipe.scenario import build_world, load_scenario, run_world
+from flowpipe.state import Tally
 
 STAGES = ("submitted", "closed", "guaranteed", "finalized", "sealed")
 
@@ -37,9 +45,9 @@ def _first_ticks(log, kind: str, key: str, node=None) -> dict[str, int]:
     return ticks
 
 
-def stage_ticks(world) -> dict[str, tuple[int, ...]]:
-    """Transaction hash -> the tick of each of `STAGES`, for each
-    transaction whose block the observer sealed."""
+def stage_ticks(world) -> dict[str, tuple[str, tuple[int, ...]]]:
+    """Transaction hash -> its block's hash and the tick of each of
+    `STAGES`, for each transaction whose block the observer sealed."""
     log, obs = world.sim.log, world.observer
     submitted = _first_ticks(log, "tx_submitted", "hash")
     closed = _first_ticks(log, "collection_closed", "hash")
@@ -50,7 +58,7 @@ def stage_ticks(world) -> dict[str, tuple[int, ...]]:
     for collector in world.collectors:
         for ch, txs in collector.store.items():
             texts.setdefault(ch.hex(), [tx.tx_hash().hex() for tx in txs])
-    out: dict[str, tuple[int, ...]] = {}
+    out: dict[str, tuple[str, tuple[int, ...]]] = {}
     for height in sorted(obs.finalized_heights):
         digest = obs.finalized_heights[height]
         block = digest.hex()
@@ -60,8 +68,33 @@ def stage_ticks(world) -> dict[str, tuple[int, ...]]:
             ch = gc.collection_hash.hex()
             for tx in texts.get(ch, ()):
                 if tx in submitted and tx not in out:
-                    out[tx] = (submitted[tx], closed[ch], guaranteed[ch], finalized[block], sealed[block])
+                    out[tx] = block, (submitted[tx], closed[ch], guaranteed[ch], finalized[block], sealed[block])
     return out
+
+
+def finality_offsets(world) -> dict[str, tuple[int, int]]:
+    """Block hash -> ticks from the observer's `finalized` record to the
+    first `executed` record at the block's height, and to the `approved`
+    record that completes a verifier supermajority of the block's result,
+    for each block the observer sealed."""
+    log, obs, d = world.sim.log, world.observer, world.directory
+    finalized = _first_ticks(log, "finalized", "hash", obs.name)
+    executed = _first_ticks(log, "executed", "height")
+    sealed = {r["payload"]["result"]: r["payload"]["block"] for r in log.select("sealed", obs.name)}
+    approved: dict[str, int] = {}
+    tallies: dict[str, Tally] = {}
+    for r in log.select("approved"):
+        result = r["payload"]["result"]
+        if result in sealed and result not in approved:
+            tally = tallies.setdefault(result, Tally(d.verifiers))
+            tally.add(d.key_of[r["node"]], None)
+            if tally.quorum:
+                approved[result] = r["t"]
+    height = {digest.hex(): h for h, digest in obs.finalized_heights.items()}
+    return {
+        block: (executed[height[block]] - finalized[block], approved[result] - finalized[block])
+        for result, block in sealed.items()
+    }
 
 
 def durations(ticks: tuple[int, ...]) -> list[int]:
@@ -75,18 +108,21 @@ LABELS = (
     "guaranteed -> finalized at {obs}",
     "finalized -> sealed at {obs}",
     "submitted -> sealed at {obs}",
+    "finalized at {obs} -> first executed",
+    "finalized at {obs} -> approved by a verifier supermajority",
 )
 
 
 def table(rows: list[list[int]], observer: str) -> str:
-    """p50 and min-max of each column of `rows` (`durations` rows)."""
+    """p50 and min..max of each column of `rows` (`durations` rows, then
+    the block's `finality_offsets`)."""
     names = [label.format(obs=observer) for label in LABELS]
     width = max(len(n) for n in names)
-    lines = [f"{'stage':<{width}}  {'p50':>8}  min-max"]
+    lines = [f"{'stage':<{width}}  {'p50':>8}  min..max"]
     for i, name in enumerate(names):
         col = [row[i] for row in rows]
         p50 = f"{statistics.median(col):g}" if col else "-"
-        span = f"{min(col)}-{max(col)}" if col else "-"
+        span = f"{min(col)}..{max(col)}" if col else "-"
         lines.append(f"{name:<{width}}  {p50:>8}  {span}")
     return "\n".join(lines)
 
@@ -103,7 +139,8 @@ def main(argv: list[str]) -> int:
         run_world(world)
         observer = world.observer.name
         submitted += len(world.sim.log.select("tx_submitted"))
-        rows += [durations(t) for t in stage_ticks(world).values()]
+        offsets = finality_offsets(world)
+        rows += [durations(t) + list(offsets[block]) for block, t in stage_ticks(world).values()]
     seeds = " ".join(str(s) for s in args.seed)
     print(f"{doc['name']} seed {seeds}: {len(rows)} of {submitted} transactions sealed at {observer}, ticks")
     print(table(rows, observer))

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 from . import crypto
 from .hotstuff import Proposal, Vote, vote_payload
-from .nodes import CollectionRequest
 from .state import Role
 
 
@@ -19,9 +18,10 @@ def non_responsive(node, spec: dict) -> None:
 
 
 def withhold_collection(node, spec: dict) -> None:
-    """Answers neither collection requests nor missing-collection queries,
+    """Serves no collection text: it pushes none to executors at guarantee,
+    and answers neither collection requests nor missing-collection queries,
     which arrive as the same message."""
-    del node.handlers[CollectionRequest]
+    node._serve = lambda h, names: None
 
 
 def stale_vote(node, spec: dict) -> None:

@@ -4,10 +4,11 @@ ten-condition proposal check, and seal formation over verifier approvals.
 Conditions 1-3 (the round's primary proposed, the block extends a known
 chain, the locking rule allows the vote) are enforced by
 `hotstuff.ConsensusEngine.on_proposal`; `evaluate_proposal` keeps only the
-height part of condition 2 and checks conditions 4-6 and 8-10. Condition 7
-(each included seal was received) holds by construction, because a seal
-reaches a voter inside the proposal that includes it; condition 8 validates
-it.
+height part of condition 2 and checks conditions 4, 6 and 8-10. Conditions 5
+and 7 (each included guarantee and seal was received) hold by construction,
+because a guarantee and a seal reach a voter inside the proposal that
+includes them; condition 6 authenticates the guarantee and condition 8
+validates the seal.
 
 Every condition is judged over a `ChainView`, plain data a consensus node
 builds for the parent block: the parent's `ChainCtx`, the node's finalized
@@ -207,7 +208,6 @@ class ChainView:
     ctx: ChainCtx
     tip: ChainCtx  # the node's finalized tip
     final: dict[str, set]  # kind -> keys of the finalized prefix
-    collections: Mapping[bytes, GuaranteedCollection]  # received guarantees by collection hash
     # received results by result hash; one sealed behind the finalized
     # sealed tip may be gone, and condition 8 refuses it either way
     results: Mapping[bytes, ExecutionResult]
@@ -265,9 +265,6 @@ def evaluate_proposal(pb: ProtoBlock, view: ChainView) -> tuple[bool, Optional[s
         if view.on_chain("collection", gc.collection_hash) or gc.collection_hash in seen:
             return False, "condition-4:stale-collection"
         seen.add(gc.collection_hash)
-    for gc in pb.guaranteed_collections:
-        if gc.collection_hash not in view.collections:
-            return False, "condition-5:collection-not-received"
     for gc in pb.guaranteed_collections:
         if not guarantee_valid(gc, view.clusters):
             return False, "condition-6:collection-authenticity"

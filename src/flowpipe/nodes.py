@@ -381,10 +381,10 @@ class CollectorNode(Node):
                 or len(self.open_collection) >= self.d.collection_size_threshold
             )
         if closes and self.open_collection:
-            tx_hashes = [h for h in self.open_collection if h in self.pool]
+            tx_hashes = self.open_collection
             self.open_collection, self.open_round = [], self.engine.current_round
-            if not tx_hashes:
-                return  # it holds no listed text to guarantee
+            if any(h not in self.pool for h in tx_hashes):
+                return  # short of a listed text, it would sign a hash no peer shares
             ch = collection_hash(tx_hashes)
             self.store[ch] = [self.pool[h] for h in tx_hashes]
             stub = GuaranteedCollection(ch, self.cluster_index, (), ())
@@ -401,9 +401,13 @@ class CollectorNode(Node):
         self.next_height = max(self.next_height, msg.pb.height + 1)
 
     def _on_collection_request(self, sender: str, msg: CollectionRequest):
-        texts = self.store.get(msg.collection_hash)
+        self._serve(msg.collection_hash, [sender])
+
+    def _serve(self, h: bytes, names) -> None:
+        """Send the texts of collection `h`, if stored here, to `names`."""
+        texts = self.store.get(h)
         if texts is not None:
-            self.sim.send(self.name, sender, CollectionResponse(msg.collection_hash, tuple(texts)))
+            self.send_all(names, CollectionResponse(h, tuple(texts)))
 
     def _ingest(self, tx: SignedTransaction, gossip: bool):
         h = tx.tx_hash()
@@ -447,6 +451,8 @@ class CollectorNode(Node):
         gc = GuaranteedCollection(h, self.cluster_index, *tally.certificate())
         self.sim.event(self.name, "collection_guaranteed", {"hash": hexify(h)})
         self.send_all(self.d.consensus_names, GuaranteeAnnounce(gc))
+        # a guarantee promises executors the texts; push them before a block lists it
+        self._serve(h, self.d.executor_names)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +527,6 @@ class ConsensusNode(Node):
             ctx=ctx,
             tip=self.tip,
             final=self.final,
-            collections=self.known_collections,
             results=self.results,
             fcc_ids=self.fcc_ids,
             fcc_received=self.fcc_received,
@@ -988,6 +993,8 @@ class ExecutionNode(Node):
         self._query_next(h)
 
     def _on_collection_response(self, sender: str, msg: CollectionResponse):
+        if sender not in self.d.collector_names and sender not in self.d.consensus_names:
+            return  # texts come from guarantors, and from consensus after an MCC
         h = msg.collection_hash
         if h in self.texts:
             return

@@ -59,7 +59,6 @@ from flowpipe.nodes import (
     ApprovalMsg,
     BlockRandomness,
     ChallengeMsg,
-    CollectionRequest,
     CollectionResponse,
     Finalized,
     GuaranteeAnnounce,
@@ -81,15 +80,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "8fd8458a00be5e396e6e5ad50300f7ec289b26fdf382a3cb96a850b098a9890c",
+        "29432edb211ac145f55200bfd34e1b7894a04b92ff10b98e76b67ee701664fed",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "6e679004c3a931b12f622e55b576167ba9148230f81823a47ea19eef09b31983",
+        "b693800e60f3d4fb9b4409501da6eec7b392e9406dc63ff81df84a80ddc41dde",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "f7335c429517caed9cb0bd24b5822dd2663af018ed233d435a4b3ec3ca9ebadc",
+        "c42a1cb73abd6485e81303de06036a8c1708dbccd3699f2bdfd249f906900ea1",
     ),
 }
 
@@ -99,37 +98,37 @@ METRICS = {
         [
             ("blocks_finalized", 21),
             ("blocks_sealed", 14),
-            ("collections_guaranteed", 10),
+            ("collections_guaranteed", 11),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 595.8095238095239),
-            ("max_finalization_latency", 2110),
+            ("mean_finalization_latency", 605.952380952381),
+            ("max_finalization_latency", 2112),
         ],
-        "f8973d1c6d0e4396f62c127c645b85ca35087d80ba859c5ed18c371d61030f5d",
+        "2d68c19ab3e1406340841e3282b53139c11a756d5fe79a80782222ded258b4dd",
     ),
     "stale_vote": (
         [
-            ("blocks_finalized", 87),
-            ("blocks_sealed", 81),
-            ("collections_guaranteed", 14),
+            ("blocks_finalized", 88),
+            ("blocks_sealed", 82),
+            ("collections_guaranteed", 13),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 265.8965517241379),
-            ("max_finalization_latency", 362),
+            ("mean_finalization_latency", 260.03409090909093),
+            ("max_finalization_latency", 322),
         ],
-        "6aa31b67b4577db9df3c6e39be9842bc244f1bef141a142c2fdbca374bcdf96c",
+        "f234cb8780d0999813767955b7bf9f350758bc8d5e0db787fc5fe6f1a4ff5acd",
     ),
     "faulty_execution_target_chunk": (
         [
-            ("blocks_finalized", 109),
-            ("blocks_sealed", 103),
+            ("blocks_finalized", 112),
+            ("blocks_sealed", 105),
             ("collections_guaranteed", 14),
             ("challenges", 1),
             ("slashes", 1),
-            ("mean_finalization_latency", 213.77981651376146),
-            ("max_finalization_latency", 280),
+            ("mean_finalization_latency", 206.67857142857142),
+            ("max_finalization_latency", 265),
         ],
-        "f92504c8535aedacb8de3e18cca6293f1e09fdc36e5b60d3c033bd88c3069080",
+        "bd6a1680e777042298bde7f7b06d365ec9040af824c6ffbdf75b4803709d743c",
     ),
 }
 
@@ -180,10 +179,11 @@ def test_adversary_run_pinned(case):
 
 
 def test_answered_mcc_dismissed():
-    """Cluster 0's collectors serve `CollectionRequest` only to consensus
-    nodes. Executors raise missing-collection challenges, the guarantors
-    answer every adjudicator's request, each challenge is dismissed without
-    a slash, and consensus forwards the recovered texts to the executors,
+    """Cluster 0's collectors serve collection texts only to consensus
+    nodes: they push none to executors and answer only consensus requests.
+    Executors raise missing-collection challenges, the guarantors answer
+    every adjudicator's request, each challenge is dismissed without a
+    slash, and consensus forwards the recovered texts to the executors,
     which then execute every collection instead of skipping it."""
     doc = merge_defaults(
         {"run": {"max_sim_time": 8000}, "checks": {"safety": True, "no_faulty_seals": True}}
@@ -192,9 +192,8 @@ def test_answered_mcc_dismissed():
     consensus = {node.name for node in world.consensus}
     for collector in world.collectors:
         if collector.cluster_index == 0:
-            serve = collector.handlers[CollectionRequest]
-            collector.handlers[CollectionRequest] = (
-                lambda sender, msg, serve=serve: sender in consensus and serve(sender, msg)
+            collector._serve = lambda h, names, serve=collector._serve: serve(
+                h, [name for name in names if name in consensus]
             )
     forwarded = set()
     real_send = world.sim.send
@@ -212,7 +211,7 @@ def test_answered_mcc_dismissed():
     assert len(log.select("mcc_raised")) == 12
     assert [r["payload"]["outcome"] for r in log.select("adjudication")] == ["dismissed"] * 42
     assert world.metrics.slashes == 0
-    assert world.metrics.blocks_sealed == 80
+    assert world.metrics.blocks_sealed == 82
     assert not log.select("attestation")
     assert forwarded == {node.name for node in world.executors}
     assert all(not node.skipped for node in world.executors)
@@ -808,20 +807,20 @@ def happy_path(max_sim_time: int) -> dict:
 
 
 def test_proposal_payload_bound_to_its_digest():
-    """Consensus n2 also sends n0 alone a copy of its first proposal of a
+    """Consensus n4 also sends n0 alone a copy of its first proposal of a
     block at height 5 or more that lists collections; the copy's payload
     drops the collections but keeps the signed digest and signature. Taken
     on its signature, the copy put a payload under a digest it does not
     hash to, and n0 finalized a block no other node finalized."""
     world = build_world(happy_path(6000))
-    n0, n2 = world.consensus[0], world.consensus[2]
+    n0, n4 = world.consensus[0], world.consensus[4]
     real_send = world.sim.send
     tampered = []
 
     def send(sender, receiver, message):
         if (
             not tampered
-            and sender == n2.name
+            and sender == n4.name
             and receiver == n0.name
             and isinstance(message, Proposal)
             and message.payload.height >= 5

@@ -88,7 +88,6 @@ def plain_view(state: ProtocolState, parent_height=0, final=None, **fields) -> C
         ctx=tip,
         tip=tip,
         final=prefix,
-        collections={},
         results={},
         fcc_ids={},
         fcc_received=set(),
@@ -156,8 +155,7 @@ class TestEvaluateProposal:
         coll = crypto.hash("collection", b"a")
         gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1, 2])
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
-        view = plain_view(state, collections={coll: gc})
-        assert evaluate_proposal(pb, view) == (True, None)
+        assert evaluate_proposal(pb, plain_view(state)) == (True, None)
 
     def test_condition_2_height_gap(self):
         state, _, _ = base_protocol_state()
@@ -171,32 +169,42 @@ class TestEvaluateProposal:
         coll = crypto.hash("collection", b"a")
         gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1, 2])
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
-        received = {coll: gc}
         for view in (
-            plain_view(state, final={"collection": {coll}}, collections=received),
-            extend(plain_view(state, collections=received), collection={coll}),
+            plain_view(state, final={"collection": {coll}}),
+            extend(plain_view(state), collection={coll}),
         ):
             ok, reason = evaluate_proposal(dataclasses.replace(pb, height=view.ctx.height + 1), view)
             assert not ok and reason.startswith("condition-4")
         # listed twice in one block
         twice = dataclasses.replace(pb, guaranteed_collections=(gc, gc))
-        ok, reason = evaluate_proposal(twice, plain_view(state, collections=received))
+        ok, reason = evaluate_proposal(twice, plain_view(state))
         assert not ok and reason.startswith("condition-4")
 
-    def test_condition_5_not_received(self):
+    def test_condition_5_guarantee_received_in_the_proposal(self):
+        # the view holds no announce of it: the proposal itself delivers it
         state, kps, _ = base_protocol_state()
         coll = crypto.hash("collection", b"a")
         gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1, 2])
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
+        assert evaluate_proposal(pb, plain_view(state)) == (True, None)
+
+    def test_condition_5_forged_guarantee_fails_condition_6(self):
+        # signatures over another collection's guarantee, copied onto this one
+        state, kps, _ = base_protocol_state()
+        other = make_guarantee(
+            kps, members(state, Role.COLLECTOR), crypto.hash("collection", b"b"), [0, 1, 2]
+        )
+        gc = dataclasses.replace(other, collection_hash=crypto.hash("collection", b"a"))
+        pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
         ok, reason = evaluate_proposal(pb, plain_view(state))
-        assert not ok and reason.startswith("condition-5")
+        assert not ok and reason.startswith("condition-6")
 
     def test_condition_6_insufficient_signers(self):
         state, kps, _ = base_protocol_state()
         coll = crypto.hash("collection", b"a")
         gc = make_guarantee(kps, members(state, Role.COLLECTOR), coll, [0, 1])  # 50%
         pb = ProtoBlock(b"\x10" * 32, 1, (gc,), (), (), (), commit_state(state))
-        ok, reason = evaluate_proposal(pb, plain_view(state, collections={coll: gc}))
+        ok, reason = evaluate_proposal(pb, plain_view(state))
         assert not ok and reason.startswith("condition-6")
 
     def test_condition_8_seal_invalid(self):

@@ -16,6 +16,7 @@ from flowpipe.collection import (
 )
 from flowpipe.crypto import StakingKeyPair, hash as fhash
 from flowpipe.hotstuff import GENESIS_DIGEST
+from flowpipe.nodes import CollectionRequest, CollectionResponse, GuaranteeShare
 from flowpipe.scenario import build_world, load_scenario, merge_defaults, run_world
 from flowpipe.state import NodeIdentity, Role, StakeTable
 from flowpipe.vm import SignedTransaction, ToyTransaction
@@ -240,6 +241,20 @@ def finalize(collector, payload) -> None:
     collector._on_cluster_finalize(SimpleNamespace(payload=payload))
 
 
+def sent_by(world, name: str, kind: type) -> list:
+    """The `kind` messages `name` sends from now on, recorded as they are
+    sent."""
+    sent, send = [], world.sim.send
+
+    def recording(sender, receiver, message):
+        if sender == name and isinstance(message, kind):
+            sent.append(message)
+        send(sender, receiver, message)
+
+    world.sim.send = recording
+    return sent
+
+
 def closed_by(world) -> list:
     """(node, payload) of each `collection_closed` record, in log order."""
     return [(r["node"], r["payload"]) for r in world.sim.log.select("collection_closed")]
@@ -275,18 +290,24 @@ class TestCollectorSizeClose:
         assert collector.open_collection == hashes[:2] and closed_by(world) == []
 
     def test_missing_text_closes_at_the_same_block_as_a_full_peer(self):
+        """A collector short of one listed text closes with its full peer
+        but neither stores nor signs: the hash of its partial collection is
+        one no peer shares."""
         world, collector, hashes = collector_with_pool(3)
         peer = next(
             c for c in world.collectors if c.cluster_index == collector.cluster_index and c is not collector
         )
         peer.pool.update(collector.pool)
         del collector.pool[hashes[1]]
+        shares = sent_by(world, collector.name, GuaranteeShare)
         for node in (collector, peer):
             finalize(node, append(hashes[:2]))
         assert closed_by(world) == []
         for node in (collector, peer):
             finalize(node, append(hashes[2:]))
-        assert [node for node, _ in closed_by(world)] == [collector.name, peer.name]
+        ch = collection_hash(hashes)
+        assert closed_by(world) == [(peer.name, {"hash": ch.hex(), "size": 3})]
+        assert collector.store == {} and collector.shares == {} and shares == []
         assert collector.open_collection == peer.open_collection == []
         assert collector.open_round == peer.open_round
 
@@ -388,13 +409,40 @@ def test_busy_clusters_close_full_collections_in_their_append():
         stores = [list(c.store) for c in world.collectors if c.cluster_index == index]
         assert stores[0] and all(store == stores[0] for store in stores)
     digest = hashlib.sha256(world.sim.log.to_jsonl().encode()).hexdigest()
-    assert digest == "242995ae95decf58d21d87f7711ee8cb7d5edff3f11d40eb6be8cfaf444604d7"
+    assert digest == "ad224bf78110b6aa58121b9b14d2a8135648aa6bbd553888033a8cabb3409eac"
     assert world.metrics.rows() == [
-        ("blocks_finalized", 111),
-        ("blocks_sealed", 104),
-        ("collections_guaranteed", 21),
+        ("blocks_finalized", 113),
+        ("blocks_sealed", 107),
+        ("collections_guaranteed", 22),
         ("challenges", 0),
         ("slashes", 0),
-        ("mean_finalization_latency", 210.8),
-        ("max_finalization_latency", 298),
+        ("mean_finalization_latency", 205.97321428571428),
+        ("max_finalization_latency", 278),
     ]
+
+
+class TestGuarantorsPush:
+    """A guarantor whose tally reaches quorum pushes the collection's texts
+    to every executor, so an executor holds them before a block lists the
+    guarantee and never asks for them."""
+
+    def test_no_executor_requests_a_collection(self):
+        doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
+        doc["run"].update(seed=1, max_sim_time=6000)
+        world = build_world(doc)
+        requests = [sent_by(world, e.name, CollectionRequest) for e in world.executors]
+        run_world(world)
+        assert world.metrics.collections_guaranteed > 0
+        assert requests == [[] for _ in world.executors]
+        for executor in world.executors:
+            assert not executor.retrieving and not executor.challenged
+
+    def test_texts_taken_only_from_collectors_and_consensus(self):
+        world, collector, hashes = collector_with_pool(2)
+        executor = world.executors[0]
+        ch = collection_hash(hashes)
+        texts = tuple(collector.pool[h] for h in hashes)
+        executor.handle(world.verifiers[0].name, CollectionResponse(ch, texts))
+        assert ch not in executor.texts
+        executor.handle(collector.name, CollectionResponse(ch, texts))
+        assert executor.texts[ch] == list(texts)

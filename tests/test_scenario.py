@@ -7,7 +7,6 @@ from importlib import resources
 
 import pytest
 
-from flowpipe.nodes import CollectionRequest
 from flowpipe.scenario import (
     _MINIMUMS,
     DEFAULTS,
@@ -349,8 +348,8 @@ class TestBehaviorAssignment:
         )
         world = build_world(doc)
         for collector in world.collectors:
-            serves = CollectionRequest in collector.handlers
-            assert serves == (collector.cluster_index == 1), collector.name
+            withholds = "_serve" in vars(collector)
+            assert withholds == (collector.cluster_index == 0), collector.name
 
     def test_first_entry_naming_a_collector_wins(self):
         """A cluster entry and an indices entry may name one collector; which
@@ -365,7 +364,7 @@ class TestBehaviorAssignment:
         assert validate_scenario(doc) == []
         for collector in build_world(doc).collectors:
             if collector.cluster_index == 0:
-                assert collector.handlers and CollectionRequest not in collector.handlers
+                assert collector.handlers and "_serve" in vars(collector)
             else:
                 assert not collector.handlers, collector.name
 

@@ -1,7 +1,10 @@
 """`scripts/stage_split.py` splits each sealed transaction's submit -> sealed
 time into pipeline stages: the stages never run backwards and sum to the
 seal time, read here independently from the collector stores, the
-observer's chain and its `sealed` records."""
+observer's chain and its `sealed` records. Its two finality offsets are
+checked against the log read here: the first `executed` record at the
+block's height, and the approval that brings the sealed result's approving
+verifiers to more than 2/3 of their stake."""
 
 import importlib.util
 import json
@@ -56,11 +59,44 @@ def test_stages_sum_to_the_seal_time():
     ticks = stage_split.stage_ticks(world)
     want = seal_times(world)
     assert len(want) == 12 and set(ticks) == set(want)
-    for tx, stamps in ticks.items():
+    for tx, (_, stamps) in ticks.items():
         *stages, total = stage_split.durations(stamps)
         assert len(stages) == len(stage_split.STAGES) - 1
         assert all(d >= 0 for d in stages)
         assert sum(stages) == total == want[tx]
+
+
+def test_finality_offsets():
+    stage_split = load_script()
+    world = build_world(happy_path(30000), 1)
+    run_world(world)
+    log, obs, d = world.sim.log, world.observer, world.directory
+    offsets = stage_split.finality_offsets(world)
+    sealed = log.select("sealed", obs.name)
+    assert len(offsets) == len(sealed) > 500
+    finalized_at = {r["payload"]["hash"]: r["t"] for r in log.select("finalized", obs.name)}
+    seal_t = {r["payload"]["block"]: r["t"] for r in sealed}
+    executed_at, approvals = {}, {}
+    for r in log.select("executed"):
+        executed_at.setdefault(r["payload"]["height"], []).append(r["t"])
+    for r in log.select("approved"):
+        approvals.setdefault(r["payload"]["result"], []).append(r)
+    total = sum(d.verifiers.stake.values())
+    for r in sealed:
+        block, result = r["payload"]["block"], r["payload"]["result"]
+        height = next(h for h, digest in obs.finalized_heights.items() if digest.hex() == block)
+        weight, quorum_t = 0, None
+        for a in approvals[result]:
+            weight += d.verifiers.stake[d.key_of[a["node"]]]
+            if 3 * weight > 2 * total:
+                quorum_t = a["t"]
+                break
+        executed, approved = offsets[block]
+        first = min(executed_at[height])
+        assert executed == first - finalized_at[block]
+        assert approved == quorum_t - finalized_at[block]
+        # a verifier approves a receipt, and a seal lists the approvals
+        assert executed <= approved < seal_t[block] - finalized_at[block]
 
 
 def test_prints_one_row_per_stage(tmp_path, capsys):
