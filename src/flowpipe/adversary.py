@@ -19,8 +19,7 @@ def non_responsive(node, spec: dict) -> None:
 
 def withhold_collection(node, spec: dict) -> None:
     """Serves no collection text: it pushes none to executors at guarantee,
-    and answers neither collection requests nor missing-collection queries,
-    which arrive as the same message."""
+    and answers no missing-collection challenge's request for the texts."""
     node._serve = lambda h, names: None
 
 

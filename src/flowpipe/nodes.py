@@ -466,8 +466,8 @@ class ConsensusNode(Node):
         self.tip = genesis_ctx(directory.initial_state)  # context of the last finalized block
         # the tip and its descendants; every other context is dropped
         self.ctxs: dict[bytes, ChainCtx] = {self.tip.digest: self.tip}
-        self.known_collections: dict[bytes, GuaranteedCollection] = {}
-        self.pending_collections: list[bytes] = []
+        # guarantees not yet on the finalized chain, by collection hash, arrival order
+        self.pending_collections: dict[bytes, GuaranteedCollection] = {}
         self.pending_challenges: dict[Any, SlashingChallenge] = {}  # by `challenge_mark`, arrival order
         self.pending_updates: dict[bytes, StateUpdate] = {}  # challenge id -> update
         self.receipts: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt and packages
@@ -603,9 +603,7 @@ class ConsensusNode(Node):
             return None  # the parent has not reached this node: wait for it
         view = self._view(ctx)
         collections = [
-            self.known_collections[h]
-            for h in self.pending_collections
-            if not view.on_chain("collection", h)
+            gc for h, gc in self.pending_collections.items() if not view.on_chain("collection", h)
         ]
         challenges = [
             ch
@@ -713,9 +711,8 @@ class ConsensusNode(Node):
         ctx.parent = None
         self.ctxs, self.tip = kept, ctx
         # drop mempool entries now recorded on-chain
-        self.pending_collections = [
-            h for h in self.pending_collections if h not in final["collection"]
-        ]
+        for h in ctx.facts["collection"]:
+            self.pending_collections.pop(h, None)
         for mark in list(self.pending_challenges):
             if mark in final["challenged"]:
                 del self.pending_challenges[mark]
@@ -799,7 +796,7 @@ class ConsensusNode(Node):
             coll_hash = ch.evidence[0]
             if coll_hash in self.mcc_responses:
                 return  # the guarantors are already asked
-            # a guarantor answers the request executors use for retrieval
+            # only adjudicators send this request; `CollectorNode._serve` answers it
             self.mcc_responses[coll_hash] = {}
             self.send_all([self.d.name_of[a] for a in ch.accused], CollectionRequest(coll_hash))
             self.sim.set_timer(
@@ -844,10 +841,11 @@ class ConsensusNode(Node):
 
     def _on_guarantee_announce(self, sender: str, msg: GuaranteeAnnounce):
         h = msg.gc.collection_hash
+        if h in self.pending_collections or h in self.final["collection"]:
+            return
         # a guarantee condition 6 rejects would sit in every later proposal
-        if h not in self.known_collections and guarantee_valid(msg.gc, self.d.clusters):
-            self.known_collections[h] = msg.gc
-            self.pending_collections.append(h)
+        if guarantee_valid(msg.gc, self.d.clusters):
+            self.pending_collections[h] = msg.gc
 
     def _on_approval(self, sender: str, msg: ApprovalMsg):
         a = msg.approval
@@ -914,7 +912,6 @@ class ExecutionNode(Node):
         self.prev_result_hash = GENESIS_RESULT_HASH
         self.texts: dict[bytes, list[SignedTransaction]] = {}
         self.skipped: set[bytes] = set()
-        self.retrieving: dict[bytes, dict] = {}  # collection hash -> query state
         self.challenged: set[bytes] = set()
         self.handlers.update(
             {
@@ -931,66 +928,40 @@ class ExecutionNode(Node):
         pb = msg.pb
         if pb.height >= self.next_height and pb.height not in self.blocks:
             self.blocks[pb.height] = pb
+            # the guarantors pushed the texts at guarantee; give a late push
+            # one wait, then challenge every guarantor of a collection still missing
+            for gc in pb.guaranteed_collections:
+                if gc.collection_hash not in self.texts:
+                    self.sim.set_timer(
+                        self.name, self.d.retrieval_timeout, lambda gc=gc: self._challenge(gc)
+                    )
             self._advance()
 
     def _on_attestation(self, sender: str, msg: MissingCollectionAttestation):
         if msg.collection_hash not in self.texts:
             self.skipped.add(msg.collection_hash)
-            self.retrieving.pop(msg.collection_hash, None)
             self._advance()
 
     def _advance(self):
         while self.next_height in self.blocks:
             pb = self.blocks[self.next_height]
-            missing = [
-                gc
-                for gc in pb.guaranteed_collections
-                if gc.collection_hash not in self.texts
-                and gc.collection_hash not in self.skipped
-            ]
-            for gc in missing:
-                self._retrieve(gc)
-            if missing:
-                return
+            for gc in pb.guaranteed_collections:
+                if gc.collection_hash not in self.texts and gc.collection_hash not in self.skipped:
+                    return
             self._execute(pb)
             del self.blocks[self.next_height]
             self.next_height += 1
 
-    def _retrieve(self, gc: GuaranteedCollection):
+    def _challenge(self, gc: GuaranteedCollection):
+        """Raise a missing-collection challenge against every guarantor of
+        `gc`, once, unless its texts or a skip attestation arrived."""
         h = gc.collection_hash
-        if h in self.retrieving or h in self.challenged:
+        if h in self.texts or h in self.skipped or h in self.challenged:
             return
-        state = {"order": sorted(gc.signers), "next": 0}
-        self.retrieving[h] = state
-        self._query_next(h)
-
-    def _query_next(self, h: bytes):
-        state = self.retrieving.get(h)
-        if state is None:
-            return
-        order = state["order"]
-        if state["next"] >= len(order):
-            # every guarantor failed: challenge the whole signer set
-            self.retrieving.pop(h, None)
-            if h in self.challenged:
-                return
-            self.challenged.add(h)
-            mcc = make_mcc(self.keypair.public, order, h)
-            self.sim.event(self.name, "mcc_raised", {"collection": hexify(h)})
-            self.send_all(self.d.consensus_names, ChallengeMsg(mcc))
-            return
-        guarantor = order[state["next"]]
-        state["next"] += 1
-        self.sim.send(self.name, self.d.name_of[guarantor], CollectionRequest(h))
-        self.sim.set_timer(
-            self.name, self.d.retrieval_timeout, lambda: self._query_timeout(h, state["next"])
-        )
-
-    def _query_timeout(self, h: bytes, expected_next: int):
-        state = self.retrieving.get(h)
-        if state is None or state["next"] != expected_next:
-            return  # resolved or already advanced
-        self._query_next(h)
+        self.challenged.add(h)
+        mcc = make_mcc(self.keypair.public, sorted(gc.signers), h)
+        self.sim.event(self.name, "mcc_raised", {"collection": hexify(h)})
+        self.send_all(self.d.consensus_names, ChallengeMsg(mcc))
 
     def _on_collection_response(self, sender: str, msg: CollectionResponse):
         if sender not in self.d.collector_names and sender not in self.d.consensus_names:
@@ -999,9 +970,8 @@ class ExecutionNode(Node):
         if h in self.texts:
             return
         if collection_hash([t.tx_hash() for t in msg.texts]) != h:
-            return  # tampered response; the query timeout will move on
+            return  # tampered texts; another copy or the challenge settles it
         self.texts[h] = list(msg.texts)
-        self.retrieving.pop(h, None)
         self._advance()
 
     def _execute(self, pb: ProtoBlock):

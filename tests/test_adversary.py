@@ -180,11 +180,11 @@ def test_adversary_run_pinned(case):
 
 def test_answered_mcc_dismissed():
     """Cluster 0's collectors serve collection texts only to consensus
-    nodes: they push none to executors and answer only consensus requests.
-    Executors raise missing-collection challenges, the guarantors answer
-    every adjudicator's request, each challenge is dismissed without a
-    slash, and consensus forwards the recovered texts to the executors,
-    which then execute every collection instead of skipping it."""
+    nodes: they push none to executors. Executors raise missing-collection
+    challenges, the guarantors answer every adjudicator's request, each
+    challenge is dismissed without a slash, and consensus forwards the
+    recovered texts to the executors, which then execute every collection
+    instead of skipping it."""
     doc = merge_defaults(
         {"run": {"max_sim_time": 8000}, "checks": {"safety": True, "no_faulty_seals": True}}
     )
@@ -208,10 +208,10 @@ def test_answered_mcc_dismissed():
     report = evaluate_properties(world)
     assert report["passed"], report["properties"]
     log = world.sim.log
-    assert len(log.select("mcc_raised")) == 12
-    assert [r["payload"]["outcome"] for r in log.select("adjudication")] == ["dismissed"] * 42
+    assert len(log.select("mcc_raised")) == 14
+    assert [r["payload"]["outcome"] for r in log.select("adjudication")] == ["dismissed"] * 49
     assert world.metrics.slashes == 0
-    assert world.metrics.blocks_sealed == 82
+    assert world.metrics.blocks_sealed == 144
     assert not log.select("attestation")
     assert forwarded == {node.name for node in world.executors}
     assert all(not node.skipped for node in world.executors)
@@ -753,7 +753,7 @@ def test_forged_guarantee_dropped_on_arrival():
 
     world.sim.schedule(1000, announce)
     run_world(world)
-    assert all(forged.collection_hash not in n.known_collections for n in world.consensus)
+    assert all(forged.collection_hash not in n.pending_collections for n in world.consensus)
     reasons = [r["payload"]["reason"] for r in world.sim.log.select("proposal_rejected")]
     assert "condition-6:collection-authenticity" not in reasons
     assert world.metrics.blocks_finalized >= 90

@@ -133,7 +133,7 @@ def check_against_oracle(world) -> int:
         for bf in oracles.values():
             for kind in candidates:
                 candidates[kind] |= bf.facts[kind]
-        candidates["collection"] |= set(node.known_collections)
+        candidates["collection"] |= set(node.pending_collections)
         candidates["sealed"] |= set(node.receipts)
         candidates["adjudicated"] |= (
             node.fcc_received

@@ -16,7 +16,7 @@ from flowpipe.collection import (
 )
 from flowpipe.crypto import StakingKeyPair, hash as fhash
 from flowpipe.hotstuff import GENESIS_DIGEST
-from flowpipe.nodes import CollectionRequest, CollectionResponse, GuaranteeShare
+from flowpipe.nodes import CollectionRequest, CollectionResponse, Finalized, GuaranteeShare
 from flowpipe.scenario import build_world, load_scenario, merge_defaults, run_world
 from flowpipe.state import NodeIdentity, Role, StakeTable
 from flowpipe.vm import SignedTransaction, ToyTransaction
@@ -435,7 +435,7 @@ class TestGuarantorsPush:
         assert world.metrics.collections_guaranteed > 0
         assert requests == [[] for _ in world.executors]
         for executor in world.executors:
-            assert not executor.retrieving and not executor.challenged
+            assert not executor.challenged
 
     def test_texts_taken_only_from_collectors_and_consensus(self):
         world, collector, hashes = collector_with_pool(2)
@@ -446,3 +446,102 @@ class TestGuarantorsPush:
         assert ch not in executor.texts
         executor.handle(collector.name, CollectionResponse(ch, texts))
         assert executor.texts[ch] == list(texts)
+
+
+def bundled(name: str) -> dict:
+    return load_scenario(str(resources.files("flowpipe") / "scenarios" / f"{name}.json"))
+
+
+class TestMissingCollectionChallenge:
+    """An executor that lacks a finalized block's texts gives a late push
+    one `retrieval_timeout` wait, then raises one missing-collection
+    challenge against every guarantor. It never asks a guarantor itself:
+    only the challenge's adjudicators send `CollectionRequest`."""
+
+    def test_one_challenge_per_withheld_collection_after_one_wait(self):
+        doc = bundled("withheld-collection")
+        doc["run"]["max_sim_time"] = 4000
+        world = build_world(doc)
+        requests = [sent_by(world, e.name, CollectionRequest) for e in world.executors]
+        # executor -> withheld collection -> tick its block's Finalized reached it
+        reached = {e.name: {} for e in world.executors}
+        for e in world.executors:
+
+            def on_finalized(sender, msg, e=e, handle=e.handlers[Finalized]):
+                for gc in msg.pb.guaranteed_collections:
+                    if gc.cluster_index == 0:
+                        reached[e.name].setdefault(gc.collection_hash, world.sim.now)
+                handle(sender, msg)
+
+            e.handlers[Finalized] = on_finalized
+        run_world(world)
+        assert requests == [[] for _ in world.executors]
+        for e in world.executors:
+            wait = max(1, round(e.d.retrieval_timeout * world.sim._skew[e.name]))
+            due = sorted((t + wait, h) for h, t in reached[e.name].items() if t + wait <= 4000)
+            raised = sorted(
+                (r["t"], bytes.fromhex(r["payload"]["collection"]))
+                for r in world.sim.log.select("mcc_raised")
+                if r["node"] == e.name
+            )
+            assert due and raised == due, e.name
+
+    def test_push_inside_the_wait_raises_no_challenge(self):
+        """e0's copies of the first pushed collection are held back until
+        the block listing it finalizes at e0, then delivered half a wait
+        later: e0 raises no challenge and executes the block."""
+        doc = bundled("happy-path")
+        doc["run"].update(seed=1, max_sim_time=3000)
+        world = build_world(doc)
+        e0 = world.executors[0]
+        requests = sent_by(world, e0.name, CollectionRequest)
+        held, released = [], []  # (sender, push); (tick, height, texts held then)
+        send = world.sim.send
+
+        def holding(sender, receiver, msg):
+            if receiver == e0.name and isinstance(msg, CollectionResponse) and not released:
+                if not held or msg.collection_hash == held[0][1].collection_hash:
+                    held.append((sender, msg))
+                    return
+            send(sender, receiver, msg)
+
+        def on_finalized(sender, msg, handle=e0.handlers[Finalized]):
+            listed = {gc.collection_hash for gc in msg.pb.guaranteed_collections}
+            if held and not released and held[0][1].collection_hash in listed:
+                h = held[0][1].collection_hash
+                released.append((world.sim.now, msg.pb.height, h in e0.texts))
+                world.sim.schedule(
+                    e0.d.retrieval_timeout // 2,
+                    lambda: [e0.handle(s, m) for s, m in held],
+                )
+            handle(sender, msg)
+
+        world.sim.send = holding
+        e0.handlers[Finalized] = on_finalized
+        run_world(world)
+        [(t, height, had_texts)] = released
+        assert not had_texts
+        assert not world.sim.log.select("mcc_raised") and requests == []
+        executed = [
+            r["t"] for r in world.sim.log.select("executed")
+            if r["node"] == e0.name and r["payload"]["height"] == height
+        ]
+        assert executed == [t + e0.d.retrieval_timeout // 2]
+
+    def test_withheld_collections_do_not_queue(self):
+        """withheld-collection at seed 1: each executor arms its waits when
+        the block finalizes, not when execution reaches it, so withheld
+        collections are challenged side by side and e0 executes every block
+        within 1,000 ticks of observer n0's finalization."""
+        world = build_world(bundled("withheld-collection"))
+        run_world(world)
+        log = world.sim.log
+        finalized = {
+            r["payload"]["height"]: r["t"] for r in log.select("finalized") if r["node"] == "n0"
+        }
+        lags = [
+            r["t"] - finalized[r["payload"]["height"]]
+            for r in log.select("executed")
+            if r["node"] == "e0" and r["payload"]["height"] in finalized
+        ]
+        assert len(lags) > 400 and max(lags) < 1000

@@ -9,9 +9,9 @@ round off the finalized chain. A collector engine keeps of the finalized
 chain only its newest block. A consensus node drops a block's beacon
 shares once it recovers the block's randomness, the approvals of each
 result a finalized block seals, the received results before its sealed
-tip with their entries in the seal index, and a block's first-seen stamp
-once the block is finalized or pruned; an executor drops each block it
-executed.
+tip with their entries in the seal index, a block's first-seen stamp
+once the block is finalized or pruned, and each guarantee a finalized
+block lists; an executor drops each block it executed.
 
 The simulator's calendar queue holds a bucket only for a tick still to
 come, so it never keeps one per tick already run.
@@ -63,6 +63,7 @@ def retained(world) -> dict[str, int]:
         note("ConsensusNode.results", len(node.results))
         note("ConsensusNode.results_by_prev", len(node.results_by_prev))
         note("ConsensusNode.first_seen", len(node.first_seen))
+        note("ConsensusNode.pending_collections", len(node.pending_collections))
     for node in world.executors:
         note("ExecutionNode.blocks", len(node.blocks))
     return sizes
@@ -81,7 +82,7 @@ def happy_path(max_sim_time: int):
 
 def assert_bounded(world) -> None:
     sizes = retained(world)
-    assert len(sizes) == 15
+    assert len(sizes) == 16
     over = {name: size for name, size in sizes.items() if size > BOUND}
     assert not over, over
 
@@ -134,6 +135,19 @@ def test_retention_bounded_at_two_horizons():
     for node in world.consensus:
         for digest in node.finalized_heights.values():
             assert digest in node.engine.tree.nodes and digest in node.engine.finalized_set
+
+
+def test_busy_clusters_stay_bounded():
+    """happy-path under ledger-load's load (100 transactions 20 ticks apart)
+    guarantees 22 collections by tick 6,000; a consensus node that kept every
+    guarantee it heard of would hold all 22."""
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
+    doc["transactions"].update(count=100, interval=20)
+    doc["run"].update(seed=1, max_sim_time=6000)
+    world = build_world(doc)
+    run_world(world)
+    assert world.metrics.collections_guaranteed > BOUND
+    assert_bounded(world)
 
 
 def test_reported_equivocations_pruned_below_the_floor():
