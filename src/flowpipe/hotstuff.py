@@ -1,9 +1,13 @@
 """Stake-weighted round-based BFT consensus with deterministic finality.
 
-Chained variant: one generic phase per round; a payload is finalized once
-three certified descendants with consecutive rounds sit above it. The same
-engine drives both collector-cluster consensus and main-chain block
-formation via pluggable payload hooks.
+Chained HotStuff, one generic phase per round: a block b1 is finalized,
+with its ancestors, once b1 <- b2 <- b3 are certified in consecutive rounds.
+Safe because a voter locks on the grandparent of the block it votes for and
+votes only on a justify at or above its lock: b3's honest voters locked on
+b1, and a later certificate shares one of them, so by induction on the round
+it justifies b1 or a descendant; one vote per round certifies nothing else
+in the rounds of b2 and b3. Hence `locked_round >= floor`. The same engine
+drives collector-cluster and main-chain consensus via payload hooks.
 
 Nothing below a finalized block's round can be voted on, certified or
 finalized again, so each finalization drops the engine's per-round books
@@ -166,6 +170,7 @@ class BlockNode:
     round: int
     parent: bytes
     payload: Any
+    seen: int = 0  # the tree's clock when the block entered it
 
 
 def _drop_front(book: dict, stale: Callable[[Any, Any], bool]) -> list:
@@ -190,6 +195,7 @@ class BlockTree:
     certified: dict[bytes, QuorumCertificate] = field(default_factory=dict)
     # digest -> round of each added node not yet below a pruning floor
     recent: dict[bytes, int] = field(default_factory=dict)
+    now: Callable[[], int] = lambda: 0  # the host's clock, stamped on each added node
 
     def __post_init__(self):
         if GENESIS_DIGEST not in self.nodes:
@@ -201,9 +207,7 @@ class BlockTree:
     def add(self, digest: bytes, round_number: int, parent: bytes, payload: Any) -> None:
         if digest in self.nodes:
             return
-        self.nodes[digest] = BlockNode(
-            digest=digest, round=round_number, parent=parent, payload=payload
-        )
+        self.nodes[digest] = BlockNode(digest, round_number, parent, payload, self.now())
         self.recent[digest] = round_number
 
     def prune(self, floor: int, finalized: set[bytes], keep_finalized: bool) -> None:
@@ -238,9 +242,9 @@ EvidenceFn = Callable[[EquivocationEvidence], None]
 class ConsensusEngine:
     """One instance per node per consensus group; reactive, single-threaded.
 
-    The host wires `broadcast`, `send`, and `set_timer` to its transport and
-    calls `start`, `on_proposal`, `on_vote`, `on_new_round`, and
-    `on_local_timeout` as events arrive.
+    The host wires `broadcast`, `send` and `set_timer` to its transport and
+    `now` to its clock, and calls `start`, `on_proposal`, `on_vote`,
+    `on_new_round` and `on_local_timeout` as events arrive.
 
     Of the finalized chain the engine reads only the newest block; with
     `keep_finalized` false it forgets the older ones, as collectors do. A
@@ -262,6 +266,7 @@ class ConsensusEngine:
         on_finalize: FinalizeFn,
         on_evidence: Optional[EvidenceFn] = None,
         keep_finalized: bool = True,
+        now: Callable[[], int] = lambda: 0,
     ):
         self.keypair = keypair
         self.table = schedule.table
@@ -278,7 +283,7 @@ class ConsensusEngine:
         self.on_evidence = on_evidence or (lambda ev: None)
         self.keep_finalized = keep_finalized
 
-        self.tree = BlockTree()
+        self.tree = BlockTree(now=now)
         self.current_round = 1
         self.last_voted_round = 0
         self.locked_round = 0
@@ -329,8 +334,8 @@ class ConsensusEngine:
             self._finalize_from(qc.payload_digest)
 
     def _finalize_from(self, d3: bytes) -> None:
-        """Incremental 3-chain rule: a fresh certification of b3 finalizes the
-        parent of b1 when b1 <- b2 <- b3 are certified with consecutive rounds."""
+        """A fresh certification of b3 finalizes b1, with its unfinalized
+        ancestors, when b1 <- b2 <- b3 are certified in consecutive rounds."""
         b3 = self.tree.nodes[d3]
         b2 = self.tree.nodes.get(b3.parent)
         if b2 is None or b2.digest not in self.tree.certified or b3.round != b2.round + 1:
@@ -339,10 +344,9 @@ class ConsensusEngine:
         if b1 is None or b1.digest not in self.tree.certified or b2.round != b1.round + 1:
             return
         chain = []
-        cur = b1.parent
+        cur = b1.digest
         while (
-            cur
-            and cur != GENESIS_DIGEST
+            cur != GENESIS_DIGEST
             and cur not in self.finalized_set
             and cur in self.tree.nodes
         ):
@@ -356,10 +360,10 @@ class ConsensusEngine:
 
     def _prune(self, floor: int) -> None:
         """Drop the books of the rounds below `floor`, the round of the block
-        just finalized. The lock and the high QC are above it already (the
-        3-chain that finalized the block was certified and locked here), so
-        a vote, certificate or proposal of such a round could change
-        nothing but the books; the guards on `floor` keep them out."""
+        just finalized. The lock and the high QC are at or above it already
+        (the 3-chain that finalized the block was certified and locked
+        here), so a vote, certificate or proposal of such a round could
+        change nothing but the books; the guards on `floor` keep them out."""
         self.floor = floor
         _drop_front(self._votes, lambda key, bucket: key[0] < floor)
         _drop_front(self._proposal_seen, lambda key, proposal: key[1] < floor)

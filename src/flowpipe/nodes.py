@@ -258,6 +258,7 @@ class Node:
             broadcast=lambda msg: self.send_all(peers, msg),
             send=lambda key, msg: self.sim.send(self.name, self.d.name_of[key], msg),
             set_timer=self._engine_timer,
+            now=lambda: self.sim.now,
             **wiring,
         )
         self.handlers.update(
@@ -486,10 +487,8 @@ class ConsensusNode(Node):
         self.mcc_responses: dict[bytes, dict[bytes, tuple]] = {}
         self.adjudicated_ids: set[bytes] = set()
         self.finalized_heights: dict[int, bytes] = {}
-        # block hash -> tick first validated, until the block is finalized or
-        # leaves the engine's tree unfinalized
-        self.first_seen: dict[bytes, int] = {}
-        self.finalization_latencies: list[int] = []  # ticks from first_seen, in finality order
+        # ticks from entering the engine's tree to finality, in finality order
+        self.finalization_latencies: list[int] = []
         self.recorded_fcc: dict[bytes, list[SlashingChallenge]] = {}  # by result, chain order
 
         self.attach_engine(
@@ -646,7 +645,6 @@ class ConsensusNode(Node):
     def _validate_payload(self, payload, parent_digest: bytes) -> bool:
         if not isinstance(payload, ProtoBlock):
             return False
-        self.first_seen.setdefault(payload.hash(), self.sim.now)
         ctx = self._ctx_for(parent_digest)
         if ctx is None:
             return False
@@ -662,15 +660,10 @@ class ConsensusNode(Node):
     def _on_finalize(self, node):
         pb: ProtoBlock = node.payload
         digest = pb.hash()
-        stamp = self.first_seen.pop(digest, None)
         ctx = self._ctx_for(digest)
         if ctx is None:
             return
-        if stamp is not None:
-            self.finalization_latencies.append(self.sim.now - stamp)
-        # a block pruned from the tree unfinalized is never finalized
-        for d in [d for d in self.first_seen if d not in self.engine.tree.nodes]:
-            del self.first_seen[d]
+        self.finalization_latencies.append(self.sim.now - node.seen)
         self.finalized_heights[pb.height] = digest
         self.sim.event(
             self.name,

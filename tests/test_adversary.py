@@ -80,15 +80,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "29432edb211ac145f55200bfd34e1b7894a04b92ff10b98e76b67ee701664fed",
+        "29423bcc2080d5e43e1b52f97c3c01da148d11c7c3b633c128ca07d9946ab364",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "b693800e60f3d4fb9b4409501da6eec7b392e9406dc63ff81df84a80ddc41dde",
+        "1b46de41b5f44f66932a720c643a1e54955c08d26b0fb3b438bf175397b1b3ac",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "c42a1cb73abd6485e81303de06036a8c1708dbccd3699f2bdfd249f906900ea1",
+        "223bb464b614d7fe2616fdd725e5a18bcf36d0e4fd6097f13c31c48e79c8173f",
     ),
 }
 
@@ -96,39 +96,39 @@ CASES = {
 METRICS = {
     "non_responsive": (
         [
-            ("blocks_finalized", 21),
-            ("blocks_sealed", 14),
-            ("collections_guaranteed", 11),
+            ("blocks_finalized", 22),
+            ("blocks_sealed", 16),
+            ("collections_guaranteed", 10),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 605.952380952381),
-            ("max_finalization_latency", 2112),
+            ("mean_finalization_latency", 426.59090909090907),
+            ("max_finalization_latency", 2087),
         ],
-        "2d68c19ab3e1406340841e3282b53139c11a756d5fe79a80782222ded258b4dd",
+        "9a186730524529e4d7775d197c144303eb54d2c432611db9c7429bb6819235d3",
     ),
     "stale_vote": (
         [
             ("blocks_finalized", 88),
-            ("blocks_sealed", 82),
+            ("blocks_sealed", 83),
             ("collections_guaranteed", 13),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 260.03409090909093),
-            ("max_finalization_latency", 322),
+            ("mean_finalization_latency", 198.375),
+            ("max_finalization_latency", 286),
         ],
-        "f234cb8780d0999813767955b7bf9f350758bc8d5e0db787fc5fe6f1a4ff5acd",
+        "878d7bd30b3cf31766771188145d4afca537f3ff3a04dae2c278ce853a6cb79d",
     ),
     "faulty_execution_target_chunk": (
         [
             ("blocks_finalized", 112),
-            ("blocks_sealed", 105),
+            ("blocks_sealed", 107),
             ("collections_guaranteed", 14),
             ("challenges", 1),
             ("slashes", 1),
-            ("mean_finalization_latency", 206.67857142857142),
-            ("max_finalization_latency", 265),
+            ("mean_finalization_latency", 156.47321428571428),
+            ("max_finalization_latency", 216),
         ],
-        "bd6a1680e777042298bde7f7b06d365ec9040af824c6ffbdf75b4803709d743c",
+        "892b7218949a20aad2abee1d8ca2e8e9b31c4f5f7f97fe47dcfb412cfbb45f2c",
     ),
 }
 
@@ -211,7 +211,7 @@ def test_answered_mcc_dismissed():
     assert len(log.select("mcc_raised")) == 14
     assert [r["payload"]["outcome"] for r in log.select("adjudication")] == ["dismissed"] * 49
     assert world.metrics.slashes == 0
-    assert world.metrics.blocks_sealed == 144
+    assert world.metrics.blocks_sealed == 141
     assert not log.select("attestation")
     assert forwarded == {node.name for node in world.executors}
     assert all(not node.skipped for node in world.executors)

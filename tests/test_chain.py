@@ -351,7 +351,8 @@ class TestProposals:
         it, makes no payload and proposes nothing. Once the block arrives it
         proposes on it in the same round, and every other consensus node
         validates and accepts that proposal. On happy-path this happens to
-        n1 in round 27 at tick 1,347, and twice more by tick 6,000."""
+        n0 in round 145 at tick 7,507, and seven more times in the run's
+        30,000 ticks."""
         waits, made, verdicts = [], {}, []
         make_payload, validate_payload = ConsensusNode._make_payload, ConsensusNode._validate_payload
 
@@ -374,8 +375,8 @@ class TestProposals:
         monkeypatch.setattr(ConsensusNode, "_make_payload", spy_make)
         monkeypatch.setattr(ConsensusNode, "_validate_payload", spy_validate)
         world = started_world("happy-path")
-        world.sim.run(until=6000)
-        assert len(waits) >= 2
+        world.sim.run(until=30_000)
+        assert len(waits) >= 8
         for name, round_number, parent in waits:
             pb = made[(name, round_number, parent)]
             assert pb.previous_block_hash == parent

@@ -4,6 +4,8 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from flowpipe import crypto
 from flowpipe.encoding import canonical_json
@@ -212,39 +214,37 @@ class TestQcValidity:
 
 
 def finality_check(tree: BlockTree) -> list[bytes]:
-    """Oracle for the 3-chain rule: a full scan of the tree. Digests
-    finalized in chain order from genesis.
+    """Oracle for the commit rule of HotStuff (Yin et al., PODC 2019) and
+    LibraBFT: a full scan of the tree, not the engine's incremental walk.
+    Digests finalized, in chain order from genesis.
 
-    A node is finalized when certified descendants b1 <- b2 <- b3 with
-    consecutive rounds sit directly above it; finality extends to every
-    ancestor. The engine applies the same rule incrementally
-    (`ConsensusEngine._finalize_from`)."""
+    A block b is committed when b <- b' <- b'' are certified with
+    consecutive rounds, b' a child of b and b'' a child of b'; its
+    ancestors are committed with it."""
     children: dict[bytes, list] = {}
     for n in tree.nodes.values():
-        if n.parent:
-            children.setdefault(n.parent, []).append(n)
-    finalized_heads = []
-    for node in tree.nodes.values():
-        for b1 in children.get(node.digest, []):
-            if b1.digest not in tree.certified:
-                continue
-            for b2 in children.get(b1.digest, []):
-                if b2.digest not in tree.certified or b2.round != b1.round + 1:
-                    continue
-                for b3 in children.get(b2.digest, []):
-                    if b3.digest in tree.certified and b3.round == b2.round + 1:
-                        finalized_heads.append(node.digest)
-    # expand to ancestor closure, emit in chain order
-    finalized: set[bytes] = set()
-    for head in finalized_heads:
-        cur = head
-        while cur and cur not in finalized and cur in tree.nodes:
-            finalized.add(cur)
+        children.setdefault(n.parent, []).append(n)
+
+    def certified_successors(b):
+        return [
+            c for c in children.get(b.digest, [])
+            if c.digest in tree.certified and c.round == b.round + 1
+        ]
+
+    committed: set[bytes] = set()
+    for b in tree.nodes.values():
+        if b.digest not in tree.certified:
+            continue
+        if not any(certified_successors(b1) for b1 in certified_successors(b)):
+            continue
+        cur = b.digest
+        while cur in tree.nodes and cur not in committed:
+            committed.add(cur)
             cur = tree.nodes[cur].parent
     depth: dict[bytes, int] = {}
     for n in tree.nodes.values():  # a node is added only after its parent
         depth[n.digest] = depth.get(n.parent, -1) + 1
-    return sorted(finalized, key=depth.__getitem__)
+    return sorted(committed, key=depth.__getitem__)
 
 
 def chain_tree(rounds):
@@ -263,32 +263,32 @@ def chain_tree(rounds):
 
 class TestFinalityRule:
     def test_three_consecutive_on_top_finalizes(self):
-        tree, d = chain_tree([1, 2, 3, 4])
+        tree, d = chain_tree([1, 2, 3])
         final = finality_check(tree)
         assert d[0] in final and GENESIS_DIGEST in final
         assert d[1] not in final
 
     def test_two_on_top_insufficient(self):
-        tree, d = chain_tree([1, 2, 3])
+        tree, d = chain_tree([1, 2])
         assert d[0] not in finality_check(tree)
 
     def test_round_gap_blocks_finality(self):
         tree, d = chain_tree([1, 2, 4, 5])
-        assert d[0] not in finality_check(tree)
+        assert finality_check(tree) == [GENESIS_DIGEST]  # genesis <- 1 <- 2 is the only 3-chain
         tree2, d2 = chain_tree([1, 3, 4, 5])
-        # gap sits below the 3-chain: b1 still finalizes
-        assert d2[0] in finality_check(tree2)
+        # the gap sits below the 3-chain: its head and every ancestor finalize
+        assert finality_check(tree2) == [GENESIS_DIGEST, d2[0], d2[1]]
 
     def test_uncertified_descendant_does_not_count(self):
-        tree, d = chain_tree([1, 2, 3])
+        tree, d = chain_tree([1, 2])
         extra = crypto.hash("blk", b"x")
-        tree.add(extra, 4, d[-1], None)  # never certified
+        tree.add(extra, 3, d[-1], None)  # never certified
         assert d[0] not in finality_check(tree)
 
     def test_chain_order(self):
         tree, d = chain_tree([1, 2, 3, 4, 5, 6])
         final = finality_check(tree)
-        assert final == [GENESIS_DIGEST, d[0], d[1], d[2]]
+        assert final == [GENESIS_DIGEST, d[0], d[1], d[2], d[3]]
 
 
 class Harness:
@@ -362,6 +362,29 @@ class Harness:
         for s in seqs:
             assert s == longest[: len(s)]
 
+    def live(self) -> dict[str, ConsensusEngine]:
+        return {n: e for n, e in self.engines.items() if n not in self.silent}
+
+    def check_each_finalization(self):
+        """From now on, every block a live engine finalizes must be final
+        under `finality_check` of its tree, and its lock at or above the
+        block's round, which becomes the engine's floor."""
+        for eng in self.live().values():
+
+            def checked(node, eng=eng, record=eng.on_finalize):
+                assert node.digest in finality_check(eng.tree)  # never ahead of the rule
+                assert eng.locked_round >= node.round
+                record(node)
+
+            eng.on_finalize = checked
+
+    def assert_matches_oracle(self):
+        """Each live engine finalized exactly what the rule finalizes in its
+        tree, in chain order, and its lock is at or above its floor."""
+        for name, eng in self.live().items():
+            assert self.finalized[name] == finality_check(eng.tree)[1:], name  # never behind it
+            assert eng.locked_round >= eng.floor, name
+
 
 class TestEngineIntegration:
     def test_happy_path_finalizes(self):
@@ -399,21 +422,14 @@ class TestEngineIntegration:
     @pytest.mark.parametrize("silent", [set(), {"n3"}], ids=["all-honest", "silent-minority"])
     def test_engine_finality_matches_oracle(self, silent):
         h = Harness([1] * 4, silent=silent)
-        live = {n: e for n, e in h.engines.items() if n not in h.silent}
-        for eng in live.values():
-
-            def checked(node, eng=eng, record=eng.on_finalize):
-                assert node.digest in finality_check(eng.tree)  # never ahead of the rule
-                record(node)
-
-            eng.on_finalize = checked
+        h.check_each_finalization()
         h.run(until=5_000)
-        for name, eng in live.items():
+        for name, eng in h.live().items():
             rounds = {n.round for n in eng.tree.nodes.values()}
             if silent:  # a silent leader's rounds pass by timeout and leave no block
                 assert set(range(1, max(rounds))) - rounds
             assert h.finalized[name], name
-            assert h.finalized[name] == finality_check(eng.tree)[1:]  # never behind it
+        h.assert_matches_oracle()
 
 
 class EquivocatingEngine(ConsensusEngine):
@@ -438,6 +454,31 @@ class TestEquivocation:
             assert ev.first.payload_digest != ev.second.payload_digest
             assert ev.first.round == ev.second.round
         h.assert_prefix_consistent()
+
+
+class TestSafetyUnderFaults:
+    """Seven equal stakes tolerate two faults: here up to one silent node
+    and one equivocating leader, over network seeds. Every live engine's
+    finality agrees with the others' and with the oracle, at every
+    finalization and at the end, and the honest ones finalize. (The
+    equivocator never processes its own twins, so it may stall behind
+    them.)"""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=hs.binary(min_size=32, max_size=32),
+        silent=hs.sampled_from([None, 1, 4, 6]),
+        equivocator=hs.sampled_from([None, 0, 3]),
+    )
+    def test_prefix_consistent_and_matches_oracle(self, seed, silent, equivocator):
+        h = Harness([1] * 7, silent={f"n{silent}"} if silent is not None else (), seed=seed)
+        if equivocator is not None:
+            h._wire(equivocator, engine_cls=EquivocatingEngine)
+        h.check_each_finalization()
+        h.run(until=4_000)
+        assert all(h.finalized[name] for name in h.live() if name != f"n{equivocator}")
+        h.assert_prefix_consistent()
+        h.assert_matches_oracle()
 
 
 class TestPacemaker:
@@ -617,15 +658,15 @@ class TestVotingRules:
         assert self.eng.last_voted_round == 1
 
     def test_rounds_below_the_floor_ignored(self):
-        """Once the block of round 4 is finalized, the books of rounds 1-3
-        are dropped, and so is a fork of round 3; a proposal, vote or
-        certificate of such a round is ignored, and the finalized blocks
-        stay in the tree."""
+        """Once the block of round 4 is finalized (rounds 4, 5 and 6 are
+        certified), the books of rounds 1-3 are dropped, and so is a fork of
+        round 3; a proposal, vote or certificate of such a round is ignored,
+        and the finalized blocks stay in the tree."""
         p1 = self.proposal(1, GENESIS_QC)
         p2 = self.proposal(2, self.qc(p1))
         fork = self.proposal(3, self.qc(p1), tag="fork")
         chain = [p1, p2]
-        for r in range(4, 9):
+        for r in range(4, 8):
             chain.append(self.proposal(r, self.qc(chain[-1])))
         for proposal in [p1, p2, fork] + chain[2:]:
             self.eng.on_proposal(proposal)
@@ -650,17 +691,23 @@ class TestVotingRules:
     @pytest.mark.parametrize("keep_finalized", [True, False], ids=["justify-kept", "justify-dropped"])
     def test_proposal_justified_below_the_floor_ignored(self, keep_finalized):
         """A proposal of a live round whose justify certifies a block below
-        the floor could get no vote, since the lock is above the floor. It
-        changes nothing, whether the tree still holds the justify's block
-        (a finalized block an engine keeps) or has dropped it."""
+        the floor could get no vote, since the lock is at or above the floor.
+        It changes nothing, whether the tree still holds the justify's block
+        (a finalized block an engine keeps) or has dropped it. Here the
+        certificate of round 6 arrives in a NewRound before any proposal
+        justified by it, so the block of round 4 is finalized while the lock
+        is still on round 4."""
         eng = make_engine(self.kps, self.table, self.sent, keep_finalized=keep_finalized)
         self.eng = eng
         chain = [self.proposal(1, GENESIS_QC)]
-        for r in range(2, 9):
+        for r in range(2, 7):
             chain.append(self.proposal(r, self.qc(chain[-1])))
         for proposal in chain:
             eng.on_proposal(proposal)
-        assert eng.floor == 4 and eng.locked_round > eng.floor
+        assert (eng.floor, eng.locked_round) == (3, 4)
+        other = next(kp for kp in self.kps if kp.public != eng.keypair.public)
+        eng.on_new_round(NewRound(7, self.qc(chain[-1]), other.public))
+        assert eng.floor == eng.locked_round == 4
         stale_parent = chain[1]  # finalized, round 2
         assert (stale_parent.payload_digest in eng.tree.nodes) == keep_finalized
 

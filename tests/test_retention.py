@@ -62,7 +62,6 @@ def retained(world) -> dict[str, int]:
         note("ConsensusNode.approvals", len(node.approvals))
         note("ConsensusNode.results", len(node.results))
         note("ConsensusNode.results_by_prev", len(node.results_by_prev))
-        note("ConsensusNode.first_seen", len(node.first_seen))
         note("ConsensusNode.pending_collections", len(node.pending_collections))
     for node in world.executors:
         note("ExecutionNode.blocks", len(node.blocks))
@@ -82,7 +81,7 @@ def happy_path(max_sim_time: int):
 
 def assert_bounded(world) -> None:
     sizes = retained(world)
-    assert len(sizes) == 16
+    assert len(sizes) == 15
     over = {name: size for name, size in sizes.items() if size > BOUND}
     assert not over, over
 
