@@ -1,18 +1,29 @@
 """Stake-weighted round-based BFT consensus with deterministic finality.
 
-Chained HotStuff, one generic phase per round: a block b1 is finalized,
-with its ancestors, once b1 <- b2 <- b3 are certified in consecutive rounds.
-Safe because a voter locks on the grandparent of the block it votes for and
-votes only on a justify at or above its lock: b3's honest voters locked on
-b1, and a later certificate shares one of them, so by induction on the round
-it justifies b1 or a descendant; one vote per round certifies nothing else
-in the rounds of b2 and b3. Hence `locked_round >= floor`. The same engine
-drives collector-cluster and main-chain consensus via payload hooks.
+Chained HotStuff, one generic phase per round, with the 2-chain commit of
+DiemBFT v4 / Jolteon (Gelashvili et al., arXiv 2106.10362): a block b1 is
+finalized, with its ancestors, once b1 <- b2 are certified in consecutive
+rounds. A voter locks on the round of the justify of each proposal it
+accepts and votes only on a justify at or above its lock. Safe because b2's
+honest voters locked at b1's round: a later certificate shares one of them,
+so by induction on the round it justifies b1, b2 or a descendant of b1; one
+vote per round certifies nothing else in the rounds of b1 and b2. Every
+block in the tree entered through a proposal whose justify was locked on,
+so a node that sees b2 certified has its lock at b1's round or above: hence
+`locked_round >= floor`. The same engine drives collector-cluster and
+main-chain consensus via payload hooks.
+
+A node that misses a block parks the proposals built on it and fetches the
+missing chain from the proposer of the one parked (a `BlockRequest`,
+repeated at each local timeout while an orphan stays parked), after the
+block retrieval of LibraBFT. Each fetched proposal is replayed through
+`on_proposal`, so it passes every check a broadcast one does.
 
 Nothing below a finalized block's round can be voted on, certified or
 finalized again, so each finalization drops the engine's per-round books
 below that round; of those rounds only the finalized chain stays in the
-tree, and only while the host keeps it (`keep_finalized`).
+tree, and only while the host keeps it (`keep_finalized`). The proposals a
+node answers fetches from are kept `RETRIEVAL_WINDOW` rounds longer.
 """
 
 from __future__ import annotations
@@ -26,6 +37,10 @@ from .encoding import canonical_json, hexify, once, once_for
 from .state import StakeTable, Tally
 
 GENESIS_DIGEST = crypto.hash("consensus-genesis", b"")
+# rounds below the floor whose proposals a node keeps to answer fetches: a
+# block finalizes one round after it is certified, often before a node that
+# missed it has asked for it
+RETRIEVAL_WINDOW = 8
 
 
 def leader_for_round(round_number: int, table: StakeTable, seed: bytes) -> bytes:
@@ -155,6 +170,19 @@ class NewRound:
 
 
 @dataclass(frozen=True)
+class BlockRequest:
+    """Ask for the chain that ends at `digest`, down to the asker's floor."""
+
+    digest: bytes
+    floor: int
+
+
+@dataclass(frozen=True)
+class BlockResponse:
+    proposals: tuple[Proposal, ...]  # oldest first
+
+
+@dataclass(frozen=True)
 class EquivocationEvidence:
     """Two signed proposals by one leader for the same round — full proof."""
 
@@ -244,7 +272,8 @@ class ConsensusEngine:
 
     The host wires `broadcast`, `send` and `set_timer` to its transport and
     `now` to its clock, and calls `start`, `on_proposal`, `on_vote`,
-    `on_new_round` and `on_local_timeout` as events arrive.
+    `on_new_round`, `on_block_request`, `on_block_response` and
+    `on_local_timeout` as events arrive.
 
     Of the finalized chain the engine reads only the newest block; with
     `keep_finalized` false it forgets the older ones, as collectors do. A
@@ -299,6 +328,10 @@ class ConsensusEngine:
         self._proposal_seen: dict[tuple[bytes, int], Proposal] = {}
         self._proposed_round = 0  # the last round proposed in; rounds only grow
         self._evidence_emitted: set[tuple[bytes, int]] = set()
+        # digest -> the proposal that brought the block into the tree, kept
+        # `RETRIEVAL_WINDOW` rounds below the floor to answer fetches from
+        self._proposals: dict[bytes, Proposal] = {}
+        self._answered: dict[bytes, int] = {}  # member -> round of its last fetch answered
 
     # -- helpers ----------------------------------------------------------
 
@@ -333,13 +366,11 @@ class ConsensusEngine:
         if self.tree.certify(qc):
             self._finalize_from(qc.payload_digest)
 
-    def _finalize_from(self, d3: bytes) -> None:
-        """A fresh certification of b3 finalizes b1, with its unfinalized
-        ancestors, when b1 <- b2 <- b3 are certified in consecutive rounds."""
-        b3 = self.tree.nodes[d3]
-        b2 = self.tree.nodes.get(b3.parent)
-        if b2 is None or b2.digest not in self.tree.certified or b3.round != b2.round + 1:
-            return
+    def _finalize_from(self, d2: bytes) -> None:
+        """A fresh certification of b2 finalizes its parent b1, with b1's
+        unfinalized ancestors, when b1 <- b2 are certified in consecutive
+        rounds."""
+        b2 = self.tree.nodes[d2]
         b1 = self.tree.nodes.get(b2.parent)
         if b1 is None or b1.digest not in self.tree.certified or b2.round != b1.round + 1:
             return
@@ -361,14 +392,17 @@ class ConsensusEngine:
     def _prune(self, floor: int) -> None:
         """Drop the books of the rounds below `floor`, the round of the block
         just finalized. The lock and the high QC are at or above it already
-        (the 3-chain that finalized the block was certified and locked
-        here), so a vote, certificate or proposal of such a round could
-        change nothing but the books; the guards on `floor` keep them out."""
+        (the child that certified the block entered the tree here through a
+        proposal justified by the block, which this node locked on), so a
+        vote, certificate or proposal of such a round could change nothing
+        but the books; the guards on `floor` keep them out. The proposals
+        kept for fetches go `RETRIEVAL_WINDOW` rounds later."""
         self.floor = floor
         _drop_front(self._votes, lambda key, bucket: key[0] < floor)
         _drop_front(self._proposal_seen, lambda key, proposal: key[1] < floor)
         _drop_front(self._pending_qcs, lambda digest, qc: qc.round < floor)
         _drop_front(self._orphans, lambda digest, parked: parked[0].justify.round < floor)
+        _drop_front(self._proposals, lambda digest, p: p.round < floor - RETRIEVAL_WINDOW)
         self._evidence_emitted = {key for key in self._evidence_emitted if key[1] >= floor}
         self.tree.prune(floor, self.finalized_set, self.keep_finalized)
 
@@ -421,20 +455,21 @@ class ConsensusEngine:
         if justify.round < self.floor or not justify.valid_for(self.table):
             return
         if justify.payload_digest not in self.tree.nodes:
-            # out-of-order arrival: park until the parent shows up
-            self._orphans.setdefault(justify.payload_digest, []).append(proposal)
+            # out-of-order arrival or a missed block: park until the parent
+            # shows up, and fetch it
+            parked = self._orphans.setdefault(justify.payload_digest, [])
+            if proposal not in parked:
+                parked.append(proposal)
+                self._fetch(proposal)
             return
         self._certify(justify)
         self._update_high_qc(justify)
-        # two-chain lock: the grandparent's certifying round
-        parent_node = self.tree.nodes[justify.payload_digest]
-        grand_qc = self.tree.certified.get(parent_node.parent)
-        if grand_qc is not None:
-            self.locked_round = max(self.locked_round, grand_qc.round)
+        self.locked_round = max(self.locked_round, justify.round)  # one-chain lock
 
         self.tree.add(
             proposal.payload_digest, proposal.round, justify.payload_digest, proposal.payload
         )
+        self._proposals.setdefault(proposal.payload_digest, proposal)
         pending = self._pending_qcs.pop(proposal.payload_digest, None)
         if pending is not None:
             self._certify(pending)
@@ -493,9 +528,34 @@ class ConsensusEngine:
         if msg.round == self.current_round and self.is_leader(msg.round):
             self._propose()
 
+    def _fetch(self, orphan: Proposal) -> None:
+        """Ask the orphan's proposer for the chain it extends."""
+        if orphan.proposer != self.keypair.public:
+            self.send(orphan.proposer, BlockRequest(orphan.justify.payload_digest, self.floor))
+
+    def on_block_request(self, requester: bytes, msg: BlockRequest) -> None:
+        """Send a member the kept proposals of the chain ending at
+        `msg.digest`, down to its floor; once per member per round."""
+        if requester not in self.table.keys or self._answered.get(requester) == self.current_round:
+            return
+        self._answered[requester] = self.current_round
+        chain = []
+        proposal = self._proposals.get(msg.digest)
+        while proposal is not None and proposal.round > msg.floor:
+            chain.append(proposal)
+            proposal = self._proposals.get(proposal.justify.payload_digest)
+        if chain:
+            self.send(requester, BlockResponse(tuple(reversed(chain))))
+
+    def on_block_response(self, msg: BlockResponse) -> None:
+        for proposal in msg.proposals:
+            self.on_proposal(proposal)
+
     def on_local_timeout(self, round_number: int) -> None:
         if round_number != self.current_round:
             return  # stale timer
+        if self._orphans:  # still missing a block: ask again
+            self._fetch(next(reversed(self._orphans.values()))[-1])
         self.timeout *= 2
         nxt = self.current_round + 1
         self.current_round = nxt

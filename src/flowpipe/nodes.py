@@ -54,6 +54,8 @@ from .execution import (
 )
 from .hotstuff import (
     GENESIS_DIGEST,
+    BlockRequest,
+    BlockResponse,
     ConsensusEngine,
     LeaderSchedule,
     NewRound,
@@ -266,6 +268,8 @@ class Node:
                 Proposal: lambda sender, msg: engine.on_proposal(msg),
                 Vote: lambda sender, msg: engine.on_vote(msg),
                 NewRound: lambda sender, msg: engine.on_new_round(msg),
+                BlockRequest: lambda sender, msg: engine.on_block_request(self.d.key_of[sender], msg),
+                BlockResponse: lambda sender, msg: engine.on_block_response(msg),
             }
         )
 

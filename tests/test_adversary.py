@@ -80,15 +80,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "29423bcc2080d5e43e1b52f97c3c01da148d11c7c3b633c128ca07d9946ab364",
+        "ad0ad1d21423b9bbdfada4864e755cd70687bef9c4b64e516e449c7472921954",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "1b46de41b5f44f66932a720c643a1e54955c08d26b0fb3b438bf175397b1b3ac",
+        "7acc9ced7f4f92e089d8d31ad5ef4bbec78172b3ceb3d2b5452f62fc1a8ac4f1",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "223bb464b614d7fe2616fdd725e5a18bcf36d0e4fd6097f13c31c48e79c8173f",
+        "69b7cda686730ac2adcb54d5409e46f0946e7aaa6748585f5b725ed79a3ec9b2",
     ),
 }
 
@@ -96,39 +96,39 @@ CASES = {
 METRICS = {
     "non_responsive": (
         [
-            ("blocks_finalized", 22),
-            ("blocks_sealed", 16),
-            ("collections_guaranteed", 10),
+            ("blocks_finalized", 25),
+            ("blocks_sealed", 23),
+            ("collections_guaranteed", 11),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 426.59090909090907),
-            ("max_finalization_latency", 2087),
+            ("mean_finalization_latency", 258.0),
+            ("max_finalization_latency", 1944),
         ],
-        "9a186730524529e4d7775d197c144303eb54d2c432611db9c7429bb6819235d3",
+        "92ac6eeb76a372e3a07b5af5c67d464a00f87ca1907b809be738e696ace64f75",
     ),
     "stale_vote": (
         [
             ("blocks_finalized", 88),
-            ("blocks_sealed", 83),
-            ("collections_guaranteed", 13),
+            ("blocks_sealed", 85),
+            ("collections_guaranteed", 14),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 198.375),
-            ("max_finalization_latency", 286),
+            ("mean_finalization_latency", 132.38636363636363),
+            ("max_finalization_latency", 220),
         ],
-        "878d7bd30b3cf31766771188145d4afca537f3ff3a04dae2c278ce853a6cb79d",
+        "8946f3dabd104a854fa7f6a7173026cd5c6bf56ef839afeb475c2d36a570f88d",
     ),
     "faulty_execution_target_chunk": (
         [
-            ("blocks_finalized", 112),
-            ("blocks_sealed", 107),
-            ("collections_guaranteed", 14),
+            ("blocks_finalized", 113),
+            ("blocks_sealed", 108),
+            ("collections_guaranteed", 15),
             ("challenges", 1),
             ("slashes", 1),
-            ("mean_finalization_latency", 156.47321428571428),
-            ("max_finalization_latency", 216),
+            ("mean_finalization_latency", 104.38053097345133),
+            ("max_finalization_latency", 172),
         ],
-        "892b7218949a20aad2abee1d8ca2e8e9b31c4f5f7f97fe47dcfb412cfbb45f2c",
+        "703e1e99404348081d824dc9ef8409d1b1aa864d088c115079c27b5c508ea37b",
     ),
 }
 
@@ -211,7 +211,7 @@ def test_answered_mcc_dismissed():
     assert len(log.select("mcc_raised")) == 14
     assert [r["payload"]["outcome"] for r in log.select("adjudication")] == ["dismissed"] * 49
     assert world.metrics.slashes == 0
-    assert world.metrics.blocks_sealed == 141
+    assert world.metrics.blocks_sealed == 148
     assert not log.select("attestation")
     assert forwarded == {node.name for node in world.executors}
     assert all(not node.skipped for node in world.executors)

@@ -391,3 +391,39 @@ class TestProposals:
         run_world(world)
         reasons = {r["payload"]["reason"] for r in world.sim.log.select("proposal_rejected")}
         assert "condition-2:chain-extension" not in reasons
+
+
+class TestCatchUp:
+    def test_node_that_missed_a_proposal_fetches_it(self):
+        """Happy-path to 8,000 ticks with only n2's copy of the round-10
+        proposal dropped. Without block retrieval n2 parked every later
+        proposal behind the missing block: it finalized 6 blocks and held 67
+        orphans, while the others finalized 72. Fetching the block from the
+        proposer of the first orphan, n2 keeps up with the best node, and
+        every orphan an engine holds at a finalization is gone by the next
+        one."""
+        world = started_world("happy-path")
+        consensus = {node.name for node in world.consensus}
+        send = world.sim.send
+
+        def lossy(sender, receiver, msg):
+            dropped = receiver == "n2" and sender in consensus and isinstance(msg, Proposal)
+            if not (dropped and msg.round == 10):
+                send(sender, receiver, msg)
+
+        world.sim.send = lossy
+        for node in world.consensus:
+            engine, parked = node.engine, {}
+
+            def checked_prune(floor, engine=engine, prune=engine._prune, parked=parked):
+                now = {id(p): p for ps in engine._orphans.values() for p in ps}
+                assert not parked.keys() & now.keys(), "an orphan outlived a finalization"
+                parked.clear()
+                parked.update(now)
+                prune(floor)
+
+            engine._prune = checked_prune
+        world.sim.run(until=8_000)
+        finalized = {node.name: len(node.engine.finalized_set) for node in world.consensus}
+        assert finalized["n2"] >= 0.9 * max(finalized.values()), finalized
+        assert max(finalized.values()) > 72

@@ -355,13 +355,16 @@ class TestCollectorAppendClose:
 
 
 def test_idle_collections_close_in_their_first_append():
-    """happy-path at seed 1 closes at least 9 of its 12 collections in an
+    """happy-path at seed 1 closes at least 7 of its 12 collections in an
     append block that lists their first transaction, so none of those waits
-    for a close block of its own and its second 3-chain finalization, about
-    3 cluster rounds. (The append of a later round may list the transaction
+    for a close block of its own and its 2-chain finalization, about 2
+    cluster rounds. (The append of a later round may list the transaction
     again, because the pool is filtered by what is finalized, and close it.
-    The other three arrive less than `timespan_rounds` after the previous
-    close, so a close block closes them once the span has passed.)"""
+    The other five arrive less than `timespan_rounds` after the previous
+    close, so a close block closes them once the span has passed. Cluster
+    rounds run slower than under the 3-chain rule: members refuse 8 appends
+    that re-list a transaction they have finalized, against 4, and the
+    clusters time out 7 times, against 4.)"""
     doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
     doc["run"].update(seed=1, max_sim_time=8000)
     world = build_world(doc)
@@ -380,14 +383,14 @@ def test_idle_collections_close_in_their_first_append():
         collector.engine.on_finalize = on_finalize
     run_world(world)
     assert len(closed) == 12
-    assert len(in_append) >= 9
+    assert len(in_append) >= 7
 
 
 def test_busy_clusters_close_full_collections_in_their_append():
     """happy-path under ledger-load's load (100 transactions 20 ticks apart,
     6,000 ticks) keeps its clusters busy. A collection closes in the append
     block that brings it to the size threshold, so no `close` block closes a
-    full collection after a second 3-chain finalization; every collector of
+    full collection after a later finalization; every collector of
     a cluster closes the same collections in the same order. The log digest
     and metric rows are pinned."""
     doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
@@ -411,15 +414,15 @@ def test_busy_clusters_close_full_collections_in_their_append():
         stores = [list(c.store) for c in world.collectors if c.cluster_index == index]
         assert stores[0] and all(store == stores[0] for store in stores)
     digest = hashlib.sha256(world.sim.log.to_jsonl().encode()).hexdigest()
-    assert digest == "b668c167ff128c8911bf7ed0e1b03c12825f1ef35d19b2e04402312343779789"
+    assert digest == "618c2ad4646be82a183862a90075caa038860bfd2ee465630c5a20051ee0b3fd"
     assert world.metrics.rows() == [
-        ("blocks_finalized", 109),
-        ("blocks_sealed", 104),
-        ("collections_guaranteed", 24),
+        ("blocks_finalized", 110),
+        ("blocks_sealed", 106),
+        ("collections_guaranteed", 21),
         ("challenges", 0),
         ("slashes", 0),
-        ("mean_finalization_latency", 160.74311926605503),
-        ("max_finalization_latency", 228),
+        ("mean_finalization_latency", 107.51818181818182),
+        ("max_finalization_latency", 186),
     ]
 
 

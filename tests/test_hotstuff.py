@@ -4,7 +4,7 @@ import random
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from flowpipe import crypto
@@ -12,6 +12,9 @@ from flowpipe.encoding import canonical_json
 from flowpipe.hotstuff import (
     GENESIS_DIGEST,
     GENESIS_QC,
+    RETRIEVAL_WINDOW,
+    BlockRequest,
+    BlockResponse,
     BlockTree,
     ConsensusEngine,
     EquivocationEvidence,
@@ -214,28 +217,19 @@ class TestQcValidity:
 
 
 def finality_check(tree: BlockTree) -> list[bytes]:
-    """Oracle for the commit rule of HotStuff (Yin et al., PODC 2019) and
-    LibraBFT: a full scan of the tree, not the engine's incremental walk.
-    Digests finalized, in chain order from genesis.
+    """Oracle for the 2-chain commit rule of DiemBFT v4 / Jolteon
+    (Gelashvili et al., arXiv 2106.10362): a full scan of the tree, not the
+    engine's incremental walk. Digests finalized, in chain order from
+    genesis.
 
-    A block b is committed when b <- b' <- b'' are certified with
-    consecutive rounds, b' a child of b and b'' a child of b'; its
-    ancestors are committed with it."""
-    children: dict[bytes, list] = {}
-    for n in tree.nodes.values():
-        children.setdefault(n.parent, []).append(n)
-
-    def certified_successors(b):
-        return [
-            c for c in children.get(b.digest, [])
-            if c.digest in tree.certified and c.round == b.round + 1
-        ]
-
+    A block b is committed when b <- b' are certified with consecutive
+    rounds, b' a child of b; its ancestors are committed with it."""
     committed: set[bytes] = set()
-    for b in tree.nodes.values():
-        if b.digest not in tree.certified:
+    for child in tree.nodes.values():
+        b = tree.nodes.get(child.parent)
+        if b is None or child.digest not in tree.certified:
             continue
-        if not any(certified_successors(b1) for b1 in certified_successors(b)):
+        if b.digest not in tree.certified or child.round != b.round + 1:
             continue
         cur = b.digest
         while cur in tree.nodes and cur not in committed:
@@ -262,33 +256,33 @@ def chain_tree(rounds):
 
 
 class TestFinalityRule:
-    def test_three_consecutive_on_top_finalizes(self):
-        tree, d = chain_tree([1, 2, 3])
+    def test_two_consecutive_on_top_finalizes(self):
+        tree, d = chain_tree([1, 2])
         final = finality_check(tree)
         assert d[0] in final and GENESIS_DIGEST in final
         assert d[1] not in final
 
-    def test_two_on_top_insufficient(self):
-        tree, d = chain_tree([1, 2])
-        assert d[0] not in finality_check(tree)
+    def test_one_on_top_insufficient(self):
+        tree, d = chain_tree([1])
+        assert finality_check(tree) == [GENESIS_DIGEST]  # genesis <- 1 is a 2-chain
 
     def test_round_gap_blocks_finality(self):
-        tree, d = chain_tree([1, 2, 4, 5])
-        assert finality_check(tree) == [GENESIS_DIGEST]  # genesis <- 1 <- 2 is the only 3-chain
-        tree2, d2 = chain_tree([1, 3, 4, 5])
-        # the gap sits below the 3-chain: its head and every ancestor finalize
+        tree, d = chain_tree([1, 3, 5])
+        assert finality_check(tree) == [GENESIS_DIGEST]  # genesis <- 1 is the only 2-chain
+        tree2, d2 = chain_tree([1, 3, 4])
+        # the gap sits below the 2-chain: its head and every ancestor finalize
         assert finality_check(tree2) == [GENESIS_DIGEST, d2[0], d2[1]]
 
     def test_uncertified_descendant_does_not_count(self):
-        tree, d = chain_tree([1, 2])
+        tree, d = chain_tree([1])
         extra = crypto.hash("blk", b"x")
-        tree.add(extra, 3, d[-1], None)  # never certified
+        tree.add(extra, 2, d[-1], None)  # never certified
         assert d[0] not in finality_check(tree)
 
     def test_chain_order(self):
         tree, d = chain_tree([1, 2, 3, 4, 5, 6])
         final = finality_check(tree)
-        assert final == [GENESIS_DIGEST, d[0], d[1], d[2], d[3]]
+        assert final == [GENESIS_DIGEST, d[0], d[1], d[2], d[3], d[4]]
 
 
 class Harness:
@@ -302,6 +296,7 @@ class Harness:
         self.kps, self.table = make_members(stakes)
         self.schedule = LeaderSchedule(self.table, SEED)  # shared, as in a world
         self.names = {kp.public: f"n{i}" for i, kp in enumerate(self.kps)}
+        self.keys = {name: key for key, name in self.names.items()}
         self.engines: dict[str, ConsensusEngine] = {}
         self.finalized: dict[str, list[bytes]] = {f"n{i}": [] for i in range(len(stakes))}
         self.evidence: list[EquivocationEvidence] = []
@@ -324,6 +319,10 @@ class Harness:
                 eng.on_vote(msg)
             elif isinstance(msg, NewRound):
                 eng.on_new_round(msg)
+            elif isinstance(msg, BlockRequest):
+                eng.on_block_request(self.keys[sender], msg)
+            elif isinstance(msg, BlockResponse):
+                eng.on_block_response(msg)
 
         if name not in self.engines:  # a re-wired node keeps its handler
             self.sim.register_node(name, handler)
@@ -458,7 +457,8 @@ class TestEquivocation:
 
 class TestSafetyUnderFaults:
     """Seven equal stakes tolerate two faults: here up to one silent node
-    and one equivocating leader, over network seeds. Every live engine's
+    and one equivocating leader, over network seeds, while some nodes miss
+    some proposals and fetch the blocks they lack. Every live engine's
     finality agrees with the others' and with the oracle, at every
     finalization and at the end, and the honest ones finalize. (The
     equivocator never processes its own twins, so it may stall behind
@@ -469,11 +469,29 @@ class TestSafetyUnderFaults:
         seed=hs.binary(min_size=32, max_size=32),
         silent=hs.sampled_from([None, 1, 4, 6]),
         equivocator=hs.sampled_from([None, 0, 3]),
+        dropped=hs.frozensets(hs.tuples(hs.integers(0, 6), hs.integers(1, 40)), max_size=12),
     )
-    def test_prefix_consistent_and_matches_oracle(self, seed, silent, equivocator):
+    # n3 misses round 1 and leads round 2; by the time its first fetch is
+    # answered the block of round 1 is finalized: answered only from the
+    # floor up, it never gets that block and finalizes nothing
+    @example(
+        seed=bytes.fromhex("f51a496e9cdb189b4b1ed47e08185757d2f26b3a3f6d1af7bc40d445421171f7"),
+        silent=6,
+        equivocator=None,
+        dropped=frozenset({(3, 1)}),
+    )
+    def test_prefix_consistent_and_matches_oracle(self, seed, silent, equivocator, dropped):
         h = Harness([1] * 7, silent={f"n{silent}"} if silent is not None else (), seed=seed)
         if equivocator is not None:
             h._wire(equivocator, engine_cls=EquivocatingEngine)
+        send = h.sim.send
+
+        def lossy(sender, receiver, msg):
+            """Drop the copies of the drawn (receiver, round) proposals."""
+            if not (isinstance(msg, Proposal) and (int(receiver[1:]), msg.round) in dropped):
+                send(sender, receiver, msg)
+
+        h.sim.send = lossy
         h.check_each_finalization()
         h.run(until=4_000)
         assert all(h.finalized[name] for name in h.live() if name != f"n{equivocator}")
@@ -548,17 +566,20 @@ class TestVotingRules:
         assert self.eng.last_voted_round == 1
 
     def test_justify_below_lock_gets_no_vote(self):
+        """The lock is the round of the justify of the newest proposal
+        accepted: the parent's round, not the grandparent's."""
         p1 = self.proposal(1, GENESIS_QC)
         p2 = self.proposal(2, self.qc(p1))
         p3 = self.proposal(3, self.qc(p2))
         for p in (p1, p2, p3):
             self.eng.on_proposal(p)
-        assert self.eng.locked_round == 1 and self.eng.last_voted_round == 3
-        # a later round forks off genesis: its justify (round 0) is below the
-        # lock. Another member leads it and the next round, so the engine
-        # makes no proposal of its own there.
+        assert self.eng.locked_round == 2 and self.eng.last_voted_round == 3
+        # a later round forks off p1: its justify (round 1) is below the
+        # lock, though the grandparent lock would have allowed it. Another
+        # member leads it and the next round, so the engine makes no
+        # proposal of its own there.
         r = next(r for r in range(4, 100) if not (self.eng.is_leader(r) or self.eng.is_leader(r + 1)))
-        fork = self.proposal(r, GENESIS_QC, tag="fork")
+        fork = self.proposal(r, self.qc(p1), tag="fork")
         self.eng.on_proposal(fork)
         assert fork.payload_digest in self.eng.tree.nodes
         assert self.eng.last_voted_round == 3
@@ -658,7 +679,7 @@ class TestVotingRules:
         assert self.eng.last_voted_round == 1
 
     def test_rounds_below_the_floor_ignored(self):
-        """Once the block of round 4 is finalized (rounds 4, 5 and 6 are
+        """Once the block of round 4 is finalized (rounds 4 and 5 are
         certified), the books of rounds 1-3 are dropped, and so is a fork of
         round 3; a proposal, vote or certificate of such a round is ignored,
         and the finalized blocks stay in the tree."""
@@ -666,7 +687,7 @@ class TestVotingRules:
         p2 = self.proposal(2, self.qc(p1))
         fork = self.proposal(3, self.qc(p1), tag="fork")
         chain = [p1, p2]
-        for r in range(4, 8):
+        for r in range(4, 7):
             chain.append(self.proposal(r, self.qc(chain[-1])))
         for proposal in [p1, p2, fork] + chain[2:]:
             self.eng.on_proposal(proposal)
@@ -695,8 +716,8 @@ class TestVotingRules:
         It changes nothing, whether the tree still holds the justify's block
         (a finalized block an engine keeps) or has dropped it. Here the
         certificate of round 6 arrives in a NewRound before any proposal
-        justified by it, so the block of round 4 is finalized while the lock
-        is still on round 4."""
+        justified by it, so the block of round 5 is finalized while the lock
+        is still on round 5."""
         eng = make_engine(self.kps, self.table, self.sent, keep_finalized=keep_finalized)
         self.eng = eng
         chain = [self.proposal(1, GENESIS_QC)]
@@ -704,10 +725,10 @@ class TestVotingRules:
             chain.append(self.proposal(r, self.qc(chain[-1])))
         for proposal in chain:
             eng.on_proposal(proposal)
-        assert (eng.floor, eng.locked_round) == (3, 4)
+        assert (eng.floor, eng.locked_round) == (4, 5)
         other = next(kp for kp in self.kps if kp.public != eng.keypair.public)
         eng.on_new_round(NewRound(7, self.qc(chain[-1]), other.public))
-        assert eng.floor == eng.locked_round == 4
+        assert eng.floor == eng.locked_round == 5
         stale_parent = chain[1]  # finalized, round 2
         assert (stale_parent.payload_digest in eng.tree.nodes) == keep_finalized
 
@@ -749,6 +770,84 @@ class TestVotingRules:
         formed = self.eng.high_qc
         assert (formed.round, formed.payload_digest) == (r, digest)
         assert outsider.public not in formed.signers and qc_valid(formed, self.table)
+
+
+class TestBlockRetrieval:
+    """A node that lacks the parent of a proposal parks it and asks the
+    proposer for the chain, at once and at each local timeout while it
+    stays parked; the answer is replayed through `on_proposal`. A node
+    answers a member at most once per round, from the proposals it keeps:
+    those of the rounds down to `RETRIEVAL_WINDOW` below its floor."""
+
+    proposal = TestVotingRules.proposal
+    qc = TestVotingRules.qc
+
+    def setup_method(self):
+        TestVotingRules.setup_method(self)
+        self.addressed = []  # (receiver, message) of each message the engine sends one node
+        self.eng.send = lambda key, msg: self.addressed.append((key, msg))
+
+    def requests(self):
+        return [(key, m) for key, m in self.addressed if isinstance(m, BlockRequest)]
+
+    def chain(self, rounds):
+        chain = [self.proposal(rounds[0], GENESIS_QC)]
+        for r in rounds[1:]:
+            chain.append(self.proposal(r, self.qc(chain[-1])))
+        return chain
+
+    def test_missing_parent_fetched_from_the_proposer_and_replayed(self):
+        eng = self.eng
+        p1, p2, p3 = self.chain([r for r in range(1, 100) if not eng.is_leader(r)][:3])
+        eng.on_proposal(p1)
+        eng.on_proposal(p3)  # p2 never arrived
+        assert p3.payload_digest not in eng.tree.nodes
+        assert self.requests() == [(p3.proposer, BlockRequest(p2.payload_digest, eng.floor))]
+        eng.on_local_timeout(eng.current_round)  # still parked: ask again
+        assert self.requests()[1:] == [(p3.proposer, BlockRequest(p2.payload_digest, eng.floor))]
+        eng.on_block_response(BlockResponse((p2,)))
+        assert {p2.payload_digest, p3.payload_digest} <= set(eng.tree.nodes)
+        assert not eng._orphans
+        eng.on_local_timeout(eng.current_round)
+        assert len(self.requests()) == 2
+
+    def test_forged_block_in_an_answer_ignored(self):
+        eng = self.eng
+        p1, p2 = self.chain([r for r in range(1, 100) if not eng.is_leader(r)][:2])
+        eng.on_proposal(p2)
+        forged = dataclasses.replace(p1, payload={"round": p1.round, "tag": "forged"})
+        eng.on_block_response(BlockResponse((forged,)))
+        assert p2.payload_digest not in eng.tree.nodes and p1.payload_digest not in eng.tree.nodes
+        eng.on_block_response(BlockResponse((p1,)))
+        assert {p1.payload_digest, p2.payload_digest} <= set(eng.tree.nodes)
+
+    def test_answered_from_the_window_up_once_per_member_and_round(self):
+        eng = self.eng
+        chain = self.chain(range(1, RETRIEVAL_WINDOW + 6))
+        for p in chain:
+            eng.on_proposal(p)
+        floor = RETRIEVAL_WINDOW + 3  # its block and the next are certified
+        assert eng.floor == floor
+        head = chain[-1].payload_digest
+        kept = list(range(3, floor + 3))
+        a, b = (kp.public for kp in self.kps[1:3])
+
+        def answers():
+            return [
+                (key, [p.round for p in m.proposals])
+                for key, m in self.addressed if isinstance(m, BlockResponse)
+            ]
+
+        eng.on_block_request(a, BlockRequest(head, 0))
+        eng.on_block_request(a, BlockRequest(head, 0))  # again in the same round
+        eng.on_block_request(b, BlockRequest(head, floor))  # b holds the floor's block
+        outsider = crypto.StakingKeyPair.from_seed(b"\x55" * 32).public
+        eng.on_block_request(outsider, BlockRequest(head, 0))
+        assert answers() == [(a, kept), (b, [floor + 1, floor + 2])]
+        eng.on_local_timeout(eng.current_round)  # a new round
+        eng.on_block_request(a, BlockRequest(chain[1].payload_digest, 0))  # below the window
+        eng.on_block_request(b, BlockRequest(head, 0))
+        assert answers()[2:] == [(b, kept)]
 
 
 class TestSharedVerdicts:

@@ -4,8 +4,9 @@ keeps of it stays under one fixed bound however long the run.
 
 Each engine (consensus and collector clusters) keeps its vote, proposal,
 certificate, pending-certificate, orphan and reported-equivocation books
-only for rounds at or above its newest finalized block, and no tree node below that
-round off the finalized chain. A collector engine keeps of the finalized
+only for rounds at or above its newest finalized block, the proposals it
+answers block fetches from only `RETRIEVAL_WINDOW` rounds below it, and no
+tree node below that round off the finalized chain. A collector engine keeps of the finalized
 chain only its newest block. A consensus node drops a block's beacon
 shares once it recovers the block's randomness, the approvals of each
 result a finalized block seals, the received results before its sealed
@@ -34,7 +35,7 @@ import pytest
 from flowpipe.scenario import build_world, evaluate_properties, load_scenario, run_world
 from flowpipe.sim import EventLog
 
-BOUND = 16  # entries; happy-path keeps at most 8 of any of these
+BOUND = 16  # entries; happy-path keeps 11 proposals for fetches and at most 8 of any other
 LOG_BOUND = 1.5  # bytes an event log keeps per character of its JSONL text
 
 
@@ -51,6 +52,7 @@ def retained(world) -> dict[str, int]:
         note("engine._proposal_seen", len(engine._proposal_seen))
         note("engine._pending_qcs", len(engine._pending_qcs))
         note("engine._orphans", len(engine._orphans))
+        note("engine._proposals", len(engine._proposals))
         note("engine.tree.certified", len(engine.tree.certified))
         note("engine.tree.recent", len(engine.tree.recent))
         note("engine.tree.nodes off the finalized chain", len(engine.tree.nodes) - len(engine.finalized_set))
@@ -81,7 +83,7 @@ def happy_path(max_sim_time: int):
 
 def assert_bounded(world) -> None:
     sizes = retained(world)
-    assert len(sizes) == 15
+    assert len(sizes) == 16
     over = {name: size for name, size in sizes.items() if size > BOUND}
     assert not over, over
 

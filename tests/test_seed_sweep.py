@@ -5,9 +5,10 @@ can break a property at another seed and still reproduce every golden.
 Too slow for tier-1 (about a minute), so it runs behind its own
 marker: `pytest -m seeds`.
 
-A known defect is a strict xfail, so its fix shows as an unexpected pass:
-pre-gst-chaos at seed 8 finalizes 36 blocks against its `min_finalized`
-of 50 (ROADMAP item 4: liveness under pre-GST loss)."""
+A known defect goes in `KNOWN` as a strict xfail, so its fix shows as an
+unexpected pass. None is known: pre-gst-chaos at seed 8, where a node that
+missed a block before GST never finalized again, passes since engines
+fetch the blocks they miss."""
 
 from importlib import resources
 
@@ -24,9 +25,7 @@ BUNDLED = [
     "network-partition",
 ]
 
-KNOWN = {
-    ("pre-gst-chaos", 8): "liveness: 36 blocks finalized, 50 needed (ROADMAP item 4)",
-}
+KNOWN: dict[tuple[str, int], str] = {}
 
 
 def cases():
