@@ -19,7 +19,8 @@ def non_responsive(node, spec: dict) -> None:
 
 def withhold_collection(node, spec: dict) -> None:
     """Serves no collection text: it pushes none to executors at guarantee,
-    and answers no missing-collection challenge's request for the texts."""
+    and does not answer a finalized missing-collection challenge against
+    it."""
     node._serve = lambda h, names: None
 
 

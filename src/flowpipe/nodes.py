@@ -185,20 +185,6 @@ class ChallengeMsg:
 
 
 @dataclass(frozen=True)
-class MissingCollectionAttestation:
-    """Licence for executors to skip a collection whose guarantors all went
-    silent; references the upholding adjudication."""
-
-    collection_hash: bytes
-    adjudication_id: bytes
-
-
-@dataclass(frozen=True)
-class CollectionRequest:
-    collection_hash: bytes
-
-
-@dataclass(frozen=True)
 class CollectionResponse:
     collection_hash: bytes
     texts: tuple[SignedTransaction, ...]
@@ -324,7 +310,6 @@ class CollectorNode(Node):
                 GossipTx: lambda sender, msg: self._ingest(msg.tx, gossip=False),
                 GuaranteeShare: self._on_guarantee_share,
                 Finalized: self._on_finalized,
-                CollectionRequest: self._on_collection_request,
             }
         )
 
@@ -402,11 +387,14 @@ class CollectorNode(Node):
     # -- message handling ----------------------------------------------------
 
     def _on_finalized(self, sender: str, msg: Finalized):
-        self.heights[msg.pb.hash()] = msg.pb.height
-        self.next_height = max(self.next_height, msg.pb.height + 1)
-
-    def _on_collection_request(self, sender: str, msg: CollectionRequest):
-        self._serve(msg.collection_hash, [sender])
+        pb = msg.pb
+        self.heights[pb.hash()] = pb.height
+        self.next_height = max(self.next_height, pb.height + 1)
+        # a finalized MCC against this guarantor asks for the texts: answer
+        # each consensus node's copy, sent when that node started adjudicating
+        for ch in pb.slashing_challenges:
+            if ch.kind == ChallengeKind.MISSING_COLLECTION and self.keypair.public in ch.accused:
+                self._serve(ch.evidence[0], [sender])
 
     def _serve(self, h: bytes, names) -> None:
         """Send the texts of collection `h`, if stored here, to `names`."""
@@ -487,7 +475,8 @@ class ConsensusNode(Node):
         self.fcc_received: set[bytes] = set()  # ids of the FCCs received here
         # result hash -> ids of the FCCs against it, received or in a built block
         self.fcc_ids: dict[bytes, set[bytes]] = {}
-        # collection hash -> guarantor -> texts, for each MCC adjudicated here
+        # collection hash -> guarantor -> texts, for each MCC being
+        # adjudicated here; freed at its deadline
         self.mcc_responses: dict[bytes, dict[bytes, tuple]] = {}
         self.adjudicated_ids: set[bytes] = set()
         self.finalized_heights: dict[int, bytes] = {}
@@ -790,21 +779,17 @@ class ConsensusNode(Node):
             adj, upd = adjudicate_fcc(self.d.initial_state, ch, msg.receipt, msg.packages)
             self._record_adjudication(adj, upd)
         elif ch.kind == ChallengeKind.MISSING_COLLECTION:
-            coll_hash = ch.evidence[0]
-            if coll_hash in self.mcc_responses:
-                return  # the guarantors are already asked
-            # only adjudicators send this request; `CollectorNode._serve` answers it
-            self.mcc_responses[coll_hash] = {}
-            self.send_all([self.d.name_of[a] for a in ch.accused], CollectionRequest(coll_hash))
+            # the accused answer the `Finalized` copy `_on_finalize` sent just
+            # before this (`CollectorNode._on_finalized`); the chain records each
+            # mark once
+            self.mcc_responses[ch.evidence[0]] = {}
             self.sim.set_timer(
                 self.name, self.d.mcc_deadline, lambda: self._mcc_deadline(ch)
             )
 
     def _mcc_deadline(self, ch: SlashingChallenge):
         cid, coll_hash = ch.challenge_id, ch.evidence[0]
-        if cid in self.adjudicated_ids:
-            return
-        texts = mcc_texts(ch, self.mcc_responses[coll_hash])
+        texts = mcc_texts(ch, self.mcc_responses.pop(coll_hash))
         if texts is not None:
             self._record_adjudication(Adjudication(cid, "dismissed", ()))
             # forward the recovered texts to executors still waiting on them
@@ -813,7 +798,6 @@ class ConsensusNode(Node):
         adj, upd = adjudicate_challenge(self.d.initial_state, ch, accused_at_fault=True)
         self._record_adjudication(adj, upd)
         self.sim.event(self.name, "attestation", {"collection": hexify(coll_hash)})
-        self.send_all(self.d.executor_names, MissingCollectionAttestation(coll_hash, cid))
 
     # -- beacon ---------------------------------------------------
 
@@ -910,11 +894,14 @@ class ExecutionNode(Node):
         self.texts: dict[bytes, list[SignedTransaction]] = {}
         self.skipped: set[bytes] = set()
         self.challenged: set[bytes] = set()
+        # from finalized blocks, until they pair up: MCC id -> its collection,
+        # and upheld challenge ids
+        self.mccs: dict[bytes, bytes] = {}
+        self.upheld: set[bytes] = set()
         self.handlers.update(
             {
                 Finalized: self._on_finalized,
                 CollectionResponse: self._on_collection_response,
-                MissingCollectionAttestation: self._on_attestation,
             }
         )
 
@@ -932,11 +919,17 @@ class ExecutionNode(Node):
                     self.sim.set_timer(
                         self.name, self.d.retrieval_timeout, lambda gc=gc: self._challenge(gc)
                     )
-            self._advance()
-
-    def _on_attestation(self, sender: str, msg: MissingCollectionAttestation):
-        if msg.collection_hash not in self.texts:
-            self.skipped.add(msg.collection_hash)
+            # skip a collection once finalized blocks hold an MCC on it and
+            # the update that upholds it, whichever block comes first
+            for ch in pb.slashing_challenges:
+                if ch.kind == ChallengeKind.MISSING_COLLECTION:
+                    self.mccs[ch.challenge_id] = ch.evidence[0]
+            for u in pb.protocol_state_updates:
+                if u.adjudication is not None and u.adjudication.upheld:
+                    self.upheld.add(u.adjudication.challenge_id)
+            for cid in self.mccs.keys() & self.upheld:
+                self.skipped.add(self.mccs.pop(cid))
+                self.upheld.remove(cid)
             self._advance()
 
     def _advance(self):
@@ -951,7 +944,7 @@ class ExecutionNode(Node):
 
     def _challenge(self, gc: GuaranteedCollection):
         """Raise a missing-collection challenge against every guarantor of
-        `gc`, once, unless its texts or a skip attestation arrived."""
+        `gc`, once, unless its texts arrived or it is skipped."""
         h = gc.collection_hash
         if h in self.texts or h in self.skipped or h in self.challenged:
             return

@@ -6,10 +6,11 @@ metric rows and the sha256 of its JSON-encoded finalization-latency list
 are pinned too, so a change to how metrics are derived cannot silently
 change what a run reports.
 
-Two more runs drive node paths no bundled scenario reaches and pin their
-outcomes: missing-collection challenges that the guarantors answer, and
-receipts that reach the observer after the challenges against them. Three
-check that a consensus node judges a challenge on what the challenge itself
+Three more runs drive node paths no bundled scenario reaches and pin
+their outcomes: missing-collection challenges that the guarantors answer
+through the finalized chain, once with one consensus node that never
+receives the challenges and finalizes them late, and receipts that reach
+the observer after the challenges against them. Three check that a consensus node judges a challenge on what the challenge itself
 names: a recorded faulty-computation challenge is adjudicated without its
 `ChallengeMsg`, on the chunk its digest names, and each equivocation is
 challenged once.
@@ -178,13 +179,10 @@ def test_adversary_run_pinned(case):
         assert not names & {r["node"] for r in world.sim.log.records}
 
 
-def test_answered_mcc_dismissed():
-    """Cluster 0's collectors serve collection texts only to consensus
-    nodes: they push none to executors. Executors raise missing-collection
-    challenges, the guarantors answer every adjudicator's request, each
-    challenge is dismissed without a slash, and consensus forwards the
-    recovered texts to the executors, which then execute every collection
-    instead of skipping it."""
+def answering_world():
+    """The default world at 8,000 ticks, unrun, whose cluster 0 collectors
+    serve collection texts only to consensus nodes: they push none to
+    executors, and answer a finalized missing-collection challenge."""
     doc = merge_defaults(
         {"run": {"max_sim_time": 8000}, "checks": {"safety": True, "no_faulty_seals": True}}
     )
@@ -195,6 +193,18 @@ def test_answered_mcc_dismissed():
             collector._serve = lambda h, names, serve=collector._serve: serve(
                 h, [name for name in names if name in consensus]
             )
+    return world
+
+
+def test_answered_mcc_dismissed():
+    """Executors raise missing-collection challenges against cluster 0's
+    guarantors, which push them nothing. Each guarantor answers every
+    consensus node's `Finalized` copy of a block that lists a challenge
+    against it, by sending that node the texts; each challenge is dismissed
+    without a slash, and consensus forwards the recovered texts to the
+    executors, which then execute every collection instead of skipping it."""
+    world = answering_world()
+    consensus = {node.name for node in world.consensus}
     forwarded = set()
     real_send = world.sim.send
 
@@ -215,6 +225,66 @@ def test_answered_mcc_dismissed():
     assert not log.select("attestation")
     assert forwarded == {node.name for node in world.executors}
     assert all(not node.skipped for node in world.executors)
+
+
+def test_late_finalizer_without_the_challenge_dismisses():
+    """As in `test_answered_mcc_dismissed`, but n3 drops every `ChallengeMsg`,
+    so no missing-collection challenge is ever pending at n3, and n3
+    finalizes the first block that lists one, and every block after it,
+    only once every other consensus node has adjudicated that challenge. A
+    guarantor answers each consensus node's own `Finalized` copy, so n3
+    still gets the texts after it finalizes, and dismisses every challenge
+    as the other nodes do. A consensus node holds a response bucket only
+    until the challenge's deadline: once every deadline has passed none is
+    left, and neither a response for a hash no challenge names nor a late
+    one makes a new one."""
+    world = answering_world()
+    n3, others = world.consensus[3], world.consensus[:3] + world.consensus[4:]
+    n3.handlers[ChallengeMsg] = lambda sender, msg: None
+    finalize = n3.engine.on_finalize
+    held, released = [], []  # finalizations held back; (the MCC's mark, n3's state then)
+
+    def mccs(node) -> list:
+        challenges = node.payload.slashing_challenges
+        return [ch for ch in challenges if ch.kind == ChallengeKind.MISSING_COLLECTION]
+
+    def release_once_adjudicated():
+        if held and all(mccs(held[0])[0].challenge_id in o.adjudicated_ids for o in others):
+            mark = mccs(held[0])[0].evidence[0]
+            released.append((mark, mark in n3.pending_challenges or mark in n3.mcc_responses))
+            n3.engine.on_finalize = finalize
+            for node in held:
+                finalize(node)
+            held.clear()
+
+    def holding(node):
+        if held or mccs(node):
+            held.append(node)
+        else:
+            finalize(node)
+
+    def adjudicating(record):
+        def record_then_release(*args):
+            record(*args)
+            release_once_adjudicated()
+
+        return record_then_release
+
+    for other in others:
+        other._record_adjudication = adjudicating(other._record_adjudication)
+    n3.engine.on_finalize = holding
+    run_world(world)
+    [(settled, known)] = released
+    assert not known
+    mine, theirs = adjudications(world, n3), adjudications(world, world.consensus[0])
+    assert len(mine) == 7 and mine == theirs
+    assert set(mine.values()) == {"dismissed"}
+    assert world.metrics.slashes == 0
+    assert all(not node.mcc_responses for node in world.consensus)
+    [guarantor] = [c for c in world.collectors if settled in c.store][:1]
+    n3.handle(guarantor.name, CollectionResponse(crypto.hash("junk", b""), ()))
+    n3.handle(guarantor.name, CollectionResponse(settled, tuple(guarantor.store[settled])))
+    assert not n3.mcc_responses
 
 
 def test_late_receipts_adjudicated_on_arrival():

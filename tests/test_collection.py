@@ -16,7 +16,10 @@ from flowpipe.collection import (
 )
 from flowpipe.crypto import StakingKeyPair, hash as fhash
 from flowpipe.hotstuff import GENESIS_DIGEST
-from flowpipe.nodes import CollectionRequest, CollectionResponse, Finalized, GuaranteeShare
+from flowpipe.blocks import ProtoBlock
+from flowpipe.challenges import adjudicate_challenge, make_mcc
+from flowpipe.nodes import ChallengeMsg, CollectionResponse, Finalized, GuaranteeShare, ReceiptMsg
+from flowpipe.state import Adjudication, StateUpdate
 from flowpipe.scenario import build_world, load_scenario, merge_defaults, run_world
 from flowpipe.state import NodeIdentity, Role, StakeTable
 from flowpipe.vm import SignedTransaction, ToyTransaction
@@ -429,16 +432,16 @@ def test_busy_clusters_close_full_collections_in_their_append():
 class TestGuarantorsPush:
     """A guarantor whose tally reaches quorum pushes the collection's texts
     to every executor, so an executor holds them before a block lists the
-    guarantee and never asks for them."""
+    guarantee and sends nothing but its receipts."""
 
     def test_no_executor_requests_a_collection(self):
         doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
         doc["run"].update(seed=1, max_sim_time=6000)
         world = build_world(doc)
-        requests = [sent_by(world, e.name, CollectionRequest) for e in world.executors]
+        sent = [sent_by(world, e.name, object) for e in world.executors]
         run_world(world)
         assert world.metrics.collections_guaranteed > 0
-        assert requests == [[] for _ in world.executors]
+        assert [{type(m) for m in msgs} for msgs in sent] == [{ReceiptMsg} for _ in world.executors]
         for executor in world.executors:
             assert not executor.challenged
 
@@ -461,13 +464,14 @@ class TestMissingCollectionChallenge:
     """An executor that lacks a finalized block's texts gives a late push
     one `retrieval_timeout` wait, then raises one missing-collection
     challenge against every guarantor. It never asks a guarantor itself:
-    only the challenge's adjudicators send `CollectionRequest`."""
+    a `ChallengeMsg` is all it sends besides its receipts, and a guarantor
+    answers only a finalized block whose MCC names it."""
 
     def test_one_challenge_per_withheld_collection_after_one_wait(self):
         doc = bundled("withheld-collection")
         doc["run"]["max_sim_time"] = 4000
         world = build_world(doc)
-        requests = [sent_by(world, e.name, CollectionRequest) for e in world.executors]
+        sent = [sent_by(world, e.name, object) for e in world.executors]
         # executor -> withheld collection -> tick its block's Finalized reached it
         reached = {e.name: {} for e in world.executors}
         for e in world.executors:
@@ -480,7 +484,9 @@ class TestMissingCollectionChallenge:
 
             e.handlers[Finalized] = on_finalized
         run_world(world)
-        assert requests == [[] for _ in world.executors]
+        assert [{type(m) for m in msgs} for msgs in sent] == [
+            {ReceiptMsg, ChallengeMsg} for _ in world.executors
+        ]
         for e in world.executors:
             wait = max(1, round(e.d.retrieval_timeout * world.sim._skew[e.name]))
             due = sorted((t + wait, h) for h, t in reached[e.name].items() if t + wait <= 4000)
@@ -499,7 +505,7 @@ class TestMissingCollectionChallenge:
         doc["run"].update(seed=1, max_sim_time=3000)
         world = build_world(doc)
         e0 = world.executors[0]
-        requests = sent_by(world, e0.name, CollectionRequest)
+        sent = sent_by(world, e0.name, object)
         held, released = [], []  # (sender, push); (tick, height, texts held then)
         send = world.sim.send
 
@@ -526,7 +532,8 @@ class TestMissingCollectionChallenge:
         run_world(world)
         [(t, height, had_texts)] = released
         assert not had_texts
-        assert not world.sim.log.select("mcc_raised") and requests == []
+        assert not world.sim.log.select("mcc_raised")
+        assert {type(m) for m in sent} == {ReceiptMsg}
         executed = [
             r["t"] for r in world.sim.log.select("executed")
             if r["node"] == e0.name and r["payload"]["height"] == height
@@ -550,3 +557,90 @@ class TestMissingCollectionChallenge:
             if r["node"] == "e0" and r["payload"]["height"] in finalized
         ]
         assert len(lags) > 400 and max(lags) < 1000
+
+
+def block(height: int, collections=(), challenges=(), updates=()) -> ProtoBlock:
+    """A block as a `Finalized` message carries it to the other roles; no
+    chain rule is applied to it."""
+    return ProtoBlock(
+        bytes([height]) * 32, height, tuple(collections), (), tuple(challenges), tuple(updates), b""
+    )
+
+
+def deliver(world, node, *blocks) -> None:
+    """Hand `node` every consensus node's `Finalized` copy of each block."""
+    for pb in blocks:
+        for sender in world.consensus:
+            node.handle(sender.name, Finalized(pb))
+
+
+class TestSettledOnTheChain:
+    """A missing-collection challenge (MCC) settles through the finalized
+    chain. A guarantor answers each `Finalized` copy of a block listing an
+    MCC that names it, sending the texts to the consensus node that sent
+    the copy. An executor skips a collection only once blocks it received
+    as `Finalized` hold both an MCC on the collection, whoever raised it,
+    and an update whose adjudication upholds that MCC, in either order, and
+    then forgets the pair."""
+
+    def test_guarantor_answers_only_a_finalized_mcc_naming_it(self):
+        world, collector, hashes = collector_with_pool(2)
+        ch = collection_hash(hashes)
+        texts = tuple(collector.pool[h] for h in hashes)
+        collector.store[ch] = list(texts)
+        challenger = world.executors[0].keypair.public
+        others = [c.keypair.public for c in world.collectors if c is not collector]
+        naming = make_mcc(challenger, sorted([collector.keypair.public] + others[:1]), ch)
+        sent, send = [], world.sim.send  # (receiver, answer)
+
+        def recording(sender, receiver, message):
+            if sender == collector.name and isinstance(message, CollectionResponse):
+                sent.append((receiver, message))
+            send(sender, receiver, message)
+
+        world.sim.send = recording
+        collector.handle(world.executors[0].name, ChallengeMsg(naming))
+        deliver(world, collector, block(1, challenges=[make_mcc(challenger, others, ch)]))
+        assert sent == []
+        deliver(world, collector, block(2, challenges=[naming]))
+        assert sent == [(c.name, CollectionResponse(ch, texts)) for c in world.consensus]
+
+    def missing(self):
+        """The default world, unrun, with e0 holding block 1, which lists
+        a collection e0 has no texts for, and an MCC e1 raised on it."""
+        world = build_world(merge_defaults({"run": {"seed": 1}}))
+        e0, e1 = world.executors[:2]
+        h = fhash("withheld", b"collection")
+        guarantors = sorted(c.keypair.public for c in world.collectors[:3])
+        deliver(world, e0, block(1, collections=[GuaranteedCollection(h, 0, tuple(guarantors), ())]))
+        mcc = make_mcc(e1.keypair.public, guarantors, h)
+        return world, e0, mcc
+
+    def upheld(self, e0, mcc) -> StateUpdate:
+        return adjudicate_challenge(e0.d.initial_state, mcc, accused_at_fault=True)[1]
+
+    def test_no_skip_on_an_upheld_adjudication_of_no_finalized_mcc(self):
+        world, e0, mcc = self.missing()
+        own = make_mcc(e0.keypair.public, mcc.accused, mcc.evidence[0])
+        deliver(world, e0, block(2, challenges=[mcc]), block(3, updates=[self.upheld(e0, own)]))
+        assert not e0.skipped and e0.next_height == 1
+
+    def test_no_skip_on_a_dismissed_mcc(self):
+        world, e0, mcc = self.missing()
+        dismissed = StateUpdate((), Adjudication(mcc.challenge_id, "dismissed", ()))
+        challenger = adjudicate_challenge(e0.d.initial_state, mcc, accused_at_fault=False)[1]
+        deliver(world, e0, block(2, challenges=[mcc]), block(3, updates=[dismissed, challenger]))
+        assert not e0.skipped and e0.next_height == 1
+
+    def test_no_skip_on_an_mcc_without_its_update(self):
+        world, e0, mcc = self.missing()
+        deliver(world, e0, block(2, challenges=[mcc]), block(3))
+        assert not e0.skipped and e0.next_height == 1
+
+    @pytest.mark.parametrize("update_first", [False, True])
+    def test_skip_on_an_mcc_and_its_upholding_update(self, update_first):
+        world, e0, mcc = self.missing()
+        blocks = [block(2, challenges=[mcc]), block(3, updates=[self.upheld(e0, mcc)])]
+        deliver(world, e0, *(blocks[::-1] if update_first else blocks))
+        assert e0.skipped == {mcc.evidence[0]} and e0.next_height == 4
+        assert not e0.mccs and not e0.upheld

@@ -4,9 +4,11 @@ protocol rule survives only as a test-only twin of the one the simulator
 runs, and every name a module imports is used in that module. A third
 guard keeps Byzantine behaviors out of the honest role classes, a fourth
 keeps every stake count inside `state.py`, a fifth keeps the seal rule's
-pending-challenge check inside `blocks.py`, and a sixth keeps the making of
-a slashing challenge and its id inside `challenges.py`. The checks parse
-the sources and search names; they run nothing."""
+pending-challenge check inside `blocks.py`, a sixth keeps the making of
+a slashing challenge and its id inside `challenges.py`, and a seventh
+checks that every message type `nodes.py` defines is both sent and
+handled. The checks parse the sources and search names; they run
+nothing."""
 
 import ast
 import pathlib
@@ -168,3 +170,62 @@ def test_challenges_built_only_in_challenges():
     there and its id covers the same fields wherever it is checked."""
     found = calls_outside("challenges.py", {"SlashingChallenge", "challenge_id"})
     assert not found, f"challenge built or its id computed outside challenges.py: {found}"
+
+
+def _message_types(tree: ast.AST) -> set[str]:
+    """The classes a module defines with `@dataclass(frozen=True)`: in
+    `nodes.py`, its message types."""
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(d, ast.Call)
+            and any(k.arg == "frozen" for k in d.keywords)
+            for d in node.decorator_list
+        )
+    }
+
+
+def _called_name(call: ast.Call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def unsent_or_unhandled_messages() -> list[str]:
+    """Each message type of `nodes.py` that no function under src/flowpipe
+    both builds and sends (calls `send` or `send_all`), or that no
+    `handlers.update({...})` table in `nodes.py` has as a key."""
+    messages = _message_types(ast.parse((SRC / "nodes.py").read_text()))
+    sent, handled = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
+            if any(_called_name(c) in {"send", "send_all"} for c in calls):
+                sent.update(_called_name(c) for c in calls)
+    for call in ast.walk(ast.parse((SRC / "nodes.py").read_text())):
+        if (
+            isinstance(call, ast.Call)
+            and _called_name(call) == "update"
+            and isinstance(call.func.value, ast.Attribute)
+            and call.func.value.attr == "handlers"
+            and call.args
+            and isinstance(call.args[0], ast.Dict)
+        ):
+            handled.update(k.id for k in call.args[0].keys if isinstance(k, ast.Name))
+    return sorted(
+        [f"{name}: never sent" for name in messages - sent]
+        + [f"{name}: in no handler table" for name in messages - handled]
+    )
+
+
+def test_every_message_is_sent_and_handled():
+    """Every message type `nodes.py` defines is built in a function that
+    sends, and is a key of some role's handler table, so a message whose
+    sender or whose handler went does not stay behind as dead protocol."""
+    messages = _message_types(ast.parse((SRC / "nodes.py").read_text()))
+    assert {"Finalized", "ChallengeMsg", "CollectionResponse"} <= messages
+    found = unsent_or_unhandled_messages()
+    assert not found, f"message types of nodes.py not sent or not handled: {found}"

@@ -380,7 +380,8 @@ class TestAdjudicateMcc:
 
     def test_total_silence_slashes_all_and_attests(self):
         """No response rebuilds the collection, so every guarantor is at
-        fault; the skip attestation cites this adjudication's id."""
+        fault; the upholding adjudication carries the challenge's id, which
+        an executor matches against the finalized MCC before it skips."""
         assert mcc_texts(self.mcc, {}) is None
         adj, upd = adjudicate_challenge(self.state, self.mcc, accused_at_fault=True)
         assert adj.outcome == "accused_slashed"
