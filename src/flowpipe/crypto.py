@@ -219,7 +219,7 @@ class SignatureShare:
     def verified(self, params: ThresholdParams, vv: VerificationVector, message: bytes) -> bool:
         """`signature_share_verify` on this share, computed once per
         (params, vv, message): a committee member sends one share object to
-        every consensus node, and recovery reads the verdict its receiver
+        every verifier, and recovery reads the verdict its receiver
         already holds."""
         return once_for(
             self, (params, vv, message), signature_share_verify, params, vv, self, message

@@ -68,6 +68,14 @@ from .state import Adjudication, ProtocolState, StakeTable, StateUpdate, Tally
 from .verification import assign_chunks, chunk_data_packages
 from .vm import SignedTransaction, ToyTransaction
 
+# base timeouts between a beacon committee member's sends of its share of a
+# block not yet sealed. A verifier seeds a block only from t+1 shares, so
+# shares lost before GST would leave it unable to judge the block's
+# results, and two such verifiers would stall sealing for good. The period
+# is longer than sealing takes in the bundled scenarios (at most 1,151
+# ticks at seeds 1 and 2), so there only a loss resends.
+SHARE_RESEND = 8
+
 
 # ---------------------------------------------------------------------------
 # Shared read-only world directory
@@ -154,12 +162,6 @@ class DrbShare:
         """The share's check over the block hash, kept on the share object,
         which `threshold_recover` reads again."""
         return self.share.verified(params, vv, self.pb_hash)
-
-
-@dataclass(frozen=True)
-class BlockRandomness:
-    pb_hash: bytes
-    sigma: int
 
 
 @dataclass(frozen=True)
@@ -470,8 +472,9 @@ class ConsensusNode(Node):
         self.results: dict[bytes, ExecutionResult] = {}
         self.results_by_prev: dict[bytes, list[bytes]] = {}
         self.approvals: dict[bytes, Tally] = {}  # result hash -> verifier -> approval
-        self.drb_shares: dict[bytes, dict[int, crypto.SignatureShare]] = {}
-        self.randomness: dict[bytes, int] = {}
+        # block hash -> this committee member's beacon share, until a
+        # finalized block seals the block
+        self.beacon_shares: dict[bytes, DrbShare] = {}
         self.fcc_received: set[bytes] = set()  # ids of the FCCs received here
         # result hash -> ids of the FCCs against it, received or in a built block
         self.fcc_ids: dict[bytes, set[bytes]] = {}
@@ -503,7 +506,6 @@ class ConsensusNode(Node):
                 ReceiptMsg: self._on_receipt,
                 ApprovalMsg: self._on_approval,
                 ChallengeMsg: self._on_challenge,
-                DrbShare: self._on_drb_share,
                 CollectionResponse: self._on_collection_response,
             }
         )
@@ -683,6 +685,7 @@ class ConsensusNode(Node):
             )
             # no chain through the finalized tip forms this seal again
             self.approvals.pop(seal.execution_result_hash, None)
+            self.beacon_shares.pop(seal.sealed_block_hash, None)
         # the block joins the finalized prefix; the engine's finalized set,
         # the prefix's "block" facts, already holds its digest
         final = self.final
@@ -709,20 +712,28 @@ class ConsensusNode(Node):
         self.send_all(
             self.d.executor_names + self.d.verifier_names + self.d.collector_names, Finalized(pb)
         )
-        # beacon committee members contribute their share
+        # beacon committee members send their share to the beacon's one
+        # reader: each verifier recovers the block's signature itself
         share = self.d.drb_committee.get(self.keypair.public)
         if share is not None:
-            drb = DrbShare(digest, crypto.threshold_sign(self.d.params, share, digest))
-            for peer in self.d.consensus_names:
-                if peer == self.name:
-                    self._on_drb_share(self.name, drb)
-                else:
-                    self.sim.send(self.name, peer, drb)
+            sig = crypto.threshold_sign(self.d.params, share, digest)
+            self.beacon_shares[digest] = DrbShare(digest, sig)
+            self._send_share(digest)
         # adjudicate challenges recorded in this block
         for ch in pb.slashing_challenges:
             if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
                 self.recorded_fcc.setdefault(ch.evidence[0], []).append(ch)
             self._start_adjudication(ch)
+
+    def _send_share(self, digest: bytes):
+        """Send this member's beacon share of a finalized block to every
+        verifier, and again every `SHARE_RESEND` base timeouts until a
+        finalized block seals the block."""
+        drb = self.beacon_shares.get(digest)
+        if drb is not None:
+            self.send_all(self.d.verifier_names, drb)
+            period = SHARE_RESEND * self.d.base_timeout
+            self.sim.set_timer(self.name, period, lambda: self._send_share(digest))
 
     def _accept_challenge(self, ch: SlashingChallenge) -> bool:
         """Keep the challenge for the next proposal unless its mark is
@@ -798,25 +809,6 @@ class ConsensusNode(Node):
         adj, upd = adjudicate_challenge(self.d.initial_state, ch, accused_at_fault=True)
         self._record_adjudication(adj, upd)
         self.sim.event(self.name, "attestation", {"collection": hexify(coll_hash)})
-
-    # -- beacon ---------------------------------------------------
-
-    def _on_drb_share(self, sender: str, msg: DrbShare):
-        if msg.pb_hash in self.randomness:
-            return
-        if not msg.verified(self.d.params, self.d.drb_vv):
-            return
-        bucket = self.drb_shares.setdefault(msg.pb_hash, {})
-        bucket.setdefault(msg.share.party_index, msg.share)
-        if len(bucket) < self.d.params.t + 1:
-            return
-        sigma = crypto.threshold_recover(
-            self.d.params, self.d.drb_vv, list(bucket.values()), msg.pb_hash
-        )
-        self.randomness[msg.pb_hash] = sigma.value
-        del self.drb_shares[msg.pb_hash]  # later shares stop at `randomness`
-        self.sim.event(self.name, "randomness", {"block": hexify(msg.pb_hash)})
-        self.send_all(self.d.verifier_names, BlockRandomness(msg.pb_hash, sigma.value))
 
     # -- message handling ---------------------------------------------------
 
@@ -1019,6 +1011,8 @@ class VerificationNode(Node):
     def __init__(self, sim, name, keypair, directory):
         super().__init__(sim, name, keypair, directory)
         self.seeds: dict[bytes, bytes] = {}  # block hash -> randomness seed
+        # block hash -> party index -> verified beacon share, until recovery
+        self.drb_shares: dict[bytes, dict[int, crypto.SignatureShare]] = {}
         # result hash -> its receipts, in arrival order, awaiting the seed
         self.pending: dict[bytes, list[ReceiptMsg]] = {}
         self.checked: set[bytes] = {GENESIS_RESULT_HASH}  # judged here, and genesis
@@ -1029,23 +1023,31 @@ class VerificationNode(Node):
         # previous result not yet judged here -> signed receipts of rejected
         # successors, challenged once it is approved
         self.held: dict[bytes, list[ReceiptMsg]] = {}
-        # verifiers key off randomness and receipts, not finalization notices
-        self.handlers.update({BlockRandomness: self._on_randomness, ReceiptMsg: self._on_receipt})
+        # verifiers key off beacon shares and receipts, not finalization notices
+        self.handlers.update({DrbShare: self._on_drb_share, ReceiptMsg: self._on_receipt})
 
     def handle(self, sender: str, msg: Any):
         self.handlers.get(type(msg), _ignore)(sender, msg)
 
-    def _on_randomness(self, sender: str, msg: BlockRandomness):
-        # every consensus node sends the seed; a pending receipt always lacks
-        # its seed, so a repeat could verify nothing new
-        if msg.pb_hash in self.seeds:
+    def _on_drb_share(self, sender: str, msg: DrbShare):
+        """Recover a block's beacon signature from the first t+1 shares that
+        pass their check against the per-party keys, then seed the block.
+        The recovered value is not checked against the group key: it is
+        interpolated from t+1 shares of the DKG's degree-t polynomial, each
+        checked against that polynomial's commitment, so it is the group
+        signature, the one value any t+1 valid shares give."""
+        if msg.pb_hash in self.seeds or not msg.verified(self.d.params, self.d.drb_vv):
             return
-        sig = crypto.GroupSignature(value=msg.sigma)
-        if not crypto.threshold_verify(
-            self.d.params, sig, self.d.drb_vv.group_public_key, msg.pb_hash
-        ):
+        bucket = self.drb_shares.setdefault(msg.pb_hash, {})
+        bucket.setdefault(msg.share.party_index, msg.share)
+        if len(bucket) < self.d.params.t + 1:
             return
-        self.seeds[msg.pb_hash] = block_seed(msg.sigma)
+        sigma = crypto.threshold_recover(
+            self.d.params, self.d.drb_vv, list(bucket.values()), msg.pb_hash
+        )
+        del self.drb_shares[msg.pb_hash]  # later shares stop at `seeds`
+        self.seeds[msg.pb_hash] = block_seed(sigma.value)
+        self.sim.event(self.name, "randomness", {"block": hexify(msg.pb_hash)})
         # in the order the results' first receipts arrived
         for rh in list(self.pending):
             self._try_verify(rh)

@@ -58,9 +58,9 @@ from flowpipe.collection import GuaranteedCollection
 from flowpipe.hotstuff import GENESIS_DIGEST, Proposal
 from flowpipe.nodes import (
     ApprovalMsg,
-    BlockRandomness,
     ChallengeMsg,
     CollectionResponse,
+    DrbShare,
     Finalized,
     GuaranteeAnnounce,
     GuaranteeShare,
@@ -81,15 +81,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "ad0ad1d21423b9bbdfada4864e755cd70687bef9c4b64e516e449c7472921954",
+        "82551b268c120f34f44f468c1419494096a5d8c5dc545999fc58e3f3e780491e",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "7acc9ced7f4f92e089d8d31ad5ef4bbec78172b3ceb3d2b5452f62fc1a8ac4f1",
+        "a7f76676969a02edc1f189104cb76689f4ad4043026aabc3729d12c501be05a4",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "69b7cda686730ac2adcb54d5409e46f0946e7aaa6748585f5b725ed79a3ec9b2",
+        "29a738149def23deb8d3bd8109ada739febef05e35a9ede7d7997301477bc2c1",
     ),
 }
 
@@ -102,34 +102,34 @@ METRICS = {
             ("collections_guaranteed", 11),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 258.0),
-            ("max_finalization_latency", 1944),
+            ("mean_finalization_latency", 251.12),
+            ("max_finalization_latency", 1952),
         ],
-        "92ac6eeb76a372e3a07b5af5c67d464a00f87ca1907b809be738e696ace64f75",
+        "b07581476bd80783cdd559858c918e5bfb8cfa54e46f40103a3f3c853e56591f",
     ),
     "stale_vote": (
         [
-            ("blocks_finalized", 88),
-            ("blocks_sealed", 85),
+            ("blocks_finalized", 87),
+            ("blocks_sealed", 83),
             ("collections_guaranteed", 14),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 132.38636363636363),
-            ("max_finalization_latency", 220),
+            ("mean_finalization_latency", 134.58620689655172),
+            ("max_finalization_latency", 201),
         ],
-        "8946f3dabd104a854fa7f6a7173026cd5c6bf56ef839afeb475c2d36a570f88d",
+        "b59fa07edae4257e427a8e113a498c0947f38ffd8221dea0fda7e085033d382e",
     ),
     "faulty_execution_target_chunk": (
         [
             ("blocks_finalized", 113),
-            ("blocks_sealed", 108),
+            ("blocks_sealed", 109),
             ("collections_guaranteed", 15),
             ("challenges", 1),
             ("slashes", 1),
-            ("mean_finalization_latency", 104.38053097345133),
-            ("max_finalization_latency", 172),
+            ("mean_finalization_latency", 104.85840707964601),
+            ("max_finalization_latency", 155),
         ],
-        "703e1e99404348081d824dc9ef8409d1b1aa864d088c115079c27b5c508ea37b",
+        "f1e05ac5713b789e7331df749a5da46f08ea451f301d7bbf67b2f6c58a88fa4a",
     ),
 }
 
@@ -370,7 +370,7 @@ def test_fcc_judged_on_the_chunk_it_names():
     """An FCC names its chunk by digest in `evidence[1]`: one naming no
     chunk of the result is adjudicated like a clean replay, and one naming
     chunk 1 is judged on chunk 1's package. Executor e1 tampers with chunk 1
-    of its results; n1 judges challenges against a two-chunk one at tick
+    of its results; n1 judges challenges against a multi-chunk one at tick
     3,000."""
     doc = merge_defaults(
         {
@@ -395,11 +395,12 @@ def test_fcc_judged_on_the_chunk_it_names():
     receipt = next(
         m.receipt
         for m in n1.receipts.values()
-        if m.receipt.executor == liar.keypair.public and len(m.receipt.execution_result.chunks) == 2
+        if m.receipt.executor == liar.keypair.public and len(m.receipt.execution_result.chunks) > 1
     )
     rh = receipt.execution_result.result_hash()
     outcomes = []
-    for k in (2, 0, 1):  # past the last chunk, an honest chunk, the tampered one
+    past_last = len(receipt.execution_result.chunks)
+    for k in (past_last, 0, 1):  # past the last chunk, an honest chunk, the tampered one
         fcc = make_fcc(
             verifier.keypair.public, liar.keypair.public, rh, k, receipt.executor_signature
         )
@@ -437,14 +438,12 @@ def test_each_equivocation_challenged_once(monkeypatch):
             assert len(ids) == len(set(ids)), node.name
 
 
-def block_randomness(world, pb_hash: bytes) -> BlockRandomness:
-    """The beacon's signature over `pb_hash`, recovered from t+1 shares."""
+def hand_beacon(world, verifier, pb_hash: bytes) -> None:
+    """Hand `verifier` the `DrbShare`s over `pb_hash` of t+1 beacon
+    committee members, from which it recovers the block's seed."""
     d = world.directory
-    shares = [
-        crypto.threshold_sign(d.params, share, pb_hash)
-        for share in list(d.drb_committee.values())[: d.params.t + 1]
-    ]
-    return BlockRandomness(pb_hash, crypto.threshold_recover(d.params, d.drb_vv, shares, pb_hash).value)
+    for key, share in list(d.drb_committee.items())[: d.params.t + 1]:
+        verifier.handle(d.name_of[key], DrbShare(pb_hash, crypto.threshold_sign(d.params, share, pb_hash)))
 
 
 def two_block_receipts(randomness=True):
@@ -473,7 +472,7 @@ def two_block_receipts(randomness=True):
     ]
     sent.clear()
     for pb in (pb1, pb2) if randomness else ():
-        verifier.handle(world.consensus[0].name, block_randomness(world, pb.hash()))
+        hand_beacon(world, verifier, pb.hash())
     return world, verifier, receipts, sent
 
 
@@ -546,7 +545,7 @@ def test_verifier_judges_waiting_results_in_arrival_order(tampered_first):
         verifier.handle(executor.name, msg)
     assert not sent
     block = honest_chain[0].receipt.execution_result.block_hash
-    verifier.handle(world.consensus[0].name, block_randomness(world, block))
+    hand_beacon(world, verifier, block)
     kinds = [type(m) for _, _, m in sent]
     first, second = (ChallengeMsg, ApprovalMsg) if tampered_first else (ApprovalMsg, ChallengeMsg)
     n = len(world.consensus)
@@ -648,7 +647,7 @@ def test_one_signature_check_per_broadcast_receipt(monkeypatch):
     assert sorted(r for r, _ in deliveries) == sorted(n.name for n in receivers)
     assert len({id(m) for _, m in deliveries}) == 1
     for verifier in world.verifiers:  # each verifier judges the receipt on arrival
-        verifier.handle(world.consensus[0].name, block_randomness(world, pb.hash()))
+        hand_beacon(world, verifier, pb.hash())
     checked = []
     real = crypto.staking_verify
     monkeypatch.setattr(crypto, "staking_verify", lambda *args: checked.append(args) or real(*args))

@@ -476,9 +476,11 @@ class TestChainView:
 
 
 class TestRandomnessAttachment:
-    """The beacon as consensus nodes run it (`ConsensusNode._on_drb_share`):
-    recover the group signature over the block hash from t+1 shares, check
-    it against the group key, derive the block seed with `block_seed`."""
+    """The beacon as verifiers run it (`VerificationNode._on_drb_share`):
+    recover the group signature over the block hash from t+1 shares and
+    derive the block seed with `block_seed`. The node does not check the
+    recovered value against the group key; these tests do, to show that
+    any t+1 valid shares give the group signature."""
 
     def setup_method(self):
         self.params = crypto.make_params(7)
@@ -765,7 +767,7 @@ class TestSharedReplay:
 
 class TestSharedShareCheck:
     """`DrbShare.verified` keeps the share check on the share object that a
-    beacon member sends to every consensus node, and `threshold_recover`
+    beacon member sends to every verifier, and `threshold_recover`
     reads that verdict instead of checking the share again."""
 
     def setup_method(self):
@@ -817,7 +819,7 @@ class TestSharedShareCheck:
             DrbShare(self.message, crypto.threshold_sign(self.params, s, self.message))
             for s in self.shares[: t + 1]
         ]
-        for _ in range(7):  # every consensus node receives each share
+        for _ in range(7):  # every verifier receives each share
             assert all(m.verified(self.params, self.vv) for m in msgs)
         for _ in range(7):  # and each recovers the group signature
             sigma = crypto.threshold_recover(self.params, self.vv, [m.share for m in msgs], self.message)

@@ -417,15 +417,15 @@ def test_busy_clusters_close_full_collections_in_their_append():
         stores = [list(c.store) for c in world.collectors if c.cluster_index == index]
         assert stores[0] and all(store == stores[0] for store in stores)
     digest = hashlib.sha256(world.sim.log.to_jsonl().encode()).hexdigest()
-    assert digest == "618c2ad4646be82a183862a90075caa038860bfd2ee465630c5a20051ee0b3fd"
+    assert digest == "26b1ccba4d2bac1febb238570fd907358eb09913d4f09e6b78062c9d3c9d04e3"
     assert world.metrics.rows() == [
-        ("blocks_finalized", 110),
-        ("blocks_sealed", 106),
-        ("collections_guaranteed", 21),
+        ("blocks_finalized", 114),
+        ("blocks_sealed", 110),
+        ("collections_guaranteed", 23),
         ("challenges", 0),
         ("slashes", 0),
-        ("mean_finalization_latency", 107.51818181818182),
-        ("max_finalization_latency", 186),
+        ("mean_finalization_latency", 103.43859649122807),
+        ("max_finalization_latency", 154),
     ]
 
 

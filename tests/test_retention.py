@@ -7,12 +7,13 @@ certificate, pending-certificate, orphan and reported-equivocation books
 only for rounds at or above its newest finalized block, the proposals it
 answers block fetches from only `RETRIEVAL_WINDOW` rounds below it, and no
 tree node below that round off the finalized chain. A collector engine keeps of the finalized
-chain only its newest block. A consensus node drops a block's beacon
-shares once it recovers the block's randomness, the approvals of each
+chain only its newest block. A consensus node drops the approvals of each
 result a finalized block seals, the received results before its sealed
 tip with their entries in the seal index, a block's first-seen stamp
-once the block is finalized or pruned, and each guarantee a finalized
-block lists; an executor drops each block it executed.
+once the block is finalized or pruned, each guarantee a finalized
+block lists, and its beacon share of each block a finalized block seals;
+an executor drops each block it executed; a verifier drops a
+block's beacon shares once it recovers the block's seed.
 
 The simulator's calendar queue holds a bucket only for a tick still to
 come, so it never keeps one per tick already run.
@@ -60,13 +61,15 @@ def retained(world) -> dict[str, int]:
         note("collector engine.tree.nodes", len(node.engine.tree.nodes))
         note("collector engine.finalized_set", len(node.engine.finalized_set))
     for node in world.consensus:
-        note("ConsensusNode.drb_shares", len(node.drb_shares))
         note("ConsensusNode.approvals", len(node.approvals))
         note("ConsensusNode.results", len(node.results))
         note("ConsensusNode.results_by_prev", len(node.results_by_prev))
         note("ConsensusNode.pending_collections", len(node.pending_collections))
+        note("ConsensusNode.beacon_shares", len(node.beacon_shares))
     for node in world.executors:
         note("ExecutionNode.blocks", len(node.blocks))
+    for node in world.verifiers:
+        note("VerificationNode.drb_shares", len(node.drb_shares))
     return sizes
 
 
@@ -83,7 +86,7 @@ def happy_path(max_sim_time: int):
 
 def assert_bounded(world) -> None:
     sizes = retained(world)
-    assert len(sizes) == 16
+    assert len(sizes) == 17
     over = {name: size for name, size in sizes.items() if size > BOUND}
     assert not over, over
 
