@@ -151,17 +151,9 @@ class GuaranteeAnnounce:
 @dataclass(frozen=True)
 class Finalized:
     pb: ProtoBlock
-
-
-@dataclass(frozen=True)
-class DrbShare:
-    pb_hash: bytes
-    share: crypto.SignatureShare
-
-    def verified(self, params: crypto.ThresholdParams, vv: crypto.VerificationVector) -> bool:
-        """The share's check over the block hash, kept on the share object,
-        which `threshold_recover` reads again."""
-        return self.share.verified(params, vv, self.pb_hash)
+    # a beacon committee member's share over `pb.hash()`, in its copy to
+    # the verifiers only
+    share: Optional[crypto.SignatureShare] = None
 
 
 @dataclass(frozen=True)
@@ -472,9 +464,10 @@ class ConsensusNode(Node):
         self.results: dict[bytes, ExecutionResult] = {}
         self.results_by_prev: dict[bytes, list[bytes]] = {}
         self.approvals: dict[bytes, Tally] = {}  # result hash -> verifier -> approval
-        # block hash -> this committee member's beacon share, until a
-        # finalized block seals the block
-        self.beacon_shares: dict[bytes, DrbShare] = {}
+        # block hash -> this committee member's `Finalized` copy for the
+        # verifiers, with its beacon share, until a finalized block seals
+        # the block
+        self.beacon_shares: dict[bytes, Finalized] = {}
         self.fcc_received: set[bytes] = set()  # ids of the FCCs received here
         # result hash -> ids of the FCCs against it, received or in a built block
         self.fcc_ids: dict[bytes, set[bytes]] = {}
@@ -708,16 +701,14 @@ class ConsensusNode(Node):
         for cid in list(self.pending_updates):
             if cid in final["adjudicated"]:
                 del self.pending_updates[cid]
-        # notify the other roles
-        self.send_all(
-            self.d.executor_names + self.d.verifier_names + self.d.collector_names, Finalized(pb)
-        )
-        # beacon committee members send their share to the beacon's one
-        # reader: each verifier recovers the block's signature itself
+        # notify the other roles; only beacon committee members notify the
+        # verifiers, whose copy carries the member's share of the block:
+        # each verifier recovers the block's signature itself
+        self.send_all(self.d.executor_names + self.d.collector_names, Finalized(pb))
         share = self.d.drb_committee.get(self.keypair.public)
         if share is not None:
             sig = crypto.threshold_sign(self.d.params, share, digest)
-            self.beacon_shares[digest] = DrbShare(digest, sig)
+            self.beacon_shares[digest] = Finalized(pb, sig)
             self._send_share(digest)
         # adjudicate challenges recorded in this block
         for ch in pb.slashing_challenges:
@@ -726,12 +717,12 @@ class ConsensusNode(Node):
             self._start_adjudication(ch)
 
     def _send_share(self, digest: bytes):
-        """Send this member's beacon share of a finalized block to every
-        verifier, and again every `SHARE_RESEND` base timeouts until a
-        finalized block seals the block."""
-        drb = self.beacon_shares.get(digest)
-        if drb is not None:
-            self.send_all(self.d.verifier_names, drb)
+        """Send this member's `Finalized` copy of a block, with its beacon
+        share, to every verifier, and again every `SHARE_RESEND` base
+        timeouts until a finalized block seals the block."""
+        copy = self.beacon_shares.get(digest)
+        if copy is not None:
+            self.send_all(self.d.verifier_names, copy)
             period = SHARE_RESEND * self.d.base_timeout
             self.sim.set_timer(self.name, period, lambda: self._send_share(digest))
 
@@ -1023,31 +1014,30 @@ class VerificationNode(Node):
         # previous result not yet judged here -> signed receipts of rejected
         # successors, challenged once it is approved
         self.held: dict[bytes, list[ReceiptMsg]] = {}
-        # verifiers key off beacon shares and receipts, not finalization notices
-        self.handlers.update({DrbShare: self._on_drb_share, ReceiptMsg: self._on_receipt})
+        self.handlers.update({Finalized: self._on_finalized, ReceiptMsg: self._on_receipt})
 
     def handle(self, sender: str, msg: Any):
         self.handlers.get(type(msg), _ignore)(sender, msg)
 
-    def _on_drb_share(self, sender: str, msg: DrbShare):
-        """Recover a block's beacon signature from the first t+1 shares that
-        pass their check against the per-party keys, then seed the block.
-        The recovered value is not checked against the group key: it is
+    def _on_finalized(self, sender: str, msg: Finalized):
+        """Recover a block's beacon signature from the first t+1 `Finalized`
+        copies whose share passes its check against the per-party keys (a
+        copy with no share opens no bucket), then seed the block. The
+        recovered value is not checked against the group key: it is
         interpolated from t+1 shares of the DKG's degree-t polynomial, each
         checked against that polynomial's commitment, so it is the group
         signature, the one value any t+1 valid shares give."""
-        if msg.pb_hash in self.seeds or not msg.verified(self.d.params, self.d.drb_vv):
+        h, share = msg.pb.hash(), msg.share
+        if h in self.seeds or share is None or not share.verified(self.d.params, self.d.drb_vv, h):
             return
-        bucket = self.drb_shares.setdefault(msg.pb_hash, {})
-        bucket.setdefault(msg.share.party_index, msg.share)
+        bucket = self.drb_shares.setdefault(h, {})
+        bucket.setdefault(share.party_index, share)
         if len(bucket) < self.d.params.t + 1:
             return
-        sigma = crypto.threshold_recover(
-            self.d.params, self.d.drb_vv, list(bucket.values()), msg.pb_hash
-        )
-        del self.drb_shares[msg.pb_hash]  # later shares stop at `seeds`
-        self.seeds[msg.pb_hash] = block_seed(sigma.value)
-        self.sim.event(self.name, "randomness", {"block": hexify(msg.pb_hash)})
+        sigma = crypto.threshold_recover(self.d.params, self.d.drb_vv, list(bucket.values()), h)
+        del self.drb_shares[h]  # later shares stop at `seeds`
+        self.seeds[h] = block_seed(sigma.value)
+        self.sim.event(self.name, "randomness", {"block": hexify(h)})
         # in the order the results' first receipts arrived
         for rh in list(self.pending):
             self._try_verify(rh)

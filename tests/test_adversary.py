@@ -60,7 +60,6 @@ from flowpipe.nodes import (
     ApprovalMsg,
     ChallengeMsg,
     CollectionResponse,
-    DrbShare,
     Finalized,
     GuaranteeAnnounce,
     GuaranteeShare,
@@ -81,15 +80,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "82551b268c120f34f44f468c1419494096a5d8c5dc545999fc58e3f3e780491e",
+        "29c704e7560c8069ccf04508edc63534f9f7283a727b6924e6737cd20fc07467",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "a7f76676969a02edc1f189104cb76689f4ad4043026aabc3729d12c501be05a4",
+        "12b2de3a8f40408468624e9b44072fa553c7bcf1175c727596aec15582051fa9",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "29a738149def23deb8d3bd8109ada739febef05e35a9ede7d7997301477bc2c1",
+        "a770bb87187749697f937d290cf5c2f12548129dc5390d44cc3010310258298d",
     ),
 }
 
@@ -99,37 +98,37 @@ METRICS = {
         [
             ("blocks_finalized", 25),
             ("blocks_sealed", 23),
-            ("collections_guaranteed", 11),
+            ("collections_guaranteed", 10),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 251.12),
-            ("max_finalization_latency", 1952),
+            ("mean_finalization_latency", 250.52),
+            ("max_finalization_latency", 1927),
         ],
-        "b07581476bd80783cdd559858c918e5bfb8cfa54e46f40103a3f3c853e56591f",
+        "9494059588fc8c8cba8bfc67ecb4568d0fd04f5945836e03c95d5547f4278823",
     ),
     "stale_vote": (
         [
-            ("blocks_finalized", 87),
-            ("blocks_sealed", 83),
+            ("blocks_finalized", 91),
+            ("blocks_sealed", 87),
             ("collections_guaranteed", 14),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 134.58620689655172),
-            ("max_finalization_latency", 201),
+            ("mean_finalization_latency", 129.72527472527472),
+            ("max_finalization_latency", 200),
         ],
-        "b59fa07edae4257e427a8e113a498c0947f38ffd8221dea0fda7e085033d382e",
+        "837933576cba44fab5dda944a269d19ff6517825d4150c983c28d047891c4d43",
     ),
     "faulty_execution_target_chunk": (
         [
             ("blocks_finalized", 113),
             ("blocks_sealed", 109),
-            ("collections_guaranteed", 15),
+            ("collections_guaranteed", 13),
             ("challenges", 1),
             ("slashes", 1),
-            ("mean_finalization_latency", 104.85840707964601),
-            ("max_finalization_latency", 155),
+            ("mean_finalization_latency", 104.38053097345133),
+            ("max_finalization_latency", 161),
         ],
-        "f1e05ac5713b789e7331df749a5da46f08ea451f301d7bbf67b2f6c58a88fa4a",
+        "2c81f9fc0ac6d03b35c0b872d2786bc8a96172b0cabb604c9e9b8796fb669f7a",
     ),
 }
 
@@ -221,7 +220,7 @@ def test_answered_mcc_dismissed():
     assert len(log.select("mcc_raised")) == 14
     assert [r["payload"]["outcome"] for r in log.select("adjudication")] == ["dismissed"] * 49
     assert world.metrics.slashes == 0
-    assert world.metrics.blocks_sealed == 148
+    assert world.metrics.blocks_sealed == 150
     assert not log.select("attestation")
     assert forwarded == {node.name for node in world.executors}
     assert all(not node.skipped for node in world.executors)
@@ -438,12 +437,13 @@ def test_each_equivocation_challenged_once(monkeypatch):
             assert len(ids) == len(set(ids)), node.name
 
 
-def hand_beacon(world, verifier, pb_hash: bytes) -> None:
-    """Hand `verifier` the `DrbShare`s over `pb_hash` of t+1 beacon
-    committee members, from which it recovers the block's seed."""
+def hand_beacon(world, verifier, pb) -> None:
+    """Hand `verifier` the `Finalized` copies of block `pb` of t+1 beacon
+    committee members, each with the member's share, from which it
+    recovers the block's seed."""
     d = world.directory
     for key, share in list(d.drb_committee.items())[: d.params.t + 1]:
-        verifier.handle(d.name_of[key], DrbShare(pb_hash, crypto.threshold_sign(d.params, share, pb_hash)))
+        verifier.handle(d.name_of[key], Finalized(pb, crypto.threshold_sign(d.params, share, pb.hash())))
 
 
 def two_block_receipts(randomness=True):
@@ -472,7 +472,7 @@ def two_block_receipts(randomness=True):
     ]
     sent.clear()
     for pb in (pb1, pb2) if randomness else ():
-        hand_beacon(world, verifier, pb.hash())
+        hand_beacon(world, verifier, pb)
     return world, verifier, receipts, sent
 
 
@@ -544,7 +544,8 @@ def test_verifier_judges_waiting_results_in_arrival_order(tampered_first):
     for executor, msg in arrivals:
         verifier.handle(executor.name, msg)
     assert not sent
-    block = honest_chain[0].receipt.execution_result.block_hash
+    block = propose_proto_block(GENESIS_DIGEST, 0, world.directory.initial_state, [], [], [], [])
+    assert block.hash() == honest_chain[0].receipt.execution_result.block_hash
     hand_beacon(world, verifier, block)
     kinds = [type(m) for _, _, m in sent]
     first, second = (ChallengeMsg, ApprovalMsg) if tampered_first else (ApprovalMsg, ChallengeMsg)
@@ -647,7 +648,7 @@ def test_one_signature_check_per_broadcast_receipt(monkeypatch):
     assert sorted(r for r, _ in deliveries) == sorted(n.name for n in receivers)
     assert len({id(m) for _, m in deliveries}) == 1
     for verifier in world.verifiers:  # each verifier judges the receipt on arrival
-        hand_beacon(world, verifier, pb.hash())
+        hand_beacon(world, verifier, pb)
     checked = []
     real = crypto.staking_verify
     monkeypatch.setattr(crypto, "staking_verify", lambda *args: checked.append(args) or real(*args))
@@ -907,7 +908,10 @@ def test_proposal_payload_bound_to_its_digest():
     assert tampered
     safety = next(p for p in evaluate_properties(world)["properties"] if p["name"] == "safety")
     assert safety["passed"], safety["detail"]
-    assert n0.finalized_heights.items() <= world.consensus[1].finalized_heights.items()
+    # n0 may end the run a block ahead of some peers, so each of its blocks
+    # is looked up at every other node
+    others = [node.finalized_heights.items() for node in world.consensus[1:]]
+    assert all(any(item in theirs for theirs in others) for item in n0.finalized_heights.items())
     assert len(n0.finalized_heights) >= 90
 
 

@@ -476,7 +476,7 @@ class TestChainView:
 
 
 class TestRandomnessAttachment:
-    """The beacon as verifiers run it (`VerificationNode._on_drb_share`):
+    """The beacon as verifiers run it (`VerificationNode._on_finalized`):
     recover the group signature over the block hash from t+1 shares and
     derive the block seed with `block_seed`. The node does not check the
     recovered value against the group key; these tests do, to show that
@@ -766,9 +766,10 @@ class TestSharedReplay:
 
 
 class TestSharedShareCheck:
-    """`DrbShare.verified` keeps the share check on the share object that a
-    beacon member sends to every verifier, and `threshold_recover`
-    reads that verdict instead of checking the share again."""
+    """`SignatureShare.verified` keeps the share check on the share object
+    that a beacon member sends to every verifier in its `Finalized` copy,
+    and `threshold_recover` reads that verdict instead of checking the
+    share again."""
 
     def setup_method(self):
         self.params = crypto.make_params(7)
@@ -777,34 +778,29 @@ class TestSharedShareCheck:
         self.vv, self.shares = dkg.verification_vector, dkg.shares
         self.message = crypto.hash("block", b"1")
 
-    def test_tampered_share_twin_rejected_after_original_accepted(self):
-        from flowpipe.nodes import DrbShare
+    def sign(self, share):
+        return crypto.threshold_sign(self.params, share, self.message)
 
-        msg = DrbShare(self.message, crypto.threshold_sign(self.params, self.shares[0], self.message))
-        assert msg.verified(self.params, self.vv) and msg.verified(self.params, self.vv)
-        forged = dataclasses.replace(
-            msg, share=dataclasses.replace(msg.share, value=(msg.share.value + 1) % self.params.q)
-        )
-        assert not forged.verified(self.params, self.vv)
-        other_block = dataclasses.replace(msg, pb_hash=crypto.hash("block", b"2"))
-        assert not other_block.verified(self.params, self.vv)
-        impostor = dataclasses.replace(msg, share=dataclasses.replace(msg.share, party_index=2))
-        assert not impostor.verified(self.params, self.vv)
-        assert msg.verified(self.params, self.vv)
+    def test_tampered_share_twin_rejected_after_original_accepted(self):
+        sig = self.sign(self.shares[0])
+        assert sig.verified(self.params, self.vv, self.message)
+        assert sig.verified(self.params, self.vv, self.message)
+        forged = dataclasses.replace(sig, value=(sig.value + 1) % self.params.q)
+        assert not forged.verified(self.params, self.vv, self.message)
+        assert not sig.verified(self.params, self.vv, crypto.hash("block", b"2"))
+        impostor = dataclasses.replace(sig, party_index=2)
+        assert not impostor.verified(self.params, self.vv, self.message)
+        assert sig.verified(self.params, self.vv, self.message)
 
     def test_share_rejected_under_another_committee(self):
-        from flowpipe.nodes import DrbShare
-
-        msg = DrbShare(self.message, crypto.threshold_sign(self.params, self.shares[0], self.message))
-        assert msg.verified(self.params, self.vv)
+        sig = self.sign(self.shares[0])
+        assert sig.verified(self.params, self.vv, self.message)
         entropy = [crypto.hash("drb-other", bytes([i])) for i in range(7)]
         other_vv = crypto.dkg_setup(self.params, entropy).verification_vector
-        assert not msg.verified(self.params, other_vv)
-        assert msg.verified(self.params, self.vv)
+        assert not sig.verified(self.params, other_vv, self.message)
+        assert sig.verified(self.params, self.vv, self.message)
 
     def test_recovery_reads_the_share_verdicts(self, monkeypatch):
-        from flowpipe.nodes import DrbShare
-
         calls = []
         real = crypto.signature_share_verify
 
@@ -815,16 +811,13 @@ class TestSharedShareCheck:
         counting.__name__ = real.__name__
         monkeypatch.setattr(crypto, "signature_share_verify", counting)
         t = self.params.t
-        msgs = [
-            DrbShare(self.message, crypto.threshold_sign(self.params, s, self.message))
-            for s in self.shares[: t + 1]
-        ]
+        sigs = [self.sign(s) for s in self.shares[: t + 1]]
         for _ in range(7):  # every verifier receives each share
-            assert all(m.verified(self.params, self.vv) for m in msgs)
+            assert all(s.verified(self.params, self.vv, self.message) for s in sigs)
         for _ in range(7):  # and each recovers the group signature
-            sigma = crypto.threshold_recover(self.params, self.vv, [m.share for m in msgs], self.message)
+            sigma = crypto.threshold_recover(self.params, self.vv, sigs, self.message)
         assert crypto.threshold_verify(self.params, sigma, self.vv.group_public_key, self.message)
-        assert calls == [m.share.party_index for m in msgs]
+        assert calls == [s.party_index for s in sigs]
         # a share checked under another message is checked afresh, and fails
         with pytest.raises(crypto.InsufficientShares):
-            crypto.threshold_recover(self.params, self.vv, [m.share for m in msgs], b"other")
+            crypto.threshold_recover(self.params, self.vv, sigs, b"other")

@@ -355,9 +355,9 @@ class TestProposals:
         after the node entered a later round, or after the node parked a
         child of it: the engine then adds the proposal unvalidated and
         enters the child's round. On happy-path a leader waits five times
-        in the run's 30,000 ticks, first n5 in round 107 at tick 5,290; at
-        the last, n2's round-540 proposal reaches n3 before n4's round-539
-        proposal, its parent, and n3 does not validate the parent."""
+        in the run's 30,000 ticks, first n3 in round 10 at tick 455, and
+        last n0 in round 307 at tick 16,052; n3's round-10 proposal reaches
+        n0 after n0 entered round 11, and n0 does not validate it."""
         waits, made, verdicts, late = [], {}, [], set()
         make_payload, validate_payload = ConsensusNode._make_payload, ConsensusNode._validate_payload
         on_proposal = ConsensusEngine.on_proposal
@@ -422,8 +422,12 @@ class TestCatchUp:
         proposal behind the missing block: it finalized 6 blocks and held 67
         orphans, while the others finalized 72. Fetching the block from the
         proposer of the first orphan, n2 keeps up with the best node, and
-        every orphan an engine holds at a finalization is gone by the next
-        one."""
+        every orphan an engine holds at a finalization is gone by the first
+        finalization of a later delivery to its node. One delivery can
+        finalize several blocks: a `BlockResponse` replays the fetched
+        chain in round order, and an orphan parked on its last block stays
+        parked through the finalizations the earlier blocks make, until
+        that block enters the tree later in the same delivery."""
         world = started_world("happy-path")
         consensus = {node.name for node in world.consensus}
         send = world.sim.send
@@ -435,16 +439,28 @@ class TestCatchUp:
 
         world.sim.send = lossy
         for node in world.consensus:
-            engine, parked = node.engine, {}
+            engine = node.engine
+            # deliveries to the node, and the orphans held at the
+            # finalizations of the latest delivery that finalized
+            book = {"delivery": 0, "parked_at": 0, "parked": {}}
 
-            def checked_prune(floor, engine=engine, prune=engine._prune, parked=parked):
+            def checked_prune(floor, engine=engine, prune=engine._prune, book=book):
                 now = {id(p): p for ps in engine._orphans.values() for p in ps}
-                assert not parked.keys() & now.keys(), "an orphan outlived a finalization"
-                parked.clear()
-                parked.update(now)
+                if book["parked_at"] != book["delivery"]:
+                    parked = book["parked"].keys() & now.keys()
+                    assert not parked, "an orphan outlived a finalization"
+                    book["parked"], book["parked_at"] = {}, book["delivery"]
+                book["parked"].update(now)
                 prune(floor)
 
             engine._prune = checked_prune
+            for kind, handler in node.handlers.items():
+
+                def counted(sender, msg, handler=handler, book=book):
+                    book["delivery"] += 1
+                    handler(sender, msg)
+
+                node.handlers[kind] = counted
         world.sim.run(until=8_000)
         finalized = {node.name: len(node.engine.finalized_set) for node in world.consensus}
         assert finalized["n2"] >= 0.9 * max(finalized.values()), finalized

@@ -417,15 +417,15 @@ def test_busy_clusters_close_full_collections_in_their_append():
         stores = [list(c.store) for c in world.collectors if c.cluster_index == index]
         assert stores[0] and all(store == stores[0] for store in stores)
     digest = hashlib.sha256(world.sim.log.to_jsonl().encode()).hexdigest()
-    assert digest == "26b1ccba4d2bac1febb238570fd907358eb09913d4f09e6b78062c9d3c9d04e3"
+    assert digest == "04b24a94f384d78032e6f6ad1d8f9d9e79f779eb65e595f6aea6ca62ba4e6230"
     assert world.metrics.rows() == [
-        ("blocks_finalized", 114),
-        ("blocks_sealed", 110),
-        ("collections_guaranteed", 23),
+        ("blocks_finalized", 115),
+        ("blocks_sealed", 111),
+        ("collections_guaranteed", 25),
         ("challenges", 0),
         ("slashes", 0),
-        ("mean_finalization_latency", 103.43859649122807),
-        ("max_finalization_latency", 154),
+        ("mean_finalization_latency", 102.37391304347825),
+        ("max_finalization_latency", 174),
     ]
 
 

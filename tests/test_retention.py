@@ -11,7 +11,8 @@ chain only its newest block. A consensus node drops the approvals of each
 result a finalized block seals, the received results before its sealed
 tip with their entries in the seal index, a block's first-seen stamp
 once the block is finalized or pruned, each guarantee a finalized
-block lists, and its beacon share of each block a finalized block seals;
+block lists, and its `Finalized` copy, with its beacon share, of each
+block a finalized block seals;
 an executor drops each block it executed; a verifier drops a
 block's beacon shares once it recovers the block's seed.
 

@@ -8,7 +8,11 @@ marker: `pytest -m seeds`.
 A known defect goes in `KNOWN` as a strict xfail, so its fix shows as an
 unexpected pass. None is known: pre-gst-chaos at seed 8, where a node that
 missed a block before GST never finalized again, passes since engines
-fetch the blocks they miss."""
+fetch the blocks they miss.
+
+No property reads a seal count past `checks.min_sealed`, so a run whose
+sealing stops for good passes the sweep; `test_pre_gst_chaos_keeps_sealing`
+reproduces one such run as a strict xfail."""
 
 from importlib import resources
 
@@ -44,3 +48,21 @@ def test_every_property_holds(name, seed):
     report = run_scenario(doc, seed=seed).report
     failed = [p for p in report["properties"] if not p["passed"]]
     assert not failed, failed
+
+
+@pytest.mark.seeds
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 21: receipts and approvals are sent once, so one lost before GST "
+    "stops sealing for good",
+)
+def test_pre_gst_chaos_keeps_sealing():
+    """pre-gst-chaos at seed 8 finalizes 377 blocks at n0 and seals none.
+    Executors send each receipt, and verifiers each approval, once; copies
+    the network dropped before GST leave every consensus node holding 2 of
+    the 4 verifier approvals that the first result past genesis needs
+    (CHANGES.md's FOUND line on pre-gst-chaos sealing). Resending until
+    sealed, as beacon committee members resend their shares, is the mend."""
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "pre-gst-chaos.json"))
+    metrics = run_scenario(doc, seed=8).world.metrics
+    assert metrics.blocks_sealed >= metrics.blocks_finalized / 2
