@@ -103,32 +103,19 @@ def validate_transaction(
     return TxCheck.OK
 
 
-def validate_append_proposal(
-    proposal: Sequence[bytes],
-    pool: dict[bytes, SignedTransaction],
-    open_collection: Sequence[bytes],
-    included: set[bytes],
-) -> bool:
-    """Vote in favor of appending `proposal` iff the node holds every full
-    text, nothing duplicates the open collection, and nothing overlaps what
-    this cluster already included, open or guaranteed. Signature/cluster
-    checks happened at intake, so pool membership implies them."""
-    seen = set(open_collection)
-    for h in proposal:
-        if h not in pool:
-            return False
-        if h in seen or h in included:
-            return False
-        seen.add(h)
-    return True
+def validate_append_proposal(hashes: Sequence[bytes], pool: dict[bytes, SignedTransaction]) -> bool:
+    """Vote in favor of a cluster block listing `hashes` iff the node holds
+    every full text. A hash listed again, or already included, is skipped
+    at finalization, so it costs no vote. Signature/cluster checks happened
+    at intake, so pool membership implies them."""
+    return all(h in pool for h in hashes)
 
 
-def close_trigger(size: int, rounds_open: int, timespan_rounds: int) -> bool:
-    """A collection of `size` transactions closes once the span since the
-    previous close has passed: by a close block over the open collection,
-    or by the append that opens one, `size` being its fresh transactions,
-    so a collection opened after an idle span does not wait for a close
-    block of its own. Empty collections are never closed. A collection that
-    reaches the size threshold closes in the append block that fills it, so
-    no proposal waits for the size."""
-    return size > 0 and rounds_open >= timespan_rounds
+def close_trigger(size: int, rounds_open: int, size_threshold: int, timespan_rounds: int) -> bool:
+    """The one close rule, applied at each finalized cluster block: a
+    collection of `size` transactions, `rounds_open` block rounds after the
+    block that closed the previous one, closes once it reaches the size
+    threshold or the span has passed. So a full collection closes in the
+    block that fills it, and one opened after an idle span in the block that
+    opens it. Empty collections are never closed."""
+    return size > 0 and (size >= size_threshold or rounds_open >= timespan_rounds)

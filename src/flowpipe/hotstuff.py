@@ -558,11 +558,6 @@ class ConsensusEngine:
             self._fetch(next(reversed(self._orphans.values()))[-1])
         self.timeout *= 2
         nxt = self.current_round + 1
-        self.current_round = nxt
-        self.set_timer(self.timeout, nxt)
-        msg = NewRound(round=nxt, high_qc=self.high_qc, sender=self.keypair.public)
-        leader = self.leader(nxt)
-        if leader == self.keypair.public:
-            self._propose()
-        else:
-            self.send(leader, msg)
+        self._enter_round(nxt)
+        if not self.is_leader(nxt):
+            self.send(self.leader(nxt), NewRound(nxt, self.high_qc, self.keypair.public))

@@ -283,7 +283,7 @@ class CollectorNode(Node):
         self.pool: dict[bytes, SignedTransaction] = {}
         self.included: set[bytes] = set()
         self.open_collection: list[bytes] = []
-        self.open_round = 1
+        self.open_round = 0  # round of the cluster block that closed the last collection
         self.store: dict[bytes, list[SignedTransaction]] = {}
         self.shares: dict[bytes, Tally] = {}  # collection hash -> signer -> signature
         self.heights: dict[bytes, int] = {GENESIS_DIGEST: 0}
@@ -314,59 +314,39 @@ class CollectorNode(Node):
 
     def _make_payload(self, parent_digest):
         # parent/round fields chain the payload so digests are unique per slot
-        base = {"parent": hexify(parent_digest), "round": self.engine.current_round}
-        rounds_open = self.engine.current_round - self.open_round
-        span = self.d.collection_timespan_rounds
-        if close_trigger(len(self.open_collection), rounds_open, span):
-            return dict(base, kind="close")
-        fresh = [hexify(h) for h in self.pool if h not in self.included]
-        if not fresh:
-            return dict(base, kind="noop")
-        payload = dict(base, kind="append", hashes=fresh)
-        if close_trigger(len(fresh), rounds_open, span):
-            payload["close"] = True  # absent, not false, on an append that leaves it open
-        return payload
+        return {
+            "parent": hexify(parent_digest),
+            "round": self.engine.current_round,
+            "hashes": [hexify(h) for h in self.pool if h not in self.included],
+        }
 
     def _validate_payload(self, payload, parent_digest):
-        if not isinstance(payload, dict):
+        # a cluster payload is its parent, its round and the hashes it lists, no more
+        if not isinstance(payload, dict) or payload.keys() != {"parent", "round", "hashes"}:
             return False
-        if payload.get("parent") != hexify(parent_digest):
+        if payload["parent"] != hexify(parent_digest) or not isinstance(payload["hashes"], list):
             return False
-        kind = payload.get("kind")
-        if kind == "noop":
-            return True
-        if kind == "close":
-            return bool(self.open_collection)
-        if kind == "append":
-            if payload.get("close", True) is not True:
-                return False  # `close`, when present, is exactly true
-            try:
-                hashes = [bytes.fromhex(h) for h in payload.get("hashes", [])]
-            except (TypeError, ValueError):
-                return False  # not a list of hex strings
-            return bool(hashes) and validate_append_proposal(
-                hashes, self.pool, self.open_collection, self.included
-            )
-        return False
+        try:
+            hashes = [bytes.fromhex(h) for h in payload["hashes"]]
+        except (TypeError, ValueError):
+            return False  # not a list of hex strings
+        return validate_append_proposal(hashes, self.pool)
 
     def _on_cluster_finalize(self, node):
-        payload = node.payload
-        kind = payload.get("kind")
-        closes = kind == "close"
-        if kind == "append":
-            # every listed hash counts, held or not, so the collection's size
-            # and its close depend on the finalized cluster chain alone
-            for h in (bytes.fromhex(x) for x in payload["hashes"]):
-                if h not in self.included:
-                    self.open_collection.append(h)
-                    self.included.add(h)
-            closes = (
-                payload.get("close") is True
-                or len(self.open_collection) >= self.d.collection_size_threshold
-            )
-        if closes and self.open_collection:
+        # every listed hash counts, held or not, so the collection's size and
+        # its close depend on the finalized cluster chain alone
+        for h in (bytes.fromhex(x) for x in node.payload["hashes"]):
+            if h not in self.included:
+                self.open_collection.append(h)
+                self.included.add(h)
+        if close_trigger(
+            len(self.open_collection),
+            node.round - self.open_round,
+            self.d.collection_size_threshold,
+            self.d.collection_timespan_rounds,
+        ):
             tx_hashes = self.open_collection
-            self.open_collection, self.open_round = [], self.engine.current_round
+            self.open_collection, self.open_round = [], node.round
             if any(h not in self.pool for h in tx_hashes):
                 return  # short of a listed text, it would sign a hash no peer shares
             ch = collection_hash(tx_hashes)

@@ -480,26 +480,18 @@ def _honest_result_hashes(world: World) -> set[bytes]:
     """Reference re-execution of the observer's finalized chain with honest
     execution semantics; the returned result hashes are the only ones a
     correct seal may reference."""
-    attested = {
-        bytes.fromhex(r["payload"]["collection"])
-        for r in world.sim.log.select("attestation")
-    }
     exec_state = ExecutionState()
     prev = GENESIS_RESULT_HASH
     honest: set[bytes] = set()
     for pb in _finalized_blocks(world):
         ordered = []
         for gc in pb.guaranteed_collections:
-            texts = None
+            # a collection whose texts no collector holds is skipped
             for collector in world.collectors:
                 texts = collector.store.get(gc.collection_hash)
                 if texts is not None:
+                    ordered.append(texts)
                     break
-            if texts is not None:
-                ordered.append(texts)
-            elif gc.collection_hash not in attested:
-                # unresolvable and unattested: treat as skipped either way
-                continue
         txs = canonical(ordered)
         out = block_execution(
             pb.hash(), txs, prev, exec_state, world.directory.gamma_chunk

@@ -80,15 +80,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "29c704e7560c8069ccf04508edc63534f9f7283a727b6924e6737cd20fc07467",
+        "99a2acf2d9c337f1d59b407027317ec1721b0aea8ebd229a081715f2ee3a010a",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "12b2de3a8f40408468624e9b44072fa553c7bcf1175c727596aec15582051fa9",
+        "a1f84307be41cebacf9eb1082c717a450d3732d30ffa513dd108b4b6c1fe3534",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "a770bb87187749697f937d290cf5c2f12548129dc5390d44cc3010310258298d",
+        "a51c06f1c01ab6b5b896f5923ae861008f043e6a611fcd14c5eb3868d13cac89",
     ),
 }
 
@@ -101,34 +101,34 @@ METRICS = {
             ("collections_guaranteed", 10),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 250.52),
-            ("max_finalization_latency", 1927),
+            ("mean_finalization_latency", 253.56),
+            ("max_finalization_latency", 1990),
         ],
-        "9494059588fc8c8cba8bfc67ecb4568d0fd04f5945836e03c95d5547f4278823",
+        "ecc93a479bf57f50d2f061bb3cb1bda388920dd2deb6f03ba5e11619da0df972",
     ),
     "stale_vote": (
         [
-            ("blocks_finalized", 91),
-            ("blocks_sealed", 87),
-            ("collections_guaranteed", 14),
+            ("blocks_finalized", 89),
+            ("blocks_sealed", 85),
+            ("collections_guaranteed", 16),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 129.72527472527472),
-            ("max_finalization_latency", 200),
+            ("mean_finalization_latency", 133.42696629213484),
+            ("max_finalization_latency", 208),
         ],
-        "837933576cba44fab5dda944a269d19ff6517825d4150c983c28d047891c4d43",
+        "bf99cb82431059e0c4ab9a2c0a3eda72104c97116823351de4626ae733d2dd5f",
     ),
     "faulty_execution_target_chunk": (
         [
             ("blocks_finalized", 113),
             ("blocks_sealed", 109),
-            ("collections_guaranteed", 13),
+            ("collections_guaranteed", 14),
             ("challenges", 1),
             ("slashes", 1),
-            ("mean_finalization_latency", 104.38053097345133),
-            ("max_finalization_latency", 161),
+            ("mean_finalization_latency", 103.929203539823),
+            ("max_finalization_latency", 152),
         ],
-        "2c81f9fc0ac6d03b35c0b872d2786bc8a96172b0cabb604c9e9b8796fb669f7a",
+        "a936c4a86f6bc331405c1ded1731241c51cf728d439da0cacce8d811ac1cfc38",
     ),
 }
 
@@ -220,7 +220,7 @@ def test_answered_mcc_dismissed():
     assert len(log.select("mcc_raised")) == 14
     assert [r["payload"]["outcome"] for r in log.select("adjudication")] == ["dismissed"] * 49
     assert world.metrics.slashes == 0
-    assert world.metrics.blocks_sealed == 150
+    assert world.metrics.blocks_sealed == 146
     assert not log.select("attestation")
     assert forwarded == {node.name for node in world.executors}
     assert all(not node.skipped for node in world.executors)
@@ -877,20 +877,21 @@ def happy_path(max_sim_time: int) -> dict:
 
 
 def test_proposal_payload_bound_to_its_digest():
-    """Consensus n4 also sends n0 alone a copy of its first proposal of a
-    block at height 5 or more that lists collections; the copy's payload
-    drops the collections but keeps the signed digest and signature. Taken
-    on its signature, the copy put a payload under a digest it does not
-    hash to, and n0 finalized a block no other node finalized."""
+    """The first leader other than n0 to propose a block at height 5 or
+    more that lists collections also sends n0 alone a copy of it; the
+    copy's payload drops the collections but keeps the signed digest and
+    signature. Taken on its signature, the copy put a payload under a
+    digest it does not hash to, and n0 finalized a block no other node
+    finalized."""
     world = build_world(happy_path(6000))
-    n0, n4 = world.consensus[0], world.consensus[4]
+    n0 = world.consensus[0]
     real_send = world.sim.send
     tampered = []
 
     def send(sender, receiver, message):
         if (
             not tampered
-            and sender == n4.name
+            and sender != n0.name
             and receiver == n0.name
             and isinstance(message, Proposal)
             and message.payload.height >= 5
@@ -953,7 +954,7 @@ def test_share_for_another_cluster_dropped():
 @pytest.mark.parametrize("hashes", [["zz"], 5, [7]], ids=["not-hex", "not-a-list", "not-str"])
 def test_malformed_cluster_proposal_rejected(hashes):
     """At tick 1,500 of the default scenario, a cluster-0 collector gets a
-    proposal that its round's leader signed, whose append payload lists
+    proposal that its round's leader signed, whose payload lists
     `hashes` that are not hex strings. The collector rejects it without a
     vote; `bytes.fromhex` on each entry made it raise out of `on_proposal`
     and out of the run."""
@@ -966,7 +967,6 @@ def test_malformed_cluster_proposal_rejected(hashes):
     payload = {
         "parent": engine.high_qc.payload_digest.hex(),
         "round": r,
-        "kind": "append",
         "hashes": hashes,
     }
     unsigned = Proposal(
@@ -986,11 +986,14 @@ def test_malformed_cluster_proposal_rejected(hashes):
 def relisted_seal_run(relist: bool):
     """happy-path to tick 12,000; when `relist`, leader n1 appends, once, the
     seal of the first result sealed on its finalized chain to the block it
-    proposes. Returns the world and the tick of the re-listing proposal."""
+    proposes. Returns the world, the tick of the re-listing proposal, and
+    each other consensus node's verdict on that proposal, by name, as (tick,
+    accepted)."""
     world = build_world(happy_path(12000))
     n1 = world.consensus[1]
     make_payload = n1.engine.make_payload
-    relisted = []
+    relisted = []  # (tick, payload)
+    verdicts = {}
 
     def relisting(parent_digest):
         pb = make_payload(parent_digest)
@@ -1003,12 +1006,23 @@ def relisted_seal_run(relist: bool):
         ]
         if not old:
             return pb
-        relisted.append(world.sim.now)
-        return dataclasses.replace(pb, block_seals=pb.block_seals + (old[0],))
+        pb = dataclasses.replace(pb, block_seals=pb.block_seals + (old[0],))
+        relisted.append((world.sim.now, pb))
+        return pb
 
     n1.engine.make_payload = relisting
+    for node in world.consensus:
+        if node is not n1:
+
+            def validate(payload, parent_digest, node=node, check=node.engine.validate_payload):
+                accepted = check(payload, parent_digest)
+                if relisted and payload is relisted[0][1]:
+                    verdicts[node.name] = (world.sim.now, accepted)
+                return accepted
+
+            node.engine.validate_payload = validate
     run_world(world)
-    return world, relisted[0] if relisted else None
+    return world, relisted[0][0] if relisted else None, verdicts
 
 
 def test_relisted_seal_rejected():
@@ -1018,22 +1032,18 @@ def test_relisted_seal_rejected():
     later result sealed. Each honest consensus node now rejects the block at
     condition 8, and the observer keeps sealing at the pace of the run
     without the re-listed seal, each result once."""
-    clean, _ = relisted_seal_run(relist=False)
-    world, t = relisted_seal_run(relist=True)
+    clean, _, _ = relisted_seal_run(relist=False)
+    world, t, verdicts = relisted_seal_run(relist=True)
     assert t is not None
-
-    def condition_8(w):
-        return [
-            r
-            for r in w.sim.log.select("proposal_rejected")
-            if r["payload"]["reason"] == "condition-8:seal-invalid"
-        ]
-
-    assert not condition_8(clean)
-    rejections = condition_8(world)
-    assert all(r["t"] >= t for r in rejections)
+    rejections = {
+        (r["node"], r["t"])
+        for r in world.sim.log.select("proposal_rejected")
+        if r["payload"]["reason"] == "condition-8:seal-invalid"
+    }
     honest = {n.name for n in world.consensus} - {world.consensus[1].name}
-    assert honest <= {r["node"] for r in rejections}
+    assert set(verdicts) == honest
+    for name, (tick, accepted) in verdicts.items():
+        assert tick >= t and not accepted and (name, tick) in rejections
 
     def sealed(w):
         return [r["payload"]["result"] for r in w.sim.log.select("sealed", w.observer.name)]

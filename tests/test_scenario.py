@@ -424,11 +424,11 @@ class TestShortRuns:
         counted from when the block entered its tree. Here, at seed 29 to
         8,000 ticks, the proposal of round 26 reaches n0 at tick 1,360, after
         n0 has entered round 27, so the block enters n0's tree without a vote
-        or a payload validation; n0 still finalizes it, with 150 other
+        or a payload validation; n0 still finalizes it, with 149 other
         blocks."""
         doc = apply_overrides(load_scenario(bundled_path("happy-path")), ["run.max_sim_time=8000"])
         metrics = run_scenario(doc, seed=29).world.metrics
-        assert metrics.blocks_finalized == 151
+        assert metrics.blocks_finalized == 150
         assert len(metrics.finalization_latencies) == metrics.blocks_finalized
 
     def test_transactions_reach_sealed_chain(self):
