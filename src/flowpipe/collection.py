@@ -111,11 +111,16 @@ def validate_append_proposal(hashes: Sequence[bytes], pool: dict[bytes, SignedTr
     return all(h in pool for h in hashes)
 
 
-def close_trigger(size: int, rounds_open: int, size_threshold: int, timespan_rounds: int) -> bool:
+def close_trigger(
+    size: int, added: int, rounds_open: int, size_threshold: int, timespan_rounds: int
+) -> bool:
     """The one close rule, applied at each finalized cluster block: a
-    collection of `size` transactions, `rounds_open` block rounds after the
-    block that closed the previous one, closes once it reaches the size
-    threshold or the span has passed. So a full collection closes in the
-    block that fills it, and one opened after an idle span in the block that
-    opens it. Empty collections are never closed."""
-    return size > 0 and (size >= size_threshold or rounds_open >= timespan_rounds)
+    collection of `size` transactions, `added` of them new in this block,
+    `rounds_open` block rounds after the block that closed the previous one,
+    closes once it reaches the size threshold, once the span has passed, or
+    at the first block that adds nothing. So a full collection closes in the
+    block that fills it, one opened after a long span in the block that
+    opens it, and a lone transaction one block after its own, since an idle
+    cluster runs no rounds for the span to pass in. Empty collections are
+    never closed."""
+    return size > 0 and (added == 0 or size >= size_threshold or rounds_open >= timespan_rounds)

@@ -24,6 +24,18 @@ finalized again, so each finalization drops the engine's per-round books
 below that round; of those rounds only the finalized chain stays in the
 tree, and only while the host keeps it (`keep_finalized`). The proposals a
 node answers fetches from are kept `RETRIEVAL_WINDOW` rounds longer.
+
+A node that times out of a round sends its `NewRound` to the next round's
+leader. A node that has heard members of more than a third of the stake
+time into a round later than its own enters that round, so a leader whose
+timer started late does not stay behind the nodes waiting for it.
+
+A host with nothing to order can park the pacemaker (`has_work`): a round
+timer that fires while it is idle changes no view and sends nothing, and
+`wake` re-arms it when work arrives. A proposal refused in the current round
+is kept, so the host can vote for it once its payload validates
+(`retry_vote`); one vote per round is all the safety rule asks, not when in
+the round it is cast.
 """
 
 from __future__ import annotations
@@ -265,6 +277,7 @@ BroadcastFn = Callable[[Any], None]
 TimerFn = Callable[[int, int], None]  # (duration, round) -> schedules on_local_timeout(round)
 FinalizeFn = Callable[[BlockNode], None]
 EvidenceFn = Callable[[EquivocationEvidence], None]
+WorkFn = Callable[[], bool]  # () -> whether the host has anything to order
 
 
 class ConsensusEngine:
@@ -273,7 +286,8 @@ class ConsensusEngine:
     The host wires `broadcast`, `send` and `set_timer` to its transport and
     `now` to its clock, and calls `start`, `on_proposal`, `on_vote`,
     `on_new_round`, `on_block_request`, `on_block_response` and
-    `on_local_timeout` as events arrive.
+    `on_local_timeout` as events arrive, and `wake` and `retry_vote` when
+    work or a missing input arrives.
 
     Of the finalized chain the engine reads only the newest block; with
     `keep_finalized` false it forgets the older ones, as collectors do. A
@@ -296,6 +310,7 @@ class ConsensusEngine:
         on_evidence: Optional[EvidenceFn] = None,
         keep_finalized: bool = True,
         now: Callable[[], int] = lambda: 0,
+        has_work: WorkFn = lambda: True,
     ):
         self.keypair = keypair
         self.table = schedule.table
@@ -311,6 +326,7 @@ class ConsensusEngine:
         self.on_finalize = on_finalize
         self.on_evidence = on_evidence or (lambda ev: None)
         self.keep_finalized = keep_finalized
+        self.has_work = has_work
 
         self.tree = BlockTree(now=now)
         self.current_round = 1
@@ -332,6 +348,9 @@ class ConsensusEngine:
         # `RETRIEVAL_WINDOW` rounds below the floor to answer fetches from
         self._proposals: dict[bytes, Proposal] = {}
         self._answered: dict[bytes, int] = {}  # member -> round of its last fetch answered
+        self._timed_out: dict[bytes, int] = {}  # member -> newest round of its NewRound here
+        self._parked = False  # the round timer fired while idle and is not re-armed
+        self._refused: Optional[Proposal] = None  # the current round's refused proposal
 
     # -- helpers ----------------------------------------------------------
 
@@ -410,6 +429,7 @@ class ConsensusEngine:
         if round_number <= self.current_round:
             return
         self.current_round = round_number
+        self._parked, self._refused = False, None
         self.set_timer(self.timeout, round_number)
         if self.is_leader(round_number):
             self._propose()
@@ -487,8 +507,13 @@ class ConsensusEngine:
         if proposal.round <= self.last_voted_round or justify.round < self.locked_round:
             return
         if not self.validate_payload(proposal.payload, justify.payload_digest):
+            self._refused = proposal
             return
+        self._vote(proposal)
+
+    def _vote(self, proposal: Proposal) -> None:
         self.last_voted_round = proposal.round
+        self._refused = None
         vote = Vote(
             round=proposal.round,
             payload_digest=proposal.payload_digest,
@@ -500,6 +525,21 @@ class ConsensusEngine:
             self.on_vote(vote)
         else:
             self.send(next_leader, vote)
+
+    def retry_vote(self) -> None:
+        """Vote for the proposal refused in the current round if its payload
+        now validates, under the same rule as a first vote: this round's
+        only vote, on a justify at or above the lock."""
+        proposal = self._refused
+        if (
+            proposal is None
+            or proposal.round != self.current_round
+            or proposal.round <= self.last_voted_round
+            or proposal.justify.round < self.locked_round
+            or not self.validate_payload(proposal.payload, proposal.justify.payload_digest)
+        ):
+            return
+        self._vote(proposal)
 
     def on_vote(self, vote: Vote) -> None:
         if vote.round < self.floor or not self.is_leader(vote.round + 1):
@@ -525,8 +565,24 @@ class ConsensusEngine:
         if msg.high_qc.valid_for(self.table):
             self._certify(msg.high_qc)
             self._update_high_qc(msg.high_qc)
+        if msg.sender in self.table.keys and msg.round > self._timed_out.get(msg.sender, 0):
+            self._timed_out[msg.sender] = msg.round
+            self._catch_up()
         if msg.round == self.current_round and self.is_leader(msg.round):
             self._propose()
+
+    def _catch_up(self) -> None:
+        """Enter the highest round that members of more than a third of the
+        stake have timed into: at least one honest node has, so no faulty
+        minority can pull this node ahead. Without it a leader whose timer
+        started late stays behind the nodes waiting for its proposal while
+        every timeout doubles."""
+        tally = Tally(self.table)
+        for sender, round_number in sorted(self._timed_out.items(), key=lambda item: -item[1]):
+            tally.add(sender, round_number)
+            if tally.outweighs_faults:
+                self._enter_round(round_number)
+                return
 
     def _fetch(self, orphan: Proposal) -> None:
         """Ask the orphan's proposer for the chain it extends."""
@@ -551,9 +607,21 @@ class ConsensusEngine:
         for proposal in msg.proposals:
             self.on_proposal(proposal)
 
+    def wake(self) -> None:
+        """Work arrived: a parked timer restarts from now, and the round's
+        leader proposes if it has not yet."""
+        if self._parked:
+            self._parked = False
+            self.set_timer(self.timeout, self.current_round)
+        if self.is_leader(self.current_round):
+            self._propose()
+
     def on_local_timeout(self, round_number: int) -> None:
         if round_number != self.current_round:
             return  # stale timer
+        if not self.has_work():  # idle: the round waits for work, not for a view change
+            self._parked = True
+            return
         if self._orphans:  # still missing a block: ask again
             self._fetch(next(reversed(self._orphans.values()))[-1])
         self.timeout *= 2

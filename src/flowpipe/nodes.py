@@ -247,7 +247,10 @@ class Node:
             {
                 Proposal: lambda sender, msg: engine.on_proposal(msg),
                 Vote: lambda sender, msg: engine.on_vote(msg),
-                NewRound: lambda sender, msg: engine.on_new_round(msg),
+                # the engine counts timeouts by `msg.sender`: it must be the sender's key
+                NewRound: lambda sender, msg: (
+                    self.d.key_of[sender] == msg.sender and engine.on_new_round(msg)
+                ),
                 BlockRequest: lambda sender, msg: engine.on_block_request(self.d.key_of[sender], msg),
                 BlockResponse: lambda sender, msg: engine.on_block_response(msg),
             }
@@ -282,6 +285,8 @@ class CollectorNode(Node):
         ]
         self.pool: dict[bytes, SignedTransaction] = {}
         self.included: set[bytes] = set()
+        # pooled hashes not yet included, in pool order, with their hex form
+        self.fresh: dict[bytes, str] = {}
         self.open_collection: list[bytes] = []
         self.open_round = 0  # round of the cluster block that closed the last collection
         self.store: dict[bytes, list[SignedTransaction]] = {}
@@ -297,6 +302,7 @@ class CollectorNode(Node):
             make_payload=self._make_payload,
             on_finalize=self._on_cluster_finalize,
             keep_finalized=False,  # no collector reads a cluster block after finalizing it
+            has_work=self._has_work,
         )
         self.handlers.update(
             {
@@ -312,12 +318,29 @@ class CollectorNode(Node):
 
     # -- cluster consensus payloads -----------------------------------------
 
+    def _has_work(self) -> bool:
+        """A fresh text or an open collection: the cluster has something to
+        order, so this member's round timer runs."""
+        return bool(self.fresh or self.open_collection)
+
     def _make_payload(self, parent_digest):
+        """A block listing every fresh hash, while there is work, or while
+        the parent or grandparent lists a hash: the blocks on a listing
+        block carry the certificates that finalize it. Else None, and the
+        cluster waits for work."""
+        tree = self.engine.tree.nodes
+        parent = tree.get(parent_digest)
+        grandparent = parent and tree.get(parent.parent)
+        if not (
+            self._has_work()
+            or any(b and b.payload and b.payload["hashes"] for b in (parent, grandparent))
+        ):
+            return None
         # parent/round fields chain the payload so digests are unique per slot
         return {
             "parent": hexify(parent_digest),
             "round": self.engine.current_round,
-            "hashes": [hexify(h) for h in self.pool if h not in self.included],
+            "hashes": list(self.fresh.values()),
         }
 
     def _validate_payload(self, payload, parent_digest):
@@ -335,12 +358,15 @@ class CollectorNode(Node):
     def _on_cluster_finalize(self, node):
         # every listed hash counts, held or not, so the collection's size and
         # its close depend on the finalized cluster chain alone
+        size = len(self.open_collection)
         for h in (bytes.fromhex(x) for x in node.payload["hashes"]):
             if h not in self.included:
                 self.open_collection.append(h)
                 self.included.add(h)
+                self.fresh.pop(h, None)
         if close_trigger(
             len(self.open_collection),
+            len(self.open_collection) - size,
             node.round - self.open_round,
             self.d.collection_size_threshold,
             self.d.collection_timespan_rounds,
@@ -395,6 +421,10 @@ class CollectorNode(Node):
         self.pool[h] = tx
         if gossip:
             self.send_all(self.peers, GossipTx(tx))
+        if h not in self.included:  # a text listed before it arrived is ordered already
+            self.fresh[h] = hexify(h)
+            self.engine.wake()
+        self.engine.retry_vote()
 
     def _on_guarantee_share(self, sender: str, share: GuaranteeShare):
         h = share.collection_hash

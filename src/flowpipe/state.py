@@ -89,9 +89,9 @@ class Tally(dict):
     member's key maps to what it signed (a signature, an approval). As each
     is counted, `weight` sums their stake and `quorum` says whether it is
     strictly more than 2/3 of the group's: `3·weight > 2·total`, in
-    integers. Only a member not yet counted is admitted, so a caller checks
-    `admits` before it spends a signature check, and counts through
-    `add`."""
+    integers; `outweighs_faults` says whether it is strictly more than 1/3.
+    Only a member not yet counted is admitted, so a caller checks `admits`
+    before it spends a signature check, and counts through `add`."""
 
     def __init__(self, table: StakeTable):
         super().__init__()
@@ -110,6 +110,12 @@ class Tally(dict):
         self.weight += self.table.stake[key]
         self.quorum = 3 * self.weight > 2 * self.table.total
         return True
+
+    @property
+    def outweighs_faults(self) -> bool:
+        """Strictly more than 1/3 of the group's stake is counted, so at
+        least one counted member is honest."""
+        return 3 * self.weight > self.table.total
 
     def certificate(self) -> tuple[tuple[bytes, ...], tuple]:
         """The counted signers in key order, and what each signed."""

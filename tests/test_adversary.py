@@ -80,15 +80,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "99a2acf2d9c337f1d59b407027317ec1721b0aea8ebd229a081715f2ee3a010a",
+        "4be13fdfefacca9344d0777ec5399642856ab4537afbed4fc870b861764ffa45",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "a1f84307be41cebacf9eb1082c717a450d3732d30ffa513dd108b4b6c1fe3534",
+        "5f611d700b64ddabf3b45e1c512cbde5c5bc5c86c7985bc003c2531fb7460422",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "a51c06f1c01ab6b5b896f5923ae861008f043e6a611fcd14c5eb3868d13cac89",
+        "5887f4e9ad5caf7fcc22e4b7bbdf6516b1a8e55373a4cd4ef463585f5bdbcba4",
     ),
 }
 
@@ -98,37 +98,37 @@ METRICS = {
         [
             ("blocks_finalized", 25),
             ("blocks_sealed", 23),
-            ("collections_guaranteed", 10),
+            ("collections_guaranteed", 19),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 253.56),
-            ("max_finalization_latency", 1990),
+            ("mean_finalization_latency", 258.64),
+            ("max_finalization_latency", 1936),
         ],
-        "ecc93a479bf57f50d2f061bb3cb1bda388920dd2deb6f03ba5e11619da0df972",
+        "e4856051a6b6e66275142588caf5b916d2849321c88ea18647f554ab7e14606c",
     ),
     "stale_vote": (
         [
-            ("blocks_finalized", 89),
-            ("blocks_sealed", 85),
-            ("collections_guaranteed", 16),
+            ("blocks_finalized", 85),
+            ("blocks_sealed", 82),
+            ("collections_guaranteed", 28),
             ("challenges", 0),
             ("slashes", 0),
-            ("mean_finalization_latency", 133.42696629213484),
-            ("max_finalization_latency", 208),
+            ("mean_finalization_latency", 137.81176470588235),
+            ("max_finalization_latency", 197),
         ],
-        "bf99cb82431059e0c4ab9a2c0a3eda72104c97116823351de4626ae733d2dd5f",
+        "f79b73ba44957d1881aa3a9cc50d25948ba14a3bfec43811abfdcf1a5cbf5a41",
     ),
     "faulty_execution_target_chunk": (
         [
-            ("blocks_finalized", 113),
-            ("blocks_sealed", 109),
-            ("collections_guaranteed", 14),
+            ("blocks_finalized", 115),
+            ("blocks_sealed", 111),
+            ("collections_guaranteed", 28),
             ("challenges", 1),
             ("slashes", 1),
-            ("mean_finalization_latency", 103.929203539823),
-            ("max_finalization_latency", 152),
+            ("mean_finalization_latency", 102.8),
+            ("max_finalization_latency", 158),
         ],
-        "a936c4a86f6bc331405c1ded1731241c51cf728d439da0cacce8d811ac1cfc38",
+        "ee54d166740c9b39ce99bc1ffe2da7e9236841d3c969387f9c8286596d456db8",
     ),
 }
 
@@ -220,7 +220,7 @@ def test_answered_mcc_dismissed():
     assert len(log.select("mcc_raised")) == 14
     assert [r["payload"]["outcome"] for r in log.select("adjudication")] == ["dismissed"] * 49
     assert world.metrics.slashes == 0
-    assert world.metrics.blocks_sealed == 146
+    assert world.metrics.blocks_sealed == 148
     assert not log.select("attestation")
     assert forwarded == {node.name for node in world.executors}
     assert all(not node.skipped for node in world.executors)
@@ -985,10 +985,10 @@ def test_malformed_cluster_proposal_rejected(hashes):
 
 def relisted_seal_run(relist: bool):
     """happy-path to tick 12,000; when `relist`, leader n1 appends, once, the
-    seal of the first result sealed on its finalized chain to the block it
+    seal of the newest result sealed on its finalized chain to the block it
     proposes. Returns the world, the tick of the re-listing proposal, and
     each other consensus node's verdict on that proposal, by name, as (tick,
-    accepted)."""
+    accepted, whether the node held the result)."""
     world = build_world(happy_path(12000))
     n1 = world.consensus[1]
     make_payload = n1.engine.make_payload
@@ -999,14 +999,14 @@ def relisted_seal_run(relist: bool):
         pb = make_payload(parent_digest)
         if not relist or relisted or pb is None:
             return pb
-        old = [
+        sealed = [
             seal
             for height in sorted(n1.finalized_heights)
             for seal in n1.engine.tree.nodes[n1.finalized_heights[height]].payload.block_seals
         ]
-        if not old:
+        if not sealed:
             return pb
-        pb = dataclasses.replace(pb, block_seals=pb.block_seals + (old[0],))
+        pb = dataclasses.replace(pb, block_seals=pb.block_seals + (sealed[-1],))
         relisted.append((world.sim.now, pb))
         return pb
 
@@ -1017,7 +1017,8 @@ def relisted_seal_run(relist: bool):
             def validate(payload, parent_digest, node=node, check=node.engine.validate_payload):
                 accepted = check(payload, parent_digest)
                 if relisted and payload is relisted[0][1]:
-                    verdicts[node.name] = (world.sim.now, accepted)
+                    rh = payload.block_seals[-1].execution_result_hash
+                    verdicts[node.name] = (world.sim.now, accepted, rh in node.results)
                 return accepted
 
             node.engine.validate_payload = validate
@@ -1026,10 +1027,12 @@ def relisted_seal_run(relist: bool):
 
 
 def test_relisted_seal_rejected():
-    """Leader n1 lists, once, the seal of a result its finalized chain has
-    already sealed. Condition 8 took it: every node accepted the block, the
+    """Leader n1 lists, once, the seal of the newest result its finalized
+    chain has sealed. Condition 8 took it: every node accepted the block, the
     sealed tip of every chain through it rewound to that result, and no
-    later result sealed. Each honest consensus node now rejects the block at
+    later result sealed. Each honest consensus node still holds that result,
+    so only the checks that the result is not sealed on the chain and that
+    it extends the sealed tip can refuse it; each rejects the block at
     condition 8, and the observer keeps sealing at the pace of the run
     without the re-listed seal, each result once."""
     clean, _, _ = relisted_seal_run(relist=False)
@@ -1042,8 +1045,8 @@ def test_relisted_seal_rejected():
     }
     honest = {n.name for n in world.consensus} - {world.consensus[1].name}
     assert set(verdicts) == honest
-    for name, (tick, accepted) in verdicts.items():
-        assert tick >= t and not accepted and (name, tick) in rejections
+    for name, (tick, accepted, held) in verdicts.items():
+        assert tick >= t and held and not accepted and (name, tick) in rejections
 
     def sealed(w):
         return [r["payload"]["result"] for r in w.sim.log.select("sealed", w.observer.name)]

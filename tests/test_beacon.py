@@ -173,14 +173,13 @@ def assert_seeded(world, blocks) -> None:
 
 
 def test_shares_lost_before_gst_are_resent():
-    """pre-gst-chaos at seed 10 finalizes four blocks at n0 before GST
-    (tick 10,000), where the network drops 30% of messages. Sent once, the
-    committee members' copies of them leave verifiers v0 and v4 each
-    without t+1 shares of one block (as a run with `SHARE_RESEND` beyond
-    the horizon shows). The resends give every verifier every such
-    block's seed."""
+    """pre-gst-chaos at seed 7 finalizes two blocks at n0 before GST (tick
+    10,000), where the network drops 30% of messages. Sent once, the
+    committee members' copies of them leave verifier v1 without t+1 shares
+    of a block (as a run with `SHARE_RESEND` beyond the horizon shows). The
+    resends give every verifier every such block's seed."""
     doc = bundled("pre-gst-chaos")
-    world = build_world(doc, 10)
+    world = build_world(doc, 7)
     run_world(world)
     gst = doc["network"]["gst"]
     early = [
@@ -188,5 +187,5 @@ def test_shares_lost_before_gst_are_resent():
         for r in world.sim.log.select("finalized", world.observer.name)
         if r["t"] < gst
     ]
-    assert len(early) == 4
+    assert len(early) == 2
     assert_seeded(world, early)

@@ -189,17 +189,25 @@ class TestAppendProposal:
 
 
 class TestCloseTrigger:
+    """`close_trigger(size, added, rounds_open, size_threshold,
+    timespan_rounds)`."""
+
     def test_empty_never_closes(self):
-        assert not close_trigger(0, 999, size_threshold=1, timespan_rounds=1)
+        assert not close_trigger(0, 0, 999, size_threshold=1, timespan_rounds=1)
 
     def test_timespan(self):
-        assert close_trigger(1, 8, size_threshold=3, timespan_rounds=8)
-        assert not close_trigger(1, 7, size_threshold=3, timespan_rounds=8)
+        assert close_trigger(1, 1, 8, size_threshold=3, timespan_rounds=8)
+        assert not close_trigger(1, 1, 7, size_threshold=3, timespan_rounds=8)
 
     def test_threshold(self):
-        assert close_trigger(3, 0, size_threshold=3, timespan_rounds=10)
-        assert close_trigger(4, 1, size_threshold=3, timespan_rounds=10)
-        assert not close_trigger(2, 9, size_threshold=3, timespan_rounds=10)
+        assert close_trigger(3, 1, 0, size_threshold=3, timespan_rounds=10)
+        assert close_trigger(4, 4, 1, size_threshold=3, timespan_rounds=10)
+        assert not close_trigger(2, 1, 9, size_threshold=3, timespan_rounds=10)
+
+    def test_block_adding_nothing_closes(self):
+        assert close_trigger(1, 0, 1, size_threshold=3, timespan_rounds=10)
+        assert close_trigger(2, 0, 2, size_threshold=3, timespan_rounds=10)
+        assert not close_trigger(2, 1, 2, size_threshold=3, timespan_rounds=10)
 
 
 class TestAppendCloses:
@@ -207,14 +215,14 @@ class TestAppendCloses:
     opens a collection also closes it, below the size threshold."""
 
     def test_span_elapsed(self):
-        assert close_trigger(1, 10, size_threshold=3, timespan_rounds=10)
-        assert close_trigger(2, 25, size_threshold=3, timespan_rounds=10)
+        assert close_trigger(1, 1, 10, size_threshold=3, timespan_rounds=10)
+        assert close_trigger(2, 2, 25, size_threshold=3, timespan_rounds=10)
 
     def test_span_not_elapsed(self):
-        assert not close_trigger(2, 9, size_threshold=3, timespan_rounds=10)
+        assert not close_trigger(2, 2, 9, size_threshold=3, timespan_rounds=10)
 
     def test_empty_pool_never_closes(self):
-        assert not close_trigger(0, 999, size_threshold=3, timespan_rounds=1)
+        assert not close_trigger(0, 0, 999, size_threshold=3, timespan_rounds=1)
 
 
 def collector_with_pool(n: int):
@@ -237,6 +245,20 @@ def finalize(collector, payload) -> None:
     """Finalize one cluster block carrying `payload`, of the payload's
     round, at `collector`."""
     collector._on_cluster_finalize(SimpleNamespace(payload=payload, round=payload["round"]))
+
+
+def valid_tx(world, cluster_index: int) -> SignedTransaction:
+    """A transaction that passes intake at a collector of `cluster_index`:
+    signed by the world's first agent, on the genesis block."""
+    kp = world.agents[0].keypair
+    for nonce in range(100):
+        script = ToyTransaction(
+            operations=({"kind": "set_register", "register": f"v{nonce}", "value": "01", "cost": 1},)
+        ).to_script()
+        tx = SignedTransaction(script, kp.public + kp.sign(script), (), GENESIS_DIGEST)
+        if route_transaction(tx.tx_hash(), len(world.collectors[0].d.clusters)) == cluster_index:
+            return tx
+    raise AssertionError("no nonce routes to the cluster")
 
 
 def sent_by(world, name: str, kind: type) -> list:
@@ -281,10 +303,11 @@ class TestCollectorSizeClose:
         assert collector.open_collection == []
 
     def test_relisted_hash_not_counted_twice(self):
-        # an append proposed before its parent finalized may list a hash again
+        # an append proposed before its parent finalized may list a hash
+        # again; one that lists a new hash beside it counts that one only
         world, collector, hashes = collector_with_pool(3)
-        finalize(collector, append(hashes[:2]))
-        finalize(collector, append(hashes[1:2]))
+        finalize(collector, append(hashes[:1]))
+        finalize(collector, append(hashes[:2], round=2))
         assert collector.open_collection == hashes[:2] and closed_by(world) == []
 
     def test_missing_text_closes_at_the_same_block_as_a_full_peer(self):
@@ -312,11 +335,69 @@ class TestCollectorSizeClose:
     def test_late_text_not_proposed_again(self):
         """A text that arrives after the block listing it finalized stays
         out of the collector's next payload."""
-        world, collector, hashes = collector_with_pool(1)
-        tx = collector.pool.pop(hashes[0])
-        finalize(collector, append(hashes))
-        collector.pool[hashes[0]] = tx
+        world = build_world(merge_defaults({"run": {"seed": 1}}))
+        collector = world.collectors[0]
+        tx = valid_tx(world, collector.cluster_index)
+        finalize(collector, append([tx.tx_hash()]))
+        collector._ingest(tx, gossip=False)
+        assert tx.tx_hash() in collector.pool and collector.fresh == {}
         assert collector._make_payload(GENESIS_DIGEST)["hashes"] == []
+
+
+class TestLoneTransaction:
+    """An idle cluster runs no rounds, so the span since the previous close
+    cannot pass: the first finalized block that adds no new hash closes
+    the open collection."""
+
+    @pytest.mark.parametrize("relisted", [True, False], ids=["relisting", "empty"])
+    def test_closes_one_block_after_its_listing_block(self, relisted):
+        world, collector, hashes = collector_with_pool(1)
+        finalize(collector, append(hashes, round=2))
+        assert collector.open_collection == hashes and closed_by(world) == []
+        finalize(collector, append(hashes if relisted else [], round=3))
+        ch = collection_hash(hashes)
+        assert closed_by(world) == [(collector.name, {"hash": ch.hex(), "size": 1})]
+        assert (collector.open_collection, collector.open_round) == ([], 3)
+
+
+class TestLeaderWaitsForWork:
+    """A collector proposes only while its cluster has something to order:
+    a fresh text, an open collection, or a listing block that two more
+    certified blocks have yet to finalize."""
+
+    def test_idle_leader_makes_no_payload(self):
+        _, collector, _ = collector_with_pool(0)
+        assert collector._make_payload(GENESIS_DIGEST) is None
+        assert not collector.engine.has_work()
+
+    def test_fresh_text_makes_a_payload(self):
+        world = build_world(merge_defaults({"run": {"seed": 1}}))
+        collector = world.collectors[0]
+        tx = valid_tx(world, collector.cluster_index)
+        collector._ingest(tx, gossip=False)
+        assert collector.fresh == {tx.tx_hash(): tx.tx_hash().hex()}
+        assert collector._make_payload(GENESIS_DIGEST)["hashes"] == [tx.tx_hash().hex()]
+        assert collector.engine.has_work()
+
+    def test_open_collection_makes_a_payload(self):
+        _, collector, hashes = collector_with_pool(1)
+        finalize(collector, append(hashes, round=2))
+        assert collector.fresh == {} and collector.open_collection == hashes
+        assert collector._make_payload(GENESIS_DIGEST)["hashes"] == []
+        assert collector.engine.has_work()
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_listing_block_until_its_grandchild(self, depth):
+        """Blocks on a listing block's chain carry the certificates that
+        finalize it: the payloads on the listing block and on its child."""
+        _, collector, hashes = collector_with_pool(1)
+        tree = collector.engine.tree
+        parent, listed = GENESIS_DIGEST, hashes
+        for r in range(1, depth + 1):
+            digest = bytes([r]) * 32
+            tree.add(digest, r, parent, append(listed, round=r))
+            parent, listed = digest, []
+        assert (collector._make_payload(parent) is None) == (depth == 3)
 
 
 class TestOneCloseRule:
@@ -325,20 +406,23 @@ class TestOneCloseRule:
     the previous collection, so the finalized chain alone decides."""
 
     def test_span_counted_in_block_rounds(self):
-        world, collector, hashes = collector_with_pool(2)
+        world, collector, hashes = collector_with_pool(3)
         span = collector.d.collection_timespan_rounds
         collector.engine.current_round = 10 * span  # a local round far ahead changes nothing
         finalize(collector, append(hashes[:1], round=span - 1))
         assert closed_by(world) == [] and collector.open_round == 0
-        finalize(collector, append([], round=span))
-        ch = collection_hash(hashes[:1])
-        assert closed_by(world) == [(collector.name, {"hash": ch.hex(), "size": 1})]
+        finalize(collector, append(hashes[1:2], round=span))
+        ch = collection_hash(hashes[:2])
+        assert closed_by(world) == [(collector.name, {"hash": ch.hex(), "size": 2})]
         assert collector.open_round == span
-        finalize(collector, append(hashes[1:], round=2 * span - 1))
-        assert collector.open_collection == hashes[1:] and len(closed_by(world)) == 1
+        finalize(collector, append(hashes[2:], round=2 * span - 1))
+        assert collector.open_collection == hashes[2:] and len(closed_by(world)) == 1
 
     def test_members_at_different_local_rounds_close_alike(self):
-        world, collector, hashes = collector_with_pool(5)
+        """One chain closes a full collection, one whose span passed and one
+        whose next block added nothing, alike at two members whose local
+        rounds differ."""
+        world, collector, hashes = collector_with_pool(6)
         peer = next(
             c for c in world.collectors if c.cluster_index == collector.cluster_index and c is not collector
         )
@@ -346,10 +430,12 @@ class TestOneCloseRule:
         span = collector.d.collection_timespan_rounds
         chain = [
             append(hashes[:1], round=2),
-            append([], round=3),
-            append(hashes[1:3], round=span + 1),
-            append(hashes[3:4], round=span + 2),
-            append(hashes[3:], round=2 * span + 4),
+            append(hashes[:2], round=3),
+            append(hashes[1:3], round=4),  # full
+            append(hashes[3:4], round=5),
+            append(hashes[3:5], round=span + 5),  # span passed
+            append(hashes[5:], round=span + 6),
+            append(hashes[5:], round=span + 7),  # added nothing
         ]
         collector.engine.current_round, peer.engine.current_round = 5, 3 * span
         for payload in chain:
@@ -357,12 +443,13 @@ class TestOneCloseRule:
                 finalize(node, payload)
             assert collector.open_round == peer.open_round
             assert collector.open_collection == peer.open_collection
-        assert [n for n, _ in closed_by(world)] == [collector.name, peer.name] * 2
+        assert [n for n, _ in closed_by(world)] == [collector.name, peer.name] * 3
         assert list(collector.store) == list(peer.store) == [
             collection_hash(hashes[:3]),
-            collection_hash(hashes[3:]),
+            collection_hash(hashes[3:5]),
+            collection_hash(hashes[5:]),
         ]
-        assert collector.open_round == 2 * span + 4
+        assert collector.open_round == span + 7
 
 
 class TestCollectorAppendClose:
@@ -433,36 +520,36 @@ class TestClusterVote:
         assert not collector._validate_payload(payload, GENESIS_DIGEST)
 
 
-def test_idle_collections_close_in_their_first_append():
-    """happy-path at seed 1 closes at least 7 of its 12 collections in the
-    cluster block that lists their first transaction, so none of those
-    waits for a later block and its 2-chain finalization, about 2 cluster
-    rounds. The others arrive less than `timespan_rounds` after the
-    previous close, so the first block finalized once the span has passed
-    closes them, whatever it lists. (To 8,000 ticks, members refuse 3
-    votes, each for a text gossip has not brought them yet, and no cluster
-    round times out. When a member refused a block that re-listed a
-    transaction it had finalized, it also refused 4 of those, and the
-    clusters timed out 4 times.)"""
+def test_lone_transactions_close_one_block_after_their_listing_block():
+    """happy-path at seed 1 submits one transaction every 400 ticks, so each
+    reaches an idle cluster. Its leader lists it at once, and the next
+    finalized block, which adds nothing, closes it: all 12 collections hold
+    one transaction and close one round after the block that lists it. (To
+    8,000 ticks, members refuse 8 blocks, each for a text gossip had not
+    brought them yet, and vote for each once the text arrives; one cluster
+    round times out.)"""
     doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
     doc["run"].update(seed=1, max_sim_time=8000)
     world = build_world(doc)
-    closed, in_append = set(), set()
+    closes = {}  # collection hash -> {(round listing its text, round closing it)}
     for collector in world.collectors:
+        listed = {}  # hash -> round of the first finalized block listing it
 
-        def on_finalize(node, collector=collector, finalize=collector.engine.on_finalize):
+        def on_finalize(node, collector=collector, finalize=collector.engine.on_finalize, listed=listed):
+            for h in node.payload["hashes"]:
+                listed.setdefault(h, node.round)
             before = set(collector.store)
             finalize(node)
             for ch in set(collector.store) - before:
-                closed.add(ch)
-                first = collector.store[ch][0].tx_hash().hex()
-                if first in node.payload["hashes"]:
-                    in_append.add(ch)
+                rounds = {(listed[tx.tx_hash().hex()], node.round) for tx in collector.store[ch]}
+                closes.setdefault(ch, set()).update(rounds)
 
         collector.engine.on_finalize = on_finalize
     run_world(world)
-    assert len(closed) == 12
-    assert len(in_append) >= 7
+    assert len(closes) == 12
+    assert all(len(rounds) == 1 for rounds in closes.values())  # every member alike
+    assert all(close == listing + 1 for rounds in closes.values() for listing, close in rounds)
+    assert all(len(texts) == 1 for c in world.collectors for texts in c.store.values())
 
 
 def test_busy_clusters_close_full_collections_in_their_append():
@@ -493,15 +580,15 @@ def test_busy_clusters_close_full_collections_in_their_append():
         stores = [list(c.store) for c in world.collectors if c.cluster_index == index]
         assert stores[0] and all(store == stores[0] for store in stores)
     digest = hashlib.sha256(world.sim.log.to_jsonl().encode()).hexdigest()
-    assert digest == "a435d032e26f82855320f9cf66863381d67c7bd1f1f809cbff4eff0122cbfcc0"
+    assert digest == "456b356a60399b56a7be3caf207ab10d4da5de820bc88916de21bcb66e24d824"
     assert world.metrics.rows() == [
-        ("blocks_finalized", 114),
-        ("blocks_sealed", 110),
-        ("collections_guaranteed", 25),
+        ("blocks_finalized", 116),
+        ("blocks_sealed", 112),
+        ("collections_guaranteed", 39),
         ("challenges", 0),
         ("slashes", 0),
-        ("mean_finalization_latency", 103.69298245614036),
-        ("max_finalization_latency", 191),
+        ("mean_finalization_latency", 101.84482758620689),
+        ("max_finalization_latency", 154),
     ]
 
 

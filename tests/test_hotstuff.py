@@ -522,6 +522,111 @@ class TestPacemaker:
         eng.on_local_timeout(old_round)  # fires late, must not advance again
         assert eng.current_round == advanced
 
+    def test_catch_up_needs_more_than_a_third_of_the_stake(self):
+        """Of seven equal stakes, two members timing into later rounds move
+        nothing, nor do repeats, older rounds or an outsider; a third member
+        moves the node to the highest round that three have reached, and its
+        leader proposes there."""
+        kps, table = make_members([1] * 7)
+        sent = []
+        eng = make_engine(kps, table, sent)
+        r = next(r for r in range(10, 100) if eng.is_leader(r))
+        outsider = crypto.StakingKeyPair.from_seed(b"\xff" * 32)
+
+        def timed_out(kp, round_number):
+            eng.on_new_round(NewRound(round_number, GENESIS_QC, kp.public))
+
+        timed_out(kps[1], r + 5)
+        timed_out(kps[2], r)
+        timed_out(kps[2], r - 3)  # older than its last: not counted
+        timed_out(kps[1], r + 5)
+        timed_out(outsider, r)
+        assert eng.current_round == 1 and not sent
+        timed_out(kps[3], r)
+        assert eng.current_round == r
+        assert [(m.round, m.proposer) for m in sent if isinstance(m, Proposal)] == [
+            (r, eng.keypair.public)
+        ]
+
+    def test_lost_proposals_beside_an_equivocator_do_not_stall(self):
+        """Seven equal stakes, n4 silent and n3 an equivocating leader, at
+        network seed zero; n0 and n6 lose their round-2 proposals and time
+        out ahead of the rest. Before a leader entered the round that more
+        than a third of the stake had timed into, no live node finalized
+        anything by 4,000 ticks: every high QC stayed at round 1, the rounds
+        drifted to 9-11 and the timeout doubled to 2,560 (base 20), each
+        leader proposing a round after the nodes ahead had left it.
+        `TestSafetyUnderFaults` found this case."""
+        h = Harness([1] * 7, silent={"n4"}, seed=bytes(32))
+        h._wire(3, engine_cls=EquivocatingEngine)
+        send = h.sim.send
+
+        def lossy(sender, receiver, msg):
+            if not (isinstance(msg, Proposal) and receiver in ("n0", "n6") and msg.round == 2):
+                send(sender, receiver, msg)
+
+        h.sim.send = lossy
+        h.run(until=4_000)
+        assert all(h.finalized[name] for name in h.live() if name != "n3")
+
+
+class TestParking:
+    """A host with no work parks its engine: a round timer that fires while
+    idle changes no view, doubles nothing and sends nothing. `wake` re-arms
+    the timer from that moment, and the round's leader proposes at once."""
+
+    def idle_harness(self):
+        """Four engines whose hosts have work only while `work` is
+        non-empty, and the (tick, sender, message) of every send."""
+        h = Harness([1] * 4)
+        work, sent, send = [], [], h.sim.send
+        for eng in h.engines.values():
+            eng.has_work = lambda: bool(work)
+            eng.make_payload = lambda parent, make=eng.make_payload: make(parent) if work else None
+
+        def recording(sender, receiver, msg):
+            sent.append((h.sim.now, sender, msg))
+            send(sender, receiver, msg)
+
+        h.sim.send = recording
+        return h, work, sent
+
+    def test_idle_group_sends_nothing_and_keeps_its_view(self):
+        h, _, sent = self.idle_harness()
+        h.run(until=5_000)
+        assert sent == []
+        for eng in h.engines.values():
+            assert (eng.current_round, eng.timeout, eng._parked) == (1, eng.base_timeout, True)
+
+    def test_work_wakes_the_leader_at_once(self):
+        h, work, sent = self.idle_harness()
+        h.run(until=5_000)
+        work.append("tx")
+        for eng in h.engines.values():
+            eng.wake()
+        h.sim.run(until=5_001)
+        proposals = [(t, msg.round) for t, _, msg in sent if isinstance(msg, Proposal)]
+        assert proposals and proposals[0] == (5_000, 1)
+        h.sim.run(until=10_000)
+        assert all(len(s) >= 5 for s in h.finalized.values())
+        h.assert_prefix_consistent()
+
+    def test_silent_leader_replaced_within_one_base_timeout_of_the_work(self):
+        h, work, sent = self.idle_harness()
+        leader = h.names[h.schedule.leader(1)]
+        h.silent.add(leader)
+        h.run(until=5_000)
+        base = h.engines[leader].base_timeout
+        work.append("tx")
+        for eng in h.live().values():
+            eng.wake()
+        h.sim.run(until=5_000 + base - 1)
+        assert {eng.current_round for eng in h.live().values()} == {1} and sent == []
+        h.sim.run(until=5_000 + base)
+        assert all(eng.current_round >= 2 for eng in h.live().values())
+        h.sim.run(until=10_000)
+        assert all(h.finalized[name] for name in h.live())
+
 
 class TestVotingRules:
     """Proposal conditions 1 and 3 as the engine enforces them: only the
@@ -635,6 +740,53 @@ class TestVotingRules:
             assert [v.payload_digest for v in self.votes() if v.round == r] == [valid.payload_digest]
             assert eng.last_voted_round == r
         assert len(evidence) == 2
+
+    def test_late_vote_once_per_round_and_never_below_the_lock(self):
+        """A proposal refused for its payload is voted for by `retry_vote`
+        once the payload validates, while its round is current: once, and
+        only on a justify at or above the lock."""
+        eng = self.eng
+        held = set()
+        eng.validate_payload = lambda payload, parent: payload["tag"] in held
+        r, later = [r for r in range(3, 100) if not eng.is_leader(r) and not eng.is_leader(r + 1)][:2]
+        refused = self.proposal(r, GENESIS_QC, tag="a")
+        eng.retry_vote()  # nothing refused yet
+        eng.on_proposal(refused)
+        eng.retry_vote()  # still refused
+        assert not self.votes()
+        held.add("a")
+        eng.retry_vote()
+        eng.retry_vote()
+        eng.on_proposal(refused)
+        assert [(v.round, v.payload_digest) for v in self.votes()] == [(r, refused.payload_digest)]
+        assert eng.last_voted_round == r
+        # a refusal of an earlier round is not voted for in a later one
+        stale = self.proposal(later, GENESIS_QC, tag="b")
+        eng.on_proposal(stale)
+        newest = next(x for x in range(later + 1, 200) if not eng.is_leader(x) and not eng.is_leader(x + 1))
+        eng.on_proposal(self.proposal(newest, GENESIS_QC, tag="c"))
+        held.update("bc")
+        eng.retry_vote()
+        assert [v.round for v in self.votes()] == [r, newest]
+
+    def test_late_vote_refused_below_a_lock_raised_in_its_round(self):
+        """The lock rises within a round when a late proposal of an earlier
+        round arrives; a refused proposal whose justify is now below the
+        lock gets no vote, though its payload validates."""
+        eng = self.eng
+        held = {"p1"}
+        eng.validate_payload = lambda payload, parent: payload["tag"] in held
+        p1 = self.proposal(1, GENESIS_QC, tag="p1")
+        p2 = self.proposal(2, self.qc(p1), tag="p2")
+        r = next(r for r in range(3, 100) if not eng.is_leader(r) and not eng.is_leader(r + 1))
+        fork = self.proposal(r, GENESIS_QC, tag="fork")
+        for p in (p1, fork, p2):
+            eng.on_proposal(p)
+        assert (eng.current_round, eng.locked_round) == (r, 1)
+        held.add("fork")
+        eng.retry_vote()
+        assert all(v.payload_digest != fork.payload_digest for v in self.votes())
+        assert eng.last_voted_round == 1
 
     def test_late_votes_ignored_once_qc_formed(self, monkeypatch):
         r = next(r for r in range(1, 100) if self.eng.is_leader(r + 1))

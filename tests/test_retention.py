@@ -144,8 +144,8 @@ def test_retention_bounded_at_two_horizons():
 
 def test_busy_clusters_stay_bounded():
     """happy-path under ledger-load's load (100 transactions 20 ticks apart)
-    guarantees 22 collections by tick 6,000; a consensus node that kept every
-    guarantee it heard of would hold all 22."""
+    guarantees 39 collections by tick 6,000; a consensus node that kept every
+    guarantee it heard of would hold all 39."""
     doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "happy-path.json"))
     doc["transactions"].update(count=100, interval=20)
     doc["run"].update(seed=1, max_sim_time=6000)
@@ -153,6 +153,25 @@ def test_busy_clusters_stay_bounded():
     run_world(world)
     assert world.metrics.collections_guaranteed > BOUND
     assert_bounded(world)
+
+
+def test_clusters_keep_no_work_between_transactions():
+    """happy-path submits a transaction every 400 ticks. Just before each
+    submission the clusters have ordered every earlier one: no collector
+    keeps a fresh hash (`CollectorNode.fresh`, pooled and not yet
+    included) and no collector engine keeps a refused proposal."""
+    world = happy_path(6_000)
+    checked = []
+    for agent in world.agents:
+
+        def tick(agent=agent, submit=agent._tick):
+            checked.append([(c.fresh, c.engine._refused) for c in world.collectors])
+            submit()
+
+        agent._tick = tick
+    run_world(world)
+    assert len(checked) == 13  # twelve submissions, and the tick that finds them done
+    assert all(held == [({}, None)] * len(world.collectors) for held in checked)
 
 
 def test_reported_equivocations_pruned_below_the_floor():

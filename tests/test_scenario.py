@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from flowpipe.hotstuff import GENESIS_QC, NewRound
 from flowpipe.scenario import (
     _MINIMUMS,
     DEFAULTS,
@@ -421,14 +422,14 @@ class TestShortRuns:
 
     def test_one_latency_per_finalized_block(self):
         """Every block the observer finalizes has a finalization latency,
-        counted from when the block entered its tree. Here, at seed 29 to
-        8,000 ticks, the proposal of round 26 reaches n0 at tick 1,360, after
-        n0 has entered round 27, so the block enters n0's tree without a vote
-        or a payload validation; n0 still finalizes it, with 149 other
+        counted from when the block entered its tree. Here, at seed 14 to
+        8,000 ticks, the proposal of round 12 reaches n0 at tick 573, after
+        n0 has entered round 13, so the block enters n0's tree without a vote
+        or a payload validation; n0 still finalizes it, with 153 other
         blocks."""
         doc = apply_overrides(load_scenario(bundled_path("happy-path")), ["run.max_sim_time=8000"])
-        metrics = run_scenario(doc, seed=29).world.metrics
-        assert metrics.blocks_finalized == 150
+        metrics = run_scenario(doc, seed=14).world.metrics
+        assert metrics.blocks_finalized == 154
         assert len(metrics.finalization_latencies) == metrics.blocks_finalized
 
     def test_transactions_reach_sealed_chain(self):
@@ -469,6 +470,17 @@ class TestWorldsShareNothing:
             assert c.engine.table is schedule.table is d.clusters[c.cluster_index]
         assert len({id(s) for s in d.cluster_schedules.values()}) == len(d.clusters)
         assert all(n.engine.table is d.consensus_schedule.table is d.consensus for n in world.consensus)
+
+    def test_new_round_counted_only_from_the_key_it_names(self):
+        """The engine counts timeouts by `NewRound.sender`, so a node drops a
+        `NewRound` that names a key other than its sender's."""
+        world = build_world(short_doc())
+        node, other, named = world.consensus[:3]
+        key = world.directory.key_of
+        node.handle(other.name, NewRound(5, GENESIS_QC, key[named.name]))
+        assert node.engine._timed_out == {}
+        node.handle(other.name, NewRound(5, GENESIS_QC, key[other.name]))
+        assert node.engine._timed_out == {key[other.name]: 5}
 
 
 class TestSchemaDoc:
