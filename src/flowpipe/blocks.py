@@ -12,11 +12,12 @@ validates the seal.
 
 Every condition is judged over a `ChainView`, plain data a consensus node
 builds for the parent block: the parent's `ChainCtx`, the node's finalized
-prefix and what the node has received. The chain-fact lookup and the
-pending-challenge rule live here, next to the conditions that read them,
-and the node's proposer calls the same functions; condition 9 takes a
-challenge by `challenges.challenge_valid` and `challenge_mark`, as the
-node's challenge intake does."""
+prefix and its challenge books. A seal carries the result it seals, so
+condition 8 reads the seal and the chain, never the node's receipts. The
+chain-fact lookup and the pending-challenge rule live here, next to the
+conditions that read them, and the node's proposer calls the same
+functions; condition 9 takes a challenge by `challenges.challenge_valid`
+and `challenge_mark`, as the node's challenge intake does."""
 
 from __future__ import annotations
 
@@ -37,16 +38,24 @@ GENESIS_RANDOMNESS = crypto.hash("genesis", b"")
 
 @dataclass(frozen=True)
 class BlockSeal:
-    sealed_block_hash: bytes
-    execution_result_hash: bytes
-    final_state_commitment: bytes
+    """The seal of `result` on the verifiers' approvals of its hash. The
+    hash covers the whole result, so the approvals bind the sealed block,
+    the previous result and the final state with it."""
+
+    result: ExecutionResult
     approvals: tuple[Approval, ...]  # sorted by verifier key
+
+    @property
+    def execution_result_hash(self) -> bytes:
+        return self.result.result_hash()
+
+    @property
+    def sealed_block_hash(self) -> bytes:
+        return self.result.block_hash
 
     def to_dict(self) -> dict:
         return {
-            "sealed_block_hash": hexify(self.sealed_block_hash),
-            "execution_result_hash": hexify(self.execution_result_hash),
-            "final_state_commitment": hexify(self.final_state_commitment),
+            "execution_result": self.result.to_dict(),
             "approvers": [hexify(a.verifier) for a in self.approvals],
             "approval_signatures": [hexify(a.signature) for a in self.approvals],
         }
@@ -201,16 +210,13 @@ def genesis_ctx(state: ProtocolState) -> ChainCtx:
 @dataclass
 class ChainView:
     """What a consensus node consults to judge the chain through the block
-    of `ctx`, as plain data: its finalized tip and prefix, what it received,
-    its own queued adjudications and the stake tables. The maps are the
-    node's own, read and never copied."""
+    of `ctx`, as plain data: its finalized tip and prefix, the challenges it
+    knows of, its own queued adjudications and the stake tables. The maps
+    are the node's own, read and never copied."""
 
     ctx: ChainCtx
     tip: ChainCtx  # the node's finalized tip
     final: dict[str, set]  # kind -> keys of the finalized prefix
-    # received results by result hash; one sealed behind the finalized
-    # sealed tip may be gone, and condition 8 refuses it either way
-    results: Mapping[bytes, ExecutionResult]
     # result hash -> ids of the faulty-computation challenges (FCCs) against
     # it, received or recorded in a block the node built a context for
     fcc_ids: Mapping[bytes, set]
@@ -292,46 +298,36 @@ def evaluate_proposal(pb: ProtoBlock, view: ChainView) -> tuple[bool, Optional[s
 # ---------------------------------------------------------------------------
 
 
-def form_seal(
-    result_hash: bytes, result: ExecutionResult, approvals: Optional[Tally]
-) -> Optional[BlockSeal]:
-    """The seal of `result` (hash `result_hash`) on the certificate of
-    `approvals`, the node's intake tally of the result's approvals, once it
-    holds a verifier quorum; None before. Intake already dropped outsiders,
-    repeats and bad signatures, so nothing is counted or checked here;
-    whether the seal may go in a block is condition 8's (`validate_seal`)."""
+def form_seal(result: ExecutionResult, approvals: Optional[Tally]) -> Optional[BlockSeal]:
+    """The seal of `result` on the certificate of `approvals`, the node's
+    intake tally of the result's approvals, once it holds a verifier quorum;
+    None before. Intake already dropped outsiders, repeats and bad
+    signatures, so nothing is counted or checked here; whether the seal may
+    go in a block is condition 8's (`validate_seal`)."""
     if approvals is None or not approvals.quorum:
         return None
-    return BlockSeal(
-        sealed_block_hash=result.block_hash,
-        execution_result_hash=result_hash,
-        final_state_commitment=result.final_state,
-        approvals=approvals.certificate()[1],
-    )
+    return BlockSeal(result, approvals.certificate()[1])
 
 
 def validate_seal(seal: BlockSeal, view: ChainView, tip: Optional[bytes] = None) -> bool:
     """Proposal condition 8 for one seal on the chain through `view`, and the
-    rule a leader picks its seals by: the result is not sealed on the chain,
-    the sealed block is on the chain, the node holds the result and it
-    matches the seal's block/state fields, no challenge on the result is
-    pending, the previous result is the sealed tip so far (`tip`: the last
-    seal listed earlier in the same block, else the chain's), so a block is
-    sealed at most once, and every listed approval counts toward a genuine
-    quorum of `view.verifiers`. The quorum verdict is kept on the seal per
-    table: every receiver of a proposal checks the same seal."""
+    rule a leader picks its seals by: the carried result is not sealed on
+    the chain, its block is on the chain, no challenge on it is pending, its
+    previous result is the sealed tip so far (`tip`: the last seal listed
+    earlier in the same block, else the chain's), so a block is sealed at
+    most once, and every listed approval of its hash counts toward a genuine
+    quorum of `view.verifiers`. The hash covers the whole result, so a
+    result changed after approval fails the quorum. The quorum verdict is
+    kept on the seal per table: every receiver of a proposal checks the same
+    seal."""
     rh = seal.execution_result_hash
-    result = view.results.get(rh)
+    prev = view.ctx.sealed_tip if tip is None else tip
     if (
-        result is None
-        or view.on_chain("sealed", rh)
+        view.on_chain("sealed", rh)
         or not view.on_chain("block", seal.sealed_block_hash)
-        or result.block_hash != seal.sealed_block_hash
-        or result.final_state != seal.final_state_commitment
+        or seal.result.previous_execution_result_hash != prev
         or view.result_pending_challenge(rh)
     ):
-        return False
-    if result.previous_execution_result_hash != (view.ctx.sealed_tip if tip is None else tip):
         return False
     return once_for(seal, view.verifiers, _approved, seal, view.verifiers)
 

@@ -468,10 +468,8 @@ class ConsensusNode(Node):
         self.pending_challenges: dict[Any, SlashingChallenge] = {}  # by `challenge_mark`, arrival order
         self.pending_updates: dict[bytes, StateUpdate] = {}  # challenge id -> update
         self.receipts: dict[bytes, ReceiptMsg] = {}  # result hash -> receipt and packages
-        # result hash -> the receipt's result, and prev result -> successors,
-        # the seal index; both drop a sealed result behind the finalized
-        # sealed tip (see `_on_finalize`)
-        self.results: dict[bytes, ExecutionResult] = {}
+        # prev result -> successors, the seal index; it drops a sealed result
+        # behind the finalized sealed tip (see `_on_finalize`)
         self.results_by_prev: dict[bytes, list[bytes]] = {}
         self.approvals: dict[bytes, Tally] = {}  # result hash -> verifier -> approval
         # block hash -> this committee member's `Finalized` copy for the
@@ -524,7 +522,6 @@ class ConsensusNode(Node):
             ctx=ctx,
             tip=self.tip,
             final=self.final,
-            results=self.results,
             fcc_ids=self.fcc_ids,
             fcc_received=self.fcc_received,
             verdicts=self.pending_updates,
@@ -630,7 +627,8 @@ class ConsensusNode(Node):
         tip = view.ctx.sealed_tip
         while True:
             for rh in sorted(self.results_by_prev.get(tip, ())):
-                seal = form_seal(rh, self.results[rh], self.approvals.get(rh))
+                result = self.receipts[rh].receipt.execution_result
+                seal = form_seal(result, self.approvals.get(rh))
                 if seal is not None and validate_seal(seal, view, tip):
                     break
             else:
@@ -674,12 +672,10 @@ class ConsensusNode(Node):
             },
         )
         # each sealed result before the new sealed tip has a sealed successor:
-        # `_ready_seals` never reads its successors again, and `validate_seal`
-        # refuses a sealed result whether or not it is held
+        # `_ready_seals` never reads its successors again
         settled = self.tip.sealed_tip
         for seal in pb.block_seals:
             self.results_by_prev.pop(settled, None)
-            self.results.pop(settled, None)
             settled = seal.execution_result_hash
             self.sim.event(
                 self.name,
@@ -842,7 +838,6 @@ class ConsensusNode(Node):
         if rh in self.receipts or not msg.well_formed() or not receipt.signed():
             return
         self.receipts[rh] = msg
-        self.results[rh] = receipt.execution_result
         # as in `_on_finalize`, a sealed result other than the finalized
         # sealed tip has a sealed successor, so its successors get no entry
         prev = receipt.execution_result.previous_execution_result_hash

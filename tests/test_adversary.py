@@ -80,15 +80,15 @@ SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": 
 CASES = {
     "non_responsive": (
         [{"behavior": "non_responsive", "role": role, "indices": idx} for role, idx in SILENT.items()],
-        "4be13fdfefacca9344d0777ec5399642856ab4537afbed4fc870b861764ffa45",
+        "1507c8990a17252a965c332fd176e98ec7c9295a420a89bfd21f8072a84ec286",
     ),
     "stale_vote": (
         [{"behavior": "stale_vote", "role": "consensus", "indices": [1, 2]}],
-        "5f611d700b64ddabf3b45e1c512cbde5c5bc5c86c7985bc003c2531fb7460422",
+        "881a169565d6309a3bae04270a96c88e89901daa082c13b378a64533c39a6718",
     ),
     "faulty_execution_target_chunk": (
         [{"behavior": "faulty_execution", "role": "execution", "indices": [1], "target_chunk": 0}],
-        "5887f4e9ad5caf7fcc22e4b7bbdf6516b1a8e55373a4cd4ef463585f5bdbcba4",
+        "296a13e9c42d565a631ef3396f89f2e2a620b6cec9894d5c8cbcfc1782bdbe7b",
     ),
 }
 
@@ -988,7 +988,7 @@ def relisted_seal_run(relist: bool):
     seal of the newest result sealed on its finalized chain to the block it
     proposes. Returns the world, the tick of the re-listing proposal, and
     each other consensus node's verdict on that proposal, by name, as (tick,
-    accepted, whether the node held the result)."""
+    accepted)."""
     world = build_world(happy_path(12000))
     n1 = world.consensus[1]
     make_payload = n1.engine.make_payload
@@ -1017,8 +1017,7 @@ def relisted_seal_run(relist: bool):
             def validate(payload, parent_digest, node=node, check=node.engine.validate_payload):
                 accepted = check(payload, parent_digest)
                 if relisted and payload is relisted[0][1]:
-                    rh = payload.block_seals[-1].execution_result_hash
-                    verdicts[node.name] = (world.sim.now, accepted, rh in node.results)
+                    verdicts[node.name] = (world.sim.now, accepted)
                 return accepted
 
             node.engine.validate_payload = validate
@@ -1030,11 +1029,12 @@ def test_relisted_seal_rejected():
     """Leader n1 lists, once, the seal of the newest result its finalized
     chain has sealed. Condition 8 took it: every node accepted the block, the
     sealed tip of every chain through it rewound to that result, and no
-    later result sealed. Each honest consensus node still holds that result,
-    so only the checks that the result is not sealed on the chain and that
-    it extends the sealed tip can refuse it; each rejects the block at
-    condition 8, and the observer keeps sealing at the pace of the run
-    without the re-listed seal, each result once."""
+    later result sealed. The seal carries its result and a genuine verifier
+    quorum, and its block is on the chain, so only the checks that the
+    result is not sealed on the chain and that it extends the sealed tip can
+    refuse it; each honest node rejects the block at condition 8, and the
+    observer keeps sealing at the pace of the run without the re-listed
+    seal, each result once."""
     clean, _, _ = relisted_seal_run(relist=False)
     world, t, verdicts = relisted_seal_run(relist=True)
     assert t is not None
@@ -1045,8 +1045,8 @@ def test_relisted_seal_rejected():
     }
     honest = {n.name for n in world.consensus} - {world.consensus[1].name}
     assert set(verdicts) == honest
-    for name, (tick, accepted, held) in verdicts.items():
-        assert tick >= t and held and not accepted and (name, tick) in rejections
+    for name, (tick, accepted) in verdicts.items():
+        assert tick >= t and not accepted and (name, tick) in rejections
 
     def sealed(w):
         return [r["payload"]["result"] for r in w.sim.log.select("sealed", w.observer.name)]

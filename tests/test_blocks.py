@@ -88,7 +88,6 @@ def plain_view(state: ProtocolState, parent_height=0, final=None, **fields) -> C
         ctx=tip,
         tip=tip,
         final=prefix,
-        results={},
         fcc_ids={},
         fcc_received=set(),
         verdicts={},
@@ -208,12 +207,12 @@ class TestEvaluateProposal:
         assert not ok and reason.startswith("condition-6")
 
     def test_condition_8_seal_invalid(self):
-        # the node holds the result, but the seal lists no approval
+        # the sealed block is on the chain, but the seal lists no approval
         state, _, _ = base_protocol_state()
         result = ExecutionResult(b"\x01" * 32, GENESIS_RESULT_HASH, (), b"\x03" * 32)
-        seal = BlockSeal(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, ())
+        seal = BlockSeal(result, ())
         pb = ProtoBlock(b"\x10" * 32, 1, (), (seal,), (), (), commit_state(state))
-        view = plain_view(state, results={b"\x02" * 32: result})
+        view = plain_view(state, final={"block": {result.block_hash}})
         ok, reason = evaluate_proposal(pb, view)
         assert not ok and reason.startswith("condition-8")
 
@@ -276,8 +275,7 @@ class TestEvaluateProposal:
 def sealed_result(state, vkps, prev=GENESIS_RESULT_HASH, tag=b"r1"):
     """A result extending `prev`, and its seal by every verifier."""
     result = ExecutionResult(crypto.hash("block", tag), prev, (), crypto.hash("state", tag))
-    rh = result.result_hash()
-    return result, form_seal(rh, result, counted(*seal_inputs(state, vkps, rh)))
+    return result, form_seal(result, counted(*seal_inputs(state, vkps, result.result_hash())))
 
 
 def with_seals(state, *seals) -> ProtoBlock:
@@ -299,11 +297,11 @@ def fcc(result_hash=b"\x22" * 32, challenger=CHALLENGER, signer=EXECUTOR):
 
 
 class TestSealCondition:
-    """Condition 8 over the chain view: the node holds the sealed result, no
-    faulty-computation challenge (FCC) against it is pending on the chain or
-    here, its previous result is the sealed tip of the chain or the seal
-    listed before it in the block, and the approvals carry a verifier
-    quorum."""
+    """Condition 8 over the chain view, which holds no receipt: the seal's
+    block is on the chain, no faulty-computation challenge (FCC) against
+    its result is pending on the chain or here, its previous result is the
+    sealed tip of the chain or the seal listed before it in the block, and
+    the approvals of its result's hash carry a verifier quorum."""
 
     def setup_method(self):
         self.state, _, self.vkps = base_protocol_state()
@@ -312,19 +310,22 @@ class TestSealCondition:
         self.cid = fcc(self.rh).challenge_id
 
     def view(self, final=None, **fields) -> ChainView:
-        """The view of a node that holds `results` (default: the sealed
-        result), whose finalized prefix records their blocks unless `final`
-        names the blocks it records."""
-        fields.setdefault("results", {self.rh: self.result})
-        blocks = {result.block_hash for result in fields["results"].values()}
+        """The view of a node whose finalized prefix records the sealed
+        result's block, unless `final` names the blocks it records."""
+        blocks = {self.result.block_hash}
         return plain_view(self.state, final={"block": blocks, **(final or {})}, **fields)
 
     def test_sealable_result_accepted(self):
         assert evaluate_proposal(with_seals(self.state, self.seal), self.view()) == (True, None)
 
-    def test_unknown_result_rejected(self):
-        ok, reason = evaluate_proposal(with_seals(self.state, self.seal), self.view(results={}))
-        assert (ok, reason) == (False, "condition-8:seal-invalid")
+    def test_result_changed_after_approval_rejected(self):
+        # the approvals sign the approved result's hash, not the changed one's
+        forged = dataclasses.replace(self.result, final_state=crypto.hash("state", b"forged"))
+        changed = dataclasses.replace(self.seal, result=forged)
+        assert evaluate_proposal(with_seals(self.state, changed), self.view()) == (
+            False,
+            "condition-8:seal-invalid",
+        )
 
     def test_recorded_unadjudicated_fcc_blocks(self):
         fccs = {"fcc_ids": {self.rh: {self.cid}}}
@@ -357,7 +358,7 @@ class TestSealCondition:
 
     def test_seals_chain_within_one_block(self):
         second, seal2 = sealed_result(self.state, self.vkps, prev=self.rh, tag=b"r2")
-        view = self.view(results={self.rh: self.result, seal2.execution_result_hash: second})
+        view = self.view(final={"block": {self.result.block_hash, second.block_hash}})
         assert evaluate_proposal(with_seals(self.state, self.seal, seal2), view) == (True, None)
         reversed_order = with_seals(self.state, seal2, self.seal)
         assert evaluate_proposal(reversed_order, view) == (False, "condition-8:seal-invalid")
@@ -383,8 +384,8 @@ class TestSealCondition:
             self.result.block_hash, GENESIS_RESULT_HASH, (), crypto.hash("state", b"r1'")
         )
         rh2 = sibling.result_hash()
-        seal2 = form_seal(rh2, sibling, counted(*seal_inputs(self.state, self.vkps, rh2)))
-        view = self.view(results={self.rh: self.result, rh2: sibling})
+        seal2 = form_seal(sibling, counted(*seal_inputs(self.state, self.vkps, rh2)))
+        view = self.view()
         # its seal passes alone, but not once R is sealed earlier in the block
         assert evaluate_proposal(with_seals(self.state, seal2), view) == (True, None)
         both = with_seals(self.state, self.seal, seal2)
@@ -520,11 +521,15 @@ class TestRandomnessAttachment:
         assert not crypto.threshold_verify(self.params, sigma, wrong, empty_proto(self.state).hash())
 
 
-def approve(kp, result_hash=b"\x22" * 32) -> Approval:
+# a result of block 0x11.. with final state 0x33..
+PENDING = ExecutionResult(b"\x11" * 32, GENESIS_RESULT_HASH, (), b"\x33" * 32)
+
+
+def approve(kp, result_hash=PENDING.result_hash()) -> Approval:
     return Approval(result_hash, kp.public, kp.sign(approval_payload(result_hash)))
 
 
-def seal_inputs(state, vkps, result_hash=b"\x22" * 32):
+def seal_inputs(state, vkps, result_hash=PENDING.result_hash()):
     approvals = [approve(kp, result_hash) for kp in vkps]
     verifiers = members(state, Role.VERIFICATION)
     return approvals, verifiers
@@ -538,10 +543,6 @@ def counted(approvals, verifiers) -> Tally:
         if tally.admits(a.verifier) and a.valid():
             tally.add(a.verifier, a)
     return tally
-
-
-# a result of block 0x11.. with final state 0x33.., sealed under hash 0x22..
-PENDING = ExecutionResult(b"\x11" * 32, GENESIS_RESULT_HASH, (), b"\x33" * 32)
 
 
 class TestApprovalPayload:
@@ -559,24 +560,25 @@ class TestFormSeal:
 
     def test_seal_formed(self):
         state, _, vkps = base_protocol_state()
-        seal = form_seal(b"\x22" * 32, PENDING, counted(*seal_inputs(state, vkps)))
+        seal = form_seal(PENDING, counted(*seal_inputs(state, vkps)))
         assert seal is not None
         assert [a.verifier for a in seal.approvals] == sorted(kp.public for kp in vkps)
-        assert (seal.sealed_block_hash, seal.final_state_commitment) == (b"\x11" * 32, b"\x33" * 32)
+        assert seal.result is PENDING and seal.sealed_block_hash == b"\x11" * 32
+        assert seal.execution_result_hash == PENDING.result_hash()
 
     def test_exactly_two_thirds_pending(self):
         state, _, vkps = base_protocol_state(n_verifiers=3)
         tally = counted(*seal_inputs(state, vkps[:2]))
         assert not tally.quorum
-        assert form_seal(b"\x22" * 32, PENDING, tally) is None
-        assert form_seal(b"\x22" * 32, PENDING, None) is None
+        assert form_seal(PENDING, tally) is None
+        assert form_seal(PENDING, None) is None
 
     def test_pending_challenge_blocks(self):
         # A full approval quorum forms the seal, but no node accepts it while
         # a challenge against the sealed result is still open.
         state, _, vkps = base_protocol_state()
         approvals, verifiers = seal_inputs(state, vkps)
-        seal = form_seal(b"\x22" * 32, PENDING, counted(approvals, verifiers))
+        seal = form_seal(PENDING, counted(approvals, verifiers))
         assert seal is not None
         assert not TestValidateSeal().check(seal, verifiers, pending=True)
 
@@ -594,23 +596,19 @@ class TestFormSeal:
                 a = dataclasses.replace(a, signature=b"\x00" * 32)
             n0.handle(v.name, ApprovalMsg(a))
         assert sorted(n0.approvals[rh]) == sorted(v.keypair.public for v in world.verifiers[2:])
-        assert form_seal(rh, PENDING, n0.approvals[rh]) is None
+        assert form_seal(PENDING, n0.approvals[rh]) is None
 
 
 class TestValidateSeal:
-    def make(self, state, vkps, result_hash=b"\x22" * 32):
-        return form_seal(result_hash, PENDING, counted(*seal_inputs(state, vkps, result_hash)))
+    def make(self, state, vkps, result=PENDING):
+        return form_seal(result, counted(*seal_inputs(state, vkps, result.result_hash())))
 
-    def check(self, seal, verifiers, result=(b"\x11" * 32, b"\x33" * 32), parent_sealed=True,
-              pending=False):
-        """`validate_seal` on the view of a node that holds `result` (block
-        hash, final state; None for none) under the seal's result hash,
-        extending a sealed result or an unsealed one, with the sealed block
-        on the chain, and an unadjudicated FCC against the result recorded
-        there when `pending`."""
+    def check(self, seal, verifiers, pending=False):
+        """`validate_seal` on the view of a node that holds no receipt, with
+        genesis's result as the sealed tip, the sealed block on the chain,
+        and an unadjudicated FCC against the result recorded there when
+        `pending`."""
         rh = seal.execution_result_hash
-        prev = GENESIS_RESULT_HASH if parent_sealed else b"\x44" * 32
-        results = {} if result is None else {rh: ExecutionResult(result[0], prev, (), result[1])}
         cid = b"\x55" * 32
         final = {"block": {seal.sealed_block_hash}}
         if pending:
@@ -618,7 +616,6 @@ class TestValidateSeal:
         view = plain_view(
             ProtocolState(records={}),
             final=final,
-            results=results,
             fcc_ids={rh: {cid}} if pending else {},
             verifiers=verifiers,
         )
@@ -628,15 +625,14 @@ class TestValidateSeal:
         state, _, vkps = base_protocol_state()
         assert self.check(self.make(state, vkps), members(state, Role.VERIFICATION))
 
-    def test_unknown_result_rejected(self):
-        state, _, vkps = base_protocol_state()
-        assert not self.check(self.make(state, vkps), members(state, Role.VERIFICATION), result=None)
-
     def test_field_mismatch_rejected(self):
+        # the carried result's block changed after approval, to a block on
+        # the chain: the approvals sign the approved result's hash
         state, _, vkps = base_protocol_state()
         seal = self.make(state, vkps)
+        moved = dataclasses.replace(PENDING, block_hash=b"\x99" * 32)
         verifiers = members(state, Role.VERIFICATION)
-        assert not self.check(seal, verifiers, result=(b"\x99" * 32, b"\x33" * 32))
+        assert not self.check(dataclasses.replace(seal, result=moved), verifiers)
 
     def test_pending_challenge_rejected(self):
         state, _, vkps = base_protocol_state()
@@ -645,7 +641,8 @@ class TestValidateSeal:
     def test_unsealed_parent_rejected(self):
         state, _, vkps = base_protocol_state()
         verifiers = members(state, Role.VERIFICATION)
-        assert not self.check(self.make(state, vkps), verifiers, parent_sealed=False)
+        orphan = dataclasses.replace(PENDING, previous_execution_result_hash=b"\x44" * 32)
+        assert not self.check(self.make(state, vkps, orphan), verifiers)
 
     def test_every_listed_approval_must_count(self):
         state, _, vkps = base_protocol_state()
@@ -691,7 +688,7 @@ class TestSharedApprovalCheck:
         for _ in range(7):  # every consensus node receives each approval
             assert all(a.valid() for a in approvals)
         tallies = [counted(approvals, verifiers) for _ in range(3)]
-        seals = [form_seal(b"\x22" * 32, PENDING, t) for t in tallies]  # three leaders seal
+        seals = [form_seal(PENDING, t) for t in tallies]  # three leaders seal
         for seal in seals:
             for _ in range(7):  # every voter validates it
                 assert TestValidateSeal().check(seal, verifiers)

@@ -580,7 +580,7 @@ def test_busy_clusters_close_full_collections_in_their_append():
         stores = [list(c.store) for c in world.collectors if c.cluster_index == index]
         assert stores[0] and all(store == stores[0] for store in stores)
     digest = hashlib.sha256(world.sim.log.to_jsonl().encode()).hexdigest()
-    assert digest == "456b356a60399b56a7be3caf207ab10d4da5de820bc88916de21bcb66e24d824"
+    assert digest == "2549338aad0e1c3f778e9fb8500736edd63220fb088b8363623f0d9a1693990a"
     assert world.metrics.rows() == [
         ("blocks_finalized", 116),
         ("blocks_sealed", 112),

@@ -8,8 +8,8 @@ only for rounds at or above its newest finalized block, the proposals it
 answers block fetches from only `RETRIEVAL_WINDOW` rounds below it, and no
 tree node below that round off the finalized chain. A collector engine keeps of the finalized
 chain only its newest block. A consensus node drops the approvals of each
-result a finalized block seals, the received results before its sealed
-tip with their entries in the seal index, a block's first-seen stamp
+result a finalized block seals, the seal-index entries of the results
+before its sealed tip, a block's first-seen stamp
 once the block is finalized or pruned, each guarantee a finalized
 block lists, and its `Finalized` copy, with its beacon share, of each
 block a finalized block seals;
@@ -63,7 +63,6 @@ def retained(world) -> dict[str, int]:
         note("collector engine.finalized_set", len(node.engine.finalized_set))
     for node in world.consensus:
         note("ConsensusNode.approvals", len(node.approvals))
-        note("ConsensusNode.results", len(node.results))
         note("ConsensusNode.results_by_prev", len(node.results_by_prev))
         note("ConsensusNode.pending_collections", len(node.pending_collections))
         note("ConsensusNode.beacon_shares", len(node.beacon_shares))
@@ -87,7 +86,7 @@ def happy_path(max_sim_time: int):
 
 def assert_bounded(world) -> None:
     sizes = retained(world)
-    assert len(sizes) == 17
+    assert len(sizes) == 16
     over = {name: size for name, size in sizes.items() if size > BOUND}
     assert not over, over
 
@@ -201,7 +200,7 @@ def test_late_receipt_makes_no_seal_index_entry():
     assert len(settled) > 50
     rh, msg = settled[-1]
     prev = msg.receipt.execution_result.previous_execution_result_hash
-    assert prev not in node.results_by_prev and prev not in node.results
+    assert prev not in node.results_by_prev
     del node.receipts[rh]  # as if its receipt had not arrived yet
     node._on_receipt("e0", msg)
     assert node.receipts[rh] is msg and prev not in node.results_by_prev

@@ -11,8 +11,13 @@ missed a block before GST never finalized again, passes since engines
 fetch the blocks they miss.
 
 No property reads a seal count past `checks.min_sealed`, so a run whose
-sealing stops for good passes the sweep; `test_pre_gst_chaos_keeps_sealing`
-reproduces one such run as a strict xfail."""
+sealing stops for good passes the sweep. Two tests at pre-gst-chaos seeds
+past 10 cover that: `test_pre_gst_chaos_seals_past_lost_receipts` checks
+that a node that lost a receipt before GST still takes the seals that
+chain through it (a seal carries its result), and
+`test_pre_gst_chaos_keeps_sealing` reproduces, as a strict xfail, a run
+whose consensus nodes never hold an approval quorum (ROADMAP item 27,
+defect B)."""
 
 from importlib import resources
 
@@ -50,11 +55,36 @@ def test_every_property_holds(name, seed):
     assert not failed, failed
 
 
+def pre_gst_chaos(seed: int):
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "pre-gst-chaos.json"))
+    return run_scenario(doc, seed=seed).world
+
+
+@pytest.mark.seeds
+@pytest.mark.parametrize("seed", [12, 23, 40])
+def test_pre_gst_chaos_seals_past_lost_receipts(seed):
+    """ROADMAP item 27, defect A. Condition 8 once also required the voter
+    to hold the sealed result, from a receipt each executor sends once, so
+    a node that lost one before GST refused every later seal chaining
+    through it: at these seeds 75, 102 and 159 proposals were refused at
+    condition 8, and seeds 12 and 40 failed `liveness`. A seal carries its
+    result, so no honest proposal is refused there, and at least half of
+    the finalized blocks are sealed."""
+    world = pre_gst_chaos(seed)
+    refused = [
+        r
+        for r in world.sim.log.select("proposal_rejected")
+        if r["payload"]["reason"].startswith("condition-8")
+    ]
+    assert not refused
+    assert world.metrics.blocks_sealed >= world.metrics.blocks_finalized / 2
+
+
 @pytest.mark.seeds
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 21: receipts and approvals are sent once, so one lost before GST "
-    "stops sealing for good",
+    reason="ROADMAP item 27, defect B: receipts and approvals are sent once, so one lost "
+    "before GST stops sealing for good",
 )
 def test_pre_gst_chaos_keeps_sealing():
     """pre-gst-chaos at seed 14 finalizes 384 blocks and seals one, with
@@ -64,6 +94,5 @@ def test_pre_gst_chaos_keeps_sealing():
     approvals that the next result needs (CHANGES.md's FOUND line on
     pre-gst-chaos sealing). Resending until sealed, as beacon committee
     members resend their shares, is the mend."""
-    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "pre-gst-chaos.json"))
-    metrics = run_scenario(doc, seed=14).world.metrics
+    metrics = pre_gst_chaos(14).metrics
     assert metrics.blocks_sealed >= metrics.blocks_finalized / 2
