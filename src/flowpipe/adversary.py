@@ -4,7 +4,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from . import crypto
 from .hotstuff import Proposal, Vote, vote_payload
@@ -39,6 +39,7 @@ def stale_vote(node, spec: dict) -> None:
     node.engine.send = stale_send
 
 
+@dataclass(frozen=True)
 class _Junk:
     """What an equivocating leader lists as a slashing challenge to make its
     twin proposal differ; honest nodes reject it at condition 9."""

@@ -103,6 +103,23 @@ def validate_transaction(
     return TxCheck.OK
 
 
+@dataclass(frozen=True)
+class ClusterBlock:
+    """A cluster consensus payload: the transaction hashes it lists, chained
+    to its parent and round so that its digest is unique per slot."""
+
+    parent: bytes
+    round: int
+    hashes: tuple[bytes, ...]
+
+    # every collector digests payloads with this one function, so receivers
+    # share a proposal's digest check (`Proposal.binds_payload`)
+    def digest(self) -> bytes:
+        hashes = [hexify(h) for h in self.hashes]
+        doc = {"parent": hexify(self.parent), "round": self.round, "hashes": hashes}
+        return crypto.hash("cluster-payload", canonical_json(doc))
+
+
 def validate_append_proposal(hashes: Sequence[bytes], pool: dict[bytes, SignedTransaction]) -> bool:
     """Vote in favor of a cluster block listing `hashes` iff the node holds
     every full text. A hash listed again, or already included, is skipped

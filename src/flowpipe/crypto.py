@@ -16,7 +16,8 @@ import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .encoding import once, once_for
 
@@ -234,7 +235,7 @@ class GroupSignature:
 @dataclass(frozen=True)
 class VerificationVector:
     group_public_key: int
-    per_party_public_keys: dict[int, int]  # party index -> g^{f(index)}
+    per_party_public_keys: Mapping[int, int]  # party index -> g^{f(index)}
 
 
 @dataclass
@@ -323,7 +324,7 @@ def dkg_setup(
                 acc = acc * pow(com, pow(i, k, q), p) % p
         party_pks[i] = acc
 
-    vv = VerificationVector(group_public_key=pk_g, per_party_public_keys=party_pks)
+    vv = VerificationVector(pk_g, MappingProxyType(party_pks))
     return DkgResult(verification_vector=vv, shares=shares, complaints=complaints, excluded_dealers=excluded)
 
 

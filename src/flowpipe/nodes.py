@@ -6,7 +6,7 @@ nothing else: `adversary` corrupts a built node to make it Byzantine."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from . import crypto
 from .blocks import (
@@ -37,6 +37,7 @@ from .challenges import (
 )
 from .clustering import route_transaction
 from .collection import (
+    ClusterBlock,
     GuaranteedCollection,
     TxCheck,
     close_trigger,
@@ -44,7 +45,7 @@ from .collection import (
     validate_append_proposal,
     validate_transaction,
 )
-from .encoding import canonical_json, hexify
+from .encoding import hexify
 from .execution import (
     GENESIS_RESULT_HASH,
     ExecutionReceipt,
@@ -82,33 +83,33 @@ SHARE_RESEND = 8
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Directory:
-    """Static world view handed to every node at scenario start: membership,
-    cluster map, one stake table per group (the consensus group, each
-    cluster and the verifiers), one leader schedule per consensus group over
-    its table, beacon material, and protocol parameters. Every weighted rule
-    reads these tables. They are built once from the genesis records, and a
-    slash does not change them yet: it changes the protocol state, not the
-    voting weights."""
+    """Static, read-only world view that every node shares from scenario
+    start: membership, cluster map, one stake table per group (the
+    consensus group, each cluster and the verifiers), one leader schedule
+    per consensus group over its table, beacon material, and protocol
+    parameters. Every weighted rule reads these tables. They are built once
+    from the genesis records, and a slash does not change them yet: it
+    changes the protocol state, not the voting weights."""
 
-    name_of: dict[bytes, str]
-    key_of: dict[str, bytes]
+    name_of: Mapping[bytes, str]
+    key_of: Mapping[str, bytes]
     consensus: StakeTable
     consensus_schedule: LeaderSchedule  # over `consensus`
     verifiers: StakeTable
-    executor_names: list[str]
-    verifier_names: list[str]
-    consensus_names: list[str]
-    collector_names: list[str]
-    clusters: dict[int, StakeTable]  # cluster index -> its table
-    cluster_schedules: dict[int, LeaderSchedule]  # cluster index -> leaders over its table
-    cluster_of: dict[bytes, int]
+    executor_names: tuple[str, ...]
+    verifier_names: tuple[str, ...]
+    consensus_names: tuple[str, ...]
+    collector_names: tuple[str, ...]
+    clusters: Mapping[int, StakeTable]  # cluster index -> its table
+    cluster_schedules: Mapping[int, LeaderSchedule]  # cluster index -> leaders over its table
+    cluster_of: Mapping[bytes, int]
     initial_state: ProtocolState
     params: crypto.ThresholdParams
     drb_vv: crypto.VerificationVector
-    drb_committee: dict[bytes, crypto.SecretShare]  # member key -> share
-    registered_accounts: list[bytes]
+    drb_committee: Mapping[bytes, crypto.SecretShare]  # member key -> share
+    registered_accounts: tuple[bytes, ...]
     # protocol parameters; their defaults live in scenario.DEFAULTS
     gamma_chunk: int
     coverage_p: float
@@ -267,12 +268,6 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_payload_digest(payload) -> bytes:
-    """Digest of a cluster consensus payload; one function for every
-    collector, so a proposal's digest check is shared by its receivers."""
-    return crypto.hash("cluster-payload", canonical_json(payload))
-
-
 class CollectorNode(Node):
     def __init__(self, sim, name, keypair, directory):
         super().__init__(sim, name, keypair, directory)
@@ -285,8 +280,8 @@ class CollectorNode(Node):
         ]
         self.pool: dict[bytes, SignedTransaction] = {}
         self.included: set[bytes] = set()
-        # pooled hashes not yet included, in pool order, with their hex form
-        self.fresh: dict[bytes, str] = {}
+        # pooled hashes not yet included, in pool order
+        self.fresh: dict[bytes, None] = {}
         self.open_collection: list[bytes] = []
         self.open_round = 0  # round of the cluster block that closed the last collection
         self.store: dict[bytes, list[SignedTransaction]] = {}
@@ -297,7 +292,7 @@ class CollectorNode(Node):
         self.attach_engine(
             self.peers,
             schedule=directory.cluster_schedules[self.cluster_index],
-            digest_payload=_cluster_payload_digest,
+            digest_payload=ClusterBlock.digest,
             validate_payload=self._validate_payload,
             make_payload=self._make_payload,
             on_finalize=self._on_cluster_finalize,
@@ -333,33 +328,25 @@ class CollectorNode(Node):
         grandparent = parent and tree.get(parent.parent)
         if not (
             self._has_work()
-            or any(b and b.payload and b.payload["hashes"] for b in (parent, grandparent))
+            or any(b and b.payload and b.payload.hashes for b in (parent, grandparent))
         ):
             return None
-        # parent/round fields chain the payload so digests are unique per slot
-        return {
-            "parent": hexify(parent_digest),
-            "round": self.engine.current_round,
-            "hashes": list(self.fresh.values()),
-        }
+        return ClusterBlock(parent_digest, self.engine.current_round, tuple(self.fresh))
 
     def _validate_payload(self, payload, parent_digest):
-        # a cluster payload is its parent, its round and the hashes it lists, no more
-        if not isinstance(payload, dict) or payload.keys() != {"parent", "round", "hashes"}:
+        """A cluster block on the parent, listing a tuple of `bytes` hashes,
+        whose every text this member holds (`validate_append_proposal`)."""
+        if type(payload) is not ClusterBlock or payload.parent != parent_digest:
             return False
-        if payload["parent"] != hexify(parent_digest) or not isinstance(payload["hashes"], list):
-            return False
-        try:
-            hashes = [bytes.fromhex(h) for h in payload["hashes"]]
-        except (TypeError, ValueError):
-            return False  # not a list of hex strings
-        return validate_append_proposal(hashes, self.pool)
+        hashes = payload.hashes
+        typed = type(hashes) is tuple and all(type(h) is bytes for h in hashes)
+        return typed and validate_append_proposal(hashes, self.pool)
 
     def _on_cluster_finalize(self, node):
         # every listed hash counts, held or not, so the collection's size and
         # its close depend on the finalized cluster chain alone
         size = len(self.open_collection)
-        for h in (bytes.fromhex(x) for x in node.payload["hashes"]):
+        for h in node.payload.hashes:
             if h not in self.included:
                 self.open_collection.append(h)
                 self.included.add(h)
@@ -422,7 +409,7 @@ class CollectorNode(Node):
         if gossip:
             self.send_all(self.peers, GossipTx(tx))
         if h not in self.included:  # a text listed before it arrived is ordered already
-            self.fresh[h] = hexify(h)
+            self.fresh[h] = None
             self.engine.wake()
         self.engine.retry_vote()
 
@@ -479,6 +466,9 @@ class ConsensusNode(Node):
         self.fcc_received: set[bytes] = set()  # ids of the FCCs received here
         # result hash -> ids of the FCCs against it, received or in a built block
         self.fcc_ids: dict[bytes, set[bytes]] = {}
+        # result hash -> the recorded FCCs against it that wait for its
+        # receipt to be adjudicated, in chain order; freed when it arrives
+        self.fcc_awaiting_receipt: dict[bytes, list[SlashingChallenge]] = {}
         # collection hash -> guarantor -> texts, for each MCC being
         # adjudicated here; freed at its deadline
         self.mcc_responses: dict[bytes, dict[bytes, tuple]] = {}
@@ -486,7 +476,6 @@ class ConsensusNode(Node):
         self.finalized_heights: dict[int, bytes] = {}
         # ticks from entering the engine's tree to finality, in finality order
         self.finalization_latencies: list[int] = []
-        self.recorded_fcc: dict[bytes, list[SlashingChallenge]] = {}  # by result, chain order
 
         self.attach_engine(
             [peer for peer in directory.consensus_names if peer != name],
@@ -718,8 +707,6 @@ class ConsensusNode(Node):
             self._send_share(digest)
         # adjudicate challenges recorded in this block
         for ch in pb.slashing_challenges:
-            if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
-                self.recorded_fcc.setdefault(ch.evidence[0], []).append(ch)
             self._start_adjudication(ch)
 
     def _send_share(self, digest: bytes):
@@ -782,8 +769,9 @@ class ConsensusNode(Node):
             self._record_adjudication(adj, upd)
         elif ch.kind == ChallengeKind.FAULTY_COMPUTATION:
             msg = self.receipts.get(ch.evidence[0])
-            if msg is None:
-                return  # disputed receipt not yet received; retried on arrival
+            if msg is None:  # disputed receipt not yet received; retried on arrival
+                self.fcc_awaiting_receipt.setdefault(ch.evidence[0], []).append(ch)
+                return
             adj, upd = adjudicate_fcc(self.d.initial_state, ch, msg.receipt, msg.packages)
             self._record_adjudication(adj, upd)
         elif ch.kind == ChallengeKind.MISSING_COLLECTION:
@@ -848,8 +836,7 @@ class ConsensusNode(Node):
             "receipt",
             {"result": hexify(rh), "executor": hexify(receipt.executor)},
         )
-        # only a recorded FCC against this result can have waited on it
-        for ch in self.recorded_fcc.get(rh, ()):
+        for ch in self.fcc_awaiting_receipt.pop(rh, ()):
             self._start_adjudication(ch)
 
     def _on_challenge(self, sender: str, msg: ChallengeMsg):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Iterator, Optional
 
 from . import crypto
@@ -374,12 +375,12 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
         key: dkg.shares[i] for i, key in enumerate(committee_keys)
     }
 
-    def names(role: Role) -> list[str]:
-        return [i.network_address for i in ids[role]]
+    def names(role: Role) -> tuple[str, ...]:
+        return tuple(i.network_address for i in ids[role])
 
     directory = Directory(
-        name_of=name_of,
-        key_of={v: k for k, v in name_of.items()},
+        name_of=MappingProxyType(name_of),
+        key_of=MappingProxyType({v: k for k, v in name_of.items()}),
         consensus=consensus,
         consensus_schedule=LeaderSchedule(consensus, epoch_seed),
         verifiers=StakeTable(ids[Role.VERIFICATION]),
@@ -387,19 +388,19 @@ def build_world(doc: dict, seed: Optional[int] = None) -> World:
         verifier_names=names(Role.VERIFICATION),
         consensus_names=names(Role.CONSENSUS),
         collector_names=names(Role.COLLECTOR),
-        clusters=clusters,
-        cluster_schedules={
+        clusters=MappingProxyType(clusters),
+        cluster_schedules=MappingProxyType({
             idx: LeaderSchedule(
                 table, crypto.derive_seed(["cluster-consensus", str(idx)], epoch_seed)
             )
             for idx, table in clusters.items()
-        },
-        cluster_of=dict(assignment.mapping),
+        }),
+        cluster_of=MappingProxyType(dict(assignment.mapping)),
         initial_state=initial_state,
         params=params,
         drb_vv=dkg.verification_vector,
-        drb_committee=drb_committee,
-        registered_accounts=[kp.public for kp in agent_keys],
+        drb_committee=MappingProxyType(drb_committee),
+        registered_accounts=tuple(kp.public for kp in agent_keys),
         gamma_chunk=doc["execution_params"]["gamma_chunk"],
         coverage_p=float(doc["verification_params"]["coverage_p"]),
         tx_window=doc["transactions"]["window"],

@@ -148,17 +148,28 @@ class Adjudication:
 
 
 @dataclass(frozen=True)
+class Slash:
+    """A record change that cuts the stake of node `key` by `amount`."""
+
+    key: bytes
+    amount: int
+
+    def to_dict(self) -> dict:
+        return {"op": "slash", "key": hexify(self.key), "amount": self.amount}
+
+
+@dataclass(frozen=True)
 class StateUpdate:
     """An ordered list of record changes published inside a block. The only
-    op is `slash`, which `slash_update` writes together with the
+    change is a `Slash`, which `slash_update` writes together with the
     adjudication behind it."""
 
-    entries: tuple[dict, ...]
+    entries: tuple[Slash, ...]
     adjudication: Optional[Adjudication] = None
 
     def to_dict(self) -> dict:
         meta = self.adjudication.to_dict() if self.adjudication is not None else {}
-        return {"entries": list(self.entries), "meta": meta}
+        return {"entries": [e.to_dict() for e in self.entries], "meta": meta}
 
 
 class UpdateRejected(ValueError):
@@ -200,45 +211,30 @@ def commit_state(state: ProtocolState) -> bytes:
 
 
 def slash_update(state: ProtocolState, adj: Adjudication) -> StateUpdate:
-    """The update that carries `adj`: one slash entry per slashed node, each
+    """The update that carries `adj`: one `Slash` per slashed node, each
     taking the node's whole stake in `state`."""
-    entries = []
-    for key in adj.slashed:
-        rec = state.records.get(key)
-        entries.append({"op": "slash", "key": hexify(key), "amount": rec.stake if rec else 0})
-    return StateUpdate(entries=tuple(entries), adjudication=adj)
-
-
-def _slash_entry(entry: dict) -> tuple[bytes, int]:
-    """Key and amount of a slash entry; anything malformed, a negative amount
-    included, rejects the batch."""
-    op = entry.get("op")
-    if op != "slash":
-        raise UpdateRejected(f"unknown update op {op!r}")
-    amount = entry.get("amount")
-    if type(amount) is not int or amount < 0:
-        raise UpdateRejected(f"bad slash amount {amount!r}")
-    try:
-        return bytes.fromhex(entry["key"]), amount
-    except (KeyError, TypeError, ValueError):
-        raise UpdateRejected(f"bad slash key {entry.get('key')!r}") from None
+    records = state.records
+    slashes = tuple(Slash(k, records[k].stake if k in records else 0) for k in adj.slashed)
+    return StateUpdate(entries=slashes, adjudication=adj)
 
 
 def apply_updates(state: ProtocolState, updates: Sequence[StateUpdate]) -> ProtocolState:
-    """The state after the slashes in `updates`; any other op, or a
-    malformed slash, rejects the whole batch. A slash cuts the node's stake,
-    clamped at zero. Updates with no entries change nothing, so `state`
-    comes back as itself."""
+    """The state after the slashes in `updates`. Any entry that is not a
+    `Slash` with a `bytes` key and a non-negative `int` amount rejects the
+    whole batch. A slash cuts the node's stake, clamped at zero. Updates
+    with no entries change nothing, so `state` comes back as itself."""
     if not any(upd.entries for upd in updates):
         return state
     records = dict(state.records)
     total_slashed = state.total_slashed
     for upd in updates:
         for entry in upd.entries:
-            key, amount = _slash_entry(entry)
-            rec = records.get(key)
+            ok = type(entry) is Slash and type(entry.key) is bytes and type(entry.amount) is int
+            if not ok or entry.amount < 0:
+                raise UpdateRejected(f"not a well-formed slash: {entry!r}")
+            rec = records.get(entry.key)
             if rec is not None:
-                cut = min(rec.stake, amount)
-                records[key] = replace(rec, stake=rec.stake - cut)
+                cut = min(rec.stake, entry.amount)
+                records[entry.key] = replace(rec, stake=rec.stake - cut)
                 total_slashed += cut
     return ProtocolState(records=records, total_slashed=total_slashed)

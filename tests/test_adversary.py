@@ -54,7 +54,7 @@ import pytest
 from flowpipe import crypto, nodes
 from flowpipe.blocks import Approval, approval_payload, guarantee_valid, propose_proto_block
 from flowpipe.challenges import ChallengeKind, challenge_id, make_fcc, make_mcc, make_pv
-from flowpipe.collection import GuaranteedCollection
+from flowpipe.collection import ClusterBlock, GuaranteedCollection
 from flowpipe.hotstuff import GENESIS_DIGEST, Proposal
 from flowpipe.nodes import (
     ApprovalMsg,
@@ -72,7 +72,7 @@ from flowpipe.scenario import (
     merge_defaults,
     run_world,
 )
-from flowpipe.state import StateUpdate
+from flowpipe.state import Slash, StateUpdate
 from flowpipe.verification import ChunkDataPackage
 
 SILENT = {"collector": [1], "consensus": [6], "execution": [1], "verification": [1]}
@@ -951,28 +951,40 @@ def test_share_for_another_cluster_dropped():
     assert all(guarantee_valid(gc, clusters) for gc in announced)
 
 
-@pytest.mark.parametrize("hashes", [["zz"], 5, [7]], ids=["not-hex", "not-a-list", "not-str"])
-def test_malformed_cluster_proposal_rejected(hashes):
+MALFORMED_CLUSTER_PAYLOADS = {
+    # cluster blocks whose hashes are not a tuple of `bytes`
+    "not-hex": lambda parent, r: ClusterBlock(parent, r, ("zz",)),
+    "not-a-list": lambda parent, r: ClusterBlock(parent, r, 5),
+    "not-str": lambda parent, r: ClusterBlock(parent, r, (7,)),
+    "bytearray": lambda parent, r: ClusterBlock(parent, r, (bytearray(32),)),
+    # the dict payloads collectors once sent
+    "old-dict-shape": lambda parent, r: {"parent": parent.hex(), "round": r, "hashes": []},
+}
+
+
+@pytest.mark.parametrize("kind", MALFORMED_CLUSTER_PAYLOADS)
+def test_malformed_cluster_proposal_rejected(kind):
     """At tick 1,500 of the default scenario, a cluster-0 collector gets a
-    proposal that its round's leader signed, whose payload lists
-    `hashes` that are not hex strings. The collector rejects it without a
-    vote; `bytes.fromhex` on each entry made it raise out of `on_proposal`
-    and out of the run."""
+    proposal that its round's leader signed, whose payload is not a cluster
+    block listing `bytes` hashes. The collector refuses it without a vote,
+    and nothing raises out of `on_proposal`: a payload `ClusterBlock.digest`
+    cannot hash binds no digest, and a `bytearray` hash, which hashes like
+    its bytes, enters the tree and is refused there."""
     world = build_world(merge_defaults({"run": {"seed": 1}}))
     world.sim.run(until=1500)
     collector = next(c for c in world.collectors if c.cluster_index == 0)
     engine = collector.engine
     r = max(engine.current_round, engine.last_voted_round + 1)
     leader = next(c for c in world.collectors if c.keypair.public == engine.leader(r))
-    payload = {
-        "parent": engine.high_qc.payload_digest.hex(),
-        "round": r,
-        "hashes": hashes,
-    }
+    payload = MALFORMED_CLUSTER_PAYLOADS[kind](engine.high_qc.payload_digest, r)
+    try:
+        digest = ClusterBlock.digest(payload)
+    except (AttributeError, TypeError):
+        digest = crypto.hash("cluster-payload", repr(payload).encode())
     unsigned = Proposal(
         round=r,
         payload=payload,
-        payload_digest=nodes._cluster_payload_digest(payload),
+        payload_digest=digest,
         justify=engine.high_qc,
         proposer=leader.keypair.public,
         signature=b"",
@@ -980,7 +992,7 @@ def test_malformed_cluster_proposal_rejected(hashes):
     proposal = dataclasses.replace(unsigned, signature=leader.keypair.sign(unsigned.signed_bytes()))
     engine.on_proposal(proposal)
     assert engine.last_voted_round < r
-    assert proposal.payload_digest in engine.tree.nodes
+    assert (proposal.payload_digest in engine.tree.nodes) == (kind == "bytearray")
 
 
 def relisted_seal_run(relist: bool):
@@ -1068,7 +1080,7 @@ def test_bare_slash_rejected():
     world = build_world(happy_path(6000))
     n0, n1, n3 = world.consensus[0], world.consensus[1], world.consensus[3]
     make_payload = n1.engine.make_payload
-    slash = StateUpdate(entries=({"op": "slash", "key": n3.keypair.public.hex(), "amount": 100},))
+    slash = StateUpdate(entries=(Slash(n3.keypair.public, 100),))
 
     def slashing(parent_digest):
         pb = make_payload(parent_digest)

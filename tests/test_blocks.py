@@ -36,6 +36,7 @@ from flowpipe.state import (
     NodeIdentity,
     ProtocolState,
     Role,
+    Slash,
     StakeTable,
     StateUpdate,
     Tally,
@@ -136,7 +137,7 @@ class TestProposalAssembly:
     def test_commitment_reflects_accepted_updates(self):
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
-        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 5},))
+        upd = StateUpdate(entries=(Slash(key, 5),))
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
         assert pb.protocol_state_updates == (upd,)
         assert pb.state_commitment == apply_updates(state, [upd]).commitment
@@ -248,7 +249,7 @@ class TestEvaluateProposal:
             records={**state.records, key: dataclasses.replace(state.records[key], stake=35)},
             total_slashed=-25,
         )
-        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": -25},))
+        upd = StateUpdate(entries=(Slash(key, -25),))
         pb = ProtoBlock(b"\x10" * 32, 1, (), (), (), (upd,), commit_state(minted))
         assert evaluate_proposal(pb, plain_view(state)) == (False, "condition-10:state-commitment")
         assert pb.replay(state) is None
@@ -256,7 +257,7 @@ class TestEvaluateProposal:
     def test_condition_10_replay_matches(self):
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
-        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 3},))
+        upd = StateUpdate(entries=(Slash(key, 3),))
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
         assert evaluate_proposal(pb, plain_view(state)) == (True, None)
 
@@ -265,7 +266,7 @@ class TestEvaluateProposal:
         # condition 10 kept on the block
         state, _, _ = base_protocol_state()
         key = sorted(state.records)[0]
-        upd = StateUpdate(entries=({"op": "slash", "key": key.hex(), "amount": 3},))
+        upd = StateUpdate(entries=(Slash(key, 3),))
         pb = propose_proto_block(b"\x10" * 32, 0, state, [], [], [], [upd])
         assert evaluate_proposal(pb, plain_view(state)) == (True, None)
         assert pb.replay(state) == apply_updates(state, [upd])
@@ -713,8 +714,7 @@ class TestSharedReplay:
         self.key = sorted(self.parent.records)[0]
 
     def slash(self, amount, key=None):
-        entry = {"op": "slash", "key": (key or self.key).hex(), "amount": amount}
-        return StateUpdate(entries=(entry,))
+        return StateUpdate(entries=(Slash(key or self.key, amount),))
 
     def test_replay_computed_once_per_parent(self, monkeypatch):
         import flowpipe.blocks as blocks

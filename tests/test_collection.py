@@ -6,6 +6,7 @@ import pytest
 
 from flowpipe.clustering import route_transaction
 from flowpipe.collection import (
+    ClusterBlock,
     GuaranteedCollection,
     TxCheck,
     close_trigger,
@@ -236,15 +237,15 @@ def collector_with_pool(n: int):
     return world, collector, [tx.tx_hash() for tx in txs]
 
 
-def append(hashes, round=1, **fields) -> dict:
-    """A cluster payload of round `round` on the genesis cluster block."""
-    return dict(parent=GENESIS_DIGEST.hex(), round=round, hashes=[h.hex() for h in hashes], **fields)
+def append(hashes, round=1) -> ClusterBlock:
+    """A cluster block of round `round` on the genesis cluster block."""
+    return ClusterBlock(GENESIS_DIGEST, round, tuple(hashes))
 
 
 def finalize(collector, payload) -> None:
     """Finalize one cluster block carrying `payload`, of the payload's
     round, at `collector`."""
-    collector._on_cluster_finalize(SimpleNamespace(payload=payload, round=payload["round"]))
+    collector._on_cluster_finalize(SimpleNamespace(payload=payload, round=payload.round))
 
 
 def valid_tx(world, cluster_index: int) -> SignedTransaction:
@@ -341,7 +342,7 @@ class TestCollectorSizeClose:
         finalize(collector, append([tx.tx_hash()]))
         collector._ingest(tx, gossip=False)
         assert tx.tx_hash() in collector.pool and collector.fresh == {}
-        assert collector._make_payload(GENESIS_DIGEST)["hashes"] == []
+        assert collector._make_payload(GENESIS_DIGEST).hashes == ()
 
 
 class TestLoneTransaction:
@@ -375,15 +376,15 @@ class TestLeaderWaitsForWork:
         collector = world.collectors[0]
         tx = valid_tx(world, collector.cluster_index)
         collector._ingest(tx, gossip=False)
-        assert collector.fresh == {tx.tx_hash(): tx.tx_hash().hex()}
-        assert collector._make_payload(GENESIS_DIGEST)["hashes"] == [tx.tx_hash().hex()]
+        assert list(collector.fresh) == [tx.tx_hash()]
+        assert collector._make_payload(GENESIS_DIGEST) == ClusterBlock(GENESIS_DIGEST, 1, (tx.tx_hash(),))
         assert collector.engine.has_work()
 
     def test_open_collection_makes_a_payload(self):
         _, collector, hashes = collector_with_pool(1)
         finalize(collector, append(hashes, round=2))
         assert collector.fresh == {} and collector.open_collection == hashes
-        assert collector._make_payload(GENESIS_DIGEST)["hashes"] == []
+        assert collector._make_payload(GENESIS_DIGEST).hashes == ()
         assert collector.engine.has_work()
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -455,11 +456,16 @@ class TestOneCloseRule:
 class TestCollectorAppendClose:
     @pytest.mark.parametrize("close", [False, None, 1, "true", [True]])
     def test_malformed_close_rejected(self, close):
-        """A cluster payload carries no close decision: a `close` key,
-        whatever its value, makes a payload that is refused."""
+        """A cluster payload carries no close decision: a `ClusterBlock` has
+        no `close` field, and a payload of the dict form collectors once
+        sent, with a `close` key of whatever value, is refused."""
         _, collector, hashes = collector_with_pool(2)
+        with pytest.raises(TypeError):
+            ClusterBlock(GENESIS_DIGEST, 1, tuple(hashes), close=close)
+        listed = [h.hex() for h in hashes]
+        old = {"parent": GENESIS_DIGEST.hex(), "round": 1, "hashes": listed, "close": close}
         assert collector._validate_payload(append(hashes), GENESIS_DIGEST)
-        assert not collector._validate_payload(append(hashes, close=close), GENESIS_DIGEST)
+        assert not collector._validate_payload(old, GENESIS_DIGEST)
 
     def test_append_close_block_stores_the_collection(self):
         """After an idle span, the block that opens a collection closes it."""
@@ -495,7 +501,7 @@ class TestClusterVote:
             def validate(payload, parent_digest, c=collector, check=collector.engine.validate_payload):
                 accepted = check(payload, parent_digest)
                 if not accepted:
-                    lacked.append(any(bytes.fromhex(h) not in c.pool for h in payload["hashes"]))
+                    lacked.append(any(h not in c.pool for h in payload.hashes))
                 return accepted
 
             collector.engine.validate_payload = validate
@@ -505,14 +511,30 @@ class TestClusterVote:
     @pytest.mark.parametrize(
         "payload",
         [
+            ClusterBlock(GENESIS_DIGEST, 1, None),
+            ClusterBlock(GENESIS_DIGEST, 1, "00"),
+            ClusterBlock(GENESIS_DIGEST, 1, [b"\x00" * 32]),
+            ClusterBlock(GENESIS_DIGEST, 1, ("00" * 32,)),
+            ClusterBlock(GENESIS_DIGEST, 1, (bytearray(32),)),
+            ClusterBlock(b"\x01" * 32, 1, ()),
+            # the dict form collectors once sent, well formed and not
+            {"parent": GENESIS_DIGEST.hex(), "round": 1, "hashes": []},
             {"parent": GENESIS_DIGEST.hex(), "round": 1},
-            {"parent": GENESIS_DIGEST.hex(), "round": 1, "hashes": None},
-            {"parent": GENESIS_DIGEST.hex(), "round": 1, "hashes": "00"},
             {"parent": GENESIS_DIGEST.hex(), "round": 1, "hashes": [], "kind": "noop"},
-            {"parent": (b"\x01" * 32).hex(), "round": 1, "hashes": []},
             [GENESIS_DIGEST.hex(), 1, []],
         ],
-        ids=["no-hashes", "null-hashes", "string-hashes", "kind", "other-parent", "not-a-dict"],
+        ids=[
+            "null-hashes",
+            "string-hashes",
+            "list-of-hashes",
+            "hex-hash",
+            "bytearray-hash",
+            "other-parent",
+            "old-dict-shape",
+            "no-hashes",
+            "kind",
+            "not-a-dict",
+        ],
     )
     def test_malformed_payload_refused(self, payload):
         _, collector, _ = collector_with_pool(0)
@@ -536,12 +558,12 @@ def test_lone_transactions_close_one_block_after_their_listing_block():
         listed = {}  # hash -> round of the first finalized block listing it
 
         def on_finalize(node, collector=collector, finalize=collector.engine.on_finalize, listed=listed):
-            for h in node.payload["hashes"]:
+            for h in node.payload.hashes:
                 listed.setdefault(h, node.round)
             before = set(collector.store)
             finalize(node)
             for ch in set(collector.store) - before:
-                rounds = {(listed[tx.tx_hash().hex()], node.round) for tx in collector.store[ch]}
+                rounds = {(listed[tx.tx_hash()], node.round) for tx in collector.store[ch]}
                 closes.setdefault(ch, set()).update(rounds)
 
         collector.engine.on_finalize = on_finalize

@@ -173,12 +173,13 @@ def test_challenges_built_only_in_challenges():
 
 
 def _message_types(tree: ast.AST) -> set[str]:
-    """The classes a module defines with `@dataclass(frozen=True)`: in
-    `nodes.py`, its message types."""
+    """The classes a module defines with `@dataclass(frozen=True)`, but the
+    shared `Directory`: in `nodes.py`, its message types."""
     return {
         node.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
+        and node.name != "Directory"
         and any(
             isinstance(d, ast.Call)
             and any(k.arg == "frozen" for k in d.keywords)

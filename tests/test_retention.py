@@ -11,8 +11,9 @@ chain only its newest block. A consensus node drops the approvals of each
 result a finalized block seals, the seal-index entries of the results
 before its sealed tip, a block's first-seen stamp
 once the block is finalized or pruned, each guarantee a finalized
-block lists, and its `Finalized` copy, with its beacon share, of each
-block a finalized block seals;
+block lists, its `Finalized` copy, with its beacon share, of each
+block a finalized block seals, and each recorded faulty-computation
+challenge it waits on once the disputed receipt arrives;
 an executor drops each block it executed; a verifier drops a
 block's beacon shares once it recovers the block's seed.
 
@@ -34,6 +35,7 @@ from importlib import resources
 
 import pytest
 
+from flowpipe.nodes import ReceiptMsg
 from flowpipe.scenario import build_world, evaluate_properties, load_scenario, run_world
 from flowpipe.sim import EventLog
 
@@ -204,6 +206,31 @@ def test_late_receipt_makes_no_seal_index_entry():
     del node.receipts[rh]  # as if its receipt had not arrived yet
     node._on_receipt("e0", msg)
     assert node.receipts[rh] is msg and prev not in node.results_by_prev
+
+
+@pytest.mark.parametrize("late", [0, 1500], ids=["on-time", "late-receipts"])
+def test_recorded_fccs_freed_when_their_receipt_arrives(late):
+    """A consensus node books a recorded faulty-computation challenge only
+    while the receipt it disputes is missing, and frees the entry when the
+    receipt arrives: byzantine-executor ends with every node's book empty,
+    also when every receipt reaches observer n0 `late` ticks late, so that
+    n0 books each of the run's two challenges before it can judge it."""
+    world = bundled("byzantine-executor", 8_000)
+    n0 = world.observer
+    booked = []  # the challenges each arriving receipt frees at n0
+    on_receipt = n0.handlers[ReceiptMsg]
+
+    def delayed(sender, msg):
+        rh = msg.receipt.execution_result.result_hash()
+        if rh not in n0.receipts:
+            booked.extend(n0.fcc_awaiting_receipt.get(rh, ()))
+        on_receipt(sender, msg)
+
+    n0.handlers[ReceiptMsg] = lambda sender, msg: world.sim.schedule(late, lambda: delayed(sender, msg))
+    run_world(world)
+    assert world.metrics.slashes > 0
+    assert all(not node.fcc_awaiting_receipt for node in world.consensus)
+    assert len(booked) == (2 if late else 0)
 
 
 @pytest.mark.soak

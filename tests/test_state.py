@@ -12,6 +12,7 @@ from flowpipe.state import (
     NodeIdentity,
     ProtocolState,
     Role,
+    Slash,
     StakeTable,
     StateUpdate,
     Tally,
@@ -31,7 +32,7 @@ def node(i: int, role=Role.CONSENSUS, stake=10) -> NodeIdentity:
 
 
 def slash(key: bytes, amount: int) -> StateUpdate:
-    return StateUpdate(entries=({"op": "slash", "key": hexify(key), "amount": amount},))
+    return StateUpdate(entries=(Slash(key, amount),))
 
 
 def make_state(stakes=(10,) * 10, role=Role.CONSENSUS) -> ProtocolState:
@@ -299,9 +300,11 @@ class TestApplyUpdates:
     def test_unknown_op_rejects_whole_batch(self):
         st = make_state((50, 50))
         records, before = dict(st.records), commit_state(st)
+        # a slash is the only change; any other entry, such as this mint in
+        # the dict form entries once took, is refused
         key = hexify(node(2).staking_public_key)
         bad = StateUpdate(entries=({"op": "mint", "key": key, "amount": 5},))
-        with pytest.raises(UpdateRejected, match="unknown update op 'mint'"):
+        with pytest.raises(UpdateRejected, match="not a well-formed slash"):
             apply_updates(st, [slash(node(1).staking_public_key, 10), bad])
         assert st.records == records and st.total_slashed == 0
         assert st.commitment == commit_state(st) == before
@@ -311,22 +314,29 @@ class TestApplyUpdates:
         [
             # applied, a slash of -25 would mint stake: the stake-50 record
             # of node 1 would end at 75 and `total_slashed` at -25
-            {"op": "slash", "key": "01" * 32, "amount": -25},
+            Slash(b"\x01" * 32, -25),
+            # the dict form entries once took, with and without an op
             {"key": "01" * 32, "amount": 5},
-            {"op": "slash", "amount": 5},
-            {"op": "slash", "key": "01" * 32},
-            {"op": "slash", "key": "zz" * 32, "amount": 5},
-            {"op": "slash", "key": "01" * 32, "amount": 2.5},
-            {"op": "slash", "key": "01" * 32, "amount": "5"},
+            {"op": "slash", "key": "01" * 32, "amount": 5},
+            Slash(None, 5),
+            Slash(b"\x01" * 32, None),
+            Slash("zz" * 32, 5),
+            Slash("01" * 32, 5),
+            Slash(b"\x01" * 32, 2.5),
+            Slash(b"\x01" * 32, "5"),
+            Slash(b"\x01" * 32, True),
         ],
         ids=[
             "negative-amount",
             "no-op",
+            "dict-entry",
             "no-key",
             "no-amount",
             "non-hex-key",
+            "hex-key",
             "float-amount",
             "str-amount",
+            "bool-amount",
         ],
     )
     def test_malformed_slash_rejected(self, entry):

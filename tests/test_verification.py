@@ -313,7 +313,7 @@ class TestAdjudicateFcc:
         adj, upd = adjudicate_fcc(self.state, fcc, receipt_for(tampered, self.out), packages)
         assert adj.outcome == "accused_slashed"
         assert adj.slashed == (self.executor,)
-        assert upd.entries[0]["amount"] == 100
+        assert upd.entries[0].amount == 100
 
     def test_frivolous_challenge_slashes_challenger(self):
         last = len(self.out.result.chunks) - 1
@@ -387,7 +387,7 @@ class TestAdjudicateMcc:
         assert adj.outcome == "accused_slashed"
         assert adj.challenge_id == self.mcc.challenge_id
         assert set(adj.slashed) == set(self.guarantors)
-        assert [e["amount"] for e in upd.entries] == [100, 100]
+        assert [e.amount for e in upd.entries] == [100, 100]
 
     def test_one_valid_response_dismisses(self):
         texts = mcc_texts(self.mcc, {self.guarantors[1]: tuple(self.txs)})
