@@ -7,8 +7,10 @@ import counts too, and runs through `flowpipe.cli.main`: the six bundled
 scenarios at their own horizons, one run with `--override` and
 `--format jsonl`, an unknown scenario, `analyze-clusters` and `dkg-demo`.
 It then prints each function or lambda defined under src/flowpipe whose
-code never started, less `ALLOWLIST`, and on the last line their count
-and that of the unreached allowlist entries.
+code never started, less `ALLOWLIST`; then each stale allowlist entry,
+one whose every definition started (or that names none); and on the last
+line the three counts: unreached outside the allowlist, unreached in it,
+and stale entries.
 The hook sees every Python call, so it needs no `sys.monitoring` and runs
 on Python 3.10 and later. Exit code 0 whatever it finds: the count is for
 information. Needs `src` on the path (`PYTHONPATH=src`) or an installed
@@ -33,12 +35,12 @@ ALLOWLIST = {
     "adversary.non_responsive.<lambda>": "the no-op `start` of a non-responsive node",
     "adversary.stale_vote": "a behavior no bundled scenario names; tests/test_adversary.py uses it",
     "adversary.stale_vote.stale_send": "the send of a `stale_vote` node",
-    "blocks.ChainView.fcc_upheld": "condition 8 reads a node's own verdict only for an FCC it "
-    "received before the chain recorded it; no bundled run orders them so, tests/test_blocks.py does",
     "hotstuff.BlockTree.<lambda>": "the default clock of a tree built outside a node, in tests",
-    "hotstuff.ConsensusEngine.__init__.<lambda>": "the default clock, and the default evidence "
-    "handler of a collector engine, which no bundled cluster leader equivocates to",
+    "hotstuff.ConsensusEngine.__init__.<lambda>": "the default clock and evidence handler, which "
+    "every node replaces; only engines built in tests keep them",
     "merkle.ExecutionState.registers": "read by tests and perfbench/ (ROADMAP items 13 and 15)",
+    "nodes.CollectorNode._on_evidence": "no bundled cluster leader equivocates; "
+    "test_cluster_equivocator_slashed (tests/test_adversary.py) has one do so",
     "nodes.ConsensusNode._on_collection_response": "the one bundled missing-collection run "
     "withholds the texts; test_answered_mcc_dismissed answers them",
     "nodes.Node.handle": "every role class repeats it, for per-role profiles (ROADMAP item 19)",
@@ -111,12 +113,25 @@ def main() -> int:
     src = Path(cli.__file__).resolve().parent
     reached = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in started}
     unreached = sorted((key, name) for key, name in definitions(src).items() if key not in reached)
-    listed = [(key, name) for key, name in unreached if name not in ALLOWLIST]
-    for (path, line), name in listed:
-        print(f"{Path(path).name}:{line} {name}")
-    allowed = len(unreached) - len(listed)
-    print(f"unreached functions: {len(listed)} outside the allowlist, {allowed} in it")
+    print("\n".join(report(unreached)))
     return 0
+
+
+def report(unreached: list) -> list[str]:
+    """The report's lines for `unreached`, sorted ((path, first line),
+    name) pairs: each outside `ALLOWLIST`, then each allowlist entry that
+    names none of them, then the counts."""
+    listed = [(key, name) for key, name in unreached if name not in ALLOWLIST]
+    names = {name for _, name in unreached}
+    stale = sorted(name for name in ALLOWLIST if name not in names)
+    lines = [f"{Path(path).name}:{line} {name}" for (path, line), name in listed]
+    lines += [f"stale allowlist entry: {name}" for name in stale]
+    allowed = len(unreached) - len(listed)
+    lines.append(
+        f"unreached functions: {len(listed)} outside the allowlist, {allowed} in it; "
+        f"stale allowlist entries: {len(stale)}"
+    )
+    return lines
 
 
 if __name__ == "__main__":

@@ -11,13 +11,15 @@ includes them; condition 6 authenticates the guarantee and condition 8
 validates the seal.
 
 Every condition is judged over a `ChainView`, plain data a consensus node
-builds for the parent block: the parent's `ChainCtx`, the node's finalized
-prefix and its challenge books. A seal carries the result it seals, so
-condition 8 reads the seal and the chain, never the node's receipts. The
-chain-fact lookup and the pending-challenge rule live here, next to the
-conditions that read them, and the node's proposer calls the same
-functions; condition 9 takes a challenge by `challenges.challenge_valid`
-and `challenge_mark`, as the node's challenge intake does."""
+builds for the parent block: the parent's `ChainCtx`, which descends from
+the node's finalized tip, whose facts are the finalized prefix's, and the
+challenges the node holds. A seal carries the result it seals, so
+condition 8 reads the seal, the chain and the held challenges, never the
+node's receipts. The chain-fact lookup and the pending-challenge rule live
+here, next to the conditions that read them, and the node's proposer calls
+the same functions; condition 9 takes a challenge by
+`challenges.challenge_valid` and `challenge_mark`, as the node's challenge
+intake does."""
 
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import crypto
-from .challenges import SlashingChallenge, challenge_mark, challenge_valid
+from .challenges import ChallengeKind, SlashingChallenge, challenge_mark, challenge_valid
 from .collection import GuaranteedCollection, guarantee_authentic
 from .encoding import canonical_json, hexify, once, once_for
 from .execution import GENESIS_RESULT_HASH, ExecutionResult
@@ -186,10 +188,11 @@ FACT_KINDS = ("block", "collection", "sealed", "challenged", "fcc", "adjudicated
 class ChainCtx:
     """A block as a consensus node judges chains through it: the protocol
     state after it, the head of its sealed results (sealing is sequential,
-    so the sealed set is a chain) and `facts`, which holds only what the
-    block itself records. Earlier facts sit in the unfinalized ancestors,
-    reached through `parent`, and in the node's finalized prefix; see
-    `ChainView.on_chain`."""
+    so the sealed set is a chain) and `facts`. An unfinalized block's facts
+    hold only what the block itself records, and earlier ones sit in its
+    ancestors, reached through `parent`; the node's finalized tip has no
+    parent, and its facts are the whole finalized prefix's
+    (`ConsensusNode._on_finalize` merges each finalized block's into them)."""
 
     digest: bytes
     height: int
@@ -210,53 +213,46 @@ def genesis_ctx(state: ProtocolState) -> ChainCtx:
 @dataclass
 class ChainView:
     """What a consensus node consults to judge the chain through the block
-    of `ctx`, as plain data: its finalized tip and prefix, the challenges it
-    knows of, its own queued adjudications and the stake tables. The maps
-    are the node's own, read and never copied."""
+    of `ctx`, as plain data: the recorded challenges it indexed, the
+    challenges it holds for a proposal and the stake tables. `ctx` descends
+    from the node's finalized tip, as every context `_ctx_for` returns does.
+    The maps are the node's own, read and never copied."""
 
     ctx: ChainCtx
-    tip: ChainCtx  # the node's finalized tip
-    final: dict[str, set]  # kind -> keys of the finalized prefix
     # result hash -> ids of the faulty-computation challenges (FCCs) against
-    # it, received or recorded in a block the node built a context for
+    # it that a block the node built a context for records
     fcc_ids: Mapping[bytes, set]
-    fcc_received: set  # ids of the FCCs the node received itself
-    # challenge id -> the update of an adjudication made here, until the
-    # finalized chain records it
-    verdicts: Mapping[bytes, StateUpdate]
+    # the node's challenges not yet on its finalized chain, by `challenge_mark`
+    pending: Mapping[object, SlashingChallenge]
     clusters: dict[int, StakeTable]  # collector cluster index -> its table
     verifiers: StakeTable
 
     def on_chain(self, kind: str, key) -> bool:
         """Whether the chain through `ctx` records the fact: in the block of
-        `ctx` or of an unfinalized ancestor, else in the finalized prefix.
-        A context outside the finalized tip's subtree sees only its own
-        facts."""
+        `ctx` or of an ancestor, up to the finalized tip, whose facts are the
+        finalized prefix's."""
         ctx = self.ctx
         while key not in ctx.facts[kind]:
-            if ctx.parent is None:
-                return ctx is self.tip and key in self.final[kind]
             ctx = ctx.parent
+            if ctx is None:
+                return False
         return True
 
     def result_pending_challenge(self, result_hash: bytes) -> bool:
         """An FCC against the result blocks its seal on the chain through
         `ctx`: one recorded there that is unadjudicated or upheld, or one
-        received here that is unadjudicated there and not dismissed here."""
+        held here whose mark the chain does not record yet. The chain records
+        one FCC per mark, so another of a recorded mark blocks nothing."""
         for cid in self.fcc_ids.get(result_hash, ()):
-            recorded = self.on_chain("fcc", (result_hash, cid))
-            if self.on_chain("adjudicated", cid):
-                if recorded and self.on_chain("upheld", cid):
-                    return True
-            elif recorded or (cid in self.fcc_received and self.fcc_upheld(cid) is not False):
+            if self.on_chain("fcc", (result_hash, cid)) and (
+                not self.on_chain("adjudicated", cid) or self.on_chain("upheld", cid)
+            ):
                 return True
-        return False
-
-    def fcc_upheld(self, cid: bytes) -> Optional[bool]:
-        """The node's own verdict on challenge `cid`, None while it has none
-        queued."""
-        upd = self.verdicts.get(cid)
-        return None if upd is None else upd.adjudication.upheld
+        return any(
+            ch.kind == ChallengeKind.FAULTY_COMPUTATION and ch.evidence[0] == result_hash
+            and not self.on_chain("challenged", mark)
+            for mark, ch in self.pending.items()
+        )
 
 
 def evaluate_proposal(pb: ProtoBlock, view: ChainView) -> tuple[bool, Optional[str]]:
@@ -310,10 +306,11 @@ def form_seal(result: ExecutionResult, approvals: Optional[Tally]) -> Optional[B
 
 
 def validate_seal(seal: BlockSeal, view: ChainView, tip: Optional[bytes] = None) -> bool:
-    """Proposal condition 8 for one seal on the chain through `view`, and the
-    rule a leader picks its seals by: the carried result is not sealed on
-    the chain, its block is on the chain, no challenge on it is pending, its
-    previous result is the sealed tip so far (`tip`: the last seal listed
+    """Proposal condition 8 for one seal on the chain through `view`, whose
+    context descends from the node's finalized tip (`_ctx_for` builds no
+    other), and the rule a leader picks its seals by: the carried result is
+    not sealed on the chain, its block is on the chain, no challenge on it
+    is pending (`ChainView.result_pending_challenge`), its previous result is the sealed tip so far (`tip`: the last seal listed
     earlier in the same block, else the chain's), so a block is sealed at
     most once, and every listed approval of its hash counts toward a genuine
     quorum of `view.verifiers`. The hash covers the whole result, so a

@@ -291,8 +291,9 @@ class ConsensusEngine:
 
     Of the finalized chain the engine reads only the newest block; with
     `keep_finalized` false it forgets the older ones, as collectors do. A
-    consensus node keeps them: its `final["block"]` is `finalized_set`, and
-    `scenario._finalized_blocks` and the benchmark read `tree.nodes`.
+    consensus node keeps them: its finalized tip's `facts["block"]` is
+    `finalized_set`, and `scenario._finalized_blocks` and the benchmark read
+    `tree.nodes`.
     """
 
     def __init__(

@@ -296,6 +296,7 @@ class CollectorNode(Node):
             validate_payload=self._validate_payload,
             make_payload=self._make_payload,
             on_finalize=self._on_cluster_finalize,
+            on_evidence=self._on_evidence,
             keep_finalized=False,  # no collector reads a cluster block after finalizing it
             has_work=self._has_work,
         )
@@ -370,6 +371,12 @@ class CollectorNode(Node):
             share = GuaranteeShare(ch, self.cluster_index, self.keypair.public, sig)
             self._on_guarantee_share(self.name, share)
             self.send_all(self.peers, share)
+
+    def _on_evidence(self, ev):
+        """The cluster leader signed two proposals in one round: challenge it
+        at the consensus nodes. Every member derives the same challenge."""
+        ch = make_pv(ev.proposer, ev.first.payload_digest, ev.second.payload_digest)
+        self.send_all(self.d.consensus_names, ChallengeMsg(ch))
 
     # -- message handling ----------------------------------------------------
 
@@ -463,8 +470,7 @@ class ConsensusNode(Node):
         # verifiers, with its beacon share, until a finalized block seals
         # the block
         self.beacon_shares: dict[bytes, Finalized] = {}
-        self.fcc_received: set[bytes] = set()  # ids of the FCCs received here
-        # result hash -> ids of the FCCs against it, received or in a built block
+        # result hash -> ids of the FCCs against it that a built block records
         self.fcc_ids: dict[bytes, set[bytes]] = {}
         # result hash -> the recorded FCCs against it that wait for its
         # receipt to be adjudicated, in chain order; freed when it arrives
@@ -486,10 +492,9 @@ class ConsensusNode(Node):
             on_finalize=self._on_finalize,
             on_evidence=self._on_evidence,
         )
-        # facts of the finalized prefix, by kind; its blocks are the engine's
-        # finalized set, so the digests are not kept twice
-        self.final = {kind: set(keys) for kind, keys in self.tip.facts.items()}
-        self.final["block"] = self.engine.finalized_set
+        # the finalized tip's facts are the finalized prefix's; its blocks are
+        # the engine's finalized set, so the digests are not kept twice
+        self.tip.facts["block"] = self.engine.finalized_set
         self.handlers.update(
             {
                 GuaranteeAnnounce: self._on_guarantee_announce,
@@ -509,11 +514,8 @@ class ConsensusNode(Node):
         """This node's view of the chain through `ctx`."""
         return ChainView(
             ctx=ctx,
-            tip=self.tip,
-            final=self.final,
             fcc_ids=self.fcc_ids,
-            fcc_received=self.fcc_received,
-            verdicts=self.pending_updates,
+            pending=self.pending_challenges,
             clusters=self.d.clusters,
             verifiers=self.d.verifiers,
         )
@@ -674,10 +676,11 @@ class ConsensusNode(Node):
             # no chain through the finalized tip forms this seal again
             self.approvals.pop(seal.execution_result_hash, None)
             self.beacon_shares.pop(seal.sealed_block_hash, None)
-        # the block joins the finalized prefix; the engine's finalized set,
-        # the prefix's "block" facts, already holds its digest
-        final = self.final
-        for kind, keys in ctx.facts.items():
+        # the block joins the finalized prefix, whose facts pass to it as the
+        # new tip; the engine's finalized set, the prefix's "block" facts,
+        # already holds its digest
+        own, final = ctx.facts, self.tip.facts
+        for kind, keys in own.items():
             final[kind] |= keys
         # keep the new tip and its descendants; a context is built after its
         # parent, so one pass in insertion order finds them all
@@ -685,10 +688,10 @@ class ConsensusNode(Node):
         for d, c in self.ctxs.items():
             if c.parent is not None and c.parent.digest in kept:
                 kept[d] = c
-        ctx.parent = None
+        ctx.parent, ctx.facts = None, final
         self.ctxs, self.tip = kept, ctx
         # drop mempool entries now recorded on-chain
-        for h in ctx.facts["collection"]:
+        for h in own["collection"]:
             self.pending_collections.pop(h, None)
         for mark in list(self.pending_challenges):
             if mark in final["challenged"]:
@@ -723,7 +726,7 @@ class ConsensusNode(Node):
         """Keep the challenge for the next proposal unless its mark is
         pending here or challenged on the finalized chain."""
         mark = challenge_mark(ch)
-        if mark in self.pending_challenges or mark in self.final["challenged"]:
+        if mark in self.pending_challenges or mark in self.tip.facts["challenged"]:
             return False
         self.pending_challenges[mark] = ch
         return True
@@ -799,7 +802,7 @@ class ConsensusNode(Node):
 
     def _on_guarantee_announce(self, sender: str, msg: GuaranteeAnnounce):
         h = msg.gc.collection_hash
-        if h in self.pending_collections or h in self.final["collection"]:
+        if h in self.pending_collections or h in self.tip.facts["collection"]:
             return
         # a guarantee condition 6 rejects would sit in every later proposal
         if guarantee_valid(msg.gc, self.d.clusters):
@@ -807,7 +810,7 @@ class ConsensusNode(Node):
 
     def _on_approval(self, sender: str, msg: ApprovalMsg):
         a = msg.approval
-        if a.result_hash in self.final["sealed"]:
+        if a.result_hash in self.tip.facts["sealed"]:
             return
         tally = self.approvals.get(a.result_hash) or Tally(self.d.verifiers)
         # an approval from outside the verifiers is dropped before its check
@@ -829,7 +832,7 @@ class ConsensusNode(Node):
         # as in `_on_finalize`, a sealed result other than the finalized
         # sealed tip has a sealed successor, so its successors get no entry
         prev = receipt.execution_result.previous_execution_result_hash
-        if prev not in self.final["sealed"] or prev == self.tip.sealed_tip:
+        if prev not in self.tip.facts["sealed"] or prev == self.tip.sealed_tip:
             self.results_by_prev.setdefault(prev, []).append(rh)
         self.sim.event(
             self.name,
@@ -841,12 +844,7 @@ class ConsensusNode(Node):
 
     def _on_challenge(self, sender: str, msg: ChallengeMsg):
         ch = msg.challenge
-        if not challenge_valid(ch):
-            return
-        if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
-            self.fcc_received.add(ch.challenge_id)
-            self.fcc_ids.setdefault(ch.evidence[0], set()).add(ch.challenge_id)
-        if self._accept_challenge(ch):
+        if challenge_valid(ch) and self._accept_challenge(ch):
             self.sim.event(
                 self.name,
                 "challenge",

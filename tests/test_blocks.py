@@ -21,7 +21,6 @@ from flowpipe.blocks import (
     validate_seal,
 )
 from flowpipe.challenges import (
-    adjudicate_challenge,
     challenge_id,
     challenge_mark,
     make_fcc,
@@ -78,20 +77,16 @@ def make_guarantee(collector_kps, members, coll_hash, signer_idx, cluster=0):
 
 def plain_view(state: ProtocolState, parent_height=0, final=None, **fields) -> ChainView:
     """The view of a node that holds nothing but its finalized tip, a block
-    at `parent_height` after which the protocol state is `state`. The
-    finalized prefix records genesis's result as sealed, plus `final`
-    (kind -> keys); `fields` replace the view's other fields."""
+    at `parent_height` after which the protocol state is `state`. The tip's
+    facts, the finalized prefix's, record genesis's result as sealed, plus
+    `final` (kind -> keys); `fields` replace the view's other fields."""
     tip = dataclasses.replace(genesis_ctx(state), height=parent_height)
-    prefix = {kind: set(keys) for kind, keys in tip.facts.items()}
     for kind, keys in (final or {}).items():
-        prefix[kind] |= set(keys)
+        tip.facts[kind] |= set(keys)
     defaults = dict(
         ctx=tip,
-        tip=tip,
-        final=prefix,
         fcc_ids={},
-        fcc_received=set(),
-        verdicts={},
+        pending={},
         clusters={0: members(state, Role.COLLECTOR)},
         verifiers=members(state, Role.VERIFICATION),
     )
@@ -345,17 +340,36 @@ class TestSealCondition:
         assert not evaluate_proposal(with_seals(self.state, self.seal), upheld)[0]
 
     def test_received_fcc_not_dismissed_blocks(self):
-        received = dict(fcc_ids={self.rh: {self.cid}}, fcc_received={self.cid})
+        """An FCC the node holds for a proposal blocks the seal until the
+        chain records its mark; then the FCC the chain recorded under that
+        mark decides, and the held one, a duplicate of a recorded and
+        dismissed mark, blocks nothing."""
+        held = fcc(self.rh)
+        pending = {challenge_mark(held): held}
         pb = with_seals(self.state, self.seal)
-        # no verdict here yet, or the accused upheld here
-        _, slash = adjudicate_challenge(self.state, fcc(self.rh), accused_at_fault=True)
-        for verdicts in ({}, {self.cid: slash}):
-            view = self.view(verdicts=verdicts, **received)
-            assert evaluate_proposal(pb, view) == (False, "condition-8:seal-invalid")
-        # dismissed here: the challenger is slashed and the seal may go in
-        _, dismissal = adjudicate_challenge(self.state, fcc(self.rh), accused_at_fault=False)
-        view = self.view(verdicts={self.cid: dismissal}, **received)
-        assert evaluate_proposal(pb, view) == (True, None)
+        assert evaluate_proposal(pb, self.view(pending=pending)) == (
+            False,
+            "condition-8:seal-invalid",
+        )
+        # one held against another result blocks nothing here
+        other = fcc(b"\x23" * 32)
+        assert evaluate_proposal(pb, self.view(pending={challenge_mark(other): other})) == (
+            True,
+            None,
+        )
+        # a twin of the held FCC, another challenger's, is recorded under its mark
+        twin = fcc(self.rh, challenger=crypto.StakingKeyPair.from_seed(b"\x93" * 32))
+        tid = twin.challenge_id
+        recorded = {"fcc": {(self.rh, tid)}, "challenged": {challenge_mark(twin)}}
+        held = dict(pending=pending, fcc_ids={self.rh: {tid}})
+        dismissed = dict(recorded, adjudicated={tid})
+        for open_, closed in (
+            (self.view(final=recorded, **held), self.view(final=dismissed, **held)),
+            (extend(self.view(**held), **recorded), extend(self.view(**held), **dismissed)),
+        ):
+            pb = dataclasses.replace(pb, height=open_.ctx.height + 1)
+            assert evaluate_proposal(pb, open_) == (False, "condition-8:seal-invalid")
+            assert evaluate_proposal(pb, closed) == (True, None)
 
     def test_seals_chain_within_one_block(self):
         second, seal2 = sealed_result(self.state, self.vkps, prev=self.rh, tag=b"r2")
@@ -394,7 +408,7 @@ class TestSealCondition:
         # nor on a chain whose sealed tip is R
         tip = dataclasses.replace(view.ctx, sealed_tip=self.rh)
         tip.facts["sealed"].add(self.rh)
-        sealed = dataclasses.replace(view, ctx=tip, tip=tip)
+        sealed = dataclasses.replace(view, ctx=tip)
         assert evaluate_proposal(with_seals(self.state, seal2), sealed) == (
             False,
             "condition-8:seal-invalid",
@@ -471,7 +485,7 @@ class TestChainView:
     def test_context_off_the_tip_sees_only_its_own_facts(self):
         state, _, _ = base_protocol_state()
         view = plain_view(state, final={"sealed": {b"\x01" * 32}})
-        stale = dataclasses.replace(view.tip, digest=b"\x0f" * 32, facts={k: set() for k in FACT_KINDS})
+        stale = dataclasses.replace(view.ctx, digest=b"\x0f" * 32, facts={k: set() for k in FACT_KINDS})
         off = extend(dataclasses.replace(view, ctx=stale), sealed={b"\x02" * 32})
         assert off.on_chain("sealed", b"\x02" * 32)
         assert not off.on_chain("sealed", b"\x01" * 32)

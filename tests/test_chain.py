@@ -1,5 +1,5 @@
-"""Consensus chain contexts: a finalized-prefix set per node plus one
-per-block delta per unfinalized block.
+"""Consensus chain contexts: per node, a finalized tip whose facts are
+the finalized prefix's, plus one per-block delta per unfinalized block.
 
 The oracle recomputes every chain fact of a kept context by walking that
 block's payload chain to genesis in the engine tree, with the per-chain
@@ -13,10 +13,10 @@ from importlib import resources
 import pytest
 
 from flowpipe import blocks
-from flowpipe.challenges import ChallengeKind, challenge_mark
+from flowpipe.challenges import ChallengeKind, challenge_mark, make_fcc
 from flowpipe.execution import GENESIS_RESULT_HASH
 from flowpipe.hotstuff import GENESIS_DIGEST, ConsensusEngine, Proposal
-from flowpipe.nodes import ConsensusNode
+from flowpipe.nodes import ChallengeMsg, ConsensusNode
 from flowpipe.scenario import build_world, load_scenario, run_world
 from flowpipe.state import apply_updates
 
@@ -64,10 +64,32 @@ def finalized_challenges(node: ConsensusNode) -> list:
     return [ch for pb in chain_to_genesis(node, node.tip.digest) for ch in pb.slashing_challenges]
 
 
-def received_fcc(books) -> dict:
-    """Challenge id -> result hash of every FCC a node (or its chain view)
-    received."""
-    return {cid: rh for rh, ids in books.fcc_ids.items() for cid in ids if cid in books.fcc_received}
+def held_fcc(node: ConsensusNode) -> dict:
+    """Challenge id -> result hash of every FCC the node holds for a
+    proposal."""
+    return {
+        ch.challenge_id: ch.evidence[0]
+        for ch in node.pending_challenges.values()
+        if ch.kind == FCC
+    }
+
+
+def block_facts(pb) -> dict:
+    """The chain facts block `pb` records, by kind, read from its payload."""
+    adjudications = [
+        u.adjudication for u in pb.protocol_state_updates if u.adjudication is not None
+    ]
+    return {
+        "block": {pb.hash()},
+        "collection": {g.collection_hash for g in pb.guaranteed_collections},
+        "sealed": {s.execution_result_hash for s in pb.block_seals},
+        "challenged": {challenge_mark(ch) for ch in pb.slashing_challenges},
+        "fcc": {
+            (ch.evidence[0], ch.challenge_id) for ch in pb.slashing_challenges if ch.kind == FCC
+        },
+        "adjudicated": {a.challenge_id for a in adjudications},
+        "upheld": {a.challenge_id for a in adjudications if a.upheld},
+    }
 
 
 @dataclasses.dataclass
@@ -108,18 +130,19 @@ def brute_force(node: ConsensusNode, digest: bytes) -> BruteForce:
     return BruteForce(len(chain), state, sealed_tip, facts, open_fcc, condemned)
 
 
-def brute_force_pending(view: blocks.ChainView, bf: BruteForce, rh: bytes) -> bool:
+def brute_force_pending(node: ConsensusNode, bf: BruteForce, rh: bytes) -> bool:
     """Whether a challenge blocks sealing `rh`: an upheld or unadjudicated
-    recorded FCC on the chain, or a received FCC unadjudicated on the chain
-    and not dismissed by the node whose view it is."""
+    recorded FCC on the chain, or an FCC the node holds whose mark the chain
+    lacks. A held FCC whose mark the chain records under another id, a
+    duplicate, blocks nothing."""
     adjudicated = bf.facts["adjudicated"]
     if rh in bf.condemned:
         return True
     if any(r == rh and cid not in adjudicated for cid, r in bf.open_fcc.items()):
         return True
     return any(
-        r == rh and cid not in adjudicated and view.fcc_upheld(cid) is not False
-        for cid, r in received_fcc(view).items()
+        ch.kind == FCC and ch.evidence[0] == rh and mark not in bf.facts["challenged"]
+        for mark, ch in node.pending_challenges.items()
     )
 
 
@@ -135,15 +158,16 @@ def check_against_oracle(world) -> int:
                 candidates[kind] |= bf.facts[kind]
         candidates["collection"] |= set(node.pending_collections)
         candidates["sealed"] |= set(node.receipts)
+        candidates["challenged"] |= set(node.pending_challenges)
         candidates["adjudicated"] |= (
-            node.fcc_received
+            set(held_fcc(node))
             | node.adjudicated_ids
             | {ch.challenge_id for ch in finalized_challenges(node)}
         )
         candidates["block"] = {
             d for d, n in node.engine.tree.nodes.items() if n.payload is not None
         }
-        fcc_targets = set(received_fcc(node).items())
+        fcc_targets = set(held_fcc(node).items())
         for bf in oracles.values():
             fcc_targets |= set(bf.open_fcc.items())
         for digest, ctx in node.ctxs.items():
@@ -165,7 +189,7 @@ def check_against_oracle(world) -> int:
                 )
                 assert condemned == (rh in bf.condemned), (node.name, rh.hex())
                 assert view.result_pending_challenge(rh) == brute_force_pending(
-                    view, bf, rh
+                    node, bf, rh
                 ), (node.name, rh.hex())
         heights = [ctx.height for ctx in node.ctxs.values()]
         forks += len(heights) != len(set(heights))
@@ -223,6 +247,41 @@ def inject_sibling(world) -> bool:
     return True
 
 
+def inject_twin_fccs(world) -> None:
+    """Hand every consensus node two FCCs against n0's newest receipt, an
+    honest result, that differ only in the unsigned challenger, v0's or
+    v1's, so they share one mark: the even-indexed nodes get v0's first,
+    the others v1's. Each node holds the one it got first, the chain records
+    one of them, and nodes that hold the other then hold a duplicate of a
+    recorded mark."""
+    n0, v0 = world.consensus[0], world.verifiers[0]
+    receipt = next(reversed(n0.receipts.values())).receipt
+    rh = receipt.execution_result.result_hash()
+    twins = [
+        make_fcc(v.keypair.public, receipt.executor, rh, 0, receipt.executor_signature)
+        for v in world.verifiers[:2]
+    ]
+    for i, node in enumerate(world.consensus):
+        for fcc in twins if i % 2 == 0 else twins[::-1]:
+            node.handle(v0.name, ChallengeMsg(fcc))
+
+
+def duplicate_views(world) -> int:
+    """How many kept contexts, over all consensus nodes, record the mark of
+    an FCC their node holds under another challenge id."""
+    count = 0
+    for node in world.consensus:
+        for ctx in node.ctxs.values():
+            view = node._view(ctx)
+            count += sum(
+                view.on_chain("challenged", mark)
+                and not view.on_chain("fcc", (ch.evidence[0], ch.challenge_id))
+                for mark, ch in node.pending_challenges.items()
+                if ch.kind == FCC
+            )
+    return count
+
+
 class TestPruning:
     @pytest.mark.parametrize("name", ["happy-path", "byzantine-executor"])
     def test_only_tip_subtree_kept(self, name):
@@ -242,19 +301,24 @@ class TestPruning:
         assert all(ref() is None for ref in early)
 
     def test_only_own_block_facts(self):
+        """Every kept context but the finalized tip holds only its own
+        block's facts; the tip's are the finalized prefix's, the union of
+        every finalized block's and genesis's sealed result, and their
+        blocks are the engine's finalized set itself."""
         world = started_world("byzantine-executor")
         world.sim.run(until=6000)
         for node in world.consensus:
+            tree = node.engine.tree.nodes
             for ctx in node.ctxs.values():
-                pb = node.engine.tree.nodes[ctx.digest].payload
-                assert ctx.facts["block"] == {pb.hash()}
-                assert ctx.facts["collection"] == {
-                    g.collection_hash for g in pb.guaranteed_collections
-                }
-                assert ctx.facts["sealed"] == {s.execution_result_hash for s in pb.block_seals}
-                assert ctx.facts["challenged"] == {
-                    challenge_mark(ch) for ch in pb.slashing_challenges
-                }
+                if ctx is not node.tip:
+                    assert ctx.facts == block_facts(tree[ctx.digest].payload), node.name
+            prefix = {kind: set() for kind in blocks.FACT_KINDS}
+            prefix["sealed"].add(GENESIS_RESULT_HASH)
+            for digest in node.finalized_heights.values():
+                for kind, keys in block_facts(tree[digest].payload).items():
+                    prefix[kind] |= keys
+            assert node.tip.facts == prefix, node.name
+            assert node.tip.facts["block"] is node.engine.finalized_set
 
 
 class TestOracle:
@@ -270,16 +334,26 @@ class TestOracle:
     def test_lookups_match_brute_force(self, name, horizon):
         """No bundled run keeps two contexts at one height at a checkpoint, so
         the equivocating-leader run is handed a valid sibling proposal once,
-        and the oracle checks the fork it makes."""
+        and the oracle checks the fork it makes. No bundled run has two FCCs
+        of one mark either, so the happy-path run is handed a pair at tick
+        3,000, checked every 50 ticks for 1,000 ticks after."""
         world = started_world(name)
-        forks, injected = 0, False
-        for t in range(500, horizon + 1, 500):
+        forks, injected, duplicates = 0, False, 0
+        checkpoints = set(range(500, horizon + 1, 500))
+        if name == "happy-path":
+            checkpoints |= set(range(3000, 4000, 50))
+        for t in sorted(checkpoints):
             world.sim.run(until=t)
             if name == "equivocating-leader" and t >= 2000 and not injected:
                 injected = inject_sibling(world)
+            if name == "happy-path" and t == 3000:
+                inject_twin_fccs(world)
             forks += check_against_oracle(world)
+            duplicates += duplicate_views(world)
         if name == "equivocating-leader":
             assert injected and forks, "no checkpoint saw fork contexts"
+        if name == "happy-path":
+            assert duplicates, "no checkpoint saw a held duplicate of a recorded mark"
 
 
 class TestProposals:

@@ -36,3 +36,22 @@ def test_definitions_keyed_by_first_code_line():
     code = ProtoBlock.hash.__wrapped__.__code__
     key = (str(Path(code.co_filename).resolve()), code.co_firstlineno)
     assert reach.definitions()[key] == "blocks.ProtoBlock.hash"
+
+
+def test_report_lists_stale_allowlist_entries():
+    """An allowlist entry that names no unreached definition is stale: the
+    report prints it after the unreached definitions outside the allowlist,
+    and counts both, and the allowlisted ones, on its last line."""
+    reach = load_script()
+    unreached = [
+        (("/src/flowpipe/nodes.py", 7), "nodes.Node.handle"),
+        (("/src/flowpipe/sim.py", 3), "sim.unlisted"),
+    ]
+    lines = reach.report(unreached)
+    stale = sorted(set(reach.ALLOWLIST) - {"nodes.Node.handle"})
+    assert lines[0] == "sim.py:3 sim.unlisted"
+    assert lines[1:-1] == [f"stale allowlist entry: {name}" for name in stale]
+    assert lines[-1] == (
+        "unreached functions: 1 outside the allowlist, 1 in it; "
+        f"stale allowlist entries: {len(stale)}"
+    )

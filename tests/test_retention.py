@@ -197,7 +197,7 @@ def test_late_receipt_makes_no_seal_index_entry():
     node = world.observer
     settled = [
         (rh, msg) for rh, msg in node.receipts.items()
-        if rh in node.final["sealed"] and rh != node.tip.sealed_tip
+        if rh in node.tip.facts["sealed"] and rh != node.tip.sealed_tip
     ]
     assert len(settled) > 50
     rh, msg = settled[-1]
