@@ -12,8 +12,9 @@ one whose every definition started (or that names none); and on the last
 line the three counts: unreached outside the allowlist, unreached in it,
 and stale entries.
 The hook sees every Python call, so it needs no `sys.monitoring` and runs
-on Python 3.10 and later. Exit code 0 whatever it finds: the count is for
-information. Needs `src` on the path (`PYTHONPATH=src`) or an installed
+on Python 3.10 and later. Exits 1 when a definition outside the allowlist
+is unreached or an allowlist entry is stale, and 0 otherwise, so CI gates
+on it. Needs `src` on the path (`PYTHONPATH=src`) or an installed
 `flowpipe`; the listed definitions are read from the imported package.
 """
 
@@ -35,9 +36,6 @@ ALLOWLIST = {
     "adversary.non_responsive.<lambda>": "the no-op `start` of a non-responsive node",
     "adversary.stale_vote": "a behavior no bundled scenario names; tests/test_adversary.py uses it",
     "adversary.stale_vote.stale_send": "the send of a `stale_vote` node",
-    "hotstuff.BlockTree.<lambda>": "the default clock of a tree built outside a node, in tests",
-    "hotstuff.ConsensusEngine.__init__.<lambda>": "the default clock and evidence handler, which "
-    "every node replaces; only engines built in tests keep them",
     "merkle.ExecutionState.registers": "read by tests and perfbench/ (ROADMAP items 13 and 15)",
     "nodes.CollectorNode._on_evidence": "no bundled cluster leader equivocates; "
     "test_cluster_equivocator_slashed (tests/test_adversary.py) has one do so",
@@ -81,7 +79,7 @@ def definitions(src: Path = SRC) -> dict[tuple[str, int], str]:
 
 
 # the CLI paths the report runs beside each bundled scenario (`cli.BUNDLED`);
-# `main` gives each `run` its own output directory
+# `unreached` gives each `run` its own output directory
 CLI_PATHS = [
     ["run", "--scenario", "happy-path", "--override", "run.max_sim_time=2000", "--format", "jsonl"],
     ["run", "--scenario", "no-such-scenario"],
@@ -90,7 +88,10 @@ CLI_PATHS = [
 ]
 
 
-def main() -> int:
+def unreached() -> list:
+    """Sorted ((path, first line), name) pairs of every definition under
+    src/flowpipe whose code no run through `CLI_PATHS` and the bundled
+    scenarios started."""
     started = set()
 
     def profile(frame, event, arg):
@@ -112,15 +113,22 @@ def main() -> int:
         sys.setprofile(None)
     src = Path(cli.__file__).resolve().parent
     reached = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in started}
-    unreached = sorted((key, name) for key, name in definitions(src).items() if key not in reached)
-    print("\n".join(report(unreached)))
-    return 0
+    return sorted((key, name) for key, name in definitions(src).items() if key not in reached)
+
+
+def main() -> int:
+    """Print the report; 1 when it lists an unreached definition outside
+    `ALLOWLIST` or a stale entry, else 0."""
+    lines = report(unreached())
+    print("\n".join(lines))
+    return 0 if len(lines) == 1 else 1
 
 
 def report(unreached: list) -> list[str]:
     """The report's lines for `unreached`, sorted ((path, first line),
     name) pairs: each outside `ALLOWLIST`, then each allowlist entry that
-    names none of them, then the counts."""
+    names none of them, then the counts, alone when the first two are
+    empty."""
     listed = [(key, name) for key, name in unreached if name not in ALLOWLIST]
     names = {name for _, name in unreached}
     stale = sorted(name for name in ALLOWLIST if name not in names)

@@ -213,15 +213,12 @@ def genesis_ctx(state: ProtocolState) -> ChainCtx:
 @dataclass
 class ChainView:
     """What a consensus node consults to judge the chain through the block
-    of `ctx`, as plain data: the recorded challenges it indexed, the
-    challenges it holds for a proposal and the stake tables. `ctx` descends
-    from the node's finalized tip, as every context `_ctx_for` returns does.
-    The maps are the node's own, read and never copied."""
+    of `ctx`, as plain data: the chain's own facts, the challenges the node
+    holds for a proposal and the stake tables. `ctx` descends from the
+    node's finalized tip, as every context `_ctx_for` returns does. The maps
+    are the node's own, read and never copied."""
 
     ctx: ChainCtx
-    # result hash -> ids of the faulty-computation challenges (FCCs) against
-    # it that a block the node built a context for records
-    fcc_ids: Mapping[bytes, set]
     # the node's challenges not yet on its finalized chain, by `challenge_mark`
     pending: Mapping[object, SlashingChallenge]
     clusters: dict[int, StakeTable]  # collector cluster index -> its table
@@ -239,15 +236,19 @@ class ChainView:
         return True
 
     def result_pending_challenge(self, result_hash: bytes) -> bool:
-        """An FCC against the result blocks its seal on the chain through
-        `ctx`: one recorded there that is unadjudicated or upheld, or one
-        held here whose mark the chain does not record yet. The chain records
-        one FCC per mark, so another of a recorded mark blocks nothing."""
-        for cid in self.fcc_ids.get(result_hash, ()):
-            if self.on_chain("fcc", (result_hash, cid)) and (
-                not self.on_chain("adjudicated", cid) or self.on_chain("upheld", cid)
-            ):
-                return True
+        """A faulty-computation challenge (FCC) against the result blocks its
+        seal on the chain through `ctx`: one recorded there, in a block's
+        `"fcc"` facts, that is unadjudicated or upheld, or one held here whose
+        mark the chain does not record yet. The chain records one FCC per
+        mark, so another of a recorded mark blocks nothing."""
+        ctx = self.ctx
+        while ctx is not None:
+            for rh, cid in ctx.facts["fcc"]:
+                if rh == result_hash and (
+                    not self.on_chain("adjudicated", cid) or self.on_chain("upheld", cid)
+                ):
+                    return True
+            ctx = ctx.parent
         return any(
             ch.kind == ChallengeKind.FAULTY_COMPUTATION and ch.evidence[0] == result_hash
             and not self.on_chain("challenged", mark)

@@ -231,11 +231,11 @@ def _drop_front(book: dict, stale: Callable[[Any, Any], bool]) -> list:
 
 @dataclass
 class BlockTree:
+    now: Callable[[], int]  # the host's clock, stamped on each added node
     nodes: dict[bytes, BlockNode] = field(default_factory=dict)
     certified: dict[bytes, QuorumCertificate] = field(default_factory=dict)
     # digest -> round of each added node not yet below a pruning floor
     recent: dict[bytes, int] = field(default_factory=dict)
-    now: Callable[[], int] = lambda: 0  # the host's clock, stamped on each added node
 
     def __post_init__(self):
         if GENESIS_DIGEST not in self.nodes:
@@ -308,9 +308,9 @@ class ConsensusEngine:
         send: SendFn,
         set_timer: TimerFn,
         on_finalize: FinalizeFn,
-        on_evidence: Optional[EvidenceFn] = None,
+        on_evidence: EvidenceFn,
+        now: Callable[[], int],
         keep_finalized: bool = True,
-        now: Callable[[], int] = lambda: 0,
         has_work: WorkFn = lambda: True,
     ):
         self.keypair = keypair
@@ -325,7 +325,7 @@ class ConsensusEngine:
         self.send = send
         self.set_timer = set_timer
         self.on_finalize = on_finalize
-        self.on_evidence = on_evidence or (lambda ev: None)
+        self.on_evidence = on_evidence
         self.keep_finalized = keep_finalized
         self.has_work = has_work
 

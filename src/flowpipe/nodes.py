@@ -470,15 +470,12 @@ class ConsensusNode(Node):
         # verifiers, with its beacon share, until a finalized block seals
         # the block
         self.beacon_shares: dict[bytes, Finalized] = {}
-        # result hash -> ids of the FCCs against it that a built block records
-        self.fcc_ids: dict[bytes, set[bytes]] = {}
         # result hash -> the recorded FCCs against it that wait for its
         # receipt to be adjudicated, in chain order; freed when it arrives
         self.fcc_awaiting_receipt: dict[bytes, list[SlashingChallenge]] = {}
         # collection hash -> guarantor -> texts, for each MCC being
         # adjudicated here; freed at its deadline
         self.mcc_responses: dict[bytes, dict[bytes, tuple]] = {}
-        self.adjudicated_ids: set[bytes] = set()
         self.finalized_heights: dict[int, bytes] = {}
         # ticks from entering the engine's tree to finality, in finality order
         self.finalization_latencies: list[int] = []
@@ -514,7 +511,6 @@ class ConsensusNode(Node):
         """This node's view of the chain through `ctx`."""
         return ChainView(
             ctx=ctx,
-            fcc_ids=self.fcc_ids,
             pending=self.pending_challenges,
             clusters=self.d.clusters,
             verifiers=self.d.verifiers,
@@ -555,7 +551,6 @@ class ConsensusNode(Node):
         for ch in pb.slashing_challenges:
             if ch.kind == ChallengeKind.FAULTY_COMPUTATION:
                 fcc.add((ch.evidence[0], ch.challenge_id))
-                self.fcc_ids.setdefault(ch.evidence[0], set()).add(ch.challenge_id)
         adjudications = [
             u.adjudication for u in pb.protocol_state_updates if u.adjudication is not None
         ]
@@ -722,33 +717,15 @@ class ConsensusNode(Node):
             period = SHARE_RESEND * self.d.base_timeout
             self.sim.set_timer(self.name, period, lambda: self._send_share(digest))
 
-    def _accept_challenge(self, ch: SlashingChallenge) -> bool:
-        """Keep the challenge for the next proposal unless its mark is
-        pending here or challenged on the finalized chain."""
-        mark = challenge_mark(ch)
-        if mark in self.pending_challenges or mark in self.tip.facts["challenged"]:
-            return False
-        self.pending_challenges[mark] = ch
-        return True
-
     def _on_evidence(self, ev):
+        """The engine saw its leader sign two proposals in one round: take the
+        protocol-violation challenge as one received from a peer, so it is
+        adjudicated once the finalized chain records it, like every other."""
         ch = make_pv(ev.proposer, ev.first.payload_digest, ev.second.payload_digest)
-        if not self._accept_challenge(ch):
-            return
-        self.sim.event(
-            self.name,
-            "equivocation_challenge",
-            {"accused": hexify(ev.proposer), "round": ev.round},
-        )
-        # the engine holds both proposals: adjudicate now, before the chain
-        # records the challenge
-        self._start_adjudication(ch)
+        self._on_challenge(self.name, ChallengeMsg(ch))
 
     def _record_adjudication(self, adj: Adjudication, upd: Optional[StateUpdate] = None):
         """Log an adjudication made here; only a slash (`upd`) waits for the chain."""
-        if adj.challenge_id in self.adjudicated_ids:
-            return
-        self.adjudicated_ids.add(adj.challenge_id)
         if upd is not None:
             self.pending_updates[adj.challenge_id] = upd
         self.sim.event(
@@ -762,11 +739,11 @@ class ConsensusNode(Node):
         )
 
     def _start_adjudication(self, ch: SlashingChallenge):
-        """Slash amounts are priced from the genesis state, not the chain
-        state at the recording block."""
-        cid = ch.challenge_id
-        if cid in self.adjudicated_ids:
-            return
+        """Settle a challenge the finalized chain records (`_on_finalize`),
+        or a recorded FCC whose receipt just arrived (`_on_receipt`);
+        condition 9 lets a chain record each mark once, so each challenge
+        is settled once. Slash amounts are priced from the genesis state,
+        not the chain state at the recording block."""
         if ch.kind == ChallengeKind.PROTOCOL_VIOLATION:
             adj, upd = adjudicate_challenge(self.d.initial_state, ch, accused_at_fault=True)
             self._record_adjudication(adj, upd)
@@ -843,13 +820,19 @@ class ConsensusNode(Node):
             self._start_adjudication(ch)
 
     def _on_challenge(self, sender: str, msg: ChallengeMsg):
+        """The one challenge intake: keep a valid challenge for the next
+        proposal unless its mark is pending here or challenged on the
+        finalized chain."""
         ch = msg.challenge
-        if challenge_valid(ch) and self._accept_challenge(ch):
-            self.sim.event(
-                self.name,
-                "challenge",
-                {"kind": ch.kind.value, "id": hexify(ch.challenge_id)},
-            )
+        mark = challenge_mark(ch) if challenge_valid(ch) else None
+        if mark is None or mark in self.pending_challenges or mark in self.tip.facts["challenged"]:
+            return
+        self.pending_challenges[mark] = ch
+        self.sim.event(
+            self.name,
+            "challenge",
+            {"kind": ch.kind.value, "id": hexify(ch.challenge_id)},
+        )
 
 
 # ---------------------------------------------------------------------------

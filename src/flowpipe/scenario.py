@@ -452,8 +452,7 @@ def run_world(world: World) -> None:
         collections_guaranteed=len(
             {r["payload"]["hash"] for r in world.sim.log.select("collection_guaranteed")}
         ),
-        challenges=len(_observer_events(world, "challenge"))
-        + len(_observer_events(world, "equivocation_challenge")),
+        challenges=len(_observer_events(world, "challenge")),
         slashes=sum(len(r["payload"]["slashed"]) for r in _observer_events(world, "adjudication")),
         # ticks from the observer first validating a block to finalizing it
         finalization_latencies=obs.finalization_latencies,

@@ -298,6 +298,7 @@ class EngineHarness:
             ),
             on_finalize=lambda node, name=name: self.finalized[name].append(node.digest),
             on_evidence=lambda ev: None,
+            now=lambda: self.sim.now,
         )
 
     def _broadcast(self, sender, msg):

@@ -248,7 +248,7 @@ def test_late_finalizer_without_the_challenge_dismisses():
         return [ch for ch in challenges if ch.kind == ChallengeKind.MISSING_COLLECTION]
 
     def release_once_adjudicated():
-        if held and all(mccs(held[0])[0].challenge_id in o.adjudicated_ids for o in others):
+        if held and all(mccs(held[0])[0].challenge_id in adjudications(world, o) for o in others):
             mark = mccs(held[0])[0].evidence[0]
             released.append((mark, mark in n3.pending_challenges or mark in n3.mcc_responses))
             n3.engine.on_finalize = finalize
@@ -309,7 +309,6 @@ def test_late_receipts_adjudicated_on_arrival():
         nonlocal waits
         if (
             challenge.kind == ChallengeKind.FAULTY_COMPUTATION
-            and challenge.challenge_id not in n0.adjudicated_ids
             and challenge.evidence[0] not in n0.receipts
         ):
             waits += 1
@@ -412,8 +411,8 @@ def test_fcc_judged_on_the_chunk_it_names():
 def test_each_equivocation_challenged_once(monkeypatch):
     """On bundled equivocating-leader the equivocator sends one pair of
     proposals in several rounds. Each pair is one challenge: no finalized
-    block lists a challenge twice, and each node logs one
-    `equivocation_challenge` per challenge."""
+    block lists a challenge twice, and each node logs one `challenge` per
+    pair."""
     logged = []  # (node, accused, pair of payload digests) per record
     on_evidence = nodes.ConsensusNode._on_evidence
 
@@ -422,7 +421,7 @@ def test_each_equivocation_challenged_once(monkeypatch):
         on_evidence(self, ev)
         pair = tuple(sorted((ev.first.payload_digest, ev.second.payload_digest)))
         for r in self.sim.log.records[before:]:
-            if r["kind"] == "equivocation_challenge":
+            if r["kind"] == "challenge":
                 logged.append((self.name, ev.proposer, pair))
 
     monkeypatch.setattr(nodes.ConsensusNode, "_on_evidence", recording)
@@ -435,6 +434,38 @@ def test_each_equivocation_challenged_once(monkeypatch):
             pb = node.engine.tree.nodes[digest].payload
             ids = [ch.challenge_id for ch in pb.slashing_challenges]
             assert len(ids) == len(set(ids)), node.name
+
+
+def test_each_recorded_challenge_adjudicated_once_after_its_block():
+    """equivocating-leader to 8,000 ticks. A node settles a challenge only
+    once its finalized chain records it, its own engine's equivocation
+    evidence included: each consensus node logs exactly one `adjudication`
+    per challenge its finalized chain records, and none for any other, and
+    every slash on n0's finalized chain sits in a later block than the
+    challenge it settles."""
+    doc = load_scenario(str(resources.files("flowpipe") / "scenarios" / "equivocating-leader.json"))
+    doc["run"]["max_sim_time"] = 8000
+    world = build_world(doc)
+    run_world(world)
+    for node in world.consensus:
+        chain = [
+            node.engine.tree.nodes[node.finalized_heights[h]].payload
+            for h in sorted(node.finalized_heights)
+        ]
+        recorded = sorted(ch.challenge_id for pb in chain for ch in pb.slashing_challenges)
+        assert len(recorded) > 1, node.name
+        logged = world.sim.log.select("adjudication", node.name)
+        assert sorted(bytes.fromhex(r["payload"]["id"]) for r in logged) == recorded, node.name
+        if node is world.consensus[0]:
+            height = {ch.challenge_id: pb.height for pb in chain for ch in pb.slashing_challenges}
+            slashes = [
+                (pb.height, u.adjudication.challenge_id)
+                for pb in chain
+                for u in pb.protocol_state_updates
+                if u.adjudication is not None
+            ]
+            assert len(slashes) > 1
+            assert all(h > height[cid] for h, cid in slashes), slashes
 
 
 def hand_beacon(world, verifier, pb) -> None:
@@ -736,7 +767,7 @@ def test_consensus_records_fcc_only_against_a_signer():
     # a dropped challenge leaves no trace that could block a seal: the held
     # one blocks the result until the chain records its mark, and the chain
     # records none yet
-    assert not n0.fcc_ids
+    assert not any(ctx.facts["fcc"] for ctx in n0.ctxs.values())
     assert n0._view(n0.tip).result_pending_challenge(rh)
 
 
@@ -777,7 +808,8 @@ def test_challenge_without_its_evidence_rejected():
         n0.handle(verifier.name, ChallengeMsg(empty))
         pb = propose_proto_block(GENESIS_DIGEST, 0, state, [], [], [empty], [])
         assert not n0._validate_payload(pb, GENESIS_DIGEST)
-    assert not n0.pending_challenges and not n0.fcc_ids
+    assert not n0.pending_challenges
+    assert not any(ctx.facts["fcc"] for ctx in n0.ctxs.values())
     reasons = [r["payload"]["reason"] for r in world.sim.log.select("proposal_rejected")]
     assert reasons == ["condition-9:challenge-unverified"] * 2
 

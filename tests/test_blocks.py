@@ -85,7 +85,6 @@ def plain_view(state: ProtocolState, parent_height=0, final=None, **fields) -> C
         tip.facts[kind] |= set(keys)
     defaults = dict(
         ctx=tip,
-        fcc_ids={},
         pending={},
         clusters={0: members(state, Role.COLLECTOR)},
         verifiers=members(state, Role.VERIFICATION),
@@ -324,19 +323,18 @@ class TestSealCondition:
         )
 
     def test_recorded_unadjudicated_fcc_blocks(self):
-        fccs = {"fcc_ids": {self.rh: {self.cid}}}
         recorded = (
-            self.view(final={"fcc": {(self.rh, self.cid)}}, **fccs),
-            extend(self.view(**fccs), fcc={(self.rh, self.cid)}),
+            self.view(final={"fcc": {(self.rh, self.cid)}}),
+            extend(self.view(), fcc={(self.rh, self.cid)}),
         )
         for view in recorded:
             pb = dataclasses.replace(with_seals(self.state, self.seal), height=view.ctx.height + 1)
             assert evaluate_proposal(pb, view) == (False, "condition-8:seal-invalid")
         # dismissed on the chain, it blocks nothing; upheld, it blocks for good
         facts = {"fcc": {(self.rh, self.cid)}, "adjudicated": {self.cid}}
-        dismissed = self.view(final=facts, **fccs)
+        dismissed = self.view(final=facts)
         assert evaluate_proposal(with_seals(self.state, self.seal), dismissed) == (True, None)
-        upheld = self.view(final=dict(facts, upheld={self.cid}), **fccs)
+        upheld = self.view(final=dict(facts, upheld={self.cid}))
         assert not evaluate_proposal(with_seals(self.state, self.seal), upheld)[0]
 
     def test_received_fcc_not_dismissed_blocks(self):
@@ -361,7 +359,7 @@ class TestSealCondition:
         twin = fcc(self.rh, challenger=crypto.StakingKeyPair.from_seed(b"\x93" * 32))
         tid = twin.challenge_id
         recorded = {"fcc": {(self.rh, tid)}, "challenged": {challenge_mark(twin)}}
-        held = dict(pending=pending, fcc_ids={self.rh: {tid}})
+        held = dict(pending=pending)
         dismissed = dict(recorded, adjudicated={tid})
         for open_, closed in (
             (self.view(final=recorded, **held), self.view(final=dismissed, **held)),
@@ -631,7 +629,6 @@ class TestValidateSeal:
         view = plain_view(
             ProtocolState(records={}),
             final=final,
-            fcc_ids={rh: {cid}} if pending else {},
             verifiers=verifiers,
         )
         return validate_seal(seal, view)

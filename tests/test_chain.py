@@ -15,7 +15,7 @@ import pytest
 from flowpipe import blocks
 from flowpipe.challenges import ChallengeKind, challenge_mark, make_fcc
 from flowpipe.execution import GENESIS_RESULT_HASH
-from flowpipe.hotstuff import GENESIS_DIGEST, ConsensusEngine, Proposal
+from flowpipe.hotstuff import GENESIS_DIGEST, BlockResponse, ConsensusEngine, Proposal
 from flowpipe.nodes import ChallengeMsg, ConsensusNode
 from flowpipe.scenario import build_world, load_scenario, run_world
 from flowpipe.state import apply_updates
@@ -159,10 +159,17 @@ def check_against_oracle(world) -> int:
         candidates["collection"] |= set(node.pending_collections)
         candidates["sealed"] |= set(node.receipts)
         candidates["challenged"] |= set(node.pending_challenges)
+        # the ids of every challenge held, recorded on a kept chain or
+        # adjudicated here with its slash not yet on the finalized chain
         candidates["adjudicated"] |= (
             set(held_fcc(node))
-            | node.adjudicated_ids
-            | {ch.challenge_id for ch in finalized_challenges(node)}
+            | set(node.pending_updates)
+            | {
+                ch.challenge_id
+                for digest in node.ctxs
+                for pb in chain_to_genesis(node, digest)
+                for ch in pb.slashing_challenges
+            }
         )
         candidates["block"] = {
             d for d, n in node.engine.tree.nodes.items() if n.payload is not None
@@ -184,8 +191,9 @@ def check_against_oracle(world) -> int:
                 assert view.on_chain("fcc", (rh, cid)) == (bf.open_fcc.get(cid) == rh)
             for rh in node.receipts:
                 condemned = any(
-                    view.on_chain("fcc", (rh, cid)) and view.on_chain("upheld", cid)
-                    for cid in node.fcc_ids.get(rh, ())
+                    view.on_chain("fcc", (r, cid)) and view.on_chain("upheld", cid)
+                    for cid, r in fcc_targets
+                    if r == rh
                 )
                 assert condemned == (rh in bf.condemned), (node.name, rh.hex())
                 assert view.result_pending_challenge(rh) == brute_force_pending(
@@ -539,3 +547,34 @@ class TestCatchUp:
         finalized = {node.name: len(node.engine.finalized_set) for node in world.consensus}
         assert finalized["n2"] >= 0.9 * max(finalized.values()), finalized
         assert max(finalized.values()) > 72
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="on_proposal fetches once per parked orphan, not once per missed "
+        "block (ROADMAP item 16)",
+    )
+    def test_one_missed_proposal_draws_one_response(self):
+        """Happy-path to 2,000 ticks with only n2's copy of the round-16
+        proposal dropped. n2 parks the round-17 proposal on the missed block,
+        then the round-18 one on round 17's, and asks each one's proposer for
+        its chain before either answers (n3 at t=841, n6 at t=848). n3's
+        answer catches n2 up; every block in n6's is then in n2's tree. One
+        missed block should draw one `BlockResponse`. The round-10 drop of
+        the test above draws one already: n2 gets that answer before it parks
+        a second orphan."""
+        world = started_world("happy-path")
+        consensus = {node.name for node in world.consensus}
+        send = world.sim.send
+        responses = []
+
+        def lossy(sender, receiver, msg):
+            dropped = receiver == "n2" and sender in consensus and isinstance(msg, Proposal)
+            if not (dropped and msg.round == 16):
+                send(sender, receiver, msg)
+            if receiver == "n2" and isinstance(msg, BlockResponse):
+                responses.append(sender)
+
+        world.sim.send = lossy
+        world.sim.run(until=2_000)
+        assert len(responses) == 1, responses

@@ -147,6 +147,8 @@ def make_engine(kps, table, sent: list, **wiring) -> ConsensusEngine:
         send=lambda key, msg: sent.append(msg),
         set_timer=lambda duration, rnd: None,
         on_finalize=lambda node: None,
+        on_evidence=lambda ev: None,
+        now=lambda: 0,
         **wiring,
     )
 
@@ -243,7 +245,7 @@ def finality_check(tree: BlockTree) -> list[bytes]:
 
 def chain_tree(rounds):
     """Linear tree of certified blocks at the given rounds above genesis."""
-    tree = BlockTree()
+    tree = BlockTree(now=lambda: 0)
     parent = GENESIS_DIGEST
     digests = []
     for r in rounds:
@@ -340,6 +342,7 @@ class Harness:
             ),
             on_finalize=lambda node, name=name: self.finalized[name].append(node.digest),
             on_evidence=self.evidence.append,
+            now=lambda: self.sim.now,
         )
         self.engines[name] = engine
 

@@ -93,3 +93,25 @@ def test_directory_is_deeply_immutable():
     walked = Counter()
     assert mutable_parts(world.directory, walked, set()) == []
     assert walked["LeaderSchedule"] == 1 + len(world.directory.clusters)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="`encoding.once` keeps a memo in the shared instance's writable "
+    "`__dict__`, so one node can change a verdict every holder reads (ROADMAP item 9)",
+)
+def test_memo_overwrite_stays_with_its_node():
+    """A block reaches every consensus node as one object, and
+    `ProtoBlock.hash` memoises its digest in that object's `__dict__`. After
+    a 1,000-tick happy-path run, n0 overwrites the `_hash_memo` of a block
+    at height 1 in its tree; n1's `hash()` of the same block must not change."""
+    doc = scenario("happy-path")
+    doc["run"]["max_sim_time"] = 1000
+    world = build_world(doc)
+    run_world(world)
+    n0, n1 = world.consensus[:2]
+    theirs = n1.engine.tree.nodes[n1.finalized_heights[1]].payload
+    before = theirs.hash()
+    n0.engine.tree.nodes[n0.finalized_heights[1]].payload.__dict__["_hash_memo"] = b"\x00" * 32
+    assert theirs.hash() == before

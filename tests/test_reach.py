@@ -2,8 +2,8 @@
 bundled run calls, less an allowlist that gives a reason per entry. Every
 entry must still name a function or lambda defined there, so one whose
 definition went does not stay behind and excuse a later one of that name.
-The report itself runs in CI, for information; it takes seconds, so no
-tier-1 test runs it."""
+The report itself runs in CI, which fails on a nonzero exit; it takes
+seconds, so no tier-1 test runs the bundled scenarios through it."""
 
 import importlib.util
 from pathlib import Path
@@ -55,3 +55,21 @@ def test_report_lists_stale_allowlist_entries():
         "unreached functions: 1 outside the allowlist, 1 in it; "
         f"stale allowlist entries: {len(stale)}"
     )
+
+
+def test_exit_status_gates_on_unlisted_and_stale(monkeypatch, capsys):
+    """`main` exits 0 only when every unreached definition is allowlisted
+    and every allowlist entry names one of them; an unreached definition
+    outside the allowlist, or a stale entry, makes it exit 1."""
+    reach = load_script()
+    entries = sorted(reach.ALLOWLIST)
+    complete = [(("/src/flowpipe/m.py", i), name) for i, name in enumerate(entries)]
+    cases = [
+        (complete, 0),
+        (complete + [(("/src/flowpipe/sim.py", 999), "sim.unlisted")], 1),
+        (complete[1:], 1),
+    ]
+    for unreached, want in cases:
+        monkeypatch.setattr(reach, "unreached", lambda unreached=unreached: unreached)
+        assert reach.main() == want, unreached
+        assert capsys.readouterr().out.splitlines()[-1].startswith("unreached functions: ")

@@ -181,7 +181,8 @@ def test_reported_equivocations_pruned_below_the_floor():
     ignores rounds below the floor, so an older entry is never read."""
     world = bundled("equivocating-leader")
     run_world(world)
-    assert world.sim.log.select("equivocation_challenge")
+    kinds = [r["payload"]["kind"] for r in world.sim.log.select("challenge")]
+    assert "protocol_violation" in kinds
     for node in world.consensus:
         engine = node.engine
         assert engine.floor > 200, node.name
