@@ -4,14 +4,22 @@ Chained HotStuff, one generic phase per round, with the 2-chain commit of
 DiemBFT v4 / Jolteon (Gelashvili et al., arXiv 2106.10362): a block b1 is
 finalized, with its ancestors, once b1 <- b2 are certified in consecutive
 rounds. A voter locks on the round of the justify of each proposal it
-accepts and votes only on a justify at or above its lock. Safe because b2's
-honest voters locked at b1's round: a later certificate shares one of them,
-so by induction on the round it justifies b1, b2 or a descendant of b1; one
-vote per round certifies nothing else in the rounds of b1 and b2. Every
-block in the tree entered through a proposal whose justify was locked on,
-so a node that sees b2 certified has its lock at b1's round or above: hence
-`locked_round >= floor`. The same engine drives collector-cluster and
-main-chain consensus via payload hooks.
+accepts. Safe because b2's honest voters locked at b1's round: a later
+certificate shares one of them, so by induction on the round it justifies
+b1, b2 or a descendant of b1; one vote per round certifies nothing else in
+the rounds of b1 and b2. Every block in the tree entered through a proposal
+whose justify was locked on, so a node that sees b2 certified has its lock
+at b1's round or above: hence `locked_round >= floor`. The same engine
+drives collector-cluster and main-chain consensus via payload hooks.
+
+Each rule is stated once: voting (`_try_vote`: one vote per round, on a
+justify at or above the lock, for a payload that validates; `retry_vote`
+re-judges by it a proposal refused for its payload while its round is
+current), QC intake (`_observe_qc`: certify the block or wait for it, raise
+the high QC, reset the pacemaker), the leader guard (`_propose` proposes
+only as the round's leader) and the equivocation book (`_proposal_seen`:
+per round, the first proposal of its leader, then None once a conflicting
+one is reported, so each round's equivocation is reported once).
 
 A node that misses a block parks the proposals built on it and fetches the
 missing chain from the proposer of the one parked (a `BlockRequest`,
@@ -32,10 +40,7 @@ timer started late does not stay behind the nodes waiting for it.
 
 A host with nothing to order can park the pacemaker (`has_work`): a round
 timer that fires while it is idle changes no view and sends nothing, and
-`wake` re-arms it when work arrives. A proposal refused in the current round
-is kept, so the host can vote for it once its payload validates
-(`retry_vote`); one vote per round is all the safety rule asks, not when in
-the round it is cast.
+`wake` re-arms it when work arrives.
 """
 
 from __future__ import annotations
@@ -288,6 +293,8 @@ class ConsensusEngine:
     `on_new_round`, `on_block_request`, `on_block_response` and
     `on_local_timeout` as events arrive, and `wake` and `retry_vote` when
     work or a missing input arrives.
+    Every handler applies the module's four rules through `_try_vote`,
+    `_observe_qc`, `_propose` and `_proposal_seen`, and through nothing else.
 
     Of the finalized chain the engine reads only the newest block; with
     `keep_finalized` false it forgets the older ones, as collectors do. A
@@ -342,9 +349,10 @@ class ConsensusEngine:
         self._votes: dict[tuple[int, bytes], Tally] = {}
         self._pending_qcs: dict[bytes, QuorumCertificate] = {}
         self._orphans: dict[bytes, list[Proposal]] = {}
-        self._proposal_seen: dict[tuple[bytes, int], Proposal] = {}
+        # round -> the first proposal of its leader seen here, or None once
+        # the round's equivocation is reported
+        self._proposal_seen: dict[int, Optional[Proposal]] = {}
         self._proposed_round = 0  # the last round proposed in; rounds only grow
-        self._evidence_emitted: set[tuple[bytes, int]] = set()
         # digest -> the proposal that brought the block into the tree, kept
         # `RETRIEVAL_WINDOW` rounds below the floor to answer fetches from
         self._proposals: dict[bytes, Proposal] = {}
@@ -371,20 +379,18 @@ class ConsensusEngine:
         )
         return replace(unsigned, signature=self.keypair.sign(unsigned.signed_bytes()))
 
-    def _update_high_qc(self, qc: QuorumCertificate) -> None:
-        if qc.round > self.high_qc.round:
-            self.high_qc = qc
-            # progress: reset the pacemaker
-            self.timeout = self.base_timeout
-
-    def _certify(self, qc: QuorumCertificate) -> None:
+    def _observe_qc(self, qc: QuorumCertificate) -> None:
+        """Certify the QC's block, or keep the QC until the block arrives, and
+        raise the high QC; one below the floor is below the high QC already."""
         if qc.round < self.floor:
-            return  # it could only finalize what is finalized already
+            return
         if qc.payload_digest not in self.tree.nodes:
             self._pending_qcs.setdefault(qc.payload_digest, qc)
-            return
-        if self.tree.certify(qc):
+        elif self.tree.certify(qc):
             self._finalize_from(qc.payload_digest)
+        if qc.round > self.high_qc.round:
+            self.high_qc = qc
+            self.timeout = self.base_timeout  # progress: reset the pacemaker
 
     def _finalize_from(self, d2: bytes) -> None:
         """A fresh certification of b2 finalizes its parent b1, with b1's
@@ -419,11 +425,10 @@ class ConsensusEngine:
         kept for fetches go `RETRIEVAL_WINDOW` rounds later."""
         self.floor = floor
         _drop_front(self._votes, lambda key, bucket: key[0] < floor)
-        _drop_front(self._proposal_seen, lambda key, proposal: key[1] < floor)
+        _drop_front(self._proposal_seen, lambda r, first: r < floor)
         _drop_front(self._pending_qcs, lambda digest, qc: qc.round < floor)
         _drop_front(self._orphans, lambda digest, parked: parked[0].justify.round < floor)
         _drop_front(self._proposals, lambda digest, p: p.round < floor - RETRIEVAL_WINDOW)
-        self._evidence_emitted = {key for key in self._evidence_emitted if key[1] >= floor}
         self.tree.prune(floor, self.finalized_set, self.keep_finalized)
 
     def _enter_round(self, round_number: int) -> None:
@@ -432,14 +437,14 @@ class ConsensusEngine:
         self.current_round = round_number
         self._parked, self._refused = False, None
         self.set_timer(self.timeout, round_number)
-        if self.is_leader(round_number):
-            self._propose()
+        self._propose()
 
     def _propose(self) -> None:
-        """Extend the high-QC block, once per round; while the host can make
-        no payload on it (None), wait until the block enters the tree."""
+        """As the round's leader, extend the high-QC block once; while the host
+        can make no payload on it (None), wait until the block is in the tree."""
         r = self.current_round
-        if r <= self._proposed_round:  # one proposal per round — never equivocate
+        # one proposal per round — never equivocate
+        if r <= self._proposed_round or not self.is_leader(r):
             return
         payload = self.make_payload(self.high_qc.payload_digest)
         if payload is None:
@@ -453,22 +458,20 @@ class ConsensusEngine:
 
     def start(self) -> None:
         self.set_timer(self.timeout, self.current_round)
-        if self.is_leader(self.current_round):
-            self._propose()
+        self._propose()
 
     def on_proposal(self, proposal: Proposal) -> None:
         if proposal.round < self.floor or proposal.proposer != self.leader(proposal.round):
             return
         if not proposal.signed_by_proposer() or not proposal.binds_payload(self.digest_payload):
             return
-        # a conflicting proposal is evidence, and is then judged like any
-        # other: the vote rule allows one vote per round, and the twin the
-        # node saw first may be the invalid one
-        key = (proposal.proposer, proposal.round)
-        prior = self._proposal_seen.setdefault(key, proposal)
-        if prior.payload_digest != proposal.payload_digest and key not in self._evidence_emitted:
-            self._evidence_emitted.add(key)
-            self.on_evidence(EquivocationEvidence(*key, prior, proposal))
+        # a conflicting proposal is evidence, reported once per round, and is
+        # then judged like any other: the voting rule allows one vote per
+        # round, and the twin the node saw first may be the invalid one
+        first = self._proposal_seen.setdefault(proposal.round, proposal)
+        if first is not None and first.payload_digest != proposal.payload_digest:
+            self._proposal_seen[proposal.round] = None
+            self.on_evidence(EquivocationEvidence(proposal.proposer, proposal.round, first, proposal))
 
         # a justify below the floor is below the lock, so the proposal could
         # get no vote; it is ignored whether or not the tree kept its parent
@@ -483,8 +486,7 @@ class ConsensusEngine:
                 parked.append(proposal)
                 self._fetch(proposal)
             return
-        self._certify(justify)
-        self._update_high_qc(justify)
+        self._observe_qc(justify)
         self.locked_round = max(self.locked_round, justify.round)  # one-chain lock
 
         self.tree.add(
@@ -493,26 +495,25 @@ class ConsensusEngine:
         self._proposals.setdefault(proposal.payload_digest, proposal)
         pending = self._pending_qcs.pop(proposal.payload_digest, None)
         if pending is not None:
-            self._certify(pending)
+            self._observe_qc(pending)
         for orphan in self._orphans.pop(proposal.payload_digest, []):
             self.on_proposal(orphan)
         if proposal.payload_digest == self.high_qc.payload_digest:
-            if self.is_leader(self.current_round):
-                self._propose()  # a leader waiting for this block proposes now
+            self._propose()  # a leader waiting for this block proposes now
 
         if proposal.round < self.current_round:
             return
         self._enter_round(proposal.round)
+        self._try_vote(proposal)
 
-        # HotStuff voting rule: fresh round, justify at or above the lock
-        if proposal.round <= self.last_voted_round or justify.round < self.locked_round:
+    def _try_vote(self, proposal: Proposal) -> None:
+        """The voting rule: a fresh round, a justify at or above the lock, a
+        payload that validates; a proposal refused for its payload is kept."""
+        if proposal.round <= self.last_voted_round or proposal.justify.round < self.locked_round:
             return
-        if not self.validate_payload(proposal.payload, justify.payload_digest):
+        if not self.validate_payload(proposal.payload, proposal.justify.payload_digest):
             self._refused = proposal
             return
-        self._vote(proposal)
-
-    def _vote(self, proposal: Proposal) -> None:
         self.last_voted_round = proposal.round
         self._refused = None
         vote = Vote(
@@ -528,19 +529,10 @@ class ConsensusEngine:
             self.send(next_leader, vote)
 
     def retry_vote(self) -> None:
-        """Vote for the proposal refused in the current round if its payload
-        now validates, under the same rule as a first vote: this round's
-        only vote, on a justify at or above the lock."""
-        proposal = self._refused
-        if (
-            proposal is None
-            or proposal.round != self.current_round
-            or proposal.round <= self.last_voted_round
-            or proposal.justify.round < self.locked_round
-            or not self.validate_payload(proposal.payload, proposal.justify.payload_digest)
-        ):
-            return
-        self._vote(proposal)
+        """Judge the proposal refused in the current round again by the first
+        vote's rule: safety limits a round's votes, not when one is cast."""
+        if self._refused is not None and self._refused.round == self.current_round:
+            self._try_vote(self._refused)
 
     def on_vote(self, vote: Vote) -> None:
         if vote.round < self.floor or not self.is_leader(vote.round + 1):
@@ -558,18 +550,16 @@ class ConsensusEngine:
         if not tally.quorum:
             return
         qc = QuorumCertificate(vote.payload_digest, vote.round, *tally.certificate())
-        self._certify(qc)
-        self._update_high_qc(qc)
+        self._observe_qc(qc)
         self._enter_round(vote.round + 1)
 
     def on_new_round(self, msg: NewRound) -> None:
         if msg.high_qc.valid_for(self.table):
-            self._certify(msg.high_qc)
-            self._update_high_qc(msg.high_qc)
+            self._observe_qc(msg.high_qc)
         if msg.sender in self.table.keys and msg.round > self._timed_out.get(msg.sender, 0):
             self._timed_out[msg.sender] = msg.round
             self._catch_up()
-        if msg.round == self.current_round and self.is_leader(msg.round):
+        if msg.round == self.current_round:
             self._propose()
 
     def _catch_up(self) -> None:
@@ -614,8 +604,7 @@ class ConsensusEngine:
         if self._parked:
             self._parked = False
             self.set_timer(self.timeout, self.current_round)
-        if self.is_leader(self.current_round):
-            self._propose()
+        self._propose()
 
     def on_local_timeout(self, round_number: int) -> None:
         if round_number != self.current_round:

@@ -238,7 +238,7 @@ class EquivocatingEngine(ConsensusEngine):
 
     def _propose(self):
         r = self.current_round
-        if r <= self._proposed_round:
+        if r <= self._proposed_round or not self.is_leader(r):
             return
         self._proposed_round = r
         for variant in ("a", "b"):

@@ -439,7 +439,7 @@ class EquivocatingEngine(ConsensusEngine):
 
     def _propose(self):
         r = self.current_round
-        if r <= self._proposed_round:
+        if r <= self._proposed_round or not self.is_leader(r):
             return
         self._proposed_round = r
         for variant in ("a", "b"):
@@ -512,8 +512,8 @@ class TestPacemaker:
         eng.on_local_timeout(eng.current_round)
         assert eng.timeout == 4 * base
         better = QuorumCertificate(b"\x01" * 32, eng.high_qc.round + 1, (), ())
-        eng._update_high_qc(better)
-        assert eng.timeout == base
+        eng._observe_qc(better)
+        assert eng.high_qc is better and eng.timeout == base
 
     def test_stale_timer_ignored(self):
         h = Harness([1] * 4, silent={"n0", "n1", "n2", "n3"})
@@ -725,19 +725,22 @@ class TestVotingRules:
 
     def test_valid_twin_after_invalid_one_is_kept_and_voted(self):
         """An equivocating leader's two proposals of one round reach the node
-        in either order. The evidence is emitted once per round, both blocks
-        enter the tree, and the node votes once per round, for the valid
-        twin: the invalid one no longer shuts out the valid one behind it."""
+        in either order, and then a third, also valid. The evidence is
+        emitted once per round, for the first two, every block enters the
+        tree, and the node votes once per round, for the valid twin: the
+        invalid one no longer shuts out the valid one behind it."""
         eng = self.eng
         evidence = []
         eng.on_evidence = evidence.append
         eng.validate_payload = lambda payload, parent: payload["tag"] != "invalid"
         rounds = [r for r in range(1, 100) if not eng.is_leader(r) and not eng.is_leader(r + 1)]
         for r, order in zip(rounds, (("invalid", "valid"), ("valid", "invalid"))):
-            first, second = (self.proposal(r, GENESIS_QC, tag=tag) for tag in order)
-            for p in (first, second, first, second):
+            first, second, third = (
+                self.proposal(r, GENESIS_QC, tag=tag) for tag in order + ("third",)
+            )
+            for p in (first, second, first, third, second, third):
                 eng.on_proposal(p)
-            assert {first.payload_digest, second.payload_digest} <= set(eng.tree.nodes)
+            assert {p.payload_digest for p in (first, second, third)} <= set(eng.tree.nodes)
             assert [(ev.round, ev.first, ev.second) for ev in evidence[-1:]] == [(r, first, second)]
             valid = first if order[0] == "valid" else second
             assert [v.payload_digest for v in self.votes() if v.round == r] == [valid.payload_digest]
@@ -850,19 +853,21 @@ class TestVotingRules:
         assert self.eng.finalized_set == finalized and self.eng.floor == 4
         assert finalized <= set(self.eng.tree.nodes)
         assert fork.payload_digest not in self.eng.tree.nodes
-        assert all(key[1] >= 4 for key in self.eng._proposal_seen)
+        assert all(r >= 4 for r in self.eng._proposal_seen)
         assert all(qc.round >= 4 for qc in self.eng.tree.certified.values())
         late = self.proposal(3, self.qc(p2), tag="late")
         self.eng.on_proposal(late)
         assert late.payload_digest not in self.eng.tree.nodes
-        assert (late.proposer, 3) not in self.eng._proposal_seen
+        assert 3 not in self.eng._proposal_seen
         digest = crypto.hash("payload", b"old")
         for r in range(1, 4):
             for kp in self.kps:
                 self.eng.on_vote(Vote(r, digest, kp.public, kp.sign(vote_payload(r, digest))))
         assert all(key[0] >= 4 for key in self.eng._votes)
-        self.eng._certify(self.qc(p2))
+        high = self.eng.high_qc
+        self.eng._observe_qc(self.qc(p2))
         assert p2.payload_digest not in self.eng.tree.certified
+        assert self.eng.high_qc is high
 
     @pytest.mark.parametrize("keep_finalized", [True, False], ids=["justify-kept", "justify-dropped"])
     def test_proposal_justified_below_the_floor_ignored(self, keep_finalized):

@@ -5,10 +5,11 @@ runs, and every name a module imports is used in that module. A third
 guard keeps Byzantine behaviors out of the honest role classes, a fourth
 keeps every stake count inside `state.py`, a fifth keeps the seal rule's
 pending-challenge check inside `blocks.py`, a sixth keeps the making of
-a slashing challenge and its id inside `challenges.py`, and a seventh
+a slashing challenge and its id inside `challenges.py`, a seventh
 checks that every message type `nodes.py` defines is both sent and
-handled. The checks parse the sources and search names; they run
-nothing."""
+handled, and an eighth keeps each rule of the consensus engine in its one
+method of `hotstuff.py`. The checks parse the sources and search names;
+they run nothing."""
 
 import ast
 import pathlib
@@ -230,3 +231,77 @@ def test_every_message_is_sent_and_handled():
     assert {"Finalized", "ChallengeMsg", "CollectionResponse"} <= messages
     found = unsent_or_unhandled_messages()
     assert not found, f"message types of nodes.py not sent or not handled: {found}"
+
+
+# a write or call in hotstuff.py that applies an engine rule -> the one
+# method allowed to make it outside `__init__`
+ENGINE_RULES = {
+    "last_voted_round": "_try_vote",  # the voting rule
+    "high_qc": "_observe_qc",  # the QC intake
+    "timeout": "_observe_qc",  # the pacemaker's reset, by the QC intake
+    "make_payload": "_propose",  # the leader guard
+}
+
+
+def engine_rule_sites() -> list[tuple[str, str, int]]:
+    """(rule, function, line) of each assignment to an attribute named in
+    `ENGINE_RULES` and each call of `make_payload` in a function of
+    `hotstuff.py` other than `__init__`. The pacemaker's doubling
+    (`timeout *= 2`) resets nothing, so an augmented assignment to
+    `timeout` is not a site."""
+    sites = []
+    for func in ast.walk(ast.parse((SRC / "hotstuff.py").read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "__init__":
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                names = [_called_name(node)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    t.attr
+                    for target in targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Attribute)
+                    and not (isinstance(node, ast.AugAssign) and t.attr == "timeout")
+                ]
+            else:
+                continue
+            sites.extend((name, func.name, node.lineno) for name in names if name in ENGINE_RULES)
+    return sites
+
+
+def test_engine_states_each_rule_once():
+    """Only `_try_vote` records a vote (`last_voted_round`), only
+    `_observe_qc` raises the high QC and resets the timeout, and only
+    `_propose` asks the host for a payload, so a second copy of the voting
+    rule, the QC intake or the proposing path cannot come back beside the
+    one the tests exercise. Each rule is still applied in its method."""
+    sites = engine_rule_sites()
+    found = [f"{name} in {func}:{line}" for name, func, line in sites if ENGINE_RULES[name] != func]
+    assert not found, f"an engine rule applied outside its one method: {found}"
+    assert {(name, func) for name, func, _ in sites} == set(ENGINE_RULES.items())
+
+
+def leader_checks_before_propose() -> list[int]:
+    """Line of each `if` in `hotstuff.py` whose test asks `is_leader` and
+    whose body calls `_propose`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "hotstuff.py").read_text()))
+        if isinstance(node, ast.If)
+        and any(_called_name(c) == "is_leader" for c in ast.walk(node.test) if isinstance(c, ast.Call))
+        and any(
+            _called_name(c) == "_propose"
+            for stmt in node.body
+            for c in ast.walk(stmt)
+            if isinstance(c, ast.Call)
+        )
+    ]
+
+
+def test_propose_guards_its_own_leadership():
+    """`_propose` checks that this node leads the round, so no caller asks
+    `is_leader` first: the leader guard has one copy."""
+    found = leader_checks_before_propose()
+    assert not found, f"hotstuff.py checks is_leader before calling _propose at lines {found}"

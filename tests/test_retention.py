@@ -177,8 +177,9 @@ def test_clusters_keep_no_work_between_transactions():
 
 def test_reported_equivocations_pruned_below_the_floor():
     """An engine reports each equivocation once, and remembers the report
-    only while a proposal of that round can still reach it: `on_proposal`
-    ignores rounds below the floor, so an older entry is never read."""
+    (a None in its round-keyed `_proposal_seen`) only while a proposal of
+    that round can still reach it: `on_proposal` ignores rounds below the
+    floor, so an older entry is never read."""
     world = bundled("equivocating-leader")
     run_world(world)
     kinds = [r["payload"]["kind"] for r in world.sim.log.select("challenge")]
@@ -186,7 +187,8 @@ def test_reported_equivocations_pruned_below_the_floor():
     for node in world.consensus:
         engine = node.engine
         assert engine.floor > 200, node.name
-        assert all(r >= engine.floor for _, r in engine._evidence_emitted), node.name
+        reported = [r for r, first in engine._proposal_seen.items() if first is None]
+        assert all(r >= engine.floor for r in reported), node.name
 
 
 def test_late_receipt_makes_no_seal_index_entry():
